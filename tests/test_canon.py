@@ -23,6 +23,21 @@ LIFTED_SNAPSHOT = (
     "0000000200000020000261740000000200000000000000010000000000000000000"
     "000000000000100000020000261740000000200000000000000020000000000000000"
     "000000000000000100000001000000140000000000000001000000020000000000000001")
+# Pinned variants of the same states (reserved tags 0xFE/0xFF): a pin index
+# is appended to each vertex record.
+PINNED_GROUND_SNAPSHOT = (
+    "fe000000030000001300056167656e74000000000000000100000000000000130005"
+    "73637265770000000000000003000000010000001300057461626c65000000000000"
+    "00010000000200000003000000180002617400000002000000000000000200000000"
+    "00000001000000180002617400000002000000010000000200000000000000020000"
+    "001b0005686f6c64730000000200000000000000010000000000000001")
+PINNED_LIFTED_SNAPSHOT = (
+    "ff000000030000001300057363726577000000000000000200000000000000140006"
+    "736c6f745f61000000000000000100000001000000140006736c6f745f6200000000"
+    "00000001000000000000000000000002000000200002617400000002000000000000"
+    "00010000000000000000000000000000000100000020000261740000000200000000"
+    "00000002000000000000000000000000000000010000000100000014000000000000"
+    "0001000000020000000000000001")
 
 
 def reference_ground():
@@ -49,6 +64,16 @@ def test_ground_snapshot():
 
 def test_lifted_snapshot():
     assert canonical_form_lifted(reference_lifted()).data.hex() == LIFTED_SNAPSHOT
+
+
+def test_pinned_ground_snapshot():
+    pins = {"s": 0, "t": 1}
+    assert pinned_form(reference_ground(), pins).hex() == PINNED_GROUND_SNAPSHOT
+
+
+def test_pinned_lifted_snapshot():
+    pins = {"s1": 0}
+    assert pinned_form_lifted(reference_lifted(), pins).hex() == PINNED_LIFTED_SNAPSHOT
 
 
 def test_version_bytes_differ():
