@@ -7,8 +7,7 @@ it as the uniform distribution over them.
 """
 
 from mhgfilter import (BoundedEdge, Hyperedge, LiftedMultiHypergraph,
-                       TotalConstraint, Vertex, build_graph, contains,
-                       count_groundings, expand, groundings)
+                       TotalConstraint, Vertex, build_graph, expand)
 
 
 def four_screws_two_piles():
@@ -32,10 +31,10 @@ def main():
     for b in l.bounded_edges:
         print(f"  {b.label}{b.incidence} in [{b.lower}, {b.upper}]")
 
-    n = count_groundings(l)
+    n = l.count_groundings()
     print("\nground support size:", n)
     print("groundings (pile sizes):")
-    for g in groundings(l):
+    for g in l.groundings():
         s1 = g.edge_multiplicity("at", ("e", "s1"))
         s2 = g.edge_multiplicity("at", ("e", "s2"))
         print(f"  s1={s1} s2={s2}")
@@ -46,15 +45,15 @@ def main():
     for g, w in expand(l):
         print(f"  weight {w:.6f} digest {g.canonical_form().digest()}")
 
-    # Membership is decided from the intervals, no enumeration needed.
+    # Membership enumerates the groundings and compares canonical forms.
     inside = build_graph(
         [Vertex("e", "screw", 4), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
         [Hyperedge("at", ("e", "s1")), Hyperedge("at", ("e", "s2"), 3)])
     outside = build_graph(
         [Vertex("e", "screw", 4), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
         [Hyperedge("at", ("e", "s1"), 4)])
-    print("\ncontains 1+3 split:", contains(l, inside))
-    print("contains 4+0 split:", contains(l, outside))
+    print("\ncontains 1+3 split:", l.contains(inside))
+    print("contains 4+0 split:", l.contains(outside))
 
     # A saturated constraint collapses back to an ordinary ground state.
     tight = LiftedMultiHypergraph(

@@ -8,7 +8,7 @@ smaller than the underlying ground support while producing exactly the same
 posteriors as ground enumeration.
 """
 
-from .canon import CanonicalForm, canonical_form, pinned_form
+from .canon import CanonicalForm, canonical_form, canonical_form_lifted, pinned_form
 from .errors import (EffectError, EngineError, EnumerationLimitError,
                      IntegrityError, InputError, ParseError, StructuralError,
                      TraceInconsistencyError)
@@ -18,9 +18,7 @@ from .filtering import (ActionModel, Belief, FilterResult, JointPrediction,
 from .graphs import (EdgeKey, Hyperedge, Label, MultiHypergraph, Vertex,
                      build_graph, edge_key, is_isomorphic)
 from .lifted import (DEFAULT_MAX_GROUNDINGS, BoundedEdge,
-                     LiftedMultiHypergraph, TotalConstraint,
-                     canonical_form_lifted, contains, count_groundings,
-                     groundings)
+                     LiftedMultiHypergraph, TotalConstraint)
 from .domain import (AnnotationTuple, Domain, bookshelf_domain, builtin_domain,
                      format_trace, generate_trace, held_counts,
                      mini_bookshelf_domain, parse_domain, parse_trace,
@@ -47,9 +45,9 @@ __all__ = [
     "TotalConstraint", "TraceInconsistencyError", "Vertex", "agent_location",
     "apply", "bookshelf_domain", "build_graph", "builtin_domain",
     "canonical_form", "canonical_form_lifted", "compare", "consistent",
-    "contains", "count_groundings", "edge_key", "expand", "filter_trace",
+    "edge_key", "expand", "filter_trace",
     "find_matches", "format_trace", "generate_trace", "ground_filter_trace",
-    "ground_options", "groundings", "held_counts", "is_isomorphic",
+    "ground_options", "held_counts", "is_isomorphic",
     "lifted_apply", "mini_bookshelf_domain", "parse_domain", "parse_trace",
     "pinned_form", "predict", "serialize_domain", "successors",
     "total_variation", "update", "__version__",

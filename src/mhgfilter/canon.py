@@ -21,9 +21,13 @@ Byte layout (all integers fixed-width big-endian):
   bounded-edge record list
 
 Records within each section appear in ascending bytewise order.  Pinned
-variants (used internally to deduplicate rule matches up to automorphism) use
-the reserved tag ``0xFE``/``0xFF`` and additionally encode the pin index of
-each vertex; they are never exposed as public canonical forms.
+variants use the reserved tag ``0xFE``/``0xFF`` and additionally encode the
+pin index of each vertex; two pin assignments give equal bytes iff an
+automorphism maps one onto the other.  No library code calls them, and they
+never stand in for canonical forms.
+
+``merge_by_form`` merges weighted states by canonical form for every layer
+(beliefs, rule successors, the ground oracle).
 """
 
 from __future__ import annotations
@@ -32,10 +36,10 @@ import hashlib
 from collections import Counter
 from dataclasses import dataclass
 from struct import pack
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 __all__ = ["CanonicalForm", "canonical_form", "canonical_form_lifted",
-           "pinned_form", "pinned_form_lifted"]
+           "pinned_form", "pinned_form_lifted", "merge_by_form"]
 
 
 @dataclass(frozen=True, order=True)
@@ -120,12 +124,29 @@ def _canonical_bytes(st: _Structure) -> bytes:
     return best
 
 
-# -- ground states ----------------------------------------------------------
+def _structure(state, pins: Mapping[str, int] | None, version: int) -> _Structure:
+    """Refinement view and serialiser of a ground or lifted state.
 
-def _ground_structure(g, pins: Mapping[str, int] | None, version: int) -> _Structure:
-    verts = g.vertices
+    Ground layouts (``0x01``, ``0xFE``) serialise the vertex and edge
+    sections; lifted layouts (``0x02``, ``0xFF``) append the bounded-edge
+    and constraint sections.  A ground state offers the same read interface
+    with no bounded edges and no constraints.
+    """
+    lifted = version in (0x02, 0xFF)
+    verts = state.vertices
     n = len(verts)
     idx = {v.id: i for i, v in enumerate(verts)}
+    fixed = [((0, e.label, e.multiplicity), tuple(idx[x] for x in e.incidence))
+             for e in state.fixed_edges]
+    bounded = [((1, b.label, b.lower, b.upper), tuple(idx[x] for x in b.incidence))
+               for b in state.bounded_edges]
+    edges = fixed + bounded
+    nf = len(fixed)
+    # per edge: the record bytes before and after its vertex indices
+    heads = [_label_rec(desc[1]) + pack(">I", len(inc)) for desc, inc in edges]
+    tails = ([pack(">Q", e.multiplicity) for e in state.fixed_edges]
+             + [pack(">QQ", b.lower, b.upper) for b in state.bounded_edges])
+
     vrecs = []
     for v in verts:
         rec = _label_rec(v.label) + pack(">Q", v.multiplicity)
@@ -133,127 +154,66 @@ def _ground_structure(g, pins: Mapping[str, int] | None, version: int) -> _Struc
             # 0 means unpinned, so stored pin indices are shifted up by one
             rec += pack(">I", pins[v.id] + 1 if v.id in pins else 0)
         vrecs.append(rec)
-    edges = [((0, e.label, e.multiplicity), tuple(idx[x] for x in e.incidence))
-             for e in g.edges]
 
-    def serialize(colors: list[int]) -> bytes:
-        order = sorted(range(n), key=lambda i: colors[i])
-        pos = {i: r for r, i in enumerate(order)}
-        out = [bytes([version]), pack(">I", n)]
-        for i in order:
-            out.append(pack(">I", len(vrecs[i])))
-            out.append(vrecs[i])
-        erecs = []
-        for (_, label, mult), inc in edges:
-            rec = (_label_rec(label) + pack(">I", len(inc))
-                   + b"".join(pack(">I", k) for k in sorted(pos[j] for j in inc))
-                   + pack(">Q", mult))
-            erecs.append(rec)
-        out.append(pack(">I", len(erecs)))
-        for rec in sorted(erecs):
+    init_keys = vrecs
+    groups: list[tuple[int, list[int]]] = []
+    if state.constraints:
+        # constraint profile folded into the initial colours (colour-independent)
+        bindex = {b.key: i for i, b in enumerate(state.bounded_edges)}
+        profile: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        for c in state.constraints:
+            members = [bindex[k] for k in sorted(c.edge_keys)]
+            groups.append((c.total, members))
+            touched: Counter[int] = Counter()
+            for bi in members:
+                touched.update(bounded[bi][1])
+            for vi, occ in touched.items():
+                profile[vi].append((c.total, len(members), occ))
+        init_keys = [rec + b"".join(pack(">QIQ", t, s, o) for t, s, o in sorted(prof))
+                     for rec, prof in zip(vrecs, profile)]
+
+    def section(recs) -> list[bytes]:
+        out = [pack(">I", len(recs))]
+        for rec in recs:
             out.append(pack(">I", len(rec)))
             out.append(rec)
+        return out
+
+    def serialize(colors: list[int]) -> bytes:
+        # at a leaf the colouring is discrete: a colour is a canonical position
+        order = sorted(range(n), key=lambda i: colors[i])
+        recs = [heads[ei] + b"".join(pack(">I", k) for k in sorted(colors[j] for j in inc))
+                + tails[ei] for ei, (_, inc) in enumerate(edges)]
+        out = [bytes([version])]
+        out += section([vrecs[i] for i in order])
+        out += section(sorted(recs[:nf]))
+        if lifted:
+            branked = sorted(range(len(bounded)), key=lambda bi: recs[nf + bi])
+            bpos = {bi: r for r, bi in enumerate(branked)}
+            out += section([recs[nf + bi] for bi in branked])
+            crecs = []
+            for total, members in groups:
+                refs = sorted(bpos[bi] for bi in members)
+                crecs.append(pack(">QI", total, len(refs))
+                             + b"".join(pack(">I", r) for r in refs))
+            out += section(sorted(crecs))
         return b"".join(out)
 
-    return _Structure(n, vrecs, edges, serialize)
+    return _Structure(n, init_keys, edges, serialize)
 
 
 def canonical_form(g) -> CanonicalForm:
     """Canonical form of a ground multi-hypergraph (layout version 1)."""
-    return CanonicalForm(_canonical_bytes(_ground_structure(g, None, 0x01)))
+    return CanonicalForm(_canonical_bytes(_structure(g, None, 0x01)))
 
 
 def pinned_form(g, pins: Mapping[str, int]) -> bytes:
     """Canonical bytes of ``g`` with distinguished (pinned) vertices.
 
     Two pin assignments yield equal bytes iff some automorphism of ``g`` maps
-    one onto the other.  Internal helper for match deduplication.
+    one onto the other.
     """
-    return _canonical_bytes(_ground_structure(g, pins, 0xFE))
-
-
-# -- lifted states ----------------------------------------------------------
-
-def _lifted_structure(l, pins: Mapping[str, int] | None, version: int) -> _Structure:
-    verts = l.vertices
-    n = len(verts)
-    idx = {v.id: i for i, v in enumerate(verts)}
-
-    fixed = [((0, e.label, e.multiplicity), tuple(idx[x] for x in e.incidence))
-             for e in l.fixed_edges]
-    bounded = [((1, b.label, b.lower, b.upper), tuple(idx[x] for x in b.incidence))
-               for b in l.bounded_edges]
-    edges = fixed + bounded
-
-    # constraint profile folded into the initial colours (colour-independent)
-    profile: dict[int, list[tuple[int, int, int]]] = {i: [] for i in range(n)}
-    bkeys = {b.key: b for b in l.bounded_edges}
-    for c in l.constraints:
-        members = [bkeys[k] for k in sorted(c.edge_keys)]
-        touched: Counter[int] = Counter()
-        for b in members:
-            for vid in b.incidence:
-                touched[idx[vid]] += 1
-        for vi, occ in touched.items():
-            profile[vi].append((c.total, len(members), occ))
-
-    vrecs = []
-    init_keys = []
-    for i, v in enumerate(verts):
-        rec = _label_rec(v.label) + pack(">Q", v.multiplicity)
-        if pins is not None:
-            # 0 means unpinned, so stored pin indices are shifted up by one
-            rec += pack(">I", pins[v.id] + 1 if v.id in pins else 0)
-        vrecs.append(rec)
-        extra = b"".join(pack(">QIQ", t, s, o) for t, s, o in sorted(profile[i]))
-        init_keys.append(rec + extra)
-
-    def serialize(colors: list[int]) -> bytes:
-        order = sorted(range(n), key=lambda i: colors[i])
-        pos = {i: r for r, i in enumerate(order)}
-        out = [bytes([version]), pack(">I", n)]
-        for i in order:
-            out.append(pack(">I", len(vrecs[i])))
-            out.append(vrecs[i])
-
-        frecs = []
-        for e in l.fixed_edges:
-            rec = (_label_rec(e.label) + pack(">I", len(e.incidence))
-                   + b"".join(pack(">I", k)
-                              for k in sorted(pos[idx[x]] for x in e.incidence))
-                   + pack(">Q", e.multiplicity))
-            frecs.append(rec)
-        out.append(pack(">I", len(frecs)))
-        for rec in sorted(frecs):
-            out.append(pack(">I", len(rec)))
-            out.append(rec)
-
-        brecs = []
-        for b in l.bounded_edges:
-            rec = (_label_rec(b.label) + pack(">I", len(b.incidence))
-                   + b"".join(pack(">I", k)
-                              for k in sorted(pos[idx[x]] for x in b.incidence))
-                   + pack(">QQ", b.lower, b.upper))
-            brecs.append((rec, b.key))
-        brecs.sort()
-        bpos = {key: r for r, (_, key) in enumerate(brecs)}
-        out.append(pack(">I", len(brecs)))
-        for rec, _ in brecs:
-            out.append(pack(">I", len(rec)))
-            out.append(rec)
-
-        crecs = []
-        for c in l.constraints:
-            refs = sorted(bpos[k] for k in c.edge_keys)
-            crecs.append(pack(">QI", c.total, len(refs))
-                         + b"".join(pack(">I", r) for r in refs))
-        out.append(pack(">I", len(crecs)))
-        for rec in sorted(crecs):
-            out.append(pack(">I", len(rec)))
-            out.append(rec)
-        return b"".join(out)
-
-    return _Structure(n, init_keys, edges, serialize)
+    return _canonical_bytes(_structure(g, pins, 0xFE))
 
 
 def canonical_form_lifted(l) -> CanonicalForm:
@@ -263,8 +223,32 @@ def canonical_form_lifted(l) -> CanonicalForm:
     group names are deliberately excluded so states differing only in group
     naming merge.
     """
-    return CanonicalForm(_canonical_bytes(_lifted_structure(l, None, 0x02)))
+    return CanonicalForm(_canonical_bytes(_structure(l, None, 0x02)))
 
 
 def pinned_form_lifted(l, pins: Mapping[str, int]) -> bytes:
-    return _canonical_bytes(_lifted_structure(l, pins, 0xFF))
+    return _canonical_bytes(_structure(l, pins, 0xFF))
+
+
+# -- merging ------------------------------------------------------------------
+
+S = TypeVar("S")
+W = TypeVar("W", int, float)
+
+
+def merge_by_form(pairs: Iterable[tuple[S, W]]) -> dict[bytes, tuple[S, W]]:
+    """Merge (state, weight) pairs whose states share a canonical form.
+
+    Each form keeps the first state seen with it, and its weights are summed
+    in input order, so float results do not depend on the caller.  The result
+    is keyed by canonical bytes in first-seen order; callers sort its items
+    for the canonical order.
+    """
+    merged: dict[bytes, tuple[S, W]] = {}
+    for state, w in pairs:
+        key = state.canonical_form().data
+        if key in merged:
+            merged[key] = (merged[key][0], merged[key][1] + w)
+        else:
+            merged[key] = (state, w)
+    return merged

@@ -30,6 +30,13 @@ from .rewrite import (Effect, EffectEdge, LiftedEffect, Pattern, PatternEdge,
 
 DOMAIN_FORMAT = "mhg-domain/1"
 
+# Retired ``lifted_effect`` keys of the raw interval arithmetic, with the one
+# value still accepted (their former default).  Any other key besides
+# ``group`` and ``slots`` loads only when false.  Ignoring another value
+# would silently turn a divergent rule into an exact one.
+_RETIRED_LIFTED_KEYS = {"total_delta": 1, "per_edge_upper_delta": 1,
+                        "cap_to_total": True}
+
 __all__ = ["AnnotationTuple", "Domain", "parse_domain", "serialize_domain",
            "parse_trace", "format_trace", "generate_trace", "held_counts",
            "mini_bookshelf_domain", "bookshelf_domain", "builtin_domain",
@@ -162,16 +169,17 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
             lifted = None
             if r.get("lifted_effect") is not None:
                 le = r["lifted_effect"]
+                for key, value in le.items():
+                    if (key not in ("group", "slots")
+                            and value != _RETIRED_LIFTED_KEYS.get(key, False)):
+                        raise ParseError(f"lifted_effect key {key!r} is not "
+                                         f"supported with value {value!r}", source)
                 lifted = LiftedEffect(
                     _req(le, "group", source),
                     tuple(SlotTemplate(_req(s, "label", source),
                                        tuple(_req(s, "incidence", source)),
                                        int(s.get("capacity", 1)))
-                          for s in _req(le, "slots", source)),
-                    int(le.get("total_delta", 1)),
-                    int(le.get("per_edge_upper_delta", 1)),
-                    bool(le.get("cap_to_total", True)),
-                    bool(le.get("unchecked", False)))
+                          for s in _req(le, "slots", source)))
             rules.append(Rule(_req(r, "name", source), pattern, effect, lifted))
         am = data.get("action_model", {})
         action_model = ActionModel(
@@ -245,12 +253,7 @@ def serialize_domain(domain: Domain) -> dict:
                 "group": le.group,
                 "slots": [{"label": s.label, "incidence": list(s.incidence),
                            **({"capacity": s.capacity} if s.capacity != 1 else {})}
-                          for s in le.slots],
-                **({"total_delta": le.total_delta} if le.total_delta != 1 else {}),
-                **({"per_edge_upper_delta": le.per_edge_upper_delta}
-                   if le.per_edge_upper_delta != 1 else {}),
-                **({"cap_to_total": le.cap_to_total} if not le.cap_to_total else {}),
-                **({"unchecked": True} if le.unchecked else {})}
+                          for s in le.slots]}
         rules.append(rd)
 
     out = {

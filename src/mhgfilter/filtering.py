@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
+from .canon import merge_by_form
 from .errors import IntegrityError, TraceInconsistencyError
 from .graphs import EdgeKey, MultiHypergraph, edge_key
 from .lifted import DEFAULT_MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph
@@ -70,19 +71,17 @@ class Belief:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[tuple[LiftedMultiHypergraph, float]]):
-        merged: dict[bytes, tuple[LiftedMultiHypergraph, float]] = {}
-        for state, w in entries:
-            if w < 0:
-                raise IntegrityError("negative belief weight")
-            if w == 0:
-                continue
-            if state.is_empty:
-                raise IntegrityError("belief entry with empty support")
-            key = state.canonical_form().data
-            if key in merged:
-                merged[key] = (merged[key][0], merged[key][1] + w)
-            else:
-                merged[key] = (state, w)
+        def checked():
+            for state, w in entries:
+                if w < 0:
+                    raise IntegrityError("negative belief weight")
+                if w == 0:
+                    continue
+                if state.is_empty:
+                    raise IntegrityError("belief entry with empty support")
+                yield state, w
+
+        merged = merge_by_form(checked())
         total = sum(w for _, w in merged.values())
         if not merged or total <= 0:
             raise IntegrityError("belief has no mass")
@@ -169,16 +168,12 @@ class FilterResult:
 
 def agent_location(domain, state: State) -> str | None:
     """The agent's location vertex id, or None when not uniquely fixed."""
-    if isinstance(state, MultiHypergraph):
-        items = state.edge_dict().items()
-    else:
-        items = state._fixed_mult.items()
     found = None
-    for (label, incidence), mult in items:
-        if label != domain.at_label or domain.agent_id not in incidence:
+    for e in state.fixed_edges:
+        if e.label != domain.at_label or domain.agent_id not in e.incidence:
             continue
-        others = [v for v in incidence if v != domain.agent_id]
-        if len(incidence) != 2 or mult != 1 or found is not None:
+        others = [v for v in e.incidence if v != domain.agent_id]
+        if len(e.incidence) != 2 or e.multiplicity != 1 or found is not None:
             return None
         found = others[0]
     return found
@@ -208,65 +203,58 @@ def _ground_consistent(domain, g: MultiHypergraph, loc: str,
     return True
 
 
-def _condition_state(domain, l: LiftedMultiHypergraph, loc: str,
-                     held: Mapping[str, int],
+def _condition_state(domain, l: State, loc: str, held: Mapping[str, int],
                      max_groundings: int = DEFAULT_MAX_GROUNDINGS
                      ) -> tuple[float, list[tuple[LiftedMultiHypergraph, float]], bool]:
-    """Condition a lifted state on one observation side.
+    """Condition a state on one observation side.
 
     Returns (fraction of groundings that are consistent, replacement states
     with relative weights summing to one, changed flag).  Fixed edges give
     0/1 verdicts; a single bounded key gives an exact interval tightening;
-    anything else is resolved by enumeration.
+    anything else is resolved by enumeration.  A ground state only ever
+    takes the first branch.
     """
-    if loc not in l._by_id:
+    if not l.has_vertex(loc):
         return 0.0, [], True
     work = l
     frac = 1.0
     deferred: list[tuple[tuple[EdgeKey, ...], int]] = []
     changed = False
     for keys, required in _conditions(domain, loc, held):
-        fixed_sum = sum(work._fixed_mult.get(k, 0)
-                        for k in keys if k not in work._bounded_by_key)
-        bounded = [k for k in keys if k in work._bounded_by_key]
+        bounds = [work.multiplicity_bounds(k) for k in keys]
+        fixed_sum = sum(lo for lo, up in bounds if lo == up)
+        bounded = [(k, lo, up) for k, (lo, up) in zip(keys, bounds) if lo != up]
         if not bounded:
             if fixed_sum != required:
                 return 0.0, [], True
         elif len(bounded) == 1:
-            k = bounded[0]
-            b = work._bounded_by_key[k]
+            # bounded keys carry no fixed part, and lower < upper after
+            # normalisation, so a feasible value always tightens
+            k, lo, up = bounded[0]
             v = required - fixed_sum
-            if v < b.lower or v > b.upper:
+            if v < lo or v > up:
                 return 0.0, [], True
-            if (v, v) != (b.lower, b.upper):
-                before = work.count_groundings()
-                new_bounds = [bb if bb.key != k else
-                              BoundedEdge(bb.label, bb.incidence, v, v)
-                              for bb in work.bounded_edges]
-                tightened = work.rebuild(bounded=new_bounds)
-                if tightened.is_empty:
-                    return 0.0, [], True
-                frac *= tightened.count_groundings() / before
-                work = tightened
-                changed = True
+            before = work.count_groundings()
+            new_bounds = [bb if bb.key != k else
+                          BoundedEdge(bb.label, bb.incidence, v, v)
+                          for bb in work.bounded_edges]
+            tightened = work.rebuild(bounded=new_bounds)
+            if tightened.is_empty:
+                return 0.0, [], True
+            frac *= tightened.count_groundings() / before
+            work = tightened
+            changed = True
         else:
             deferred.append((keys, required))
     if deferred:
-        survivors: dict[bytes, tuple[MultiHypergraph, int]] = {}
-        total = 0
-        for g in work.iter_groundings(max_groundings):
-            total += 1
+        survivors = merge_by_form(
+            (g, 1) for g in work.iter_groundings(max_groundings)
             if all(sum(g.edge_multiplicity(*k) for k in keys) == required
-                   for keys, required in deferred):
-                key = g.canonical_form().data
-                if key in survivors:
-                    survivors[key] = (survivors[key][0], survivors[key][1] + 1)
-                else:
-                    survivors[key] = (g, 1)
+                   for keys, required in deferred))
         kept = sum(c for _, c in survivors.values())
         if kept == 0:
             return 0.0, [], True
-        frac *= kept / total
+        frac *= kept / work.count_groundings()
         states = [(LiftedMultiHypergraph.from_graph(g), c / kept)
                   for _, (g, c) in sorted(survivors.items())]
         return frac, states, True
@@ -283,8 +271,6 @@ def consistent(domain, annotation, x_t: State, rule: Rule, x_next: State) -> boo
         return False
 
     def side(state: State, loc: str, held: Mapping[str, int]) -> bool:
-        if isinstance(state, MultiHypergraph):
-            return _ground_consistent(domain, state, loc, held)
         frac, _, _ = _condition_state(domain, state, loc, held)
         return frac > 0
 
@@ -357,7 +343,7 @@ def update(domain, annotation, joint: JointPrediction, step: int = 0,
     Returns the posterior belief over the successor state and the step
     evidence Z; raises when no mass survives.
     """
-    posterior: dict[bytes, tuple[LiftedMultiHypergraph, float]] = {}
+    masses: list[tuple[LiftedMultiHypergraph, float]] = []
     z = 0.0
     for p in joint.particles:
         if p.rule.name != annotation.action:
@@ -387,17 +373,12 @@ def update(domain, annotation, joint: JointPrediction, step: int = 0,
                 base = p.weight * f_prev * rel * prob * f_next
                 for out, out_rel in nexts:
                     mass = base * out_rel
-                    if mass == 0.0:
-                        continue
-                    key = out.canonical_form().data
-                    if key in posterior:
-                        posterior[key] = (posterior[key][0], posterior[key][1] + mass)
-                    else:
-                        posterior[key] = (out, mass)
+                    if mass != 0.0:
+                        masses.append((out, mass))
                 z += base
-    if z <= 0.0 or not posterior:
+    if z <= 0.0 or not masses:
         raise TraceInconsistencyError(step, annotation.action)
-    return Belief(posterior.values()), z
+    return Belief(masses), z
 
 
 # -- trace filtering -----------------------------------------------------------

@@ -12,11 +12,14 @@ whose label participates, the multiplicities of incident conserved edges
 i.e. every one of the k entities is accounted for by exactly one conserved
 relation instance.  Non-participating vertices (locations, the agent, static
 fixtures) are unconstrained.
+
+The construction checks here (vertex index, incidence, conservation) serve
+lifted states too; a ground state is checked as one without bounded edges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import IntegrityError, StructuralError
@@ -73,32 +76,129 @@ def edge_key(label: Label, incidence: Iterable[str]) -> EdgeKey:
     return (label, tuple(sorted(incidence)))
 
 
+def index_vertices(vertices: Iterable[Vertex]
+                   ) -> tuple[tuple[Vertex, ...], dict[str, Vertex]]:
+    """Vertices sorted, plus an id index; raises on a duplicate id."""
+    verts = tuple(sorted(vertices))
+    by_id: dict[str, Vertex] = {}
+    for v in verts:
+        if v.id in by_id:
+            raise StructuralError(f"duplicate vertex id {v.id!r}")
+        by_id[v.id] = v
+    return verts, by_id
+
+
+def check_incidence(label: Label, incidence: Iterable[str],
+                    by_id: Mapping[str, Vertex]) -> None:
+    for vid in incidence:
+        if vid not in by_id:
+            raise StructuralError(f"edge {label!r} references unknown vertex {vid!r}")
+
+
+def check_conservation(vertices: tuple[Vertex, ...], fixed_edges: Iterable[Hyperedge],
+                       bounded_edges=(), constraints=(),
+                       conservation_labels: frozenset[Label] = frozenset(),
+                       conserved_vertex_labels: frozenset[Label] = frozenset()) -> None:
+    """Raise IntegrityError unless every participating vertex's conserved sum
+    equals its multiplicity in every grounding.
+
+    One pass over the edges.  Fixed edges and ungrouped bounded edges add
+    their multiplicity (lower and upper bound) once per incidence; a
+    constraint group adds the exact minimum and maximum of its conserved sum
+    over the assignments that meet its total.  A ground state passes its
+    edges as ``fixed_edges`` and nothing else.
+    """
+    if not conservation_labels or not conserved_vertex_labels:
+        return
+    lo = {v.id: 0 for v in vertices if v.label in conserved_vertex_labels}
+    up = dict(lo)
+    for e in fixed_edges:
+        if e.label in conservation_labels:
+            for vid in e.incidence:
+                if vid in lo:
+                    lo[vid] += e.multiplicity
+                    up[vid] += e.multiplicity
+    group_of = {k: c.name for c in constraints for k in c.edge_keys}
+    # group name -> vertex id -> edge key -> incidence count
+    coefs: dict[str, dict[str, dict[EdgeKey, int]]] = {}
+    for b in bounded_edges:
+        if b.label not in conservation_labels:
+            continue
+        for vid in b.incidence:
+            if vid not in lo:
+                continue
+            name = group_of.get(b.key)
+            if name is None:
+                lo[vid] += b.lower
+                up[vid] += b.upper
+            else:
+                per_key = coefs.setdefault(name, {}).setdefault(vid, {})
+                per_key[b.key] = per_key.get(b.key, 0) + 1
+    if coefs:
+        bounds = {b.key: (b.lower, b.upper) for b in bounded_edges}
+        for c in constraints:
+            for vid, per_key in coefs.get(c.name, {}).items():
+                members = [(*bounds[k], per_key.get(k, 0)) for k in c.edge_keys]
+                mn, mx = _group_coef_range(members, c.total)
+                lo[vid] += mn
+                up[vid] += mx
+    for v in vertices:
+        if v.id in lo and not lo[v.id] == up[v.id] == v.multiplicity:
+            raise IntegrityError(
+                f"vertex {v.id!r} ({v.label}): conserved multiplicity sum "
+                f"ranges over [{lo[v.id]}, {up[v.id]}] across groundings, "
+                f"expected exactly {v.multiplicity}")
+
+
+def _group_coef_range(members: list[tuple[int, int, int]], total: int
+                      ) -> tuple[int, int]:
+    """Min/max of sum(coef*x) over assignments with sum(x)=total within bounds.
+
+    Greedy is exact: the objective is linear over an integral transportation
+    polytope, so extremes fill slack in coefficient order.
+    """
+    base = sum(lo for lo, _, _ in members)
+    surplus = total - base
+
+    def extreme(order: list[tuple[int, int, int]]) -> int:
+        val = sum(lo * c for lo, _, c in members)
+        left = surplus
+        for lo, up, c in order:
+            add = min(left, up - lo)
+            val += add * c
+            left -= add
+        return val
+
+    asc = sorted(members, key=lambda m: m[2])
+    return extreme(asc), extreme(asc[::-1])
+
+
 class MultiHypergraph:
     """Immutable validated multi-hypergraph.
 
     Equality and hashing are structural (same ids, labels, multiplicities);
     use :func:`is_isomorphic` or canonical forms for identity up to renaming.
+
+    A ground state reads like a lifted state without bounded edges: it
+    offers ``fixed_edges``, empty ``bounded_edges`` and ``constraints``,
+    ``is_empty`` and :meth:`multiplicity_bounds`, so matching and
+    conditioning take one code path for both.
     """
 
     __slots__ = ("vertices", "edges", "conservation_labels", "conserved_vertex_labels",
-                 "_by_id", "_mult", "_incident", "_canonical")
+                 "_by_id", "_mult", "_canonical")
+
+    bounded_edges: tuple = ()
+    constraints: tuple = ()
+    is_empty = False
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Hyperedge] = (),
                  conservation_labels: Iterable[Label] = (),
                  conserved_vertex_labels: Iterable[Label] = ()):
-        verts = tuple(sorted(vertices))
-        by_id: dict[str, Vertex] = {}
-        for v in verts:
-            if v.id in by_id:
-                raise StructuralError(f"duplicate vertex id {v.id!r}")
-            by_id[v.id] = v
-
+        verts, by_id = index_vertices(vertices)
         merged: dict[EdgeKey, int] = {}
         for e in edges:
-            for vid in e.incidence:
-                if vid not in by_id:
-                    raise StructuralError(
-                        f"edge {e.label!r} references unknown vertex {vid!r}")
+            check_incidence(e.label, e.incidence, by_id)
             merged[e.key] = merged.get(e.key, 0) + e.multiplicity
 
         self.vertices = verts
@@ -108,27 +208,9 @@ class MultiHypergraph:
         self.conserved_vertex_labels = frozenset(conserved_vertex_labels)
         self._by_id = by_id
         self._mult = {e.key: e.multiplicity for e in self.edges}
-        incident: dict[str, list[Hyperedge]] = {v.id: [] for v in verts}
-        for e in self.edges:
-            for vid in set(e.incidence):
-                incident[vid].append(e)
-        self._incident = incident
         self._canonical = None
-        self._check_conservation()
-
-    def _check_conservation(self) -> None:
-        if not self.conservation_labels or not self.conserved_vertex_labels:
-            return
-        for v in self.vertices:
-            if v.label not in self.conserved_vertex_labels:
-                continue
-            total = sum(e.multiplicity * e.incidence.count(v.id)
-                        for e in self._incident[v.id]
-                        if e.label in self.conservation_labels)
-            if total != v.multiplicity:
-                raise IntegrityError(
-                    f"vertex {v.id!r} ({v.label}): conserved edge multiplicities "
-                    f"sum to {total}, expected {v.multiplicity}")
+        check_conservation(verts, self.edges, (), (), self.conservation_labels,
+                           self.conserved_vertex_labels)
 
     # -- queries -----------------------------------------------------------
 
@@ -141,8 +223,17 @@ class MultiHypergraph:
     def edge_multiplicity(self, label: Label, incidence: Iterable[str]) -> int:
         return self._mult.get(edge_key(label, incidence), 0)
 
+    def multiplicity_bounds(self, key: EdgeKey) -> tuple[int, int]:
+        """(lower, upper) multiplicity of an edge key; equal on a ground state."""
+        m = self._mult.get(key, 0)
+        return m, m
+
+    @property
+    def fixed_edges(self) -> tuple[Hyperedge, ...]:
+        return self.edges
+
     def incident(self, vid: str) -> tuple[Hyperedge, ...]:
-        return tuple(self._incident[vid])
+        return tuple(e for e in self.edges if vid in e.incidence)
 
     def edge_dict(self) -> dict[EdgeKey, int]:
         return dict(self._mult)

@@ -30,13 +30,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .canon import CanonicalForm, canonical_form_lifted as _canon_lifted
-from .errors import EnumerationLimitError, IntegrityError, StructuralError
-from .graphs import EdgeKey, Hyperedge, MultiHypergraph, Vertex, edge_key
+from .errors import EnumerationLimitError, StructuralError
+from .graphs import (EdgeKey, Hyperedge, MultiHypergraph, Vertex, check_conservation,
+                     check_incidence, edge_key, index_vertices)
 
 DEFAULT_MAX_GROUNDINGS = 10 ** 6
 
 __all__ = ["BoundedEdge", "TotalConstraint", "LiftedMultiHypergraph",
-           "groundings", "count_groundings", "contains", "canonical_form_lifted",
            "DEFAULT_MAX_GROUNDINGS"]
 
 
@@ -94,21 +94,15 @@ class LiftedMultiHypergraph:
                  constraints: Iterable[TotalConstraint] = (),
                  conservation_labels: Iterable[str] = (),
                  conserved_vertex_labels: Iterable[str] = ()):
-        verts = tuple(sorted(vertices))
-        by_id: dict[str, Vertex] = {}
-        for v in verts:
-            if v.id in by_id:
-                raise StructuralError(f"duplicate vertex id {v.id!r}")
-            by_id[v.id] = v
-
+        verts, by_id = index_vertices(vertices)
         fixed: dict[EdgeKey, int] = {}
         for e in fixed_edges:
-            self._check_incidence(e.label, e.incidence, by_id)
+            check_incidence(e.label, e.incidence, by_id)
             fixed[e.key] = fixed.get(e.key, 0) + e.multiplicity
 
         bounds: dict[EdgeKey, tuple[int, int]] = {}
         for b in bounded_edges:
-            self._check_incidence(b.label, b.incidence, by_id)
+            check_incidence(b.label, b.incidence, by_id)
             if b.key in bounds:
                 raise StructuralError(f"duplicate bounded edge {b.key!r}")
             bounds[b.key] = (b.lower, b.upper)
@@ -199,51 +193,23 @@ class LiftedMultiHypergraph:
         self._canonical = None
         self._count = None
         if not empty:
-            self._check_conservation()
-
-    @staticmethod
-    def _check_incidence(label, incidence, by_id):
-        for vid in incidence:
-            if vid not in by_id:
-                raise StructuralError(
-                    f"edge {label!r} references unknown vertex {vid!r}")
-
-    def _check_conservation(self) -> None:
-        if not self.conservation_labels or not self.conserved_vertex_labels:
-            return
-        for v in self.vertices:
-            if v.label not in self.conserved_vertex_labels:
-                continue
-            lo_total = up_total = sum(
-                e.multiplicity * e.incidence.count(v.id)
-                for e in self.fixed_edges if e.label in self.conservation_labels)
-            grouped: dict[str, list[tuple[int, int, int]]] = {}
-            for b in self.bounded_edges:
-                coef = (b.incidence.count(v.id)
-                        if b.label in self.conservation_labels else 0)
-                c = self._group_of.get(b.key)
-                if c is not None:
-                    grouped.setdefault(c.name, []).append((b.lower, b.upper, coef))
-                elif coef:
-                    lo_total += b.lower * coef
-                    up_total += b.upper * coef
-            for c in self.constraints:
-                members = grouped.get(c.name, [])
-                if not any(coef for _, _, coef in members):
-                    continue
-                mn, mx = _group_coef_range(members, c.total)
-                lo_total += mn
-                up_total += mx
-            if lo_total != up_total or lo_total != v.multiplicity:
-                raise IntegrityError(
-                    f"vertex {v.id!r} ({v.label}): conserved multiplicity sum "
-                    f"ranges over [{lo_total}, {up_total}] across groundings, "
-                    f"expected exactly {v.multiplicity}")
+            check_conservation(verts, self.fixed_edges, self.bounded_edges,
+                               self.constraints, self.conservation_labels,
+                               self.conserved_vertex_labels)
 
     # -- queries -----------------------------------------------------------
 
     def vertex(self, vid: str) -> Vertex:
         return self._by_id[vid]
+
+    def has_vertex(self, vid: str) -> bool:
+        return vid in self._by_id
+
+    def multiplicity_bounds(self, key: EdgeKey) -> tuple[int, int]:
+        """(lower, upper) multiplicity of an edge key across the groundings."""
+        f = self._fixed_mult.get(key, 0)
+        b = self._bounded_by_key.get(key)
+        return (f + b.lower, f + b.upper) if b else (f, f)
 
     def fixed_multiplicity(self, label: str, incidence: Iterable[str]) -> int:
         return self._fixed_mult.get(edge_key(label, incidence), 0)
@@ -376,29 +342,6 @@ class LiftedMultiHypergraph:
                 f"{len(self.constraints)} constraints)")
 
 
-def _group_coef_range(members: list[tuple[int, int, int]], total: int
-                      ) -> tuple[int, int]:
-    """Min/max of sum(coef*x) over assignments with sum(x)=total within bounds.
-
-    Greedy is exact: the objective is linear over an integral transportation
-    polytope, so extremes fill slack in coefficient order.
-    """
-    base = sum(lo for lo, _, _ in members)
-    surplus = total - base
-
-    def extreme(order: list[tuple[int, int, int]]) -> int:
-        val = sum(lo * c for lo, _, c in members)
-        left = surplus
-        for lo, up, c in order:
-            add = min(left, up - lo)
-            val += add * c
-            left -= add
-        return val
-
-    asc = sorted(members, key=lambda m: m[2])
-    return extreme(asc), extreme(asc[::-1])
-
-
 def _count_compositions(bounds: list[tuple[int, int]], total: int) -> int:
     ways = {0: 1}
     for lo, up in bounds:
@@ -431,23 +374,3 @@ def _compositions(bounds: list[tuple[int, int]], total: int
             yield from rec(i + 1, remaining - v, prefix + (v,))
 
     yield from rec(0, total, ())
-
-
-# -- functional wrappers ------------------------------------------------------
-
-def groundings(l: LiftedMultiHypergraph,
-               max_groundings: int = DEFAULT_MAX_GROUNDINGS) -> list[MultiHypergraph]:
-    return l.groundings(max_groundings)
-
-
-def count_groundings(l: LiftedMultiHypergraph) -> int:
-    return l.count_groundings()
-
-
-def contains(l: LiftedMultiHypergraph, g: MultiHypergraph,
-             max_groundings: int = DEFAULT_MAX_GROUNDINGS) -> bool:
-    return l.contains(g, max_groundings)
-
-
-def canonical_form_lifted(l: LiftedMultiHypergraph) -> CanonicalForm:
-    return l.canonical_form()

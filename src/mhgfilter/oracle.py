@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .canon import merge_by_form
 from .errors import IntegrityError, TraceInconsistencyError
 from .filtering import (Belief, FilterResult, StepStats, _ground_consistent,
                         agent_location, logger)
@@ -30,15 +31,8 @@ def expand(l: LiftedMultiHypergraph,
            max_groundings: int = DEFAULT_MAX_GROUNDINGS
            ) -> list[tuple[MultiHypergraph, float]]:
     """Uniform distribution over the groundings, merged by canonical form."""
-    merged: dict[bytes, tuple[MultiHypergraph, int]] = {}
-    n = 0
-    for g in l.iter_groundings(max_groundings):
-        n += 1
-        key = g.canonical_form().data
-        if key in merged:
-            merged[key] = (merged[key][0], merged[key][1] + 1)
-        else:
-            merged[key] = (g, 1)
+    merged = merge_by_form((g, 1) for g in l.iter_groundings(max_groundings))
+    n = sum(c for _, c in merged.values())
     return [(g, c / n) for _, (g, c) in sorted(merged.items())]
 
 
@@ -48,15 +42,7 @@ class GroundBelief:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[tuple[MultiHypergraph, float]]):
-        merged: dict[bytes, tuple[MultiHypergraph, float]] = {}
-        for g, w in entries:
-            if w <= 0:
-                continue
-            key = g.canonical_form().data
-            if key in merged:
-                merged[key] = (merged[key][0], merged[key][1] + w)
-            else:
-                merged[key] = (g, w)
+        merged = merge_by_form((g, w) for g, w in entries if w > 0)
         total = sum(w for _, w in merged.values())
         if not merged or total <= 0:
             raise IntegrityError("ground belief has no mass")
@@ -138,7 +124,7 @@ def ground_filter_trace(domain, trace: Sequence,
         if total <= 0:
             raise TraceInconsistencyError(i, annotation.action)
         # update
-        posterior: dict[bytes, tuple[MultiHypergraph, float]] = {}
+        masses: list[tuple[MultiHypergraph, float]] = []
         z = 0.0
         for g, rule, w, outs in particles:
             w /= total
@@ -152,15 +138,11 @@ def ground_filter_trace(domain, trace: Sequence,
                                           annotation.held_next):
                     continue
                 mass = w * p
-                key = h.canonical_form().data
-                if key in posterior:
-                    posterior[key] = (posterior[key][0], posterior[key][1] + mass)
-                else:
-                    posterior[key] = (h, mass)
+                masses.append((h, mass))
                 z += mass
-        if z <= 0 or not posterior:
+        if z <= 0 or not masses:
             raise TraceInconsistencyError(i, annotation.action)
-        belief = GroundBelief(posterior.values())
+        belief = GroundBelief(masses)
         log_likelihood += math.log(z)
         beliefs.append(belief)
         stats.append(StepStats(i + 1, annotation.action, len(belief), len(belief),

@@ -31,8 +31,9 @@ preconditions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
+from .canon import merge_by_form
 from .errors import EffectError, StructuralError
 from .graphs import EdgeKey, MultiHypergraph, Vertex, edge_key
 from .lifted import (DEFAULT_MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph,
@@ -151,21 +152,10 @@ class SlotTemplate:
 
 @dataclass(frozen=True)
 class LiftedEffect:
-    """Assert one edge into an unknown slot, tracked by a constraint group.
-
-    ``apply_bounds`` exposes the raw interval arithmetic (total bumped by
-    ``total_delta``, uppers bumped by ``per_edge_upper_delta`` and clipped to
-    the new total when ``cap_to_total``).  ``lifted_apply`` only uses it when
-    its exactness precondition holds, unless ``unchecked`` is set; unchecked
-    effects exist for testing divergence detection and are never exact.
-    """
+    """Assert one edge into an unknown slot, tracked by a constraint group."""
 
     group: str
     slots: tuple[SlotTemplate, ...] = ()
-    total_delta: int = 1
-    per_edge_upper_delta: int = 1
-    cap_to_total: bool = True
-    unchecked: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "slots", tuple(self.slots))
@@ -173,19 +163,6 @@ class LiftedEffect:
             raise StructuralError("lifted effect needs a group name")
         if not self.slots:
             raise StructuralError(f"lifted effect {self.group!r}: no slots")
-        if self.total_delta < 1:
-            raise StructuralError(f"lifted effect {self.group!r}: total_delta < 1")
-
-    def apply_bounds(self, bounds: Iterable[tuple[int, int]], total: int
-                     ) -> tuple[list[tuple[int, int]], int]:
-        new_total = total + self.total_delta
-        out = []
-        for lo, up in bounds:
-            up = up + self.per_edge_upper_delta
-            if self.cap_to_total:
-                up = min(up, new_total)
-            out.append((lo, up))
-        return out, new_total
 
 
 @dataclass(frozen=True)
@@ -220,29 +197,11 @@ class Match:
         raise KeyError(var)
 
 
-# -- multiplicity views --------------------------------------------------------
-
-def _floor_mult(state: State, key: EdgeKey) -> int:
-    """Multiplicity guaranteed in every grounding (equals the ground value)."""
-    if isinstance(state, MultiHypergraph):
-        return state.edge_multiplicity(*key)
-    b = state._bounded_by_key.get(key)
-    return state._fixed_mult.get(key, 0) + (b.lower if b else 0)
-
-
-def _ceil_mult(state: State, key: EdgeKey) -> int:
-    if isinstance(state, MultiHypergraph):
-        return state.edge_multiplicity(*key)
-    b = state._bounded_by_key.get(key)
-    return state._fixed_mult.get(key, 0) + (b.upper if b else 0)
-
+# -- effect keys ---------------------------------------------------------------
 
 def _resolve(entry: str, assignment: Mapping[str, str], state: State) -> str:
     vid = assignment.get(entry, entry)
-    if isinstance(state, MultiHypergraph):
-        if not state.has_vertex(vid):
-            raise EffectError(f"unknown vertex {vid!r} in effect")
-    elif vid not in state._by_id:
+    if not state.has_vertex(vid):
         raise EffectError(f"unknown vertex {vid!r} in effect")
     return vid
 
@@ -265,7 +224,7 @@ def _raw_matches(pattern: Pattern, state: State, optimistic: bool) -> list[Match
     states.
     """
     verts = state.vertices
-    mult = _ceil_mult if optimistic else _floor_mult
+    side = 1 if optimistic else 0
     pvs = list(pattern.vertices)
     # most-constrained-first static order keeps backtracking shallow
     candidates = {pv.var: sorted((v.id for v in verts if pv.admits(v)))
@@ -296,7 +255,7 @@ def _raw_matches(pattern: Pattern, state: State, optimistic: bool) -> list[Match
             ok = True
             for pe in edges_by_last.get(pv.var, ()):
                 key = edge_key(pe.label, [assignment[x] for x in pe.vars])
-                if mult(state, key) < pe.min_multiplicity:
+                if state.multiplicity_bounds(key)[side] < pe.min_multiplicity:
                     ok = False
                     break
             if ok:
@@ -313,20 +272,26 @@ def _effect_feasible(rule: Rule, state: State, match: Match, optimistic: bool) -
     """Whether retracts stay non-negative and caps hold (in every grounding
     for optimistic False, in the loosest grounding for optimistic True)."""
     assignment = match.as_dict()
-    mult = _ceil_mult if optimistic else _floor_mult
+    side = 1 if optimistic else 0
     delta: dict[EdgeKey, int] = {}
     for e in rule.effect.retract:
         k = _effect_key(e, assignment, state)
         delta[k] = delta.get(k, 0) - e.multiplicity
     for k, d in delta.items():
-        if mult(state, k) + d < 0:
+        if state.multiplicity_bounds(k)[side] + d < 0:
             return False
     for e in rule.effect.assert_:
         k = _effect_key(e, assignment, state)
         delta[k] = delta.get(k, 0) + e.multiplicity
-        if e.cap is not None and mult(state, k) + delta[k] > e.cap:
+        if e.cap is not None and state.multiplicity_bounds(k)[side] + delta[k] > e.cap:
             return False
     return True
+
+
+def _effect_matches(rule: Rule, state: State) -> list[Match]:
+    """Sorted matches whose plain effect fires in every grounding."""
+    return [m for m in _raw_matches(rule.pattern, state, optimistic=False)
+            if _effect_feasible(rule, state, m, optimistic=False)]
 
 
 def _free_slot_keys(rule: Rule, g: MultiHypergraph, match: Match) -> list[EdgeKey]:
@@ -334,9 +299,18 @@ def _free_slot_keys(rule: Rule, g: MultiHypergraph, match: Match) -> list[EdgeKe
     free = []
     for s in rule.lifted_effect.slots:
         k = _slot_key(s, assignment, g)
-        if g.edge_multiplicity(*k) + 1 <= s.capacity:
+        if g.multiplicity_bounds(k)[0] + 1 <= s.capacity:
             free.append(k)
     return free
+
+
+def _has_free_slot(rule: Rule, state: State, match: Match) -> bool:
+    census = _slot_census(rule.lifted_effect, state, match)
+    if census is not None:
+        return census.free_count >= 1
+    assignment = match.as_dict()
+    return any(state.multiplicity_bounds(_slot_key(s, assignment, state))[1] + 1
+               <= s.capacity for s in rule.lifted_effect.slots)
 
 
 def find_matches(rule: Rule, state: State) -> list[Match]:
@@ -347,38 +321,20 @@ def find_matches(rule: Rule, state: State) -> list[Match]:
     least one slot free.  On lifted states, applicability means applicable
     in every grounding.
     """
-    matches = [m for m in _raw_matches(rule.pattern, state, optimistic=False)
-               if _effect_feasible(rule, state, m, optimistic=False)]
+    matches = _effect_matches(rule, state)
     if rule.lifted_effect is not None:
-        if isinstance(state, MultiHypergraph):
-            matches = [m for m in matches if _free_slot_keys(rule, state, m)]
-        else:
-            kept = []
-            for m in matches:
-                info = _slot_census(rule.lifted_effect, state, m)
-                if info is not None:
-                    ok = info.free_count >= 1
-                else:
-                    assignment = m.as_dict()
-                    ok = any(
-                        _ceil_mult(state, _slot_key(s, assignment, state)) + 1
-                        <= s.capacity
-                        for s in rule.lifted_effect.slots)
-                if ok:
-                    kept.append(m)
-            matches = kept
+        matches = [m for m in matches if _has_free_slot(rule, state, m)]
     return matches
 
 
 def ground_options(rule: Rule, g: MultiHypergraph) -> list[Match]:
     """The rule's equally likely application options in a ground state."""
-    matches = find_matches(rule, g)
+    matches = _effect_matches(rule, g)
     if rule.lifted_effect is None:
         return matches
-    out = []
-    for m in matches:
-        for k in _free_slot_keys(rule, g, m):
-            out.append(Match(m.assignment, placement=k))
+    # a match without a free slot contributes no option
+    out = [Match(m.assignment, placement=k)
+           for m in matches for k in _free_slot_keys(rule, g, m)]
     out.sort()
     return out
 
@@ -421,18 +377,8 @@ def successors(rule: Rule, g: MultiHypergraph) -> list[tuple[MultiHypergraph, fl
     """Successor distribution of the rule in g: uniform over its options,
     grouped by canonical form.  Empty when the rule is not applicable."""
     options = ground_options(rule, g)
-    if not options:
-        return []
-    grouped: dict[bytes, tuple[MultiHypergraph, int]] = {}
-    for m in options:
-        h = apply(rule, g, m)
-        key = h.canonical_form().data
-        if key in grouped:
-            grouped[key] = (grouped[key][0], grouped[key][1] + 1)
-        else:
-            grouped[key] = (h, 1)
-    n = len(options)
-    return [(h, c / n) for _, (h, c) in sorted(grouped.items())]
+    grouped = merge_by_form((apply(rule, g, m), 1) for m in options)
+    return [(h, c / len(options)) for _, (h, c) in sorted(grouped.items())]
 
 
 # -- lifted application --------------------------------------------------------
@@ -464,8 +410,6 @@ def _slot_census(le: LiftedEffect, l: LiftedMultiHypergraph, match: Match
                  ) -> _SlotCensus | None:
     """Classify the rule's slot keys in l; None when the aggregation
     precondition fails (fallback required)."""
-    if le.total_delta != 1 or le.per_edge_upper_delta != 1 or not le.cap_to_total:
-        return None
     assignment = match.as_dict()
     keys = []
     for s in le.slots:
@@ -478,15 +422,14 @@ def _slot_census(le: LiftedEffect, l: LiftedMultiHypergraph, match: Match
     members: list[EdgeKey] = []
     empties: list[EdgeKey] = []
     for k in keys:
-        b = l._bounded_by_key.get(k)
-        f = l._fixed_mult.get(k, 0)
-        if b is not None:
-            if group is None or k not in group.edge_keys or f or (b.lower, b.upper) != (0, 1):
+        lo, up = l.multiplicity_bounds(k)
+        if lo != up:
+            if group is None or k not in group.edge_keys or (lo, up) != (0, 1):
                 return None
             members.append(k)
-        elif f == 0:
+        elif lo == 0:
             empties.append(k)
-        elif f != 1:
+        elif lo != 1:
             return None
     if group is not None and set(group.edge_keys) - set(keys):
         return None          # foreign members: free-slot count not constant
@@ -570,62 +513,26 @@ def _rebuild(l: LiftedMultiHypergraph, fixed: Mapping[EdgeKey, int],
 
 def _grouped_outputs(pairs: list[tuple[LiftedMultiHypergraph, float]]
                      ) -> tuple[tuple[LiftedMultiHypergraph, float], ...]:
-    grouped: dict[bytes, tuple[LiftedMultiHypergraph, float]] = {}
-    for state, w in pairs:
-        key = state.canonical_form().data
-        if key in grouped:
-            grouped[key] = (grouped[key][0], grouped[key][1] + w)
-        else:
-            grouped[key] = (state, w)
-    return tuple(v for _, v in sorted(grouped.items()))
+    return tuple(v for _, v in sorted(merge_by_form(pairs).items()))
 
 
 def _fallback(rule: Rule, l: LiftedMultiHypergraph, max_groundings: int
               ) -> LiftedApplyResult:
     """Definitionally exact path: enumerate, apply, relift by canonical form."""
-    weights: dict[bytes, tuple[MultiHypergraph, float]] = {}
     n_app = 0
     n_tot = 0
-    applied: list[tuple[MultiHypergraph, int]] = []
+    pairs: list[tuple[MultiHypergraph, float]] = []
     for g in l.iter_groundings(max_groundings):
         n_tot += 1
         options = ground_options(rule, g)
         if options:
             n_app += 1
-            applied.append((g, len(options)))
-            for m in options:
-                h = apply(rule, g, m)
-                key = h.canonical_form().data
-                w = 1.0 / len(options)
-                if key in weights:
-                    weights[key] = (weights[key][0], weights[key][1] + w)
-                else:
-                    weights[key] = (h, w)
+            pairs += [(apply(rule, g, m), 1.0 / len(options)) for m in options]
     if n_app == 0:
         return LiftedApplyResult((), 0, n_tot)
     outputs = [(LiftedMultiHypergraph.from_graph(h), w / n_app)
-               for _, (h, w) in sorted(weights.items())]
+               for _, (h, w) in sorted(merge_by_form(pairs).items())]
     return LiftedApplyResult(tuple(outputs), n_app, n_tot)
-
-
-def _apply_unchecked(rule: Rule, l: LiftedMultiHypergraph, match: Match
-                     ) -> LiftedMultiHypergraph:
-    """Raw interval arithmetic on the effect's group; exact only by accident."""
-    le = rule.lifted_effect
-    group = next((c for c in l.constraints if c.name == le.group), None)
-    if group is None:
-        raise EffectError(f"rule {rule.name!r}: no constraint group {le.group!r}")
-    keys = sorted(group.edge_keys)
-    pairs = [(l._bounded_by_key[k].lower, l._bounded_by_key[k].upper) for k in keys]
-    new_pairs, new_total = le.apply_bounds(pairs, group.total)
-    shift = _shift_effect(rule, l, match)
-    if shift is None:
-        raise EffectError(f"rule {rule.name!r}: effect not expressible as shifts")
-    fixed, bounds, group_delta = shift
-    for k, (lo, up) in zip(keys, new_pairs):
-        bounds[k] = (lo, up)
-    group_delta[le.group] = group_delta.get(le.group, 0) + (new_total - group.total)
-    return _rebuild(l, fixed, bounds, group_delta)
 
 
 def lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
@@ -648,13 +555,6 @@ def lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
             feasible.append(m)
 
     n_tot = l.count_groundings()
-
-    if rule.lifted_effect is not None and rule.lifted_effect.unchecked:
-        if not feasible:
-            return LiftedApplyResult((), 0, n_tot)
-        outs = [( _apply_unchecked(rule, l, m), 1.0 / len(feasible))
-                for m in feasible]
-        return LiftedApplyResult(_grouped_outputs(outs), n_tot, n_tot)
 
     if rule.lifted_effect is not None:
         per_match = []

@@ -11,8 +11,10 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from mhgfilter import (LiftedMultiHypergraph, MultiHypergraph, Rule,
-                       ground_options, apply)
+from mhgfilter import (DEFAULT_MAX_GROUNDINGS, BoundedEdge, LiftedApplyResult,
+                       LiftedMultiHypergraph, MultiHypergraph, Rule,
+                       TotalConstraint, apply, edge_key, find_matches,
+                       ground_options, lifted_apply)
 from mhgfilter.graphs import Hyperedge, Vertex
 
 
@@ -115,6 +117,47 @@ def ground_pushforward(rule: Rule, l: LiftedMultiHypergraph
     if n_app:
         dist = {k: w / n_app for k, w in dist.items()}
     return dist, n_app, len(grounds)
+
+
+def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
+                           max_groundings: int = DEFAULT_MAX_GROUNDINGS
+                           ) -> LiftedApplyResult:
+    """A deliberately wrong ``lifted_apply``, for divergence-detection tests.
+
+    A rule with a lifted effect skips the exactness precondition and takes
+    raw interval arithmetic at each applicable match: the plain effect moves
+    fixed edges, the effect's group total grows by one, and every member's
+    upper bound grows by one, capped at the new total.  The result is exact
+    only by accident.  Other rules take the library's path.  Tests patch it
+    in at ``mhgfilter.filtering.lifted_apply``.
+    """
+    if rule.lifted_effect is None:
+        return lifted_apply(rule, l, max_groundings)
+    n = l.count_groundings()
+    matches = find_matches(rule, l)
+    if not matches:
+        return LiftedApplyResult((), 0, n)
+    group = next(c for c in l.constraints if c.name == rule.lifted_effect.group)
+    total = group.total + 1
+    bounded = [BoundedEdge(b.label, b.incidence, b.lower, min(b.upper + 1, total))
+               if b.key in group.edge_keys else b for b in l.bounded_edges]
+    constraints = [TotalConstraint(c.name, c.edge_keys, total) if c is group else c
+                   for c in l.constraints]
+    outputs = []
+    for m in matches:
+        assignment = m.as_dict()
+        fixed = {e.key: e.multiplicity for e in l.fixed_edges}
+        for e in rule.effect.retract:
+            k = edge_key(e.label, [assignment.get(x, x) for x in e.vars])
+            fixed[k] -= e.multiplicity
+        for e in rule.effect.assert_:
+            k = edge_key(e.label, [assignment.get(x, x) for x in e.vars])
+            fixed[k] = fixed.get(k, 0) + e.multiplicity
+        state = LiftedMultiHypergraph(
+            l.vertices, [Hyperedge(lbl, inc, c) for (lbl, inc), c in fixed.items() if c],
+            bounded, constraints, l.conservation_labels, l.conserved_vertex_labels)
+        outputs.append((state, 1.0 / len(matches)))
+    return LiftedApplyResult(tuple(outputs), n, n)
 
 
 def lifted_distribution(outputs: Iterable[tuple[LiftedMultiHypergraph, float]]

@@ -6,6 +6,7 @@ import pytest
 
 from mhgfilter import AnnotationTuple, format_trace, serialize_domain
 from mhgfilter.cli import main
+from oracles import unchecked_lifted_apply
 from test_oracle import unchecked_domain
 
 
@@ -86,7 +87,8 @@ def test_compare_clean_trace_exits_zero(mini_trace, capsys):
     assert len(report["per_step_tv"]) == 7
 
 
-def test_compare_divergent_exits_one(tmp_path, capsys):
+def test_compare_divergent_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("mhgfilter.filtering.lifted_apply", unchecked_lifted_apply)
     domain_path = tmp_path / "unchecked.json"
     domain_path.write_text(json.dumps(serialize_domain(unchecked_domain())))
     trace_path = tmp_path / "trace.jsonl"

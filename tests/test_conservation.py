@@ -1,0 +1,77 @@
+"""Property: the constructor's conservation check agrees with enumeration."""
+
+from __future__ import annotations
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from mhgfilter import (BoundedEdge, Hyperedge, IntegrityError,  # noqa: E402
+                       LiftedMultiHypergraph, TotalConstraint, Vertex)
+
+CONSERVED_EDGES = frozenset({"at"})
+CONSERVED_VERTICES = frozenset({"item"})
+
+
+@st.composite
+def lifted_parts(draw):
+    """Vertex ids and labels, fixed edges, at most four bounded edges and at
+    most one constraint group over them."""
+    ids = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    labels = [draw(st.sampled_from(["item", "place"])) for _ in ids]
+    incidence = st.lists(st.sampled_from(ids), min_size=1, max_size=2).map(
+        lambda xs: tuple(sorted(xs)))
+    edge_label = st.sampled_from(["at", "near"])
+    fixed = draw(st.lists(st.builds(Hyperedge, edge_label, incidence,
+                                    st.integers(1, 2)), max_size=3))
+    bounded: dict = {}
+    for label, inc, lower, width in draw(st.lists(
+            st.tuples(edge_label, incidence, st.integers(0, 2), st.integers(0, 2)),
+            max_size=4)):
+        bounded.setdefault((label, inc), BoundedEdge(label, inc, lower, lower + width))
+    bounded = list(bounded.values())
+    members = draw(st.lists(st.sampled_from(bounded), unique=True)) if bounded else []
+    constraints = []
+    if members:
+        lo = sum(b.lower for b in members)
+        up = sum(b.upper for b in members)
+        # one past either end of the feasible range gives an empty state
+        constraints.append(TotalConstraint(
+            "grp", frozenset(b.key for b in members),
+            draw(st.integers(max(lo - 1, 0), up + 1))))
+    return ids, labels, fixed, bounded, constraints
+
+
+def conserved_sums(g, ids):
+    return {vid: sum(e.multiplicity * e.incidence.count(vid)
+                     for e in g.edges if e.label in CONSERVED_EDGES)
+            for vid in ids}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(lifted_parts(), st.integers(-1, 1))
+def test_conservation_check_matches_enumeration(parts, skew):
+    ids, labels, fixed, bounded, constraints = parts
+
+    def build(mults, conservation=((), ())):
+        vertices = [Vertex(vid, label, m) for vid, label, m in zip(ids, labels, mults)]
+        return LiftedMultiHypergraph(vertices, fixed, bounded, constraints,
+                                     *conservation)
+
+    grounds = list(build([1] * len(ids)).iter_groundings())
+    # multiplicities read off one grounding (the first vertex skewed), so that
+    # both conserving and violating states come up often
+    sums = conserved_sums(grounds[0], ids) if grounds else {}
+    mults = [max(1, sums.get(vid, 0) + (skew if i == 0 else 0))
+             for i, vid in enumerate(ids)]
+    violated = any(
+        conserved_sums(g, ids)[vid] != m
+        for g in grounds
+        for vid, label, m in zip(ids, labels, mults) if label in CONSERVED_VERTICES)
+    conservation = (CONSERVED_EDGES, CONSERVED_VERTICES)
+    if violated:
+        with pytest.raises(IntegrityError):
+            build(mults, conservation)
+    else:
+        build(mults, conservation)

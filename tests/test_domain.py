@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -103,6 +104,29 @@ def test_parse_domain_errors():
     with pytest.raises(ParseError) as exc:
         parse_domain(broken, "dupes.json")
     assert exc.value.source == "dupes.json"
+
+
+def test_parse_rejects_retired_lifted_effect_keys():
+    """Retired interval-arithmetic keys load only at their former defaults;
+    any other value would change the rule's meaning if ignored."""
+    mini = mini_bookshelf_domain()
+    good = serialize_domain(mini)
+    index = next(i for i, r in enumerate(good["rules"]) if "lifted_effect" in r)
+    assert set(good["rules"][index]["lifted_effect"]) == {"group", "slots"}
+
+    def with_keys(**extra):
+        doc = copy.deepcopy(good)
+        doc["rules"][index]["lifted_effect"].update(extra)
+        return doc
+
+    defaults = with_keys(total_delta=1, per_edge_upper_delta=1,
+                         cap_to_total=True, unchecked=False)
+    assert parse_domain(defaults, "doc").rules == mini.rules
+    for key, value in (("total_delta", 2), ("per_edge_upper_delta", 0),
+                       ("cap_to_total", False), ("unchecked", True)):
+        with pytest.raises(ParseError) as exc:
+            parse_domain(with_keys(**{key: value}), "doc")
+        assert repr(key) in str(exc.value)
 
 
 def test_trace_round_trip():

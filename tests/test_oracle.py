@@ -11,6 +11,7 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
                        TotalConstraint, TraceInconsistencyError, Vertex,
                        GroundBelief, compare, expand, ground_filter_trace,
                        mini_bookshelf_domain, generate_trace, total_variation)
+from oracles import unchecked_lifted_apply
 
 
 def symmetric_pair():
@@ -93,8 +94,9 @@ def test_compare_agrees_on_mini_traces():
 
 
 def unchecked_domain():
-    """A domain whose install rule skips the exactness precondition, so the
-    lifted filter drifts away from the ground truth."""
+    """A domain whose install rule meets ``unchecked_lifted_apply``'s raw
+    interval arithmetic: with it patched in, the lifted filter drifts away
+    from the ground truth."""
     vertices = [Vertex("agent", "agent"), Vertex("table", "table"),
                 Vertex("e", "eccentric", 2),
                 Vertex("s1", "slot_a"), Vertex("s2", "slot_b")]
@@ -112,8 +114,7 @@ def unchecked_domain():
                 (PatternEdge("at", ("A", "T")), PatternEdge("holds", ("A", "E")))),
         Effect(retract=(EffectEdge("holds", ("A", "E")),)),
         LiftedEffect("installed",
-                     (SlotTemplate("at", ("E", "s1")), SlotTemplate("at", ("E", "s2"))),
-                     unchecked=True))
+                     (SlotTemplate("at", ("E", "s1")), SlotTemplate("at", ("E", "s2")))))
     return Domain(name="unchecked", agent_id="agent",
                   location_labels=frozenset({"table"}),
                   agent_location_labels=frozenset({"table"}),
@@ -124,7 +125,8 @@ def unchecked_domain():
                   action_model=ActionModel())
 
 
-def test_compare_flags_unchecked_divergence():
+def test_compare_flags_unchecked_divergence(monkeypatch):
+    monkeypatch.setattr("mhgfilter.filtering.lifted_apply", unchecked_lifted_apply)
     domain = unchecked_domain()
     trace = [AnnotationTuple("install", "table", "table",
                              {"eccentric": 1}, {"eccentric": 0})]
