@@ -27,8 +27,8 @@ from .oracle import (ComparisonReport, GroundBelief, GroundFilterResult,
                      compare, expand, ground_filter_trace, total_variation)
 from .rewrite import (Effect, EffectEdge, LiftedApplyResult, LiftedEffect,
                       Match, Pattern, PatternEdge, PatternVertex, Rule,
-                      SlotTemplate, apply, find_matches, ground_options,
-                      lifted_apply, successors)
+                      SlotTemplate, applicability_count, apply, find_matches,
+                      ground_options, lifted_apply, successors)
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,7 @@ __all__ = [
     "MultiHypergraph", "ParseError", "Particle", "Pattern", "PatternEdge",
     "PatternVertex", "Rule", "SlotTemplate", "StepStats", "StructuralError",
     "TotalConstraint", "TraceInconsistencyError", "Vertex", "agent_location",
-    "apply", "bookshelf_domain", "build_graph", "builtin_domain",
+    "applicability_count", "apply", "bookshelf_domain", "build_graph", "builtin_domain",
     "canonical_form", "canonical_form_lifted", "compare", "consistent",
     "edge_key", "expand", "filter_trace",
     "find_matches", "format_trace", "generate_trace", "ground_filter_trace",

@@ -8,6 +8,13 @@ name, the agent's location before and after, and the held-item counts before
 and after; every component is observed exactly or not at all, so observation
 factors are counting fractions rather than noisy likelihoods).
 
+Prediction only counts, per belief entry and rule, the groundings in which
+the rule applies; a particle builds its successor distribution the first
+time it is read.  In ``filter_trace`` that read comes only from the update,
+and only for particles whose rule is the observed action, so successors of
+rules the observation rules out are never built.  Every state that enters a
+belief is built, and checked, on the way.
+
 Exactness contract: prediction splits a belief entry into its groundings
 whenever some rule is applicable in only part of them, so each surviving
 entry has a grounding-independent applicable-rule set; conditioning either
@@ -22,13 +29,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence, Union
 
 from .canon import merge_by_form
 from .errors import IntegrityError, TraceInconsistencyError
 from .graphs import EdgeKey, MultiHypergraph, edge_key
 from .lifted import DEFAULT_MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph
-from .rewrite import Rule, lifted_apply
+from .rewrite import Rule, applicability_count, lifted_apply
 
 logger = logging.getLogger("mhgfilter")
 
@@ -116,15 +124,24 @@ class Particle:
     """One predecessor hypothesis with one rule and its successor distribution.
 
     ``weight`` is the joint mass of (predecessor, rule); the successor
-    distribution ``outputs`` sums to one within the particle.  Keeping the
-    successors attached lets the update recompute them exactly when the
+    distribution ``outputs`` sums to one within the particle.  The successors
+    are built by ``lifted_apply`` (under the enumeration limit
+    ``max_groundings``) the first time ``outputs`` is read, and cached, so a
+    particle the observation rules out never builds them.  Keeping the rule
+    attached lets the update recompute the successors exactly when the
     predecessor gets tightened by the observation.
     """
 
     prev: LiftedMultiHypergraph
     rule: Rule
     weight: float
-    outputs: tuple[tuple[LiftedMultiHypergraph, float], ...]
+    max_groundings: int = DEFAULT_MAX_GROUNDINGS
+
+    @cached_property
+    def outputs(self) -> tuple[tuple[LiftedMultiHypergraph, float], ...]:
+        # looked up in this module at call time, so a patched lifted_apply
+        # here is the one that builds
+        return lifted_apply(self.rule, self.prev, self.max_groundings).outputs
 
 
 @dataclass(frozen=True)
@@ -287,48 +304,49 @@ def predict(domain, belief: Belief,
     Entries whose groundings disagree on some rule's applicability are split
     into grounding singletons first, so every particle's rule probability is
     well defined.  Entries with no applicable rule at all are dropped (dead
-    ends) and the prediction is renormalised.
+    ends) and the prediction is renormalised.  Only applicability is counted
+    here; each particle builds its successors when they are first read.
     """
     queue: list[tuple[LiftedMultiHypergraph, float]] = list(belief.entries)
-    particles: list[Particle] = []
+    masses: list[tuple[LiftedMultiHypergraph, Rule, float]] = []
     dropped = 0.0
     while queue:
         state, w = queue.pop()
-        results = []
+        applicable = []
         split = False
         for rule in domain.rules:
-            r = lifted_apply(rule, state, max_groundings)
-            if 0 < r.n_applicable < r.n_groundings:
+            n_app, n_tot = applicability_count(rule, state, max_groundings)
+            if 0 < n_app < n_tot:
                 split = True
                 break
-            results.append((rule, r))
+            if n_app > 0:
+                applicable.append(rule)
         if split:
             n = state.count_groundings()
             for g in state.iter_groundings(max_groundings):
                 queue.append((LiftedMultiHypergraph.from_graph(g), w / n))
             continue
         loc = agent_location(domain, state)
-        applicable = [(rule, r) for rule, r in results if r.n_applicable > 0]
         if not applicable:
             logger.warning("dead end: no applicable rule; dropping %g belief mass", w)
             dropped += w
             continue
         weights = [domain.action_model.rule_weight(rule.name, loc)
-                   for rule, _ in applicable]
+                   for rule in applicable]
         total_w = sum(weights)
         if total_w <= 0:
             logger.warning("dead end: zero action mass; dropping %g belief mass", w)
             dropped += w
             continue
-        for (rule, r), rw in zip(applicable, weights):
+        for rule, rw in zip(applicable, weights):
             if rw == 0:
                 continue
-            particles.append(Particle(state, rule, w * rw / total_w, r.outputs))
-    if not particles:
+            masses.append((state, rule, w * rw / total_w))
+    if not masses:
         return JointPrediction((), dropped)
-    scale = 1.0 / sum(p.weight for p in particles)
-    particles = [Particle(p.prev, p.rule, p.weight * scale, p.outputs)
-                 for p in particles]
+    scale = 1.0 / sum(m for _, _, m in masses)
+    particles = [Particle(state, rule, m * scale, max_groundings)
+                 for state, rule, m in masses]
     particles.sort(key=lambda p: (p.rule.name, p.prev.canonical_form().data))
     return JointPrediction(tuple(particles), dropped)
 

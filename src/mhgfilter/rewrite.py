@@ -25,11 +25,14 @@ are used, most specific first:
 
 All three agree with the ground semantics exactly; the fallback is the
 definition, the other two are proved-equal fast paths with checked
-preconditions.
+preconditions.  ``applicability_count`` returns the same two counts without
+building any successor; it and ``lifted_apply`` share one precondition pass,
+and a failed precondition is logged at debug level with the rule's name.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Mapping, Union
 
@@ -41,9 +44,12 @@ from .lifted import (DEFAULT_MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph,
 
 State = Union[MultiHypergraph, LiftedMultiHypergraph]
 
+logger = logging.getLogger("mhgfilter")
+
 __all__ = ["PatternVertex", "PatternEdge", "Pattern", "EffectEdge", "Effect",
            "SlotTemplate", "LiftedEffect", "Rule", "Match", "LiftedApplyResult",
-           "find_matches", "apply", "ground_options", "successors", "lifted_apply"]
+           "find_matches", "apply", "ground_options", "successors",
+           "applicability_count", "lifted_apply"]
 
 
 @dataclass(frozen=True)
@@ -516,18 +522,31 @@ def _grouped_outputs(pairs: list[tuple[LiftedMultiHypergraph, float]]
     return tuple(v for _, v in sorted(merge_by_form(pairs).items()))
 
 
-def _fallback(rule: Rule, l: LiftedMultiHypergraph, max_groundings: int
-              ) -> LiftedApplyResult:
-    """Definitionally exact path: enumerate, apply, relift by canonical form."""
+def _fallback_counts(rule: Rule, l: LiftedMultiHypergraph, max_groundings: int,
+                     pairs: list[tuple[MultiHypergraph, float]] | None = None
+                     ) -> tuple[int, int]:
+    """Enumerate l's groundings; return (n_applicable, n_groundings).
+
+    With ``pairs``, also append every option's ground successor with its
+    probability within its grounding.
+    """
     n_app = 0
     n_tot = 0
-    pairs: list[tuple[MultiHypergraph, float]] = []
     for g in l.iter_groundings(max_groundings):
         n_tot += 1
         options = ground_options(rule, g)
         if options:
             n_app += 1
-            pairs += [(apply(rule, g, m), 1.0 / len(options)) for m in options]
+            if pairs is not None:
+                pairs += [(apply(rule, g, m), 1.0 / len(options)) for m in options]
+    return n_app, n_tot
+
+
+def _fallback(rule: Rule, l: LiftedMultiHypergraph, max_groundings: int
+              ) -> LiftedApplyResult:
+    """Definitionally exact path: enumerate, apply, relift by canonical form."""
+    pairs: list[tuple[MultiHypergraph, float]] = []
+    n_app, n_tot = _fallback_counts(rule, l, max_groundings, pairs)
     if n_app == 0:
         return LiftedApplyResult((), 0, n_tot)
     outputs = [(LiftedMultiHypergraph.from_graph(h), w / n_app)
@@ -535,82 +554,113 @@ def _fallback(rule: Rule, l: LiftedMultiHypergraph, max_groundings: int
     return LiftedApplyResult(tuple(outputs), n_app, n_tot)
 
 
+def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:
+    """Check the preconditions of the lifted strategies, once.
+
+    Returns one (slot census, fixed, bounds, group deltas) step per match
+    that fires in every grounding (for lifted-effect rules, per match with a
+    free slot; the census is None for other rules), an empty list when the
+    rule fires in no grounding, or None when the exact fallback is needed.
+    A failed precondition is logged at debug level.
+    """
+    def give_up(reason: str) -> None:
+        logger.debug("lifted_apply %r: fallback, %s", rule.name, reason)
+
+    pess = _raw_matches(rule.pattern, l, optimistic=False)
+    if pess != _raw_matches(rule.pattern, l, optimistic=True):
+        return give_up("match sets differ across groundings")
+
+    feasible: list[Match] = []
+    for m in pess:
+        lo_ok = _effect_feasible(rule, l, m, optimistic=False)
+        if lo_ok != _effect_feasible(rule, l, m, optimistic=True):
+            return give_up("effect feasibility varies across groundings")
+        if lo_ok:
+            feasible.append(m)
+
+    le = rule.lifted_effect
+    firing: list[tuple[Match, _SlotCensus | None]] = []
+    for m in feasible:
+        if le is None:
+            firing.append((m, None))
+            continue
+        census = _slot_census(le, l, m)
+        if census is None:
+            return give_up("slot census")
+        if census.free_count > 0:
+            firing.append((m, census))
+
+    plan = []
+    for m, census in firing:
+        shift = _shift_effect(rule, l, m)
+        if shift is None:
+            return give_up("interval shift")
+        fixed, bounds, group_delta = shift
+        if census is not None and (
+                le.group in group_delta
+                or any(k in bounds for k in census.all_keys)
+                or any(fixed.get(k, 0) != l._fixed_mult.get(k, 0)
+                       for k in census.all_keys)):
+            # the plain effect interferes with the slot bookkeeping
+            return give_up("slot interference")
+        plan.append((census, fixed, bounds, group_delta))
+    return plan
+
+
+def applicability_count(rule: Rule, l: LiftedMultiHypergraph,
+                        max_groundings: int = DEFAULT_MAX_GROUNDINGS
+                        ) -> tuple[int, int]:
+    """(n_applicable, n_groundings) exactly as ``lifted_apply`` reports them,
+    without building, canonicalising or checking any successor."""
+    if l.is_empty:
+        return 0, 0
+    plan = _lifted_plan(rule, l)
+    if plan is None:
+        return _fallback_counts(rule, l, max_groundings)
+    n_tot = l.count_groundings()
+    return (n_tot if plan else 0), n_tot
+
+
 def lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
                  max_groundings: int = DEFAULT_MAX_GROUNDINGS) -> LiftedApplyResult:
     """Exact successor distribution of the rule over a lifted state."""
     if l.is_empty:
         return LiftedApplyResult((), 0, 0)
-    pess = _raw_matches(rule.pattern, l, optimistic=False)
-    opt = _raw_matches(rule.pattern, l, optimistic=True)
-    if pess != opt:
+    plan = _lifted_plan(rule, l)
+    if plan is None:
         return _fallback(rule, l, max_groundings)
-
-    feasible: list[Match] = []
-    for m in pess:
-        lo_ok = _effect_feasible(rule, l, m, optimistic=False)
-        up_ok = _effect_feasible(rule, l, m, optimistic=True)
-        if lo_ok != up_ok:
-            return _fallback(rule, l, max_groundings)
-        if lo_ok:
-            feasible.append(m)
-
     n_tot = l.count_groundings()
+    if not plan:
+        return LiftedApplyResult((), 0, n_tot)
 
-    if rule.lifted_effect is not None:
-        per_match = []
-        for m in feasible:
-            census = _slot_census(rule.lifted_effect, l, m)
-            if census is None:
-                return _fallback(rule, l, max_groundings)
-            per_match.append((m, census))
-        per_match = [(m, c) for m, c in per_match if c.free_count > 0]
-        if not per_match:
-            return LiftedApplyResult((), 0, n_tot)
-        total_options = sum(c.free_count for _, c in per_match)
-        outs: list[tuple[LiftedMultiHypergraph, float]] = []
-        for m, census in per_match:
-            shift = _shift_effect(rule, l, m)
-            if shift is None:
-                return _fallback(rule, l, max_groundings)
-            fixed, bounds, group_delta = shift
-            le = rule.lifted_effect
-            touched = (le.group in group_delta
-                       or any(k in bounds for k in census.all_keys)
-                       or any(fixed.get(k, 0) != l._fixed_mult.get(k, 0)
-                              for k in census.all_keys))
-            if touched:
-                # the plain effect interferes with the slot bookkeeping
-                return _fallback(rule, l, max_groundings)
-            m_count = len(census.members)
-            if census.group_total == 0 and m_count == 0:
-                # fresh group over every open slot: uniform single successor
-                new_members = census.empties
-                extra = TotalConstraint(le.group, frozenset(new_members), 1)
-                b2 = dict(bounds)
-                for k in new_members:
-                    b2[k] = (0, 1)
-                outs.append((_rebuild(l, fixed, b2, group_delta, extra),
-                             len(new_members) / total_options))
-            else:
-                if m_count - census.group_total > 0:
-                    gd = dict(group_delta)
-                    gd[le.group] = gd.get(le.group, 0) + 1
-                    outs.append((_rebuild(l, fixed, bounds, gd),
-                                 (m_count - census.group_total) / total_options))
-                for k in census.empties:
-                    f2 = dict(fixed)
-                    f2[k] = f2.get(k, 0) + 1
-                    outs.append((_rebuild(l, f2, bounds, group_delta),
-                                 1.0 / total_options))
+    le = rule.lifted_effect
+    outs: list[tuple[LiftedMultiHypergraph, float]] = []
+    if le is None:
+        for _, fixed, bounds, group_delta in plan:
+            outs.append((_rebuild(l, fixed, bounds, group_delta), 1.0 / len(plan)))
         return LiftedApplyResult(_grouped_outputs(outs), n_tot, n_tot)
 
-    if not feasible:
-        return LiftedApplyResult((), 0, n_tot)
-    outs = []
-    for m in feasible:
-        shift = _shift_effect(rule, l, m)
-        if shift is None:
-            return _fallback(rule, l, max_groundings)
-        fixed, bounds, group_delta = shift
-        outs.append((_rebuild(l, fixed, bounds, group_delta), 1.0 / len(feasible)))
+    total_options = sum(census.free_count for census, _, _, _ in plan)
+    for census, fixed, bounds, group_delta in plan:
+        m_count = len(census.members)
+        if census.group_total == 0 and m_count == 0:
+            # fresh group over every open slot: uniform single successor
+            new_members = census.empties
+            extra = TotalConstraint(le.group, frozenset(new_members), 1)
+            b2 = dict(bounds)
+            for k in new_members:
+                b2[k] = (0, 1)
+            outs.append((_rebuild(l, fixed, b2, group_delta, extra),
+                         len(new_members) / total_options))
+        else:
+            if m_count - census.group_total > 0:
+                gd = dict(group_delta)
+                gd[le.group] = gd.get(le.group, 0) + 1
+                outs.append((_rebuild(l, fixed, bounds, gd),
+                             (m_count - census.group_total) / total_options))
+            for k in census.empties:
+                f2 = dict(fixed)
+                f2[k] = f2.get(k, 0) + 1
+                outs.append((_rebuild(l, f2, bounds, group_delta),
+                             1.0 / total_options))
     return LiftedApplyResult(_grouped_outputs(outs), n_tot, n_tot)

@@ -80,29 +80,35 @@ def box_groundings(l: LiftedMultiHypergraph) -> list[MultiHypergraph]:
     if l.is_empty:
         return []
     bs = list(l.bounded_edges)
+    keys = [b.key for b in bs]
+    # each constraint as (positions of its members in ``keys``, total)
+    totals = [([keys.index(k) for k in c.edge_keys], c.total)
+              for c in l.constraints]
     out = []
     for values in itertools.product(*(range(b.lower, b.upper + 1) for b in bs)):
-        chosen = dict(zip((b.key for b in bs), values))
-        if any(sum(chosen[k] for k in c.edge_keys) != c.total
-               for c in l.constraints):
+        if any(sum(values[i] for i in members) != total
+               for members, total in totals):
             continue
         edges = [Hyperedge(e.label, e.incidence, e.multiplicity)
                  for e in l.fixed_edges]
         edges += [Hyperedge(label, inc, v)
-                  for (label, inc), v in chosen.items() if v > 0]
+                  for (label, inc), v in zip(keys, values) if v > 0]
         out.append(MultiHypergraph(l.vertices, edges, l.conservation_labels,
                                    l.conserved_vertex_labels))
     return out
 
 
-def ground_pushforward(rule: Rule, l: LiftedMultiHypergraph
+def ground_pushforward(rule: Rule, l: LiftedMultiHypergraph,
+                       grounds: list[MultiHypergraph] | None = None
                        ) -> tuple[dict[bytes, float], int, int]:
     """Push the uniform grounding distribution through the rule by hand.
 
+    ``grounds`` may pass ``box_groundings(l)`` in when it is already at hand.
     Returns (canonical successor distribution conditioned on applicability,
     number of applicable groundings, number of groundings).
     """
-    grounds = box_groundings(l)
+    if grounds is None:
+        grounds = box_groundings(l)
     dist: dict[bytes, float] = {}
     n_app = 0
     for g in grounds:

@@ -20,12 +20,12 @@ from mhgfilter import (ActionModel, AnnotationTuple, BoundedEdge, Domain,
                        Effect, EffectEdge, Hyperedge, LiftedEffect,
                        LiftedMultiHypergraph, Pattern, PatternEdge,
                        PatternVertex, Rule, SlotTemplate, TotalConstraint,
-                       TraceInconsistencyError, Vertex, bookshelf_domain,
-                       compare, expand, filter_trace, generate_trace,
-                       is_isomorphic, lifted_apply, mini_bookshelf_domain,
-                       predict)
+                       TraceInconsistencyError, Vertex, applicability_count,
+                       bookshelf_domain, compare, expand, filter_trace,
+                       generate_trace, is_isomorphic, lifted_apply,
+                       mini_bookshelf_domain, predict)
 from mhgfilter.cli import main
-from oracles import (brute_isomorphic, ground_pushforward,
+from oracles import (box_groundings, brute_isomorphic, ground_pushforward,
                      lifted_distribution, random_graph, relabel, tv_distance)
 
 
@@ -213,13 +213,16 @@ def reachable_lifted_states():
 def test_lifted_application_commutes_with_grounding():
     """On at least 100 reachable lifted states, pushing the uniform grounding
     distribution through every rule agrees with the lifted application to
-    1e-9 total variation, with identical applicability counts."""
+    1e-9 total variation, with identical applicability counts; the
+    count-only ``applicability_count`` agrees on every (state, rule) pair."""
     states = reachable_lifted_states()
     assert len(states) >= 100
     checked = 0
     for domain, state in states:
+        grounds = box_groundings(state)
         for rule in domain.rules:
-            dist, n_app, n_tot = ground_pushforward(rule, state)
+            dist, n_app, n_tot = ground_pushforward(rule, state, grounds)
+            assert applicability_count(rule, state) == (n_app, n_tot)
             res = lifted_apply(rule, state)
             assert (res.n_applicable > 0) == (n_app > 0)
             if n_app == 0:

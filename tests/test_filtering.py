@@ -10,8 +10,9 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
                        LiftedMultiHypergraph, Pattern, PatternEdge,
                        PatternVertex, Rule, TotalConstraint,
                        TraceInconsistencyError, Vertex, agent_location,
-                       build_graph, consistent, filter_trace, generate_trace,
-                       mini_bookshelf_domain, predict, update)
+                       bookshelf_domain, build_graph, consistent, filter_trace,
+                       generate_trace, mini_bookshelf_domain, predict, update)
+from mhgfilter import filtering
 from mhgfilter.filtering import _condition_state
 
 LOCS = frozenset({"floor", "table"})
@@ -264,6 +265,54 @@ def test_filter_trace_reports_corruption_step():
         filter_trace(domain, trace)
     assert exc.value.step == 4
     assert exc.value.action == trace[4].action
+
+
+def test_filter_step_builds_successors_only_for_the_observed_rule(monkeypatch):
+    domain = bookshelf_domain()
+    trace, _ = generate_trace(domain, seed=0, length=4, policy="install_heavy")
+    belief = filter_trace(domain, trace[:3]).beliefs[-1]
+    step = trace[3:]
+    assert step[0].action == "installEccentric"
+    # walk, take, putDown and installEccentric all apply here
+    assert len({p.rule.name for p in predict(domain, belief).particles}) == 4
+    built = []
+    real = filtering.lifted_apply
+
+    def counting(rule, state, *args):
+        built.append(rule.name)
+        return real(rule, state, *args)
+
+    monkeypatch.setattr("mhgfilter.filtering.lifted_apply", counting)
+    filter_trace(domain, step, initial=belief)
+    assert built == ["installEccentric"]
+
+
+# ``take`` that drops the gear from its location without handing it to the
+# agent: every successor breaks the gear's conservation
+LOSSY_TAKE = Rule("take", TAKE.pattern,
+                  Effect(retract=(EffectEdge("at", ("I", "L")),)))
+
+
+def test_observed_rule_breaking_conservation_raises():
+    domain = tiny_domain(sharp_initial(), rules=(WALK, LOSSY_TAKE))
+    took = AnnotationTuple("take", "table", "table", {}, {})
+    with pytest.raises(IntegrityError):
+        filter_trace(domain, [took])
+    # an unobserved rule's successors are never built, so walking is fine
+    walked = AnnotationTuple("walk", "table", "floor")
+    result = filter_trace(domain, [walked])
+    assert result.log_likelihood == pytest.approx(math.log(0.5))
+
+
+def test_lifted_apply_fallbacks_are_logged_at_debug(caplog):
+    domain = mini_bookshelf_domain()
+    with caplog.at_level(logging.DEBUG, logger="mhgfilter"):
+        for seed in range(20):
+            trace, _ = generate_trace(domain, seed=seed, length=20)
+            filter_trace(domain, trace)
+    fallbacks = [r.getMessage() for r in caplog.records
+                 if r.levelno == logging.DEBUG and "fallback" in r.getMessage()]
+    assert any("'uninstall'" in m for m in fallbacks)
 
 
 def test_step_stats_serialisation():
