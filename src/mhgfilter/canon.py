@@ -5,7 +5,12 @@ for two states exactly when they are isomorphic (a label- and
 multiplicity-preserving vertex bijection mapping one edge structure onto the
 other).  It is computed by iterative colour refinement over vertex signatures
 with backtracking individualisation on ties; the returned bytes are the
-minimum serialisation over all leaves of the search tree.
+minimum serialisation over all leaves of the search tree.  Subtrees that an
+automorphism found during the search maps onto searched ones are pruned
+(McKay and Piperno, "Practical graph isomorphism, II", 2014); they hold
+only leaves with the same bytes, so the result is still the minimum over
+every leaf of the unpruned tree.  A search that visits more than one leaf
+logs its size at debug level on the ``mhgfilter`` logger.
 
 Byte layout (all integers fixed-width big-endian):
 
@@ -33,6 +38,7 @@ never stand in for canonical forms.
 from __future__ import annotations
 
 import hashlib
+import logging
 from collections import Counter
 from dataclasses import dataclass
 from struct import pack
@@ -40,6 +46,8 @@ from typing import Callable, Iterable, Mapping, TypeVar
 
 __all__ = ["CanonicalForm", "canonical_form", "canonical_form_lifted",
            "pinned_form", "pinned_form_lifted", "merge_by_form"]
+
+logger = logging.getLogger("mhgfilter")
 
 
 @dataclass(frozen=True, order=True)
@@ -74,9 +82,11 @@ class _Structure:
         self.init_keys = init_keys
         self.edges = edges
         self.serialize = serialize
+        # per edge: its distinct vertices with their occurrence counts
+        self.occurrences = [tuple(Counter(inc).items()) for _, inc in edges]
         incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for ei, (_, inc) in enumerate(edges):
-            for vi, occ in Counter(inc).items():
+        for ei, pairs in enumerate(self.occurrences):
+            for vi, occ in pairs:
                 incident[vi].append((ei, occ))
         self.incident = incident
 
@@ -86,10 +96,26 @@ def _ranked(keys) -> list[int]:
     return [palette[k] for k in keys]
 
 
+def _colour_profile(colors: list[int], pairs) -> tuple:
+    """Sorted (colour, occurrences) pairs of one edge's incidence."""
+    if len(pairs) == 1:
+        (v, occ), = pairs
+        return ((colors[v], occ),)
+    if len(pairs) == 2:
+        (a, oa), (b, ob) = pairs
+        ca, cb = colors[a], colors[b]
+        if ca == cb:
+            return ((ca, oa + ob),)
+        return ((ca, oa), (cb, ob)) if ca < cb else ((cb, ob), (ca, oa))
+    count: Counter[int] = Counter()
+    for v, occ in pairs:
+        count[colors[v]] += occ
+    return tuple(sorted(count.items()))
+
+
 def _refine(st: _Structure, colors: list[int]) -> list[int]:
     while True:
-        eco = [tuple(sorted(Counter(colors[j] for j in inc).items()))
-               for _, inc in st.edges]
+        eco = [_colour_profile(colors, pairs) for pairs in st.occurrences]
         sigs = []
         for i in range(st.n):
             row = sorted((st.edges[e][0], occ, eco[e]) for e, occ in st.incident[i])
@@ -101,26 +127,68 @@ def _refine(st: _Structure, colors: list[int]) -> list[int]:
 
 
 def _canonical_bytes(st: _Structure) -> bytes:
-    best: bytes | None = None
+    """Minimum serialisation over the leaves of the individualisation tree.
 
-    def rec(colors: list[int]) -> None:
-        nonlocal best
+    The bytes encode the whole relabelled state, so two leaves with equal
+    bytes give an automorphism: the vertex at position ``k`` of one maps to
+    the vertex at position ``k`` of the other.  An automorphism that fixes a
+    node's individualised vertices maps the node onto itself and the subtree
+    of one child onto the subtree of its image, leaf bytes included.  Of the
+    target-cell children in one orbit of those automorphisms only the first
+    is searched, so the minimum over the unpruned tree is unchanged.
+    """
+    best: bytes | None = None
+    best_colors: list[int] = []
+    autos: list[list[int]] = []
+    leaves = 0
+
+    def rec(colors: list[int], prefix: tuple[int, ...]) -> None:
+        nonlocal best, best_colors, leaves
         counts = Counter(colors)
         target = min((c for c, k in counts.items() if k > 1), default=None)
         if target is None:
+            leaves += 1
             b = st.serialize(colors)
             if best is None or b < best:
-                best = b
+                best, best_colors = b, colors
+            elif b == best:
+                # at a leaf a colour is a canonical position
+                pos = [0] * st.n
+                for v, c in enumerate(best_colors):
+                    pos[c] = v
+                autos.append([pos[c] for c in colors])
             return
-        for v in range(st.n):
-            if colors[v] != target:
+        cell = [v for v in range(st.n) if colors[v] == target]
+        orbit = {v: v for v in cell}   # union-find over the cell
+
+        def find(v: int) -> int:
+            while orbit[v] != v:
+                v = orbit[v]
+            return v
+
+        folded = 0   # automorphisms already merged into ``orbit``
+        searched: list[int] = []
+        for v in cell:
+            for gamma in autos[folded:]:
+                if all(gamma[p] == p for p in prefix):
+                    for u in cell:
+                        orbit[find(u)] = find(gamma[u])
+            folded = len(autos)
+            if any(find(v) == find(u) for u in searched):
                 continue
+            searched.append(v)
             split = [c * 2 for c in colors]
             split[v] -= 1
-            rec(_refine(st, _ranked(split)))
+            rec(_refine(st, _ranked(split)), prefix + (v,))
 
-    rec(_refine(st, _ranked(st.init_keys)))
+    rec(_refine(st, _ranked(st.init_keys)), ())
+    # ``rec`` refers to itself; dropping it frees the structure now rather
+    # than at the next cyclic garbage collection
+    del rec
     assert best is not None
+    if leaves > 1:
+        logger.debug("canonical search: %d vertices, %d leaves, %d automorphisms",
+                     st.n, leaves, len(autos))
     return best
 
 

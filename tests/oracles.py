@@ -1,20 +1,24 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here is deliberately naive: bijection search for isomorphism,
-cartesian-product enumeration for groundings, and explicit ground-state
-mixtures for rule pushforwards.  The point is to share no code path with the
-library internals being checked.
+cartesian-product enumeration for groundings, explicit ground-state
+mixtures for rule pushforwards, and a canonical-form search that visits
+every leaf.  The point is to share no code path with the library internals
+being checked; the unpruned search shares the library's refinement on
+purpose, because it checks the pruning alone.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from collections import Counter
+from typing import Callable, Iterable, Mapping
 
 from mhgfilter import (DEFAULT_MAX_GROUNDINGS, BoundedEdge, LiftedApplyResult,
                        LiftedMultiHypergraph, MultiHypergraph, Rule,
                        TotalConstraint, apply, edge_key, find_matches,
                        ground_options, lifted_apply)
+from mhgfilter.canon import _ranked, _refine, _structure
 from mhgfilter.graphs import Hyperedge, Vertex
 
 
@@ -55,6 +59,38 @@ def brute_isomorphic(g1: MultiHypergraph, g2: MultiHypergraph) -> bool:
         if ok(mapping):
             return True
     return False
+
+
+def unpruned_canonical_bytes(state, pins: Mapping[str, int] | None,
+                             version: int) -> bytes:
+    """Canonical bytes as the minimum over every leaf of the
+    individualisation tree, with no automorphism pruning.
+
+    ``version`` picks the layout as in ``mhgfilter.canon._structure``:
+    ``0x01`` ground, ``0x02`` lifted, ``0xFE``/``0xFF`` their pinned forms.
+    """
+    st = _structure(state, pins, version)
+    best: bytes | None = None
+
+    def rec(colors: list[int]) -> None:
+        nonlocal best
+        counts = Counter(colors)
+        target = min((c for c, k in counts.items() if k > 1), default=None)
+        if target is None:
+            b = st.serialize(colors)
+            if best is None or b < best:
+                best = b
+            return
+        for v in range(st.n):
+            if colors[v] != target:
+                continue
+            split = [c * 2 for c in colors]
+            split[v] -= 1
+            rec(_refine(st, _ranked(split)))
+
+    rec(_refine(st, _ranked(st.init_keys)))
+    assert best is not None
+    return best
 
 
 def brute_automorphism_count(g: MultiHypergraph) -> int:
@@ -199,8 +235,9 @@ def random_graph(rng, n_vertices: int = 5, n_labels: int = 3,
     return MultiHypergraph(vertices, edges)
 
 
-def relabel(g: MultiHypergraph, rng) -> MultiHypergraph:
-    """Rename vertex ids by a random permutation (an isomorphic copy)."""
+def relabel(g, rng):
+    """Rename vertex ids by a random permutation (an isomorphic copy) of a
+    ground or lifted state."""
     ids = [v.id for v in g.vertices]
     shuffled = ids[:]
     rng.shuffle(shuffled)
@@ -208,9 +245,20 @@ def relabel(g: MultiHypergraph, rng) -> MultiHypergraph:
     vertices = [Vertex(mapping[v.id], v.label, v.multiplicity)
                 for v in g.vertices]
     edges = [Hyperedge(e.label, tuple(mapping[x] for x in e.incidence),
-                       e.multiplicity) for e in g.edges]
-    return MultiHypergraph(vertices, edges, g.conservation_labels,
-                           g.conserved_vertex_labels)
+                       e.multiplicity) for e in g.fixed_edges]
+    if not isinstance(g, LiftedMultiHypergraph):
+        return MultiHypergraph(vertices, edges, g.conservation_labels,
+                               g.conserved_vertex_labels)
+
+    def key(k):
+        return edge_key(k[0], [mapping[x] for x in k[1]])
+
+    bounded = [BoundedEdge(b.label, tuple(mapping[x] for x in b.incidence),
+                           b.lower, b.upper) for b in g.bounded_edges]
+    constraints = [TotalConstraint(c.name, frozenset(key(k) for k in c.edge_keys),
+                                   c.total) for c in g.constraints]
+    return LiftedMultiHypergraph(vertices, edges, bounded, constraints,
+                                 g.conservation_labels, g.conserved_vertex_labels)
 
 
 def random_lifted(rng, n_vertices: int = 4) -> LiftedMultiHypergraph:
@@ -248,3 +296,70 @@ def random_lifted(rng, n_vertices: int = 4) -> LiftedMultiHypergraph:
         constraints.append(TotalConstraint(
             "grp", frozenset(members), rng.randint(lo_sum, up_sum)))
     return LiftedMultiHypergraph(vertices, fixed, bounded.values(), constraints)
+
+
+def symmetric_graph(randint: Callable[[int, int], int],
+                    max_vertices: int = 8) -> MultiHypergraph:
+    """A ground state with few labels and many same-label vertices.
+
+    ``randint(a, b)`` draws an integer in ``[a, b]``, so a Hypothesis
+    ``draw`` or a ``random.Random`` can drive it.  The shape is a star (one
+    board holding same-label slots), disjoint cycles, or disjoint copies of a
+    small random graph; up to two extra edges then break some symmetry.
+    """
+    shape = randint(0, 2)
+    if shape == 0:
+        n = randint(1, max_vertices - 1)
+        verts = [Vertex("board", "board")] + [Vertex(f"s{i}", "slot") for i in range(n)]
+        edges = [Hyperedge("has", ("board", f"s{i}")) for i in range(n)]
+    elif shape == 1:
+        verts, edges, left = [], [], randint(3, max_vertices)
+        while left >= 3:
+            size = left if left < 6 else randint(3, left)
+            ids = [f"c{len(verts) + i}" for i in range(size)]
+            verts += [Vertex(x, "node") for x in ids]
+            edges += [Hyperedge("e", (ids[i], ids[(i + 1) % size])) for i in range(size)]
+            left -= size
+    else:
+        copies = randint(2, 3)
+        size = randint(1, max(1, max_vertices // copies))
+        labels = [f"L{randint(0, 1)}" for _ in range(size)]
+        template = [(randint(0, size - 1), randint(0, size - 1), randint(1, 2))
+                    for _ in range(randint(0, 3))]
+        verts, edges = [], []
+        for c in range(copies):
+            verts += [Vertex(f"k{c}_{i}", labels[i]) for i in range(size)]
+            edges += [Hyperedge("t", (f"k{c}_{a}", f"k{c}_{b}"), m) for a, b, m in template]
+    ids = [v.id for v in verts]
+    for _ in range(randint(0, 2)):
+        edges.append(Hyperedge("x", (ids[randint(0, len(ids) - 1)],
+                                     ids[randint(0, len(ids) - 1)])))
+    return MultiHypergraph(verts, edges)
+
+
+def symmetric_lifted(randint: Callable[[int, int], int], max_vertices: int = 8,
+                     max_groups: int = 3) -> LiftedMultiHypergraph:
+    """A lifted state over ``symmetric_graph``: an item vertex and one bounded
+    ``at`` edge from it to every vertex of the largest label class, dealt in
+    turn or in blocks into up to ``max_groups`` total-constraint groups.
+    Three times in four the groups share one total, so equal groups are
+    interchangeable."""
+    g = symmetric_graph(randint, max_vertices)
+    by_label: dict[str, list[str]] = {}
+    for v in g.vertices:
+        by_label.setdefault(v.label, []).append(v.id)
+    slots = max(by_label.values(), key=len)
+    upper = randint(1, 2)
+    bounded = [BoundedEdge("at", ("item", s), 0, upper) for s in slots]
+    k = randint(1, max_groups)
+    dealt = randint(0, 1)
+    groups = [[b for i, b in enumerate(bounded)
+               if (i % k if dealt else i * k // len(bounded)) == j] for j in range(k)]
+    shared = randint(0, upper) if randint(0, 3) else None
+    constraints = [TotalConstraint(f"g{j}", frozenset(b.key for b in group),
+                                   randint(0, upper * len(group)) if shared is None
+                                   else min(shared, upper * len(group)))
+                   for j, group in enumerate(groups) if group]
+    return LiftedMultiHypergraph(
+        list(g.vertices) + [Vertex("item", "item", randint(1, 3))],
+        g.edges, bounded, constraints)

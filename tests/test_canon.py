@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import logging
 import random
+from collections import Counter
 
+import pytest
+
+import mhgfilter.canon
 from mhgfilter import (BoundedEdge, Hyperedge, LiftedMultiHypergraph,
                        TotalConstraint, Vertex, build_graph)
 from mhgfilter.canon import (canonical_form, canonical_form_lifted,
                              pinned_form, pinned_form_lifted)
-from oracles import brute_isomorphic, random_graph, relabel
+from oracles import (brute_isomorphic, random_graph, relabel, symmetric_graph,
+                     symmetric_lifted, unpruned_canonical_bytes)
 
 # Pinned serializations of two reference states.  These freeze the byte
 # layout: any change to it silently invalidates stored digests, so it must
@@ -223,3 +229,166 @@ def test_pinned_lifted_form_separates_slots():
                          1)])
     # s1 sits near the table, s2 does not: pinning them differs
     assert pinned_form_lifted(l, {"s1": 0}) != pinned_form_lifted(l, {"s2": 0})
+
+
+# -- automorphism pruning -------------------------------------------------------
+
+def star(n: int):
+    """One board holding ``n`` interchangeable slots."""
+    return build_graph([Vertex("board", "board")]
+                       + [Vertex(f"s{i}", "slot") for i in range(n)],
+                       [Hyperedge("has", ("board", f"s{i}")) for i in range(n)])
+
+
+def dealt_pairs():
+    """Six slots on one board in three interchangeable two-slot groups, dealt
+    in turn.  Refinement does not see groups, so after one slot is
+    individualised its group-mate shares a cell with the other four; an
+    automorphism that moves the prefix fuses the two kinds of child.  Random
+    draws reach this shape only a few times in a thousand."""
+    slots = [f"s{i}" for i in range(6)]
+    bounded = [BoundedEdge("at", ("item", s), 0, 1) for s in slots]
+    return LiftedMultiHypergraph(
+        [Vertex("board", "board"), Vertex("item", "item", 3)]
+        + [Vertex(s, "slot") for s in slots],
+        [Hyperedge("has", ("board", s)) for s in slots], bounded,
+        [TotalConstraint(f"g{j}", frozenset(b.key for b in bounded[j::3]), 1)
+         for j in range(3)])
+
+
+def test_colour_profile_matches_a_counter_over_the_incidence():
+    """Refinement's per-edge profile keeps its former definition, so ranks
+    and bytes do not move."""
+    rng = random.Random(3)
+    for _ in range(2000):
+        colors = [rng.randrange(4) for _ in range(5)]
+        inc = tuple(rng.randrange(5) for _ in range(rng.randrange(5)))
+        pairs = tuple(Counter(inc).items())
+        assert mhgfilter.canon._colour_profile(colors, pairs) == \
+            tuple(sorted(Counter(colors[j] for j in inc).items()))
+
+
+def test_pruned_search_equals_unpruned_reference():
+    """All four forms equal the minimum over every leaf of the unpruned
+    search, on states built to have many automorphisms."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @st.composite
+    def cases(draw):
+        def randint(a, b):
+            return draw(st.integers(a, b))
+        make = symmetric_lifted if randint(0, 1) else symmetric_graph
+        state = make(randint, 7)
+        ids = [v.id for v in state.vertices]
+        # up to two pinned vertices, pin indices 0 or 1
+        pins = {ids[randint(0, len(ids) - 1)]: randint(0, 1)
+                for _ in range(randint(0, 2))}
+        return state, pins
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(cases())
+    @hypothesis.example((dealt_pairs(), {}))
+    def check(case):
+        state, pins = case
+        if isinstance(state, LiftedMultiHypergraph):
+            assert canonical_form_lifted(state).data == \
+                unpruned_canonical_bytes(state, None, 0x02)
+            assert pinned_form_lifted(state, pins) == \
+                unpruned_canonical_bytes(state, pins, 0xFF)
+        else:
+            assert canonical_form(state).data == \
+                unpruned_canonical_bytes(state, None, 0x01)
+            assert pinned_form(state, pins) == \
+                unpruned_canonical_bytes(state, pins, 0xFE)
+
+    check()
+
+
+def test_symmetric_star_search_is_polynomial(monkeypatch):
+    """Refinement calls, not wall time: the unpruned search refines once per
+    node of a tree with 12!/(12-k)! nodes at depth k."""
+    calls = 0
+    refine = mhgfilter.canon._refine
+
+    def counting(st, colors):
+        nonlocal calls
+        calls += 1
+        return refine(st, colors)
+
+    monkeypatch.setattr(mhgfilter.canon, "_refine", counting)
+    canonical_form(star(12))
+    assert calls <= 400
+    calls = 0
+    canonical_form(star(16))
+    assert 0 < calls <= 1000
+
+
+def test_multi_leaf_search_is_logged_at_debug(caplog):
+    caplog.set_level(logging.DEBUG, logger="mhgfilter")
+    canonical_form(star(6))
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("canonical search")]
+    assert len(lines) == 1
+    assert lines[0].startswith("canonical search: 7 vertices, ")
+    assert "leaves" in lines[0] and "automorphisms" in lines[0]
+    caplog.clear()
+    canonical_form(reference_ground())  # a single leaf: nothing logged
+    assert not [r for r in caplog.records
+                if r.getMessage().startswith("canonical search")]
+
+
+def incidence_graph(nx, state):
+    """The state as a networkx graph: one node per vertex, edge, bounded edge
+    and constraint, carrying labels, multiplicities, bounds and totals;
+    links carry occurrence counts."""
+    g = nx.Graph()
+    for v in state.vertices:
+        g.add_node(("v", v.id), kind=("v", v.label, v.multiplicity))
+    for i, e in enumerate(state.fixed_edges):
+        g.add_node(("e", i), kind=("e", e.label, e.multiplicity))
+        for x, occ in Counter(e.incidence).items():
+            g.add_edge(("e", i), ("v", x), occ=occ)
+    bounded = {}
+    for i, b in enumerate(state.bounded_edges):
+        bounded[b.key] = ("b", i)
+        g.add_node(("b", i), kind=("b", b.label, b.lower, b.upper))
+        for x, occ in Counter(b.incidence).items():
+            g.add_edge(("b", i), ("v", x), occ=occ)
+    for i, c in enumerate(state.constraints):
+        g.add_node(("c", i), kind=("c", c.total))
+        for k in c.edge_keys:
+            g.add_edge(("c", i), bounded[k], occ=0)
+    return g
+
+
+def test_canonical_equality_matches_networkx_isomorphism():
+    """Equal canonical forms iff isomorphic, on symmetric states of 8 to 14
+    vertices, too many for ``brute_isomorphic``."""
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+
+    def lifted_state(randint, max_vertices):
+        # three interchangeable groups over a dozen slots still search
+        # exponentially many leaves, so at most two groups here
+        return symmetric_lifted(randint, max_vertices, max_groups=2)
+
+    same = differ = 0
+    for trial in range(120):
+        lifted = trial % 2 == 1
+        make = lifted_state if lifted else symmetric_graph
+        form = canonical_form_lifted if lifted else canonical_form
+        while True:
+            a = make(rng.randint, 14)
+            # every fourth pair is a renamed copy, the rest are independent
+            b = relabel(a, rng) if trial % 4 < 2 else make(rng.randint, 14)
+            if 8 <= len(a.vertices) == len(b.vertices) <= 14:
+                break
+        iso = nx.is_isomorphic(incidence_graph(nx, a), incidence_graph(nx, b),
+                               node_match=lambda x, y: x["kind"] == y["kind"],
+                               edge_match=lambda x, y: x["occ"] == y["occ"])
+        assert (form(a) == form(b)) == iso
+        same += iso
+        differ += not iso
+    assert same >= 40 and differ >= 40
