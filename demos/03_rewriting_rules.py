@@ -1,30 +1,30 @@
 """Rewriting rules: ground application and its exact lifted counterpart.
 
-A rule is a pattern (what must be present), an effect (edges retracted and
-asserted), and optionally a lifted effect that places one new edge into an
-unknown slot.  Applying a rule to a lifted state must give the same output
-distribution as grounding first and applying to every ground state, and
-this script checks that numerically on a small install step.
+A rule is a pattern (what must be present) and an effect (edges retracted
+and asserted, optionally capped).  An install into an unknown slot is a
+pattern variable over the slots plus an assert capped at 1.  Applying a
+rule to a lifted state must give the same output distribution as grounding
+first and applying to every ground state, and this script checks that
+numerically on a small install step.
 """
 
 from collections import defaultdict
 
-from mhgfilter import (Effect, EffectEdge, Hyperedge, LiftedEffect,
-                       LiftedMultiHypergraph, Pattern, PatternEdge,
-                       PatternVertex, Rule, SlotTemplate, Vertex, build_graph,
-                       expand, find_matches, ground_options, lifted_apply,
-                       successors, total_variation)
+from mhgfilter import (Effect, EffectEdge, Hyperedge, LiftedMultiHypergraph,
+                       Pattern, PatternEdge, PatternVertex, Rule, Vertex,
+                       build_graph, expand, find_matches, ground_options,
+                       lifted_apply, successors, total_variation)
 
 
-def install_rule(slot_ids):
+def install_rule():
     """Retract a held screw and assert it installed in some free slot."""
     return Rule(
         "install",
-        Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw")),
+        Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw"),
+                 PatternVertex("SL", "slot")),
                 (PatternEdge("holds", ("A", "E")),)),
-        Effect(retract=(EffectEdge("holds", ("A", "E")),)),
-        LiftedEffect("installed",
-                     tuple(SlotTemplate("at", ("E", s)) for s in slot_ids)))
+        Effect(retract=(EffectEdge("holds", ("A", "E")),),
+               assert_=(EffectEdge("at", ("E", "SL"), cap=1),)))
 
 
 def workbench():
@@ -37,7 +37,7 @@ def workbench():
 
 
 def main():
-    rule = install_rule(["s1", "s2", "s3"])
+    rule = install_rule()
     g = workbench()
 
     matches = find_matches(rule, g)
@@ -45,9 +45,9 @@ def main():
     for m in matches:
         print("  assignment:", m.as_dict())
 
-    # Ground options multiply each match by its free slots.  All three
-    # slots are empty and interchangeable, so the uniform choice over the
-    # three options collapses to a single successor after merging.
+    # One option per free slot.  All three slots are empty and
+    # interchangeable, so the uniform choice over the three options
+    # collapses to a single successor after merging.
     options = ground_options(rule, g)
     print("\nground options:", len(options))
     succ = successors(rule, g)

@@ -25,10 +25,10 @@ from .domain import (AnnotationTuple, Domain, bookshelf_domain, builtin_domain,
                      serialize_domain)
 from .oracle import (ComparisonReport, GroundBelief, GroundFilterResult,
                      compare, expand, ground_filter_trace, total_variation)
-from .rewrite import (Effect, EffectEdge, LiftedApplyResult, LiftedEffect,
-                      Match, Pattern, PatternEdge, PatternVertex, Rule,
-                      SlotTemplate, applicability_count, apply, find_matches,
-                      ground_options, lifted_apply, successors)
+from .rewrite import (Effect, EffectEdge, LiftedApplyResult, Match, Pattern,
+                      PatternEdge, PatternVertex, Rule, applicability_count,
+                      apply, find_matches, ground_options, lifted_apply,
+                      successors)
 
 __version__ = "0.1.0"
 
@@ -39,9 +39,9 @@ __all__ = [
     "EnumerationLimitError", "FilterResult", "GroundBelief",
     "GroundFilterResult", "Hyperedge",
     "InputError", "IntegrityError", "JointPrediction", "Label",
-    "LiftedApplyResult", "LiftedEffect", "LiftedMultiHypergraph", "Match",
+    "LiftedApplyResult", "LiftedMultiHypergraph", "Match",
     "MultiHypergraph", "ParseError", "Particle", "Pattern", "PatternEdge",
-    "PatternVertex", "Rule", "SlotTemplate", "StepStats", "StructuralError",
+    "PatternVertex", "Rule", "StepStats", "StructuralError",
     "TotalConstraint", "TraceInconsistencyError", "Vertex", "agent_location",
     "applicability_count", "apply", "bookshelf_domain", "build_graph", "builtin_domain",
     "canonical_form", "canonical_form_lifted", "compare", "consistent",

@@ -25,15 +25,16 @@ from .errors import ParseError, StructuralError
 from .filtering import ActionModel, agent_location
 from .graphs import Hyperedge, MultiHypergraph, Vertex
 from .lifted import BoundedEdge, LiftedMultiHypergraph, TotalConstraint
-from .rewrite import (Effect, EffectEdge, LiftedEffect, Pattern, PatternEdge,
-                      PatternVertex, Rule, SlotTemplate, ground_options, apply)
+from .rewrite import (Effect, EffectEdge, Pattern, PatternEdge, PatternVertex,
+                      Rule, ground_options, apply)
 
 DOMAIN_FORMAT = "mhg-domain/1"
 
 # Retired ``lifted_effect`` keys of the raw interval arithmetic, with the one
 # value still accepted (their former default).  Any other key besides
 # ``group`` and ``slots`` loads only when false.  Ignoring another value
-# would silently turn a divergent rule into an exact one.
+# would silently turn a divergent rule into an exact one.  The ``group``
+# name is accepted and ignored.
 _RETIRED_LIFTED_KEYS = {"total_delta": 1, "per_edge_upper_delta": 1,
                         "cap_to_total": True}
 
@@ -116,6 +117,58 @@ def _pattern_vertex(pv: dict, source: str) -> PatternVertex:
                          int(pv.get("min_multiplicity", 1)))
 
 
+def _desugar_lifted_effect(le: dict, pattern: Pattern, effect: Effect,
+                           vertices: Sequence[Vertex], source: str
+                           ) -> tuple[Pattern, Effect]:
+    """A ``lifted_effect`` as ordinary rule parts: a pattern variable over
+    the slot vertices and an assert capped at the slot capacity.
+
+    The slot templates must share label, arity and capacity and differ in
+    one incidence entry (with a single slot: its one entry that is not a
+    variable), and the slot ids there must be exactly the vertices carrying
+    their labels, which no other variable may bind; otherwise the rewrite
+    would change which options the rule has.
+    """
+    for key, value in le.items():
+        if (key not in ("group", "slots")
+                and value != _RETIRED_LIFTED_KEYS.get(key, False)):
+            raise ParseError(f"lifted_effect key {key!r} is not "
+                             f"supported with value {value!r}", source)
+    slots = [(_req(s, "label", source), tuple(_req(s, "incidence", source)),
+              int(s.get("capacity", 1))) for s in _req(le, "slots", source)]
+    if not slots:
+        raise ParseError("lifted_effect has no slots", source)
+    label, incidence, capacity = slots[0]
+    if capacity < 1 or any((lb, len(inc), cap) != (label, len(incidence), capacity)
+                           for lb, inc, cap in slots):
+        raise ParseError("lifted_effect slots need one label, arity and "
+                         "capacity of at least 1", source)
+    declared = {pv.var for pv in pattern.vertices}
+    where = ([i for i in range(len(incidence))
+              if len({inc[i] for _, inc, _ in slots}) > 1]
+             or [i for i, x in enumerate(incidence) if x not in declared])
+    if len(where) != 1:
+        raise ParseError("lifted_effect slots must differ in exactly one "
+                         "incidence entry", source)
+    i = where[0]
+    slot_ids = sorted(inc[i] for _, inc, _ in slots)
+    labels = frozenset(v.label for v in vertices if v.id in slot_ids)
+    if slot_ids != sorted(v.id for v in vertices if v.label in labels):
+        raise ParseError(f"lifted_effect slot ids {slot_ids} are not exactly "
+                         f"the vertices with labels {sorted(labels)}", source)
+    if any(pv.admits(v) for pv in pattern.vertices
+           for v in vertices if v.id in slot_ids):
+        raise ParseError("lifted_effect slot vertices may be bound by a "
+                         "pattern variable", source)
+    var = "SL"
+    while var in declared:
+        var += "_"
+    slot_edge = EffectEdge(label, incidence[:i] + (var,) + incidence[i + 1:],
+                           cap=capacity)
+    return (Pattern(pattern.vertices + (PatternVertex(var, labels),), pattern.edges),
+            Effect(effect.retract, effect.assert_ + (slot_edge,)))
+
+
 def parse_domain(data: dict, source: str = "<domain>") -> Domain:
     if not isinstance(data, dict):
         raise ParseError("domain document must be an object", source)
@@ -166,21 +219,10 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
 
             effect = Effect(_effect_edges(eff.get("retract", ())),
                             _effect_edges(eff.get("assert", ())))
-            lifted = None
             if r.get("lifted_effect") is not None:
-                le = r["lifted_effect"]
-                for key, value in le.items():
-                    if (key not in ("group", "slots")
-                            and value != _RETIRED_LIFTED_KEYS.get(key, False)):
-                        raise ParseError(f"lifted_effect key {key!r} is not "
-                                         f"supported with value {value!r}", source)
-                lifted = LiftedEffect(
-                    _req(le, "group", source),
-                    tuple(SlotTemplate(_req(s, "label", source),
-                                       tuple(_req(s, "incidence", source)),
-                                       int(s.get("capacity", 1)))
-                          for s in _req(le, "slots", source)))
-            rules.append(Rule(_req(r, "name", source), pattern, effect, lifted))
+                pattern, effect = _desugar_lifted_effect(
+                    r["lifted_effect"], pattern, effect, vertices, source)
+            rules.append(Rule(_req(r, "name", source), pattern, effect))
         am = data.get("action_model", {})
         action_model = ActionModel(
             dict(am.get("weights", {})),
@@ -247,13 +289,6 @@ def serialize_domain(domain: Domain) -> dict:
                 rd["effect"]["retract"] = _effect_edges(r.effect.retract)
             if r.effect.assert_:
                 rd["effect"]["assert"] = _effect_edges(r.effect.assert_)
-        if r.lifted_effect is not None:
-            le = r.lifted_effect
-            rd["lifted_effect"] = {
-                "group": le.group,
-                "slots": [{"label": s.label, "incidence": list(s.incidence),
-                           **({"capacity": s.capacity} if s.capacity != 1 else {})}
-                          for s in le.slots]}
         rules.append(rd)
 
     out = {
@@ -369,14 +404,13 @@ def _install_rule(slot_ids: Sequence[str]) -> Rule:
                 Pattern((PatternVertex("A", "agent"),
                          PatternVertex("E", "eccentric"),
                          PatternVertex("S", "screwdriver"),
-                         PatternVertex("T", "table")),
+                         PatternVertex("T", "table"),
+                         PatternVertex("SL", frozenset(slot_ids))),
                         (PatternEdge("at", ("A", "T")),
                          PatternEdge("holds", ("A", "E")),
                          PatternEdge("holds", ("A", "S")))),
-                Effect(retract=(EffectEdge("holds", ("A", "E")),)),
-                LiftedEffect("installed_eccentrics",
-                             tuple(SlotTemplate("at", ("E", sid))
-                                   for sid in slot_ids)))
+                Effect(retract=(EffectEdge("holds", ("A", "E")),),
+                       assert_=(EffectEdge("at", ("E", "SL"), cap=1),)))
 
 
 def mini_bookshelf_domain() -> Domain:

@@ -16,8 +16,7 @@ class IntegrityError(EngineError):
 
 
 class EffectError(EngineError):
-    """A rule effect cannot be applied (negative multiplicity, cap overflow,
-    missing slot placement)."""
+    """A rule effect cannot be applied (negative multiplicity, cap overflow)."""
 
 
 class EnumerationLimitError(EngineError):

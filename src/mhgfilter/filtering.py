@@ -225,8 +225,8 @@ def _condition_state(domain, l: State, loc: str, held: Mapping[str, int],
                      ) -> tuple[float, list[tuple[LiftedMultiHypergraph, float]], bool]:
     """Condition a state on one observation side.
 
-    Returns (fraction of groundings that are consistent, replacement states
-    with relative weights summing to one, changed flag).  Fixed edges give
+    Returns (fraction of groundings that are consistent, the states taking
+    l's place with relative weights summing to one, changed flag).  Fixed edges give
     0/1 verdicts; a single bounded key gives an exact interval tightening;
     anything else is resolved by enumeration.  A ground state only ever
     takes the first branch.

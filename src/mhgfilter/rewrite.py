@@ -1,30 +1,32 @@
 """Rewriting rules over ground and lifted multi-hypergraph states.
 
 A rule consists of a pattern (vertex variables with label and multiplicity
-requirements plus minimum edge multiplicities), a deterministic effect
+requirements plus minimum edge multiplicities) and a deterministic effect
 (retract and assert edge deltas, with optional per-edge caps acting as
-capacity guards), and optionally a lifted effect that asserts one edge into
-one of several capacity-limited slots.
+capacity guards).  Putting an item into one of several slots is an ordinary
+rule: a pattern variable over the slot vertices plus a capped assert.
 
 Ground semantics: a rule is applicable via every injective assignment of its
-pattern variables whose effect can be applied; for rules with a lifted
-effect, each (assignment, free slot) pair is a separate option.  Applying a
-rule picks uniformly among its options.
+pattern variables whose effect can be applied.  Applying a rule picks
+uniformly among these options.
 
 Lifted semantics: ``lifted_apply`` pushes a rule through a lifted state and
 returns the exact distribution over successor lifted states, together with
-the number of groundings in which the rule is applicable.  Three strategies
-are used, most specific first:
+the number of groundings in which the rule is applicable.  Two strategies
+are used:
 
-* slot aggregation for lifted effects whose slots all have capacity one,
-  keeping a single successor per branch (the source of state compression),
-* interval shifting when the match set is provably constant across all
-  groundings and the effect moves bounded intervals rigidly,
+* interval shift with match aggregation, when the match set is the same in
+  every grounding and the effect moves bounded intervals rigidly.  A rule's
+  only assert with cap 1 and multiplicity 1 is its *slot edge*.  Matches
+  whose remaining effect is the same form one class, and the class's choice
+  among its free slot keys is kept as one [0,1] constraint group, whose
+  total grows by one (counting-formula lifting; this is the source of state
+  compression).  Rules without a slot edge shift each match separately.
 * exact fallback: enumerate groundings, apply the rule in each, and merge
   the results by canonical form.
 
-All three agree with the ground semantics exactly; the fallback is the
-definition, the other two are proved-equal fast paths with checked
+Both agree with the ground semantics exactly; the fallback is the
+definition, the shift is a proved-equal fast path with checked
 preconditions.  ``applicability_count`` returns the same two counts without
 building any successor; it and ``lifted_apply`` share one precondition pass,
 and a failed precondition is logged at debug level with the rule's name.
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Mapping, Union
+from typing import Callable, Mapping, Union
 
 from .canon import merge_by_form
 from .errors import EffectError, StructuralError
@@ -47,7 +49,7 @@ State = Union[MultiHypergraph, LiftedMultiHypergraph]
 logger = logging.getLogger("mhgfilter")
 
 __all__ = ["PatternVertex", "PatternEdge", "Pattern", "EffectEdge", "Effect",
-           "SlotTemplate", "LiftedEffect", "Rule", "Match", "LiftedApplyResult",
+           "Rule", "Match", "LiftedApplyResult",
            "find_matches", "apply", "ground_options", "successors",
            "applicability_count", "lifted_apply"]
 
@@ -143,40 +145,10 @@ class Effect:
 
 
 @dataclass(frozen=True)
-class SlotTemplate:
-    """One slot a lifted effect may fill: an edge key template with capacity."""
-
-    label: str
-    incidence: tuple[str, ...]
-    capacity: int = 1
-
-    def __post_init__(self):
-        object.__setattr__(self, "incidence", tuple(self.incidence))
-        if self.capacity < 1:
-            raise StructuralError(f"slot {self.label!r}: capacity < 1")
-
-
-@dataclass(frozen=True)
-class LiftedEffect:
-    """Assert one edge into an unknown slot, tracked by a constraint group."""
-
-    group: str
-    slots: tuple[SlotTemplate, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(self.slots))
-        if not self.group:
-            raise StructuralError("lifted effect needs a group name")
-        if not self.slots:
-            raise StructuralError(f"lifted effect {self.group!r}: no slots")
-
-
-@dataclass(frozen=True)
 class Rule:
     name: str
     pattern: Pattern = field(default_factory=Pattern)
     effect: Effect = field(default_factory=Effect)
-    lifted_effect: LiftedEffect | None = None
 
     def __post_init__(self):
         if not self.name:
@@ -185,10 +157,9 @@ class Rule:
 
 @dataclass(frozen=True, order=True)
 class Match:
-    """An injective variable assignment, plus the chosen slot for lifted rules."""
+    """An injective variable assignment."""
 
     assignment: tuple[tuple[str, str], ...]
-    placement: EdgeKey | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "assignment", tuple(sorted(self.assignment)))
@@ -214,10 +185,6 @@ def _resolve(entry: str, assignment: Mapping[str, str], state: State) -> str:
 
 def _effect_key(e: EffectEdge, assignment: Mapping[str, str], state: State) -> EdgeKey:
     return edge_key(e.label, [_resolve(x, assignment, state) for x in e.vars])
-
-
-def _slot_key(s: SlotTemplate, assignment: Mapping[str, str], state: State) -> EdgeKey:
-    return edge_key(s.label, [_resolve(x, assignment, state) for x in s.incidence])
 
 
 # -- matching ------------------------------------------------------------------
@@ -274,75 +241,43 @@ def _raw_matches(pattern: Pattern, state: State, optimistic: bool) -> list[Match
     return out
 
 
-def _effect_feasible(rule: Rule, state: State, match: Match, optimistic: bool) -> bool:
-    """Whether retracts stay non-negative and caps hold (in every grounding
-    for optimistic False, in the loosest grounding for optimistic True)."""
-    assignment = match.as_dict()
-    side = 1 if optimistic else 0
+def _effect_feasible(effect: Effect, state: State, assignment: Mapping[str, str],
+                     optimistic: bool) -> bool:
+    """Whether retracts stay non-negative and caps hold.
+
+    Pessimistic (optimistic False) checks retracts against lower and caps
+    against upper multiplicity bounds, so True means feasible in every
+    grounding; optimistic checks the reverse, so False means feasible in no
+    grounding.  The two coincide on ground states.
+    """
+    retract_side, cap_side = (1, 0) if optimistic else (0, 1)
     delta: dict[EdgeKey, int] = {}
-    for e in rule.effect.retract:
+    for e in effect.retract:
         k = _effect_key(e, assignment, state)
         delta[k] = delta.get(k, 0) - e.multiplicity
     for k, d in delta.items():
-        if state.multiplicity_bounds(k)[side] + d < 0:
+        if state.multiplicity_bounds(k)[retract_side] + d < 0:
             return False
-    for e in rule.effect.assert_:
+    for e in effect.assert_:
         k = _effect_key(e, assignment, state)
         delta[k] = delta.get(k, 0) + e.multiplicity
-        if e.cap is not None and state.multiplicity_bounds(k)[side] + delta[k] > e.cap:
+        if e.cap is not None and state.multiplicity_bounds(k)[cap_side] + delta[k] > e.cap:
             return False
     return True
 
 
-def _effect_matches(rule: Rule, state: State) -> list[Match]:
-    """Sorted matches whose plain effect fires in every grounding."""
-    return [m for m in _raw_matches(rule.pattern, state, optimistic=False)
-            if _effect_feasible(rule, state, m, optimistic=False)]
+def ground_options(rule: Rule, state: State) -> list[Match]:
+    """The rule's equally likely application options, sorted.
 
-
-def _free_slot_keys(rule: Rule, g: MultiHypergraph, match: Match) -> list[EdgeKey]:
-    assignment = match.as_dict()
-    free = []
-    for s in rule.lifted_effect.slots:
-        k = _slot_key(s, assignment, g)
-        if g.multiplicity_bounds(k)[0] + 1 <= s.capacity:
-            free.append(k)
-    return free
-
-
-def _has_free_slot(rule: Rule, state: State, match: Match) -> bool:
-    census = _slot_census(rule.lifted_effect, state, match)
-    if census is not None:
-        return census.free_count >= 1
-    assignment = match.as_dict()
-    return any(state.multiplicity_bounds(_slot_key(s, assignment, state))[1] + 1
-               <= s.capacity for s in rule.lifted_effect.slots)
-
-
-def find_matches(rule: Rule, state: State) -> list[Match]:
-    """All applicable injective matches of the rule's pattern, sorted.
-
-    A match counts as applicable only if the effect can actually fire: no
-    retraction below zero, no cap exceeded, and for lifted-effect rules at
-    least one slot free.  On lifted states, applicability means applicable
-    in every grounding.
+    An option is an injective match of the pattern whose effect can fire:
+    no retraction below zero and no cap exceeded.  On lifted states, the
+    matches that fire in every grounding.
     """
-    matches = _effect_matches(rule, state)
-    if rule.lifted_effect is not None:
-        matches = [m for m in matches if _has_free_slot(rule, state, m)]
-    return matches
+    return [m for m in _raw_matches(rule.pattern, state, optimistic=False)
+            if _effect_feasible(rule.effect, state, m.as_dict(), optimistic=False)]
 
 
-def ground_options(rule: Rule, g: MultiHypergraph) -> list[Match]:
-    """The rule's equally likely application options in a ground state."""
-    matches = _effect_matches(rule, g)
-    if rule.lifted_effect is None:
-        return matches
-    # a match without a free slot contributes no option
-    out = [Match(m.assignment, placement=k)
-           for m in matches for k in _free_slot_keys(rule, g, m)]
-    out.sort()
-    return out
+find_matches = ground_options
 
 
 def apply(rule: Rule, g: MultiHypergraph, match: Match) -> MultiHypergraph:
@@ -364,18 +299,6 @@ def apply(rule: Rule, g: MultiHypergraph, match: Match) -> MultiHypergraph:
         if e.cap is not None and mults[k] > e.cap:
             raise EffectError(
                 f"rule {rule.name!r}: asserting {k!r} exceeds cap {e.cap}")
-    if rule.lifted_effect is not None:
-        if match.placement is None:
-            raise EffectError(f"rule {rule.name!r}: lifted effect needs a placement")
-        slots = {_slot_key(s, assignment, g): s for s in rule.lifted_effect.slots}
-        if match.placement not in slots:
-            raise EffectError(
-                f"rule {rule.name!r}: placement {match.placement!r} is not a slot")
-        cap = slots[match.placement].capacity
-        mults[match.placement] = mults.get(match.placement, 0) + 1
-        if mults[match.placement] > cap:
-            raise EffectError(
-                f"rule {rule.name!r}: slot {match.placement!r} is full")
     return g.replace_edges(mults)
 
 
@@ -403,48 +326,8 @@ class LiftedApplyResult:
     n_groundings: int
 
 
-@dataclass(frozen=True)
-class _SlotCensus:
-    all_keys: tuple[EdgeKey, ...]
-    members: tuple[EdgeKey, ...]      # live group members among the slot keys
-    empties: tuple[EdgeKey, ...]      # slot keys with no occupant and no bound
-    group_total: int
-    free_count: int                   # empties + members - total, per grounding
-
-
-def _slot_census(le: LiftedEffect, l: LiftedMultiHypergraph, match: Match
-                 ) -> _SlotCensus | None:
-    """Classify the rule's slot keys in l; None when the aggregation
-    precondition fails (fallback required)."""
-    assignment = match.as_dict()
-    keys = []
-    for s in le.slots:
-        if s.capacity != 1:
-            return None
-        keys.append(_slot_key(s, assignment, l))
-    if len(set(keys)) != len(keys):
-        return None
-    group = next((c for c in l.constraints if c.name == le.group), None)
-    members: list[EdgeKey] = []
-    empties: list[EdgeKey] = []
-    for k in keys:
-        lo, up = l.multiplicity_bounds(k)
-        if lo != up:
-            if group is None or k not in group.edge_keys or (lo, up) != (0, 1):
-                return None
-            members.append(k)
-        elif lo == 0:
-            empties.append(k)
-        elif lo != 1:
-            return None
-    if group is not None and set(group.edge_keys) - set(keys):
-        return None          # foreign members: free-slot count not constant
-    total = group.total if group is not None else 0
-    return _SlotCensus(tuple(keys), tuple(members), tuple(empties), total,
-                       len(empties) + len(members) - total)
-
-
-def _shift_effect(rule: Rule, l: LiftedMultiHypergraph, match: Match
+def _shift_effect(effect: Effect, l: LiftedMultiHypergraph,
+                  assignment: Mapping[str, str]
                   ) -> tuple[dict[EdgeKey, int], dict[EdgeKey, tuple[int, int]],
                              dict[str, int]] | None:
     """Compute the effect as rigid interval shifts; None when not legal.
@@ -453,10 +336,9 @@ def _shift_effect(rule: Rule, l: LiftedMultiHypergraph, match: Match
     Legal iff every retract is covered by fixed multiplicity plus the lower
     bound, and every cap verdict is identical across groundings.
     """
-    assignment = match.as_dict()
     fixed = {k: m for k, m in l._fixed_mult.items()}
     shift: dict[EdgeKey, int] = {}
-    for e in rule.effect.retract:
+    for e in effect.retract:
         k = _effect_key(e, assignment, l)
         need = e.multiplicity
         take = min(fixed.get(k, 0), need)
@@ -467,7 +349,7 @@ def _shift_effect(rule: Rule, l: LiftedMultiHypergraph, match: Match
             if b is None or b.lower + shift.get(k, 0) < need:
                 return None
             shift[k] = shift.get(k, 0) - need
-    for e in rule.effect.assert_:
+    for e in effect.assert_:
         k = _effect_key(e, assignment, l)
         if l._bounded_by_key.get(k) is not None or shift.get(k, 0):
             shift[k] = shift.get(k, 0) + e.multiplicity
@@ -554,14 +436,20 @@ def _fallback(rule: Rule, l: LiftedMultiHypergraph, max_groundings: int
     return LiftedApplyResult(tuple(outputs), n_app, n_tot)
 
 
-def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:
-    """Check the preconditions of the lifted strategies, once.
+def _slot_edge(rule: Rule) -> EffectEdge | None:
+    """The rule's only assert with cap 1 and multiplicity 1, if any."""
+    capped = [e for e in rule.effect.assert_ if e.cap == 1 and e.multiplicity == 1]
+    return capped[0] if len(capped) == 1 else None
 
-    Returns one (slot census, fixed, bounds, group deltas) step per match
-    that fires in every grounding (for lifted-effect rules, per match with a
-    free slot; the census is None for other rules), an empty list when the
-    rule fires in no grounding, or None when the exact fallback is needed.
-    A failed precondition is logged at debug level.
+
+def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:
+    """Check the preconditions of the lifted path, once.
+
+    Returns one (options, fixed, bounds, group deltas, new group) step per
+    successor, where ``options`` counts the options of every grounding that
+    lead to it; an empty list when the rule fires in no grounding, or None
+    when the exact fallback is needed.  A failed precondition is logged at
+    debug level.
     """
     def give_up(reason: str) -> None:
         logger.debug("lifted_apply %r: fallback, %s", rule.name, reason)
@@ -570,40 +458,97 @@ def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:
     if pess != _raw_matches(rule.pattern, l, optimistic=True):
         return give_up("match sets differ across groundings")
 
-    feasible: list[Match] = []
+    slot = _slot_edge(rule)
+    rest = rule.effect if slot is None else Effect(
+        rule.effect.retract, tuple(e for e in rule.effect.assert_ if e is not slot))
+    feasible: list[dict[str, str]] = []
     for m in pess:
-        lo_ok = _effect_feasible(rule, l, m, optimistic=False)
-        if lo_ok != _effect_feasible(rule, l, m, optimistic=True):
+        assignment = m.as_dict()
+        ok = _effect_feasible(rest, l, assignment, optimistic=False)
+        if ok != _effect_feasible(rest, l, assignment, optimistic=True):
             return give_up("effect feasibility varies across groundings")
-        if lo_ok:
-            feasible.append(m)
+        if ok:
+            feasible.append(assignment)
 
-    le = rule.lifted_effect
-    firing: list[tuple[Match, _SlotCensus | None]] = []
-    for m in feasible:
-        if le is None:
-            firing.append((m, None))
+    if slot is None:
+        plan = []
+        for assignment in feasible:
+            shift = _shift_effect(rest, l, assignment)
+            if shift is None:
+                return give_up("interval shift")
+            plan.append((1, *shift, None))
+        return plan
+    return _slot_plan(rule, slot, rest, l, feasible, give_up)
+
+
+def _slot_plan(rule: Rule, slot: EffectEdge, rest: Effect, l: LiftedMultiHypergraph,
+               feasible: list[dict[str, str]], give_up: Callable[[str], None]
+               ) -> list[tuple] | None:
+    """Aggregate the matches whose rest of the effect fires everywhere.
+
+    The rest may not touch the match's own slot key.  Matches with the same
+    net rest delta form a class, so the rest touches no slot key of its
+    class either.  Each slot key of a class is empty (0 in every
+    grounding), full (dropped: the cap forbids it) or a [0,1] member of one
+    group G holding no key outside the class.  When every member is reached
+    by c matches, each grounding has c * (|G| - total) member options, all
+    leading to G with total + 1.  Two or more empties reached by equally
+    many matches become a fresh group of total 1; any other empty is a
+    successor of its own.
+    """
+    classes: dict[tuple, dict[EdgeKey, int]] = {}    # slot key -> match count
+    first: dict[tuple, dict[str, str]] = {}
+    for assignment in feasible:
+        k = _effect_key(slot, assignment, l)
+        delta: dict[EdgeKey, int] = {}
+        for sign, edges in ((-1, rest.retract), (1, rest.assert_)):
+            for e in edges:
+                key = _effect_key(e, assignment, l)
+                delta[key] = delta.get(key, 0) + sign * e.multiplicity
+        if k in delta:
+            return give_up("slot interference")
+        lo, up = l.multiplicity_bounds(k)
+        if lo >= 1:
             continue
-        census = _slot_census(le, l, m)
-        if census is None:
-            return give_up("slot census")
-        if census.free_count > 0:
-            firing.append((m, census))
+        if up and ((lo, up) != (0, 1) or l.group_of(k) is None):
+            return give_up(f"slot key {k!r} is not a [0,1] group member")
+        cls = tuple(sorted((key, d) for key, d in delta.items() if d))
+        counts = classes.setdefault(cls, {})
+        counts[k] = counts.get(k, 0) + 1
+        first.setdefault(cls, assignment)
 
+    names = {c.name for c in l.constraints}
     plan = []
-    for m, census in firing:
-        shift = _shift_effect(rule, l, m)
+    for cls, counts in classes.items():
+        groups = {l.group_of(k) for k in counts} - {None}
+        if len(groups) > 1:
+            return give_up("slot keys in several groups")
+        group = groups.pop() if groups else None
+        if group is not None and not group.edge_keys.issubset(counts):
+            return give_up(f"group {group.name!r} has keys outside the class")
+        shift = _shift_effect(rest, l, first[cls])
         if shift is None:
             return give_up("interval shift")
         fixed, bounds, group_delta = shift
-        if census is not None and (
-                le.group in group_delta
-                or any(k in bounds for k in census.all_keys)
-                or any(fixed.get(k, 0) != l._fixed_mult.get(k, 0)
-                       for k in census.all_keys)):
-            # the plain effect interferes with the slot bookkeeping
-            return give_up("slot interference")
-        plan.append((census, fixed, bounds, group_delta))
+        empties = [k for k in counts if l.group_of(k) is None]
+        if group is not None:
+            c = counts[next(iter(group.edge_keys))]
+            if any(counts[k] != c for k in group.edge_keys):
+                return give_up("slot keys reached by unequal match counts")
+            plan.append((c * (len(group.edge_keys) - group.total), fixed, bounds,
+                         {**group_delta, group.name: 1}, None))
+        elif len(empties) >= 2 and len(set(counts.values())) == 1:
+            name, i = rule.name, 1
+            while name in names:
+                i += 1
+                name = f"{rule.name}#{i}"
+            plan.append((counts[empties[0]] * len(empties), fixed,
+                         {**bounds, **{k: (0, 1) for k in empties}}, group_delta,
+                         TotalConstraint(name, frozenset(empties), 1)))
+            continue
+        for k in empties:
+            plan.append((counts[k], {**fixed, k: fixed.get(k, 0) + 1}, bounds,
+                         group_delta, None))
     return plan
 
 
@@ -633,34 +578,7 @@ def lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
     if not plan:
         return LiftedApplyResult((), 0, n_tot)
 
-    le = rule.lifted_effect
-    outs: list[tuple[LiftedMultiHypergraph, float]] = []
-    if le is None:
-        for _, fixed, bounds, group_delta in plan:
-            outs.append((_rebuild(l, fixed, bounds, group_delta), 1.0 / len(plan)))
-        return LiftedApplyResult(_grouped_outputs(outs), n_tot, n_tot)
-
-    total_options = sum(census.free_count for census, _, _, _ in plan)
-    for census, fixed, bounds, group_delta in plan:
-        m_count = len(census.members)
-        if census.group_total == 0 and m_count == 0:
-            # fresh group over every open slot: uniform single successor
-            new_members = census.empties
-            extra = TotalConstraint(le.group, frozenset(new_members), 1)
-            b2 = dict(bounds)
-            for k in new_members:
-                b2[k] = (0, 1)
-            outs.append((_rebuild(l, fixed, b2, group_delta, extra),
-                         len(new_members) / total_options))
-        else:
-            if m_count - census.group_total > 0:
-                gd = dict(group_delta)
-                gd[le.group] = gd.get(le.group, 0) + 1
-                outs.append((_rebuild(l, fixed, bounds, gd),
-                             (m_count - census.group_total) / total_options))
-            for k in census.empties:
-                f2 = dict(fixed)
-                f2[k] = f2.get(k, 0) + 1
-                outs.append((_rebuild(l, f2, bounds, group_delta),
-                             1.0 / total_options))
+    n_options = sum(step[0] for step in plan)
+    outs = [(_rebuild(l, fixed, bounds, group_delta, extra), n / n_options)
+            for n, fixed, bounds, group_delta, extra in plan]
     return LiftedApplyResult(_grouped_outputs(outs), n_tot, n_tot)

@@ -14,8 +14,8 @@ import itertools
 from collections import Counter
 from typing import Callable, Iterable, Mapping
 
-from mhgfilter import (DEFAULT_MAX_GROUNDINGS, BoundedEdge, LiftedApplyResult,
-                       LiftedMultiHypergraph, MultiHypergraph, Rule,
+from mhgfilter import (DEFAULT_MAX_GROUNDINGS, BoundedEdge, Effect,
+                       LiftedApplyResult, LiftedMultiHypergraph, MultiHypergraph, Rule,
                        TotalConstraint, apply, edge_key, find_matches,
                        ground_options, lifted_apply)
 from mhgfilter.canon import _ranked, _refine, _structure
@@ -166,20 +166,30 @@ def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
                            ) -> LiftedApplyResult:
     """A deliberately wrong ``lifted_apply``, for divergence-detection tests.
 
-    A rule with a lifted effect skips the exactness precondition and takes
-    raw interval arithmetic at each applicable match: the plain effect moves
-    fixed edges, the effect's group total grows by one, and every member's
-    upper bound grows by one, capped at the new total.  The result is exact
-    only by accident.  Other rules take the library's path.  Tests patch it
-    in at ``mhgfilter.filtering.lifted_apply``.
+    A rule with a capped assert skips the exactness precondition and takes
+    raw interval arithmetic at each match of the rest of its effect: the
+    rest moves fixed edges, the group holding the capped assert's key grows
+    its total by one, and every member's upper bound grows by one, capped at
+    the new total.  The result is exact only by accident.  Other rules take
+    the library's path.  Tests patch it in at
+    ``mhgfilter.filtering.lifted_apply``.
     """
-    if rule.lifted_effect is None:
+    capped = next((e for e in rule.effect.assert_ if e.cap is not None), None)
+    if capped is None:
         return lifted_apply(rule, l, max_groundings)
     n = l.count_groundings()
-    matches = find_matches(rule, l)
+    rest = Rule(rule.name, rule.pattern,
+                Effect(rule.effect.retract,
+                       tuple(e for e in rule.effect.assert_ if e is not capped)))
+    matches = find_matches(rest, l)
     if not matches:
         return LiftedApplyResult((), 0, n)
-    group = next(c for c in l.constraints if c.name == rule.lifted_effect.group)
+
+    def key(e, assignment):
+        return edge_key(e.label, [assignment.get(x, x) for x in e.vars])
+
+    group = next(g for g in (l.group_of(key(capped, m.as_dict())) for m in matches)
+                 if g is not None)
     total = group.total + 1
     bounded = [BoundedEdge(b.label, b.incidence, b.lower, min(b.upper + 1, total))
                if b.key in group.edge_keys else b for b in l.bounded_edges]
@@ -189,12 +199,10 @@ def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
     for m in matches:
         assignment = m.as_dict()
         fixed = {e.key: e.multiplicity for e in l.fixed_edges}
-        for e in rule.effect.retract:
-            k = edge_key(e.label, [assignment.get(x, x) for x in e.vars])
-            fixed[k] -= e.multiplicity
-        for e in rule.effect.assert_:
-            k = edge_key(e.label, [assignment.get(x, x) for x in e.vars])
-            fixed[k] = fixed.get(k, 0) + e.multiplicity
+        for e in rest.effect.retract:
+            fixed[key(e, assignment)] -= e.multiplicity
+        for e in rest.effect.assert_:
+            fixed[key(e, assignment)] = fixed.get(key(e, assignment), 0) + e.multiplicity
         state = LiftedMultiHypergraph(
             l.vertices, [Hyperedge(lbl, inc, c) for (lbl, inc), c in fixed.items() if c],
             bounded, constraints, l.conservation_labels, l.conserved_vertex_labels)

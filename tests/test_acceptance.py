@@ -17,12 +17,12 @@ import time
 import pytest
 
 from mhgfilter import (ActionModel, AnnotationTuple, BoundedEdge, Domain,
-                       Effect, EffectEdge, Hyperedge, LiftedEffect,
-                       LiftedMultiHypergraph, Pattern, PatternEdge,
-                       PatternVertex, Rule, SlotTemplate, TotalConstraint,
-                       TraceInconsistencyError, Vertex, applicability_count,
-                       bookshelf_domain, compare, expand, filter_trace,
-                       generate_trace, is_isomorphic, lifted_apply,
+                       Effect, EffectEdge, Hyperedge, LiftedMultiHypergraph,
+                       Pattern, PatternEdge, PatternVertex, Rule, TotalConstraint,
+                       TraceInconsistencyError, Vertex, agent_location,
+                       applicability_count, apply, bookshelf_domain, compare,
+                       expand, filter_trace, generate_trace, ground_options,
+                       held_counts, is_isomorphic, lifted_apply,
                        mini_bookshelf_domain, predict)
 from mhgfilter.cli import main
 from oracles import (box_groundings, brute_isomorphic, ground_pushforward,
@@ -74,11 +74,11 @@ def five_slot_domain() -> Domain:
         (), (), frozenset({"at", "holds"}), frozenset({"eccentric"}))
     install = Rule(
         "install",
-        Pattern((PatternVertex("A", "agent"), PatternVertex("E", "eccentric")),
+        Pattern((PatternVertex("A", "agent"), PatternVertex("E", "eccentric"),
+                 PatternVertex("SL", frozenset(f"slot_{s}" for s in slot_ids))),
                 (PatternEdge("holds", ("A", "E")),)),
-        Effect(retract=(EffectEdge("holds", ("A", "E")),)),
-        LiftedEffect("installed",
-                     tuple(SlotTemplate("at", ("E", s)) for s in slot_ids)))
+        Effect(retract=(EffectEdge("holds", ("A", "E")),),
+               assert_=(EffectEdge("at", ("E", "SL"), cap=1),)))
     return Domain(name="five_slots", agent_id="agent",
                   location_labels=frozenset({"table"}),
                   agent_location_labels=frozenset({"table"}),
@@ -112,6 +112,43 @@ def test_two_unknown_installs_stay_one_lifted_state():
         for g, _ in entries)
     assert occupied == sorted(itertools.combinations(
         ("s1", "s2", "s3", "s4", "s5"), 2))
+
+
+def connect_trace(domain, rounds: int, seed: int = 0) -> list[AnnotationTuple]:
+    """Walk to the table, take the wrench, then ``rounds`` times take a bolt
+    and connect a random adjacent pair of boards, simulated on the ground
+    state with ``ground_options`` and ``apply``."""
+    rng = random.Random(seed)
+    g = domain.initial_state.groundings()[0]
+    plan = [("walk", "Y", "table"), ("take", "I", "wrench")]
+    plan += [("take", "I", "bolt"), ("connectBoards", None, None)] * rounds
+    trace = []
+    for name, var, vid in plan:
+        rule = domain.rule(name)
+        options = [m for m in ground_options(rule, g) if var is None or m.get(var) == vid]
+        h = apply(rule, g, options[rng.randrange(len(options))])
+        trace.append(AnnotationTuple(name, agent_location(domain, g),
+                                     agent_location(domain, h),
+                                     held_counts(domain, g), held_counts(domain, h)))
+        g = h
+    return trace
+
+
+def test_unobserved_connects_stay_one_lifted_state():
+    """Unobserved connectBoards on the bookshelf's 13 adjacent pairs: after
+    three rounds the lifted posterior agrees with ground enumeration to 1e-9
+    in total variation and log likelihood, and through a fourth round every
+    posterior is one lifted state, the last over C(13, 4) = 715 groundings."""
+    domain = bookshelf_domain()
+    trace = connect_trace(domain, rounds=4)
+    report = compare(domain, trace[:-2])
+    assert report.max_tv <= 1e-9
+    assert report.log_likelihood_gap <= 1e-9
+    result = filter_trace(domain, trace)
+    assert [len(b) for b in result.beliefs] == [1] * (len(trace) + 1)
+    connects = [s.ground_count for s in result.stats if s.action == "connectBoards"]
+    assert connects == [math.comb(13, k) for k in range(1, 5)]
+    assert result.beliefs[-1].entries[0][0].count_groundings() == 715
 
 
 def test_full_bookshelf_stays_compressed(tmp_path, capsys):

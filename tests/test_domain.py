@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import random
 
 import pytest
 
@@ -106,12 +107,27 @@ def test_parse_domain_errors():
     assert exc.value.source == "dupes.json"
 
 
+def lifted_effect_document(domain):
+    """``serialize_domain(domain)`` with the install rule written by hand in
+    the ``lifted_effect`` form, plus that rule's index."""
+    doc = serialize_domain(domain)
+    index = next(i for i, r in enumerate(doc["rules"])
+                 if r["name"] == "installEccentric")
+    rule = doc["rules"][index]
+    slot_var = rule["pattern"]["vertices"].pop()
+    del rule["effect"]["assert"]
+    rule["lifted_effect"] = {
+        "group": "installed_eccentrics",
+        "slots": [{"label": "at", "incidence": ["E", s]}
+                  for s in slot_var["label_any_of"]]}
+    return doc, index
+
+
 def test_parse_rejects_retired_lifted_effect_keys():
     """Retired interval-arithmetic keys load only at their former defaults;
     any other value would change the rule's meaning if ignored."""
     mini = mini_bookshelf_domain()
-    good = serialize_domain(mini)
-    index = next(i for i, r in enumerate(good["rules"]) if "lifted_effect" in r)
+    good, index = lifted_effect_document(mini)
     assert set(good["rules"][index]["lifted_effect"]) == {"group", "slots"}
 
     def with_keys(**extra):
@@ -127,6 +143,47 @@ def test_parse_rejects_retired_lifted_effect_keys():
         with pytest.raises(ParseError) as exc:
             parse_domain(with_keys(**{key: value}), "doc")
         assert repr(key) in str(exc.value)
+
+
+def test_parse_desugars_lifted_effect():
+    """A ``lifted_effect`` loads as the hand-written install rule, with the
+    same ground options along a trajectory; slot ids that are not exactly
+    the vertices carrying their labels, or that another pattern variable
+    could bind, are rejected."""
+    mini = mini_bookshelf_domain()
+    doc, index = lifted_effect_document(mini)
+    parsed = parse_domain(doc, "doc")
+    hand, desugared = mini.rules[index], parsed.rules[index]
+    rng = random.Random(3)
+    g = mini.initial_state.groundings()[0]
+    installs = 0
+    for _ in range(40):
+        assert ground_options(desugared, g) == ground_options(hand, g)
+        installs += bool(ground_options(hand, g))
+        options = [(r, m) for r in mini.rules for m in ground_options(r, g)]
+        rule, match = options[rng.randrange(len(options))]
+        g = apply(rule, g, match)
+    assert installs > 0
+
+    def broken(change):
+        bad = copy.deepcopy(doc)
+        change(bad)
+        with pytest.raises(ParseError):
+            parse_domain(bad, "doc")
+
+    def partial_label_class(d):
+        # slot_b2 now shares slot_b1's label but is not a slot
+        d["rules"][index]["lifted_effect"]["slots"].pop()
+        next(v for v in d["vertices"] if v["id"] == "slot_b2")["label"] = "slot_b1"
+
+    def unknown_slot(d):
+        d["rules"][index]["lifted_effect"]["slots"][0]["incidence"] = ["E", "attic"]
+
+    def wildcard(d):
+        d["rules"][index]["pattern"]["vertices"].append({"var": "X"})
+
+    for change in (partial_label_class, unknown_slot, wildcard):
+        broken(change)
 
 
 def test_trace_round_trip():

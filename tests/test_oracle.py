@@ -6,9 +6,9 @@ import pytest
 
 from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
                        Domain, Effect, EffectEdge, Hyperedge, IntegrityError,
-                       LiftedEffect, LiftedMultiHypergraph, Pattern,
-                       PatternEdge, PatternVertex, Rule, SlotTemplate,
-                       TotalConstraint, TraceInconsistencyError, Vertex,
+                       LiftedMultiHypergraph, Pattern, PatternEdge,
+                       PatternVertex, Rule, TotalConstraint,
+                       TraceInconsistencyError, Vertex,
                        GroundBelief, compare, expand, ground_filter_trace,
                        mini_bookshelf_domain, generate_trace, total_variation)
 from oracles import unchecked_lifted_apply
@@ -110,11 +110,11 @@ def unchecked_domain():
     install = Rule(
         "install",
         Pattern((PatternVertex("A", "agent"), PatternVertex("E", "eccentric"),
-                 PatternVertex("T", "table")),
+                 PatternVertex("T", "table"),
+                 PatternVertex("SL", frozenset({"slot_a", "slot_b"}))),
                 (PatternEdge("at", ("A", "T")), PatternEdge("holds", ("A", "E")))),
-        Effect(retract=(EffectEdge("holds", ("A", "E")),)),
-        LiftedEffect("installed",
-                     (SlotTemplate("at", ("E", "s1")), SlotTemplate("at", ("E", "s2")))))
+        Effect(retract=(EffectEdge("holds", ("A", "E")),),
+               assert_=(EffectEdge("at", ("E", "SL"), cap=1),)))
     return Domain(name="unchecked", agent_id="agent",
                   location_labels=frozenset({"table"}),
                   agent_location_labels=frozenset({"table"}),

@@ -3,25 +3,24 @@ from __future__ import annotations
 import pytest
 
 from mhgfilter import (BoundedEdge, Effect, EffectEdge, EffectError,
-                       Hyperedge, LiftedEffect, LiftedMultiHypergraph, Match,
-                       Pattern, PatternEdge, PatternVertex, Rule, SlotTemplate,
-                       StructuralError, TotalConstraint, Vertex, apply,
+                       Hyperedge, LiftedMultiHypergraph, Match, Pattern,
+                       PatternEdge, PatternVertex, Rule, StructuralError,
+                       TotalConstraint, Vertex, applicability_count, apply,
                        build_graph, find_matches, ground_options,
                        lifted_apply, successors)
 from oracles import (ground_pushforward, lifted_distribution, tv_distance,
                      unchecked_lifted_apply)
 
 
-def install_rule(slot_ids, capacity=1):
-    """Retract a held screw and place it into one of the named slots."""
+def install_rule(slot_labels, capacity=1):
+    """Retract a held screw and place it into a slot with one of the labels."""
     return Rule(
         "install",
-        Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw")),
+        Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw"),
+                 PatternVertex("SL", frozenset(slot_labels))),
                 (PatternEdge("holds", ("A", "E")),)),
-        Effect(retract=(EffectEdge("holds", ("A", "E")),)),
-        LiftedEffect("installed",
-                     tuple(SlotTemplate("at", ("E", s), capacity)
-                           for s in slot_ids)))
+        Effect(retract=(EffectEdge("holds", ("A", "E")),),
+               assert_=(EffectEdge("at", ("E", "SL"), cap=capacity),)))
 
 
 def walk_rule():
@@ -118,14 +117,10 @@ def test_apply_effect_errors():
         [Vertex("a", "agent"), Vertex("e", "screw", 2),
          Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
         [Hyperedge("holds", ("a", "e")), Hyperedge("at", ("e", "s1"))])
-    rule = install_rule(("s1", "s2"))
-    m = Match((("A", "a"), ("E", "e")))
+    rule = install_rule(("slot_a", "slot_b"))
+    m = Match((("A", "a"), ("E", "e"), ("SL", "s1")))
     with pytest.raises(EffectError):
-        apply(rule, g, m)                                   # no placement
-    with pytest.raises(EffectError):
-        apply(rule, g, Match(m.assignment, ("holds", ("a", "e"))))
-    with pytest.raises(EffectError):
-        apply(rule, g, Match(m.assignment, ("at", ("e", "s1"))))  # occupied
+        apply(rule, g, m)                                   # occupied: cap
     hungry = Rule("hungry", rule.pattern,
                   Effect(retract=(EffectEdge("holds", ("A", "E"), 2),)))
     with pytest.raises(EffectError):
@@ -137,10 +132,9 @@ def test_ground_options_expand_free_slots():
         [Vertex("a", "agent"), Vertex("e", "screw", 2),
          Vertex("s1", "slot_a"), Vertex("s2", "slot_b"), Vertex("s3", "slot_c")],
         [Hyperedge("holds", ("a", "e")), Hyperedge("at", ("e", "s1"))])
-    options = ground_options(install_rule(("s1", "s2", "s3")), g)
-    assert [m.placement for m in options] == [("at", ("e", "s2")),
-                                              ("at", ("e", "s3"))]
-    roomy = install_rule(("s1", "s2", "s3"), capacity=2)
+    options = ground_options(install_rule(("slot_a", "slot_b", "slot_c")), g)
+    assert [m.get("SL") for m in options] == ["s2", "s3"]
+    roomy = install_rule(("slot_a", "slot_b", "slot_c"), capacity=2)
     assert len(ground_options(roomy, g)) == 3
 
 
@@ -149,7 +143,7 @@ def test_successors_merge_symmetric_options():
         [Vertex("a", "agent"), Vertex("e", "screw"),
          Vertex("s1", "slot"), Vertex("s2", "slot")],
         [Hyperedge("holds", ("a", "e"))])
-    succ = successors(install_rule(("s1", "s2")), g)
+    succ = successors(install_rule(("slot",)), g)
     assert len(succ) == 1
     state, p = succ[0]
     assert p == 1.0
@@ -177,7 +171,8 @@ def member_state():
 
 
 def test_lifted_apply_slot_aggregation():
-    res = check_against_ground(install_rule(("s1", "s2", "s3")), member_state())
+    res = check_against_ground(install_rule(("slot_a", "slot_b", "slot_c")),
+                               member_state())
     assert res.n_applicable == res.n_groundings == 2
     assert len(res.outputs) == 2
     assert abs(sum(w for _, w in res.outputs) - 1.0) < 1e-12
@@ -188,7 +183,7 @@ def test_lifted_apply_creates_fresh_group():
         [Vertex("a", "agent"), Vertex("e", "screw"), Vertex("s1", "slot_a"),
          Vertex("s2", "slot_b"), Vertex("s3", "slot_c")],
         [Hyperedge("holds", ("a", "e"))])
-    res = check_against_ground(install_rule(("s1", "s2", "s3")), l)
+    res = check_against_ground(install_rule(("slot_a", "slot_b", "slot_c")), l)
     assert len(res.outputs) == 1
     state, p = res.outputs[0]
     assert p == 1.0
@@ -235,7 +230,7 @@ def test_lifted_apply_falls_back_on_roomy_slots():
     l = LiftedMultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw", 2), Vertex("s1", "slot_a")],
         [Hyperedge("holds", ("a", "e")), Hyperedge("at", ("e", "s1"))])
-    res = check_against_ground(install_rule(("s1",), capacity=2), l)
+    res = check_against_ground(install_rule(("slot_a",), capacity=2), l)
     assert res.n_applicable == res.n_groundings == 1
     assert res.outputs[0][0].fixed_multiplicity("at", ("e", "s1")) == 2
 
@@ -256,7 +251,7 @@ def test_lifted_apply_empty_and_inapplicable():
 
 
 def test_unchecked_effect_diverges_from_exact():
-    rule = install_rule(("s1", "s2"))
+    rule = install_rule(("slot_a", "slot_b"))
     l = LiftedMultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw", 2), Vertex("s1", "slot_a"),
          Vertex("s2", "slot_b")],
@@ -270,3 +265,111 @@ def test_unchecked_effect_diverges_from_exact():
     assert gap > 0.1
     exact = lifted_apply(rule, l)
     assert tv_distance(lifted_distribution(exact.outputs), dist) < 1e-12
+
+
+def test_feasibility_reads_the_binding_bound_of_each_edge():
+    """A retract and a cap on two free [0,1] edges: the rule fires only where
+    fuel is 1 and mark is 0, in one of the four groundings, so the count is
+    partial; neither all-lower nor all-upper bounds would see that."""
+    l = LiftedMultiHypergraph(
+        [Vertex("a", "agent"), Vertex("x", "thing")], [],
+        [BoundedEdge("fuel", ("a",), 0, 1), BoundedEdge("mark", ("x",), 0, 1)])
+    spend = Rule("spend",
+                 Pattern((PatternVertex("A", "agent"), PatternVertex("X", "thing"))),
+                 Effect(retract=(EffectEdge("fuel", ("A",)),),
+                        assert_=(EffectEdge("mark", ("X",), cap=1),)))
+    _, n_app, n_tot = ground_pushforward(spend, l)
+    assert (n_app, n_tot) == (1, 4)
+    assert applicability_count(spend, l) == (1, 4)
+    check_against_ground(spend, l)
+
+
+def test_find_matches_fire_in_every_grounding():
+    """A capped assert onto a [0,1] group member fires in one of the two
+    groundings, so the match is not applicable in every grounding."""
+    keys = [("mark", ("a", "s1")), ("mark", ("a", "s2"))]
+    l = LiftedMultiHypergraph(
+        [Vertex("a", "agent"), Vertex("s1", "slot"), Vertex("s2", "slot")], [],
+        [BoundedEdge(label, inc, 0, 1) for label, inc in keys],
+        [TotalConstraint("g", frozenset(keys), 1)])
+    rule = Rule("mark_s1", Pattern((PatternVertex("A", "agent"),)),
+                Effect(assert_=(EffectEdge("mark", ("A", "s1"), cap=1),)))
+    _, n_app, n_tot = ground_pushforward(rule, l)
+    assert (n_app, n_tot) == (1, 2)
+    assert find_matches(rule, l) == []
+    check_against_ground(rule, l)
+
+
+def slot_scene(draw):
+    """A small install scene for the match aggregation, drawn with
+    ``draw(strategy)``: 2-6 slots with shared or distinct labels, one or two
+    screws, pre-filled slots, an optional [0,1] group over some of the first
+    screw's slots (possibly over slots the rule cannot reach), an optional
+    helper variable over slots and tools, which reaches some slots by fewer
+    matches than others, and an optional extra retract or assert on a
+    bounded key or a slot key."""
+    from hypothesis import strategies as st
+
+    n = draw(st.integers(2, 6))
+    slots = [f"s{i}" for i in range(n)]
+    labels = [f"slot_{draw(st.integers(0, n - 1))}" for _ in slots]
+    screws = ["e1", "e2"][:draw(st.integers(1, 2))]
+    pairs = [(e, s) for e in screws for s in slots]
+    filled = draw(st.sets(st.sampled_from(pairs), max_size=2))
+    tag_lo = draw(st.integers(0, 1))
+    bounded = [BoundedEdge("tag", ("a",), tag_lo, tag_lo + draw(st.integers(0, 2)))]
+    constraints = []
+    if draw(st.booleans()):
+        members = draw(st.lists(st.sampled_from(slots), min_size=2, unique=True))
+        bounded += [BoundedEdge("at", ("e1", s), 0, 1) for s in members]
+        constraints.append(TotalConstraint(
+            "placed", frozenset(("at", ("e1", s)) for s in members),
+            draw(st.integers(1, len(members) - 1))))
+    tools = [Vertex(f"t{i}", "tool") for i in range(draw(st.integers(0, 2)))]
+    l = LiftedMultiHypergraph(
+        [Vertex("a", "agent")] + [Vertex(e, "screw", 3) for e in screws]
+        + [Vertex(s, label) for s, label in zip(slots, labels)] + tools,
+        [Hyperedge("holds", ("a", e)) for e in screws]
+        + [Hyperedge("at", pair) for pair in filled],
+        bounded, constraints)
+
+    label_set = sorted(set(labels))
+    reach = st.one_of(st.just(frozenset(label_set)),
+                      st.frozensets(st.sampled_from(label_set), min_size=1))
+    pattern = [PatternVertex("A", "agent"), PatternVertex("E", "screw"),
+               PatternVertex("SL", draw(reach))]
+    if draw(st.booleans()):
+        helper = st.frozensets(st.sampled_from(label_set + ["tool"]), min_size=1)
+        pattern.append(PatternVertex("H", draw(helper)))
+    retract = [EffectEdge("holds", ("A", "E"))]
+    assert_ = [EffectEdge("at", ("E", "SL"), cap=1)]
+    extra = draw(st.sampled_from(["none", "retract", "assert"]))
+    if extra != "none":
+        target = draw(st.sampled_from([("tag", ("A",))]
+                                      + [("at", ("E", s)) for s in slots]))
+        edge = EffectEdge(*target, cap=draw(st.sampled_from([None, 1, 2]))
+                          if extra == "assert" else None)
+        (retract if extra == "retract" else assert_).append(edge)
+    rule = Rule("install", Pattern(tuple(pattern), (PatternEdge("holds", ("A", "E")),)),
+                Effect(tuple(retract), tuple(assert_)))
+    return rule, l
+
+
+def test_match_aggregation_equals_ground_pushforward():
+    """On random install scenes the lifted application equals the ground
+    pushforward to 1e-12, and both lifted counts equal the ground counts."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @hypothesis.settings(max_examples=250, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(st.composite(slot_scene)())
+    def check(scene):
+        rule, l = scene
+        dist, n_app, n_tot = ground_pushforward(rule, l)
+        assert applicability_count(rule, l) == (n_app, n_tot)
+        res = lifted_apply(rule, l)
+        assert (res.n_applicable, res.n_groundings) == (n_app, n_tot)
+        assert tv_distance(lifted_distribution(res.outputs), dist) <= 1e-12
+
+    check()
