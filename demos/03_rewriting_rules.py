@@ -12,7 +12,7 @@ from collections import defaultdict
 
 from mhgfilter import (Effect, EffectEdge, Hyperedge, LiftedMultiHypergraph,
                        Pattern, PatternEdge, PatternVertex, Rule, Vertex,
-                       build_graph, expand, find_matches, ground_options,
+                       build_graph, expand, ground_options,
                        lifted_apply, successors, total_variation)
 
 
@@ -40,16 +40,13 @@ def main():
     rule = install_rule()
     g = workbench()
 
-    matches = find_matches(rule, g)
-    print("pattern matches:", len(matches))
-    for m in matches:
-        print("  assignment:", m.as_dict())
-
     # One option per free slot.  All three slots are empty and
     # interchangeable, so the uniform choice over the three options
     # collapses to a single successor after merging.
     options = ground_options(rule, g)
-    print("\nground options:", len(options))
+    print("ground options:", len(options))
+    for m in options:
+        print("  assignment:", m.as_dict())
     succ = successors(rule, g)
     print("distinct successors after canonical merge:")
     for out, p in succ:

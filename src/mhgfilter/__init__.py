@@ -27,7 +27,7 @@ from .oracle import (ComparisonReport, GroundBelief, GroundFilterResult,
                      compare, expand, ground_filter_trace, total_variation)
 from .rewrite import (Effect, EffectEdge, LiftedApplyResult, Match, Pattern,
                       PatternEdge, PatternVertex, Rule, applicability_count,
-                      apply, find_matches, ground_options, lifted_apply,
+                      apply, ground_options, lifted_apply,
                       successors)
 
 __version__ = "0.1.0"
@@ -46,7 +46,7 @@ __all__ = [
     "applicability_count", "apply", "bookshelf_domain", "build_graph", "builtin_domain",
     "canonical_form", "canonical_form_lifted", "compare", "consistent",
     "edge_key", "expand", "filter_trace",
-    "find_matches", "format_trace", "generate_trace", "ground_filter_trace",
+    "format_trace", "generate_trace", "ground_filter_trace",
     "ground_options", "held_counts", "is_isomorphic",
     "lifted_apply", "mini_bookshelf_domain", "parse_domain", "parse_trace",
     "pinned_form", "predict", "serialize_domain", "successors",

@@ -88,6 +88,24 @@ class Domain:
         for v in self.initial_state.vertices:
             by_label.setdefault(v.label, []).append(v)
         object.__setattr__(self, "_by_label", by_label)
+        # Beliefs merge states by label-preserving isomorphism, but the
+        # observation names the agent and its location by vertex id, and an
+        # effect may name a literal id.  Such a vertex must be the only one
+        # with its label, or merging would lose mass.
+        named = {self.agent_id}
+        named.update(v.id for label in self.agent_location_labels
+                     for v in by_label.get(label, ()))
+        for r in self.rules:
+            declared = {pv.var for pv in r.pattern.vertices}
+            named.update(x for e in r.effect.retract + r.effect.assert_
+                         for x in e.vars if x not in declared)
+        for vid in sorted(named):
+            if (self.initial_state.has_vertex(vid)
+                    and len(by_label[self.initial_state.vertex(vid).label]) > 1):
+                raise StructuralError(
+                    f"domain {self.name!r}: vertex {vid!r} shares its label "
+                    f"with another vertex, but the observation or a rule "
+                    f"names it by id")
 
     def vertices_with_label(self, label: str) -> tuple[Vertex, ...]:
         return tuple(self._by_label.get(label, ()))

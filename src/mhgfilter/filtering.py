@@ -9,17 +9,17 @@ and after; every component is observed exactly or not at all, so observation
 factors are counting fractions rather than noisy likelihoods).
 
 Prediction only counts, per belief entry and rule, the groundings in which
-the rule applies; a particle builds its successor distribution the first
-time it is read.  In ``filter_trace`` that read comes only from the update,
-and only for particles whose rule is the observed action, so successors of
-rules the observation rules out are never built.  Every state that enters a
-belief is built, and checked, on the way.
+the rule applies; a particle holds its predecessor and rule, not its
+successors.  The update builds successors only for particles whose rule is
+the observed action, from each state that conditioning the predecessor
+leaves, so successors of rules the observation rules out are never built.
+Every state that enters a belief is built, and checked, on the way.
 
 Exactness contract: prediction splits a belief entry into its groundings
 whenever some rule is applicable in only part of them, so each surviving
 entry has a grounding-independent applicable-rule set; conditioning either
 keeps a particle whole (0/1 factor), tightens one bounded interval (exact
-fractional factor, successors recomputed from the tightened predecessor), or
+fractional factor, successors built from the tightened predecessor), or
 falls back to enumeration.  Entries left without any applicable rule are
 dropped with a warning and the remaining mass is renormalised.
 """
@@ -29,18 +29,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
 from .canon import merge_by_form
 from .errors import IntegrityError, TraceInconsistencyError
 from .graphs import EdgeKey, MultiHypergraph, edge_key
-from .lifted import DEFAULT_MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph
+from .lifted import DEFAULT_MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph, State
 from .rewrite import Rule, applicability_count, lifted_apply
 
 logger = logging.getLogger("mhgfilter")
-
-State = Union[MultiHypergraph, LiftedMultiHypergraph]
 
 __all__ = ["ActionModel", "Belief", "Particle", "JointPrediction", "StepStats",
            "FilterResult", "agent_location", "consistent", "predict", "update",
@@ -121,27 +118,16 @@ class Belief:
 
 @dataclass(frozen=True)
 class Particle:
-    """One predecessor hypothesis with one rule and its successor distribution.
+    """One predecessor hypothesis with one applicable rule.
 
-    ``weight`` is the joint mass of (predecessor, rule); the successor
-    distribution ``outputs`` sums to one within the particle.  The successors
-    are built by ``lifted_apply`` (under the enumeration limit
-    ``max_groundings``) the first time ``outputs`` is read, and cached, so a
-    particle the observation rules out never builds them.  Keeping the rule
-    attached lets the update recompute the successors exactly when the
-    predecessor gets tightened by the observation.
+    ``weight`` is the joint mass of (predecessor, rule).  The successors are
+    built by the update, from the predecessor as the observation leaves it,
+    so a particle the observation rules out never builds them.
     """
 
     prev: LiftedMultiHypergraph
     rule: Rule
     weight: float
-    max_groundings: int = DEFAULT_MAX_GROUNDINGS
-
-    @cached_property
-    def outputs(self) -> tuple[tuple[LiftedMultiHypergraph, float], ...]:
-        # looked up in this module at call time, so a patched lifted_apply
-        # here is the one that builds
-        return lifted_apply(self.rule, self.prev, self.max_groundings).outputs
 
 
 @dataclass(frozen=True)
@@ -222,45 +208,44 @@ def _ground_consistent(domain, g: MultiHypergraph, loc: str,
 
 def _condition_state(domain, l: State, loc: str, held: Mapping[str, int],
                      max_groundings: int = DEFAULT_MAX_GROUNDINGS
-                     ) -> tuple[float, list[tuple[LiftedMultiHypergraph, float]], bool]:
+                     ) -> tuple[float, list[tuple[LiftedMultiHypergraph, float]]]:
     """Condition a state on one observation side.
 
     Returns (fraction of groundings that are consistent, the states taking
-    l's place with relative weights summing to one, changed flag).  Fixed edges give
-    0/1 verdicts; a single bounded key gives an exact interval tightening;
-    anything else is resolved by enumeration.  A ground state only ever
-    takes the first branch.
+    l's place with relative weights summing to one; l itself when the
+    observation leaves it whole).  Fixed edges give 0/1 verdicts; a single
+    bounded key gives an exact interval tightening; anything else is
+    resolved by enumeration.  A ground state only ever takes the first
+    branch.
     """
     if not l.has_vertex(loc):
-        return 0.0, [], True
+        return 0.0, []
     work = l
     frac = 1.0
     deferred: list[tuple[tuple[EdgeKey, ...], int]] = []
-    changed = False
     for keys, required in _conditions(domain, loc, held):
         bounds = [work.multiplicity_bounds(k) for k in keys]
         fixed_sum = sum(lo for lo, up in bounds if lo == up)
         bounded = [(k, lo, up) for k, (lo, up) in zip(keys, bounds) if lo != up]
         if not bounded:
             if fixed_sum != required:
-                return 0.0, [], True
+                return 0.0, []
         elif len(bounded) == 1:
             # bounded keys carry no fixed part, and lower < upper after
             # normalisation, so a feasible value always tightens
             k, lo, up = bounded[0]
             v = required - fixed_sum
             if v < lo or v > up:
-                return 0.0, [], True
+                return 0.0, []
             before = work.count_groundings()
             new_bounds = [bb if bb.key != k else
                           BoundedEdge(bb.label, bb.incidence, v, v)
                           for bb in work.bounded_edges]
             tightened = work.rebuild(bounded=new_bounds)
             if tightened.is_empty:
-                return 0.0, [], True
+                return 0.0, []
             frac *= tightened.count_groundings() / before
             work = tightened
-            changed = True
         else:
             deferred.append((keys, required))
     if deferred:
@@ -270,12 +255,12 @@ def _condition_state(domain, l: State, loc: str, held: Mapping[str, int],
                    for keys, required in deferred))
         kept = sum(c for _, c in survivors.values())
         if kept == 0:
-            return 0.0, [], True
+            return 0.0, []
         frac *= kept / work.count_groundings()
         states = [(LiftedMultiHypergraph.from_graph(g), c / kept)
                   for _, (g, c) in sorted(survivors.items())]
-        return frac, states, True
-    return frac, [(work, 1.0)], changed
+        return frac, states
+    return frac, [(work, 1.0)]
 
 
 def consistent(domain, annotation, x_t: State, rule: Rule, x_next: State) -> bool:
@@ -288,7 +273,7 @@ def consistent(domain, annotation, x_t: State, rule: Rule, x_next: State) -> boo
         return False
 
     def side(state: State, loc: str, held: Mapping[str, int]) -> bool:
-        frac, _, _ = _condition_state(domain, state, loc, held)
+        frac, _ = _condition_state(domain, state, loc, held)
         return frac > 0
 
     return (side(x_t, annotation.loc_t, annotation.held_t)
@@ -305,7 +290,7 @@ def predict(domain, belief: Belief,
     into grounding singletons first, so every particle's rule probability is
     well defined.  Entries with no applicable rule at all are dropped (dead
     ends) and the prediction is renormalised.  Only applicability is counted
-    here; each particle builds its successors when they are first read.
+    here; the update builds the successors of the particles it keeps.
     """
     queue: list[tuple[LiftedMultiHypergraph, float]] = list(belief.entries)
     masses: list[tuple[LiftedMultiHypergraph, Rule, float]] = []
@@ -345,8 +330,7 @@ def predict(domain, belief: Belief,
     if not masses:
         return JointPrediction((), dropped)
     scale = 1.0 / sum(m for _, _, m in masses)
-    particles = [Particle(state, rule, m * scale, max_groundings)
-                 for state, rule, m in masses]
+    particles = [Particle(state, rule, m * scale) for state, rule, m in masses]
     particles.sort(key=lambda p: (p.rule.name, p.prev.canonical_form().data))
     return JointPrediction(tuple(particles), dropped)
 
@@ -366,24 +350,14 @@ def update(domain, annotation, joint: JointPrediction, step: int = 0,
     for p in joint.particles:
         if p.rule.name != annotation.action:
             continue
-        f_prev, prevs, changed = _condition_state(
+        f_prev, prevs = _condition_state(
             domain, p.prev, annotation.loc_t, annotation.held_t, max_groundings)
-        if f_prev == 0.0:
-            continue
-        if not changed:
-            branches = [(p.outputs, 1.0)]
-        else:
-            branches = []
-            for tight, rel in prevs:
-                r = lifted_apply(p.rule, tight, max_groundings)
-                if r.n_applicable == 0:
-                    continue
-                # applicability is grounding-independent on the particle's
-                # predecessor, hence also on any subset of its groundings
-                branches.append((r.outputs, rel))
-        for outputs, rel in branches:
-            for succ, prob in outputs:
-                f_next, nexts, _ = _condition_state(
+        for tight, rel in prevs:
+            # applicability is grounding-independent on the particle's
+            # predecessor, hence also on any subset of its groundings, so
+            # the successor probabilities need no reweighting
+            for succ, prob in lifted_apply(p.rule, tight, max_groundings).outputs:
+                f_next, nexts = _condition_state(
                     domain, succ, annotation.loc_next, annotation.held_next,
                     max_groundings)
                 if f_next == 0.0:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Union
 
 from .canon import CanonicalForm, canonical_form_lifted as _canon_lifted
 from .errors import EnumerationLimitError, StructuralError
@@ -214,17 +214,8 @@ class LiftedMultiHypergraph:
     def fixed_multiplicity(self, label: str, incidence: Iterable[str]) -> int:
         return self._fixed_mult.get(edge_key(label, incidence), 0)
 
-    def bounded_edge(self, label: str, incidence: Iterable[str]) -> BoundedEdge | None:
-        return self._bounded_by_key.get(edge_key(label, incidence))
-
     def group_of(self, key: EdgeKey) -> TotalConstraint | None:
         return self._group_of.get(key)
-
-    def skeleton(self) -> MultiHypergraph:
-        """The fixed part as a ground graph (conservation not enforced:
-        bounded edges may carry part of a conserved sum)."""
-        return MultiHypergraph(self.vertices, self.fixed_edges,
-                               self.conservation_labels, ())
 
     @classmethod
     def from_graph(cls, g: MultiHypergraph) -> "LiftedMultiHypergraph":
@@ -340,6 +331,10 @@ class LiftedMultiHypergraph:
         return (f"LiftedMultiHypergraph({len(self.vertices)} vertices, "
                 f"{len(self.fixed_edges)} fixed, {len(self.bounded_edges)} bounded, "
                 f"{len(self.constraints)} constraints)")
+
+
+# A ground state offers the same read interface as a lifted one.
+State = Union[MultiHypergraph, LiftedMultiHypergraph]
 
 
 def _count_compositions(bounds: list[tuple[int, int]], total: int) -> int:

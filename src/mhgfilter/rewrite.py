@@ -15,21 +15,27 @@ returns the exact distribution over successor lifted states, together with
 the number of groundings in which the rule is applicable.  Two strategies
 are used:
 
-* interval shift with match aggregation, when the match set is the same in
-  every grounding and the effect moves bounded intervals rigidly.  A rule's
-  only assert with cap 1 and multiplicity 1 is its *slot edge*.  Matches
-  whose remaining effect is the same form one class, and the class's choice
-  among its free slot keys is kept as one [0,1] constraint group, whose
-  total grows by one (counting-formula lifting; this is the source of state
-  compression).  Rules without a slot edge shift each match separately.
+* interval shift with match aggregation, when every match is *sure* and
+  the effect at each match is sure or not *possible*.  One matching pass
+  reads upper bounds for the matches and lower bounds for sureness, and
+  one feasibility pass gives the sure/possible verdict of the effect: sure
+  means in every grounding, possible in some.  Where the two agree, the
+  effect's net delta shifts bounded intervals rigidly, and the shift
+  cannot fail.  A rule's only assert with cap 1 and multiplicity 1 is its
+  *slot edge*.  Matches whose remaining effect is the same form one class,
+  and the class's choice among its free slot keys is kept as one [0,1]
+  constraint group, whose total grows by one (counting-formula lifting;
+  this is the source of state compression).  Rules without a slot edge
+  shift each match separately.
 * exact fallback: enumerate groundings, apply the rule in each, and merge
   the results by canonical form.
 
 Both agree with the ground semantics exactly; the fallback is the
-definition, the shift is a proved-equal fast path with checked
-preconditions.  ``applicability_count`` returns the same two counts without
-building any successor; it and ``lifted_apply`` share one precondition pass,
-and a failed precondition is logged at debug level with the rule's name.
+definition, the shift is a proved-equal fast path whose preconditions are
+the sure/possible verdicts.  ``applicability_count`` returns the same two
+counts without building any successor; it and ``lifted_apply`` share one
+precondition pass, and a failed precondition is logged at debug level with
+the rule's name.
 """
 
 from __future__ import annotations
@@ -42,15 +48,13 @@ from .canon import merge_by_form
 from .errors import EffectError, StructuralError
 from .graphs import EdgeKey, MultiHypergraph, Vertex, edge_key
 from .lifted import (DEFAULT_MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph,
-                     TotalConstraint)
-
-State = Union[MultiHypergraph, LiftedMultiHypergraph]
+                     State, TotalConstraint)
 
 logger = logging.getLogger("mhgfilter")
 
 __all__ = ["PatternVertex", "PatternEdge", "Pattern", "EffectEdge", "Effect",
            "Rule", "Match", "LiftedApplyResult",
-           "find_matches", "apply", "ground_options", "successors",
+           "apply", "ground_options", "successors",
            "applicability_count", "lifted_apply"]
 
 
@@ -189,15 +193,16 @@ def _effect_key(e: EffectEdge, assignment: Mapping[str, str], state: State) -> E
 
 # -- matching ------------------------------------------------------------------
 
-def _raw_matches(pattern: Pattern, state: State, optimistic: bool) -> list[Match]:
-    """All injective assignments satisfying the pattern conditions.
+def _raw_matches(pattern: Pattern, state: State) -> list[tuple[Match, bool]]:
+    """All injective assignments whose pattern edges meet their minimum on
+    upper multiplicity bounds, each with ``sure``: whether they meet it on
+    lower bounds too.
 
-    On lifted states, conditions read guaranteed multiplicities (optimistic
-    False) or maximal ones (optimistic True); the two coincide on ground
-    states.
+    On a lifted state a sure match is a match in every grounding, and an
+    unsure one in some groundings only; every match is sure on a ground
+    state.
     """
     verts = state.vertices
-    side = 1 if optimistic else 0
     pvs = list(pattern.vertices)
     # most-constrained-first static order keeps backtracking shallow
     candidates = {pv.var: sorted((v.id for v in verts if pv.admits(v)))
@@ -211,13 +216,13 @@ def _raw_matches(pattern: Pattern, state: State, optimistic: bool) -> list[Match
             continue
         edges_by_last.setdefault(last, []).append(pe)
 
-    out: list[Match] = []
+    out: list[tuple[Match, bool]] = []
     assignment: dict[str, str] = {}
     used: set[str] = set()
 
-    def backtrack(i: int):
+    def backtrack(i: int, sure: bool):
         if i == len(pvs):
-            out.append(Match(tuple(assignment.items())))
+            out.append((Match(tuple(assignment.items())), sure))
             return
         pv = pvs[i]
         for vid in candidates[pv.var]:
@@ -225,45 +230,53 @@ def _raw_matches(pattern: Pattern, state: State, optimistic: bool) -> list[Match
                 continue
             assignment[pv.var] = vid
             used.add(vid)
-            ok = True
+            ok, here = True, sure
             for pe in edges_by_last.get(pv.var, ()):
                 key = edge_key(pe.label, [assignment[x] for x in pe.vars])
-                if state.multiplicity_bounds(key)[side] < pe.min_multiplicity:
+                lo, up = state.multiplicity_bounds(key)
+                if up < pe.min_multiplicity:
                     ok = False
                     break
+                here = here and lo >= pe.min_multiplicity
             if ok:
-                backtrack(i + 1)
+                backtrack(i + 1, here)
             del assignment[pv.var]
             used.discard(vid)
 
-    backtrack(0)
+    backtrack(0, True)
     out.sort()
     return out
 
 
-def _effect_feasible(effect: Effect, state: State, assignment: Mapping[str, str],
-                     optimistic: bool) -> bool:
-    """Whether retracts stay non-negative and caps hold.
+def _effect_feasible(effect: Effect, state: State, assignment: Mapping[str, str]
+                     ) -> tuple[bool, bool]:
+    """(sure, possible): whether retracts stay non-negative and caps hold in
+    every grounding, and in some grounding.
 
-    Pessimistic (optimistic False) checks retracts against lower and caps
-    against upper multiplicity bounds, so True means feasible in every
-    grounding; optimistic checks the reverse, so False means feasible in no
-    grounding.  The two coincide on ground states.
+    Retracts are checked against their net delta, and each capped assert
+    against the delta accumulated up to it, as ``apply`` does.  Sure reads
+    lower bounds for retracts and upper bounds for caps, possible the
+    reverse; the two coincide on ground states.
     """
-    retract_side, cap_side = (1, 0) if optimistic else (0, 1)
+    sure = True
     delta: dict[EdgeKey, int] = {}
     for e in effect.retract:
         k = _effect_key(e, assignment, state)
         delta[k] = delta.get(k, 0) - e.multiplicity
     for k, d in delta.items():
-        if state.multiplicity_bounds(k)[retract_side] + d < 0:
-            return False
+        lo, up = state.multiplicity_bounds(k)
+        if up + d < 0:
+            return False, False
+        sure = sure and lo + d >= 0
     for e in effect.assert_:
         k = _effect_key(e, assignment, state)
         delta[k] = delta.get(k, 0) + e.multiplicity
-        if e.cap is not None and state.multiplicity_bounds(k)[cap_side] + delta[k] > e.cap:
-            return False
-    return True
+        if e.cap is not None:
+            lo, up = state.multiplicity_bounds(k)
+            if lo + delta[k] > e.cap:
+                return False, False
+            sure = sure and up + delta[k] <= e.cap
+    return sure, True
 
 
 def ground_options(rule: Rule, state: State) -> list[Match]:
@@ -273,11 +286,8 @@ def ground_options(rule: Rule, state: State) -> list[Match]:
     no retraction below zero and no cap exceeded.  On lifted states, the
     matches that fire in every grounding.
     """
-    return [m for m in _raw_matches(rule.pattern, state, optimistic=False)
-            if _effect_feasible(rule.effect, state, m.as_dict(), optimistic=False)]
-
-
-find_matches = ground_options
+    return [m for m, sure in _raw_matches(rule.pattern, state)
+            if sure and _effect_feasible(rule.effect, state, m.as_dict())[0]]
 
 
 def apply(rule: Rule, g: MultiHypergraph, match: Match) -> MultiHypergraph:
@@ -326,50 +336,34 @@ class LiftedApplyResult:
     n_groundings: int
 
 
-def _shift_effect(effect: Effect, l: LiftedMultiHypergraph,
-                  assignment: Mapping[str, str]
-                  ) -> tuple[dict[EdgeKey, int], dict[EdgeKey, tuple[int, int]],
-                             dict[str, int]] | None:
-    """Compute the effect as rigid interval shifts; None when not legal.
+def _net_delta(effect: Effect, l: LiftedMultiHypergraph,
+               assignment: Mapping[str, str]) -> dict[EdgeKey, int]:
+    """The effect's net multiplicity change per key at one assignment."""
+    delta: dict[EdgeKey, int] = {}
+    for sign, edges in ((-1, effect.retract), (1, effect.assert_)):
+        for e in edges:
+            k = _effect_key(e, assignment, l)
+            delta[k] = delta.get(k, 0) + sign * e.multiplicity
+    return delta
 
-    Returns (new fixed multiplicities, new bounds, group total deltas).
-    Legal iff every retract is covered by fixed multiplicity plus the lower
-    bound, and every cap verdict is identical across groundings.
+
+def _shift_effect(l: LiftedMultiHypergraph, delta: Mapping[EdgeKey, int]
+                  ) -> tuple[dict[EdgeKey, int], dict[EdgeKey, tuple[int, int]],
+                             dict[str, int]]:
+    """Apply a net delta as a rigid shift.
+
+    Returns (new fixed multiplicities, new bounds, group total deltas): a
+    bounded key's interval and its group's total move by its delta, any
+    other key's fixed multiplicity changes by it.  Rigid because the effect
+    is sure and possible at the assignment: no retract can fail and no cap
+    verdict differs across groundings.
     """
-    fixed = {k: m for k, m in l._fixed_mult.items()}
-    shift: dict[EdgeKey, int] = {}
-    for e in effect.retract:
-        k = _effect_key(e, assignment, l)
-        need = e.multiplicity
-        take = min(fixed.get(k, 0), need)
-        fixed[k] = fixed.get(k, 0) - take
-        need -= take
-        if need:
-            b = l._bounded_by_key.get(k)
-            if b is None or b.lower + shift.get(k, 0) < need:
-                return None
-            shift[k] = shift.get(k, 0) - need
-    for e in effect.assert_:
-        k = _effect_key(e, assignment, l)
-        if l._bounded_by_key.get(k) is not None or shift.get(k, 0):
-            shift[k] = shift.get(k, 0) + e.multiplicity
-        else:
-            fixed[k] = fixed.get(k, 0) + e.multiplicity
-        if e.cap is not None:
-            b = l._bounded_by_key.get(k)
-            base = fixed.get(k, 0) + shift.get(k, 0)
-            lo_v = base + (b.lower if b else 0)
-            up_v = base + (b.upper if b else 0)
-            if (lo_v > e.cap) != (up_v > e.cap):
-                return None  # verdict varies across groundings
-            if up_v > e.cap:
-                return None  # infeasible everywhere; caller filtered already
+    fixed = dict(l._fixed_mult)
     bounds: dict[EdgeKey, tuple[int, int]] = {}
     group_delta: dict[str, int] = {}
-    for k, d in shift.items():
+    for k, d in delta.items():
         b = l._bounded_by_key.get(k)
         if b is None:
-            # assert onto a previously fixed-only key stays fixed
             fixed[k] = fixed.get(k, 0) + d
             continue
         bounds[k] = (b.lower + d, b.upper + d)
@@ -454,30 +448,25 @@ def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:
     def give_up(reason: str) -> None:
         logger.debug("lifted_apply %r: fallback, %s", rule.name, reason)
 
-    pess = _raw_matches(rule.pattern, l, optimistic=False)
-    if pess != _raw_matches(rule.pattern, l, optimistic=True):
+    matches = _raw_matches(rule.pattern, l)
+    if not all(sure for _, sure in matches):
         return give_up("match sets differ across groundings")
 
     slot = _slot_edge(rule)
     rest = rule.effect if slot is None else Effect(
         rule.effect.retract, tuple(e for e in rule.effect.assert_ if e is not slot))
     feasible: list[dict[str, str]] = []
-    for m in pess:
+    for m, _ in matches:
         assignment = m.as_dict()
-        ok = _effect_feasible(rest, l, assignment, optimistic=False)
-        if ok != _effect_feasible(rest, l, assignment, optimistic=True):
+        sure, possible = _effect_feasible(rest, l, assignment)
+        if sure != possible:
             return give_up("effect feasibility varies across groundings")
-        if ok:
+        if sure:
             feasible.append(assignment)
 
     if slot is None:
-        plan = []
-        for assignment in feasible:
-            shift = _shift_effect(rest, l, assignment)
-            if shift is None:
-                return give_up("interval shift")
-            plan.append((1, *shift, None))
-        return plan
+        return [(1, *_shift_effect(l, _net_delta(rest, l, assignment)), None)
+                for assignment in feasible]
     return _slot_plan(rule, slot, rest, l, feasible, give_up)
 
 
@@ -497,14 +486,9 @@ def _slot_plan(rule: Rule, slot: EffectEdge, rest: Effect, l: LiftedMultiHypergr
     successor of its own.
     """
     classes: dict[tuple, dict[EdgeKey, int]] = {}    # slot key -> match count
-    first: dict[tuple, dict[str, str]] = {}
     for assignment in feasible:
         k = _effect_key(slot, assignment, l)
-        delta: dict[EdgeKey, int] = {}
-        for sign, edges in ((-1, rest.retract), (1, rest.assert_)):
-            for e in edges:
-                key = _effect_key(e, assignment, l)
-                delta[key] = delta.get(key, 0) + sign * e.multiplicity
+        delta = _net_delta(rest, l, assignment)
         if k in delta:
             return give_up("slot interference")
         lo, up = l.multiplicity_bounds(k)
@@ -515,7 +499,6 @@ def _slot_plan(rule: Rule, slot: EffectEdge, rest: Effect, l: LiftedMultiHypergr
         cls = tuple(sorted((key, d) for key, d in delta.items() if d))
         counts = classes.setdefault(cls, {})
         counts[k] = counts.get(k, 0) + 1
-        first.setdefault(cls, assignment)
 
     names = {c.name for c in l.constraints}
     plan = []
@@ -526,10 +509,7 @@ def _slot_plan(rule: Rule, slot: EffectEdge, rest: Effect, l: LiftedMultiHypergr
         group = groups.pop() if groups else None
         if group is not None and not group.edge_keys.issubset(counts):
             return give_up(f"group {group.name!r} has keys outside the class")
-        shift = _shift_effect(rest, l, first[cls])
-        if shift is None:
-            return give_up("interval shift")
-        fixed, bounds, group_delta = shift
+        fixed, bounds, group_delta = _shift_effect(l, dict(cls))
         empties = [k for k in counts if l.group_of(k) is None]
         if group is not None:
             c = counts[next(iter(group.edge_keys))]

@@ -11,13 +11,14 @@ purpose, because it checks the pruning alone.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from typing import Callable, Iterable, Mapping
 
 from mhgfilter import (DEFAULT_MAX_GROUNDINGS, BoundedEdge, Effect,
                        LiftedApplyResult, LiftedMultiHypergraph, MultiHypergraph, Rule,
-                       TotalConstraint, apply, edge_key, find_matches,
-                       ground_options, lifted_apply)
+                       TotalConstraint, agent_location, apply, edge_key,
+                       ground_options, held_counts, lifted_apply)
 from mhgfilter.canon import _ranked, _refine, _structure
 from mhgfilter.graphs import Hyperedge, Vertex
 
@@ -161,6 +162,54 @@ def ground_pushforward(rule: Rule, l: LiftedMultiHypergraph,
     return dist, n_app, len(grounds)
 
 
+def merge_free_log_likelihood(domain, trace) -> float:
+    """Log likelihood of the trace under ground enumeration that merges
+    nothing: ground states are keyed by their exact edge dict, vertex ids
+    included, so two isomorphic states stay two hypotheses.
+
+    Each step follows the filter's model: dead ends drop out and the rest
+    is renormalised, the observed rule is chosen with its action-model
+    weight among the applicable rules, and then one of its options
+    uniformly; the agent's location and the held counts on both sides must
+    match the annotation exactly.
+    """
+    def observed(g, loc, held):
+        return (g.edge_multiplicity(domain.at_label, (domain.agent_id, loc)) == 1
+                and held_counts(domain, g) == {k: v for k, v in held.items() if v})
+
+    grounds = domain.initial_state.groundings()
+    belief = {frozenset(g.edge_dict().items()): (g, 1.0 / len(grounds))
+              for g in grounds}
+    log_likelihood = 0.0
+    for a in trace:
+        live = z = 0.0
+        nxt: dict[frozenset, tuple[MultiHypergraph, float]] = {}
+        for g, w in belief.values():
+            options = {r.name: (r, ground_options(r, g)) for r in domain.rules}
+            loc = agent_location(domain, g)
+            weights = {name: domain.action_model.rule_weight(name, loc)
+                       for name, (_, opts) in options.items() if opts}
+            total = sum(weights.values())
+            if total <= 0:
+                continue
+            live += w
+            if not weights.get(a.action) or not observed(g, a.loc_t, a.held_t):
+                continue
+            rule, opts = options[a.action]
+            for m in opts:
+                h = apply(rule, g, m)
+                if observed(h, a.loc_next, a.held_next):
+                    mass = w * weights[a.action] / total / len(opts)
+                    z += mass
+                    key = frozenset(h.edge_dict().items())
+                    nxt[key] = (h, nxt.get(key, (h, 0.0))[1] + mass)
+        if z <= 0:
+            raise ValueError(f"annotation {a!r} kills all mass")
+        log_likelihood += math.log(z / live)
+        belief = {k: (h, m / z) for k, (h, m) in nxt.items()}
+    return log_likelihood
+
+
 def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
                            max_groundings: int = DEFAULT_MAX_GROUNDINGS
                            ) -> LiftedApplyResult:
@@ -181,7 +230,7 @@ def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
     rest = Rule(rule.name, rule.pattern,
                 Effect(rule.effect.retract,
                        tuple(e for e in rule.effect.assert_ if e is not capped)))
-    matches = find_matches(rest, l)
+    matches = ground_options(rest, l)
     if not matches:
         return LiftedApplyResult((), 0, n)
 

@@ -18,15 +18,17 @@ import pytest
 
 from mhgfilter import (ActionModel, AnnotationTuple, BoundedEdge, Domain,
                        Effect, EffectEdge, Hyperedge, LiftedMultiHypergraph,
-                       Pattern, PatternEdge, PatternVertex, Rule, TotalConstraint,
+                       ParseError, Pattern, PatternEdge, PatternVertex, Rule,
+                       TotalConstraint,
                        TraceInconsistencyError, Vertex, agent_location,
                        applicability_count, apply, bookshelf_domain, compare,
                        expand, filter_trace, generate_trace, ground_options,
                        held_counts, is_isomorphic, lifted_apply,
-                       mini_bookshelf_domain, predict)
+                       mini_bookshelf_domain, parse_domain, predict)
 from mhgfilter.cli import main
 from oracles import (box_groundings, brute_isomorphic, ground_pushforward,
-                     lifted_distribution, random_graph, relabel, tv_distance)
+                     lifted_distribution, merge_free_log_likelihood, random_graph,
+                     relabel, tv_distance)
 
 
 def test_lifted_filter_matches_ground_enumeration_on_mini_traces():
@@ -193,6 +195,94 @@ def test_corrupted_traces_are_rejected_at_the_corrupted_step():
     assert detected == 50
 
 
+def spot_document(spot_labels, extra_vertices=(), extra_rules=()) -> dict:
+    """An ``mhg-domain/1`` scene: the agent on the floor, a screwdriver there,
+    and two spots the agent can walk to.  ``toss`` puts the held screwdriver
+    into any spot, unobserved, so after take, toss, walk to ``spot_a``, take
+    the second take tells the spots apart."""
+    places = ["floor", *sorted(set(spot_labels))]
+
+    def var(name, label):
+        return {"var": name, "label_any_of": label}
+
+    def edge(label, *vs):
+        return {"label": label, "vars": list(vs)}
+
+    return {
+        "format": "mhg-domain/1", "name": "spots", "agent": "agent",
+        "labels": {"locations": places, "agent_locations": places,
+                   "holdable": ["screwdriver"]},
+        "conservation": {"edges": ["at", "holds"], "vertices": ["screwdriver"]},
+        "vertices": ([{"id": v, "label": v}
+                      for v in ("agent", "floor", "screwdriver")]
+                     + [{"id": s, "label": label}
+                        for s, label in zip(("spot_a", "spot_b"), spot_labels)]
+                     + list(extra_vertices)),
+        "edges": [{"label": "at", "incidence": ["agent", "floor"]},
+                  {"label": "at", "incidence": ["screwdriver", "floor"]}],
+        "rules": [
+            {"name": "walk",
+             "pattern": {"vertices": [var("A", ["agent"]), var("X", places),
+                                      var("Y", places)],
+                         "edges": [edge("at", "A", "X")]},
+             "effect": {"retract": [edge("at", "A", "X")],
+                        "assert": [edge("at", "A", "Y")]}},
+            {"name": "take",
+             "pattern": {"vertices": [var("A", ["agent"]),
+                                      var("I", ["screwdriver"]), var("L", places)],
+                         "edges": [edge("at", "A", "L"), edge("at", "I", "L")]},
+             "effect": {"retract": [edge("at", "I", "L")],
+                        "assert": [edge("holds", "A", "I")]}},
+            {"name": "toss",
+             "pattern": {"vertices": [var("A", ["agent"]),
+                                      var("I", ["screwdriver"]),
+                                      var("P", sorted(set(spot_labels)))],
+                         "edges": [edge("holds", "A", "I")]},
+             "effect": {"retract": [edge("holds", "A", "I")],
+                        "assert": [edge("at", "I", "P")]}},
+            *extra_rules,
+        ],
+    }
+
+
+SPOT_TRACE = [AnnotationTuple("take", "floor", "floor", {}, {"screwdriver": 1}),
+              AnnotationTuple("toss", "floor", "floor", {"screwdriver": 1}, {}),
+              AnnotationTuple("walk", "floor", "spot_a", {}, {}),
+              AnnotationTuple("take", "spot_a", "spot_a", {}, {"screwdriver": 1})]
+
+
+def test_shared_label_names_are_rejected():
+    """Merging isomorphic states cannot tell apart two agent locations with
+    one label, which the observation names by id: on the shared-label spot
+    scene the filter gave log(1/16) where the merge-free oracle gives
+    log(1/32).  Such domains, and those sharing the label of the agent or of
+    a literal effect id, are rejected until beliefs pin those vertices."""
+    with pytest.raises(ParseError, match="spot_a"):
+        parse_domain(spot_document(("spot", "spot")))
+    with pytest.raises(ParseError, match="agent"):
+        parse_domain(spot_document(("spot_a", "spot_b"),
+                                   [{"id": "helper", "label": "agent"}]))
+    drop = {"name": "drop",
+            "pattern": {"vertices": [{"var": "A", "label": "agent"},
+                                     {"var": "I", "label": "screwdriver"}],
+                        "edges": [{"label": "holds", "vars": ["A", "I"]}]},
+            "effect": {"retract": [{"label": "holds", "vars": ["A", "I"]}],
+                       "assert": [{"label": "at", "vars": ["I", "bin_1"]}]}}
+    bins = [{"id": "bin_1", "label": "bin"}, {"id": "bin_2", "label": "bin"}]
+    with pytest.raises(ParseError, match="bin_1"):
+        parse_domain(spot_document(("spot_a", "spot_b"), bins, [drop]))
+    bins[1]["label"] = "bin_2"
+    parse_domain(spot_document(("spot_a", "spot_b"), bins, [drop]))
+
+
+def test_distinct_spots_equal_the_merge_free_oracle():
+    domain = parse_domain(spot_document(("spot_a", "spot_b")))
+    expected = merge_free_log_likelihood(domain, SPOT_TRACE)
+    assert expected == pytest.approx(math.log(1 / 32), abs=1e-12)
+    result = filter_trace(domain, SPOT_TRACE)
+    assert abs(result.log_likelihood - expected) <= 1e-12
+
+
 def test_canonical_forms_are_isomorphism_invariants():
     """1000 random states keep their canonical bytes under vertex renaming,
     and canonical equality decides isomorphism exactly as the brute-force
@@ -223,7 +313,7 @@ def harvest_states(domain, trace, found, max_count):
                 found.setdefault(state.canonical_form().data, (domain, state))
         joint = predict(domain, belief)
         for p in joint.particles:
-            for succ, _ in p.outputs:
+            for succ, _ in lifted_apply(p.rule, p.prev).outputs:
                 if succ.count_groundings() <= max_count:
                     found.setdefault(succ.canonical_form().data, (domain, succ))
 

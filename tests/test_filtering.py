@@ -11,7 +11,8 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
                        PatternVertex, Rule, TotalConstraint,
                        TraceInconsistencyError, Vertex, agent_location,
                        bookshelf_domain, build_graph, consistent, filter_trace,
-                       generate_trace, mini_bookshelf_domain, predict, update)
+                       generate_trace, lifted_apply, mini_bookshelf_domain,
+                       predict, update)
 from mhgfilter import filtering
 from mhgfilter.filtering import _condition_state
 
@@ -127,7 +128,8 @@ def test_predict_applies_action_weights():
     assert by_rule["walk"].weight == pytest.approx(2 / 7)
     assert by_rule["take"].weight == pytest.approx(5 / 7)
     for p in joint.particles:
-        assert sum(w for _, w in p.outputs) == pytest.approx(1.0)
+        outputs = lifted_apply(p.rule, p.prev).outputs
+        assert sum(w for _, w in outputs) == pytest.approx(1.0)
 
 
 def test_predict_splits_on_partial_applicability():
@@ -189,19 +191,18 @@ def test_condition_state_tightens_single_bounded_key():
                                               ("at", ("floor", "gear"))}), 3)],
         frozenset({"at", "holds"}), frozenset({"gear"}))
     assert l.count_groundings() == 3
-    frac, states, changed = _condition_state(domain, l, "floor", {"gear": 1})
-    assert changed
+    frac, states = _condition_state(domain, l, "floor", {"gear": 1})
     assert frac == pytest.approx(1 / 3)
     assert states == [(states[0][0], 1.0)]
     assert states[0][0].fixed_multiplicity("holds", ("agent", "gear")) == 1
     assert states[0][0].fixed_multiplicity("at", ("floor", "gear")) == 2
 
-    frac, states, _ = _condition_state(domain, l, "floor", {"gear": 5})
+    frac, states = _condition_state(domain, l, "floor", {"gear": 5})
     assert frac == 0.0 and states == []
-    frac, _, _ = _condition_state(domain, l, "floor", {"gear": 0, "widget": 1})
+    frac, _ = _condition_state(domain, l, "floor", {"gear": 0, "widget": 1})
     assert frac == 0.0
-    frac, _, changed = _condition_state(domain, l, "table", {"gear": 1})
-    assert frac == 0.0 and changed
+    frac, states = _condition_state(domain, l, "table", {"gear": 1})
+    assert frac == 0.0 and states == []
 
 
 def test_condition_state_enumerates_entangled_keys():
@@ -215,8 +216,7 @@ def test_condition_state_enumerates_entangled_keys():
         [Hyperedge("at", ("agent", "floor")), Hyperedge("at", ("g2", "table"))],
         [BoundedEdge("holds", ("agent", "g1"), 0, 1),
          BoundedEdge("holds", ("agent", "g2"), 0, 1)])
-    frac, states, changed = _condition_state(domain, l, "floor", {"gear": 1})
-    assert changed
+    frac, states = _condition_state(domain, l, "floor", {"gear": 1})
     assert frac == pytest.approx(0.5)
     assert len(states) == 2
     assert all(rel == pytest.approx(0.5) for _, rel in states)

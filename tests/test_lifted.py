@@ -75,12 +75,11 @@ def test_fixed_multiplicity_absorbed_into_bounds():
          BoundedEdge("on", ("a", "b"), 0, 3)],
         [TotalConstraint("g", frozenset({("at", ("a", "b")),
                                          ("on", ("a", "b"))}), 1)])
-    assert l.fixed_multiplicity("at", ("a", "b")) == 0
-    at = l.bounded_edge("at", ("a", "b"))
-    on = l.bounded_edge("on", ("a", "b"))
-    assert (at.lower, at.upper) == (2, 3)
-    assert (on.lower, on.upper) == (0, 1)
-    assert l.group_of(at.key).total == 3
+    at, on = ("at", ("a", "b")), ("on", ("a", "b"))
+    assert l.fixed_multiplicity(*at) == 0
+    assert l.multiplicity_bounds(at) == (2, 3)
+    assert l.multiplicity_bounds(on) == (0, 1)
+    assert l.group_of(at).total == 3
     assert l.count_groundings() == 2
 
 
@@ -201,9 +200,6 @@ def test_from_graph_and_skeleton():
     assert not l.bounded_edges
     assert l.count_groundings() == 1
     assert l.groundings()[0] == g
-    sk = l.skeleton()
-    assert sk.edges == g.edges
-    assert not sk.conserved_vertex_labels
     assert l.conservation_labels == {"at"}
     assert l.conserved_vertex_labels == {"screw"}
 

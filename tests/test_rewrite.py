@@ -6,7 +6,7 @@ from mhgfilter import (BoundedEdge, Effect, EffectEdge, EffectError,
                        Hyperedge, LiftedMultiHypergraph, Match, Pattern,
                        PatternEdge, PatternVertex, Rule, StructuralError,
                        TotalConstraint, Vertex, applicability_count, apply,
-                       build_graph, find_matches, ground_options,
+                       build_graph, ground_options,
                        lifted_apply, successors)
 from oracles import (ground_pushforward, lifted_distribution, tv_distance,
                      unchecked_lifted_apply)
@@ -67,7 +67,7 @@ def test_find_matches_one_per_screw():
                 Pattern((PatternVertex("E", "screw"), PatternVertex("L")),
                         (PatternEdge("at", ("E", "L")),)),
                 Effect(retract=(EffectEdge("at", ("E", "L")),)))
-    matches = find_matches(rule, g)
+    matches = ground_options(rule, g)
     assert len(matches) == 3
     assert matches == sorted(matches)
     assert {(m.get("E"), m.get("L")) for m in matches} == {
@@ -79,19 +79,19 @@ def test_matches_are_injective():
     rule = Rule("loop",
                 Pattern((PatternVertex("X", "loc"), PatternVertex("Y", "loc")),
                         (PatternEdge("adj", ("X", "Y")),)))
-    assert find_matches(rule, g) == []
+    assert ground_options(rule, g) == []
 
 
 def test_label_sets_and_wildcards():
     g = build_graph([Vertex("a", "agent"), Vertex("s", "screw", 2),
                      Vertex("t", "tool")])
     anything = Rule("any", Pattern((PatternVertex("V"),)))
-    assert len(find_matches(anything, g)) == 3
+    assert len(ground_options(anything, g)) == 3
     either = Rule("either",
                   Pattern((PatternVertex("V", frozenset({"screw", "tool"})),)))
-    assert {m.get("V") for m in find_matches(either, g)} == {"s", "t"}
+    assert {m.get("V") for m in ground_options(either, g)} == {"s", "t"}
     heavy = Rule("heavy", Pattern((PatternVertex("V", min_multiplicity=2),)))
-    assert {m.get("V") for m in find_matches(heavy, g)} == {"s"}
+    assert {m.get("V") for m in ground_options(heavy, g)} == {"s"}
 
 
 def test_infeasible_effects_filter_matches():
@@ -103,13 +103,13 @@ def test_infeasible_effects_filter_matches():
         Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw")),
                 (PatternEdge("at", ("A", "E")),)),
         Effect(retract=(EffectEdge("holds", ("A", "E")),)))
-    assert find_matches(underflow, g) == []
+    assert ground_options(underflow, g) == []
     capped = Rule(
         "mark",
         Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw")),
                 (PatternEdge("at", ("A", "E")),)),
         Effect(assert_=(EffectEdge("at", ("A", "E"), cap=1),)))
-    assert find_matches(capped, g) == []
+    assert ground_options(capped, g) == []
 
 
 def test_apply_effect_errors():
@@ -296,7 +296,7 @@ def test_find_matches_fire_in_every_grounding():
                 Effect(assert_=(EffectEdge("mark", ("A", "s1"), cap=1),)))
     _, n_app, n_tot = ground_pushforward(rule, l)
     assert (n_app, n_tot) == (1, 2)
-    assert find_matches(rule, l) == []
+    assert ground_options(rule, l) == []
     check_against_ground(rule, l)
 
 
@@ -306,8 +306,12 @@ def slot_scene(draw):
     screws, pre-filled slots, an optional [0,1] group over some of the first
     screw's slots (possibly over slots the rule cannot reach), an optional
     helper variable over slots and tools, which reaches some slots by fewer
-    matches than others, and an optional extra retract or assert on a
-    bounded key or a slot key."""
+    matches than others, and an optional extra retract, assert, or retract
+    and assert of one key, of multiplicity 1 or 2, on a bounded key or a
+    slot key.  The install assert is uncapped one time in three, so the
+    rule has no slot edge and each match shifts on its own, and the pattern
+    sometimes reads the bounded ``tag`` key, so the match may hold in only
+    some groundings."""
     from hypothesis import strategies as st
 
     n = draw(st.integers(2, 6))
@@ -342,15 +346,22 @@ def slot_scene(draw):
         helper = st.frozensets(st.sampled_from(label_set + ["tool"]), min_size=1)
         pattern.append(PatternVertex("H", draw(helper)))
     retract = [EffectEdge("holds", ("A", "E"))]
-    assert_ = [EffectEdge("at", ("E", "SL"), cap=1)]
-    extra = draw(st.sampled_from(["none", "retract", "assert"]))
+    assert_ = [EffectEdge("at", ("E", "SL"), cap=draw(st.sampled_from([1, 1, None])))]
+    extra = draw(st.sampled_from(["none", "retract", "assert", "both"]))
     if extra != "none":
         target = draw(st.sampled_from([("tag", ("A",))]
                                       + [("at", ("E", s)) for s in slots]))
-        edge = EffectEdge(*target, cap=draw(st.sampled_from([None, 1, 2]))
-                          if extra == "assert" else None)
-        (retract if extra == "retract" else assert_).append(edge)
-    rule = Rule("install", Pattern(tuple(pattern), (PatternEdge("holds", ("A", "E")),)),
+        mult = draw(st.integers(1, 2))
+        if extra != "assert":
+            retract.append(EffectEdge(*target, mult))
+        if extra != "retract":
+            assert_.append(EffectEdge(*target, mult,
+                                      draw(st.sampled_from([None, 1, 2]))))
+    reads = [PatternEdge("holds", ("A", "E"))]
+    tag_min = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    if tag_min:
+        reads.append(PatternEdge("tag", ("A",), tag_min))
+    rule = Rule("install", Pattern(tuple(pattern), tuple(reads)),
                 Effect(tuple(retract), tuple(assert_)))
     return rule, l
 
