@@ -9,8 +9,8 @@ minimum serialisation over all leaves of the search tree.  Subtrees that an
 automorphism found during the search maps onto searched ones are pruned
 (McKay and Piperno, "Practical graph isomorphism, II", 2014); they hold
 only leaves with the same bytes, so the result is still the minimum over
-every leaf of the unpruned tree.  A search that visits more than one leaf
-logs its size at debug level on the ``mhgfilter`` logger.
+every leaf of the unpruned tree.  Searches of several leaves log their
+size at debug level on the ``mhgfilter`` logger and warn at ``WARN_LEAVES``.
 
 Byte layout (all integers fixed-width big-endian):
 
@@ -48,6 +48,7 @@ __all__ = ["CanonicalForm", "canonical_form", "canonical_form_lifted",
            "pinned_form", "pinned_form_lifted", "merge_by_form"]
 
 logger = logging.getLogger("mhgfilter")
+WARN_LEAVES = 1000      # a search this wide warns: it may be factorial
 
 
 @dataclass(frozen=True, order=True)
@@ -148,6 +149,10 @@ def _canonical_bytes(st: _Structure) -> bytes:
         target = min((c for c, k in counts.items() if k > 1), default=None)
         if target is None:
             leaves += 1
+            if leaves == WARN_LEAVES:
+                logger.warning("canonical search: %d vertices, %d leaves; refinement "
+                               "cannot separate interchangeable constraint groups",
+                               st.n, leaves)
             b = st.serialize(colors)
             if best is None or b < best:
                 best, best_colors = b, colors

@@ -12,7 +12,7 @@ Prediction only counts, per belief entry and rule, the groundings in which
 the rule applies; a particle holds its predecessor and rule, not its
 successors.  The update builds successors only for particles whose rule is
 the observed action, from each state that conditioning the predecessor
-leaves, so successors of rules the observation rules out are never built.
+leaves, and only those the next-side observation does not already exclude.
 Every state that enters a belief is built, and checked, on the way.
 
 Exactness contract: prediction splits a belief entry into its groundings
@@ -347,6 +347,7 @@ def update(domain, annotation, joint: JointPrediction, step: int = 0,
     """
     masses: list[tuple[LiftedMultiHypergraph, float]] = []
     z = 0.0
+    next_conds = _conditions(domain, annotation.loc_next, annotation.held_next)
     for p in joint.particles:
         if p.rule.name != annotation.action:
             continue
@@ -356,7 +357,8 @@ def update(domain, annotation, joint: JointPrediction, step: int = 0,
             # applicability is grounding-independent on the particle's
             # predecessor, hence also on any subset of its groundings, so
             # the successor probabilities need no reweighting
-            for succ, prob in lifted_apply(p.rule, tight, max_groundings).outputs:
+            for succ, prob in lifted_apply(p.rule, tight, max_groundings,
+                                           next_conds).outputs:
                 f_next, nexts = _condition_state(
                     domain, succ, annotation.loc_next, annotation.held_next,
                     max_groundings)

@@ -35,14 +35,15 @@ definition, the shift is a proved-equal fast path whose preconditions are
 the sure/possible verdicts.  ``applicability_count`` returns the same two
 counts without building any successor; it and ``lifted_apply`` share one
 precondition pass, and a failed precondition is logged at debug level with
-the rule's name.
+the rule's name.  Nor does ``lifted_apply`` build the successors that the
+caller's exact-count conditions already exclude.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from .canon import merge_by_form
 from .errors import EffectError, StructuralError
@@ -546,9 +547,30 @@ def applicability_count(rule: Rule, l: LiftedMultiHypergraph,
     return (n_tot if plan else 0), n_tot
 
 
+def _excluded(l: LiftedMultiHypergraph, fixed: Mapping[EdgeKey, int],
+              bounds: Mapping[EdgeKey, tuple[int, int]], conditions) -> bool:
+    """Whether a plan step's bounds put a condition's key sum off its total."""
+    def hull(k: EdgeKey) -> tuple[int, int]:
+        b = l._bounded_by_key.get(k)
+        return bounds.get(k) or ((b.lower, b.upper) if b else (fixed.get(k, 0),) * 2)
+
+    return any(sum(hull(k)[0] for k in keys) > required
+               or sum(hull(k)[1] for k in keys) < required
+               for keys, required in conditions)
+
+
 def lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
-                 max_groundings: int = DEFAULT_MAX_GROUNDINGS) -> LiftedApplyResult:
-    """Exact successor distribution of the rule over a lifted state."""
+                 max_groundings: int = DEFAULT_MAX_GROUNDINGS,
+                 conditions: Sequence[tuple] = ()) -> LiftedApplyResult:
+    """Exact successor distribution of the rule over a lifted state.
+
+    The lifted path builds no successor whose plan step decides one of the
+    caller's ``conditions`` (key set, required total) false, but counts it
+    in the normaliser.  Exact: construction only tightens bounds, and the
+    domain's conditions give isomorphic, merging successors one verdict
+    (unique agent and agent-location labels; held counts sum over a label).
+    Pinned forms that lift that label rule must revisit this.
+    """
     if l.is_empty:
         return LiftedApplyResult((), 0, 0)
     plan = _lifted_plan(rule, l)
@@ -560,5 +582,6 @@ def lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
 
     n_options = sum(step[0] for step in plan)
     outs = [(_rebuild(l, fixed, bounds, group_delta, extra), n / n_options)
-            for n, fixed, bounds, group_delta, extra in plan]
+            for n, fixed, bounds, group_delta, extra in plan
+            if not _excluded(l, fixed, bounds, conditions)]
     return LiftedApplyResult(_grouped_outputs(outs), n_tot, n_tot)

@@ -1,0 +1,57 @@
+"""One sha256 over everything the filter concludes on the benchmark's inputs.
+
+Usage::
+
+    python3 tests/belief_digest.py --seed N
+
+Builds every workload's operations from ``perfbench/workloads.py`` at the
+given seed and filters each trace with this checkout's library.  The digest
+covers, per operation, each belief entry's canonical bytes and the ``repr``
+of its weight, every ``StepStats``, the log likelihood and the warnings,
+and, for workloads that compare against the ground reference, the
+``compare`` report.  Two checkouts that print the same digest computed
+bit-identical posteriors on these inputs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def digest(seed: int) -> str:
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    from mhgfilter import compare, filter_trace
+    from workloads import WORKLOADS, run_compare
+
+    h = hashlib.sha256()
+    for name, workload in sorted(WORKLOADS.items()):
+        domain = workload.make_domain()
+        for op in workload.make_ops(domain, seed):
+            h.update(f"{name}/{op.label}".encode())
+            result = filter_trace(domain, op.trace)
+            for belief in result.beliefs:
+                h.update(b"belief")
+                for state, w in belief:
+                    h.update(state.canonical_form().data)
+                    h.update(repr(w).encode())
+            for stats in result.stats:
+                h.update(repr(stats).encode())
+            h.update(repr((result.log_likelihood, result.warnings)).encode())
+            if workload.run is run_compare:
+                h.update(repr(compare(domain, op.trace)).encode())
+    return h.hexdigest()
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=0)
+    print(digest(parser.parse_args(argv).seed))
+
+
+if __name__ == "__main__":
+    main()

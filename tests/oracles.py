@@ -211,8 +211,8 @@ def merge_free_log_likelihood(domain, trace) -> float:
 
 
 def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
-                           max_groundings: int = DEFAULT_MAX_GROUNDINGS
-                           ) -> LiftedApplyResult:
+                           max_groundings: int = DEFAULT_MAX_GROUNDINGS,
+                           conditions=()) -> LiftedApplyResult:
     """A deliberately wrong ``lifted_apply``, for divergence-detection tests.
 
     A rule with a capped assert skips the exactness precondition and takes
@@ -220,12 +220,14 @@ def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
     rest moves fixed edges, the group holding the capped assert's key grows
     its total by one, and every member's upper bound grows by one, capped at
     the new total.  The result is exact only by accident.  Other rules take
-    the library's path.  Tests patch it in at
+    the library's path, with ``conditions``; the capped branch ignores them
+    and builds every successor, so the update's own conditioning alone
+    keeps it exact where the arithmetic is.  Tests patch it in at
     ``mhgfilter.filtering.lifted_apply``.
     """
     capped = next((e for e in rule.effect.assert_ if e.cap is not None), None)
     if capped is None:
-        return lifted_apply(rule, l, max_groundings)
+        return lifted_apply(rule, l, max_groundings, conditions)
     n = l.count_groundings()
     rest = Rule(rule.name, rule.pattern,
                 Effect(rule.effect.retract,

@@ -339,6 +339,29 @@ def test_multi_leaf_search_is_logged_at_debug(caplog):
                 if r.getMessage().startswith("canonical search")]
 
 
+def test_factorial_search_warns(caplog):
+    """Nine slots dealt into three interchangeable groups of total 1 take
+    2,729 leaves, and the search warns once; a star of six slots, whose
+    automorphisms prune the search, does not warn."""
+    slots = [f"s{i}" for i in range(9)]
+    bounded = [BoundedEdge("at", ("item", s), 0, 1) for s in slots]
+    dealt = LiftedMultiHypergraph(
+        [Vertex("board", "board"), Vertex("item", "item", 3)]
+        + [Vertex(s, "slot") for s in slots],
+        [Hyperedge("has", ("board", s)) for s in slots], bounded,
+        [TotalConstraint(f"g{j}", frozenset(b.key for b in bounded[j::3]), 1)
+         for j in range(3)])
+    caplog.set_level(logging.WARNING, logger="mhgfilter")
+    canonical_form(star(6))
+    assert not caplog.records
+    canonical_form_lifted(dealt)
+    warnings = [r.getMessage() for r in caplog.records
+                if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("canonical search: 11 vertices, 1000 leaves")
+    assert "interchangeable constraint groups" in warnings[0]
+
+
 def incidence_graph(nx, state):
     """The state as a networkx graph: one node per vertex, edge, bounded edge
     and constraint, carrying labels, multiplicities, bounds and totals;

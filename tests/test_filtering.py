@@ -13,7 +13,7 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
                        bookshelf_domain, build_graph, consistent, filter_trace,
                        generate_trace, lifted_apply, mini_bookshelf_domain,
                        predict, update)
-from mhgfilter import filtering
+from mhgfilter import filtering, rewrite
 from mhgfilter.filtering import _condition_state
 
 LOCS = frozenset({"floor", "table"})
@@ -285,6 +285,25 @@ def test_filter_step_builds_successors_only_for_the_observed_rule(monkeypatch):
     monkeypatch.setattr("mhgfilter.filtering.lifted_apply", counting)
     filter_trace(domain, step, initial=belief)
     assert built == ["installEccentric"]
+
+
+def test_update_builds_only_successors_the_observation_allows(monkeypatch):
+    """On an install-heavy bookshelf trace every step keeps one lifted state,
+    and the update builds exactly that successor: a ``take`` plans one
+    successor per holdable item, but the observed held counts leave one."""
+    domain = bookshelf_domain()
+    trace, _ = generate_trace(domain, seed=0, length=30, policy="install_heavy")
+    built = 0
+    real = rewrite._rebuild
+
+    def counting(*args):
+        nonlocal built
+        built += 1
+        return real(*args)
+
+    monkeypatch.setattr(rewrite, "_rebuild", counting)
+    filter_trace(domain, trace)
+    assert built == 30
 
 
 # ``take`` that drops the gear from its location without handing it to the

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
-from mhgfilter import (BoundedEdge, Effect, EffectEdge, EffectError,
-                       Hyperedge, LiftedMultiHypergraph, Match, Pattern,
-                       PatternEdge, PatternVertex, Rule, StructuralError,
+from mhgfilter import (DEFAULT_MAX_GROUNDINGS, BoundedEdge, Effect, EffectEdge,
+                       EffectError, Hyperedge, LiftedMultiHypergraph, Match,
+                       Pattern, PatternEdge, PatternVertex, Rule, StructuralError,
                        TotalConstraint, Vertex, applicability_count, apply,
-                       build_graph, ground_options,
+                       build_graph, edge_key, ground_options,
                        lifted_apply, successors)
 from oracles import (ground_pushforward, lifted_distribution, tv_distance,
                      unchecked_lifted_apply)
@@ -382,5 +384,67 @@ def test_match_aggregation_equals_ground_pushforward():
         res = lifted_apply(rule, l)
         assert (res.n_applicable, res.n_groundings) == (n_app, n_tot)
         assert tv_distance(lifted_distribution(res.outputs), dist) <= 1e-12
+
+    check()
+
+
+def test_condition_prune_drops_only_dead_successors():
+    """With conditions, ``lifted_apply`` returns, bit for bit, the outputs it
+    returns without them, less some whose every grounding misses a
+    condition; the counts are unchanged.
+
+    Each condition sums the orbit of its drawn keys under the vertex
+    permutations that keep labels and multiplicities, as the domain's held
+    counts sum over a whole label: isomorphic successors merge, so only
+    conditions with one verdict on all of them can be imposed early."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @st.composite
+    def scenes(draw):
+        rule, l = slot_scene(draw)
+        alike = {}
+        for v in l.vertices:
+            alike.setdefault((v.label, v.multiplicity), []).append(v.id)
+        twins = {v.id: alike[v.label, v.multiplicity] for v in l.vertices}
+        keys = ([("holds", ("a", e)) for e in ("e1", "e2") if l.has_vertex(e)]
+                + [("at", ("e1", v.id)) for v in l.vertices
+                   if v.label.startswith("slot_")] + [("tag", ("a",))])
+        conds = []
+        for _ in range(draw(st.integers(1, 3))):
+            drawn = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
+                                  unique=True))
+            orbit = {edge_key(label, ids) for label, inc in drawn
+                     for ids in itertools.product(*(twins[v] for v in inc))}
+            conds.append((tuple(sorted(orbit)), draw(st.integers(0, 2))))
+        # often require what one successor's grounding has, so that the
+        # conditions keep some successors and drop others
+        outputs = lifted_apply(rule, l).outputs
+        if outputs and draw(st.booleans()):
+            state = draw(st.sampled_from(outputs))[0]
+            g = draw(st.sampled_from(list(state.iter_groundings())))
+            conds = [(keys, sum(g.edge_multiplicity(*k) for k in keys))
+                     for keys, _ in conds]
+        return rule, l, conds
+
+    def live(state, conds):
+        return any(all(sum(g.edge_multiplicity(*k) for k in keys) == required
+                       for keys, required in conds)
+                   for g in state.iter_groundings())
+
+    @hypothesis.settings(max_examples=250, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(scenes())
+    def check(scene):
+        rule, l, conds = scene
+        full = lifted_apply(rule, l)
+        pruned = lifted_apply(rule, l, DEFAULT_MAX_GROUNDINGS, conds)
+        assert (pruned.n_applicable, pruned.n_groundings) == \
+            (full.n_applicable, full.n_groundings)
+        entries = [(s.canonical_form().data, repr(p)) for s, p in full.outputs]
+        kept = [(s.canonical_form().data, repr(p)) for s, p in pruned.outputs]
+        assert kept == [e for e in entries if e in kept]
+        assert all(e in kept for e, (s, _) in zip(entries, full.outputs)
+                   if live(s, conds))
 
     check()
