@@ -10,15 +10,15 @@ posteriors as ground enumeration.
 
 from .canon import CanonicalForm, canonical_form, canonical_form_lifted, pinned_form
 from .errors import (EffectError, EngineError, EnumerationLimitError,
-                     IntegrityError, InputError, ParseError, StructuralError,
+                     IntegrityError, ParseError, StructuralError,
                      TraceInconsistencyError)
 from .filtering import (ActionModel, Belief, FilterResult, JointPrediction,
                         Particle, StepStats, agent_location, consistent,
                         filter_trace, predict, update)
 from .graphs import (EdgeKey, Hyperedge, Label, MultiHypergraph, Vertex,
                      build_graph, edge_key, is_isomorphic)
-from .lifted import (DEFAULT_MAX_GROUNDINGS, BoundedEdge,
-                     LiftedMultiHypergraph, TotalConstraint)
+from .lifted import (MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph,
+                     TotalConstraint)
 from .domain import (AnnotationTuple, Domain, bookshelf_domain, builtin_domain,
                      format_trace, generate_trace, held_counts,
                      mini_bookshelf_domain, parse_domain, parse_trace,
@@ -34,12 +34,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ActionModel", "AnnotationTuple", "Belief", "BoundedEdge", "CanonicalForm",
-    "ComparisonReport", "DEFAULT_MAX_GROUNDINGS", "Domain", "EdgeKey",
+    "ComparisonReport", "Domain", "EdgeKey",
     "Effect", "EffectEdge", "EffectError", "EngineError",
     "EnumerationLimitError", "FilterResult", "GroundBelief",
     "GroundFilterResult", "Hyperedge",
-    "InputError", "IntegrityError", "JointPrediction", "Label",
-    "LiftedApplyResult", "LiftedMultiHypergraph", "Match",
+    "IntegrityError", "JointPrediction", "Label",
+    "LiftedApplyResult", "LiftedMultiHypergraph", "MAX_GROUNDINGS", "Match",
     "MultiHypergraph", "ParseError", "Particle", "Pattern", "PatternEdge",
     "PatternVertex", "Rule", "StepStats", "StructuralError",
     "TotalConstraint", "TraceInconsistencyError", "Vertex", "agent_location",

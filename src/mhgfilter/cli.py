@@ -25,7 +25,6 @@ from .domain import (BUILTIN_DOMAINS, Domain, builtin_domain, format_trace,
                      generate_trace, parse_domain, parse_trace)
 from .errors import EnumerationLimitError, ParseError, TraceInconsistencyError
 from .filtering import filter_trace
-from .lifted import DEFAULT_MAX_GROUNDINGS
 from .oracle import compare as compare_filters
 from .oracle import ground_filter_trace
 
@@ -43,11 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mhgfilter",
         description="Filtering over rewriting multi-hypergraph states.")
-    parser.add_argument("--log-level", default=None,
+    parser.add_argument("--log-level", default="warning",
                         choices=["debug", "info", "warning", "error"],
                         help="logging verbosity (default: warning)")
-    parser.add_argument("--config", default=None, metavar="PATH",
-                        help="JSON file with default option values")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
@@ -62,17 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_filter.add_argument("--trace", required=True, metavar="PATH")
     p_filter.add_argument("--mode", choices=["lifted", "ground"],
                           default="lifted")
-    p_filter.add_argument("--max-groundings", type=int, default=None,
-                          help="enumeration cap (default %d)"
-                               % DEFAULT_MAX_GROUNDINGS)
 
     p_compare = sub.add_parser(
         "compare", help="check the lifted filter against ground enumeration")
     common(p_compare)
     p_compare.add_argument("--trace", required=True, metavar="PATH")
-    p_compare.add_argument("--tolerance", type=float, default=None,
+    p_compare.add_argument("--tolerance", type=float, default=1e-9,
                            help="divergence threshold (default 1e-9)")
-    p_compare.add_argument("--max-groundings", type=int, default=None)
 
     p_gen = sub.add_parser("gentrace", help="simulate and emit a trace")
     common(p_gen)
@@ -84,25 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--policy", choices=["uniform", "install_heavy"],
                        default="uniform")
     return parser
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ParseError("config must be a JSON object", path)
-    return data
-
-
-def _setting(args, config: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
 
 
 def _load_domain(spec: str) -> Domain:
@@ -133,9 +107,7 @@ def _report_json(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _cmd_filter(args, config) -> int:
-    max_groundings = int(_setting(args, config, "max_groundings",
-                                  DEFAULT_MAX_GROUNDINGS))
+def _cmd_filter(args) -> int:
     domain = _load_domain(args.domain)
     trace = _load_trace(args.trace)
     started = time.perf_counter()
@@ -143,10 +115,9 @@ def _cmd_filter(args, config) -> int:
                     "mode": args.mode, "format": "mhg-run-report/1"}
     try:
         if args.mode == "ground":
-            result = ground_filter_trace(domain, trace,
-                                         max_groundings=max_groundings)
+            result = ground_filter_trace(domain, trace)
         else:
-            result = filter_trace(domain, trace, max_groundings=max_groundings)
+            result = filter_trace(domain, trace)
     except TraceInconsistencyError as exc:
         report["consistent"] = False
         report["inconsistent_at"] = exc.step
@@ -174,20 +145,16 @@ def _cmd_filter(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args, config) -> int:
-    max_groundings = int(_setting(args, config, "max_groundings",
-                                  DEFAULT_MAX_GROUNDINGS))
-    tolerance = float(_setting(args, config, "tolerance", 1e-9))
+def _cmd_compare(args) -> int:
     domain = _load_domain(args.domain)
     trace = _load_trace(args.trace)
     started = time.perf_counter()
-    result = compare_filters(domain, trace, max_groundings=max_groundings,
-                             tolerance=tolerance)
+    result = compare_filters(domain, trace, tolerance=args.tolerance)
     report = {
         "format": "mhg-compare-report/1",
         "domain": domain.name,
         "trace": args.trace,
-        "tolerance": tolerance,
+        "tolerance": args.tolerance,
         "per_step_tv": list(result.per_step_tv),
         "max_tv": result.max_tv,
         "log_likelihood_lifted": result.log_likelihood_lifted,
@@ -200,7 +167,7 @@ def _cmd_compare(args, config) -> int:
     return EXIT_DIVERGENT if result.divergent else EXIT_OK
 
 
-def _cmd_gentrace(args, config) -> int:
+def _cmd_gentrace(args) -> int:
     domain = _load_domain(args.domain)
     trace, truncated = generate_trace(domain, seed=args.seed,
                                       length=args.length,
@@ -217,16 +184,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
-        logging.basicConfig(
-            level=getattr(logging,
-                          str(_setting(args, config, "log_level",
-                                       "warning")).upper()))
+        logging.basicConfig(level=getattr(logging, args.log_level.upper()))
         if args.command == "filter":
-            return _cmd_filter(args, config)
+            return _cmd_filter(args)
         if args.command == "compare":
-            return _cmd_compare(args, config)
-        return _cmd_gentrace(args, config)
+            return _cmd_compare(args)
+        return _cmd_gentrace(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -368,14 +368,22 @@ def parse_trace(text: str, source: str = "<trace>") -> list[AnnotationTuple]:
         if not isinstance(obj, dict):
             raise ParseError("annotation must be an object", source, lineno)
         try:
-            held_t = {str(k): int(v) for k, v in obj.get("held_t", {}).items()}
-            held_next = {str(k): int(v)
-                         for k, v in obj.get("held_next", {}).items()}
+            held_t = _held_counts(obj.get("held_t", {}))
+            held_next = _held_counts(obj.get("held_next", {}))
             out.append(AnnotationTuple(str(obj["action"]), str(obj["loc_t"]),
                                        str(obj["loc_next"]), held_t, held_next))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"bad annotation: {exc}", source, lineno) from exc
     return out
+
+
+def _held_counts(raw: dict) -> dict[str, int]:
+    """Held counts as written: JSON integers, not booleans, at least zero."""
+    for label, n in raw.items():
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(f"held count {label!r} is {n!r}, "
+                             "not a non-negative integer")
+    return dict(raw)
 
 
 def format_trace(trace: Iterable[AnnotationTuple]) -> str:

@@ -20,7 +20,7 @@ class EffectError(EngineError):
 
 
 class EnumerationLimitError(EngineError):
-    """Grounding enumeration would exceed the configured cap."""
+    """Grounding enumeration would exceed ``lifted.MAX_GROUNDINGS``."""
 
     def __init__(self, count: int, limit: int):
         super().__init__(f"enumeration of {count} groundings exceeds cap {limit}")
@@ -36,10 +36,6 @@ class ParseError(EngineError):
         super().__init__(f"{where}: {message}")
         self.source = source
         self.line = line
-
-
-class InputError(EngineError):
-    """An annotation tuple is malformed (unknown label, negative count)."""
 
 
 class TraceInconsistencyError(EngineError):

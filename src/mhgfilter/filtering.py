@@ -34,7 +34,7 @@ from typing import Iterable, Mapping, Sequence
 from .canon import merge_by_form
 from .errors import IntegrityError, TraceInconsistencyError
 from .graphs import EdgeKey, MultiHypergraph, edge_key
-from .lifted import DEFAULT_MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph, State
+from .lifted import BoundedEdge, LiftedMultiHypergraph, State
 from .rewrite import Rule, applicability_count, lifted_apply
 
 logger = logging.getLogger("mhgfilter")
@@ -95,10 +95,6 @@ class Belief:
     @classmethod
     def from_state(cls, state: LiftedMultiHypergraph) -> "Belief":
         return cls([(state, 1.0)])
-
-    @classmethod
-    def from_graph(cls, g: MultiHypergraph) -> "Belief":
-        return cls([(LiftedMultiHypergraph.from_graph(g), 1.0)])
 
     def total_weight(self) -> float:
         return sum(w for _, w in self.entries)
@@ -176,7 +172,8 @@ def agent_location(domain, state: State) -> str | None:
         if e.label != domain.at_label or domain.agent_id not in e.incidence:
             continue
         others = [v for v in e.incidence if v != domain.agent_id]
-        if len(e.incidence) != 2 or e.multiplicity != 1 or found is not None:
+        if (len(e.incidence) != 2 or len(others) != 1 or e.multiplicity != 1
+                or found is not None):
             return None
         found = others[0]
     return found
@@ -206,8 +203,7 @@ def _ground_consistent(domain, g: MultiHypergraph, loc: str,
     return True
 
 
-def _condition_state(domain, l: State, loc: str, held: Mapping[str, int],
-                     max_groundings: int = DEFAULT_MAX_GROUNDINGS
+def _condition_state(domain, l: State, loc: str, held: Mapping[str, int]
                      ) -> tuple[float, list[tuple[LiftedMultiHypergraph, float]]]:
     """Condition a state on one observation side.
 
@@ -215,8 +211,8 @@ def _condition_state(domain, l: State, loc: str, held: Mapping[str, int],
     l's place with relative weights summing to one; l itself when the
     observation leaves it whole).  Fixed edges give 0/1 verdicts; a single
     bounded key gives an exact interval tightening; anything else is
-    resolved by enumeration.  A ground state only ever takes the first
-    branch.
+    resolved by enumeration, within ``MAX_GROUNDINGS``.  A ground state only
+    ever takes the first branch.
     """
     if not l.has_vertex(loc):
         return 0.0, []
@@ -250,7 +246,7 @@ def _condition_state(domain, l: State, loc: str, held: Mapping[str, int],
             deferred.append((keys, required))
     if deferred:
         survivors = merge_by_form(
-            (g, 1) for g in work.iter_groundings(max_groundings)
+            (g, 1) for g in work.iter_groundings()
             if all(sum(g.edge_multiplicity(*k) for k in keys) == required
                    for keys, required in deferred))
         kept = sum(c for _, c in survivors.values())
@@ -282,8 +278,7 @@ def consistent(domain, annotation, x_t: State, rule: Rule, x_next: State) -> boo
 
 # -- prediction ----------------------------------------------------------------
 
-def predict(domain, belief: Belief,
-            max_groundings: int = DEFAULT_MAX_GROUNDINGS) -> JointPrediction:
+def predict(domain, belief: Belief) -> JointPrediction:
     """Push the belief through one step of the rule dynamics.
 
     Entries whose groundings disagree on some rule's applicability are split
@@ -300,7 +295,7 @@ def predict(domain, belief: Belief,
         applicable = []
         split = False
         for rule in domain.rules:
-            n_app, n_tot = applicability_count(rule, state, max_groundings)
+            n_app, n_tot = applicability_count(rule, state)
             if 0 < n_app < n_tot:
                 split = True
                 break
@@ -308,7 +303,7 @@ def predict(domain, belief: Belief,
                 applicable.append(rule)
         if split:
             n = state.count_groundings()
-            for g in state.iter_groundings(max_groundings):
+            for g in state.iter_groundings():
                 queue.append((LiftedMultiHypergraph.from_graph(g), w / n))
             continue
         loc = agent_location(domain, state)
@@ -337,8 +332,7 @@ def predict(domain, belief: Belief,
 
 # -- update --------------------------------------------------------------------
 
-def update(domain, annotation, joint: JointPrediction, step: int = 0,
-           max_groundings: int = DEFAULT_MAX_GROUNDINGS
+def update(domain, annotation, joint: JointPrediction, step: int = 0
            ) -> tuple[Belief, float]:
     """Condition the joint prediction on one annotation.
 
@@ -352,16 +346,14 @@ def update(domain, annotation, joint: JointPrediction, step: int = 0,
         if p.rule.name != annotation.action:
             continue
         f_prev, prevs = _condition_state(
-            domain, p.prev, annotation.loc_t, annotation.held_t, max_groundings)
+            domain, p.prev, annotation.loc_t, annotation.held_t)
         for tight, rel in prevs:
             # applicability is grounding-independent on the particle's
             # predecessor, hence also on any subset of its groundings, so
             # the successor probabilities need no reweighting
-            for succ, prob in lifted_apply(p.rule, tight, max_groundings,
-                                           next_conds).outputs:
+            for succ, prob in lifted_apply(p.rule, tight, next_conds).outputs:
                 f_next, nexts = _condition_state(
-                    domain, succ, annotation.loc_next, annotation.held_next,
-                    max_groundings)
+                    domain, succ, annotation.loc_next, annotation.held_next)
                 if f_next == 0.0:
                     continue
                 base = p.weight * f_prev * rel * prob * f_next
@@ -377,14 +369,15 @@ def update(domain, annotation, joint: JointPrediction, step: int = 0,
 
 # -- trace filtering -----------------------------------------------------------
 
-def filter_trace(domain, trace: Sequence, initial: Belief | None = None,
-                 max_groundings: int = DEFAULT_MAX_GROUNDINGS) -> FilterResult:
+def filter_trace(domain, trace: Sequence, initial: Belief | None = None
+                 ) -> FilterResult:
     """Run the filter over a whole annotation trace.
 
     Produces one belief per prefix (index 0 is the initial belief) and one
     stats record per step; the log likelihood accumulates log Z over steps.
     Raises TraceInconsistencyError with the offending step index when an
-    annotation kills all mass.
+    annotation kills all mass, and EnumerationLimitError when an exact
+    fallback would enumerate more than ``MAX_GROUNDINGS`` groundings.
     """
     belief = initial if initial is not None else Belief.from_state(domain.initial_state)
     beliefs = [belief]
@@ -392,13 +385,12 @@ def filter_trace(domain, trace: Sequence, initial: Belief | None = None,
     warnings: list[str] = []
     log_likelihood = 0.0
     for i, annotation in enumerate(trace):
-        joint = predict(domain, belief, max_groundings)
+        joint = predict(domain, belief)
         if joint.dropped_mass:
             warnings.append(f"step {i}: dropped {joint.dropped_mass:g} dead-end mass")
         if not joint.particles:
             raise TraceInconsistencyError(i, annotation.action)
-        belief, z = update(domain, annotation, joint, step=i,
-                           max_groundings=max_groundings)
+        belief, z = update(domain, annotation, joint, step=i)
         log_likelihood += math.log(z)
         beliefs.append(belief)
         stats.append(StepStats(i + 1, annotation.action, len(belief),

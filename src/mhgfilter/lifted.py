@@ -34,10 +34,11 @@ from .errors import EnumerationLimitError, StructuralError
 from .graphs import (EdgeKey, Hyperedge, MultiHypergraph, Vertex, check_conservation,
                      check_incidence, edge_key, index_vertices)
 
-DEFAULT_MAX_GROUNDINGS = 10 ** 6
+# Enumerating more groundings than this raises EnumerationLimitError.
+MAX_GROUNDINGS = 10 ** 6
 
 __all__ = ["BoundedEdge", "TotalConstraint", "LiftedMultiHypergraph",
-           "DEFAULT_MAX_GROUNDINGS"]
+           "MAX_GROUNDINGS"]
 
 
 @dataclass(frozen=True, order=True)
@@ -133,43 +134,31 @@ class LiftedMultiHypergraph:
                     keys, t = groups[owner[k]]
                     groups[owner[k]] = (keys, t + f)
 
+        # One pass is exact: groups are disjoint and each key's hull is the
+        # projection of its group's feasible set, so tightening again, or
+        # fixing the keys with lower = upper, leaves every other hull as is.
         empty = False
-        changed = True
-        while changed and not empty:
-            changed = False
-            for name in sorted(groups):
-                keys, t = groups[name]
-                los = {k: bounds[k][0] for k in keys}
-                ups = {k: bounds[k][1] for k in keys}
-                if sum(los.values()) > t or sum(ups.values()) < t:
-                    empty = True
-                    break
-                for k in sorted(keys):
-                    lo = max(los[k], t - sum(ups[j] for j in keys if j != k))
-                    up = min(ups[k], t - sum(los[j] for j in keys if j != k))
-                    if (lo, up) != bounds[k]:
-                        bounds[k] = (lo, up)
-                        changed = True
-            if empty:
+        for name in sorted(groups):
+            keys, t = groups[name]
+            lo_sum = sum(bounds[k][0] for k in keys)
+            up_sum = sum(bounds[k][1] for k in keys)
+            if lo_sum > t or up_sum < t:
+                empty = True
                 break
-            for k in sorted(bounds):
+            for k in keys:
                 lo, up = bounds[k]
-                if lo == up:
-                    del bounds[k]
-                    changed = True
-                    if lo > 0:
-                        fixed[k] = fixed.get(k, 0) + lo
-                    if k in owner:
-                        name = owner.pop(k)
-                        keys, t = groups[name]
-                        keys.discard(k)
-                        groups[name] = (keys, t - lo)
-            for name in sorted(groups):
-                keys, t = groups[name]
-                if not keys:
-                    if t != 0:
-                        empty = True
-                    del groups[name]
+                bounds[k] = (max(lo, t - (up_sum - up)), min(up, t - (lo_sum - lo)))
+        if not empty:
+            for k, (lo, up) in list(bounds.items()):
+                if lo < up:
+                    continue
+                del bounds[k]
+                fixed[k] = lo
+                if k in owner:
+                    keys, t = groups[owner[k]]
+                    keys.discard(k)
+                    groups[owner[k]] = (keys, t - lo)
+            groups = {name: g for name, g in groups.items() if g[0]}
 
         self.vertices = verts
         self.fixed_edges = tuple(Hyperedge(lbl, inc, m)
@@ -284,29 +273,27 @@ class LiftedMultiHypergraph:
         return MultiHypergraph(self.vertices, edges,
                                self.conservation_labels, self.conserved_vertex_labels)
 
-    def iter_groundings(self, max_groundings: int = DEFAULT_MAX_GROUNDINGS
-                        ) -> Iterator[MultiHypergraph]:
+    def iter_groundings(self) -> Iterator[MultiHypergraph]:
+        """Every grounding; raises EnumerationLimitError beyond MAX_GROUNDINGS."""
         if self.is_empty:
             return
         n = self.count_groundings()
-        if n > max_groundings:
-            raise EnumerationLimitError(n, max_groundings)
+        if n > MAX_GROUNDINGS:
+            raise EnumerationLimitError(n, MAX_GROUNDINGS)
         for assignment in self._iter_assignments():
             yield self._ground(assignment)
 
-    def groundings(self, max_groundings: int = DEFAULT_MAX_GROUNDINGS
-                   ) -> list[MultiHypergraph]:
+    def groundings(self) -> list[MultiHypergraph]:
         """All groundings, sorted by canonical form.
 
         Assignments are pairwise distinct by construction; no isomorphism
         collapse is applied here (see the belief expansion for merging).
         """
-        out = list(self.iter_groundings(max_groundings))
+        out = list(self.iter_groundings())
         out.sort(key=lambda g: g.canonical_form().data)
         return out
 
-    def contains(self, g: MultiHypergraph,
-                 max_groundings: int = DEFAULT_MAX_GROUNDINGS) -> bool:
+    def contains(self, g: MultiHypergraph) -> bool:
         if self.is_empty:
             return False
         mine = sorted((v.label, v.multiplicity) for v in self.vertices)
@@ -315,7 +302,7 @@ class LiftedMultiHypergraph:
             return False
         target = g.canonical_form()
         return any(h.canonical_form() == target
-                   for h in self.iter_groundings(max_groundings))
+                   for h in self.iter_groundings())
 
     def canonical_form(self) -> CanonicalForm:
         if self._canonical is None:

@@ -20,18 +20,19 @@ from .errors import IntegrityError, TraceInconsistencyError
 from .filtering import (Belief, FilterResult, StepStats, _ground_consistent,
                         agent_location, logger)
 from .graphs import MultiHypergraph
-from .lifted import DEFAULT_MAX_GROUNDINGS, LiftedMultiHypergraph
+from .lifted import LiftedMultiHypergraph
 from .rewrite import Rule, successors
 
 __all__ = ["expand", "GroundBelief", "GroundFilterResult", "ground_filter_trace",
            "compare", "ComparisonReport", "total_variation"]
 
 
-def expand(l: LiftedMultiHypergraph,
-           max_groundings: int = DEFAULT_MAX_GROUNDINGS
-           ) -> list[tuple[MultiHypergraph, float]]:
-    """Uniform distribution over the groundings, merged by canonical form."""
-    merged = merge_by_form((g, 1) for g in l.iter_groundings(max_groundings))
+def expand(l: LiftedMultiHypergraph) -> list[tuple[MultiHypergraph, float]]:
+    """Uniform distribution over the groundings, merged by canonical form.
+
+    Raises EnumerationLimitError past ``MAX_GROUNDINGS`` groundings.
+    """
+    merged = merge_by_form((g, 1) for g in l.iter_groundings())
     n = sum(c for _, c in merged.values())
     return [(g, c / n) for _, (g, c) in sorted(merged.items())]
 
@@ -49,11 +50,10 @@ class GroundBelief:
         self.entries = tuple((g, w / total) for _, (g, w) in sorted(merged.items()))
 
     @classmethod
-    def from_belief(cls, belief: Belief,
-                    max_groundings: int = DEFAULT_MAX_GROUNDINGS) -> "GroundBelief":
+    def from_belief(cls, belief: Belief) -> "GroundBelief":
         out = []
         for l, w in belief.entries:
-            for g, p in expand(l, max_groundings):
+            for g, p in expand(l):
                 out.append((g, w * p))
         return cls(out)
 
@@ -75,14 +75,9 @@ class GroundFilterResult:
     warnings: tuple[str, ...] = ()
 
 
-def ground_filter_trace(domain, trace: Sequence,
-                        initial: GroundBelief | None = None,
-                        max_groundings: int = DEFAULT_MAX_GROUNDINGS
-                        ) -> GroundFilterResult:
+def ground_filter_trace(domain, trace: Sequence) -> GroundFilterResult:
     """Filter a trace entirely in ground space (the reference semantics)."""
-    if initial is None:
-        initial = GroundBelief(expand(domain.initial_state, max_groundings))
-    belief = initial
+    belief = GroundBelief(expand(domain.initial_state))
     beliefs = [belief]
     stats = [StepStats(0, None, len(belief), len(belief), 0.0, "ground")]
     warnings: list[str] = []
@@ -174,17 +169,14 @@ def total_variation(p: dict[bytes, float], q: dict[bytes, float]) -> float:
     return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
-def compare(domain, trace: Sequence,
-            max_groundings: int = DEFAULT_MAX_GROUNDINGS,
-            tolerance: float = 1e-9) -> ComparisonReport:
+def compare(domain, trace: Sequence, tolerance: float = 1e-9) -> ComparisonReport:
     """Run both filters over the trace and report per-step belief distance."""
     from .filtering import filter_trace
-    lifted = filter_trace(domain, trace, max_groundings=max_groundings)
-    ground = ground_filter_trace(domain, trace, max_groundings=max_groundings)
+    lifted = filter_trace(domain, trace)
+    ground = ground_filter_trace(domain, trace)
     tvs = []
     for lb, gb in zip(lifted.beliefs, ground.beliefs):
-        tvs.append(total_variation(
-            GroundBelief.from_belief(lb, max_groundings).as_dict(),
-            gb.as_dict()))
+        tvs.append(total_variation(GroundBelief.from_belief(lb).as_dict(),
+                                   gb.as_dict()))
     return ComparisonReport(tuple(tvs), max(tvs), lifted.log_likelihood,
                             ground.log_likelihood, tolerance)

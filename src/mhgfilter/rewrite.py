@@ -28,7 +28,8 @@ are used:
   this is the source of state compression).  Rules without a slot edge
   shift each match separately.
 * exact fallback: enumerate groundings, apply the rule in each, and merge
-  the results by canonical form.
+  the results by canonical form.  Past ``lifted.MAX_GROUNDINGS``
+  groundings it raises EnumerationLimitError instead.
 
 Both agree with the ground semantics exactly; the fallback is the
 definition, the shift is a proved-equal fast path whose preconditions are
@@ -48,8 +49,7 @@ from typing import Callable, Mapping, Sequence, Union
 from .canon import merge_by_form
 from .errors import EffectError, StructuralError
 from .graphs import EdgeKey, MultiHypergraph, Vertex, edge_key
-from .lifted import (DEFAULT_MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph,
-                     State, TotalConstraint)
+from .lifted import BoundedEdge, LiftedMultiHypergraph, State, TotalConstraint
 
 logger = logging.getLogger("mhgfilter")
 
@@ -399,7 +399,7 @@ def _grouped_outputs(pairs: list[tuple[LiftedMultiHypergraph, float]]
     return tuple(v for _, v in sorted(merge_by_form(pairs).items()))
 
 
-def _fallback_counts(rule: Rule, l: LiftedMultiHypergraph, max_groundings: int,
+def _fallback_counts(rule: Rule, l: LiftedMultiHypergraph,
                      pairs: list[tuple[MultiHypergraph, float]] | None = None
                      ) -> tuple[int, int]:
     """Enumerate l's groundings; return (n_applicable, n_groundings).
@@ -409,7 +409,7 @@ def _fallback_counts(rule: Rule, l: LiftedMultiHypergraph, max_groundings: int,
     """
     n_app = 0
     n_tot = 0
-    for g in l.iter_groundings(max_groundings):
+    for g in l.iter_groundings():
         n_tot += 1
         options = ground_options(rule, g)
         if options:
@@ -419,11 +419,10 @@ def _fallback_counts(rule: Rule, l: LiftedMultiHypergraph, max_groundings: int,
     return n_app, n_tot
 
 
-def _fallback(rule: Rule, l: LiftedMultiHypergraph, max_groundings: int
-              ) -> LiftedApplyResult:
+def _fallback(rule: Rule, l: LiftedMultiHypergraph) -> LiftedApplyResult:
     """Definitionally exact path: enumerate, apply, relift by canonical form."""
     pairs: list[tuple[MultiHypergraph, float]] = []
-    n_app, n_tot = _fallback_counts(rule, l, max_groundings, pairs)
+    n_app, n_tot = _fallback_counts(rule, l, pairs)
     if n_app == 0:
         return LiftedApplyResult((), 0, n_tot)
     outputs = [(LiftedMultiHypergraph.from_graph(h), w / n_app)
@@ -533,16 +532,14 @@ def _slot_plan(rule: Rule, slot: EffectEdge, rest: Effect, l: LiftedMultiHypergr
     return plan
 
 
-def applicability_count(rule: Rule, l: LiftedMultiHypergraph,
-                        max_groundings: int = DEFAULT_MAX_GROUNDINGS
-                        ) -> tuple[int, int]:
+def applicability_count(rule: Rule, l: LiftedMultiHypergraph) -> tuple[int, int]:
     """(n_applicable, n_groundings) exactly as ``lifted_apply`` reports them,
     without building, canonicalising or checking any successor."""
     if l.is_empty:
         return 0, 0
     plan = _lifted_plan(rule, l)
     if plan is None:
-        return _fallback_counts(rule, l, max_groundings)
+        return _fallback_counts(rule, l)
     n_tot = l.count_groundings()
     return (n_tot if plan else 0), n_tot
 
@@ -560,7 +557,6 @@ def _excluded(l: LiftedMultiHypergraph, fixed: Mapping[EdgeKey, int],
 
 
 def lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
-                 max_groundings: int = DEFAULT_MAX_GROUNDINGS,
                  conditions: Sequence[tuple] = ()) -> LiftedApplyResult:
     """Exact successor distribution of the rule over a lifted state.
 
@@ -575,7 +571,7 @@ def lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
         return LiftedApplyResult((), 0, 0)
     plan = _lifted_plan(rule, l)
     if plan is None:
-        return _fallback(rule, l, max_groundings)
+        return _fallback(rule, l)
     n_tot = l.count_groundings()
     if not plan:
         return LiftedApplyResult((), 0, n_tot)

@@ -15,8 +15,8 @@ import math
 from collections import Counter
 from typing import Callable, Iterable, Mapping
 
-from mhgfilter import (DEFAULT_MAX_GROUNDINGS, BoundedEdge, Effect,
-                       LiftedApplyResult, LiftedMultiHypergraph, MultiHypergraph, Rule,
+from mhgfilter import (BoundedEdge, Effect, LiftedApplyResult,
+                       LiftedMultiHypergraph, MultiHypergraph, Rule,
                        TotalConstraint, agent_location, apply, edge_key,
                        ground_options, held_counts, lifted_apply)
 from mhgfilter.canon import _ranked, _refine, _structure
@@ -135,6 +135,33 @@ def box_groundings(l: LiftedMultiHypergraph) -> list[MultiHypergraph]:
     return out
 
 
+def raw_groundings(fixed: Iterable[Hyperedge], bounded: Iterable[BoundedEdge],
+                   constraints: Iterable[TotalConstraint]
+                   ) -> list[dict[tuple, int]]:
+    """Groundings of lifted-state parts as given, before any normalisation.
+
+    Every bounded edge takes each value within its own bounds, a group's
+    total counts those values alone, and a fixed edge's multiplicity is
+    added on top of a bounded edge with its key.  Returns each grounding
+    as its edge dict (key to positive multiplicity).
+    """
+    base = Counter()
+    for e in fixed:
+        base[e.key] += e.multiplicity
+    bs = list(bounded)
+    keys = [b.key for b in bs]
+    totals = [([keys.index(k) for k in c.edge_keys], c.total)
+              for c in constraints]
+    out = []
+    for values in itertools.product(*(range(b.lower, b.upper + 1) for b in bs)):
+        if any(sum(values[i] for i in members) != total
+               for members, total in totals):
+            continue
+        mults = base + Counter(dict(zip(keys, values)))
+        out.append(dict(mults))
+    return out
+
+
 def ground_pushforward(rule: Rule, l: LiftedMultiHypergraph,
                        grounds: list[MultiHypergraph] | None = None
                        ) -> tuple[dict[bytes, float], int, int]:
@@ -211,7 +238,6 @@ def merge_free_log_likelihood(domain, trace) -> float:
 
 
 def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
-                           max_groundings: int = DEFAULT_MAX_GROUNDINGS,
                            conditions=()) -> LiftedApplyResult:
     """A deliberately wrong ``lifted_apply``, for divergence-detection tests.
 
@@ -227,7 +253,7 @@ def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
     """
     capped = next((e for e in rule.effect.assert_ if e.cap is not None), None)
     if capped is None:
-        return lifted_apply(rule, l, max_groundings, conditions)
+        return lifted_apply(rule, l, conditions)
     n = l.count_groundings()
     rest = Rule(rule.name, rule.pattern,
                 Effect(rule.effect.retract,

@@ -132,13 +132,32 @@ def test_parse_problems_exit_three(tmp_path, capsys):
 
 
 def test_enumeration_cap_exits_four(tmp_path, capsys):
-    path = tmp_path / "install.jsonl"
-    code, _, _ = run(capsys, "gentrace", "--domain", "mini", "--seed", "0",
-                     "--length", "8", "--policy", "install_heavy",
-                     "--output", str(path))
+    """Seven free [0,9] marks give 10^7 groundings: lifted filtering never
+    enumerates them, the ground reference has to and stops at the cap."""
+    marks = [f"m{i}" for i in range(7)]
+    domain = tmp_path / "marks.json"
+    domain.write_text(json.dumps({
+        "format": "mhg-domain/1", "agent": "agent",
+        "labels": {"locations": ["floor"], "agent_locations": ["floor"],
+                   "holdable": []},
+        "vertices": [{"id": "agent", "label": "agent"},
+                     {"id": "floor", "label": "floor"}]
+                    + [{"id": m, "label": "mark"} for m in marks],
+        "edges": [{"label": "at", "incidence": ["agent", "floor"]}],
+        "bounded_edges": [{"label": "mark", "incidence": [m], "lower": 0,
+                           "upper": 9} for m in marks],
+        "rules": [{"name": "wait",
+                   "pattern": {"vertices": [{"var": "A", "label": "agent"}]}}],
+    }))
+    trace = tmp_path / "wait.jsonl"
+    trace.write_text(json.dumps({"action": "wait", "loc_t": "floor",
+                                 "loc_next": "floor"}) + "\n")
+    code, out, _ = run(capsys, "filter", "--domain", str(domain),
+                       "--trace", str(trace))
     assert code == 0
-    code, _, err = run(capsys, "filter", "--domain", "mini",
-                       "--trace", str(path), "--max-groundings", "1")
+    assert json.loads(out)["totals"]["max_ground_equivalent"] == 10 ** 7
+    code, _, err = run(capsys, "filter", "--domain", str(domain),
+                       "--trace", str(trace), "--mode", "ground")
     assert code == 4
     assert "exceeds cap" in err
 
@@ -153,14 +172,7 @@ def test_missing_files_exit_five(tmp_path, capsys):
     assert code == 5
 
 
-def test_config_defaults_and_flag_precedence(tmp_path, mini_trace, capsys):
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps({"tolerance": 0.5}))
-    code, out, _ = run(capsys, "--config", str(config), "compare",
-                       "--domain", "mini", "--trace", str(mini_trace))
-    assert code == 0
-    assert json.loads(out)["tolerance"] == 0.5
-    code, out, _ = run(capsys, "--config", str(config), "compare",
-                       "--domain", "mini", "--trace", str(mini_trace),
-                       "--tolerance", "1e-12")
+def test_compare_tolerance_flag(mini_trace, capsys):
+    code, out, _ = run(capsys, "compare", "--domain", "mini",
+                       "--trace", str(mini_trace), "--tolerance", "1e-12")
     assert json.loads(out)["tolerance"] == 1e-12

@@ -208,6 +208,12 @@ def test_parse_trace_errors():
     with pytest.raises(ParseError):
         parse_trace('{"action": "walk", "loc_t": "a", "loc_next": "b", '
                     '"held_t": {"x": "lots"}}\n')
+    for count in ("1.5", "true", "-1"):
+        with pytest.raises(ParseError) as exc:
+            parse_trace('{"action": "walk", "loc_t": "a", "loc_next": "b"}\n'
+                        '{"action": "walk", "loc_t": "a", "loc_next": "b", '
+                        '"held_next": {"eccentric": %s}}\n' % count, "t.jsonl")
+        assert (exc.value.source, exc.value.line) == ("t.jsonl", 2)
 
 
 def test_generate_trace_is_deterministic():

@@ -116,6 +116,10 @@ def test_agent_location():
         [Vertex("agent", "agent"), Vertex("floor", "floor")],
         [Hyperedge("at", ("agent", "floor"), 2)])
     assert agent_location(domain, doubled) is None
+    looped = build_graph(
+        [Vertex("agent", "agent"), Vertex("floor", "floor")],
+        [Hyperedge("at", ("agent", "agent"))])
+    assert agent_location(domain, looped) is None
 
 
 def test_predict_applies_action_weights():

@@ -4,10 +4,10 @@ import random
 
 import pytest
 
-from mhgfilter import (BoundedEdge, EnumerationLimitError, Hyperedge,
-                       IntegrityError, LiftedMultiHypergraph, StructuralError,
-                       TotalConstraint, Vertex, build_graph)
-from oracles import box_groundings, random_lifted
+from mhgfilter import (MAX_GROUNDINGS, BoundedEdge, EnumerationLimitError,
+                       Hyperedge, IntegrityError, LiftedMultiHypergraph,
+                       StructuralError, TotalConstraint, Vertex, build_graph)
+from oracles import box_groundings, random_lifted, raw_groundings
 
 
 def hull_example():
@@ -219,17 +219,70 @@ def test_rebuild_replaces_parts():
 
 
 def test_enumeration_limit():
-    l = LiftedMultiHypergraph(
-        [Vertex("a", "x"), Vertex("b", "y"), Vertex("c", "z")],
-        bounded_edges=[BoundedEdge("at", ("a",), 0, 9),
-                       BoundedEdge("at", ("b",), 0, 9),
-                       BoundedEdge("at", ("c",), 0, 9)])
-    assert l.count_groundings() == 1000
+    def free_marks(n):
+        ids = [f"m{i}" for i in range(n)]
+        return LiftedMultiHypergraph(
+            [Vertex(vid, "x") for vid in ids],
+            bounded_edges=[BoundedEdge("mark", (vid,), 0, 9) for vid in ids])
+
+    at_cap = free_marks(6)
+    assert at_cap.count_groundings() == 10 ** 6 == MAX_GROUNDINGS
+    assert next(at_cap.iter_groundings()).edges == ()
     with pytest.raises(EnumerationLimitError) as exc:
-        l.groundings(max_groundings=10)
-    assert exc.value.count == 1000
-    assert exc.value.limit == 10
-    assert len(l.groundings(max_groundings=1000)) == 1000
+        next(free_marks(7).iter_groundings())
+    assert exc.value.count == 10 ** 7
+    assert exc.value.limit == MAX_GROUNDINGS
+
+
+def test_normalisation_is_exact_on_raw_parts():
+    """One tightening pass gives the exact support and attained bounds."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @st.composite
+    def raw_parts(draw):
+        ids = [f"v{i}" for i in range(draw(st.integers(1, 3)))]
+        incidences = st.lists(st.sampled_from(ids), min_size=1, max_size=2)
+        keys = draw(st.lists(st.tuples(st.sampled_from(["a", "b"]),
+                                       incidences.map(lambda x: tuple(sorted(x)))),
+                             min_size=1, max_size=5, unique=True))
+        bounded = []
+        for label, inc in keys:
+            lo = draw(st.integers(0, 3))
+            bounded.append(BoundedEdge(label, inc, lo, lo + draw(st.integers(0, 3))))
+        fixed = [Hyperedge(b.label, b.incidence, draw(st.integers(1, 2)))
+                 for b in bounded if draw(st.booleans())]
+        n_groups = draw(st.sampled_from((2, 1, 0)))
+        owners = [draw(st.sampled_from([*range(n_groups), None])) for _ in bounded]
+        constraints = [
+            TotalConstraint(f"g{i}", frozenset(b.key for b, owner
+                                               in zip(bounded, owners)
+                                               if owner == i),
+                            draw(st.integers(0, 8)))
+            for i in range(n_groups)]
+        return [Vertex(vid, "x") for vid in ids], fixed, bounded, constraints
+
+    def sorted_dicts(dicts):
+        return sorted(sorted(d.items()) for d in dicts)
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(raw_parts())
+    def check(parts):
+        vertices, fixed, bounded, constraints = parts
+        l = LiftedMultiHypergraph(vertices, fixed, bounded, constraints)
+        expected = raw_groundings(fixed, bounded, constraints)
+        assert l.is_empty == (not expected)
+        grounds = [g.edge_dict() for g in l.iter_groundings()]
+        assert sorted_dicts(grounds) == sorted_dicts(expected)
+        if l.is_empty:
+            return
+        keys = {k for g in grounds for k in g} | {b.key for b in l.bounded_edges}
+        for k in keys:
+            seen = [g.get(k, 0) for g in grounds]
+            assert l.multiplicity_bounds(k) == (min(seen), max(seen))
+
+    check()
 
 
 def test_vertices_are_sorted_and_equal_states_share_canonicals():

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from mhgfilter import (DEFAULT_MAX_GROUNDINGS, BoundedEdge, Effect, EffectEdge,
+from mhgfilter import (BoundedEdge, Effect, EffectEdge,
                        EffectError, Hyperedge, LiftedMultiHypergraph, Match,
                        Pattern, PatternEdge, PatternVertex, Rule, StructuralError,
                        TotalConstraint, Vertex, applicability_count, apply,
@@ -438,7 +438,7 @@ def test_condition_prune_drops_only_dead_successors():
     def check(scene):
         rule, l, conds = scene
         full = lifted_apply(rule, l)
-        pruned = lifted_apply(rule, l, DEFAULT_MAX_GROUNDINGS, conds)
+        pruned = lifted_apply(rule, l, conds)
         assert (pruned.n_applicable, pruned.n_groundings) == \
             (full.n_applicable, full.n_groundings)
         entries = [(s.canonical_form().data, repr(p)) for s, p in full.outputs]
