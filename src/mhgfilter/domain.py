@@ -370,11 +370,19 @@ def parse_trace(text: str, source: str = "<trace>") -> list[AnnotationTuple]:
         try:
             held_t = _held_counts(obj.get("held_t", {}))
             held_next = _held_counts(obj.get("held_next", {}))
-            out.append(AnnotationTuple(str(obj["action"]), str(obj["loc_t"]),
-                                       str(obj["loc_next"]), held_t, held_next))
+            out.append(AnnotationTuple(_string(obj, "action"), _string(obj, "loc_t"),
+                                       _string(obj, "loc_next"), held_t, held_next))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"bad annotation: {exc}", source, lineno) from exc
     return out
+
+
+def _string(obj: dict, key: str) -> str:
+    """A field as written: a JSON string, never coerced."""
+    value = obj[key]
+    if not isinstance(value, str):
+        raise ValueError(f"{key} is {value!r}, not a string")
+    return value
 
 
 def _held_counts(raw: dict) -> dict[str, int]:

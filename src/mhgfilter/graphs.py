@@ -232,9 +232,6 @@ class MultiHypergraph:
     def fixed_edges(self) -> tuple[Hyperedge, ...]:
         return self.edges
 
-    def incident(self, vid: str) -> tuple[Hyperedge, ...]:
-        return tuple(e for e in self.edges if vid in e.incidence)
-
     def edge_dict(self) -> dict[EdgeKey, int]:
         return dict(self._mult)
 

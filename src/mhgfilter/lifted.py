@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping, Union
 from .canon import CanonicalForm, canonical_form_lifted as _canon_lifted
 from .errors import EnumerationLimitError, StructuralError
 from .graphs import (EdgeKey, Hyperedge, MultiHypergraph, Vertex, check_conservation,
-                     check_incidence, edge_key, index_vertices)
+                     check_incidence, index_vertices)
 
 # Enumerating more groundings than this raises EnumerationLimitError.
 MAX_GROUNDINGS = 10 ** 6
@@ -70,7 +70,8 @@ class TotalConstraint:
     """Exact multiplicity total over a group of bounded edges.
 
     Groups of distinct constraints are disjoint.  The name addresses the
-    group from rule effects and is excluded from canonical forms.
+    group within its state (``shifted``'s ``grow``) and is excluded from
+    canonical forms.
     """
 
     name: str
@@ -200,9 +201,6 @@ class LiftedMultiHypergraph:
         b = self._bounded_by_key.get(key)
         return (f + b.lower, f + b.upper) if b else (f, f)
 
-    def fixed_multiplicity(self, label: str, incidence: Iterable[str]) -> int:
-        return self._fixed_mult.get(edge_key(label, incidence), 0)
-
     def group_of(self, key: EdgeKey) -> TotalConstraint | None:
         return self._group_of.get(key)
 
@@ -211,18 +209,53 @@ class LiftedMultiHypergraph:
         return cls(g.vertices, g.edges, (), (),
                    g.conservation_labels, g.conserved_vertex_labels)
 
-    def rebuild(self, *, fixed: Mapping[EdgeKey, int] | None = None,
-                bounded: Iterable[BoundedEdge] | None = None,
+    def rebuild(self, *, bounded: Iterable[BoundedEdge] | None = None,
                 constraints: Iterable[TotalConstraint] | None = None
                 ) -> "LiftedMultiHypergraph":
-        """New lifted state over the same vertices with replaced parts."""
-        fixed_edges = (self.fixed_edges if fixed is None else
-                       [Hyperedge(lbl, inc, m) for (lbl, inc), m in fixed.items() if m > 0])
+        """New lifted state over the same vertices and fixed edges with
+        replaced bounded edges or constraints."""
         return LiftedMultiHypergraph(
-            self.vertices, fixed_edges,
+            self.vertices, self.fixed_edges,
             self.bounded_edges if bounded is None else bounded,
             self.constraints if constraints is None else constraints,
             self.conservation_labels, self.conserved_vertex_labels)
+
+    def shifted(self, delta: Mapping[EdgeKey, int], grow: str | None = None,
+                fresh: frozenset[EdgeKey] = frozenset()) -> "LiftedMultiHypergraph":
+        """The state with every grounding's edges moved rigidly.
+
+        A bounded key's interval moves by its delta, and so does its group's
+        total; any other key's fixed multiplicity moves by its delta.
+        ``grow`` names a group whose total rises by one, and the ``fresh``
+        keys, absent here, become [0,1] members of a new group of total 1.
+        Raises StructuralError when a fixed multiplicity would fall below
+        zero.
+        """
+        fixed = dict(self._fixed_mult)
+        bounds = {k: (b.lower, b.upper) for k, b in self._bounded_by_key.items()}
+        totals = {c.name: c.total for c in self.constraints}
+        for k, d in delta.items():
+            if k in bounds:
+                bounds[k] = (bounds[k][0] + d, bounds[k][1] + d)
+                if k in self._group_of:
+                    totals[self._group_of[k].name] += d
+                continue
+            fixed[k] = fixed.get(k, 0) + d
+            if fixed[k] < 0:
+                raise StructuralError(f"shift takes edge {k!r} below zero")
+        if grow is not None:
+            totals[grow] += 1
+        constraints = [TotalConstraint(c.name, c.edge_keys, totals[c.name])
+                       for c in self.constraints]
+        if fresh:
+            bounds.update((k, (0, 1)) for k in fresh)
+            name = next(f"#{i}" for i in itertools.count() if f"#{i}" not in totals)
+            constraints.append(TotalConstraint(name, fresh, 1))
+        return LiftedMultiHypergraph(
+            self.vertices,
+            [Hyperedge(lbl, inc, m) for (lbl, inc), m in fixed.items() if m],
+            [BoundedEdge(lbl, inc, lo, up) for (lbl, inc), (lo, up) in bounds.items()],
+            constraints, self.conservation_labels, self.conserved_vertex_labels)
 
     # -- grounding ---------------------------------------------------------
 

@@ -18,15 +18,19 @@ are used:
 * interval shift with match aggregation, when every match is *sure* and
   the effect at each match is sure or not *possible*.  One matching pass
   reads upper bounds for the matches and lower bounds for sureness, and
-  one feasibility pass gives the sure/possible verdict of the effect: sure
-  means in every grounding, possible in some.  Where the two agree, the
-  effect's net delta shifts bounded intervals rigidly, and the shift
+  one feasibility pass gives the sure/possible verdict of the effect, sure
+  meaning in every grounding and possible in some, together with its net
+  edge delta.  Where the two agree, the successor is the same delta in
+  every grounding: a plan step is (options, delta, grow, fresh), and
+  ``LiftedMultiHypergraph.shifted`` applies it as a rigid shift that
   cannot fail.  A rule's only assert with cap 1 and multiplicity 1 is its
-  *slot edge*.  Matches whose remaining effect is the same form one class,
-  and the class's choice among its free slot keys is kept as one [0,1]
-  constraint group, whose total grows by one (counting-formula lifting;
-  this is the source of state compression).  Rules without a slot edge
-  shift each match separately.
+  *slot edge*.  Matches whose remaining effect has the same delta form one
+  class, and the class's choice among its free slot keys stays one [0,1]
+  constraint group: an existing group whose total grows by one, or
+  ``fresh`` empty keys that become a new group of total 1
+  (counting-formula lifting; this is the source of state compression).  A
+  single empty slot key joins the delta.  Rules without a slot edge shift
+  each match separately.
 * exact fallback: enumerate groundings, apply the rule in each, and merge
   the results by canonical form.  Past ``lifted.MAX_GROUNDINGS``
   groundings it raises EnumerationLimitError instead.
@@ -49,7 +53,7 @@ from typing import Callable, Mapping, Sequence, Union
 from .canon import merge_by_form
 from .errors import EffectError, StructuralError
 from .graphs import EdgeKey, MultiHypergraph, Vertex, edge_key
-from .lifted import BoundedEdge, LiftedMultiHypergraph, State, TotalConstraint
+from .lifted import LiftedMultiHypergraph, State
 
 logger = logging.getLogger("mhgfilter")
 
@@ -250,9 +254,10 @@ def _raw_matches(pattern: Pattern, state: State) -> list[tuple[Match, bool]]:
 
 
 def _effect_feasible(effect: Effect, state: State, assignment: Mapping[str, str]
-                     ) -> tuple[bool, bool]:
-    """(sure, possible): whether retracts stay non-negative and caps hold in
-    every grounding, and in some grounding.
+                     ) -> tuple[bool, bool, dict[EdgeKey, int]]:
+    """(sure, possible, delta): whether retracts stay non-negative and caps
+    hold in every grounding, and in some grounding, plus the effect's net
+    multiplicity change per key.
 
     Retracts are checked against their net delta, and each capped assert
     against the delta accumulated up to it, as ``apply`` does.  Sure reads
@@ -267,7 +272,7 @@ def _effect_feasible(effect: Effect, state: State, assignment: Mapping[str, str]
     for k, d in delta.items():
         lo, up = state.multiplicity_bounds(k)
         if up + d < 0:
-            return False, False
+            return False, False, delta
         sure = sure and lo + d >= 0
     for e in effect.assert_:
         k = _effect_key(e, assignment, state)
@@ -275,9 +280,9 @@ def _effect_feasible(effect: Effect, state: State, assignment: Mapping[str, str]
         if e.cap is not None:
             lo, up = state.multiplicity_bounds(k)
             if lo + delta[k] > e.cap:
-                return False, False
+                return False, False, delta
             sure = sure and up + delta[k] <= e.cap
-    return sure, True
+    return sure, True, delta
 
 
 def ground_options(rule: Rule, state: State) -> list[Match]:
@@ -337,68 +342,6 @@ class LiftedApplyResult:
     n_groundings: int
 
 
-def _net_delta(effect: Effect, l: LiftedMultiHypergraph,
-               assignment: Mapping[str, str]) -> dict[EdgeKey, int]:
-    """The effect's net multiplicity change per key at one assignment."""
-    delta: dict[EdgeKey, int] = {}
-    for sign, edges in ((-1, effect.retract), (1, effect.assert_)):
-        for e in edges:
-            k = _effect_key(e, assignment, l)
-            delta[k] = delta.get(k, 0) + sign * e.multiplicity
-    return delta
-
-
-def _shift_effect(l: LiftedMultiHypergraph, delta: Mapping[EdgeKey, int]
-                  ) -> tuple[dict[EdgeKey, int], dict[EdgeKey, tuple[int, int]],
-                             dict[str, int]]:
-    """Apply a net delta as a rigid shift.
-
-    Returns (new fixed multiplicities, new bounds, group total deltas): a
-    bounded key's interval and its group's total move by its delta, any
-    other key's fixed multiplicity changes by it.  Rigid because the effect
-    is sure and possible at the assignment: no retract can fail and no cap
-    verdict differs across groundings.
-    """
-    fixed = dict(l._fixed_mult)
-    bounds: dict[EdgeKey, tuple[int, int]] = {}
-    group_delta: dict[str, int] = {}
-    for k, d in delta.items():
-        b = l._bounded_by_key.get(k)
-        if b is None:
-            fixed[k] = fixed.get(k, 0) + d
-            continue
-        bounds[k] = (b.lower + d, b.upper + d)
-        c = l._group_of.get(k)
-        if c is not None:
-            group_delta[c.name] = group_delta.get(c.name, 0) + d
-    return fixed, bounds, group_delta
-
-
-def _rebuild(l: LiftedMultiHypergraph, fixed: Mapping[EdgeKey, int],
-             bounds: Mapping[EdgeKey, tuple[int, int]],
-             group_delta: Mapping[str, int],
-             extra_group: TotalConstraint | None = None
-             ) -> LiftedMultiHypergraph:
-    bedges = []
-    for b in l.bounded_edges:
-        lo, up = bounds.get(b.key, (b.lower, b.upper))
-        bedges.append(BoundedEdge(b.label, b.incidence, lo, up))
-    for k, (lo, up) in bounds.items():
-        if k not in l._bounded_by_key:
-            bedges.append(BoundedEdge(k[0], k[1], lo, up))
-    constraints = [TotalConstraint(c.name, c.edge_keys,
-                                   c.total + group_delta.get(c.name, 0))
-                   for c in l.constraints]
-    if extra_group is not None:
-        constraints.append(extra_group)
-    return l.rebuild(fixed=fixed, bounded=bedges, constraints=constraints)
-
-
-def _grouped_outputs(pairs: list[tuple[LiftedMultiHypergraph, float]]
-                     ) -> tuple[tuple[LiftedMultiHypergraph, float], ...]:
-    return tuple(v for _, v in sorted(merge_by_form(pairs).items()))
-
-
 def _fallback_counts(rule: Rule, l: LiftedMultiHypergraph,
                      pairs: list[tuple[MultiHypergraph, float]] | None = None
                      ) -> tuple[int, int]:
@@ -439,11 +382,11 @@ def _slot_edge(rule: Rule) -> EffectEdge | None:
 def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:
     """Check the preconditions of the lifted path, once.
 
-    Returns one (options, fixed, bounds, group deltas, new group) step per
-    successor, where ``options`` counts the options of every grounding that
-    lead to it; an empty list when the rule fires in no grounding, or None
-    when the exact fallback is needed.  A failed precondition is logged at
-    debug level.
+    Returns one (options, delta, grow, fresh) step per successor, the
+    arguments of ``l.shifted`` that build it, where ``options`` counts the
+    options of every grounding that lead to it; an empty list when the rule
+    fires in no grounding, or None when the exact fallback is needed.  A
+    failed precondition is logged at debug level.
     """
     def give_up(reason: str) -> None:
         logger.debug("lifted_apply %r: fallback, %s", rule.name, reason)
@@ -455,24 +398,23 @@ def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:
     slot = _slot_edge(rule)
     rest = rule.effect if slot is None else Effect(
         rule.effect.retract, tuple(e for e in rule.effect.assert_ if e is not slot))
-    feasible: list[dict[str, str]] = []
+    feasible: list[tuple[dict[str, str], dict[EdgeKey, int]]] = []
     for m, _ in matches:
         assignment = m.as_dict()
-        sure, possible = _effect_feasible(rest, l, assignment)
+        sure, possible, delta = _effect_feasible(rest, l, assignment)
         if sure != possible:
             return give_up("effect feasibility varies across groundings")
         if sure:
-            feasible.append(assignment)
+            feasible.append((assignment, delta))
 
     if slot is None:
-        return [(1, *_shift_effect(l, _net_delta(rest, l, assignment)), None)
-                for assignment in feasible]
-    return _slot_plan(rule, slot, rest, l, feasible, give_up)
+        return [(1, delta, None, frozenset()) for _, delta in feasible]
+    return _slot_plan(slot, l, feasible, give_up)
 
 
-def _slot_plan(rule: Rule, slot: EffectEdge, rest: Effect, l: LiftedMultiHypergraph,
-               feasible: list[dict[str, str]], give_up: Callable[[str], None]
-               ) -> list[tuple] | None:
+def _slot_plan(slot: EffectEdge, l: LiftedMultiHypergraph,
+               feasible: list[tuple[dict[str, str], dict[EdgeKey, int]]],
+               give_up: Callable[[str], None]) -> list[tuple] | None:
     """Aggregate the matches whose rest of the effect fires everywhere.
 
     The rest may not touch the match's own slot key.  Matches with the same
@@ -486,9 +428,8 @@ def _slot_plan(rule: Rule, slot: EffectEdge, rest: Effect, l: LiftedMultiHypergr
     successor of its own.
     """
     classes: dict[tuple, dict[EdgeKey, int]] = {}    # slot key -> match count
-    for assignment in feasible:
+    for assignment, delta in feasible:
         k = _effect_key(slot, assignment, l)
-        delta = _net_delta(rest, l, assignment)
         if k in delta:
             return give_up("slot interference")
         lo, up = l.multiplicity_bounds(k)
@@ -500,35 +441,27 @@ def _slot_plan(rule: Rule, slot: EffectEdge, rest: Effect, l: LiftedMultiHypergr
         counts = classes.setdefault(cls, {})
         counts[k] = counts.get(k, 0) + 1
 
-    names = {c.name for c in l.constraints}
     plan = []
     for cls, counts in classes.items():
+        delta = dict(cls)
         groups = {l.group_of(k) for k in counts} - {None}
         if len(groups) > 1:
             return give_up("slot keys in several groups")
         group = groups.pop() if groups else None
         if group is not None and not group.edge_keys.issubset(counts):
             return give_up(f"group {group.name!r} has keys outside the class")
-        fixed, bounds, group_delta = _shift_effect(l, dict(cls))
         empties = [k for k in counts if l.group_of(k) is None]
         if group is not None:
             c = counts[next(iter(group.edge_keys))]
             if any(counts[k] != c for k in group.edge_keys):
                 return give_up("slot keys reached by unequal match counts")
-            plan.append((c * (len(group.edge_keys) - group.total), fixed, bounds,
-                         {**group_delta, group.name: 1}, None))
+            plan.append((c * (len(group.edge_keys) - group.total), delta,
+                         group.name, frozenset()))
         elif len(empties) >= 2 and len(set(counts.values())) == 1:
-            name, i = rule.name, 1
-            while name in names:
-                i += 1
-                name = f"{rule.name}#{i}"
-            plan.append((counts[empties[0]] * len(empties), fixed,
-                         {**bounds, **{k: (0, 1) for k in empties}}, group_delta,
-                         TotalConstraint(name, frozenset(empties), 1)))
+            plan.append((counts[empties[0]] * len(empties), delta, None,
+                         frozenset(empties)))
             continue
-        for k in empties:
-            plan.append((counts[k], {**fixed, k: fixed.get(k, 0) + 1}, bounds,
-                         group_delta, None))
+        plan += [(counts[k], {**delta, k: 1}, None, frozenset()) for k in empties]
     return plan
 
 
@@ -544,12 +477,15 @@ def applicability_count(rule: Rule, l: LiftedMultiHypergraph) -> tuple[int, int]
     return (n_tot if plan else 0), n_tot
 
 
-def _excluded(l: LiftedMultiHypergraph, fixed: Mapping[EdgeKey, int],
-              bounds: Mapping[EdgeKey, tuple[int, int]], conditions) -> bool:
-    """Whether a plan step's bounds put a condition's key sum off its total."""
+def _excluded(l: LiftedMultiHypergraph, delta: Mapping[EdgeKey, int],
+              fresh: frozenset[EdgeKey], conditions) -> bool:
+    """Whether a plan step's successor puts a condition's key sum off its total."""
     def hull(k: EdgeKey) -> tuple[int, int]:
-        b = l._bounded_by_key.get(k)
-        return bounds.get(k) or ((b.lower, b.upper) if b else (fixed.get(k, 0),) * 2)
+        if k in fresh:
+            return 0, 1
+        lo, up = l.multiplicity_bounds(k)
+        d = delta.get(k, 0)
+        return lo + d, up + d
 
     return any(sum(hull(k)[0] for k in keys) > required
                or sum(hull(k)[1] for k in keys) < required
@@ -577,7 +513,7 @@ def lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
         return LiftedApplyResult((), 0, n_tot)
 
     n_options = sum(step[0] for step in plan)
-    outs = [(_rebuild(l, fixed, bounds, group_delta, extra), n / n_options)
-            for n, fixed, bounds, group_delta, extra in plan
-            if not _excluded(l, fixed, bounds, conditions)]
-    return LiftedApplyResult(_grouped_outputs(outs), n_tot, n_tot)
+    outs = merge_by_form((l.shifted(delta, grow, fresh), n / n_options)
+                         for n, delta, grow, fresh in plan
+                         if not _excluded(l, delta, fresh, conditions))
+    return LiftedApplyResult(tuple(v for _, v in sorted(outs.items())), n_tot, n_tot)

@@ -214,6 +214,13 @@ def test_parse_trace_errors():
                         '{"action": "walk", "loc_t": "a", "loc_next": "b", '
                         '"held_next": {"eccentric": %s}}\n' % count, "t.jsonl")
         assert (exc.value.source, exc.value.line) == ("t.jsonl", 2)
+    for line in ('{"action": "walk", "loc_t": null, "loc_next": "b"}',
+                 '{"action": "walk", "loc_t": "a", "loc_next": 7}',
+                 '{"action": ["walk"], "loc_t": "a", "loc_next": "b"}'):
+        with pytest.raises(ParseError) as exc:
+            parse_trace('{"action": "walk", "loc_t": "a", "loc_next": "b"}\n'
+                        + line + "\n", "t.jsonl")
+        assert (exc.value.source, exc.value.line) == ("t.jsonl", 2)
 
 
 def test_generate_trace_is_deterministic():

@@ -13,7 +13,7 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
                        bookshelf_domain, build_graph, consistent, filter_trace,
                        generate_trace, lifted_apply, mini_bookshelf_domain,
                        predict, update)
-from mhgfilter import filtering, rewrite
+from mhgfilter import filtering
 from mhgfilter.filtering import _condition_state
 
 LOCS = frozenset({"floor", "table"})
@@ -165,12 +165,12 @@ def test_update_conditions_and_normalises():
     assert z == pytest.approx(2 / 7)
     assert len(posterior) == 1
     state = posterior.entries[0][0]
-    assert state.fixed_multiplicity("at", ("agent", "floor")) == 1
+    assert Hyperedge("at", ("agent", "floor")) in state.fixed_edges
 
     took = AnnotationTuple("take", "table", "table", {}, {"gear": 1})
     posterior, z = update(domain, took, joint)
     assert z == pytest.approx(5 / 7)
-    assert posterior.entries[0][0].fixed_multiplicity("holds", ("agent", "gear")) == 1
+    assert Hyperedge("holds", ("agent", "gear")) in posterior.entries[0][0].fixed_edges
 
 
 def test_update_raises_when_nothing_survives():
@@ -198,8 +198,8 @@ def test_condition_state_tightens_single_bounded_key():
     frac, states = _condition_state(domain, l, "floor", {"gear": 1})
     assert frac == pytest.approx(1 / 3)
     assert states == [(states[0][0], 1.0)]
-    assert states[0][0].fixed_multiplicity("holds", ("agent", "gear")) == 1
-    assert states[0][0].fixed_multiplicity("at", ("floor", "gear")) == 2
+    assert Hyperedge("holds", ("agent", "gear")) in states[0][0].fixed_edges
+    assert Hyperedge("at", ("floor", "gear"), 2) in states[0][0].fixed_edges
 
     frac, states = _condition_state(domain, l, "floor", {"gear": 5})
     assert frac == 0.0 and states == []
@@ -298,14 +298,14 @@ def test_update_builds_only_successors_the_observation_allows(monkeypatch):
     domain = bookshelf_domain()
     trace, _ = generate_trace(domain, seed=0, length=30, policy="install_heavy")
     built = 0
-    real = rewrite._rebuild
+    real = LiftedMultiHypergraph.shifted
 
     def counting(*args):
         nonlocal built
         built += 1
         return real(*args)
 
-    monkeypatch.setattr(rewrite, "_rebuild", counting)
+    monkeypatch.setattr(LiftedMultiHypergraph, "shifted", counting)
     filter_trace(domain, trace)
     assert built == 30
 

@@ -58,8 +58,6 @@ def test_edge_queries():
         [Vertex("a", "x"), Vertex("b", "y"), Vertex("c", "z")],
         [Hyperedge("at", ("a", "b")), Hyperedge("near", ("a", "c"), 2)])
     assert g.edge_multiplicity("missing", ("a", "b")) == 0
-    assert {e.label for e in g.incident("a")} == {"at", "near"}
-    assert g.incident("b") == (Hyperedge("at", ("a", "b")),)
     assert g.edge_dict() == {("at", ("a", "b")): 1, ("near", ("a", "c")): 2}
     assert g.vertex("c").label == "z"
     assert g.has_vertex("c") and not g.has_vertex("d")

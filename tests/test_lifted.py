@@ -76,7 +76,7 @@ def test_fixed_multiplicity_absorbed_into_bounds():
         [TotalConstraint("g", frozenset({("at", ("a", "b")),
                                          ("on", ("a", "b"))}), 1)])
     at, on = ("at", ("a", "b")), ("on", ("a", "b"))
-    assert l.fixed_multiplicity(*at) == 0
+    assert at not in {e.key for e in l.fixed_edges}
     assert l.multiplicity_bounds(at) == (2, 3)
     assert l.multiplicity_bounds(on) == (0, 1)
     assert l.group_of(at).total == 3
@@ -87,7 +87,7 @@ def test_degenerate_bounds_become_fixed():
     l = LiftedMultiHypergraph([Vertex("a", "x")],
                               bounded_edges=[BoundedEdge("at", ("a",), 2, 2)])
     assert not l.bounded_edges
-    assert l.fixed_multiplicity("at", ("a",)) == 2
+    assert l.fixed_edges == (Hyperedge("at", ("a",), 2),)
     assert l.count_groundings() == 1
 
 
@@ -99,8 +99,7 @@ def test_saturated_group_collapses_to_fixed():
         constraints=[TotalConstraint("g", frozenset({("at", ("a",)),
                                                      ("at", ("b",))}), 2)])
     assert not l.bounded_edges and not l.constraints
-    assert l.fixed_multiplicity("at", ("a",)) == 1
-    assert l.fixed_multiplicity("at", ("b",)) == 1
+    assert l.fixed_edges == (Hyperedge("at", ("a",)), Hyperedge("at", ("b",)))
 
 
 def test_infeasible_total_yields_empty_state():
@@ -206,9 +205,6 @@ def test_from_graph_and_skeleton():
 
 def test_rebuild_replaces_parts():
     l = hull_example()
-    shifted = l.rebuild(fixed={("holds", ("e",)): 1})
-    assert shifted.fixed_multiplicity("holds", ("e",)) == 1
-    assert shifted.bounded_edges == l.bounded_edges
     loosened = l.rebuild(
         bounded=[BoundedEdge("at", ("e", "s1"), 0, 4),
                  BoundedEdge("at", ("e", "s2"), 0, 4)],
@@ -216,6 +212,55 @@ def test_rebuild_replaces_parts():
                                                      ("at", ("e", "s2"))}), 4)])
     assert loosened.count_groundings() == 5
     assert loosened.vertices == l.vertices
+
+
+def test_shifted_moves_every_grounding_by_the_delta():
+    rng = random.Random(11)
+    for _ in range(200):
+        l = random_lifted(rng)
+        keys = sorted({e.key for e in l.fixed_edges}
+                      | {b.key for b in l.bounded_edges} | {("e0", ("v0",))})
+        delta = {k: rng.randint(-l.multiplicity_bounds(k)[0], 2)
+                 for k in rng.sample(keys, rng.randint(1, len(keys)))}
+        expected = []
+        for g in l.iter_groundings():
+            mults = g.edge_dict()
+            for k, d in delta.items():
+                mults[k] = mults.get(k, 0) + d
+            expected.append(sorted((k, m) for k, m in mults.items() if m))
+        moved = l.shifted(delta)
+        assert sorted(sorted(g.edge_dict().items())
+                      for g in moved.iter_groundings()) == sorted(expected)
+
+
+def test_shifted_grows_a_group_and_adds_fresh_ones():
+    l = hull_example()
+    s1, s2 = ("at", ("e", "s1")), ("at", ("e", "s2"))
+    grown = l.shifted({}, grow="g")
+    assert grown.group_of(s1).total == l.group_of(s1).total + 1 == 5
+    assert {g.edge_multiplicity(*s1) + g.edge_multiplicity(*s2)
+            for g in grown.iter_groundings()} == {5}
+
+    marks = frozenset({("mark", ("s1",)), ("mark", ("s2",))})
+    marked = l.shifted({}, fresh=marks)
+    assert marked.count_groundings() == l.count_groundings() * len(marks)
+    assert all(sum(g.edge_multiplicity(*k) for k in marks) == 1
+               for g in marked.iter_groundings())
+    # a second fresh group takes a name of its own
+    tags = frozenset({("tag", ("s1",)), ("tag", ("s2",)), ("tag", ("e",))})
+    tagged = marked.shifted({}, fresh=tags)
+    assert len(tagged.constraints) == 3
+    assert tagged.count_groundings() == marked.count_groundings() * len(tags)
+
+
+def test_shifted_rejects_a_negative_multiplicity():
+    l = LiftedMultiHypergraph([Vertex("e", "screw"), Vertex("s", "slot")],
+                              [Hyperedge("at", ("e", "s"))])
+    assert l.shifted({("at", ("e", "s")): -1}).fixed_edges == ()
+    with pytest.raises(StructuralError):
+        l.shifted({("at", ("e", "s")): -2})
+    with pytest.raises(StructuralError):
+        l.shifted({("mark", ("s",)): -1})
 
 
 def test_enumeration_limit():

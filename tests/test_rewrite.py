@@ -208,8 +208,8 @@ def test_lifted_apply_shifts_untouched_bounds():
     assert len(res.outputs) == 1
     state, p = res.outputs[0]
     assert p == 1.0
-    assert state.fixed_multiplicity("at", ("a", "l2")) == 1
-    assert state.fixed_multiplicity("at", ("a", "l1")) == 0
+    assert Hyperedge("at", ("a", "l2")) in state.fixed_edges
+    assert state.multiplicity_bounds(("at", ("a", "l1"))) == (0, 0)
     assert state.bounded_edges == l.bounded_edges
 
 
@@ -234,7 +234,7 @@ def test_lifted_apply_falls_back_on_roomy_slots():
         [Hyperedge("holds", ("a", "e")), Hyperedge("at", ("e", "s1"))])
     res = check_against_ground(install_rule(("slot_a",), capacity=2), l)
     assert res.n_applicable == res.n_groundings == 1
-    assert res.outputs[0][0].fixed_multiplicity("at", ("e", "s1")) == 2
+    assert Hyperedge("at", ("e", "s1"), 2) in res.outputs[0][0].fixed_edges
 
 
 def test_lifted_apply_empty_and_inapplicable():
@@ -448,3 +448,54 @@ def test_condition_prune_drops_only_dead_successors():
                    if live(s, conds))
 
     check()
+
+
+def test_condition_prune_on_every_kind_of_plan_step():
+    """A ``mark`` plan with a grown-group step (pen), a fresh-group step
+    (cup) and a single-empty step (key): for each successor, conditions
+    that only it can meet make ``lifted_apply`` return exactly that
+    successor, with the same bytes and probability as without them."""
+    items, slots = ("pen", "cup", "key"), ("s1", "s2", "s3")
+
+    def mark(item, slot):
+        return ("mark", tuple(sorted((item, slot))))
+
+    pen_keys = frozenset(mark("pen", s) for s in slots)
+    l = LiftedMultiHypergraph(
+        [Vertex("a", "agent")] + [Vertex(i, i) for i in items]
+        + [Vertex(s, f"slot_{s}") for s in slots],
+        [Hyperedge("holds", ("a", i)) for i in items]
+        + [Hyperedge(*mark("cup", "s3")), Hyperedge(*mark("key", "s2")),
+           Hyperedge(*mark("key", "s3"))],
+        [BoundedEdge(*k, 0, 1) for k in pen_keys],
+        [TotalConstraint("pen", pen_keys, 1)])
+    rule = Rule(
+        "mark",
+        Pattern((PatternVertex("A", "agent"), PatternVertex("I", frozenset(items)),
+                 PatternVertex("S", frozenset(f"slot_{s}" for s in slots))),
+                (PatternEdge("holds", ("A", "I")),)),
+        Effect(retract=(EffectEdge("holds", ("A", "I")),),
+               assert_=(EffectEdge("mark", ("I", "S"), cap=1),)))
+    full = check_against_ground(rule, l)
+    assert full.n_applicable == full.n_groundings == 3
+
+    def entry(state, p):
+        return state.canonical_form().data, repr(p)
+
+    entries = {entry(*out) for out in full.outputs}
+    assert sorted(p for _, p in full.outputs) == [0.2, 0.4, 0.4]
+    only = {
+        "pen": [((("holds", ("a", "pen")),), 0)],
+        "cup": [((mark("cup", "s1"), mark("cup", "s2")), 1)],
+        "key": [((mark("key", "s1"),), 1)],
+    }
+    kept = set()
+    for item, conds in only.items():
+        pruned = lifted_apply(rule, l, conds)
+        assert (pruned.n_applicable, pruned.n_groundings) == (3, 3)
+        assert len(pruned.outputs) == 1
+        state, p = pruned.outputs[0]
+        assert entry(state, p) in entries
+        assert state.multiplicity_bounds(("holds", ("a", item))) == (0, 0)
+        kept.add(entry(state, p))
+    assert kept == entries
