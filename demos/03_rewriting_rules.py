@@ -57,7 +57,7 @@ def main():
     # unobserved install: one screw somewhere among the three slots.
     l1 = lifted_apply(rule, LiftedMultiHypergraph.from_graph(g))
     assert l1.n_applicable == l1.n_groundings == 1
-    state_after_one = l1.outputs[0][0]
+    state_after_one = l1.outputs()[0][0]
     print("\nafter one unobserved install:")
     for b in state_after_one.bounded_edges:
         print(f"  {b.label}{b.incidence} in [{b.lower}, {b.upper}]")
@@ -67,7 +67,8 @@ def main():
     l2 = lifted_apply(rule, state_after_one)
     print("\nsecond application:")
     print("  applicable groundings:", l2.n_applicable, "of", l2.n_groundings)
-    print("  lifted outputs:", len(l2.outputs))
+    outputs = l2.outputs()
+    print("  lifted outputs:", len(outputs))
 
     # Brute-force oracle: expand, push every grounding through the ground
     # semantics, and compare the two distributions over canonical forms.
@@ -76,7 +77,7 @@ def main():
         for out, p in successors(rule, ground):
             brute[out.canonical_form().data] += w * p
     lifted_dist = defaultdict(float)
-    for out, p in l2.outputs:
+    for out, p in outputs:
         for ground, w in expand(out):
             lifted_dist[ground.canonical_form().data] += p * w
     tv = total_variation(dict(brute), dict(lifted_dist))

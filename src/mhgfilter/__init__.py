@@ -26,9 +26,8 @@ from .domain import (AnnotationTuple, Domain, bookshelf_domain, builtin_domain,
 from .oracle import (ComparisonReport, GroundBelief, GroundFilterResult,
                      compare, expand, ground_filter_trace, total_variation)
 from .rewrite import (Effect, EffectEdge, LiftedApplyResult, Match, Pattern,
-                      PatternEdge, PatternVertex, Rule, applicability_count,
-                      apply, ground_options, lifted_apply,
-                      successors)
+                      PatternEdge, PatternVertex, Rule, apply,
+                      ground_options, lifted_apply, successors)
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,7 @@ __all__ = [
     "MultiHypergraph", "ParseError", "Particle", "Pattern", "PatternEdge",
     "PatternVertex", "Rule", "StepStats", "StructuralError",
     "TotalConstraint", "TraceInconsistencyError", "Vertex", "agent_location",
-    "applicability_count", "apply", "bookshelf_domain", "build_graph", "builtin_domain",
+    "apply", "bookshelf_domain", "build_graph", "builtin_domain",
     "canonical_form", "canonical_form_lifted", "compare", "consistent",
     "edge_key", "expand", "filter_trace",
     "format_trace", "generate_trace", "ground_filter_trace",

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ParseError, StructuralError
+from .errors import IntegrityError, ParseError, StructuralError
 from .filtering import ActionModel, agent_location
 from .graphs import Hyperedge, MultiHypergraph, Vertex
 from .lifted import BoundedEdge, LiftedMultiHypergraph, TotalConstraint
@@ -125,14 +125,28 @@ def _req(obj: dict, key: str, source: str):
     return obj[key]
 
 
+def _integer(value, name: str) -> int:
+    """An integer field as written: a JSON integer, never a boolean."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} is {value!r}, not an integer")
+    return value
+
+
+def _labels(value, name: str) -> frozenset[str]:
+    """A label set as written: a JSON array of strings."""
+    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+        raise ValueError(f"{name} is {value!r}, not a list of strings")
+    return frozenset(value)
+
+
 def _pattern_vertex(pv: dict, source: str) -> PatternVertex:
     label = pv.get("label")
     any_of = pv.get("label_any_of")
     if label is not None and any_of is not None:
         raise ParseError("pattern vertex has both label and label_any_of", source)
     return PatternVertex(_req(pv, "var", source),
-                         frozenset(any_of) if any_of is not None else label,
-                         int(pv.get("min_multiplicity", 1)))
+                         label if any_of is None else _labels(any_of, "label_any_of"),
+                         _integer(pv.get("min_multiplicity", 1), "min_multiplicity"))
 
 
 def _desugar_lifted_effect(le: dict, pattern: Pattern, effect: Effect,
@@ -153,7 +167,8 @@ def _desugar_lifted_effect(le: dict, pattern: Pattern, effect: Effect,
             raise ParseError(f"lifted_effect key {key!r} is not "
                              f"supported with value {value!r}", source)
     slots = [(_req(s, "label", source), tuple(_req(s, "incidence", source)),
-              int(s.get("capacity", 1))) for s in _req(le, "slots", source)]
+              _integer(s.get("capacity", 1), "capacity"))
+             for s in _req(le, "slots", source)]
     if not slots:
         raise ParseError("lifted_effect has no slots", source)
     label, incidence, capacity = slots[0]
@@ -197,23 +212,23 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
         labels = data.get("labels", {})
         conservation = data.get("conservation", {})
         vertices = [Vertex(_req(v, "id", source), _req(v, "label", source),
-                           int(v.get("multiplicity", 1)))
+                           _integer(v.get("multiplicity", 1), "multiplicity"))
                     for v in _req(data, "vertices", source)]
         edges = [Hyperedge(_req(e, "label", source),
                            tuple(_req(e, "incidence", source)),
-                           int(e.get("multiplicity", 1)))
+                           _integer(e.get("multiplicity", 1), "multiplicity"))
                  for e in data.get("edges", ())]
         bounded = [BoundedEdge(_req(b, "label", source),
                                tuple(_req(b, "incidence", source)),
-                               int(_req(b, "lower", source)),
-                               int(_req(b, "upper", source)))
+                               _integer(_req(b, "lower", source), "lower"),
+                               _integer(_req(b, "upper", source), "upper"))
                    for b in data.get("bounded_edges", ())]
         constraints = [
             TotalConstraint(
                 _req(c, "name", source),
                 frozenset((label, tuple(sorted(inc)))
                           for label, inc in _req(c, "edges", source)),
-                int(_req(c, "total", source)))
+                _integer(_req(c, "total", source), "total"))
             for c in data.get("constraints", ())]
         rules = []
         for r in _req(data, "rules", source):
@@ -223,7 +238,8 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
                       for pv in pat.get("vertices", ())),
                 tuple(PatternEdge(_req(pe, "label", source),
                                   tuple(_req(pe, "vars", source)),
-                                  int(pe.get("min_multiplicity", 1)))
+                                  _integer(pe.get("min_multiplicity", 1),
+                                           "min_multiplicity"))
                       for pe in pat.get("edges", ())))
             eff = r.get("effect", {})
 
@@ -231,8 +247,9 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
                 return tuple(
                     EffectEdge(_req(e, "label", source),
                                tuple(_req(e, "vars", source)),
-                               int(e.get("multiplicity", 1)),
-                               None if e.get("cap") is None else int(e["cap"]))
+                               _integer(e.get("multiplicity", 1), "multiplicity"),
+                               None if e.get("cap") is None
+                               else _integer(e["cap"], "cap"))
                     for e in entries)
 
             effect = Effect(_effect_edges(eff.get("retract", ())),
@@ -245,17 +262,22 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
         action_model = ActionModel(
             dict(am.get("weights", {})),
             {loc: dict(tbl) for loc, tbl in am.get("by_location", {}).items()})
-        conservation_labels = frozenset(conservation.get("edges", ()))
-        conserved_vertex_labels = frozenset(conservation.get("vertices", ()))
+        conservation_labels = _labels(conservation.get("edges", []),
+                                      "conservation.edges")
+        conserved_vertex_labels = _labels(conservation.get("vertices", []),
+                                          "conservation.vertices")
         initial = LiftedMultiHypergraph(
             vertices, edges, bounded, constraints,
             conservation_labels, conserved_vertex_labels)
         return Domain(
             name=str(data.get("name", source)),
             agent_id=_req(data, "agent", source),
-            location_labels=frozenset(_req(labels, "locations", source)),
-            agent_location_labels=frozenset(_req(labels, "agent_locations", source)),
-            holdable_labels=frozenset(_req(labels, "holdable", source)),
+            location_labels=_labels(_req(labels, "locations", source),
+                                    "labels.locations"),
+            agent_location_labels=_labels(_req(labels, "agent_locations", source),
+                                          "labels.agent_locations"),
+            holdable_labels=_labels(_req(labels, "holdable", source),
+                                    "labels.holdable"),
             conservation_labels=conservation_labels,
             conserved_vertex_labels=conserved_vertex_labels,
             initial_state=initial,
@@ -265,7 +287,8 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
             holds_label=str(data.get("holds_label", "holds")))
     except ParseError:
         raise
-    except (StructuralError, KeyError, TypeError, ValueError) as exc:
+    except (StructuralError, IntegrityError, KeyError, TypeError,
+            ValueError) as exc:
         raise ParseError(f"bad domain document: {exc}", source) from exc
 
 

@@ -8,12 +8,12 @@ name, the agent's location before and after, and the held-item counts before
 and after; every component is observed exactly or not at all, so observation
 factors are counting fractions rather than noisy likelihoods).
 
-Prediction only counts, per belief entry and rule, the groundings in which
-the rule applies; a particle holds its predecessor and rule, not its
-successors.  The update builds successors only for particles whose rule is
-the observed action, from each state that conditioning the predecessor
-leaves, and only those the next-side observation does not already exclude.
-Every state that enters a belief is built, and checked, on the way.
+Prediction plans each rule once per belief entry and builds nothing; a
+particle carries that transition, not its successors.  The update builds
+successors only for particles whose rule is the observed action, from the
+particle's plan (re-planned where conditioning tightens the predecessor),
+and only those the next-side observation does not already exclude.  Every
+state that enters a belief is built, and checked, on the way.
 
 Exactness contract: prediction splits a belief entry into its groundings
 whenever some rule is applicable in only part of them, so each surviving
@@ -35,7 +35,7 @@ from .canon import merge_by_form
 from .errors import IntegrityError, TraceInconsistencyError
 from .graphs import EdgeKey, MultiHypergraph, edge_key
 from .lifted import BoundedEdge, LiftedMultiHypergraph, State
-from .rewrite import Rule, applicability_count, lifted_apply
+from .rewrite import LiftedApplyResult, Rule, lifted_apply
 
 logger = logging.getLogger("mhgfilter")
 
@@ -114,16 +114,23 @@ class Belief:
 
 @dataclass(frozen=True)
 class Particle:
-    """One predecessor hypothesis with one applicable rule.
+    """One predecessor hypothesis with one applicable rule's transition.
 
     ``weight`` is the joint mass of (predecessor, rule).  The successors are
     built by the update, from the predecessor as the observation leaves it,
     so a particle the observation rules out never builds them.
     """
 
-    prev: LiftedMultiHypergraph
-    rule: Rule
+    transition: LiftedApplyResult
     weight: float
+
+    @property
+    def prev(self) -> LiftedMultiHypergraph:
+        return self.transition.state
+
+    @property
+    def rule(self) -> Rule:
+        return self.transition.rule
 
 
 @dataclass(frozen=True)
@@ -284,23 +291,23 @@ def predict(domain, belief: Belief) -> JointPrediction:
     Entries whose groundings disagree on some rule's applicability are split
     into grounding singletons first, so every particle's rule probability is
     well defined.  Entries with no applicable rule at all are dropped (dead
-    ends) and the prediction is renormalised.  Only applicability is counted
-    here; the update builds the successors of the particles it keeps.
+    ends) and the prediction is renormalised.  Each rule is planned once per
+    entry; the update builds the successors of the particles it keeps.
     """
     queue: list[tuple[LiftedMultiHypergraph, float]] = list(belief.entries)
-    masses: list[tuple[LiftedMultiHypergraph, Rule, float]] = []
+    masses: list[tuple[LiftedApplyResult, float]] = []
     dropped = 0.0
     while queue:
         state, w = queue.pop()
         applicable = []
         split = False
         for rule in domain.rules:
-            n_app, n_tot = applicability_count(rule, state)
-            if 0 < n_app < n_tot:
+            t = lifted_apply(rule, state)
+            if 0 < t.n_applicable < t.n_groundings:
                 split = True
                 break
-            if n_app > 0:
-                applicable.append(rule)
+            if t.n_applicable > 0:
+                applicable.append(t)
         if split:
             n = state.count_groundings()
             for g in state.iter_groundings():
@@ -311,21 +318,21 @@ def predict(domain, belief: Belief) -> JointPrediction:
             logger.warning("dead end: no applicable rule; dropping %g belief mass", w)
             dropped += w
             continue
-        weights = [domain.action_model.rule_weight(rule.name, loc)
-                   for rule in applicable]
+        weights = [domain.action_model.rule_weight(t.rule.name, loc)
+                   for t in applicable]
         total_w = sum(weights)
         if total_w <= 0:
             logger.warning("dead end: zero action mass; dropping %g belief mass", w)
             dropped += w
             continue
-        for rule, rw in zip(applicable, weights):
+        for t, rw in zip(applicable, weights):
             if rw == 0:
                 continue
-            masses.append((state, rule, w * rw / total_w))
+            masses.append((t, w * rw / total_w))
     if not masses:
         return JointPrediction((), dropped)
-    scale = 1.0 / sum(m for _, _, m in masses)
-    particles = [Particle(state, rule, m * scale) for state, rule, m in masses]
+    scale = 1.0 / sum(m for _, m in masses)
+    particles = [Particle(t, m * scale) for t, m in masses]
     particles.sort(key=lambda p: (p.rule.name, p.prev.canonical_form().data))
     return JointPrediction(tuple(particles), dropped)
 
@@ -351,7 +358,8 @@ def update(domain, annotation, joint: JointPrediction, step: int = 0
             # applicability is grounding-independent on the particle's
             # predecessor, hence also on any subset of its groundings, so
             # the successor probabilities need no reweighting
-            for succ, prob in lifted_apply(p.rule, tight, next_conds).outputs:
+            t = p.transition if tight is p.prev else lifted_apply(p.rule, tight)
+            for succ, prob in t.outputs(next_conds):
                 f_next, nexts = _condition_state(
                     domain, succ, annotation.loc_next, annotation.held_next)
                 if f_next == 0.0:

@@ -209,15 +209,11 @@ class LiftedMultiHypergraph:
         return cls(g.vertices, g.edges, (), (),
                    g.conservation_labels, g.conserved_vertex_labels)
 
-    def rebuild(self, *, bounded: Iterable[BoundedEdge] | None = None,
-                constraints: Iterable[TotalConstraint] | None = None
-                ) -> "LiftedMultiHypergraph":
-        """New lifted state over the same vertices and fixed edges with
-        replaced bounded edges or constraints."""
+    def rebuild(self, *, bounded: Iterable[BoundedEdge]) -> "LiftedMultiHypergraph":
+        """New lifted state over the same vertices, fixed edges and
+        constraints with replaced bounded edges."""
         return LiftedMultiHypergraph(
-            self.vertices, self.fixed_edges,
-            self.bounded_edges if bounded is None else bounded,
-            self.constraints if constraints is None else constraints,
+            self.vertices, self.fixed_edges, bounded, self.constraints,
             self.conservation_labels, self.conserved_vertex_labels)
 
     def shifted(self, delta: Mapping[EdgeKey, int], grow: str | None = None,

@@ -10,10 +10,10 @@ Ground semantics: a rule is applicable via every injective assignment of its
 pattern variables whose effect can be applied.  Applying a rule picks
 uniformly among these options.
 
-Lifted semantics: ``lifted_apply`` pushes a rule through a lifted state and
-returns the exact distribution over successor lifted states, together with
-the number of groundings in which the rule is applicable.  Two strategies
-are used:
+Lifted semantics: ``lifted_apply`` answers, once per rule and lifted state,
+in how many groundings the rule is applicable and how its successors arise;
+``LiftedApplyResult.outputs`` then builds the exact distribution over
+successor lifted states from that answer.  Two strategies are used:
 
 * interval shift with match aggregation, when every match is *sure* and
   the effect at each match is sure or not *possible*.  One matching pass
@@ -31,16 +31,15 @@ are used:
   (counting-formula lifting; this is the source of state compression).  A
   single empty slot key joins the delta.  Rules without a slot edge shift
   each match separately.
-* exact fallback: enumerate groundings, apply the rule in each, and merge
-  the results by canonical form.  Past ``lifted.MAX_GROUNDINGS``
-  groundings it raises EnumerationLimitError instead.
+* exact fallback: enumerate groundings and their options; ``outputs``
+  applies the rule at each option and merges the results by canonical
+  form.  Past ``lifted.MAX_GROUNDINGS`` groundings it raises
+  EnumerationLimitError instead.
 
 Both agree with the ground semantics exactly; the fallback is the
 definition, the shift is a proved-equal fast path whose preconditions are
-the sure/possible verdicts.  ``applicability_count`` returns the same two
-counts without building any successor; it and ``lifted_apply`` share one
-precondition pass, and a failed precondition is logged at debug level with
-the rule's name.  Nor does ``lifted_apply`` build the successors that the
+the sure/possible verdicts.  A failed precondition is logged at debug level
+with the rule's name.  ``outputs`` does not build the successors that the
 caller's exact-count conditions already exclude.
 """
 
@@ -59,8 +58,7 @@ logger = logging.getLogger("mhgfilter")
 
 __all__ = ["PatternVertex", "PatternEdge", "Pattern", "EffectEdge", "Effect",
            "Rule", "Match", "LiftedApplyResult",
-           "apply", "ground_options", "successors",
-           "applicability_count", "lifted_apply"]
+           "apply", "ground_options", "successors", "lifted_apply"]
 
 
 @dataclass(frozen=True)
@@ -330,47 +328,45 @@ def successors(rule: Rule, g: MultiHypergraph) -> list[tuple[MultiHypergraph, fl
 
 @dataclass(frozen=True)
 class LiftedApplyResult:
-    """Successor lifted states with probabilities, plus applicability counts.
+    """One rule's transition from one lifted state, planned but not built.
 
-    ``outputs`` is conditional on the rule being applicable; ``n_applicable``
-    of the ``n_groundings`` groundings admit at least one option.  Callers
-    split the source state when 0 < n_applicable < n_groundings.
+    ``n_applicable`` of the ``n_groundings`` groundings admit at least one
+    option; callers split the state when 0 < n_applicable < n_groundings.
+    The lifted path fills ``plan``; the fallback fills ``groundings`` with
+    each applicable grounding and its ``ground_options``.
     """
 
-    outputs: tuple[tuple[LiftedMultiHypergraph, float], ...]
+    rule: Rule
+    state: LiftedMultiHypergraph
     n_applicable: int
     n_groundings: int
+    plan: tuple[tuple, ...] = ()
+    groundings: tuple[tuple[MultiHypergraph, list[Match]], ...] | None = None
 
+    def outputs(self, conditions: Sequence[tuple] = ()
+                ) -> tuple[tuple[LiftedMultiHypergraph, float], ...]:
+        """Successor lifted states with probabilities, conditional on the
+        rule being applicable.
 
-def _fallback_counts(rule: Rule, l: LiftedMultiHypergraph,
-                     pairs: list[tuple[MultiHypergraph, float]] | None = None
-                     ) -> tuple[int, int]:
-    """Enumerate l's groundings; return (n_applicable, n_groundings).
-
-    With ``pairs``, also append every option's ground successor with its
-    probability within its grounding.
-    """
-    n_app = 0
-    n_tot = 0
-    for g in l.iter_groundings():
-        n_tot += 1
-        options = ground_options(rule, g)
-        if options:
-            n_app += 1
-            if pairs is not None:
-                pairs += [(apply(rule, g, m), 1.0 / len(options)) for m in options]
-    return n_app, n_tot
-
-
-def _fallback(rule: Rule, l: LiftedMultiHypergraph) -> LiftedApplyResult:
-    """Definitionally exact path: enumerate, apply, relift by canonical form."""
-    pairs: list[tuple[MultiHypergraph, float]] = []
-    n_app, n_tot = _fallback_counts(rule, l, pairs)
-    if n_app == 0:
-        return LiftedApplyResult((), 0, n_tot)
-    outputs = [(LiftedMultiHypergraph.from_graph(h), w / n_app)
-               for _, (h, w) in sorted(merge_by_form(pairs).items())]
-    return LiftedApplyResult(tuple(outputs), n_app, n_tot)
+        The lifted path builds no successor whose plan step decides one of
+        the ``conditions`` (key set, required total) false, but counts it in
+        the normaliser; the fallback builds them all.  Exact: construction
+        only tightens bounds, and the domain's conditions give isomorphic,
+        merging successors one verdict (unique agent and agent-location
+        labels; held counts sum over a label).  Pinned forms that lift that
+        label rule must revisit this.
+        """
+        if self.groundings is not None:
+            pairs = [(apply(self.rule, g, m), 1.0 / len(options))
+                     for g, options in self.groundings for m in options]
+            return tuple((LiftedMultiHypergraph.from_graph(h), w / self.n_applicable)
+                         for _, (h, w) in sorted(merge_by_form(pairs).items()))
+        l = self.state
+        n_options = sum(step[0] for step in self.plan)
+        outs = merge_by_form((l.shifted(delta, grow, fresh), n / n_options)
+                             for n, delta, grow, fresh in self.plan
+                             if not _excluded(l, delta, fresh, conditions))
+        return tuple(v for _, v in sorted(outs.items()))
 
 
 def _slot_edge(rule: Rule) -> EffectEdge | None:
@@ -465,18 +461,6 @@ def _slot_plan(slot: EffectEdge, l: LiftedMultiHypergraph,
     return plan
 
 
-def applicability_count(rule: Rule, l: LiftedMultiHypergraph) -> tuple[int, int]:
-    """(n_applicable, n_groundings) exactly as ``lifted_apply`` reports them,
-    without building, canonicalising or checking any successor."""
-    if l.is_empty:
-        return 0, 0
-    plan = _lifted_plan(rule, l)
-    if plan is None:
-        return _fallback_counts(rule, l)
-    n_tot = l.count_groundings()
-    return (n_tot if plan else 0), n_tot
-
-
 def _excluded(l: LiftedMultiHypergraph, delta: Mapping[EdgeKey, int],
               fresh: frozenset[EdgeKey], conditions) -> bool:
     """Whether a plan step's successor puts a condition's key sum off its total."""
@@ -492,28 +476,14 @@ def _excluded(l: LiftedMultiHypergraph, delta: Mapping[EdgeKey, int],
                for keys, required in conditions)
 
 
-def lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
-                 conditions: Sequence[tuple] = ()) -> LiftedApplyResult:
-    """Exact successor distribution of the rule over a lifted state.
-
-    The lifted path builds no successor whose plan step decides one of the
-    caller's ``conditions`` (key set, required total) false, but counts it
-    in the normaliser.  Exact: construction only tightens bounds, and the
-    domain's conditions give isomorphic, merging successors one verdict
-    (unique agent and agent-location labels; held counts sum over a label).
-    Pinned forms that lift that label rule must revisit this.
-    """
-    if l.is_empty:
-        return LiftedApplyResult((), 0, 0)
-    plan = _lifted_plan(rule, l)
-    if plan is None:
-        return _fallback(rule, l)
+def lifted_apply(rule: Rule, l: LiftedMultiHypergraph) -> LiftedApplyResult:
+    """The rule's transition from a lifted state, from one precondition
+    pass or one enumeration of groundings; nothing is built until
+    ``outputs`` is read."""
     n_tot = l.count_groundings()
-    if not plan:
-        return LiftedApplyResult((), 0, n_tot)
-
-    n_options = sum(step[0] for step in plan)
-    outs = merge_by_form((l.shifted(delta, grow, fresh), n / n_options)
-                         for n, delta, grow, fresh in plan
-                         if not _excluded(l, delta, fresh, conditions))
-    return LiftedApplyResult(tuple(v for _, v in sorted(outs.items())), n_tot, n_tot)
+    plan = _lifted_plan(rule, l) if n_tot else []
+    if plan is not None:
+        return LiftedApplyResult(rule, l, n_tot if plan else 0, n_tot, tuple(plan))
+    options = ((g, ground_options(rule, g)) for g in l.iter_groundings())
+    groundings = tuple((g, o) for g, o in options if o)
+    return LiftedApplyResult(rule, l, len(groundings), n_tot, groundings=groundings)

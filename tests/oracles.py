@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from mhgfilter import (BoundedEdge, Effect, LiftedApplyResult,
@@ -237,8 +238,17 @@ def merge_free_log_likelihood(domain, trace) -> float:
     return log_likelihood
 
 
-def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
-                           conditions=()) -> LiftedApplyResult:
+@dataclass(frozen=True)
+class _RawTransition(LiftedApplyResult):
+    """A transition whose ``outputs`` are fixed raw successors."""
+
+    raw: tuple = ()
+
+    def outputs(self, conditions=()):
+        return self.raw
+
+
+def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph) -> LiftedApplyResult:
     """A deliberately wrong ``lifted_apply``, for divergence-detection tests.
 
     A rule with a capped assert skips the exactness precondition and takes
@@ -246,21 +256,21 @@ def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
     rest moves fixed edges, the group holding the capped assert's key grows
     its total by one, and every member's upper bound grows by one, capped at
     the new total.  The result is exact only by accident.  Other rules take
-    the library's path, with ``conditions``; the capped branch ignores them
-    and builds every successor, so the update's own conditioning alone
-    keeps it exact where the arithmetic is.  Tests patch it in at
+    the library's path.  The capped branch's ``outputs`` ignore their
+    conditions and return every successor, so the update's own conditioning
+    alone keeps it exact where the arithmetic is.  Tests patch it in at
     ``mhgfilter.filtering.lifted_apply``.
     """
     capped = next((e for e in rule.effect.assert_ if e.cap is not None), None)
     if capped is None:
-        return lifted_apply(rule, l, conditions)
+        return lifted_apply(rule, l)
     n = l.count_groundings()
     rest = Rule(rule.name, rule.pattern,
                 Effect(rule.effect.retract,
                        tuple(e for e in rule.effect.assert_ if e is not capped)))
     matches = ground_options(rest, l)
     if not matches:
-        return LiftedApplyResult((), 0, n)
+        return LiftedApplyResult(rule, l, 0, n)
 
     def key(e, assignment):
         return edge_key(e.label, [assignment.get(x, x) for x in e.vars])
@@ -284,7 +294,7 @@ def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph,
             l.vertices, [Hyperedge(lbl, inc, c) for (lbl, inc), c in fixed.items() if c],
             bounded, constraints, l.conservation_labels, l.conserved_vertex_labels)
         outputs.append((state, 1.0 / len(matches)))
-    return LiftedApplyResult(tuple(outputs), n, n)
+    return _RawTransition(rule, l, n, n, raw=tuple(outputs))
 
 
 def lifted_distribution(outputs: Iterable[tuple[LiftedMultiHypergraph, float]]

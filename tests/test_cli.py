@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from mhgfilter import AnnotationTuple, format_trace, serialize_domain
+from mhgfilter import (AnnotationTuple, format_trace, mini_bookshelf_domain,
+                       serialize_domain)
 from mhgfilter.cli import main
 from oracles import unchecked_lifted_apply
 from test_oracle import unchecked_domain
@@ -130,6 +131,23 @@ def test_parse_problems_exit_three(tmp_path, capsys):
     assert code == 3
     assert "mhg-domain/0" in err
 
+
+
+def test_bad_domain_values_exit_three(tmp_path, mini_trace, capsys):
+    """An initial state that breaks conservation, and a label list written as
+    a string, are parse errors rather than a crash or an inconsistent trace."""
+    for key, change in (("leaky", lambda d: d["vertices"][3].update(multiplicity=5)),
+                        ("stringly", lambda d: d["labels"].update(holdable="eccentric"))):
+        doc = serialize_domain(mini_bookshelf_domain())
+        assert doc["vertices"][3]["id"] == "eccentric"
+        change(doc)
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "filter", "--domain", str(path),
+                             "--trace", str(mini_trace))
+        assert code == 3
+        assert out == ""
+        assert f"{key}.json" in err
 
 def test_enumeration_cap_exits_four(tmp_path, capsys):
     """Seven free [0,9] marks give 10^7 groundings: lifted filtering never

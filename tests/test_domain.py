@@ -106,6 +106,59 @@ def test_parse_domain_errors():
         parse_domain(broken, "dupes.json")
     assert exc.value.source == "dupes.json"
 
+    # an initial state that breaks conservation is a parse error too
+    broken = copy.deepcopy(good)
+    next(v for v in broken["vertices"] if v["id"] == "eccentric")["multiplicity"] = 5
+    with pytest.raises(ParseError) as exc:
+        parse_domain(broken, "leaky.json")
+    assert exc.value.source == "leaky.json"
+
+
+def test_parse_domain_takes_values_as_written():
+    """Integer fields must be JSON integers, not booleans, and label sets
+    JSON arrays of strings: a coerced value would load another domain."""
+    good = serialize_domain(mini_bookshelf_domain())
+    good["bounded_edges"] = [{"label": "mark", "incidence": ["floor"],
+                              "lower": 0, "upper": 1}]
+    good["constraints"] = [{"name": "g", "edges": [["mark", ["floor"]]], "total": 1}]
+    parse_domain(good, "doc")
+    lifted, index = lifted_effect_document(mini_bookshelf_domain())
+    parse_domain(lifted, "doc")
+    ecc = next(i for i, v in enumerate(good["vertices"]) if v["id"] == "eccentric")
+    inst = next(i for i, r in enumerate(good["rules"])
+                if r["name"] == "installEccentric")
+    cases = [
+        (good, ("vertices", ecc, "multiplicity"), (4.7, "4", True)),
+        (good, ("edges", 0, "multiplicity"), (1.0, "1")),
+        (good, ("bounded_edges", 0, "lower"), ("0", False)),
+        (good, ("bounded_edges", 0, "upper"), (1.0, True)),
+        (good, ("constraints", 0, "total"), (True, "1")),
+        (good, ("rules", inst, "effect", "assert", 0, "cap"), (True, 1.0)),
+        (good, ("rules", inst, "effect", "retract", 0, "multiplicity"), ("1",)),
+        (good, ("rules", inst, "pattern", "vertices", 0, "min_multiplicity"),
+         (1.0, "1")),
+        (good, ("rules", inst, "pattern", "edges", 0, "min_multiplicity"), (True,)),
+        (lifted, ("rules", index, "lifted_effect", "slots", 0, "capacity"),
+         (True, 1.0)),
+        (good, ("labels", "locations"), ("floor", ["floor", 1])),
+        (good, ("labels", "agent_locations"), ("table",)),
+        (good, ("labels", "holdable"), ("eccentric", {"eccentric": 1})),
+        (good, ("conservation", "edges"), ("at",)),
+        (good, ("conservation", "vertices"), ("eccentric", [None])),
+        (good, ("rules", inst, "pattern", "vertices", 4, "label_any_of"),
+         ("slot_a1",)),
+    ]
+    for doc, path, values in cases:
+        for value in values:
+            bad = copy.deepcopy(doc)
+            where = bad
+            for step in path[:-1]:
+                where = where[step]
+            where[path[-1]] = value
+            with pytest.raises(ParseError) as exc:
+                parse_domain(bad, "doc")
+            assert repr(value) in str(exc.value), (path, value)
+
 
 def lifted_effect_document(domain):
     """``serialize_domain(domain)`` with the install rule written by hand in

@@ -7,13 +7,13 @@ import pytest
 
 from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
                        Domain, Effect, EffectEdge, Hyperedge, IntegrityError,
-                       LiftedMultiHypergraph, Pattern, PatternEdge,
-                       PatternVertex, Rule, TotalConstraint,
+                       LiftedApplyResult, LiftedMultiHypergraph, Pattern,
+                       PatternEdge, PatternVertex, Rule, TotalConstraint,
                        TraceInconsistencyError, Vertex, agent_location,
                        bookshelf_domain, build_graph, consistent, filter_trace,
                        generate_trace, lifted_apply, mini_bookshelf_domain,
                        predict, update)
-from mhgfilter import filtering
+from mhgfilter import rewrite
 from mhgfilter.filtering import _condition_state
 
 LOCS = frozenset({"floor", "table"})
@@ -132,7 +132,7 @@ def test_predict_applies_action_weights():
     assert by_rule["walk"].weight == pytest.approx(2 / 7)
     assert by_rule["take"].weight == pytest.approx(5 / 7)
     for p in joint.particles:
-        outputs = lifted_apply(p.rule, p.prev).outputs
+        outputs = lifted_apply(p.rule, p.prev).outputs()
         assert sum(w for _, w in outputs) == pytest.approx(1.0)
 
 
@@ -280,15 +280,35 @@ def test_filter_step_builds_successors_only_for_the_observed_rule(monkeypatch):
     # walk, take, putDown and installEccentric all apply here
     assert len({p.rule.name for p in predict(domain, belief).particles}) == 4
     built = []
-    real = filtering.lifted_apply
+    real = LiftedApplyResult.outputs
 
-    def counting(rule, state, *args):
-        built.append(rule.name)
-        return real(rule, state, *args)
+    def counting(self, *args):
+        built.append(self.rule.name)
+        return real(self, *args)
 
-    monkeypatch.setattr("mhgfilter.filtering.lifted_apply", counting)
+    monkeypatch.setattr(LiftedApplyResult, "outputs", counting)
     filter_trace(domain, step, initial=belief)
     assert built == ["installEccentric"]
+
+
+def test_each_rule_is_planned_once_per_state_and_step(monkeypatch):
+    """``predict`` plans every (rule, state) pair once, and the update builds
+    from that plan: on an install-heavy bookshelf trace, whose beliefs stay
+    one lifted state that conditioning leaves whole, the precondition pass
+    runs once per rule and step."""
+    domain = bookshelf_domain()
+    trace, _ = generate_trace(domain, seed=0, length=30, policy="install_heavy")
+    planned = 0
+    real = rewrite._lifted_plan
+
+    def counting(*args):
+        nonlocal planned
+        planned += 1
+        return real(*args)
+
+    monkeypatch.setattr(rewrite, "_lifted_plan", counting)
+    filter_trace(domain, trace)
+    assert planned == len(domain.rules) * len(trace) == 150
 
 
 def test_update_builds_only_successors_the_observation_allows(monkeypatch):
