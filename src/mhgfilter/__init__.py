@@ -13,10 +13,10 @@ from .errors import (EffectError, EngineError, EnumerationLimitError,
                      IntegrityError, ParseError, StructuralError,
                      TraceInconsistencyError)
 from .filtering import (ActionModel, Belief, FilterResult, JointPrediction,
-                        Particle, StepStats, agent_location, consistent,
+                        Particle, StepStats, agent_location,
                         filter_trace, predict, update)
 from .graphs import (EdgeKey, Hyperedge, Label, MultiHypergraph, Vertex,
-                     build_graph, edge_key, is_isomorphic)
+                     build_graph, edge_key)
 from .lifted import (MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph,
                      TotalConstraint)
 from .domain import (AnnotationTuple, Domain, bookshelf_domain, builtin_domain,
@@ -43,10 +43,10 @@ __all__ = [
     "PatternVertex", "Rule", "StepStats", "StructuralError",
     "TotalConstraint", "TraceInconsistencyError", "Vertex", "agent_location",
     "apply", "bookshelf_domain", "build_graph", "builtin_domain",
-    "canonical_form", "canonical_form_lifted", "compare", "consistent",
+    "canonical_form", "canonical_form_lifted", "compare",
     "edge_key", "expand", "filter_trace",
     "format_trace", "generate_trace", "ground_filter_trace",
-    "ground_options", "held_counts", "is_isomorphic",
+    "ground_options", "held_counts",
     "lifted_apply", "mini_bookshelf_domain", "parse_domain", "parse_trace",
     "pinned_form", "predict", "serialize_domain", "successors",
     "total_variation", "update", "__version__",

@@ -33,6 +33,11 @@ never stand in for canonical forms.
 
 ``merge_by_form`` merges weighted states by canonical form for every layer
 (beliefs, rule successors, the ground oracle).
+
+The vertex index and records are compiled once per vertex layout, and each
+edge key's index incidence, record head and occurrence pairs once per key
+within it: they depend on the vertices alone, which all states sharing the
+layout have in common, so the bytes are those of a fresh build.
 """
 
 from __future__ import annotations
@@ -71,25 +76,23 @@ def _label_rec(label: str) -> bytes:
 class _Structure:
     """Prepared view of a state for the refinement search.
 
-    ``edges`` holds (descriptor, incidence-index-tuple) pairs where the
-    descriptor is any totally ordered hashable summary of the edge apart from
-    its incidence; descriptors take part in vertex signatures.
+    Per edge, ``descs`` holds a totally ordered hashable summary of it apart
+    from its incidence, which takes part in vertex signatures, and
+    ``occurrences`` its distinct vertex indices with their occurrence counts.
     """
 
-    def __init__(self, n: int, init_keys: list[bytes],
-                 edges: list[tuple[tuple, tuple[int, ...]]],
+    def __init__(self, n: int, init_keys: list[bytes], descs: list[tuple],
+                 occurrences: list[tuple[tuple[int, int], ...]],
                  serialize: Callable[[list[int]], bytes]):
         self.n = n
         self.init_keys = init_keys
-        self.edges = edges
+        self.descs = descs
+        self.occurrences = occurrences
         self.serialize = serialize
-        # per edge: its distinct vertices with their occurrence counts
-        self.occurrences = [tuple(Counter(inc).items()) for _, inc in edges]
-        incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for ei, pairs in enumerate(self.occurrences):
+        self.incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for ei, pairs in enumerate(occurrences):
             for vi, occ in pairs:
-                incident[vi].append((ei, occ))
-        self.incident = incident
+                self.incident[vi].append((ei, occ))
 
 
 def _ranked(keys) -> list[int]:
@@ -119,7 +122,7 @@ def _refine(st: _Structure, colors: list[int]) -> list[int]:
         eco = [_colour_profile(colors, pairs) for pairs in st.occurrences]
         sigs = []
         for i in range(st.n):
-            row = sorted((st.edges[e][0], occ, eco[e]) for e, occ in st.incident[i])
+            row = sorted((st.descs[e], occ, eco[e]) for e, occ in st.incident[i])
             sigs.append((colors[i], tuple(row)))
         new = _ranked(sigs)
         if new == colors:
@@ -206,28 +209,31 @@ def _structure(state, pins: Mapping[str, int] | None, version: int) -> _Structur
     with no bounded edges and no constraints.
     """
     lifted = version in (0x02, 0xFF)
-    verts = state.vertices
-    n = len(verts)
-    idx = {v.id: i for i, v in enumerate(verts)}
-    fixed = [((0, e.label, e.multiplicity), tuple(idx[x] for x in e.incidence))
-             for e in state.fixed_edges]
-    bounded = [((1, b.label, b.lower, b.upper), tuple(idx[x] for x in b.incidence))
-               for b in state.bounded_edges]
-    edges = fixed + bounded
-    nf = len(fixed)
-    # per edge: the record bytes before and after its vertex indices
-    heads = [_label_rec(desc[1]) + pack(">I", len(inc)) for desc, inc in edges]
+    compiled = state.layout.compiled
+    if _structure not in compiled:
+        verts = state.vertices
+        compiled[_structure] = ({v.id: i for i, v in enumerate(verts)},
+                                [_label_rec(v.label) + pack(">Q", v.multiplicity)
+                                 for v in verts], {})
+    idx, vrecs, by_key = compiled[_structure]
+    n = len(vrecs)
+    recs = []
+    for e in state.fixed_edges + state.bounded_edges:
+        key = (e.label, e.incidence)
+        if key not in by_key:
+            inc = tuple(idx[x] for x in e.incidence)
+            by_key[key] = (inc, _label_rec(e.label) + pack(">I", len(inc)),
+                           tuple(Counter(inc).items()))
+        recs.append(by_key[key])
+    nf = len(state.fixed_edges)
+    descs = ([(0, e.label, e.multiplicity) for e in state.fixed_edges]
+             + [(1, b.label, b.lower, b.upper) for b in state.bounded_edges])
     tails = ([pack(">Q", e.multiplicity) for e in state.fixed_edges]
              + [pack(">QQ", b.lower, b.upper) for b in state.bounded_edges])
-
-    vrecs = []
-    for v in verts:
-        rec = _label_rec(v.label) + pack(">Q", v.multiplicity)
-        if pins is not None:
-            # 0 means unpinned, so stored pin indices are shifted up by one
-            rec += pack(">I", pins[v.id] + 1 if v.id in pins else 0)
-        vrecs.append(rec)
-
+    if pins is not None:
+        # 0 means unpinned, so stored pin indices are shifted up by one
+        vrecs = [rec + pack(">I", pins[v.id] + 1 if v.id in pins else 0)
+                 for rec, v in zip(vrecs, state.vertices)]
     init_keys = vrecs
     groups: list[tuple[int, list[int]]] = []
     if state.constraints:
@@ -239,7 +245,7 @@ def _structure(state, pins: Mapping[str, int] | None, version: int) -> _Structur
             groups.append((c.total, members))
             touched: Counter[int] = Counter()
             for bi in members:
-                touched.update(bounded[bi][1])
+                touched.update(recs[nf + bi][0])
             for vi, occ in touched.items():
                 profile[vi].append((c.total, len(members), occ))
         init_keys = [rec + b"".join(pack(">QIQ", t, s, o) for t, s, o in sorted(prof))
@@ -255,15 +261,15 @@ def _structure(state, pins: Mapping[str, int] | None, version: int) -> _Structur
     def serialize(colors: list[int]) -> bytes:
         # at a leaf the colouring is discrete: a colour is a canonical position
         order = sorted(range(n), key=lambda i: colors[i])
-        recs = [heads[ei] + b"".join(pack(">I", k) for k in sorted(colors[j] for j in inc))
-                + tails[ei] for ei, (_, inc) in enumerate(edges)]
+        erecs = [head + b"".join(pack(">I", k) for k in sorted(colors[j] for j in inc))
+                 + tail for (inc, head, _), tail in zip(recs, tails)]
         out = [bytes([version])]
         out += section([vrecs[i] for i in order])
-        out += section(sorted(recs[:nf]))
+        out += section(sorted(erecs[:nf]))
         if lifted:
-            branked = sorted(range(len(bounded)), key=lambda bi: recs[nf + bi])
+            branked = sorted(range(len(recs) - nf), key=lambda bi: erecs[nf + bi])
             bpos = {bi: r for r, bi in enumerate(branked)}
-            out += section([recs[nf + bi] for bi in branked])
+            out += section([erecs[nf + bi] for bi in branked])
             crecs = []
             for total, members in groups:
                 refs = sorted(bpos[bi] for bi in members)
@@ -272,7 +278,7 @@ def _structure(state, pins: Mapping[str, int] | None, version: int) -> _Structur
             out += section(sorted(crecs))
         return b"".join(out)
 
-    return _Structure(n, init_keys, edges, serialize)
+    return _Structure(n, init_keys, descs, [occ for _, _, occ in recs], serialize)
 
 
 def canonical_form(g) -> CanonicalForm:

@@ -23,7 +23,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import IntegrityError, ParseError, StructuralError
 from .filtering import ActionModel, agent_location
-from .graphs import Hyperedge, MultiHypergraph, Vertex
+from .graphs import Hyperedge, MultiHypergraph, Vertex, edge_key
 from .lifted import BoundedEdge, LiftedMultiHypergraph, TotalConstraint
 from .rewrite import (Effect, EffectEdge, Pattern, PatternEdge, PatternVertex,
                       Rule, ground_options, apply)
@@ -88,6 +88,11 @@ class Domain:
         for v in self.initial_state.vertices:
             by_label.setdefault(v.label, []).append(v)
         object.__setattr__(self, "_by_label", by_label)
+        # the observed held-count keys, per holdable label in sorted order
+        object.__setattr__(self, "holds_keys", tuple(
+            (label, tuple(edge_key(self.holds_label, (self.agent_id, v.id))
+                          for v in by_label.get(label, ())))
+            for label in sorted(self.holdable_labels)))
         # Beliefs merge states by label-preserving isomorphism, but the
         # observation names the agent and its location by vertex id, and an
         # effect may name a literal id.  Such a vertex must be the only one

@@ -16,8 +16,9 @@ and only those the next-side observation does not already exclude.  Every
 state that enters a belief is built, and checked, on the way.
 
 Exactness contract: prediction splits a belief entry into its groundings
-whenever some rule is applicable in only part of them, so each surviving
-entry has a grounding-independent applicable-rule set; conditioning either
+whenever some rule is applicable in only part of them, or the action model
+weighs rules by an agent location the entry does not fix, so each surviving
+entry has grounding-independent rule probabilities; conditioning either
 keeps a particle whole (0/1 factor), tightens one bounded interval (exact
 fractional factor, successors built from the tightened predecessor), or
 falls back to enumeration.  Entries left without any applicable rule are
@@ -40,7 +41,7 @@ from .rewrite import LiftedApplyResult, Rule, lifted_apply
 logger = logging.getLogger("mhgfilter")
 
 __all__ = ["ActionModel", "Belief", "Particle", "JointPrediction", "StepStats",
-           "FilterResult", "agent_location", "consistent", "predict", "update",
+           "FilterResult", "agent_location", "predict", "update",
            "filter_trace"]
 
 
@@ -190,13 +191,10 @@ def _conditions(domain, loc: str, held: Mapping[str, int]
                 ) -> list[tuple[tuple[EdgeKey, ...], int]]:
     """Exact-count conditions (key set, required total) for one observation side."""
     conds = [((edge_key(domain.at_label, (domain.agent_id, loc)),), 1)]
-    for label in sorted(domain.holdable_labels):
-        keys = tuple(edge_key(domain.holds_label, (domain.agent_id, v.id))
-                     for v in domain.vertices_with_label(label))
-        conds.append((keys, int(held.get(label, 0))))
-    for label in sorted(held):
-        if label not in domain.holdable_labels:
-            conds.append(((), int(held[label])))  # unknown label: only 0 satisfiable
+    conds += [(keys, int(held.get(label, 0))) for label, keys in domain.holds_keys]
+    # an unknown label has no keys: only 0 is satisfiable
+    conds += [((), int(held[label])) for label in sorted(held)
+              if label not in domain.holdable_labels]
     return conds
 
 
@@ -266,42 +264,29 @@ def _condition_state(domain, l: State, loc: str, held: Mapping[str, int]
     return frac, [(work, 1.0)]
 
 
-def consistent(domain, annotation, x_t: State, rule: Rule, x_next: State) -> bool:
-    """Whether the annotation can co-occur with the transition.
-
-    Ground states give the exact 0/1 answer; lifted states answer whether
-    any grounding pair is consistent.
-    """
-    if rule.name != annotation.action:
-        return False
-
-    def side(state: State, loc: str, held: Mapping[str, int]) -> bool:
-        frac, _ = _condition_state(domain, state, loc, held)
-        return frac > 0
-
-    return (side(x_t, annotation.loc_t, annotation.held_t)
-            and side(x_next, annotation.loc_next, annotation.held_next))
-
-
 # -- prediction ----------------------------------------------------------------
 
 def predict(domain, belief: Belief) -> JointPrediction:
     """Push the belief through one step of the rule dynamics.
 
-    Entries whose groundings disagree on some rule's applicability are split
-    into grounding singletons first, so every particle's rule probability is
-    well defined.  Entries with no applicable rule at all are dropped (dead
-    ends) and the prediction is renormalised.  Each rule is planned once per
-    entry; the update builds the successors of the particles it keeps.
+    Entries whose groundings disagree on some rule's applicability, or may
+    disagree on its weight, are split into grounding singletons first, so
+    every particle's rule probability is well defined.  Entries with no
+    applicable rule at all are dropped (dead ends) and the prediction is
+    renormalised.  Each rule is planned once per entry; the update builds
+    the successors of the particles it keeps.
     """
     queue: list[tuple[LiftedMultiHypergraph, float]] = list(belief.entries)
     masses: list[tuple[LiftedApplyResult, float]] = []
     dropped = 0.0
     while queue:
         state, w = queue.pop()
+        loc = agent_location(domain, state)
+        # rule weights by agent location may differ across the groundings
+        split = bool(loc is None and domain.action_model.by_location
+                     and state.count_groundings() > 1)
         applicable = []
-        split = False
-        for rule in domain.rules:
+        for rule in () if split else domain.rules:
             t = lifted_apply(rule, state)
             if 0 < t.n_applicable < t.n_groundings:
                 split = True
@@ -313,7 +298,6 @@ def predict(domain, belief: Belief) -> JointPrediction:
             for g in state.iter_groundings():
                 queue.append((LiftedMultiHypergraph.from_graph(g), w / n))
             continue
-        loc = agent_location(domain, state)
         if not applicable:
             logger.warning("dead end: no applicable rule; dropping %g belief mass", w)
             dropped += w

@@ -15,11 +15,16 @@ fixtures) are unconstrained.
 
 The construction checks here (vertex index, incidence, conservation) serve
 lifted states too; a ground state is checked as one without bounded edges.
+
+Rules change edges only, never vertices.  So a :class:`VertexLayout` is
+built once, from the initial vertex list, and every state derived from it
+shares it: matching and canonical forms compile what depends on the
+vertices alone once per layout, which is exact for all of those states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import IntegrityError, StructuralError
@@ -76,16 +81,29 @@ def edge_key(label: Label, incidence: Iterable[str]) -> EdgeKey:
     return (label, tuple(sorted(incidence)))
 
 
-def index_vertices(vertices: Iterable[Vertex]
-                   ) -> tuple[tuple[Vertex, ...], dict[str, Vertex]]:
-    """Vertices sorted, plus an id index; raises on a duplicate id."""
+@dataclass(frozen=True, eq=False)
+class VertexLayout:
+    """Sorted vertices, their id index and the forms compiled from them:
+    matching's keyed by ``id(pattern)``, each holding its pattern so the id
+    stays taken, and canonical forms' keyed by their compile function."""
+
+    vertices: tuple[Vertex, ...]
+    by_id: dict[str, Vertex]
+    compiled: dict = field(default_factory=dict)
+
+
+def index_vertices(vertices: Iterable[Vertex] | VertexLayout) -> VertexLayout:
+    """The layout of a vertex list (sorted, indexed by id; raises on a
+    duplicate id), or the given layout itself."""
+    if isinstance(vertices, VertexLayout):
+        return vertices
     verts = tuple(sorted(vertices))
     by_id: dict[str, Vertex] = {}
     for v in verts:
         if v.id in by_id:
             raise StructuralError(f"duplicate vertex id {v.id!r}")
         by_id[v.id] = v
-    return verts, by_id
+    return VertexLayout(verts, by_id)
 
 
 def check_incidence(label: Label, incidence: Iterable[str],
@@ -177,7 +195,7 @@ class MultiHypergraph:
     """Immutable validated multi-hypergraph.
 
     Equality and hashing are structural (same ids, labels, multiplicities);
-    use :func:`is_isomorphic` or canonical forms for identity up to renaming.
+    compare canonical forms for identity up to renaming.
 
     A ground state reads like a lifted state without bounded edges: it
     offers ``fixed_edges``, empty ``bounded_edges`` and ``constraints``,
@@ -185,40 +203,41 @@ class MultiHypergraph:
     conditioning take one code path for both.
     """
 
-    __slots__ = ("vertices", "edges", "conservation_labels", "conserved_vertex_labels",
-                 "_by_id", "_mult", "_canonical")
+    __slots__ = ("layout", "vertices", "edges", "conservation_labels",
+                 "conserved_vertex_labels", "_mult", "_canonical")
 
     bounded_edges: tuple = ()
     constraints: tuple = ()
     is_empty = False
 
-    def __init__(self, vertices: Iterable[Vertex], edges: Iterable[Hyperedge] = (),
+    def __init__(self, vertices: Iterable[Vertex] | VertexLayout,
+                 edges: Iterable[Hyperedge] = (),
                  conservation_labels: Iterable[Label] = (),
                  conserved_vertex_labels: Iterable[Label] = ()):
-        verts, by_id = index_vertices(vertices)
+        layout = index_vertices(vertices)
         merged: dict[EdgeKey, int] = {}
         for e in edges:
-            check_incidence(e.label, e.incidence, by_id)
+            check_incidence(e.label, e.incidence, layout.by_id)
             merged[e.key] = merged.get(e.key, 0) + e.multiplicity
 
-        self.vertices = verts
+        self.layout = layout
+        self.vertices = layout.vertices
         self.edges = tuple(Hyperedge(lbl, inc, m)
                            for (lbl, inc), m in sorted(merged.items()))
         self.conservation_labels = frozenset(conservation_labels)
         self.conserved_vertex_labels = frozenset(conserved_vertex_labels)
-        self._by_id = by_id
         self._mult = {e.key: e.multiplicity for e in self.edges}
         self._canonical = None
-        check_conservation(verts, self.edges, (), (), self.conservation_labels,
+        check_conservation(self.vertices, self.edges, (), (), self.conservation_labels,
                            self.conserved_vertex_labels)
 
     # -- queries -----------------------------------------------------------
 
     def vertex(self, vid: str) -> Vertex:
-        return self._by_id[vid]
+        return self.layout.by_id[vid]
 
     def has_vertex(self, vid: str) -> bool:
-        return vid in self._by_id
+        return vid in self.layout.by_id
 
     def edge_multiplicity(self, label: Label, incidence: Iterable[str]) -> int:
         return self._mult.get(edge_key(label, incidence), 0)
@@ -241,7 +260,7 @@ class MultiHypergraph:
         Vertices are never created or destroyed by this operation.
         """
         edges = [Hyperedge(lbl, inc, m) for (lbl, inc), m in mults.items() if m > 0]
-        return MultiHypergraph(self.vertices, edges,
+        return MultiHypergraph(self.layout, edges,
                                self.conservation_labels, self.conserved_vertex_labels)
 
     def canonical_form(self):
@@ -272,9 +291,3 @@ def build_graph(vertices: Iterable[Vertex], edges: Iterable[Hyperedge] = (),
                 conserved_vertex_labels: Iterable[Label] = ()) -> MultiHypergraph:
     """Validated constructor; see :class:`MultiHypergraph` for invariants."""
     return MultiHypergraph(vertices, edges, conservation_labels, conserved_vertex_labels)
-
-
-def is_isomorphic(g1: MultiHypergraph, g2: MultiHypergraph) -> bool:
-    """True iff some label/multiplicity-preserving vertex bijection maps the
-    edge multiset of ``g1`` onto that of ``g2``."""
-    return g1.canonical_form() == g2.canonical_form()

@@ -21,18 +21,22 @@ is constructible but rejected wherever a belief requires non-empty support.
 Conservation must hold in every grounding; the constructor verifies that the
 conserved multiplicity sum of every participating vertex is constant across
 the support and equal to the vertex multiplicity.
+
+Every state built from another (shifted, rebuilt, lifted from a graph, or
+grounded) keeps its vertex layout, with its compiled forms.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Union
 
 from .canon import CanonicalForm, canonical_form_lifted as _canon_lifted
 from .errors import EnumerationLimitError, StructuralError
-from .graphs import (EdgeKey, Hyperedge, MultiHypergraph, Vertex, check_conservation,
-                     check_incidence, index_vertices)
+from .graphs import (EdgeKey, Hyperedge, MultiHypergraph, Vertex, VertexLayout,
+                     check_conservation, check_incidence, index_vertices)
 
 # Enumerating more groundings than this raises EnumerationLimitError.
 MAX_GROUNDINGS = 10 ** 6
@@ -85,26 +89,26 @@ class TotalConstraint:
 
 
 class LiftedMultiHypergraph:
-    __slots__ = ("vertices", "fixed_edges", "bounded_edges", "constraints",
+    __slots__ = ("layout", "vertices", "fixed_edges", "bounded_edges", "constraints",
                  "conservation_labels", "conserved_vertex_labels", "is_empty",
-                 "_by_id", "_fixed_mult", "_bounded_by_key", "_group_of",
+                 "_fixed_mult", "_bounded_by_key", "_group_of",
                  "_canonical", "_count")
 
-    def __init__(self, vertices: Iterable[Vertex],
+    def __init__(self, vertices: Iterable[Vertex] | VertexLayout,
                  fixed_edges: Iterable[Hyperedge] = (),
                  bounded_edges: Iterable[BoundedEdge] = (),
                  constraints: Iterable[TotalConstraint] = (),
                  conservation_labels: Iterable[str] = (),
                  conserved_vertex_labels: Iterable[str] = ()):
-        verts, by_id = index_vertices(vertices)
+        layout = index_vertices(vertices)
         fixed: dict[EdgeKey, int] = {}
         for e in fixed_edges:
-            check_incidence(e.label, e.incidence, by_id)
+            check_incidence(e.label, e.incidence, layout.by_id)
             fixed[e.key] = fixed.get(e.key, 0) + e.multiplicity
 
         bounds: dict[EdgeKey, tuple[int, int]] = {}
         for b in bounded_edges:
-            check_incidence(b.label, b.incidence, by_id)
+            check_incidence(b.label, b.incidence, layout.by_id)
             if b.key in bounds:
                 raise StructuralError(f"duplicate bounded edge {b.key!r}")
             bounds[b.key] = (b.lower, b.upper)
@@ -161,7 +165,8 @@ class LiftedMultiHypergraph:
                     groups[owner[k]] = (keys, t - lo)
             groups = {name: g for name, g in groups.items() if g[0]}
 
-        self.vertices = verts
+        self.layout = layout
+        self.vertices = layout.vertices
         self.fixed_edges = tuple(Hyperedge(lbl, inc, m)
                                  for (lbl, inc), m in sorted(fixed.items()) if m > 0)
         self.bounded_edges = tuple(BoundedEdge(lbl, inc, lo, up)
@@ -173,7 +178,6 @@ class LiftedMultiHypergraph:
         self.conservation_labels = frozenset(conservation_labels)
         self.conserved_vertex_labels = frozenset(conserved_vertex_labels)
         self.is_empty = empty
-        self._by_id = by_id
         self._fixed_mult = {e.key: e.multiplicity for e in self.fixed_edges}
         self._bounded_by_key = {b.key: b for b in self.bounded_edges}
         self._group_of = {}
@@ -183,17 +187,17 @@ class LiftedMultiHypergraph:
         self._canonical = None
         self._count = None
         if not empty:
-            check_conservation(verts, self.fixed_edges, self.bounded_edges,
+            check_conservation(self.vertices, self.fixed_edges, self.bounded_edges,
                                self.constraints, self.conservation_labels,
                                self.conserved_vertex_labels)
 
     # -- queries -----------------------------------------------------------
 
     def vertex(self, vid: str) -> Vertex:
-        return self._by_id[vid]
+        return self.layout.by_id[vid]
 
     def has_vertex(self, vid: str) -> bool:
-        return vid in self._by_id
+        return vid in self.layout.by_id
 
     def multiplicity_bounds(self, key: EdgeKey) -> tuple[int, int]:
         """(lower, upper) multiplicity of an edge key across the groundings."""
@@ -206,14 +210,14 @@ class LiftedMultiHypergraph:
 
     @classmethod
     def from_graph(cls, g: MultiHypergraph) -> "LiftedMultiHypergraph":
-        return cls(g.vertices, g.edges, (), (),
+        return cls(g.layout, g.edges, (), (),
                    g.conservation_labels, g.conserved_vertex_labels)
 
     def rebuild(self, *, bounded: Iterable[BoundedEdge]) -> "LiftedMultiHypergraph":
         """New lifted state over the same vertices, fixed edges and
         constraints with replaced bounded edges."""
         return LiftedMultiHypergraph(
-            self.vertices, self.fixed_edges, bounded, self.constraints,
+            self.layout, self.fixed_edges, bounded, self.constraints,
             self.conservation_labels, self.conserved_vertex_labels)
 
     def shifted(self, delta: Mapping[EdgeKey, int], grow: str | None = None,
@@ -248,7 +252,7 @@ class LiftedMultiHypergraph:
             name = next(f"#{i}" for i in itertools.count() if f"#{i}" not in totals)
             constraints.append(TotalConstraint(name, fresh, 1))
         return LiftedMultiHypergraph(
-            self.vertices,
+            self.layout,
             [Hyperedge(lbl, inc, m) for (lbl, inc), m in fixed.items() if m],
             [BoundedEdge(lbl, inc, lo, up) for (lbl, inc), (lo, up) in bounds.items()],
             constraints, self.conservation_labels, self.conserved_vertex_labels)
@@ -260,38 +264,24 @@ class LiftedMultiHypergraph:
         if self.is_empty:
             return 0
         if self._count is None:
-            total = 1
-            free = set(self._bounded_by_key) - set(self._group_of)
-            for k in free:
-                b = self._bounded_by_key[k]
-                total *= b.upper - b.lower + 1
-            for c in self.constraints:
-                bounds = [(self._bounded_by_key[k].lower, self._bounded_by_key[k].upper)
-                          for k in sorted(c.edge_keys)]
-                total *= _count_compositions(bounds, c.total)
-            self._count = total
+            b = self._bounded_by_key
+            self._count = math.prod(
+                [b[k].upper - b[k].lower + 1 for k in b if k not in self._group_of]
+                + [_count_compositions([(b[k].lower, b[k].upper)
+                                        for k in sorted(c.edge_keys)], c.total)
+                   for c in self.constraints])
         return self._count
 
     def _iter_assignments(self) -> Iterator[dict[EdgeKey, int]]:
-        free = sorted(set(self._bounded_by_key) - set(self._group_of))
-        free_ranges = [[(k, v) for v in range(self._bounded_by_key[k].lower,
-                                              self._bounded_by_key[k].upper + 1)]
-                       for k in free]
-        group_choices = []
+        b = self._bounded_by_key
+        choices = [[((k, v),) for v in range(b[k].lower, b[k].upper + 1)]
+                   for k in sorted(set(b) - set(self._group_of))]
         for c in self.constraints:
             keys = sorted(c.edge_keys)
-            bounds = [(self._bounded_by_key[k].lower, self._bounded_by_key[k].upper)
-                      for k in keys]
-            group_choices.append([list(zip(keys, comp))
-                                  for comp in _compositions(bounds, c.total)])
-        for parts in itertools.product(*free_ranges, *group_choices):
-            assignment: dict[EdgeKey, int] = {}
-            for part in parts:
-                if isinstance(part, tuple):
-                    assignment[part[0]] = part[1]
-                else:
-                    assignment.update(part)
-            yield assignment
+            choices.append([tuple(zip(keys, comp)) for comp in _compositions(
+                [(b[k].lower, b[k].upper) for k in keys], c.total)])
+        for parts in itertools.product(*choices):
+            yield dict(itertools.chain.from_iterable(parts))
 
     def _ground(self, assignment: Mapping[EdgeKey, int]) -> MultiHypergraph:
         mults = dict(self._fixed_mult)
@@ -299,7 +289,7 @@ class LiftedMultiHypergraph:
             if v:
                 mults[k] = mults.get(k, 0) + v
         edges = [Hyperedge(lbl, inc, m) for (lbl, inc), m in mults.items()]
-        return MultiHypergraph(self.vertices, edges,
+        return MultiHypergraph(self.layout, edges,
                                self.conservation_labels, self.conserved_vertex_labels)
 
     def iter_groundings(self) -> Iterator[MultiHypergraph]:

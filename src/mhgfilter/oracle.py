@@ -165,8 +165,7 @@ class ComparisonReport:
 
 
 def total_variation(p: dict[bytes, float], q: dict[bytes, float]) -> float:
-    keys = set(p) | set(q)
-    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
+    return 0.5 * sum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in set(p) | set(q))
 
 
 def compare(domain, trace: Sequence, tolerance: float = 1e-9) -> ComparisonReport:
@@ -174,9 +173,7 @@ def compare(domain, trace: Sequence, tolerance: float = 1e-9) -> ComparisonRepor
     from .filtering import filter_trace
     lifted = filter_trace(domain, trace)
     ground = ground_filter_trace(domain, trace)
-    tvs = []
-    for lb, gb in zip(lifted.beliefs, ground.beliefs):
-        tvs.append(total_variation(GroundBelief.from_belief(lb).as_dict(),
-                                   gb.as_dict()))
+    tvs = [total_variation(GroundBelief.from_belief(lb).as_dict(), gb.as_dict())
+           for lb, gb in zip(lifted.beliefs, ground.beliefs)]
     return ComparisonReport(tuple(tvs), max(tvs), lifted.log_likelihood,
                             ground.log_likelihood, tolerance)

@@ -8,7 +8,9 @@ rule: a pattern variable over the slot vertices plus a capped assert.
 
 Ground semantics: a rule is applicable via every injective assignment of its
 pattern variables whose effect can be applied.  Applying a rule picks
-uniformly among these options.
+uniformly among these options.  A pattern's candidate lists and variable
+order are compiled once per vertex layout, which is exact: all states
+sharing the layout have the same vertices.
 
 Lifted semantics: ``lifted_apply`` answers, once per rule and lifted state,
 in how many groundings the rule is applicable and how its successors arise;
@@ -51,7 +53,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from .canon import merge_by_form
 from .errors import EffectError, StructuralError
-from .graphs import EdgeKey, MultiHypergraph, Vertex, edge_key
+from .graphs import EdgeKey, MultiHypergraph, Vertex, VertexLayout, edge_key
 from .lifted import LiftedMultiHypergraph, State
 
 logger = logging.getLogger("mhgfilter")
@@ -175,10 +177,7 @@ class Match:
         return dict(self.assignment)
 
     def get(self, var: str) -> str:
-        for k, v in self.assignment:
-            if k == var:
-                return v
-        raise KeyError(var)
+        return self.as_dict()[var]
 
 
 # -- effect keys ---------------------------------------------------------------
@@ -196,6 +195,20 @@ def _effect_key(e: EffectEdge, assignment: Mapping[str, str], state: State) -> E
 
 # -- matching ------------------------------------------------------------------
 
+def _compile_pattern(pattern: Pattern, layout: VertexLayout) -> tuple:
+    """(pattern, static variable order with the most constrained first,
+    candidate ids, pattern edges by the last variable they read)."""
+    candidates = {pv.var: sorted(v.id for v in layout.vertices if pv.admits(v))
+                  for pv in pattern.vertices}
+    pvs = sorted(pattern.vertices, key=lambda pv: len(candidates[pv.var]))
+    order_index = {pv.var: i for i, pv in enumerate(pvs)}
+    edges_by_last: dict[str, list[PatternEdge]] = {}
+    for pe in pattern.edges:
+        last = max(pe.vars, key=lambda v: order_index[v])
+        edges_by_last.setdefault(last, []).append(pe)
+    return pattern, pvs, candidates, edges_by_last
+
+
 def _raw_matches(pattern: Pattern, state: State) -> list[tuple[Match, bool]]:
     """All injective assignments whose pattern edges meet their minimum on
     upper multiplicity bounds, each with ``sure``: whether they meet it on
@@ -205,19 +218,11 @@ def _raw_matches(pattern: Pattern, state: State) -> list[tuple[Match, bool]]:
     unsure one in some groundings only; every match is sure on a ground
     state.
     """
-    verts = state.vertices
-    pvs = list(pattern.vertices)
-    # most-constrained-first static order keeps backtracking shallow
-    candidates = {pv.var: sorted((v.id for v in verts if pv.admits(v)))
-                  for pv in pvs}
-    pvs.sort(key=lambda pv: len(candidates[pv.var]))
-    edges_by_last: dict[str, list[PatternEdge]] = {}
-    order_index = {pv.var: i for i, pv in enumerate(pvs)}
-    for pe in pattern.edges:
-        last = max(pe.vars, key=lambda v: order_index[v]) if pe.vars else None
-        if last is None:
-            continue
-        edges_by_last.setdefault(last, []).append(pe)
+    compiled = state.layout.compiled
+    entry = compiled.get(id(pattern))
+    if entry is None:
+        entry = compiled[id(pattern)] = _compile_pattern(pattern, state.layout)
+    _, pvs, candidates, edges_by_last = entry
 
     out: list[tuple[Match, bool]] = []
     assignment: dict[str, str] = {}

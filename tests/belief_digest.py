@@ -2,15 +2,16 @@
 
 Usage::
 
-    python3 tests/belief_digest.py --seed N
+    python3 tests/belief_digest.py --seed N [WORKLOAD ...]
 
-Builds every workload's operations from ``perfbench/workloads.py`` at the
-given seed and filters each trace with this checkout's library.  The digest
-covers, per operation, each belief entry's canonical bytes and the ``repr``
-of its weight, every ``StepStats``, the log likelihood and the warnings,
-and, for workloads that compare against the ground reference, the
-``compare`` report.  Two checkouts that print the same digest computed
-bit-identical posteriors on these inputs.
+Builds the named workloads' operations (every workload by default) from
+``perfbench/workloads.py`` at the given seed and filters each trace with
+this checkout's library.  The digest covers, per operation, each belief
+entry's canonical bytes and the ``repr`` of its weight, every
+``StepStats``, the log likelihood and the warnings, and, for workloads that
+compare against the ground reference, the ``compare`` report.  Two
+checkouts that print the same digest computed bit-identical posteriors on
+these inputs.
 """
 
 from __future__ import annotations
@@ -23,13 +24,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def digest(seed: int) -> str:
-    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+def digest(seed: int, names: list[str] | None = None) -> str:
+    for path in (str(ROOT / "perfbench"), str(ROOT / "src")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
     from mhgfilter import compare, filter_trace
     from workloads import WORKLOADS, run_compare
 
     h = hashlib.sha256()
-    for name, workload in sorted(WORKLOADS.items()):
+    for name in sorted(names or WORKLOADS):
+        workload = WORKLOADS[name]
         domain = workload.make_domain()
         for op in workload.make_ops(domain, seed):
             h.update(f"{name}/{op.label}".encode())
@@ -50,7 +54,9 @@ def digest(seed: int) -> str:
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
-    print(digest(parser.parse_args(argv).seed))
+    parser.add_argument("workloads", nargs="*", help="workload names (default: all)")
+    args = parser.parse_args(argv)
+    print(digest(args.seed, args.workloads))
 
 
 if __name__ == "__main__":

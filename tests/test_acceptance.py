@@ -23,8 +23,9 @@ from mhgfilter import (ActionModel, AnnotationTuple, BoundedEdge, Domain,
                        TraceInconsistencyError, Vertex, agent_location,
                        apply, bookshelf_domain, compare,
                        expand, filter_trace, generate_trace, ground_options,
-                       held_counts, is_isomorphic, lifted_apply,
-                       mini_bookshelf_domain, parse_domain, predict)
+                       held_counts, lifted_apply,
+                       mini_bookshelf_domain, parse_domain, predict,
+                       serialize_domain)
 from mhgfilter.cli import main
 from oracles import (box_groundings, brute_isomorphic, ground_pushforward,
                      lifted_distribution, merge_free_log_likelihood, random_graph,
@@ -283,6 +284,30 @@ def test_distinct_spots_equal_the_merge_free_oracle():
     assert abs(result.log_likelihood - expected) <= 1e-12
 
 
+def test_location_weights_apply_per_grounding():
+    """The mini scene with the agent on the floor or at the table (a [0,1]
+    group of total 1), the screwdriver on the floor, and walk weighted 5 at
+    the table.  Both groundings admit the same rules, but weigh walk
+    differently: P(walk from the table) = 1/2 * 5/6 = 5/12, and the lifted
+    filter must weigh each grounding at its own location, as the ground
+    oracle does."""
+    doc = serialize_domain(mini_bookshelf_domain())
+    doc["edges"] = [e for e in doc["edges"]
+                    if e["incidence"][0] not in ("agent", "screwdriver")]
+    doc["edges"].append({"label": "at", "incidence": ["screwdriver", "floor"]})
+    places = ("floor", "table")
+    doc["bounded_edges"] = [{"label": "at", "incidence": ["agent", p],
+                             "lower": 0, "upper": 1} for p in places]
+    doc["constraints"] = [{"name": "start", "total": 1,
+                           "edges": [["at", ["agent", p]] for p in places]}]
+    doc["action_model"] = {"weights": {}, "by_location": {"table": {"walk": 5}}}
+    report = compare(parse_domain(doc),
+                     [AnnotationTuple("walk", "table", "floor", {}, {})])
+    assert not report.divergent
+    assert report.log_likelihood_gap <= 1e-9
+    assert abs(report.log_likelihood_lifted - math.log(5 / 12)) <= 1e-9
+
+
 def test_canonical_forms_are_isomorphism_invariants():
     """1000 random states keep their canonical bytes under vertex renaming,
     and canonical equality decides isomorphism exactly as the brute-force
@@ -298,7 +323,8 @@ def test_canonical_forms_are_isomorphism_invariants():
             g2 = relabel(g1, rng)
         else:
             g2 = random_graph(rng, n_vertices=rng.randrange(2, 7), n_edges=5)
-        assert is_isomorphic(g1, g2) == brute_isomorphic(g1, g2)
+        assert ((g1.canonical_form() == g2.canonical_form())
+                == brute_isomorphic(g1, g2))
         agreements += 1
     assert agreements == 300
 
@@ -356,3 +382,13 @@ def test_lifted_application_commutes_with_grounding():
             assert tv_distance(lifted_distribution(res.outputs()), dist) <= 1e-9
             checked += 1
     assert checked >= 100
+
+
+def test_filter_posteriors_match_the_pinned_digest():
+    """The seed-0 posteriors of the three filter-only benchmark workloads are
+    bit-identical to the pinned ones: every belief's canonical bytes and
+    weights, the step stats, log likelihoods and warnings, hashed by
+    ``tests/belief_digest.py``.  A speed-up must not move this digest."""
+    from belief_digest import digest
+    assert digest(0, ["bookshelf_install", "bookshelf_connect", "symmetric_slots"]) == (
+        "a77ce2b8def72eced5cb230d553cd78c1578e2ce653c7cd63e9e0a4b6e23b444")

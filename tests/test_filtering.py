@@ -10,7 +10,7 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
                        LiftedApplyResult, LiftedMultiHypergraph, Pattern,
                        PatternEdge, PatternVertex, Rule, TotalConstraint,
                        TraceInconsistencyError, Vertex, agent_location,
-                       bookshelf_domain, build_graph, consistent, filter_trace,
+                       bookshelf_domain, build_graph, filter_trace,
                        generate_trace, lifted_apply, mini_bookshelf_domain,
                        predict, update)
 from mhgfilter import rewrite
@@ -225,23 +225,6 @@ def test_condition_state_enumerates_entangled_keys():
     assert len(states) == 2
     assert all(rel == pytest.approx(0.5) for _, rel in states)
     assert all(not s.bounded_edges for s, _ in states)
-
-
-def test_consistent_checks_both_sides():
-    domain = tiny_domain(sharp_initial())
-    x_t = sharp_initial().groundings()[0]
-    take = domain.rule("take")
-    x_next = build_graph(
-        x_t.vertices,
-        [Hyperedge("at", ("agent", "table")), Hyperedge("holds", ("agent", "gear"))],
-        x_t.conservation_labels, x_t.conserved_vertex_labels)
-    good = AnnotationTuple("take", "table", "table", {}, {"gear": 1})
-    assert consistent(domain, good, x_t, take, x_next)
-    assert not consistent(domain, good, x_t, domain.rule("walk"), x_next)
-    wrong_loc = AnnotationTuple("take", "floor", "table", {}, {"gear": 1})
-    assert not consistent(domain, wrong_loc, x_t, take, x_next)
-    wrong_held = AnnotationTuple("take", "table", "table", {"gear": 1}, {"gear": 1})
-    assert not consistent(domain, wrong_held, x_t, take, x_next)
 
 
 def test_filter_trace_keeps_unit_mass():
