@@ -6,8 +6,8 @@ such object stands for its whole set of groundings, and the filter treats
 it as the uniform distribution over them.
 """
 
-from mhgfilter import (BoundedEdge, Hyperedge, LiftedMultiHypergraph,
-                       TotalConstraint, Vertex, build_graph, expand)
+from mhgfilter import (BoundedEdge, LiftedMultiHypergraph, TotalConstraint,
+                       Vertex, expand)
 
 
 def four_screws_two_piles():
@@ -44,16 +44,6 @@ def main():
     print("\nuniform expansion:")
     for g, w in expand(l):
         print(f"  weight {w:.6f} digest {g.canonical_form().digest()}")
-
-    # Membership enumerates the groundings and compares canonical forms.
-    inside = build_graph(
-        [Vertex("e", "screw", 4), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
-        [Hyperedge("at", ("e", "s1")), Hyperedge("at", ("e", "s2"), 3)])
-    outside = build_graph(
-        [Vertex("e", "screw", 4), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
-        [Hyperedge("at", ("e", "s1"), 4)])
-    print("\ncontains 1+3 split:", l.contains(inside))
-    print("contains 4+0 split:", l.contains(outside))
 
     # A saturated constraint collapses back to an ordinary ground state.
     tight = LiftedMultiHypergraph(

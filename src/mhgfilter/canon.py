@@ -38,6 +38,17 @@ The vertex index and records are compiled once per vertex layout, and each
 edge key's index incidence, record head and occurrence pairs once per key
 within it: they depend on the vertices alone, which all states sharing the
 layout have in common, so the bytes are those of a fresh build.
+
+When a layout's vertex records are pairwise distinct, the initial colouring
+is discrete: it is the only leaf, and refinement leaves it unchanged.  A
+record is a length-prefixed label plus a fixed-width multiplicity, so no
+record is a proper prefix of another, and the pin or constraint-profile
+bytes appended to it never reorder two vertices.  So the rank of a vertex's
+record is its canonical position in every ground or lifted state of the
+layout, pinned or not, and the form is written from those ranks by the
+same serialiser as a search leaf, bytes unchanged: the vertex section is
+built once per layout and each edge key's record up to its tail once per
+key.  Only layouts with a repeated record run the search.
 """
 
 from __future__ import annotations
@@ -47,7 +58,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from struct import pack
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 __all__ = ["CanonicalForm", "canonical_form", "canonical_form_lifted",
            "pinned_form", "pinned_form_lifted", "merge_by_form"]
@@ -200,6 +211,92 @@ def _canonical_bytes(st: _Structure) -> bytes:
     return best
 
 
+class _Records(NamedTuple):
+    """What the forms of every state of a layout share, compiled once."""
+    index: dict[str, int]           # vertex id -> position in the layout
+    vrecs: list[bytes]              # unpinned vertex records
+    by_key: dict                    # edge key -> ``_edge_entry``
+    rank: list[int] | None          # canonical positions, if records are distinct
+    vsection: bytes | None          # their unpinned vertex section
+
+
+def _records(layout) -> _Records:
+    compiled = layout.compiled
+    if _records not in compiled:
+        verts = layout.vertices
+        vrecs = [_label_rec(v.label) + pack(">Q", v.multiplicity) for v in verts]
+        distinct = len(set(vrecs)) == len(vrecs)
+        compiled[_records] = _Records(
+            {v.id: i for i, v in enumerate(verts)}, vrecs, {},
+            _ranked(vrecs) if distinct else None,
+            _section(sorted(vrecs)) if distinct else None)
+    return compiled[_records]
+
+
+def _edge_entry(records: _Records, e) -> tuple:
+    """An edge key's index incidence, record head, occurrence pairs and, on
+    a layout with canonical positions, its record up to the tail."""
+    key = (e.label, e.incidence)
+    if key not in records.by_key:
+        inc = tuple(records.index[x] for x in e.incidence)
+        head = _label_rec(e.label) + pack(">I", len(inc))
+        rank = records.rank
+        records.by_key[key] = (
+            inc, head, tuple(Counter(inc).items()),
+            None if rank is None else _edge_rec(head, [rank[j] for j in inc]))
+    return records.by_key[key]
+
+
+def _section(recs) -> bytes:
+    out = [pack(">I", len(recs))]
+    for rec in recs:
+        out.append(pack(">I", len(rec)))
+        out.append(rec)
+    return b"".join(out)
+
+
+def _edge_rec(head: bytes, positions) -> bytes:
+    """An edge record up to its tail: the head, then ascending positions."""
+    return head + b"".join(pack(">I", k) for k in sorted(positions))
+
+
+def _tails(state) -> list[bytes]:
+    return ([pack(">Q", e.multiplicity) for e in state.fixed_edges]
+            + [pack(">QQ", b.lower, b.upper) for b in state.bounded_edges])
+
+
+def _groups(state) -> list[tuple[int, list[int]]]:
+    """Each constraint's total and its members' indices among the bounded edges."""
+    bindex = {b.key: i for i, b in enumerate(state.bounded_edges)}
+    return [(c.total, [bindex[k] for k in sorted(c.edge_keys)])
+            for c in state.constraints]
+
+
+def _pinned(vrecs: list[bytes], state, pins: Mapping[str, int]) -> list[bytes]:
+    # 0 means unpinned, so stored pin indices are shifted up by one
+    return [rec + pack(">I", pins[v.id] + 1 if v.id in pins else 0)
+            for rec, v in zip(vrecs, state.vertices)]
+
+
+def _serialize(version: int, vsection: bytes, erecs: list[bytes], nf: int,
+               groups) -> bytes:
+    """The form from its vertex section and the edge records in state order
+    (``nf`` fixed, then bounded); lifted layouts (``0x02``, ``0xFF``) append
+    the bounded-edge and constraint sections."""
+    out = [bytes([version]), vsection, _section(sorted(erecs[:nf]))]
+    if version in (0x02, 0xFF):
+        branked = sorted(range(len(erecs) - nf), key=lambda bi: erecs[nf + bi])
+        bpos = {bi: r for r, bi in enumerate(branked)}
+        out.append(_section([erecs[nf + bi] for bi in branked]))
+        crecs = []
+        for total, members in groups:
+            refs = sorted(bpos[bi] for bi in members)
+            crecs.append(pack(">QI", total, len(refs))
+                         + b"".join(pack(">I", r) for r in refs))
+        out.append(_section(sorted(crecs)))
+    return b"".join(out)
+
+
 def _structure(state, pins: Mapping[str, int] | None, version: int) -> _Structure:
     """Refinement view and serialiser of a ground or lifted state.
 
@@ -208,82 +305,57 @@ def _structure(state, pins: Mapping[str, int] | None, version: int) -> _Structur
     and constraint sections.  A ground state offers the same read interface
     with no bounded edges and no constraints.
     """
-    lifted = version in (0x02, 0xFF)
-    compiled = state.layout.compiled
-    if _structure not in compiled:
-        verts = state.vertices
-        compiled[_structure] = ({v.id: i for i, v in enumerate(verts)},
-                                [_label_rec(v.label) + pack(">Q", v.multiplicity)
-                                 for v in verts], {})
-    idx, vrecs, by_key = compiled[_structure]
+    records = _records(state.layout)
+    vrecs = records.vrecs
     n = len(vrecs)
-    recs = []
-    for e in state.fixed_edges + state.bounded_edges:
-        key = (e.label, e.incidence)
-        if key not in by_key:
-            inc = tuple(idx[x] for x in e.incidence)
-            by_key[key] = (inc, _label_rec(e.label) + pack(">I", len(inc)),
-                           tuple(Counter(inc).items()))
-        recs.append(by_key[key])
+    recs = [_edge_entry(records, e) for e in state.fixed_edges + state.bounded_edges]
     nf = len(state.fixed_edges)
     descs = ([(0, e.label, e.multiplicity) for e in state.fixed_edges]
              + [(1, b.label, b.lower, b.upper) for b in state.bounded_edges])
-    tails = ([pack(">Q", e.multiplicity) for e in state.fixed_edges]
-             + [pack(">QQ", b.lower, b.upper) for b in state.bounded_edges])
+    tails = _tails(state)
     if pins is not None:
-        # 0 means unpinned, so stored pin indices are shifted up by one
-        vrecs = [rec + pack(">I", pins[v.id] + 1 if v.id in pins else 0)
-                 for rec, v in zip(vrecs, state.vertices)]
+        vrecs = _pinned(vrecs, state, pins)
     init_keys = vrecs
-    groups: list[tuple[int, list[int]]] = []
-    if state.constraints:
+    groups = _groups(state)
+    if groups:
         # constraint profile folded into the initial colours (colour-independent)
-        bindex = {b.key: i for i, b in enumerate(state.bounded_edges)}
         profile: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for c in state.constraints:
-            members = [bindex[k] for k in sorted(c.edge_keys)]
-            groups.append((c.total, members))
+        for total, members in groups:
             touched: Counter[int] = Counter()
             for bi in members:
                 touched.update(recs[nf + bi][0])
             for vi, occ in touched.items():
-                profile[vi].append((c.total, len(members), occ))
+                profile[vi].append((total, len(members), occ))
         init_keys = [rec + b"".join(pack(">QIQ", t, s, o) for t, s, o in sorted(prof))
                      for rec, prof in zip(vrecs, profile)]
 
-    def section(recs) -> list[bytes]:
-        out = [pack(">I", len(recs))]
-        for rec in recs:
-            out.append(pack(">I", len(rec)))
-            out.append(rec)
-        return out
-
     def serialize(colors: list[int]) -> bytes:
         # at a leaf the colouring is discrete: a colour is a canonical position
-        order = sorted(range(n), key=lambda i: colors[i])
-        erecs = [head + b"".join(pack(">I", k) for k in sorted(colors[j] for j in inc))
-                 + tail for (inc, head, _), tail in zip(recs, tails)]
-        out = [bytes([version])]
-        out += section([vrecs[i] for i in order])
-        out += section(sorted(erecs[:nf]))
-        if lifted:
-            branked = sorted(range(len(recs) - nf), key=lambda bi: erecs[nf + bi])
-            bpos = {bi: r for r, bi in enumerate(branked)}
-            out += section([erecs[nf + bi] for bi in branked])
-            crecs = []
-            for total, members in groups:
-                refs = sorted(bpos[bi] for bi in members)
-                crecs.append(pack(">QI", total, len(refs))
-                             + b"".join(pack(">I", r) for r in refs))
-            out += section(sorted(crecs))
-        return b"".join(out)
+        order = sorted(range(n), key=colors.__getitem__)
+        erecs = [_edge_rec(head, [colors[j] for j in inc]) + tail
+                 for (inc, head, _, _), tail in zip(recs, tails)]
+        return _serialize(version, _section([vrecs[i] for i in order]), erecs,
+                          nf, groups)
 
-    return _Structure(n, init_keys, descs, [occ for _, _, occ in recs], serialize)
+    return _Structure(n, init_keys, descs, [occ for _, _, occ, _ in recs], serialize)
+
+
+def _form(state, pins: Mapping[str, int] | None, version: int) -> bytes:
+    records = _records(state.layout)
+    if records.rank is None:
+        return _canonical_bytes(_structure(state, pins, version))
+    # the one leaf: records are prefix-free, so pins do not reorder them
+    vsection = (records.vsection if pins is None
+                else _section(sorted(_pinned(records.vrecs, state, pins))))
+    erecs = [_edge_entry(records, e)[3] + tail
+             for e, tail in zip(state.fixed_edges + state.bounded_edges, _tails(state))]
+    return _serialize(version, vsection, erecs, len(state.fixed_edges),
+                      _groups(state))
 
 
 def canonical_form(g) -> CanonicalForm:
     """Canonical form of a ground multi-hypergraph (layout version 1)."""
-    return CanonicalForm(_canonical_bytes(_structure(g, None, 0x01)))
+    return CanonicalForm(_form(g, None, 0x01))
 
 
 def pinned_form(g, pins: Mapping[str, int]) -> bytes:
@@ -292,7 +364,7 @@ def pinned_form(g, pins: Mapping[str, int]) -> bytes:
     Two pin assignments yield equal bytes iff some automorphism of ``g`` maps
     one onto the other.
     """
-    return _canonical_bytes(_structure(g, pins, 0xFE))
+    return _form(g, pins, 0xFE)
 
 
 def canonical_form_lifted(l) -> CanonicalForm:
@@ -302,11 +374,11 @@ def canonical_form_lifted(l) -> CanonicalForm:
     group names are deliberately excluded so states differing only in group
     naming merge.
     """
-    return CanonicalForm(_canonical_bytes(_structure(l, None, 0x02)))
+    return CanonicalForm(_form(l, None, 0x02))
 
 
 def pinned_form_lifted(l, pins: Mapping[str, int]) -> bytes:
-    return _canonical_bytes(_structure(l, pins, 0xFF))
+    return _form(l, pins, 0xFF)
 
 
 # -- merging ------------------------------------------------------------------

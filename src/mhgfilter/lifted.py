@@ -312,17 +312,6 @@ class LiftedMultiHypergraph:
         out.sort(key=lambda g: g.canonical_form().data)
         return out
 
-    def contains(self, g: MultiHypergraph) -> bool:
-        if self.is_empty:
-            return False
-        mine = sorted((v.label, v.multiplicity) for v in self.vertices)
-        theirs = sorted((v.label, v.multiplicity) for v in g.vertices)
-        if mine != theirs:
-            return False
-        target = g.canonical_form()
-        return any(h.canonical_form() == target
-                   for h in self.iter_groundings())
-
     def canonical_form(self) -> CanonicalForm:
         if self._canonical is None:
             if self.is_empty:

@@ -468,17 +468,23 @@ def _slot_plan(slot: EffectEdge, l: LiftedMultiHypergraph,
 
 def _excluded(l: LiftedMultiHypergraph, delta: Mapping[EdgeKey, int],
               fresh: frozenset[EdgeKey], conditions) -> bool:
-    """Whether a plan step's successor puts a condition's key sum off its total."""
-    def hull(k: EdgeKey) -> tuple[int, int]:
-        if k in fresh:
-            return 0, 1
-        lo, up = l.multiplicity_bounds(k)
-        d = delta.get(k, 0)
-        return lo + d, up + d
+    """Whether a plan step's successor puts a condition's key sum off its total.
 
-    return any(sum(hull(k)[0] for k in keys) > required
-               or sum(hull(k)[1] for k in keys) < required
-               for keys, required in conditions)
+    A key's hull is its bounds moved by the delta, or (0, 1) for a fresh key;
+    each key is looked up once for both sums."""
+    for keys, required in conditions:
+        lo_sum = up_sum = 0
+        for k in keys:
+            if k in fresh:
+                up_sum += 1
+                continue
+            lo, up = l.multiplicity_bounds(k)
+            d = delta.get(k, 0)
+            lo_sum += lo + d
+            up_sum += up + d
+        if lo_sum > required or up_sum < required:
+            return True
+    return False
 
 
 def lifted_apply(rule: Rule, l: LiftedMultiHypergraph) -> LiftedApplyResult:

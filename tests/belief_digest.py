@@ -3,6 +3,7 @@
 Usage::
 
     python3 tests/belief_digest.py --seed N [WORKLOAD ...]
+    python3 tests/belief_digest.py --seed N --ground
 
 Builds the named workloads' operations (every workload by default) from
 ``perfbench/workloads.py`` at the given seed and filters each trace with
@@ -12,6 +13,10 @@ entry's canonical bytes and the ``repr`` of its weight, every
 compare against the ground reference, the ``compare`` report.  Two
 checkouts that print the same digest computed bit-identical posteriors on
 these inputs.
+
+``--ground`` prints instead the digest of the ground oracle on the
+``mini_compare`` operations: each ``ground_filter_trace`` belief entry's
+ground canonical bytes and the ``repr`` of its weight.
 """
 
 from __future__ import annotations
@@ -24,10 +29,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def digest(seed: int, names: list[str] | None = None) -> str:
+def _import_paths() -> None:
     for path in (str(ROOT / "perfbench"), str(ROOT / "src")):
         if path not in sys.path:
             sys.path.insert(0, path)
+
+
+def digest(seed: int, names: list[str] | None = None) -> str:
+    _import_paths()
     from mhgfilter import compare, filter_trace
     from workloads import WORKLOADS, run_compare
 
@@ -51,12 +60,34 @@ def digest(seed: int, names: list[str] | None = None) -> str:
     return h.hexdigest()
 
 
+def ground_digest(seed: int) -> str:
+    _import_paths()
+    from mhgfilter import ground_filter_trace
+    from workloads import WORKLOADS
+
+    workload = WORKLOADS["mini_compare"]
+    domain = workload.make_domain()
+    h = hashlib.sha256()
+    for op in workload.make_ops(domain, seed):
+        h.update(op.label.encode())
+        for belief in ground_filter_trace(domain, op.trace).beliefs:
+            h.update(b"belief")
+            for g, w in belief:
+                h.update(g.canonical_form().data)
+                h.update(repr(w).encode())
+    return h.hexdigest()
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--ground", action="store_true",
+                        help="digest the ground oracle on mini_compare instead")
     parser.add_argument("workloads", nargs="*", help="workload names (default: all)")
     args = parser.parse_args(argv)
-    print(digest(args.seed, args.workloads))
+    if args.ground and args.workloads:
+        parser.error("--ground takes no workload names")
+    print(ground_digest(args.seed) if args.ground else digest(args.seed, args.workloads))
 
 
 if __name__ == "__main__":

@@ -392,3 +392,12 @@ def test_filter_posteriors_match_the_pinned_digest():
     from belief_digest import digest
     assert digest(0, ["bookshelf_install", "bookshelf_connect", "symmetric_slots"]) == (
         "a77ce2b8def72eced5cb230d553cd78c1578e2ce653c7cd63e9e0a4b6e23b444")
+
+
+def test_ground_oracle_matches_the_pinned_digest():
+    """The ground oracle's seed-0 beliefs on the ``mini_compare`` traces are
+    bit-identical to the pinned ones: every entry's ground canonical bytes
+    and weight, hashed by ``tests/belief_digest.py --ground``."""
+    from belief_digest import ground_digest
+    assert ground_digest(0) == (
+        "82eda8dd6db85c3c3e8a64eb513f9afeb21ef952bb9da49afb0f44a14b898817")

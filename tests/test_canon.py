@@ -11,8 +11,8 @@ from mhgfilter import (BoundedEdge, Hyperedge, LiftedMultiHypergraph,
                        TotalConstraint, Vertex, build_graph)
 from mhgfilter.canon import (canonical_form, canonical_form_lifted,
                              pinned_form, pinned_form_lifted)
-from oracles import (brute_isomorphic, random_graph, relabel, symmetric_graph,
-                     symmetric_lifted, unpruned_canonical_bytes)
+from oracles import (brute_isomorphic, random_graph, random_lifted, relabel,
+                     symmetric_graph, symmetric_lifted, unpruned_canonical_bytes)
 
 # Pinned serializations of two reference states.  These freeze the byte
 # layout: any change to it silently invalidates stored digests, so it must
@@ -306,23 +306,79 @@ def test_pruned_search_equals_unpruned_reference():
     check()
 
 
-def test_symmetric_star_search_is_polynomial(monkeypatch):
-    """Refinement calls, not wall time: the unpruned search refines once per
-    node of a tree with 12!/(12-k)! nodes at depth k."""
-    calls = 0
+def counting_refine(monkeypatch) -> list[int]:
+    """Patch ``_refine`` to count its calls into the returned one-item list."""
+    calls = [0]
     refine = mhgfilter.canon._refine
 
     def counting(st, colors):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return refine(st, colors)
 
     monkeypatch.setattr(mhgfilter.canon, "_refine", counting)
+    return calls
+
+
+def test_symmetric_star_search_is_polynomial(monkeypatch):
+    """Refinement calls, not wall time: the unpruned search refines once per
+    node of a tree with 12!/(12-k)! nodes at depth k."""
+    calls = counting_refine(monkeypatch)
     canonical_form(star(12))
-    assert calls <= 400
-    calls = 0
+    assert calls[0] <= 400
+    calls[0] = 0
     canonical_form(star(16))
-    assert 0 < calls <= 1000
+    assert 0 < calls[0] <= 1000
+
+
+def test_distinct_vertex_records_run_no_search(monkeypatch):
+    """When every vertex record (label, multiplicity) is unique, the initial
+    colouring is the one leaf, so no refinement runs; a repeated record
+    still searches."""
+    calls = counting_refine(monkeypatch)
+    canonical_form(reference_ground())
+    pinned_form(reference_ground(), {"s": 0, "t": 1})
+    canonical_form_lifted(reference_lifted())
+    pinned_form_lifted(reference_lifted(), {"s1": 0})
+    assert calls[0] == 0
+    canonical_form(star(6))
+    assert calls[0] >= 1
+
+
+def test_distinct_vertex_records_give_the_search_bytes():
+    """On states whose vertex records are pairwise distinct, ground and
+    lifted (with constraint groups), all four forms equal the minimum over
+    every leaf of the unpruned search."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    def distinct(state) -> bool:
+        recs = [(v.label, v.multiplicity) for v in state.vertices]
+        return len(set(recs)) == len(recs)
+
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(st.integers(0, 2**32 - 1), st.booleans())
+    def check(seed, lifted):
+        rng = random.Random(seed)
+        while True:
+            state = (random_lifted(rng, rng.randrange(1, 6)) if lifted
+                     else random_graph(rng, rng.randrange(1, 7), n_labels=4))
+            if distinct(state) and not (lifted and state.is_empty):
+                break
+        ids = [v.id for v in state.vertices]
+        pins = {rng.choice(ids): rng.randrange(2) for _ in range(rng.randrange(3))}
+        if lifted:
+            assert canonical_form_lifted(state).data == \
+                unpruned_canonical_bytes(state, None, 0x02)
+            assert pinned_form_lifted(state, pins) == \
+                unpruned_canonical_bytes(state, pins, 0xFF)
+        else:
+            assert canonical_form(state).data == \
+                unpruned_canonical_bytes(state, None, 0x01)
+            assert pinned_form(state, pins) == \
+                unpruned_canonical_bytes(state, pins, 0xFE)
+
+    check()
 
 
 def test_multi_leaf_search_is_logged_at_debug(caplog):

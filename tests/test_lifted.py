@@ -113,7 +113,6 @@ def test_infeasible_total_yields_empty_state():
     assert l.count_groundings() == 0
     assert l.groundings() == []
     assert l.canonical_form().data == b"\x00empty"
-    assert not l.contains(build_graph([Vertex("a", "x"), Vertex("b", "y")]))
 
 
 def test_constraint_over_no_edges_must_total_zero():
@@ -154,18 +153,6 @@ def test_groundings_sorted_by_canonical_form():
     for _ in range(20):
         keys = [g.canonical_form().data for g in random_lifted(rng).groundings()]
         assert keys == sorted(keys)
-
-
-def test_contains():
-    l = hull_example()
-    for g in box_groundings(l):
-        assert l.contains(g)
-    skewed = build_graph(
-        [Vertex("e", "screw", 4), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
-        [Hyperedge("at", ("e", "s1"), 3), Hyperedge("at", ("e", "s2"), 1)])
-    assert not l.contains(skewed)
-    other_vertices = build_graph([Vertex("e", "screw", 5)])
-    assert not l.contains(other_vertices)
 
 
 def test_conservation_must_pin_the_sum():
