@@ -198,19 +198,22 @@ def _conditions(domain, loc: str, held: Mapping[str, int]
     return conds
 
 
-def _ground_consistent(domain, g: MultiHypergraph, loc: str,
-                       held: Mapping[str, int]) -> bool:
+def _ground_consistent(g: MultiHypergraph, loc: str,
+                       conds: list[tuple[tuple[EdgeKey, ...], int]]) -> bool:
+    """Whether g meets one observation side: its location and ``_conditions``."""
     if not g.has_vertex(loc):
         return False
-    for keys, required in _conditions(domain, loc, held):
+    for keys, required in conds:
         if sum(g.edge_multiplicity(*k) for k in keys) != required:
             return False
     return True
 
 
-def _condition_state(domain, l: State, loc: str, held: Mapping[str, int]
+def _condition_state(l: State, loc: str,
+                     conds: list[tuple[tuple[EdgeKey, ...], int]]
                      ) -> tuple[float, list[tuple[LiftedMultiHypergraph, float]]]:
-    """Condition a state on one observation side.
+    """Condition a state on one observation side: its location and
+    ``_conditions``.
 
     Returns (fraction of groundings that are consistent, the states taking
     l's place with relative weights summing to one; l itself when the
@@ -224,7 +227,7 @@ def _condition_state(domain, l: State, loc: str, held: Mapping[str, int]
     work = l
     frac = 1.0
     deferred: list[tuple[tuple[EdgeKey, ...], int]] = []
-    for keys, required in _conditions(domain, loc, held):
+    for keys, required in conds:
         bounds = [work.multiplicity_bounds(k) for k in keys]
         fixed_sum = sum(lo for lo, up in bounds if lo == up)
         bounded = [(k, lo, up) for k, (lo, up) in zip(keys, bounds) if lo != up]
@@ -332,20 +335,20 @@ def update(domain, annotation, joint: JointPrediction, step: int = 0
     """
     masses: list[tuple[LiftedMultiHypergraph, float]] = []
     z = 0.0
+    prev_conds = _conditions(domain, annotation.loc_t, annotation.held_t)
     next_conds = _conditions(domain, annotation.loc_next, annotation.held_next)
     for p in joint.particles:
         if p.rule.name != annotation.action:
             continue
-        f_prev, prevs = _condition_state(
-            domain, p.prev, annotation.loc_t, annotation.held_t)
+        f_prev, prevs = _condition_state(p.prev, annotation.loc_t, prev_conds)
         for tight, rel in prevs:
             # applicability is grounding-independent on the particle's
             # predecessor, hence also on any subset of its groundings, so
             # the successor probabilities need no reweighting
             t = p.transition if tight is p.prev else lifted_apply(p.rule, tight)
             for succ, prob in t.outputs(next_conds):
-                f_next, nexts = _condition_state(
-                    domain, succ, annotation.loc_next, annotation.held_next)
+                f_next, nexts = _condition_state(succ, annotation.loc_next,
+                                                 next_conds)
                 if f_next == 0.0:
                     continue
                 base = p.weight * f_prev * rel * prob * f_next

@@ -20,6 +20,9 @@ Rules change edges only, never vertices.  So a :class:`VertexLayout` is
 built once, from the initial vertex list, and every state derived from it
 shares it: matching and canonical forms compile what depends on the
 vertices alone once per layout, which is exact for all of those states.
+The layout also interns edges: each (key, multiplicity) is built,
+validated and checked against the vertices once, and every state over the
+layout holds that one :class:`Hyperedge` object.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from typing import Iterable, Mapping
 from .errors import IntegrityError, StructuralError
 
 Label = str
+EdgeKey = tuple[Label, tuple[str, ...]]
 
 
 @dataclass(frozen=True, order=True)
@@ -59,6 +63,7 @@ class Hyperedge:
     label: Label
     incidence: tuple[str, ...]
     multiplicity: int = 1
+    key: EdgeKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.label:
@@ -66,15 +71,9 @@ class Hyperedge:
         if not self.incidence:
             raise StructuralError(f"edge {self.label!r}: incidence must be non-empty")
         object.__setattr__(self, "incidence", tuple(sorted(self.incidence)))
+        object.__setattr__(self, "key", (self.label, self.incidence))
         if self.multiplicity < 1:
             raise StructuralError(f"edge {self.label!r}: multiplicity must be >= 1")
-
-    @property
-    def key(self) -> tuple[Label, tuple[str, ...]]:
-        return (self.label, self.incidence)
-
-
-EdgeKey = tuple[Label, tuple[str, ...]]
 
 
 def edge_key(label: Label, incidence: Iterable[str]) -> EdgeKey:
@@ -85,11 +84,33 @@ def edge_key(label: Label, incidence: Iterable[str]) -> EdgeKey:
 class VertexLayout:
     """Sorted vertices, their id index and the forms compiled from them:
     matching's keyed by ``id(pattern)``, each holding its pattern so the id
-    stays taken, and canonical forms' keyed by their compile function."""
+    stays taken, and canonical forms' keyed by their compile function.
+
+    ``edges`` interns the layout's edges by (key, multiplicity); an edge is
+    in it only once its incidence has been checked against the vertices,
+    which never change.
+    """
 
     vertices: tuple[Vertex, ...]
     by_id: dict[str, Vertex]
     compiled: dict = field(default_factory=dict)
+    edges: dict = field(default_factory=dict)
+
+    def edge(self, key: EdgeKey, multiplicity: int) -> Hyperedge:
+        """The layout's edge with this key and multiplicity, built on first
+        request."""
+        e = self.edges.get((key, multiplicity))
+        return e if e is not None else self.intern(Hyperedge(*key, multiplicity))
+
+    def intern(self, e: Hyperedge) -> Hyperedge:
+        """The layout's edge equal to ``e``; ``e`` itself, once its incidence
+        is checked, when the layout has none yet."""
+        k = (e.key, e.multiplicity)
+        got = self.edges.get(k)
+        if got is None:
+            check_incidence(e.label, e.incidence, self.by_id)
+            got = self.edges[k] = e
+        return got
 
 
 def index_vertices(vertices: Iterable[Vertex] | VertexLayout) -> VertexLayout:
@@ -215,18 +236,20 @@ class MultiHypergraph:
                  conservation_labels: Iterable[Label] = (),
                  conserved_vertex_labels: Iterable[Label] = ()):
         layout = index_vertices(vertices)
-        merged: dict[EdgeKey, int] = {}
+        by_key: dict[EdgeKey, Hyperedge] = {}
         for e in edges:
-            check_incidence(e.label, e.incidence, layout.by_id)
-            merged[e.key] = merged.get(e.key, 0) + e.multiplicity
+            e = layout.intern(e)
+            same = by_key.get(e.key)
+            if same is not None:
+                e = layout.edge(e.key, same.multiplicity + e.multiplicity)
+            by_key[e.key] = e
 
         self.layout = layout
         self.vertices = layout.vertices
-        self.edges = tuple(Hyperedge(lbl, inc, m)
-                           for (lbl, inc), m in sorted(merged.items()))
+        self.edges = tuple(e for _, e in sorted(by_key.items()))
         self.conservation_labels = frozenset(conservation_labels)
         self.conserved_vertex_labels = frozenset(conserved_vertex_labels)
-        self._mult = {e.key: e.multiplicity for e in self.edges}
+        self._mult = {k: e.multiplicity for k, e in by_key.items()}
         self._canonical = None
         check_conservation(self.vertices, self.edges, (), (), self.conservation_labels,
                            self.conserved_vertex_labels)
@@ -259,7 +282,7 @@ class MultiHypergraph:
 
         Vertices are never created or destroyed by this operation.
         """
-        edges = [Hyperedge(lbl, inc, m) for (lbl, inc), m in mults.items() if m > 0]
+        edges = [self.layout.edge(k, m) for k, m in mults.items() if m > 0]
         return MultiHypergraph(self.layout, edges,
                                self.conservation_labels, self.conserved_vertex_labels)
 

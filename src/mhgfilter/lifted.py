@@ -23,14 +23,16 @@ conserved multiplicity sum of every participating vertex is constant across
 the support and equal to the vertex multiplicity.
 
 Every state built from another (shifted, rebuilt, lifted from a graph, or
-grounded) keeps its vertex layout, with its compiled forms.
+grounded) keeps its vertex layout, with its compiled forms and its interned
+edges: a state's fixed edges, and a grounding's edges, are the layout's
+objects.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
 from .canon import CanonicalForm, canonical_form_lifted as _canon_lifted
@@ -53,6 +55,7 @@ class BoundedEdge:
     incidence: tuple[str, ...]
     lower: int
     upper: int
+    key: EdgeKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.label:
@@ -60,13 +63,10 @@ class BoundedEdge:
         if not self.incidence:
             raise StructuralError(f"bounded edge {self.label!r}: empty incidence")
         object.__setattr__(self, "incidence", tuple(sorted(self.incidence)))
+        object.__setattr__(self, "key", (self.label, self.incidence))
         if self.lower < 0 or self.lower > self.upper:
             raise StructuralError(
                 f"bounded edge {self.label!r}: bad bounds [{self.lower}, {self.upper}]")
-
-    @property
-    def key(self) -> EdgeKey:
-        return (self.label, self.incidence)
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,7 @@ class LiftedMultiHypergraph:
         layout = index_vertices(vertices)
         fixed: dict[EdgeKey, int] = {}
         for e in fixed_edges:
-            check_incidence(e.label, e.incidence, layout.by_id)
+            e = layout.intern(e)
             fixed[e.key] = fixed.get(e.key, 0) + e.multiplicity
 
         bounds: dict[EdgeKey, tuple[int, int]] = {}
@@ -167,8 +167,8 @@ class LiftedMultiHypergraph:
 
         self.layout = layout
         self.vertices = layout.vertices
-        self.fixed_edges = tuple(Hyperedge(lbl, inc, m)
-                                 for (lbl, inc), m in sorted(fixed.items()) if m > 0)
+        self.fixed_edges = tuple(layout.edge(k, m)
+                                 for k, m in sorted(fixed.items()) if m > 0)
         self.bounded_edges = tuple(BoundedEdge(lbl, inc, lo, up)
                                    for (lbl, inc), (lo, up) in sorted(bounds.items()))
         self.constraints = tuple(sorted(
@@ -253,7 +253,7 @@ class LiftedMultiHypergraph:
             constraints.append(TotalConstraint(name, fresh, 1))
         return LiftedMultiHypergraph(
             self.layout,
-            [Hyperedge(lbl, inc, m) for (lbl, inc), m in fixed.items() if m],
+            [self.layout.edge(k, m) for k, m in fixed.items() if m],
             [BoundedEdge(lbl, inc, lo, up) for (lbl, inc), (lo, up) in bounds.items()],
             constraints, self.conservation_labels, self.conserved_vertex_labels)
 
@@ -284,11 +284,8 @@ class LiftedMultiHypergraph:
             yield dict(itertools.chain.from_iterable(parts))
 
     def _ground(self, assignment: Mapping[EdgeKey, int]) -> MultiHypergraph:
-        mults = dict(self._fixed_mult)
-        for k, v in assignment.items():
-            if v:
-                mults[k] = mults.get(k, 0) + v
-        edges = [Hyperedge(lbl, inc, m) for (lbl, inc), m in mults.items()]
+        edges = [*self.fixed_edges,
+                 *(self.layout.edge(k, v) for k, v in assignment.items() if v)]
         return MultiHypergraph(self.layout, edges,
                                self.conservation_labels, self.conserved_vertex_labels)
 

@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 from .canon import merge_by_form
 from .errors import IntegrityError, TraceInconsistencyError
-from .filtering import (Belief, FilterResult, StepStats, _ground_consistent,
-                        agent_location, logger)
+from .filtering import (Belief, FilterResult, StepStats, _conditions,
+                        _ground_consistent, agent_location, logger)
 from .graphs import MultiHypergraph
 from .lifted import LiftedMultiHypergraph
 from .rewrite import Rule, successors
@@ -121,16 +121,16 @@ def ground_filter_trace(domain, trace: Sequence) -> GroundFilterResult:
         # update
         masses: list[tuple[MultiHypergraph, float]] = []
         z = 0.0
+        prev_conds = _conditions(domain, annotation.loc_t, annotation.held_t)
+        next_conds = _conditions(domain, annotation.loc_next, annotation.held_next)
         for g, rule, w, outs in particles:
             w /= total
             if rule.name != annotation.action:
                 continue
-            if not _ground_consistent(domain, g, annotation.loc_t,
-                                      annotation.held_t):
+            if not _ground_consistent(g, annotation.loc_t, prev_conds):
                 continue
             for h, p in outs:
-                if not _ground_consistent(domain, h, annotation.loc_next,
-                                          annotation.held_next):
+                if not _ground_consistent(h, annotation.loc_next, next_conds):
                     continue
                 mass = w * p
                 masses.append((h, mass))

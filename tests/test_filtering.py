@@ -14,7 +14,7 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
                        generate_trace, lifted_apply, mini_bookshelf_domain,
                        predict, update)
 from mhgfilter import rewrite
-from mhgfilter.filtering import _condition_state
+from mhgfilter.filtering import _condition_state, _conditions
 
 LOCS = frozenset({"floor", "table"})
 
@@ -183,6 +183,11 @@ def test_update_raises_when_nothing_survives():
     assert exc.value.action == "take"
 
 
+def condition(domain, l, loc, held):
+    """Condition l on one observation side, as ``update`` does."""
+    return _condition_state(l, loc, _conditions(domain, loc, held))
+
+
 def test_condition_state_tightens_single_bounded_key():
     domain = tiny_domain(sharp_initial())
     l = LiftedMultiHypergraph(
@@ -195,17 +200,17 @@ def test_condition_state_tightens_single_bounded_key():
                                               ("at", ("floor", "gear"))}), 3)],
         frozenset({"at", "holds"}), frozenset({"gear"}))
     assert l.count_groundings() == 3
-    frac, states = _condition_state(domain, l, "floor", {"gear": 1})
+    frac, states = condition(domain, l, "floor", {"gear": 1})
     assert frac == pytest.approx(1 / 3)
     assert states == [(states[0][0], 1.0)]
     assert Hyperedge("holds", ("agent", "gear")) in states[0][0].fixed_edges
     assert Hyperedge("at", ("floor", "gear"), 2) in states[0][0].fixed_edges
 
-    frac, states = _condition_state(domain, l, "floor", {"gear": 5})
+    frac, states = condition(domain, l, "floor", {"gear": 5})
     assert frac == 0.0 and states == []
-    frac, _ = _condition_state(domain, l, "floor", {"gear": 0, "widget": 1})
+    frac, _ = condition(domain, l, "floor", {"gear": 0, "widget": 1})
     assert frac == 0.0
-    frac, states = _condition_state(domain, l, "table", {"gear": 1})
+    frac, states = condition(domain, l, "table", {"gear": 1})
     assert frac == 0.0 and states == []
 
 
@@ -220,7 +225,7 @@ def test_condition_state_enumerates_entangled_keys():
         [Hyperedge("at", ("agent", "floor")), Hyperedge("at", ("g2", "table"))],
         [BoundedEdge("holds", ("agent", "g1"), 0, 1),
          BoundedEdge("holds", ("agent", "g2"), 0, 1)])
-    frac, states = _condition_state(domain, l, "floor", {"gear": 1})
+    frac, states = condition(domain, l, "floor", {"gear": 1})
     assert frac == pytest.approx(0.5)
     assert len(states) == 2
     assert all(rel == pytest.approx(0.5) for _, rel in states)

@@ -1,22 +1,26 @@
 """Vertex layouts: every derived state shares its source's layout, each
-pattern compiles once per layout, and compiled forms change no result."""
+pattern compiles once per layout, compiled forms change no result, and
+interned edges are shared by every state of a layout while every
+construction check still runs."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import random
 from collections import Counter
 
 import pytest
 
-from mhgfilter import (EffectEdge, Effect, LiftedMultiHypergraph, Pattern,
-                       PatternEdge, PatternVertex, Rule, Vertex, apply, compare,
-                       generate_trace, ground_options, lifted_apply,
-                       mini_bookshelf_domain)
+from mhgfilter import (BoundedEdge, EffectEdge, Effect, Hyperedge, IntegrityError,
+                       LiftedMultiHypergraph, MultiHypergraph, Pattern,
+                       PatternEdge, PatternVertex, Rule, StructuralError,
+                       TotalConstraint, Vertex, apply, compare, generate_trace,
+                       ground_options, lifted_apply, mini_bookshelf_domain)
 from mhgfilter import rewrite
 from mhgfilter.canon import (canonical_form, canonical_form_lifted, pinned_form,
                              pinned_form_lifted)
-from oracles import random_graph, random_lifted, symmetric_lifted
+from oracles import box_groundings, random_graph, random_lifted, symmetric_lifted
 
 
 def test_derived_states_share_the_layout():
@@ -110,6 +114,18 @@ def random_rule(rng: random.Random, state) -> Rule:
     return Rule("random", pattern, Effect(retract, assert_))
 
 
+def oracle_state(draw, rng) -> LiftedMultiHypergraph:
+    """A lifted state from one of the test oracle's generators, picked and
+    driven by Hypothesis's ``draw`` and by ``rng``."""
+    from hypothesis import strategies as st
+    kind = draw(st.sampled_from(["lifted", "symmetric", "ground"]))
+    if kind == "lifted":
+        return random_lifted(rng)
+    if kind == "symmetric":
+        return symmetric_lifted(lambda a, b: draw(st.integers(a, b)))
+    return LiftedMultiHypergraph.from_graph(random_graph(rng))
+
+
 def results(state, rule, pins) -> tuple:
     """Everything a compiled form feeds, computed on one state."""
     t = lifted_apply(rule, state)
@@ -132,13 +148,7 @@ def test_a_warm_layout_gives_the_results_of_a_fresh_one():
     @st.composite
     def scenes(draw):
         rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
-        kind = draw(st.sampled_from(["lifted", "symmetric", "ground"]))
-        if kind == "lifted":
-            state = random_lifted(rng)
-        elif kind == "symmetric":
-            state = symmetric_lifted(lambda a, b: draw(st.integers(a, b)))
-        else:
-            state = LiftedMultiHypergraph.from_graph(random_graph(rng))
+        state = oracle_state(draw, rng)
         hypothesis.assume(not state.is_empty)
         pinned = rng.sample(state.vertices, rng.randint(0, 2))
         return state, random_rule(rng, state), {v.id: i for i, v in enumerate(pinned)}
@@ -159,3 +169,192 @@ def test_a_warm_layout_gives_the_results_of_a_fresh_one():
         assert results(warm, rule, pins) == cold == results(fresh, rule, pins)
 
     check()
+
+
+# -- interned edges ------------------------------------------------------------
+
+def fresh_vertices(state) -> list[Vertex]:
+    return [Vertex(v.id, v.label, v.multiplicity) for v in state.vertices]
+
+
+def fresh_ground(state, mults) -> MultiHypergraph:
+    """The ground state with these edge multiplicities, built by the public
+    constructor from fresh vertices and freshly made edges."""
+    return MultiHypergraph(fresh_vertices(state),
+                           [Hyperedge(*k, m) for k, m in mults.items() if m > 0],
+                           state.conservation_labels, state.conserved_vertex_labels)
+
+
+def fresh_lifted(state, fixed, bounds, totals) -> LiftedMultiHypergraph:
+    """The lifted state with these fixed multiplicities, bounds and groups
+    (name -> (keys, total)), built from fresh vertices and freshly made edges."""
+    return LiftedMultiHypergraph(
+        fresh_vertices(state),
+        [Hyperedge(*k, m) for k, m in fixed.items() if m > 0],
+        [BoundedEdge(*k, lo, up) for k, (lo, up) in bounds.items()],
+        [TotalConstraint(name, keys, t) for name, (keys, t) in totals.items()],
+        state.conservation_labels, state.conserved_vertex_labels)
+
+
+def assert_same(derived, fresh):
+    """``derived`` equals ``fresh`` edge by edge and by canonical bytes, and
+    holds its own layout's interned edges."""
+    assert derived.layout is not fresh.layout
+    if isinstance(fresh, MultiHypergraph):
+        assert derived == fresh and hash(derived) == hash(fresh)
+    for mine, theirs in ((derived.fixed_edges, fresh.fixed_edges),
+                         (derived.bounded_edges, fresh.bounded_edges)):
+        assert list(mine) == list(theirs)
+        assert [hash(e) for e in mine] == [hash(e) for e in theirs]
+        assert [e.key for e in mine] == [(e.label, e.incidence) for e in theirs]
+    assert derived.constraints == fresh.constraints
+    assert derived.is_empty == fresh.is_empty
+    assert derived.canonical_form().data == fresh.canonical_form().data
+    table = derived.layout.edges
+    assert all(table[e.key, e.multiplicity] is e for e in derived.fixed_edges)
+
+
+def parts(l: LiftedMultiHypergraph):
+    """(fixed multiplicities, bounds, groups) of a lifted state."""
+    return ({e.key: e.multiplicity for e in l.fixed_edges},
+            {b.key: (b.lower, b.upper) for b in l.bounded_edges},
+            {c.name: (c.edge_keys, c.total) for c in l.constraints})
+
+
+def test_derived_states_equal_fresh_builds():
+    """On random states from the test oracle's generators, every state built
+    from another -- by ``replace_edges``, ``iter_groundings``, ``shifted``,
+    ``rebuild`` and ``from_graph`` -- equals the state the public
+    constructors build from fresh vertices and freshly made edges."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @st.composite
+    def scenes(draw):
+        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        state = oracle_state(draw, rng)
+        hypothesis.assume(not state.is_empty)
+        return state, rng
+
+    @hypothesis.settings(max_examples=100, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(scenes())
+    def check(scene):
+        l, rng = scene
+        fixed, bounds, groups = parts(l)
+        ids = [v.id for v in l.vertices]
+
+        # rebuild: one bounded edge narrowed to its lower bound
+        if bounds:
+            k = rng.choice(sorted(bounds))
+            narrowed = {**bounds, k: (bounds[k][0], bounds[k][0])}
+            assert_same(l.rebuild(bounded=[BoundedEdge(*key, lo, up)
+                                           for key, (lo, up) in narrowed.items()]),
+                        fresh_lifted(l, fixed, narrowed, groups))
+
+        # shifted: a fixed key and a bounded key move, a group may grow, and
+        # fresh keys may open a new group
+        delta = {}
+        if fixed:
+            k = rng.choice(sorted(fixed))
+            delta[k] = rng.choice([-fixed[k], -1, 1])
+        if bounds:
+            k = rng.choice(sorted(bounds))
+            delta[k] = rng.choice([-bounds[k][0], 1])
+        grow = rng.choice(sorted(groups)) if groups and rng.random() < 0.5 else None
+        fresh = frozenset({("fresh", (rng.choice(ids),)), ("fresh", tuple(ids[:2]))}
+                          if rng.random() < 0.5 else ())
+        want_fixed, want_bounds, want_groups = dict(fixed), dict(bounds), dict(groups)
+        for k, d in delta.items():
+            if k in bounds:
+                want_bounds[k] = (bounds[k][0] + d, bounds[k][1] + d)
+                for name, (keys, t) in groups.items():
+                    if k in keys:
+                        want_groups[name] = (keys, t + d)
+            else:
+                want_fixed[k] += d
+        if grow is not None:
+            keys, t = want_groups[grow]
+            want_groups[grow] = (keys, t + 1)
+        if fresh:
+            want_bounds.update((k, (0, 1)) for k in fresh)
+            want_groups["#0"] = (fresh, 1)
+        assert_same(l.shifted(delta, grow, fresh),
+                    fresh_lifted(l, want_fixed, want_bounds, want_groups))
+
+        # iter_groundings, then from_graph and replace_edges on groundings
+        expected = {g.edges: g for g in box_groundings(l)}
+        groundings = list(l.iter_groundings())
+        assert len(groundings) == len(expected) == l.count_groundings()
+        for g in itertools.islice(groundings, 8):
+            assert_same(g, expected[g.edges])
+            mults = g.edge_dict()
+            assert_same(LiftedMultiHypergraph.from_graph(g),
+                        fresh_lifted(g, mults, {}, {}))
+            if mults:
+                mults[rng.choice(sorted(mults))] = rng.randrange(4)
+            mults["fresh", (ids[-1], ids[0])] = rng.randrange(1, 3)
+            assert_same(g.replace_edges(mults), fresh_ground(g, mults))
+
+    check()
+
+
+def test_a_key_checked_in_one_layout_is_checked_again_in_another():
+    a = MultiHypergraph([Vertex("a", "x"), Vertex("b", "y")],
+                        [Hyperedge("at", ("a", "b"))])
+    edge = a.edges[0]
+    assert a.layout.edges[edge.key, 1] is edge
+    b = MultiHypergraph([Vertex("a", "x"), Vertex("c", "y")])
+    for build in (lambda: MultiHypergraph(b.layout, [edge]),
+                  lambda: LiftedMultiHypergraph(b.layout, [edge]),
+                  lambda: b.replace_edges({edge.key: 1}),
+                  lambda: b.layout.edge(edge.key, 1)):
+        with pytest.raises(StructuralError, match="unknown vertex 'b'"):
+            build()
+    assert not b.layout.edges
+
+
+def test_replace_edges_still_checks_conservation():
+    g = MultiHypergraph([Vertex("e", "screw", 2), Vertex("s", "slot")],
+                        [Hyperedge("at", ("e", "s"), 2)],
+                        {"at"}, {"screw"})
+    for _ in range(2):  # the second time the edge is already interned
+        with pytest.raises(IntegrityError):
+            g.replace_edges({("at", ("e", "s")): 1})
+    assert g.replace_edges(g.edge_dict()) == g
+
+
+def test_duplicate_keys_still_sum_and_incidence_still_sorts():
+    g = MultiHypergraph([Vertex("a", "x"), Vertex("b", "y")],
+                        [Hyperedge("at", ("b", "a"))])
+    e = g.edges[0]
+    h = MultiHypergraph(g.layout, [e, e, Hyperedge("at", ("a", "b"), 2)])
+    assert h.edge_dict() == {("at", ("a", "b")): 4}
+    assert h.edges[0] is g.layout.edge(("at", ("a", "b")), 4)
+    unsorted = g.replace_edges({("at", ("b", "a")): 3, ("at", ("a", "b")): 1})
+    assert unsorted.edges == (Hyperedge("at", ("a", "b"), 4),)
+    assert unsorted.edges[0] is h.edges[0]
+    assert g.layout.edge(("at", ("b", "a")), 1) is e
+    assert e.incidence == ("a", "b")
+
+
+def test_all_states_of_a_compare_share_equal_edges(monkeypatch):
+    """Over one mini ``compare``, every state's edges with the same key and
+    multiplicity are one object, the layout's."""
+    states = []
+    for cls in (MultiHypergraph, LiftedMultiHypergraph):
+        def recording(self, *args, _init=cls.__init__, **kwargs):
+            _init(self, *args, **kwargs)
+            states.append(self)
+        monkeypatch.setattr(cls, "__init__", recording)
+    domain = mini_bookshelf_domain()
+    trace, _ = generate_trace(domain, seed=3, length=12)
+    assert not compare(domain, trace).divergent
+    assert {type(s) for s in states} == {MultiHypergraph, LiftedMultiHypergraph}
+    objects: dict = {}
+    for s in states:
+        assert s.layout is domain.initial_state.layout
+        for e in s.fixed_edges:
+            objects.setdefault((e.key, e.multiplicity), set()).add(id(e))
+    assert len(objects) > 10
+    assert all(len(ids) == 1 for ids in objects.values())

@@ -304,25 +304,29 @@ def test_find_matches_fire_in_every_grounding():
 def slot_scene(draw):
     """A small install scene for the match aggregation, drawn with
     ``draw(strategy)``: 2-6 slots with shared or distinct labels, one or two
-    screws, pre-filled slots, an optional [0,1] group over some of the first
-    screw's slots (possibly over slots the rule cannot reach), an optional
-    helper variable over slots and tools, which reaches some slots by fewer
-    matches than others, and an optional extra retract, assert, or retract
-    and assert of one key, of multiplicity 1 or 2, on a bounded key or a
-    slot key.  The install assert is uncapped one time in three, so the
-    rule has no slot edge and each match shifts on its own, and the pattern
-    sometimes reads the bounded ``tag`` key, so the match may hold in only
-    some groundings."""
+    screws (the second the first's twin or not), pre-filled slots, an
+    optional [0,1] group over some of the first screw's slots (possibly over
+    slots the rule cannot reach), an optional helper variable over slots and
+    tools, which reaches some slots by fewer matches than others, and an
+    optional extra retract, assert, or retract and assert of one key, of
+    multiplicity 1 or 2, on a bounded key or a slot key (a pre-filled one
+    when retracted).  The install assert is uncapped one time in three, so
+    the rule has no slot edge and each match shifts on its own, and the
+    pattern sometimes reads the bounded ``tag`` key, so the match may hold
+    in only some groundings."""
     from hypothesis import strategies as st
 
     n = draw(st.integers(2, 6))
     slots = [f"s{i}" for i in range(n)]
-    labels = [f"slot_{draw(st.integers(0, n - 1))}" for _ in slots]
-    screws = ["e1", "e2"][:draw(st.integers(1, 2))]
+    labels = [f"slot_{draw(st.integers(0, 2 * n - 1))}" for _ in slots]
+    screws = ["e1", "e2"][:draw(st.sampled_from([1, 2, 2]))]
+    # e2 is e1's twin or tells apart from it by multiplicity
+    mults = {"e1": 3, "e2": draw(st.sampled_from([2, 3]))}
     pairs = [(e, s) for e in screws for s in slots]
     filled = draw(st.sets(st.sampled_from(pairs), max_size=2))
     tag_lo = draw(st.integers(0, 1))
-    bounded = [BoundedEdge("tag", ("a",), tag_lo, tag_lo + draw(st.integers(0, 2)))]
+    tag_up = tag_lo + draw(st.integers(0, 2))
+    bounded = [BoundedEdge("tag", ("a",), tag_lo, tag_up)]
     constraints = []
     if draw(st.booleans()):
         members = draw(st.lists(st.sampled_from(slots), min_size=2, unique=True))
@@ -332,7 +336,7 @@ def slot_scene(draw):
             draw(st.integers(1, len(members) - 1))))
     tools = [Vertex(f"t{i}", "tool") for i in range(draw(st.integers(0, 2)))]
     l = LiftedMultiHypergraph(
-        [Vertex("a", "agent")] + [Vertex(e, "screw", 3) for e in screws]
+        [Vertex("a", "agent")] + [Vertex(e, "screw", mults[e]) for e in screws]
         + [Vertex(s, label) for s, label in zip(slots, labels)] + tools,
         [Hyperedge("holds", ("a", e)) for e in screws]
         + [Hyperedge("at", pair) for pair in filled],
@@ -350,8 +354,11 @@ def slot_scene(draw):
     assert_ = [EffectEdge("at", ("E", "SL"), cap=draw(st.sampled_from([1, 1, None])))]
     extra = draw(st.sampled_from(["none", "retract", "assert", "both"]))
     if extra != "none":
-        target = draw(st.sampled_from([("tag", ("A",))]
-                                      + [("at", ("E", s)) for s in slots]))
+        # a retract mostly targets a key that some grounding holds
+        slot_keys = ([("at", ("E", s)) for s in slots] if extra == "assert" else
+                     [key for e, s in sorted(filled) for key in
+                      (("at", ("E", s)), ("at", (e, s)))])
+        target = draw(st.sampled_from([("tag", ("A",))] + slot_keys))
         mult = draw(st.integers(1, 2))
         if extra != "assert":
             retract.append(EffectEdge(*target, mult))
@@ -359,7 +366,7 @@ def slot_scene(draw):
             assert_.append(EffectEdge(*target, mult,
                                       draw(st.sampled_from([None, 1, 2]))))
     reads = [PatternEdge("holds", ("A", "E"))]
-    tag_min = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    tag_min = min(draw(st.sampled_from([0, 0, 0, 1, 2])), tag_up)
     if tag_min:
         reads.append(PatternEdge("tag", ("A",), tag_min))
     rule = Rule("install", Pattern(tuple(pattern), tuple(reads)),
@@ -405,24 +412,26 @@ def test_condition_prune_drops_only_dead_successors():
         for v in l.vertices:
             alike.setdefault((v.label, v.multiplicity), []).append(v.id)
         twins = {v.id: alike[v.label, v.multiplicity] for v in l.vertices}
-        keys = ([("holds", ("a", e)) for e in ("e1", "e2") if l.has_vertex(e)]
-                + [("at", ("e1", v.id)) for v in l.vertices
+        screws = [e for e in ("e1", "e2") if l.has_vertex(e)]
+        keys = ([("holds", ("a", e)) for e in screws]
+                + [("at", (e, v.id)) for e in screws for v in l.vertices
                    if v.label.startswith("slot_")] + [("tag", ("a",))])
-        conds = []
-        for _ in range(draw(st.integers(1, 3))):
-            drawn = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=3,
-                                  unique=True))
-            orbit = {edge_key(label, ids) for label, inc in drawn
-                     for ids in itertools.product(*(twins[v] for v in inc))}
-            conds.append((tuple(sorted(orbit)), draw(st.integers(0, 2))))
-        # often require what one successor's grounding has, so that the
-        # conditions keep some successors and drop others
+        # mostly require what one successor's grounding g has, on keys that
+        # g holds, so that the conditions keep some successors and drop others
         outputs = lifted_apply(rule, l).outputs()
-        if outputs and draw(st.booleans()):
+        g = None
+        if outputs and draw(st.integers(0, 3)):
             state = draw(st.sampled_from(outputs))[0]
             g = draw(st.sampled_from(list(state.iter_groundings())))
-            conds = [(keys, sum(g.edge_multiplicity(*k) for k in keys))
-                     for keys, _ in conds]
+        pool = [k for k in keys if g is not None and g.edge_multiplicity(*k)] or keys
+        conds = []
+        for _ in range(draw(st.integers(1, 3))):
+            drawn = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                                  unique=True))
+            orbit = tuple(sorted({edge_key(label, ids) for label, inc in drawn
+                                  for ids in itertools.product(*(twins[v] for v in inc))}))
+            conds.append((orbit, draw(st.integers(0, 2)) if g is None
+                          else sum(g.edge_multiplicity(*k) for k in orbit)))
         return rule, l, conds
 
     def live(state, conds):
