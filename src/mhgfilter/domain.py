@@ -96,14 +96,24 @@ class Domain:
         # Beliefs merge states by label-preserving isomorphism, but the
         # observation names the agent and its location by vertex id, and an
         # effect may name a literal id.  Such a vertex must be the only one
-        # with its label, or merging would lose mass.
+        # with its label, or merging would lose mass.  A literal id must also
+        # be a vertex of the initial state: an effect's keys are resolved
+        # together at every evaluated match, so a missing one would raise
+        # EffectError mid-filter.
         named = {self.agent_id}
         named.update(v.id for label in self.agent_location_labels
                      for v in by_label.get(label, ()))
         for r in self.rules:
             declared = {pv.var for pv in r.pattern.vertices}
-            named.update(x for e in r.effect.retract + r.effect.assert_
-                         for x in e.vars if x not in declared)
+            literals = {x for e in r.effect.retract + r.effect.assert_
+                        for x in e.vars if x not in declared}
+            for vid in sorted(literals):
+                if not self.initial_state.has_vertex(vid):
+                    raise StructuralError(
+                        f"domain {self.name!r}: rule {r.name!r} names vertex "
+                        f"{vid!r} in its effect, but the initial state has "
+                        f"no such vertex")
+            named.update(literals)
         for vid in sorted(named):
             if (self.initial_state.has_vertex(vid)
                     and len(by_label[self.initial_state.vertex(vid).label]) > 1):

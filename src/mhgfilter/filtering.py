@@ -204,7 +204,7 @@ def _ground_consistent(g: MultiHypergraph, loc: str,
     if not g.has_vertex(loc):
         return False
     for keys, required in conds:
-        if sum(g.edge_multiplicity(*k) for k in keys) != required:
+        if sum(g.multiplicity_bounds(k)[0] for k in keys) != required:
             return False
     return True
 
@@ -255,7 +255,7 @@ def _condition_state(l: State, loc: str,
     if deferred:
         survivors = merge_by_form(
             (g, 1) for g in work.iter_groundings()
-            if all(sum(g.edge_multiplicity(*k) for k in keys) == required
+            if all(sum(g.multiplicity_bounds(k)[0] for k in keys) == required
                    for keys, required in deferred))
         kept = sum(c for _, c in survivors.values())
         if kept == 0:

@@ -83,8 +83,9 @@ def edge_key(label: Label, incidence: Iterable[str]) -> EdgeKey:
 @dataclass(frozen=True, eq=False)
 class VertexLayout:
     """Sorted vertices, their id index and the forms compiled from them:
-    matching's keyed by ``id(pattern)``, each holding its pattern so the id
-    stays taken, and canonical forms' keyed by their compile function.
+    matching's keyed by ``id(pattern)`` and effects' by ``id(rule)``, each
+    holding its pattern or rule so the id stays taken, and canonical forms'
+    keyed by their compile function.
 
     ``edges`` interns the layout's edges by (key, multiplicity); an edge is
     in it only once its incidence has been checked against the vertices,
@@ -278,11 +279,14 @@ class MultiHypergraph:
         return dict(self._mult)
 
     def replace_edges(self, mults: Mapping[EdgeKey, int]) -> "MultiHypergraph":
-        """New graph with the given edge-key multiplicities (zeroes dropped).
+        """New graph with the given edge keys' multiplicities replaced (zeroes
+        dropped) and the edges of every other key kept as they are.
 
-        Vertices are never created or destroyed by this operation.
+        Keys are named as :func:`edge_key` builds them.  Vertices are never
+        created or destroyed by this operation.
         """
-        edges = [self.layout.edge(k, m) for k, m in mults.items() if m > 0]
+        edges = [e for e in self.edges if e.key not in mults]
+        edges += [self.layout.edge(k, m) for k, m in mults.items() if m > 0]
         return MultiHypergraph(self.layout, edges,
                                self.conservation_labels, self.conserved_vertex_labels)
 

@@ -8,9 +8,19 @@ rule: a pattern variable over the slot vertices plus a capped assert.
 
 Ground semantics: a rule is applicable via every injective assignment of its
 pattern variables whose effect can be applied.  Applying a rule picks
-uniformly among these options.  A pattern's candidate lists and variable
-order are compiled once per vertex layout, which is exact: all states
-sharing the layout have the same vertices.
+uniformly among these options.
+
+Rules are compiled once per vertex layout.  A pattern compiles to its
+candidate lists, its variable order and a match tree: a node per assigned
+prefix, holding each next candidate with the (edge key, minimum) checks it
+completes, and a leaf per full assignment, holding its ``Match``.  The tree
+grows lazily, a node on the first walk that passes its checks, so it never
+holds more than the backtracking visits.  A rule compiles, per match, its
+effect's resolved retract and assert keys, their multiplicities and caps,
+and its slot key.  This is exact: a key depends only on the assignment and
+the vertex ids, and all states sharing the layout have the same vertices,
+while each state still reads every multiplicity bound for itself.  An
+effect naming an unknown vertex raises EffectError and is never cached.
 
 Lifted semantics: ``lifted_apply`` answers, once per rule and lifted state,
 in how many groundings the rule is applicable and how its successors arise;
@@ -49,7 +59,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .canon import merge_by_form
 from .errors import EffectError, StructuralError
@@ -180,112 +191,199 @@ class Match:
         return self.as_dict()[var]
 
 
-# -- effect keys ---------------------------------------------------------------
-
-def _resolve(entry: str, assignment: Mapping[str, str], state: State) -> str:
-    vid = assignment.get(entry, entry)
-    if not state.has_vertex(vid):
-        raise EffectError(f"unknown vertex {vid!r} in effect")
-    return vid
-
-
-def _effect_key(e: EffectEdge, assignment: Mapping[str, str], state: State) -> EdgeKey:
-    return edge_key(e.label, [_resolve(x, assignment, state) for x in e.vars])
-
-
 # -- matching ------------------------------------------------------------------
 
-def _compile_pattern(pattern: Pattern, layout: VertexLayout) -> tuple:
-    """(pattern, static variable order with the most constrained first,
-    candidate ids, pattern edges by the last variable they read)."""
+class _CompiledPattern(NamedTuple):
+    """A pattern's matching over one layout, compiled once."""
+    pattern: Pattern                        # held so its id stays taken
+    order: list[PatternVertex]              # the most constrained first
+    candidates: dict[str, list[str]]        # variable -> admitted vertex ids
+    edges_by_last: dict[str, list[PatternEdge]]   # by the last variable read
+    root: list          # the match tree's root entry, an empty prefix; see _children
+
+
+def _compile_pattern(pattern: Pattern, layout: VertexLayout) -> _CompiledPattern:
     candidates = {pv.var: sorted(v.id for v in layout.vertices if pv.admits(v))
                   for pv in pattern.vertices}
-    pvs = sorted(pattern.vertices, key=lambda pv: len(candidates[pv.var]))
-    order_index = {pv.var: i for i, pv in enumerate(pvs)}
+    order = sorted(pattern.vertices, key=lambda pv: len(candidates[pv.var]))
+    order_index = {pv.var: i for i, pv in enumerate(order)}
     edges_by_last: dict[str, list[PatternEdge]] = {}
     for pe in pattern.edges:
         last = max(pe.vars, key=lambda v: order_index[v])
         edges_by_last.setdefault(last, []).append(pe)
-    return pattern, pvs, candidates, edges_by_last
+    return _CompiledPattern(pattern, order, candidates, edges_by_last,
+                            [[(), (), None]])
+
+
+def _children(c: _CompiledPattern, path: tuple[tuple[str, str], ...]) -> list:
+    """The match-tree entries below an assigned prefix: one
+    [checks, path, child] per unused candidate of the next variable, where
+    checks are the (edge key, minimum multiplicity) of the pattern edges it
+    completes and child is built on first descent."""
+    pv = c.order[len(path)]
+    assignment = dict(path)
+    used = set(assignment.values())
+    entries = []
+    for vid in c.candidates[pv.var]:
+        if vid in used:
+            continue
+        assignment[pv.var] = vid
+        checks = tuple((edge_key(pe.label, [assignment[x] for x in pe.vars]),
+                        pe.min_multiplicity) for pe in c.edges_by_last.get(pv.var, ()))
+        entries.append([checks, path + ((pv.var, vid),), None])
+    return entries
 
 
 def _raw_matches(pattern: Pattern, state: State) -> list[tuple[Match, bool]]:
     """All injective assignments whose pattern edges meet their minimum on
     upper multiplicity bounds, each with ``sure``: whether they meet it on
-    lower bounds too.
+    lower bounds too.  Sorted by match.
 
     On a lifted state a sure match is a match in every grounding, and an
     unsure one in some groundings only; every match is sure on a ground
-    state.
+    state.  The walk reads the layout's match tree, whose nodes are built
+    the first time a walk passes their checks.
     """
     compiled = state.layout.compiled
-    entry = compiled.get(id(pattern))
-    if entry is None:
-        entry = compiled[id(pattern)] = _compile_pattern(pattern, state.layout)
-    _, pvs, candidates, edges_by_last = entry
-
+    c = compiled.get(id(pattern))
+    if c is None:
+        c = compiled[id(pattern)] = _compile_pattern(pattern, state.layout)
+    bounds = state.multiplicity_bounds
+    last = len(c.order)
     out: list[tuple[Match, bool]] = []
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-
-    def backtrack(i: int, sure: bool):
-        if i == len(pvs):
-            out.append((Match(tuple(assignment.items())), sure))
-            return
-        pv = pvs[i]
-        for vid in candidates[pv.var]:
-            if vid in used:
-                continue
-            assignment[pv.var] = vid
-            used.add(vid)
-            ok, here = True, sure
-            for pe in edges_by_last.get(pv.var, ()):
-                key = edge_key(pe.label, [assignment[x] for x in pe.vars])
-                lo, up = state.multiplicity_bounds(key)
-                if up < pe.min_multiplicity:
-                    ok = False
+    stack = [(c.root, 0, True)]
+    while stack:
+        entries, depth, sure = stack.pop()
+        for entry in entries:
+            checks, path, child = entry
+            here = sure
+            for key, need in checks:
+                lo, up = bounds(key)
+                if up < need:
                     break
-                here = here and lo >= pe.min_multiplicity
-            if ok:
-                backtrack(i + 1, here)
-            del assignment[pv.var]
-            used.discard(vid)
-
-    backtrack(0, True)
-    out.sort()
+                if lo < need:
+                    here = False
+            else:
+                if child is None:
+                    child = entry[2] = (Match(path) if depth == last
+                                        else _children(c, path))
+                if depth == last:
+                    out.append((child, here))
+                else:
+                    stack.append((child, depth + 1, here))
+    if len(out) > 1:
+        out.sort(key=lambda ms: ms[0].assignment)
     return out
 
 
-def _effect_feasible(effect: Effect, state: State, assignment: Mapping[str, str]
-                     ) -> tuple[bool, bool, dict[EdgeKey, int]]:
-    """(sure, possible, delta): whether retracts stay non-negative and caps
-    hold in every grounding, and in some grounding, plus the effect's net
-    multiplicity change per key.
+# -- effect keys ---------------------------------------------------------------
 
-    Retracts are checked against their net delta, and each capped assert
-    against the delta accumulated up to it, as ``apply`` does.  Sure reads
-    lower bounds for retracts and upper bounds for caps, possible the
-    reverse; the two coincide on ground states.
+class _Feasibility(NamedTuple):
+    """What ``_effect_feasible`` reads of an effect at one match."""
+    retract: tuple[tuple[EdgeKey, int], ...]       # net retract delta per key
+    caps: tuple[tuple[EdgeKey, int, int], ...]     # (key, delta so far, cap)
+    delta: Mapping[EdgeKey, int]                   # net change per key, read only
+    changes: tuple[tuple[EdgeKey, int], ...]       # its non-zero items, sorted
+
+
+class _EffectKeys(NamedTuple):
+    """A rule's effect resolved at one match."""
+    retract: tuple[tuple[EdgeKey, int], ...]       # per retract edge
+    assert_: tuple[tuple[EdgeKey, int, int | None], ...]   # per assert edge
+    full: _Feasibility
+    rest: _Feasibility                             # without the slot edge
+    slot: EdgeKey | None
+
+
+class _CompiledRule(NamedTuple):
+    """A rule's effect over one layout: its slot edge and, per match
+    assignment, its resolved keys, compiled on first request."""
+    rule: Rule                                     # held so its id stays taken
+    slot: int | None                               # index of the slot edge
+    by_id: Mapping[str, Vertex]                    # the layout's vertices
+    keys: dict[tuple, _EffectKeys]
+
+
+def _slot_edge(rule: Rule) -> int | None:
+    """The index of the rule's only assert with cap 1 and multiplicity 1."""
+    capped = [i for i, e in enumerate(rule.effect.assert_)
+              if e.cap == 1 and e.multiplicity == 1]
+    return capped[0] if len(capped) == 1 else None
+
+
+def _compiled_rule(rule: Rule, layout: VertexLayout) -> _CompiledRule:
+    compiled = layout.compiled
+    c = compiled.get(id(rule))
+    if c is None:
+        c = compiled[id(rule)] = _CompiledRule(rule, _slot_edge(rule), layout.by_id, {})
+    return c
+
+
+def _feasibility(retract, assert_) -> _Feasibility:
+    """Retracts are checked against their net delta, and each capped assert
+    against the delta accumulated up to it, as ``apply`` does."""
+    delta: dict[EdgeKey, int] = {}
+    for k, m in retract:
+        delta[k] = delta.get(k, 0) - m
+    net_retract = tuple(delta.items())
+    caps = []
+    for k, m, cap in assert_:
+        delta[k] = delta.get(k, 0) + m
+        if cap is not None:
+            caps.append((k, delta[k], cap))
+    return _Feasibility(net_retract, tuple(caps), MappingProxyType(delta),
+                        tuple(sorted((k, d) for k, d in delta.items() if d)))
+
+
+def _effect_keys(c: _CompiledRule, match: Match) -> _EffectKeys:
+    """The rule's effect at this match, resolved once per layout.  An effect
+    naming an unknown vertex raises EffectError, and is resolved again, and
+    raises again, on the next call."""
+    keys = c.keys.get(match.assignment)
+    if keys is not None:
+        return keys
+    assignment = match.as_dict()
+
+    def key(e: EffectEdge) -> EdgeKey:
+        ids = [assignment.get(x, x) for x in e.vars]
+        for vid in ids:
+            if vid not in c.by_id:
+                raise EffectError(f"unknown vertex {vid!r} in effect")
+        return edge_key(e.label, ids)
+
+    effect = c.rule.effect
+    retract = tuple((key(e), e.multiplicity) for e in effect.retract)
+    assert_ = tuple((key(e), e.multiplicity, e.cap) for e in effect.assert_)
+    full = _feasibility(retract, assert_)
+    if c.slot is None:
+        keys = _EffectKeys(retract, assert_, full, full, None)
+    else:
+        rest = assert_[:c.slot] + assert_[c.slot + 1:]
+        keys = _EffectKeys(retract, assert_, full, _feasibility(retract, rest),
+                           assert_[c.slot][0])
+    c.keys[match.assignment] = keys
+    return keys
+
+
+def _effect_feasible(f: _Feasibility, state: State) -> tuple[bool, bool]:
+    """(sure, possible): whether retracts stay non-negative and caps hold in
+    every grounding, and in some grounding.
+
+    Sure reads lower bounds for retracts and upper bounds for caps, possible
+    the reverse; the two coincide on ground states.
     """
     sure = True
-    delta: dict[EdgeKey, int] = {}
-    for e in effect.retract:
-        k = _effect_key(e, assignment, state)
-        delta[k] = delta.get(k, 0) - e.multiplicity
-    for k, d in delta.items():
+    for k, d in f.retract:
         lo, up = state.multiplicity_bounds(k)
         if up + d < 0:
-            return False, False, delta
+            return False, False
         sure = sure and lo + d >= 0
-    for e in effect.assert_:
-        k = _effect_key(e, assignment, state)
-        delta[k] = delta.get(k, 0) + e.multiplicity
-        if e.cap is not None:
-            lo, up = state.multiplicity_bounds(k)
-            if lo + delta[k] > e.cap:
-                return False, False, delta
-            sure = sure and up + delta[k] <= e.cap
-    return sure, True, delta
+    for k, d, cap in f.caps:
+        lo, up = state.multiplicity_bounds(k)
+        if lo + d > cap:
+            return False, False
+        sure = sure and up + d <= cap
+    return sure, True
 
 
 def ground_options(rule: Rule, state: State) -> list[Match]:
@@ -295,30 +393,28 @@ def ground_options(rule: Rule, state: State) -> list[Match]:
     no retraction below zero and no cap exceeded.  On lifted states, the
     matches that fire in every grounding.
     """
+    c = _compiled_rule(rule, state.layout)
     return [m for m, sure in _raw_matches(rule.pattern, state)
-            if sure and _effect_feasible(rule.effect, state, m.as_dict())[0]]
+            if sure and _effect_feasible(_effect_keys(c, m).full, state)[0]]
 
 
 def apply(rule: Rule, g: MultiHypergraph, match: Match) -> MultiHypergraph:
     """Apply the rule's effect at the given match; raises EffectError when the
     match is not applicable in g."""
-    assignment = match.as_dict()
-    mults = g.edge_dict()
-    for e in rule.effect.retract:
-        k = _effect_key(e, assignment, g)
-        have = mults.get(k, 0)
-        if have < e.multiplicity:
+    keys = _effect_keys(_compiled_rule(rule, g.layout), match)
+    changed: dict[EdgeKey, int] = {}     # the keys the effect touches
+    for k, m in keys.retract:
+        have = changed[k] if k in changed else g.multiplicity_bounds(k)[0]
+        if have < m:
             raise EffectError(
-                f"rule {rule.name!r}: cannot retract {e.multiplicity} of {k!r} "
-                f"(present: {have})")
-        mults[k] = have - e.multiplicity
-    for e in rule.effect.assert_:
-        k = _effect_key(e, assignment, g)
-        mults[k] = mults.get(k, 0) + e.multiplicity
-        if e.cap is not None and mults[k] > e.cap:
-            raise EffectError(
-                f"rule {rule.name!r}: asserting {k!r} exceeds cap {e.cap}")
-    return g.replace_edges(mults)
+                f"rule {rule.name!r}: cannot retract {m} of {k!r} (present: {have})")
+        changed[k] = have - m
+    for k, m, cap in keys.assert_:
+        have = changed[k] if k in changed else g.multiplicity_bounds(k)[0]
+        changed[k] = have + m
+        if cap is not None and changed[k] > cap:
+            raise EffectError(f"rule {rule.name!r}: asserting {k!r} exceeds cap {cap}")
+    return g.replace_edges(changed)
 
 
 def successors(rule: Rule, g: MultiHypergraph) -> list[tuple[MultiHypergraph, float]]:
@@ -374,12 +470,6 @@ class LiftedApplyResult:
         return tuple(v for _, v in sorted(outs.items()))
 
 
-def _slot_edge(rule: Rule) -> EffectEdge | None:
-    """The rule's only assert with cap 1 and multiplicity 1, if any."""
-    capped = [e for e in rule.effect.assert_ if e.cap == 1 and e.multiplicity == 1]
-    return capped[0] if len(capped) == 1 else None
-
-
 def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:
     """Check the preconditions of the lifted path, once.
 
@@ -396,25 +486,22 @@ def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:
     if not all(sure for _, sure in matches):
         return give_up("match sets differ across groundings")
 
-    slot = _slot_edge(rule)
-    rest = rule.effect if slot is None else Effect(
-        rule.effect.retract, tuple(e for e in rule.effect.assert_ if e is not slot))
-    feasible: list[tuple[dict[str, str], dict[EdgeKey, int]]] = []
+    c = _compiled_rule(rule, l.layout)
+    feasible: list[_EffectKeys] = []
     for m, _ in matches:
-        assignment = m.as_dict()
-        sure, possible, delta = _effect_feasible(rest, l, assignment)
+        keys = _effect_keys(c, m)
+        sure, possible = _effect_feasible(keys.rest, l)
         if sure != possible:
             return give_up("effect feasibility varies across groundings")
         if sure:
-            feasible.append((assignment, delta))
+            feasible.append(keys)
 
-    if slot is None:
-        return [(1, delta, None, frozenset()) for _, delta in feasible]
-    return _slot_plan(slot, l, feasible, give_up)
+    if c.slot is None:
+        return [(1, keys.rest.delta, None, frozenset()) for keys in feasible]
+    return _slot_plan(l, feasible, give_up)
 
 
-def _slot_plan(slot: EffectEdge, l: LiftedMultiHypergraph,
-               feasible: list[tuple[dict[str, str], dict[EdgeKey, int]]],
+def _slot_plan(l: LiftedMultiHypergraph, feasible: list[_EffectKeys],
                give_up: Callable[[str], None]) -> list[tuple] | None:
     """Aggregate the matches whose rest of the effect fires everywhere.
 
@@ -429,17 +516,16 @@ def _slot_plan(slot: EffectEdge, l: LiftedMultiHypergraph,
     successor of its own.
     """
     classes: dict[tuple, dict[EdgeKey, int]] = {}    # slot key -> match count
-    for assignment, delta in feasible:
-        k = _effect_key(slot, assignment, l)
-        if k in delta:
+    for keys in feasible:
+        k = keys.slot
+        if k in keys.rest.delta:
             return give_up("slot interference")
         lo, up = l.multiplicity_bounds(k)
         if lo >= 1:
             continue
         if up and ((lo, up) != (0, 1) or l.group_of(k) is None):
             return give_up(f"slot key {k!r} is not a [0,1] group member")
-        cls = tuple(sorted((key, d) for key, d in delta.items() if d))
-        counts = classes.setdefault(cls, {})
+        counts = classes.setdefault(keys.rest.changes, {})
         counts[k] = counts.get(k, 0) + 1
 
     plan = []

@@ -1,9 +1,9 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here is deliberately naive: bijection search for isomorphism,
-cartesian-product enumeration for groundings, explicit ground-state
-mixtures for rule pushforwards, and a canonical-form search that visits
-every leaf.  The point is to share no code path with the library internals
+permutation search for pattern matches, cartesian-product enumeration for
+groundings, explicit ground-state mixtures for rule pushforwards, and a
+canonical-form search that visits every leaf.  The point is to share no code path with the library internals
 being checked; the unpruned search shares the library's refinement on
 purpose, because it checks the pruning alone.
 """
@@ -188,6 +188,100 @@ def ground_pushforward(rule: Rule, l: LiftedMultiHypergraph,
     if n_app:
         dist = {k: w / n_app for k, w in dist.items()}
     return dist, n_app, len(grounds)
+
+
+def _admits(pv, v: Vertex) -> bool:
+    if v.multiplicity < pv.min_multiplicity:
+        return False
+    if pv.label is None:
+        return True
+    return v.label in pv.label if isinstance(pv.label, frozenset) else v.label == pv.label
+
+
+def brute_matches(pattern, state) -> list[tuple[tuple[tuple[str, str], ...], bool]]:
+    """Every injective assignment of the pattern's variables, found by trying
+    each ordered choice of distinct vertices, whose labels and
+    multiplicities the variables admit and whose pattern edges reach their
+    minimum on upper bounds; each with whether they reach it on lower
+    bounds too.  Sorted by assignment, each sorted by variable."""
+    bounds: dict[tuple, list[int]] = {}
+    for e in state.fixed_edges:
+        b = bounds.setdefault((e.label, tuple(sorted(e.incidence))), [0, 0])
+        b[0] += e.multiplicity
+        b[1] += e.multiplicity
+    for e in state.bounded_edges:
+        b = bounds.setdefault((e.label, tuple(sorted(e.incidence))), [0, 0])
+        b[0] += e.lower
+        b[1] += e.upper
+    out = []
+    for chosen in itertools.permutations(state.vertices, len(pattern.vertices)):
+        if not all(_admits(pv, v) for pv, v in zip(pattern.vertices, chosen)):
+            continue
+        assignment = {pv.var: v.id for pv, v in zip(pattern.vertices, chosen)}
+        ok = sure = True
+        for pe in pattern.edges:
+            lo, up = bounds.get(
+                (pe.label, tuple(sorted(assignment[x] for x in pe.vars))), (0, 0))
+            ok = ok and up >= pe.min_multiplicity
+            sure = sure and lo >= pe.min_multiplicity
+        if ok:
+            out.append((tuple(sorted(assignment.items())), sure))
+    return sorted(out)
+
+
+def brute_fire(effect, edges: Mapping[tuple, int], assignment: Mapping[str, str]
+               ) -> dict[tuple, int] | None:
+    """The edge dict after the effect, each edge in turn, or None when a
+    retract goes below zero or an assert passes its cap."""
+    after = dict(edges)
+
+    def key(e):
+        return e.label, tuple(sorted(assignment.get(x, x) for x in e.vars))
+
+    for e in effect.retract:
+        if after.get(key(e), 0) < e.multiplicity:
+            return None
+        after[key(e)] -= e.multiplicity
+    for e in effect.assert_:
+        after[key(e)] = after.get(key(e), 0) + e.multiplicity
+        if e.cap is not None and after[key(e)] > e.cap:
+            return None
+    return {k: m for k, m in after.items() if m}
+
+
+def brute_transition(rule: Rule, l: LiftedMultiHypergraph
+                     ) -> tuple[list[tuple], int, int, dict[bytes, float]]:
+    """The rule on the uniform grounding distribution, from ``box_groundings``
+    and ``brute_matches`` alone.
+
+    Returns (the options in every grounding, as sorted assignments; the
+    number of groundings with an option; the number of groundings; the
+    canonical successor distribution, conditioned on applicability).
+    """
+    grounds = box_groundings(l)
+    every = None
+    dist: dict[bytes, float] = {}
+    n_app = 0
+    for g in grounds:
+        edges = g.edge_dict()
+        successors = {}
+        for assignment, _ in brute_matches(rule.pattern, g):
+            after = brute_fire(rule.effect, edges, dict(assignment))
+            if after is not None:
+                successors[assignment] = after
+        every = set(successors) if every is None else every & set(successors)
+        if not successors:
+            continue
+        n_app += 1
+        for after in successors.values():
+            h = MultiHypergraph(
+                l.vertices, [Hyperedge(label, inc, m) for (label, inc), m in after.items()],
+                l.conservation_labels, l.conserved_vertex_labels)
+            key = h.canonical_form().data
+            dist[key] = dist.get(key, 0.0) + 1.0 / len(successors)
+    if n_app:
+        dist = {k: w / n_app for k, w in dist.items()}
+    return sorted(every or ()), n_app, len(grounds), dist
 
 
 def merge_free_log_likelihood(domain, trace) -> float:

@@ -401,3 +401,13 @@ def test_ground_oracle_matches_the_pinned_digest():
     from belief_digest import ground_digest
     assert ground_digest(0) == (
         "82eda8dd6db85c3c3e8a64eb513f9afeb21ef952bb9da49afb0f44a14b898817")
+
+
+def test_mini_posteriors_match_the_pinned_digest():
+    """The seed-0 lifted posteriors and ``compare`` reports on the
+    ``mini_compare`` traces are bit-identical to the pinned ones.  This is
+    the only benchmark workload whose lifted filter falls back to
+    enumerating groundings, so it pins that path."""
+    from belief_digest import digest
+    assert digest(0, ["mini_compare"]) == (
+        "61acf0eb2f989b144ff1f80eb8b9a486452164ce0bd75daaf49280be1ed140ae")

@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from mhgfilter import (ActionModel, AnnotationTuple, ParseError,
-                       StructuralError, apply, bookshelf_domain,
+from mhgfilter import (ActionModel, AnnotationTuple, Effect, EffectEdge,
+                       ParseError, StructuralError, apply, bookshelf_domain,
                        builtin_domain, format_trace, generate_trace,
                        ground_options, held_counts, mini_bookshelf_domain,
                        parse_domain, parse_trace, serialize_domain)
@@ -32,6 +32,10 @@ def test_domain_validation():
         dataclasses.replace(mini, rules=(mini.rules[0], mini.rules[0]))
     with pytest.raises(StructuralError):
         dataclasses.replace(mini, agent_location_labels=frozenset({"attic"}))
+    stray = dataclasses.replace(mini.rules[0], name="stray", effect=Effect(
+        assert_=(EffectEdge("at", ("eccentric", "attic")),)))
+    with pytest.raises(StructuralError, match="'stray' names vertex 'attic'"):
+        dataclasses.replace(mini, rules=mini.rules + (stray,))
     assert mini.rule("walk").name == "walk"
     with pytest.raises(KeyError):
         mini.rule("teleport")

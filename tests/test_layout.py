@@ -12,15 +12,18 @@ from collections import Counter
 
 import pytest
 
-from mhgfilter import (BoundedEdge, EffectEdge, Effect, Hyperedge, IntegrityError,
-                       LiftedMultiHypergraph, MultiHypergraph, Pattern,
-                       PatternEdge, PatternVertex, Rule, StructuralError,
+from mhgfilter import (BoundedEdge, EffectEdge, Effect, EffectError, Hyperedge,
+                       IntegrityError, LiftedMultiHypergraph, Match,
+                       MultiHypergraph, Pattern, PatternEdge, PatternVertex,
+                       Rule, StructuralError,
                        TotalConstraint, Vertex, apply, compare, generate_trace,
                        ground_options, lifted_apply, mini_bookshelf_domain)
 from mhgfilter import rewrite
 from mhgfilter.canon import (canonical_form, canonical_form_lifted, pinned_form,
                              pinned_form_lifted)
-from oracles import box_groundings, random_graph, random_lifted, symmetric_lifted
+from oracles import (box_groundings, brute_matches, brute_transition,
+                     lifted_distribution, random_graph, random_lifted,
+                     symmetric_lifted, tv_distance)
 
 
 def test_derived_states_share_the_layout():
@@ -78,34 +81,52 @@ def test_domains_with_the_same_ids_share_no_compiled_entry():
     entries = [{id(e) for e in layout.compiled.values()} for layout in layouts]
     assert entries[0] and entries[1] and not entries[0] & entries[1]
     install = first.rule("installEccentric").pattern
-    assert [layout.compiled[id(install)][2]["T"] for layout in layouts] == [
+    assert [layout.compiled[id(install)].candidates["T"] for layout in layouts] == [
         ["table"], ["floor"]]
 
 
 def random_rule(rng: random.Random, state) -> Rule:
     """A rule over the state's vertex and edge labels: one to three pattern
     variables, up to two pattern edges, each retracted half the time, and
-    up to two asserts over the variables, capped one time in three."""
+    up to two asserts over the variables, capped one time in three.  Three
+    pattern edges in four copy one of the state's edges onto the variables, and
+    the variables they use admit its vertices, so that some assignment can
+    meet them."""
     labels = sorted({v.label for v in state.vertices})
-    edge_labels = sorted({e.label for e in state.fixed_edges + state.bounded_edges}
-                         | {"new"})
+    present = state.fixed_edges + state.bounded_edges
+    edge_labels = sorted({e.label for e in present} | {"new"})
     variables = [f"V{i}" for i in range(rng.randint(1, 3))]
-
-    def label():
-        pick = rng.randrange(3)
-        if pick == 0:
-            return None
-        if pick == 1:
-            return rng.choice(labels)
-        return frozenset(rng.sample(labels, rng.randint(1, len(labels))))
+    witness: dict[str, Vertex] = {}     # variable -> a vertex it should admit
 
     def over():
         return tuple(rng.choice(variables) for _ in range(rng.randint(1, 2)))
 
-    pattern = Pattern(
-        tuple(PatternVertex(x, label(), rng.choice([1, 1, 2])) for x in variables),
-        tuple(PatternEdge(rng.choice(edge_labels), over())
-              for _ in range(rng.randint(0, 2))))
+    def pattern_edge():
+        e = rng.choice(present) if present and rng.random() < 0.75 else None
+        ids = sorted(set(e.incidence)) if e is not None else ()
+        if not ids or len(ids) > len(variables):
+            return PatternEdge(rng.choice(edge_labels), over())
+        names = dict(zip(ids, rng.sample(variables, len(ids))))
+        for vid, var in names.items():
+            witness.setdefault(var, state.vertex(vid))
+        return PatternEdge(e.label, tuple(names[x] for x in e.incidence),
+                           rng.choice([1, 1, 2]))
+
+    def pattern_vertex(var):
+        v = witness.get(var)
+        pick = rng.randrange(3)
+        if pick == 0:
+            label = None
+        elif pick == 1:
+            label = v.label if v else rng.choice(labels)
+        else:
+            label = frozenset(rng.sample(labels, rng.randint(1, len(labels)))
+                              + ([v.label] if v else []))
+        return PatternVertex(var, label, rng.randint(1, min(2, v.multiplicity))
+                             if v else rng.choice([1, 1, 2]))
+
+    edges = tuple(pattern_edge() for _ in range(rng.randint(0, 2)))
+    pattern = Pattern(tuple(pattern_vertex(x) for x in variables), edges)
     retract = tuple(EffectEdge(e.label, e.vars) for e in pattern.edges
                     if rng.random() < 0.5)
     assert_ = tuple(EffectEdge(rng.choice(edge_labels), over(), rng.randint(1, 2),
@@ -147,7 +168,7 @@ def test_a_warm_layout_gives_the_results_of_a_fresh_one():
 
     @st.composite
     def scenes(draw):
-        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        rng = draw(st.randoms(use_true_random=True))
         state = oracle_state(draw, rng)
         hypothesis.assume(not state.is_empty)
         pinned = rng.sample(state.vertices, rng.randint(0, 2))
@@ -169,6 +190,78 @@ def test_a_warm_layout_gives_the_results_of_a_fresh_one():
         assert results(warm, rule, pins) == cold == results(fresh, rule, pins)
 
     check()
+
+
+def test_matches_and_transitions_equal_the_brute_force_reference():
+    """On random states from the test oracle's generators and four random
+    rules each, the match tree's matches, ``ground_options``, the
+    ``lifted_apply`` counts and its ``outputs`` equal the brute-force
+    reference, on a cold layout and again on one whose trees and effect
+    keys grew on other states: the state's groundings, each checked
+    against the reference too."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @st.composite
+    def scenes(draw):
+        rng = draw(st.randoms(use_true_random=True))
+        state = oracle_state(draw, rng)
+        hypothesis.assume(not state.is_empty)
+        return state, [random_rule(rng, state) for _ in range(4)]
+
+    def check_state(rule, state, want_options):
+        assert [(m.assignment, sure) for m, sure
+                in rewrite._raw_matches(rule.pattern, state)] == brute_matches(
+                    rule.pattern, state)
+        assert [m.assignment for m in ground_options(rule, state)] == want_options
+
+    @hypothesis.settings(max_examples=100, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(scenes())
+    def check(scene):
+        state, rules = scene
+        for rule in rules:
+            options, n_app, n_tot, dist = brute_transition(rule, state)
+            assert id(rule.pattern) not in state.layout.compiled
+            for l in (state, state.rebuild(bounded=state.bounded_edges)):
+                check_state(rule, l, options)
+                t = lifted_apply(rule, l)
+                assert (t.n_applicable, t.n_groundings) == (n_app, n_tot)
+                assert tv_distance(lifted_distribution(t.outputs()), dist) <= 1e-9
+                for g in itertools.islice(state.iter_groundings(), 6):
+                    check_state(rule, g, brute_transition(
+                        rule, LiftedMultiHypergraph.from_graph(g))[0])
+
+    check()
+
+
+def test_an_unknown_vertex_in_an_effect_raises_on_every_call():
+    g = MultiHypergraph([Vertex("a", "agent"), Vertex("e", "screw")],
+                        [Hyperedge("holds", ("a", "e"))])
+    rule = Rule("drop", Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw")),
+                                (PatternEdge("holds", ("A", "E")),)),
+                Effect(retract=(EffectEdge("holds", ("A", "E")),),
+                       assert_=(EffectEdge("at", ("E", "floor")),)))
+    m = Match((("A", "a"), ("E", "e")))
+    l = LiftedMultiHypergraph.from_graph(g)
+    for call in (lambda: ground_options(rule, g), lambda: apply(rule, g, m),
+                 lambda: lifted_apply(rule, l)):
+        for _ in range(2):
+            with pytest.raises(EffectError, match="unknown vertex 'floor'"):
+                call()
+
+
+def test_a_pattern_without_variables_matches_once():
+    g = MultiHypergraph([Vertex("a", "agent")])
+    rule = Rule("mark", Pattern(), Effect(assert_=(EffectEdge("marked", ("a",)),)))
+    l = LiftedMultiHypergraph.from_graph(g)
+    for _ in range(2):
+        assert ground_options(rule, g) == [Match(())]
+        assert apply(rule, g, Match(())).edge_dict() == {("marked", ("a",)): 1}
+        t = lifted_apply(rule, l)
+        assert (t.n_applicable, t.n_groundings) == (1, 1)
+        [(h, p)] = t.outputs()
+        assert p == 1.0 and h.multiplicity_bounds(("marked", ("a",))) == (1, 1)
 
 
 # -- interned edges ------------------------------------------------------------
@@ -231,7 +324,7 @@ def test_derived_states_equal_fresh_builds():
 
     @st.composite
     def scenes(draw):
-        rng = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+        rng = draw(st.randoms(use_true_random=True))
         state = oracle_state(draw, rng)
         hypothesis.assume(not state.is_empty)
         return state, rng
@@ -291,10 +384,12 @@ def test_derived_states_equal_fresh_builds():
             mults = g.edge_dict()
             assert_same(LiftedMultiHypergraph.from_graph(g),
                         fresh_lifted(g, mults, {}, {}))
+            changes = {}    # the keys replaced; the others keep their edges
             if mults:
-                mults[rng.choice(sorted(mults))] = rng.randrange(4)
-            mults["fresh", (ids[-1], ids[0])] = rng.randrange(1, 3)
-            assert_same(g.replace_edges(mults), fresh_ground(g, mults))
+                changes[rng.choice(sorted(mults))] = rng.randrange(4)
+            changes["fresh", (ids[-1], ids[0])] = rng.randrange(1, 3)
+            assert_same(g.replace_edges(changes),
+                        fresh_ground(g, {**mults, **changes}))
 
     check()
 
