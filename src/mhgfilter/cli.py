@@ -10,7 +10,9 @@ Three subcommands:
   optionally corrupting one step.
 
 Exit codes: 0 success, 1 comparison divergence, 2 inconsistent trace,
-3 parse error, 4 enumeration cap exceeded, 5 I/O error.
+3 parse error, 4 enumeration cap exceeded, 5 I/O error, 6 the domain's
+dynamics break a model invariant (any other ``EngineError``, such as a
+rule whose effect breaks conservation).
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import time
 
 from .domain import (BUILTIN_DOMAINS, Domain, builtin_domain, format_trace,
                      generate_trace, parse_domain, parse_trace)
-from .errors import EnumerationLimitError, ParseError, TraceInconsistencyError
+from .errors import (EngineError, EnumerationLimitError, ParseError,
+                     TraceInconsistencyError)
 from .filtering import filter_trace
 from .oracle import compare as compare_filters
 from .oracle import ground_filter_trace
@@ -34,6 +37,7 @@ EXIT_INCONSISTENT = 2
 EXIT_PARSE = 3
 EXIT_ENUMERATION = 4
 EXIT_IO = 5
+EXIT_DYNAMICS = 6
 
 __all__ = ["main", "build_parser"]
 
@@ -202,6 +206,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except EngineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DYNAMICS
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ mean zero).
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -97,9 +98,8 @@ class Domain:
         # observation names the agent and its location by vertex id, and an
         # effect may name a literal id.  Such a vertex must be the only one
         # with its label, or merging would lose mass.  A literal id must also
-        # be a vertex of the initial state: an effect's keys are resolved
-        # together at every evaluated match, so a missing one would raise
-        # EffectError mid-filter.
+        # be a vertex of the initial state, or the rule would raise
+        # EffectError mid-filter, the first time it is compiled.
         named = {self.agent_id}
         named.update(v.id for label in self.agent_location_labels
                      for v in by_label.get(label, ()))
@@ -152,6 +152,40 @@ def _labels(value, name: str) -> frozenset[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ValueError(f"{name} is {value!r}, not a list of strings")
     return frozenset(value)
+
+
+def _weights(value, name: str, rule_names: set[str]) -> dict[str, float]:
+    """A rule-weight table as written: a JSON object from the domain's rule
+    names to finite non-negative JSON numbers, never booleans."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} is {value!r}, not an object")
+    for rule, w in value.items():
+        if rule not in rule_names:
+            raise ValueError(f"{name} names {rule!r}, not a rule of the domain")
+        if (isinstance(w, bool) or not isinstance(w, (int, float))
+                or not math.isfinite(w) or w < 0):
+            raise ValueError(f"{name}.{rule} is {w!r}, not a finite "
+                             f"non-negative number")
+    return dict(value)
+
+
+def _action_model(am, rule_names: set[str], places: set[str]) -> ActionModel:
+    """The action model as written; ``by_location`` keys must be the ids of
+    agent-location vertices."""
+    if not isinstance(am, dict):
+        raise ValueError(f"action_model is {am!r}, not an object")
+    by_location = am.get("by_location", {})
+    if not isinstance(by_location, dict):
+        raise ValueError(f"action_model.by_location is {by_location!r}, "
+                         f"not an object")
+    for loc in by_location:
+        if loc not in places:
+            raise ValueError(f"action_model.by_location names {loc!r}, "
+                             f"not an agent-location vertex")
+    return ActionModel(
+        _weights(am.get("weights", {}), "action_model.weights", rule_names),
+        {loc: _weights(tbl, f"action_model.by_location.{loc}", rule_names)
+         for loc, tbl in by_location.items()})
 
 
 def _pattern_vertex(pv: dict, source: str) -> PatternVertex:
@@ -273,10 +307,11 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
                 pattern, effect = _desugar_lifted_effect(
                     r["lifted_effect"], pattern, effect, vertices, source)
             rules.append(Rule(_req(r, "name", source), pattern, effect))
-        am = data.get("action_model", {})
-        action_model = ActionModel(
-            dict(am.get("weights", {})),
-            {loc: dict(tbl) for loc, tbl in am.get("by_location", {}).items()})
+        agent_locations = _labels(_req(labels, "agent_locations", source),
+                                  "labels.agent_locations")
+        action_model = _action_model(
+            data.get("action_model", {}), {r.name for r in rules},
+            {v.id for v in vertices if v.label in agent_locations})
         conservation_labels = _labels(conservation.get("edges", []),
                                       "conservation.edges")
         conserved_vertex_labels = _labels(conservation.get("vertices", []),
@@ -289,8 +324,7 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
             agent_id=_req(data, "agent", source),
             location_labels=_labels(_req(labels, "locations", source),
                                     "labels.locations"),
-            agent_location_labels=_labels(_req(labels, "agent_locations", source),
-                                          "labels.agent_locations"),
+            agent_location_labels=agent_locations,
             holdable_labels=_labels(_req(labels, "holdable", source),
                                     "labels.holdable"),
             conservation_labels=conservation_labels,
@@ -303,7 +337,7 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
     except ParseError:
         raise
     except (StructuralError, IntegrityError, KeyError, TypeError,
-            ValueError) as exc:
+            ValueError, AttributeError, OverflowError) as exc:
         raise ParseError(f"bad domain document: {exc}", source) from exc
 
 

@@ -83,9 +83,8 @@ def edge_key(label: Label, incidence: Iterable[str]) -> EdgeKey:
 @dataclass(frozen=True, eq=False)
 class VertexLayout:
     """Sorted vertices, their id index and the forms compiled from them:
-    matching's keyed by ``id(pattern)`` and effects' by ``id(rule)``, each
-    holding its pattern or rule so the id stays taken, and canonical forms'
-    keyed by their compile function.
+    rules' keyed by ``id(rule)``, each holding its rule so the id stays
+    taken, and canonical forms' keyed by their compile function.
 
     ``edges`` interns the layout's edges by (key, multiplicity); an edge is
     in it only once its incidence has been checked against the vertices,

@@ -10,17 +10,22 @@ Ground semantics: a rule is applicable via every injective assignment of its
 pattern variables whose effect can be applied.  Applying a rule picks
 uniformly among these options.
 
-Rules are compiled once per vertex layout.  A pattern compiles to its
-candidate lists, its variable order and a match tree: a node per assigned
-prefix, holding each next candidate with the (edge key, minimum) checks it
-completes, and a leaf per full assignment, holding its ``Match``.  The tree
-grows lazily, a node on the first walk that passes its checks, so it never
-holds more than the backtracking visits.  A rule compiles, per match, its
-effect's resolved retract and assert keys, their multiplicities and caps,
-and its slot key.  This is exact: a key depends only on the assignment and
-the vertex ids, and all states sharing the layout have the same vertices,
-while each state still reads every multiplicity bound for itself.  An
-effect naming an unknown vertex raises EffectError and is never cached.
+Each rule compiles to one entry per vertex layout.  The entry holds the
+pattern's candidate lists, its variable order and a match tree: a node per
+assigned prefix, holding each next candidate with the (edge key, minimum)
+checks it completes, and a leaf per full assignment, holding its ``Match``.
+The tree grows lazily, a node on the first walk that passes its checks, so
+it never holds more than the backtracking visits.  The entry also holds,
+per match, the effect's resolved keys: its net delta, its caps and its slot
+key.  This is exact: a key depends only on the assignment and the vertex
+ids, and all states sharing the layout have the same vertices, while each
+state still reads every multiplicity bound for itself.  An effect literal
+that is no vertex of the layout raises EffectError at compile time, match
+or no match, and nothing is cached.
+
+Whether an effect can fire at a match is decided in one place,
+``_effect_feasible``: ``ground_options``, the lifted plan and ``apply`` all
+ask it.
 
 Lifted semantics: ``lifted_apply`` answers, once per rule and lifted state,
 in how many groundings the rule is applicable and how its successors arise;
@@ -191,18 +196,33 @@ class Match:
         return self.as_dict()[var]
 
 
-# -- matching ------------------------------------------------------------------
+# -- compiling -----------------------------------------------------------------
 
-class _CompiledPattern(NamedTuple):
-    """A pattern's matching over one layout, compiled once."""
-    pattern: Pattern                        # held so its id stays taken
-    order: list[PatternVertex]              # the most constrained first
-    candidates: dict[str, list[str]]        # variable -> admitted vertex ids
-    edges_by_last: dict[str, list[PatternEdge]]   # by the last variable read
+class _CompiledRule(NamedTuple):
+    """A rule over one layout, compiled once: its matching, its slot edge
+    and, per match assignment, its resolved effect keys."""
+    rule: Rule                                     # held so its id stays taken
+    order: list[PatternVertex]                     # the most constrained first
+    candidates: dict[str, list[str]]               # variable -> admitted vertex ids
+    edges_by_last: dict[str, list[PatternEdge]]    # by the last variable read
     root: list          # the match tree's root entry, an empty prefix; see _children
+    slot: int | None                               # index of the slot edge
+    keys: dict[tuple, _EffectKeys]                 # filled by _effect_keys
 
 
-def _compile_pattern(pattern: Pattern, layout: VertexLayout) -> _CompiledPattern:
+def _compiled(rule: Rule, layout: VertexLayout) -> _CompiledRule:
+    """The rule compiled over the layout, on first request.  An effect
+    literal that is no vertex of the layout raises EffectError, and nothing
+    is cached."""
+    c = layout.compiled.get(id(rule))
+    if c is not None:
+        return c
+    pattern, effect = rule.pattern, rule.effect
+    declared = {pv.var for pv in pattern.vertices}
+    for e in effect.retract + effect.assert_:
+        for x in e.vars:
+            if x not in declared and x not in layout.by_id:
+                raise EffectError(f"rule {rule.name!r}: unknown vertex {x!r} in effect")
     candidates = {pv.var: sorted(v.id for v in layout.vertices if pv.admits(v))
                   for pv in pattern.vertices}
     order = sorted(pattern.vertices, key=lambda pv: len(candidates[pv.var]))
@@ -211,11 +231,18 @@ def _compile_pattern(pattern: Pattern, layout: VertexLayout) -> _CompiledPattern
     for pe in pattern.edges:
         last = max(pe.vars, key=lambda v: order_index[v])
         edges_by_last.setdefault(last, []).append(pe)
-    return _CompiledPattern(pattern, order, candidates, edges_by_last,
-                            [[(), (), None]])
+    # the slot edge: the rule's only assert with cap 1 and multiplicity 1
+    capped = [i for i, e in enumerate(effect.assert_)
+              if e.cap == 1 and e.multiplicity == 1]
+    c = layout.compiled[id(rule)] = _CompiledRule(
+        rule, order, candidates, edges_by_last, [[(), (), None]],
+        capped[0] if len(capped) == 1 else None, {})
+    return c
 
 
-def _children(c: _CompiledPattern, path: tuple[tuple[str, str], ...]) -> list:
+# -- matching ------------------------------------------------------------------
+
+def _children(c: _CompiledRule, path: tuple[tuple[str, str], ...]) -> list:
     """The match-tree entries below an assigned prefix: one
     [checks, path, child] per unused candidate of the next variable, where
     checks are the (edge key, minimum multiplicity) of the pattern edges it
@@ -234,7 +261,7 @@ def _children(c: _CompiledPattern, path: tuple[tuple[str, str], ...]) -> list:
     return entries
 
 
-def _raw_matches(pattern: Pattern, state: State) -> list[tuple[Match, bool]]:
+def _raw_matches(c: _CompiledRule, state: State) -> list[tuple[Match, bool]]:
     """All injective assignments whose pattern edges meet their minimum on
     upper multiplicity bounds, each with ``sure``: whether they meet it on
     lower bounds too.  Sorted by match.
@@ -244,10 +271,6 @@ def _raw_matches(pattern: Pattern, state: State) -> list[tuple[Match, bool]]:
     state.  The walk reads the layout's match tree, whose nodes are built
     the first time a walk passes their checks.
     """
-    compiled = state.layout.compiled
-    c = compiled.get(id(pattern))
-    if c is None:
-        c = compiled[id(pattern)] = _compile_pattern(pattern, state.layout)
     bounds = state.multiplicity_bounds
     last = len(c.order)
     out: list[tuple[Match, bool]] = []
@@ -276,7 +299,7 @@ def _raw_matches(pattern: Pattern, state: State) -> list[tuple[Match, bool]]:
     return out
 
 
-# -- effect keys ---------------------------------------------------------------
+# -- effects -------------------------------------------------------------------
 
 class _Feasibility(NamedTuple):
     """What ``_effect_feasible`` reads of an effect at one match."""
@@ -288,40 +311,16 @@ class _Feasibility(NamedTuple):
 
 class _EffectKeys(NamedTuple):
     """A rule's effect resolved at one match."""
-    retract: tuple[tuple[EdgeKey, int], ...]       # per retract edge
-    assert_: tuple[tuple[EdgeKey, int, int | None], ...]   # per assert edge
     full: _Feasibility
     rest: _Feasibility                             # without the slot edge
     slot: EdgeKey | None
 
 
-class _CompiledRule(NamedTuple):
-    """A rule's effect over one layout: its slot edge and, per match
-    assignment, its resolved keys, compiled on first request."""
-    rule: Rule                                     # held so its id stays taken
-    slot: int | None                               # index of the slot edge
-    by_id: Mapping[str, Vertex]                    # the layout's vertices
-    keys: dict[tuple, _EffectKeys]
-
-
-def _slot_edge(rule: Rule) -> int | None:
-    """The index of the rule's only assert with cap 1 and multiplicity 1."""
-    capped = [i for i, e in enumerate(rule.effect.assert_)
-              if e.cap == 1 and e.multiplicity == 1]
-    return capped[0] if len(capped) == 1 else None
-
-
-def _compiled_rule(rule: Rule, layout: VertexLayout) -> _CompiledRule:
-    compiled = layout.compiled
-    c = compiled.get(id(rule))
-    if c is None:
-        c = compiled[id(rule)] = _CompiledRule(rule, _slot_edge(rule), layout.by_id, {})
-    return c
-
-
 def _feasibility(retract, assert_) -> _Feasibility:
     """Retracts are checked against their net delta, and each capped assert
-    against the delta accumulated up to it, as ``apply`` does."""
+    against the delta accumulated up to it.  On a ground state this is
+    exactly applying the edges in turn: a key's retracts only lower it, and
+    a cap sees every retract and earlier assert of its key."""
     delta: dict[EdgeKey, int] = {}
     for k, m in retract:
         delta[k] = delta.get(k, 0) - m
@@ -336,31 +335,24 @@ def _feasibility(retract, assert_) -> _Feasibility:
 
 
 def _effect_keys(c: _CompiledRule, match: Match) -> _EffectKeys:
-    """The rule's effect at this match, resolved once per layout.  An effect
-    naming an unknown vertex raises EffectError, and is resolved again, and
-    raises again, on the next call."""
+    """The rule's effect at this match, resolved once per layout."""
     keys = c.keys.get(match.assignment)
     if keys is not None:
         return keys
     assignment = match.as_dict()
 
     def key(e: EffectEdge) -> EdgeKey:
-        ids = [assignment.get(x, x) for x in e.vars]
-        for vid in ids:
-            if vid not in c.by_id:
-                raise EffectError(f"unknown vertex {vid!r} in effect")
-        return edge_key(e.label, ids)
+        return edge_key(e.label, [assignment.get(x, x) for x in e.vars])
 
     effect = c.rule.effect
     retract = tuple((key(e), e.multiplicity) for e in effect.retract)
     assert_ = tuple((key(e), e.multiplicity, e.cap) for e in effect.assert_)
     full = _feasibility(retract, assert_)
     if c.slot is None:
-        keys = _EffectKeys(retract, assert_, full, full, None)
+        keys = _EffectKeys(full, full, None)
     else:
         rest = assert_[:c.slot] + assert_[c.slot + 1:]
-        keys = _EffectKeys(retract, assert_, full, _feasibility(retract, rest),
-                           assert_[c.slot][0])
+        keys = _EffectKeys(full, _feasibility(retract, rest), assert_[c.slot][0])
     c.keys[match.assignment] = keys
     return keys
 
@@ -393,28 +385,19 @@ def ground_options(rule: Rule, state: State) -> list[Match]:
     no retraction below zero and no cap exceeded.  On lifted states, the
     matches that fire in every grounding.
     """
-    c = _compiled_rule(rule, state.layout)
-    return [m for m, sure in _raw_matches(rule.pattern, state)
+    c = _compiled(rule, state.layout)
+    return [m for m, sure in _raw_matches(c, state)
             if sure and _effect_feasible(_effect_keys(c, m).full, state)[0]]
 
 
 def apply(rule: Rule, g: MultiHypergraph, match: Match) -> MultiHypergraph:
     """Apply the rule's effect at the given match; raises EffectError when the
     match is not applicable in g."""
-    keys = _effect_keys(_compiled_rule(rule, g.layout), match)
-    changed: dict[EdgeKey, int] = {}     # the keys the effect touches
-    for k, m in keys.retract:
-        have = changed[k] if k in changed else g.multiplicity_bounds(k)[0]
-        if have < m:
-            raise EffectError(
-                f"rule {rule.name!r}: cannot retract {m} of {k!r} (present: {have})")
-        changed[k] = have - m
-    for k, m, cap in keys.assert_:
-        have = changed[k] if k in changed else g.multiplicity_bounds(k)[0]
-        changed[k] = have + m
-        if cap is not None and changed[k] > cap:
-            raise EffectError(f"rule {rule.name!r}: asserting {k!r} exceeds cap {cap}")
-    return g.replace_edges(changed)
+    f = _effect_keys(_compiled(rule, g.layout), match).full
+    if not _effect_feasible(f, g)[0]:
+        raise EffectError(f"rule {rule.name!r} cannot fire at {match.as_dict()}: "
+                          f"a retract goes below zero or an assert exceeds its cap")
+    return g.replace_edges({k: g.multiplicity_bounds(k)[0] + d for k, d in f.changes})
 
 
 def successors(rule: Rule, g: MultiHypergraph) -> list[tuple[MultiHypergraph, float]]:
@@ -482,11 +465,11 @@ def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:
     def give_up(reason: str) -> None:
         logger.debug("lifted_apply %r: fallback, %s", rule.name, reason)
 
-    matches = _raw_matches(rule.pattern, l)
+    c = _compiled(rule, l.layout)
+    matches = _raw_matches(c, l)
     if not all(sure for _, sure in matches):
         return give_up("match sets differ across groundings")
 
-    c = _compiled_rule(rule, l.layout)
     feasible: list[_EffectKeys] = []
     for m, _ in matches:
         keys = _effect_keys(c, m)

@@ -87,6 +87,12 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.ground and args.workloads:
         parser.error("--ground takes no workload names")
+    _import_paths()
+    from workloads import WORKLOADS
+    unknown = sorted(set(args.workloads) - set(WORKLOADS))
+    if unknown:
+        parser.error(f"unknown workload(s) {', '.join(unknown)}; "
+                     f"known: {', '.join(sorted(WORKLOADS))}")
     print(ground_digest(args.seed) if args.ground else digest(args.seed, args.workloads))
 
 

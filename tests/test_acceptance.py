@@ -403,6 +403,15 @@ def test_ground_oracle_matches_the_pinned_digest():
         "82eda8dd6db85c3c3e8a64eb513f9afeb21ef952bb9da49afb0f44a14b898817")
 
 
+def test_the_digest_script_rejects_unknown_workload_names(capsys):
+    from belief_digest import main
+    with pytest.raises(SystemExit) as exc:
+        main(["1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown workload(s) 1; known: bookshelf_connect" in err
+
+
 def test_mini_posteriors_match_the_pinned_digest():
     """The seed-0 lifted posteriors and ``compare`` reports on the
     ``mini_compare`` traces are bit-identical to the pinned ones.  This is

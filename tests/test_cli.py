@@ -149,6 +149,43 @@ def test_bad_domain_values_exit_three(tmp_path, mini_trace, capsys):
         assert out == ""
         assert f"{key}.json" in err
 
+def test_bad_action_models_exit_three(tmp_path, mini_trace, capsys):
+    """Action weights that are not finite non-negative numbers, name no rule
+    of the domain or no agent location are parse errors, not a crash mid-run
+    that exits 1 as if ``compare`` had diverged."""
+    models = [{"weights": {"walk": "5"}}, {"weights": {"walk": None}},
+              {"weights": {"walk": -1}}, {"weights": {"walk": True}},
+              {"weights": {"fly": 1}}, {"weights": [["walk", 1]]},
+              {"by_location": {"table": {"walk": -1}}},
+              {"by_location": {"eccentric": {"walk": 1}}}]
+    for i, model in enumerate(models):
+        doc = serialize_domain(mini_bookshelf_domain())
+        doc["action_model"] = model
+        path = tmp_path / f"model{i}.json"
+        path.write_text(json.dumps(doc))
+        for mode in ("lifted", "ground"):
+            code, out, err = run(capsys, "filter", "--domain", str(path),
+                                 "--trace", str(mini_trace), "--mode", mode)
+            assert (code, out) == (3, ""), model
+            assert f"model{i}.json: bad domain document: action_model" in err
+
+
+def test_dynamics_that_break_an_invariant_exit_six(tmp_path, mini_trace, capsys):
+    """A ``walk`` that also puts the screwdriver where the agent goes breaks
+    the screwdriver's conservation; every command that filters reports it
+    and exits 6."""
+    doc = serialize_domain(mini_bookshelf_domain())
+    walk = next(r for r in doc["rules"] if r["name"] == "walk")
+    walk["effect"]["assert"].append({"label": "at", "vars": ["screwdriver", "Y"]})
+    path = tmp_path / "leaky_walk.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("filter",), ("filter", "--mode", "ground"), ("compare",)):
+        code, out, err = run(capsys, *argv, "--domain", str(path),
+                             "--trace", str(mini_trace))
+        assert (code, out) == (6, ""), argv
+        assert err.startswith("error: ") and "screwdriver" in err, argv
+
+
 def test_enumeration_cap_exits_four(tmp_path, capsys):
     """Seven free [0,9] marks give 10^7 groundings: lifted filtering never
     enumerates them, the ground reference has to and stops at the cap."""

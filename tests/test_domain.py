@@ -103,6 +103,11 @@ def test_parse_domain_errors():
         {"var": "V", "label": "screw", "label_any_of": ["screw"]}]}}]
     with pytest.raises(ParseError):
         parse_domain(broken, "doc")
+    # entries that are not objects where objects are expected
+    for rules in ([5], [{"name": "r", "pattern": []}],
+                  [{"name": "r", "effect": {"retract": [3]}}]):
+        with pytest.raises(ParseError):
+            parse_domain({**good, "rules": rules}, "doc")
     # structural problems surface as parse errors with the source name
     broken = dict(good)
     broken["vertices"] = good["vertices"] + [{"id": "agent", "label": "agent"}]
@@ -162,6 +167,37 @@ def test_parse_domain_takes_values_as_written():
             with pytest.raises(ParseError) as exc:
                 parse_domain(bad, "doc")
             assert repr(value) in str(exc.value), (path, value)
+
+
+def test_parse_domain_validates_the_action_model():
+    """Weights are finite non-negative JSON numbers, never booleans, for
+    rules the domain has; ``by_location`` keys are agent-location vertices;
+    both tables are JSON objects.  Anything else is a parse error, not a
+    crash mid-filter."""
+    good = serialize_domain(mini_bookshelf_domain())
+    good["action_model"] = {"weights": {"walk": 0.5, "take": 0},
+                            "by_location": {"table": {"take": 2}}}
+    model = parse_domain(good, "doc").action_model
+    assert model == ActionModel({"walk": 0.5, "take": 0}, {"table": {"take": 2}})
+    bad_weights = ("5", None, -1, True, False, float("nan"), float("inf"), [1])
+    cases = [({"weights": {"walk": w}}, repr(w)) for w in bad_weights]
+    cases += [({"by_location": {"table": {"take": w}}}, repr(w))
+              for w in bad_weights]
+    cases += [({"weights": {"walk": 10 ** 400}}, "too large")]
+    cases += [
+        ([], "[]"),
+        ({"weights": [["walk", 1]]}, "[['walk', 1]]"),
+        ({"by_location": [["table", {}]]}, "[['table', {}]]"),
+        ({"by_location": {"table": 1}}, "1"),
+        ({"weights": {"fly": 1}}, "'fly'"),
+        ({"by_location": {"table": {"fly": 1}}}, "'fly'"),
+        ({"by_location": {"shelf": {"take": 1}}}, "'shelf'"),      # no vertex
+        ({"by_location": {"eccentric": {"take": 1}}}, "'eccentric'"),
+    ]
+    for model, shown in cases:
+        with pytest.raises(ParseError) as exc:
+            parse_domain({**good, "action_model": model}, "doc")
+        assert shown in str(exc.value), model
 
 
 def lifted_effect_document(domain):

@@ -1,5 +1,5 @@
 """Vertex layouts: every derived state shares its source's layout, each
-pattern compiles once per layout, compiled forms change no result, and
+rule compiles once per layout, compiled forms change no result, and
 interned edges are shared by every state of a layout while every
 construction check still runs."""
 
@@ -21,9 +21,9 @@ from mhgfilter import (BoundedEdge, EffectEdge, Effect, EffectError, Hyperedge,
 from mhgfilter import rewrite
 from mhgfilter.canon import (canonical_form, canonical_form_lifted, pinned_form,
                              pinned_form_lifted)
-from oracles import (box_groundings, brute_matches, brute_transition,
-                     lifted_distribution, random_graph, random_lifted,
-                     symmetric_lifted, tv_distance)
+from oracles import (box_groundings, brute_fire, brute_matches,
+                     brute_transition, lifted_distribution, random_graph,
+                     random_lifted, symmetric_lifted, tv_distance)
 
 
 def test_derived_states_share_the_layout():
@@ -44,22 +44,28 @@ def test_derived_states_share_the_layout():
     assert fresh.layout is not l.layout
 
 
-def test_each_pattern_compiles_once_per_domain(monkeypatch):
+def test_each_rule_compiles_once_per_domain(monkeypatch):
     """Over a mini ``compare`` run, which also runs the ground oracle, each
-    rule's pattern is compiled once, over its domain's initial layout."""
+    rule is compiled once, over its domain's initial layout, into one
+    entry."""
     compiles: Counter = Counter()
-    compile_pattern = rewrite._compile_pattern
+    compiled = rewrite._compiled
 
-    def counted(pattern, layout):
-        compiles[id(pattern), id(layout)] += 1
-        return compile_pattern(pattern, layout)
+    def counted(rule, layout):
+        if id(rule) not in layout.compiled:
+            compiles[id(rule), id(layout)] += 1
+        return compiled(rule, layout)
 
-    monkeypatch.setattr(rewrite, "_compile_pattern", counted)
+    monkeypatch.setattr(rewrite, "_compiled", counted)
     domains = [mini_bookshelf_domain(), mini_bookshelf_domain()]
     for domain in domains:
         trace, _ = generate_trace(domain, seed=3, length=12)
         assert not compare(domain, trace).divergent
-    assert compiles == Counter({(id(r.pattern), id(d.initial_state.layout)): 1
+        entries = {k: e for k, e in domain.initial_state.layout.compiled.items()
+                   if isinstance(e, rewrite._CompiledRule)}
+        assert set(entries) == {id(r) for r in domain.rules}
+        assert all(entries[id(r)].rule is r for r in domain.rules)
+    assert compiles == Counter({(id(r), id(d.initial_state.layout)): 1
                                 for d in domains for r in d.rules})
 
 
@@ -80,7 +86,7 @@ def test_domains_with_the_same_ids_share_no_compiled_entry():
     layouts = [d.initial_state.layout for d in (first, second)]
     entries = [{id(e) for e in layout.compiled.values()} for layout in layouts]
     assert entries[0] and entries[1] and not entries[0] & entries[1]
-    install = first.rule("installEccentric").pattern
+    install = first.rule("installEccentric")
     assert [layout.compiled[id(install)].candidates["T"] for layout in layouts] == [
         ["table"], ["floor"]]
 
@@ -198,7 +204,9 @@ def test_matches_and_transitions_equal_the_brute_force_reference():
     ``lifted_apply`` counts and its ``outputs`` equal the brute-force
     reference, on a cold layout and again on one whose trees and effect
     keys grew on other states: the state's groundings, each checked
-    against the reference too."""
+    against the reference too.  On each grounding, ``apply`` at a sure
+    match gives the reference's successor when the match is an option and
+    raises EffectError otherwise."""
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
 
@@ -210,10 +218,24 @@ def test_matches_and_transitions_equal_the_brute_force_reference():
         return state, [random_rule(rng, state) for _ in range(4)]
 
     def check_state(rule, state, want_options):
-        assert [(m.assignment, sure) for m, sure
-                in rewrite._raw_matches(rule.pattern, state)] == brute_matches(
-                    rule.pattern, state)
-        assert [m.assignment for m in ground_options(rule, state)] == want_options
+        matches = rewrite._raw_matches(rewrite._compiled(rule, state.layout), state)
+        assert [(m.assignment, sure) for m, sure in matches] == brute_matches(
+            rule.pattern, state)
+        options = ground_options(rule, state)
+        assert [m.assignment for m in options] == want_options
+        return [m for m, sure in matches if sure], options
+
+    def check_apply(rule, g):
+        """``apply`` fires exactly at the options, as the reference does."""
+        sure, options = check_state(rule, g, brute_transition(
+            rule, LiftedMultiHypergraph.from_graph(g))[0])
+        for m in sure:
+            if m in options:
+                assert apply(rule, g, m).edge_dict() == brute_fire(
+                    rule.effect, g.edge_dict(), m.as_dict())
+            else:
+                with pytest.raises(EffectError):
+                    apply(rule, g, m)
 
     @hypothesis.settings(max_examples=100, derandomize=True, deadline=None,
                          database=None)
@@ -222,15 +244,14 @@ def test_matches_and_transitions_equal_the_brute_force_reference():
         state, rules = scene
         for rule in rules:
             options, n_app, n_tot, dist = brute_transition(rule, state)
-            assert id(rule.pattern) not in state.layout.compiled
+            assert id(rule) not in state.layout.compiled
             for l in (state, state.rebuild(bounded=state.bounded_edges)):
                 check_state(rule, l, options)
                 t = lifted_apply(rule, l)
                 assert (t.n_applicable, t.n_groundings) == (n_app, n_tot)
                 assert tv_distance(lifted_distribution(t.outputs()), dist) <= 1e-9
                 for g in itertools.islice(state.iter_groundings(), 6):
-                    check_state(rule, g, brute_transition(
-                        rule, LiftedMultiHypergraph.from_graph(g))[0])
+                    check_apply(rule, g)
 
     check()
 
@@ -244,11 +265,14 @@ def test_an_unknown_vertex_in_an_effect_raises_on_every_call():
                        assert_=(EffectEdge("at", ("E", "floor")),)))
     m = Match((("A", "a"), ("E", "e")))
     l = LiftedMultiHypergraph.from_graph(g)
+    unmatched = MultiHypergraph(list(g.vertices))   # no holds edge, no match
     for call in (lambda: ground_options(rule, g), lambda: apply(rule, g, m),
-                 lambda: lifted_apply(rule, l)):
+                 lambda: lifted_apply(rule, l),
+                 lambda: ground_options(rule, unmatched)):
         for _ in range(2):
             with pytest.raises(EffectError, match="unknown vertex 'floor'"):
                 call()
+    assert id(rule) not in g.layout.compiled
 
 
 def test_a_pattern_without_variables_matches_once():
