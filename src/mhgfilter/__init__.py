@@ -19,10 +19,8 @@ from .graphs import (EdgeKey, Hyperedge, Label, MultiHypergraph, Vertex,
                      build_graph, edge_key)
 from .lifted import (MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph,
                      TotalConstraint)
-from .domain import (AnnotationTuple, Domain, bookshelf_domain, builtin_domain,
-                     format_trace, generate_trace, held_counts,
-                     mini_bookshelf_domain, parse_domain, parse_trace,
-                     serialize_domain)
+from .domain import (AnnotationTuple, Domain, builtin_domain, format_trace,
+                     generate_trace, held_counts, parse_domain, parse_trace)
 from .oracle import (ComparisonReport, GroundBelief, GroundFilterResult,
                      compare, expand, ground_filter_trace, total_variation)
 from .rewrite import (Effect, EffectEdge, LiftedApplyResult, Match, Pattern,
@@ -42,12 +40,12 @@ __all__ = [
     "MultiHypergraph", "ParseError", "Particle", "Pattern", "PatternEdge",
     "PatternVertex", "Rule", "StepStats", "StructuralError",
     "TotalConstraint", "TraceInconsistencyError", "Vertex", "agent_location",
-    "apply", "bookshelf_domain", "build_graph", "builtin_domain",
+    "apply", "build_graph", "builtin_domain",
     "canonical_form", "canonical_form_lifted", "compare",
     "edge_key", "expand", "filter_trace",
     "format_trace", "generate_trace", "ground_filter_trace",
     "ground_options", "held_counts",
-    "lifted_apply", "mini_bookshelf_domain", "parse_domain", "parse_trace",
-    "pinned_form", "predict", "serialize_domain", "successors",
+    "lifted_apply", "parse_domain", "parse_trace",
+    "pinned_form", "predict", "successors",
     "total_variation", "update", "__version__",
 ]

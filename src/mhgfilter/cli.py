@@ -54,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--domain", required=True, metavar="NAME_OR_PATH",
                        help="built-in domain name (%s) or JSON file"
-                            % "|".join(sorted(BUILTIN_DOMAINS)))
+                            % "|".join(BUILTIN_DOMAINS))
         p.add_argument("--output", default=None, metavar="PATH",
                        help="write the result there instead of stdout")
 

@@ -1,12 +1,12 @@
-"""Domain definitions, serialization formats, and trace generation.
+"""Domain definitions, their file formats, and trace generation.
 
 A domain bundles everything the filter needs: the vertex/edge vocabulary,
 the observation schema (which vertex is the agent, which labels express
 position and holding, which labels are observable as held counts), the
 conservation declaration, the initial state, the rules, and the action
-model.  Two assembly scenes ship built in: ``mini`` (small enough for the
-ground reference filter) and ``bookshelf`` (large enough that only the
-lifted filter is practical).
+model.  Two assembly scenes ship built in, as domain documents under
+``domains/``: ``mini`` (small enough for the ground reference filter) and
+``bookshelf`` (large enough that only the lifted filter is practical).
 
 Domains are stored as JSON (format tag ``mhg-domain/1``); traces as JSON
 lines, one annotation per line with the action name, the agent's location
@@ -20,6 +20,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IntegrityError, ParseError, StructuralError
@@ -39,9 +40,8 @@ DOMAIN_FORMAT = "mhg-domain/1"
 _RETIRED_LIFTED_KEYS = {"total_delta": 1, "per_edge_upper_delta": 1,
                         "cap_to_total": True}
 
-__all__ = ["AnnotationTuple", "Domain", "parse_domain", "serialize_domain",
-           "parse_trace", "format_trace", "generate_trace", "held_counts",
-           "mini_bookshelf_domain", "bookshelf_domain", "builtin_domain",
+__all__ = ["AnnotationTuple", "Domain", "parse_domain", "parse_trace",
+           "format_trace", "generate_trace", "held_counts", "builtin_domain",
            "BUILTIN_DOMAINS", "DOMAIN_FORMAT"]
 
 
@@ -341,90 +341,6 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
         raise ParseError(f"bad domain document: {exc}", source) from exc
 
 
-def serialize_domain(domain: Domain) -> dict:
-    init = domain.initial_state
-
-    def _label_spec(pv: PatternVertex) -> dict:
-        out: dict = {"var": pv.var}
-        if isinstance(pv.label, frozenset):
-            out["label_any_of"] = sorted(pv.label)
-        elif pv.label is not None:
-            out["label"] = pv.label
-        if pv.min_multiplicity != 1:
-            out["min_multiplicity"] = pv.min_multiplicity
-        return out
-
-    def _effect_edges(edges):
-        out = []
-        for e in edges:
-            d = {"label": e.label, "vars": list(e.vars)}
-            if e.multiplicity != 1:
-                d["multiplicity"] = e.multiplicity
-            if e.cap is not None:
-                d["cap"] = e.cap
-            out.append(d)
-        return out
-
-    rules = []
-    for r in domain.rules:
-        rd: dict = {"name": r.name, "pattern": {
-            "vertices": [_label_spec(pv) for pv in r.pattern.vertices],
-            "edges": [{"label": pe.label, "vars": list(pe.vars),
-                       **({"min_multiplicity": pe.min_multiplicity}
-                          if pe.min_multiplicity != 1 else {})}
-                      for pe in r.pattern.edges]}}
-        if r.effect.retract or r.effect.assert_:
-            rd["effect"] = {}
-            if r.effect.retract:
-                rd["effect"]["retract"] = _effect_edges(r.effect.retract)
-            if r.effect.assert_:
-                rd["effect"]["assert"] = _effect_edges(r.effect.assert_)
-        rules.append(rd)
-
-    out = {
-        "format": DOMAIN_FORMAT,
-        "name": domain.name,
-        "agent": domain.agent_id,
-        "labels": {"locations": sorted(domain.location_labels),
-                   "agent_locations": sorted(domain.agent_location_labels),
-                   "holdable": sorted(domain.holdable_labels)},
-        "conservation": {"edges": sorted(domain.conservation_labels),
-                         "vertices": sorted(domain.conserved_vertex_labels)},
-        "vertices": [{"id": v.id, "label": v.label,
-                      **({"multiplicity": v.multiplicity}
-                         if v.multiplicity != 1 else {})}
-                     for v in init.vertices],
-        "edges": [{"label": e.label, "incidence": list(e.incidence),
-                   **({"multiplicity": e.multiplicity}
-                      if e.multiplicity != 1 else {})}
-                  for e in init.fixed_edges],
-        "rules": rules,
-    }
-    if init.bounded_edges:
-        out["bounded_edges"] = [
-            {"label": b.label, "incidence": list(b.incidence),
-             "lower": b.lower, "upper": b.upper} for b in init.bounded_edges]
-    if init.constraints:
-        out["constraints"] = [
-            {"name": c.name,
-             "edges": sorted([label, list(inc)] for label, inc in c.edge_keys),
-             "total": c.total} for c in init.constraints]
-    am: dict = {}
-    if domain.action_model.weights:
-        am["weights"] = dict(sorted(domain.action_model.weights.items()))
-    if domain.action_model.by_location:
-        am["by_location"] = {loc: dict(sorted(tbl.items()))
-                             for loc, tbl in
-                             sorted(domain.action_model.by_location.items())}
-    if am:
-        out["action_model"] = am
-    if domain.at_label != "at":
-        out["at_label"] = domain.at_label
-    if domain.holds_label != "holds":
-        out["holds_label"] = domain.holds_label
-    return out
-
-
 # -- trace JSONL ---------------------------------------------------------------
 
 def parse_trace(text: str, source: str = "<trace>") -> list[AnnotationTuple]:
@@ -472,177 +388,17 @@ def format_trace(trace: Iterable[AnnotationTuple]) -> str:
 
 # -- built-in scenes -----------------------------------------------------------
 
-def _walk_rule(agent_locations: frozenset[str]) -> Rule:
-    return Rule("walk",
-                Pattern((PatternVertex("A", "agent"),
-                         PatternVertex("X", agent_locations),
-                         PatternVertex("Y", agent_locations)),
-                        (PatternEdge("at", ("A", "X")),)),
-                Effect(retract=(EffectEdge("at", ("A", "X")),),
-                       assert_=(EffectEdge("at", ("A", "Y")),)))
-
-
-def _take_rule(holdable: frozenset[str], agent_locations: frozenset[str]) -> Rule:
-    return Rule("take",
-                Pattern((PatternVertex("A", "agent"),
-                         PatternVertex("I", holdable),
-                         PatternVertex("L", agent_locations)),
-                        (PatternEdge("at", ("A", "L")),
-                         PatternEdge("at", ("I", "L")))),
-                Effect(retract=(EffectEdge("at", ("I", "L")),),
-                       assert_=(EffectEdge("holds", ("A", "I")),)))
-
-
-def _put_down_rule(holdable: frozenset[str],
-                   agent_locations: frozenset[str]) -> Rule:
-    return Rule("putDown",
-                Pattern((PatternVertex("A", "agent"),
-                         PatternVertex("I", holdable),
-                         PatternVertex("L", agent_locations)),
-                        (PatternEdge("at", ("A", "L")),
-                         PatternEdge("holds", ("A", "I")))),
-                Effect(retract=(EffectEdge("holds", ("A", "I")),),
-                       assert_=(EffectEdge("at", ("I", "L")),)))
-
-
-def _install_rule(slot_ids: Sequence[str]) -> Rule:
-    return Rule("installEccentric",
-                Pattern((PatternVertex("A", "agent"),
-                         PatternVertex("E", "eccentric"),
-                         PatternVertex("S", "screwdriver"),
-                         PatternVertex("T", "table"),
-                         PatternVertex("SL", frozenset(slot_ids))),
-                        (PatternEdge("at", ("A", "T")),
-                         PatternEdge("holds", ("A", "E")),
-                         PatternEdge("holds", ("A", "S")))),
-                Effect(retract=(EffectEdge("holds", ("A", "E")),),
-                       assert_=(EffectEdge("at", ("E", "SL"), cap=1),)))
-
-
-def mini_bookshelf_domain() -> Domain:
-    """Two boards, four eccentric screws, one screwdriver; small enough to
-    filter by exhaustive ground enumeration."""
-    slot_ids = ("slot_a1", "slot_a2", "slot_b1", "slot_b2")
-    agent_locations = frozenset({"floor", "table"})
-    holdable = frozenset({"eccentric", "screwdriver"})
-    vertices = [Vertex("agent", "agent"),
-                Vertex("floor", "floor"), Vertex("table", "table"),
-                Vertex("board_a", "board_a"), Vertex("board_b", "board_b"),
-                Vertex("eccentric", "eccentric", 4),
-                Vertex("screwdriver", "screwdriver")]
-    vertices += [Vertex(s, s) for s in slot_ids]
-    edges = [Hyperedge("at", ("agent", "floor")),
-             Hyperedge("at", ("eccentric", "table"), 4),
-             Hyperedge("at", ("screwdriver", "table")),
-             Hyperedge("has", ("board_a", "slot_a1")),
-             Hyperedge("has", ("board_a", "slot_a2")),
-             Hyperedge("has", ("board_b", "slot_b1")),
-             Hyperedge("has", ("board_b", "slot_b2"))]
-    uninstall = Rule(
-        "uninstall",
-        Pattern((PatternVertex("A", "agent"),
-                 PatternVertex("E", "eccentric"),
-                 PatternVertex("S", "screwdriver"),
-                 PatternVertex("T", "table"),
-                 PatternVertex("SL", frozenset(slot_ids))),
-                (PatternEdge("at", ("A", "T")),
-                 PatternEdge("holds", ("A", "S")),
-                 PatternEdge("at", ("E", "SL")))),
-        Effect(retract=(EffectEdge("at", ("E", "SL")),),
-               assert_=(EffectEdge("holds", ("A", "E")),)))
-    conservation_labels = frozenset({"at", "holds"})
-    conserved = frozenset({"eccentric", "screwdriver"})
-    initial = LiftedMultiHypergraph(vertices, edges, (), (),
-                                    conservation_labels, conserved)
-    return Domain(
-        name="mini",
-        agent_id="agent",
-        location_labels=frozenset({"floor", "table", *slot_ids}),
-        agent_location_labels=agent_locations,
-        holdable_labels=holdable,
-        conservation_labels=conservation_labels,
-        conserved_vertex_labels=conserved,
-        initial_state=initial,
-        rules=(_walk_rule(agent_locations),
-               _take_rule(holdable, agent_locations),
-               _put_down_rule(holdable, agent_locations),
-               _install_rule(slot_ids),
-               uninstall))
-
-
-def bookshelf_domain() -> Domain:
-    """Full assembly scene: 56 components (7 boards, 40 screws, 9 tools)."""
-    boards = ("shelf_top", "shelf_bottom", "shelf_middle", "side_left",
-              "side_right", "back_panel", "base_plate")
-    tools = ("screwdriver", "hammer", "allen_key", "wrench", "drill",
-             "pencil", "ruler", "clamp", "spirit_level")
-    screws = (("eccentric", 14), ("dowel", 14), ("bolt", 12))
-    slot_ids = tuple(f"slot_{i}" for i in range(1, 15))
-    adjacency = (("side_left", "shelf_top"), ("side_left", "shelf_bottom"),
-                 ("side_right", "shelf_top"), ("side_right", "shelf_bottom"),
-                 ("side_left", "shelf_middle"), ("side_right", "shelf_middle"),
-                 ("back_panel", "shelf_top"), ("back_panel", "shelf_bottom"),
-                 ("back_panel", "side_left"), ("back_panel", "side_right"),
-                 ("base_plate", "shelf_bottom"), ("base_plate", "side_left"),
-                 ("base_plate", "side_right"))
-    agent_locations = frozenset({"floor", "table"})
-    holdable = frozenset(label for label, _ in screws) | frozenset(tools)
-    vertices = [Vertex("agent", "agent"),
-                Vertex("floor", "floor"), Vertex("table", "table")]
-    vertices += [Vertex(b, b) for b in boards]
-    vertices += [Vertex(s, s) for s in slot_ids]
-    vertices += [Vertex(label, label, mult) for label, mult in screws]
-    vertices += [Vertex(t, t) for t in tools]
-    edges = [Hyperedge("at", ("agent", "floor"))]
-    edges += [Hyperedge("at", (label, "table"), mult) for label, mult in screws]
-    edges += [Hyperedge("at", (t, "table")) for t in tools]
-    edges += [Hyperedge("adjacent", pair) for pair in adjacency]
-    # two eccentric slots per board
-    for i, sid in enumerate(slot_ids):
-        edges.append(Hyperedge("has", (boards[i % 7], sid)))
-    connect = Rule(
-        "connectBoards",
-        Pattern((PatternVertex("A", "agent"),
-                 PatternVertex("B", "bolt"),
-                 PatternVertex("W", "wrench"),
-                 PatternVertex("T", "table"),
-                 PatternVertex("B1", frozenset(boards)),
-                 PatternVertex("B2", frozenset(boards))),
-                (PatternEdge("at", ("A", "T")),
-                 PatternEdge("holds", ("A", "B")),
-                 PatternEdge("holds", ("A", "W")),
-                 PatternEdge("adjacent", ("B1", "B2")))),
-        Effect(retract=(EffectEdge("holds", ("A", "B")),),
-               assert_=(EffectEdge("connected", ("B", "B1", "B2"), cap=1),)))
-    conservation_labels = frozenset({"at", "holds", "connected"})
-    conserved = holdable
-    initial = LiftedMultiHypergraph(vertices, edges, (), (),
-                                    conservation_labels, conserved)
-    return Domain(
-        name="bookshelf",
-        agent_id="agent",
-        location_labels=frozenset({"floor", "table", *slot_ids}),
-        agent_location_labels=agent_locations,
-        holdable_labels=holdable,
-        conservation_labels=conservation_labels,
-        conserved_vertex_labels=conserved,
-        initial_state=initial,
-        rules=(_walk_rule(agent_locations),
-               _take_rule(holdable, agent_locations),
-               _put_down_rule(holdable, agent_locations),
-               _install_rule(slot_ids),
-               connect))
-
-
-BUILTIN_DOMAINS = {"mini": mini_bookshelf_domain, "bookshelf": bookshelf_domain}
+BUILTIN_DOMAINS = ("bookshelf", "mini")
 
 
 def builtin_domain(name: str) -> Domain:
-    try:
-        return BUILTIN_DOMAINS[name]()
-    except KeyError:
+    """A built-in scene, parsed from its shipped ``domains/<name>.json``."""
+    if name not in BUILTIN_DOMAINS:
         raise ParseError(f"unknown built-in domain {name!r}; "
-                         f"available: {sorted(BUILTIN_DOMAINS)}", name) from None
+                         f"available: {list(BUILTIN_DOMAINS)}", name)
+    path = resources.files("mhgfilter") / "domains" / f"{name}.json"
+    return parse_domain(json.loads(path.read_text(encoding="utf-8")),
+                        f"domains/{name}.json")
 
 
 # -- trace generation ----------------------------------------------------------

@@ -25,7 +25,8 @@ or no match, and nothing is cached.
 
 Whether an effect can fire at a match is decided in one place,
 ``_effect_feasible``: ``ground_options``, the lifted plan and ``apply`` all
-ask it.
+ask it.  ``apply`` also checks that its assignment is a match: the binding
+once per assignment and layout, and the pattern edges' minima at every call.
 
 Lifted semantics: ``lifted_apply`` answers, once per rule and lifted state,
 in how many groundings the rule is applicable and how its successors arise;
@@ -199,8 +200,8 @@ class Match:
 # -- compiling -----------------------------------------------------------------
 
 class _CompiledRule(NamedTuple):
-    """A rule over one layout, compiled once: its matching, its slot edge
-    and, per match assignment, its resolved effect keys."""
+    """A rule over one layout, compiled once: its matching, its slot edge and,
+    per assignment, its resolved effect keys and, for ``apply``, pattern keys."""
     rule: Rule                                     # held so its id stays taken
     order: list[PatternVertex]                     # the most constrained first
     candidates: dict[str, list[str]]               # variable -> admitted vertex ids
@@ -208,6 +209,7 @@ class _CompiledRule(NamedTuple):
     root: list          # the match tree's root entry, an empty prefix; see _children
     slot: int | None                               # index of the slot edge
     keys: dict[tuple, _EffectKeys]                 # filled by _effect_keys
+    pattern_keys: dict[tuple, tuple]               # filled by _pattern_keys
 
 
 def _compiled(rule: Rule, layout: VertexLayout) -> _CompiledRule:
@@ -236,7 +238,7 @@ def _compiled(rule: Rule, layout: VertexLayout) -> _CompiledRule:
               if e.cap == 1 and e.multiplicity == 1]
     c = layout.compiled[id(rule)] = _CompiledRule(
         rule, order, candidates, edges_by_last, [[(), (), None]],
-        capped[0] if len(capped) == 1 else None, {})
+        capped[0] if len(capped) == 1 else None, {}, {})
     return c
 
 
@@ -357,6 +359,24 @@ def _effect_keys(c: _CompiledRule, match: Match) -> _EffectKeys:
     return keys
 
 
+def _pattern_keys(c: _CompiledRule, match: Match) -> tuple[tuple[EdgeKey, int], ...]:
+    """Each pattern edge's (key, minimum) at an assignment given to ``apply``,
+    resolved once per layout.  An assignment that does not bind each pattern
+    variable to a distinct candidate raises EffectError; nothing is cached."""
+    checks = c.pattern_keys.get(match.assignment)
+    if checks is None:
+        assignment, cands = match.as_dict(), c.candidates
+        if (len(match.assignment) != len(cands) or assignment.keys() != cands.keys()
+                or len(set(assignment.values())) != len(cands)
+                or any(vid not in cands[var] for var, vid in assignment.items())):
+            raise EffectError(f"rule {c.rule.name!r}: {assignment} does not bind "
+                              f"each pattern variable to a distinct candidate")
+        checks = c.pattern_keys[match.assignment] = tuple(
+            (edge_key(pe.label, [assignment[x] for x in pe.vars]), pe.min_multiplicity)
+            for pe in c.rule.pattern.edges)
+    return checks
+
+
 def _effect_feasible(f: _Feasibility, state: State) -> tuple[bool, bool]:
     """(sure, possible): whether retracts stay non-negative and caps hold in
     every grounding, and in some grounding.
@@ -392,8 +412,13 @@ def ground_options(rule: Rule, state: State) -> list[Match]:
 
 def apply(rule: Rule, g: MultiHypergraph, match: Match) -> MultiHypergraph:
     """Apply the rule's effect at the given match; raises EffectError when the
-    match is not applicable in g."""
-    f = _effect_keys(_compiled(rule, g.layout), match).full
+    assignment is not a match of the pattern in g or the effect cannot fire
+    there."""
+    c = _compiled(rule, g.layout)
+    for k, need in _pattern_keys(c, match):
+        if g.multiplicity_bounds(k)[0] < need:
+            raise EffectError(f"rule {rule.name!r}: {match.as_dict()} is not a match")
+    f = _effect_keys(c, match).full
     if not _effect_feasible(f, g)[0]:
         raise EffectError(f"rule {rule.name!r} cannot fire at {match.as_dict()}: "
                           f"a retract goes below zero or an assert exceeds its cap")

@@ -11,9 +11,11 @@ purpose, because it checks the pruning alone.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from importlib import resources
 from typing import Callable, Iterable, Mapping
 
 from mhgfilter import (BoundedEdge, Effect, LiftedApplyResult,
@@ -22,6 +24,13 @@ from mhgfilter import (BoundedEdge, Effect, LiftedApplyResult,
                        ground_options, held_counts, lifted_apply)
 from mhgfilter.canon import _ranked, _refine, _structure
 from mhgfilter.graphs import Hyperedge, Vertex
+
+
+def builtin_document(name: str) -> dict:
+    """The shipped ``mhg-domain/1`` document of a built-in scene, read afresh
+    so that a test may edit it."""
+    path = resources.files("mhgfilter") / "domains" / f"{name}.json"
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def brute_isomorphic(g1: MultiHypergraph, g2: MultiHypergraph) -> bool:

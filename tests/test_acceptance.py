@@ -21,22 +21,21 @@ from mhgfilter import (ActionModel, AnnotationTuple, BoundedEdge, Domain,
                        ParseError, Pattern, PatternEdge, PatternVertex, Rule,
                        TotalConstraint,
                        TraceInconsistencyError, Vertex, agent_location,
-                       apply, bookshelf_domain, compare,
+                       apply, builtin_domain, compare,
                        expand, filter_trace, generate_trace, ground_options,
-                       held_counts, lifted_apply,
-                       mini_bookshelf_domain, parse_domain, predict,
-                       serialize_domain)
+                       held_counts, lifted_apply, parse_domain, predict)
 from mhgfilter.cli import main
-from oracles import (box_groundings, brute_isomorphic, ground_pushforward,
-                     lifted_distribution, merge_free_log_likelihood, random_graph,
-                     relabel, tv_distance)
+from oracles import (box_groundings, brute_isomorphic, builtin_document,
+                     ground_pushforward, lifted_distribution,
+                     merge_free_log_likelihood, random_graph, relabel,
+                     tv_distance)
 
 
 def test_lifted_filter_matches_ground_enumeration_on_mini_traces():
     """20 seeded mini traces of length 20: per-step total variation between
     the lifted and the ground-enumeration posterior stays below 1e-9, the
     log likelihoods agree to 1e-9, and the whole sweep finishes in 30s."""
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     started = time.perf_counter()
     for seed in range(20):
         trace, _ = generate_trace(domain, seed=seed, length=20)
@@ -142,7 +141,7 @@ def test_unobserved_connects_stay_one_lifted_state():
     three rounds the lifted posterior agrees with ground enumeration to 1e-9
     in total variation and log likelihood, and through a fourth round every
     posterior is one lifted state, the last over C(13, 4) = 715 groundings."""
-    domain = bookshelf_domain()
+    domain = builtin_domain("bookshelf")
     trace = connect_trace(domain, rounds=4)
     report = compare(domain, trace[:-2])
     assert report.max_tv <= 1e-9
@@ -179,7 +178,7 @@ def test_full_bookshelf_stays_compressed(tmp_path, capsys):
 def test_corrupted_traces_are_rejected_at_the_corrupted_step():
     """50 seeded mini traces filter cleanly; corrupting the held counts of a
     random step makes the filter fail at exactly that step, every time."""
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     rng = random.Random(17)
     detected = 0
     for seed in range(50):
@@ -291,7 +290,7 @@ def test_location_weights_apply_per_grounding():
     differently: P(walk from the table) = 1/2 * 5/6 = 5/12, and the lifted
     filter must weigh each grounding at its own location, as the ground
     oracle does."""
-    doc = serialize_domain(mini_bookshelf_domain())
+    doc = builtin_document("mini")
     doc["edges"] = [e for e in doc["edges"]
                     if e["incidence"][0] not in ("agent", "screwdriver")]
     doc["edges"].append({"label": "at", "incidence": ["screwdriver", "floor"]})
@@ -349,13 +348,13 @@ def reachable_lifted_states():
     one-step predictions, deduplicated by canonical form.  Bookshelf states
     are subsampled to keep the brute-force comparison affordable."""
     mini_found: dict[bytes, tuple] = {}
-    mini = mini_bookshelf_domain()
+    mini = builtin_domain("mini")
     for seed in range(8):
         for policy in ("uniform", "install_heavy"):
             trace, _ = generate_trace(mini, seed=seed, length=14, policy=policy)
             harvest_states(mini, trace, mini_found, 10 ** 6)
     book_found: dict[bytes, tuple] = {}
-    book = bookshelf_domain()
+    book = builtin_domain("bookshelf")
     trace, _ = generate_trace(book, seed=0, length=8, policy="install_heavy")
     harvest_states(book, trace, book_found, 200)
     states = [mini_found[k] for k in sorted(mini_found)]

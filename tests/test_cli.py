@@ -1,14 +1,14 @@
 from __future__ import annotations
 
 import json
+from importlib import resources
 
 import pytest
 
-from mhgfilter import (AnnotationTuple, format_trace, mini_bookshelf_domain,
-                       serialize_domain)
+from mhgfilter import AnnotationTuple, format_trace
 from mhgfilter.cli import main
-from oracles import unchecked_lifted_apply
-from test_oracle import unchecked_domain
+from oracles import builtin_document, unchecked_lifted_apply
+from test_oracle import unchecked_document
 
 
 def run(capsys, *argv):
@@ -63,6 +63,22 @@ def test_filter_reports_run_totals(tmp_path, mini_trace, capsys):
                                   "mode": "lifted", "dropped_mass": 0.0}
 
 
+def test_a_builtin_name_and_its_document_give_one_report(mini_trace, capsys):
+    """``--domain mini`` and ``--domain`` the shipped ``domains/mini.json``
+    report the same run, apart from the time taken and the names given."""
+    reports = []
+    for spec in ("mini", str(resources.files("mhgfilter") / "domains" / "mini.json")):
+        code, out, _ = run(capsys, "filter", "--domain", spec,
+                           "--trace", str(mini_trace))
+        assert code == 0
+        report = json.loads(out)
+        for key in ("elapsed_seconds", "domain", "trace"):
+            del report[key]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["totals"]["steps"] == 6
+
+
 def test_filter_ground_mode_agrees(mini_trace, capsys):
     code, lifted_out, _ = run(capsys, "filter", "--domain", "mini",
                               "--trace", str(mini_trace))
@@ -91,7 +107,7 @@ def test_compare_clean_trace_exits_zero(mini_trace, capsys):
 def test_compare_divergent_exits_one(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("mhgfilter.filtering.lifted_apply", unchecked_lifted_apply)
     domain_path = tmp_path / "unchecked.json"
-    domain_path.write_text(json.dumps(serialize_domain(unchecked_domain())))
+    domain_path.write_text(json.dumps(unchecked_document()))
     trace_path = tmp_path / "trace.jsonl"
     trace_path.write_text(format_trace(
         [AnnotationTuple("install", "table", "table",
@@ -138,7 +154,7 @@ def test_bad_domain_values_exit_three(tmp_path, mini_trace, capsys):
     a string, are parse errors rather than a crash or an inconsistent trace."""
     for key, change in (("leaky", lambda d: d["vertices"][3].update(multiplicity=5)),
                         ("stringly", lambda d: d["labels"].update(holdable="eccentric"))):
-        doc = serialize_domain(mini_bookshelf_domain())
+        doc = builtin_document("mini")
         assert doc["vertices"][3]["id"] == "eccentric"
         change(doc)
         path = tmp_path / f"{key}.json"
@@ -159,7 +175,7 @@ def test_bad_action_models_exit_three(tmp_path, mini_trace, capsys):
               {"by_location": {"table": {"walk": -1}}},
               {"by_location": {"eccentric": {"walk": 1}}}]
     for i, model in enumerate(models):
-        doc = serialize_domain(mini_bookshelf_domain())
+        doc = builtin_document("mini")
         doc["action_model"] = model
         path = tmp_path / f"model{i}.json"
         path.write_text(json.dumps(doc))
@@ -174,7 +190,7 @@ def test_dynamics_that_break_an_invariant_exit_six(tmp_path, mini_trace, capsys)
     """A ``walk`` that also puts the screwdriver where the agent goes breaks
     the screwdriver's conservation; every command that filters reports it
     and exits 6."""
-    doc = serialize_domain(mini_bookshelf_domain())
+    doc = builtin_document("mini")
     walk = next(r for r in doc["rules"] if r["name"] == "walk")
     walk["effect"]["assert"].append({"label": "at", "vars": ["screwdriver", "Y"]})
     path = tmp_path / "leaky_walk.json"

@@ -3,14 +3,18 @@ from __future__ import annotations
 import copy
 import dataclasses
 import random
+from fnmatch import fnmatch
+from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from mhgfilter import (ActionModel, AnnotationTuple, Effect, EffectEdge,
-                       ParseError, StructuralError, apply, bookshelf_domain,
-                       builtin_domain, format_trace, generate_trace,
-                       ground_options, held_counts, mini_bookshelf_domain,
-                       parse_domain, parse_trace, serialize_domain)
+                       ParseError, StructuralError, apply, builtin_domain,
+                       format_trace, generate_trace, ground_options,
+                       held_counts, parse_domain, parse_trace)
+from mhgfilter.domain import BUILTIN_DOMAINS
+from oracles import builtin_document
 
 COMPONENT_LABELS = {"shelf_top", "shelf_bottom", "shelf_middle", "side_left",
                     "side_right", "back_panel", "base_plate",
@@ -26,8 +30,21 @@ def test_builtin_domains():
         builtin_domain("warehouse")
 
 
+def test_every_builtin_domain_ships_as_package_data():
+    """Each built-in scene is a document under ``domains/`` that the
+    package-data glob in pyproject.toml matches, so an installed package
+    still has it."""
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    config = tomllib.loads(pyproject.read_text(encoding="utf-8"))
+    globs = config["tool"]["setuptools"]["package-data"]["mhgfilter"]
+    for name in BUILTIN_DOMAINS:
+        assert (resources.files("mhgfilter") / "domains" / f"{name}.json").is_file()
+        assert any(fnmatch(f"domains/{name}.json", g) for g in globs), name
+
+
 def test_domain_validation():
-    mini = mini_bookshelf_domain()
+    mini = builtin_domain("mini")
     with pytest.raises(StructuralError):
         dataclasses.replace(mini, rules=(mini.rules[0], mini.rules[0]))
     with pytest.raises(StructuralError):
@@ -43,7 +60,7 @@ def test_domain_validation():
 
 
 def test_bookshelf_inventory():
-    domain = bookshelf_domain()
+    domain = builtin_domain("bookshelf")
     init = domain.initial_state
     components = sum(v.multiplicity for v in init.vertices
                      if v.label in COMPONENT_LABELS)
@@ -65,25 +82,8 @@ def test_annotation_to_dict():
                            "held_next": {}}
 
 
-def test_domain_round_trip():
-    for base in (mini_bookshelf_domain(), bookshelf_domain()):
-        domain = dataclasses.replace(
-            base, action_model=ActionModel({"walk": 0.5},
-                                           {"table": {"take": 2.0}}))
-        doc = serialize_domain(domain)
-        again = parse_domain(doc, "round-trip")
-        assert serialize_domain(again) == doc
-        assert again.name == domain.name
-        assert [r.name for r in again.rules] == [r.name for r in domain.rules]
-        assert again.rules == domain.rules
-        assert (again.initial_state.canonical_form()
-                == domain.initial_state.canonical_form())
-        assert again.action_model == domain.action_model
-        assert again.holdable_labels == domain.holdable_labels
-
-
 def test_parse_domain_errors():
-    good = serialize_domain(mini_bookshelf_domain())
+    good = builtin_document("mini")
     with pytest.raises(ParseError):
         parse_domain([], "doc")
     with pytest.raises(ParseError) as exc:
@@ -126,12 +126,12 @@ def test_parse_domain_errors():
 def test_parse_domain_takes_values_as_written():
     """Integer fields must be JSON integers, not booleans, and label sets
     JSON arrays of strings: a coerced value would load another domain."""
-    good = serialize_domain(mini_bookshelf_domain())
+    good = builtin_document("mini")
     good["bounded_edges"] = [{"label": "mark", "incidence": ["floor"],
                               "lower": 0, "upper": 1}]
     good["constraints"] = [{"name": "g", "edges": [["mark", ["floor"]]], "total": 1}]
     parse_domain(good, "doc")
-    lifted, index = lifted_effect_document(mini_bookshelf_domain())
+    lifted, index = lifted_effect_document()
     parse_domain(lifted, "doc")
     ecc = next(i for i, v in enumerate(good["vertices"]) if v["id"] == "eccentric")
     inst = next(i for i, r in enumerate(good["rules"])
@@ -174,7 +174,7 @@ def test_parse_domain_validates_the_action_model():
     rules the domain has; ``by_location`` keys are agent-location vertices;
     both tables are JSON objects.  Anything else is a parse error, not a
     crash mid-filter."""
-    good = serialize_domain(mini_bookshelf_domain())
+    good = builtin_document("mini")
     good["action_model"] = {"weights": {"walk": 0.5, "take": 0},
                             "by_location": {"table": {"take": 2}}}
     model = parse_domain(good, "doc").action_model
@@ -200,10 +200,10 @@ def test_parse_domain_validates_the_action_model():
         assert shown in str(exc.value), model
 
 
-def lifted_effect_document(domain):
-    """``serialize_domain(domain)`` with the install rule written by hand in
-    the ``lifted_effect`` form, plus that rule's index."""
-    doc = serialize_domain(domain)
+def lifted_effect_document():
+    """The shipped mini document with its install rule written in the
+    ``lifted_effect`` form, plus that rule's index."""
+    doc = builtin_document("mini")
     index = next(i for i, r in enumerate(doc["rules"])
                  if r["name"] == "installEccentric")
     rule = doc["rules"][index]
@@ -219,8 +219,8 @@ def lifted_effect_document(domain):
 def test_parse_rejects_retired_lifted_effect_keys():
     """Retired interval-arithmetic keys load only at their former defaults;
     any other value would change the rule's meaning if ignored."""
-    mini = mini_bookshelf_domain()
-    good, index = lifted_effect_document(mini)
+    mini = builtin_domain("mini")
+    good, index = lifted_effect_document()
     assert set(good["rules"][index]["lifted_effect"]) == {"group", "slots"}
 
     def with_keys(**extra):
@@ -243,8 +243,8 @@ def test_parse_desugars_lifted_effect():
     same ground options along a trajectory; slot ids that are not exactly
     the vertices carrying their labels, or that another pattern variable
     could bind, are rejected."""
-    mini = mini_bookshelf_domain()
-    doc, index = lifted_effect_document(mini)
+    mini = builtin_domain("mini")
+    doc, index = lifted_effect_document()
     parsed = parse_domain(doc, "doc")
     hand, desugared = mini.rules[index], parsed.rules[index]
     rng = random.Random(3)
@@ -280,7 +280,7 @@ def test_parse_desugars_lifted_effect():
 
 
 def test_trace_round_trip():
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     trace, _ = generate_trace(domain, seed=1, length=5)
     text = format_trace(trace)
     assert parse_trace(text) == trace
@@ -317,7 +317,7 @@ def test_parse_trace_errors():
 
 
 def test_generate_trace_is_deterministic():
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     first, t1 = generate_trace(domain, seed=9, length=12)
     second, t2 = generate_trace(domain, seed=9, length=12)
     assert first == second and t1 == t2
@@ -326,7 +326,7 @@ def test_generate_trace_is_deterministic():
 
 
 def test_generate_trace_corruption():
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     clean, _ = generate_trace(domain, seed=4, length=10)
     corrupt, _ = generate_trace(domain, seed=4, length=10, corrupt_at=6)
     assert corrupt[:6] == clean[:6]
@@ -337,11 +337,11 @@ def test_generate_trace_corruption():
 
 def test_generate_trace_rejects_unknown_policy():
     with pytest.raises(ValueError):
-        generate_trace(mini_bookshelf_domain(), seed=0, length=1, policy="lazy")
+        generate_trace(builtin_domain("mini"), seed=0, length=1, policy="lazy")
 
 
 def test_install_heavy_policy_installs():
-    domain = bookshelf_domain()
+    domain = builtin_domain("bookshelf")
     heavy, truncated = generate_trace(domain, seed=2, length=40,
                                       policy="install_heavy")
     assert not truncated
@@ -353,7 +353,7 @@ def test_install_heavy_policy_installs():
 
 
 def test_held_counts():
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     g = domain.initial_state.groundings()[0]
     assert held_counts(domain, g) == {}
     walk = domain.rule("walk")
@@ -365,7 +365,7 @@ def test_held_counts():
 
 
 def test_mini_ground_state_space_is_small():
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     start = domain.initial_state.groundings()[0]
     seen = {start.canonical_form().data}
     frontier = [start]

@@ -10,9 +10,8 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
                        LiftedApplyResult, LiftedMultiHypergraph, Pattern,
                        PatternEdge, PatternVertex, Rule, TotalConstraint,
                        TraceInconsistencyError, Vertex, agent_location,
-                       bookshelf_domain, build_graph, filter_trace,
-                       generate_trace, lifted_apply, mini_bookshelf_domain,
-                       predict, update)
+                       build_graph, builtin_domain, filter_trace,
+                       generate_trace, lifted_apply, predict, update)
 from mhgfilter import rewrite
 from mhgfilter.filtering import _condition_state, _conditions
 
@@ -233,7 +232,7 @@ def test_condition_state_enumerates_entangled_keys():
 
 
 def test_filter_trace_keeps_unit_mass():
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     trace, truncated = generate_trace(domain, seed=3, length=6)
     assert not truncated and len(trace) == 6
     result = filter_trace(domain, trace)
@@ -251,7 +250,7 @@ def test_filter_trace_keeps_unit_mass():
 
 
 def test_filter_trace_reports_corruption_step():
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     trace, _ = generate_trace(domain, seed=5, length=8, corrupt_at=4)
     with pytest.raises(TraceInconsistencyError) as exc:
         filter_trace(domain, trace)
@@ -260,7 +259,7 @@ def test_filter_trace_reports_corruption_step():
 
 
 def test_filter_step_builds_successors_only_for_the_observed_rule(monkeypatch):
-    domain = bookshelf_domain()
+    domain = builtin_domain("bookshelf")
     trace, _ = generate_trace(domain, seed=0, length=4, policy="install_heavy")
     belief = filter_trace(domain, trace[:3]).beliefs[-1]
     step = trace[3:]
@@ -284,7 +283,7 @@ def test_each_rule_is_planned_once_per_state_and_step(monkeypatch):
     from that plan: on an install-heavy bookshelf trace, whose beliefs stay
     one lifted state that conditioning leaves whole, the precondition pass
     runs once per rule and step."""
-    domain = bookshelf_domain()
+    domain = builtin_domain("bookshelf")
     trace, _ = generate_trace(domain, seed=0, length=30, policy="install_heavy")
     planned = 0
     real = rewrite._lifted_plan
@@ -303,7 +302,7 @@ def test_update_builds_only_successors_the_observation_allows(monkeypatch):
     """On an install-heavy bookshelf trace every step keeps one lifted state,
     and the update builds exactly that successor: a ``take`` plans one
     successor per holdable item, but the observed held counts leave one."""
-    domain = bookshelf_domain()
+    domain = builtin_domain("bookshelf")
     trace, _ = generate_trace(domain, seed=0, length=30, policy="install_heavy")
     built = 0
     real = LiftedMultiHypergraph.shifted
@@ -336,7 +335,7 @@ def test_observed_rule_breaking_conservation_raises():
 
 
 def test_lifted_apply_fallbacks_are_logged_at_debug(caplog):
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     with caplog.at_level(logging.DEBUG, logger="mhgfilter"):
         for seed in range(20):
             trace, _ = generate_trace(domain, seed=seed, length=20)

@@ -17,7 +17,7 @@ from mhgfilter import (BoundedEdge, EffectEdge, Effect, EffectError, Hyperedge,
                        MultiHypergraph, Pattern, PatternEdge, PatternVertex,
                        Rule, StructuralError,
                        TotalConstraint, Vertex, apply, compare, generate_trace,
-                       ground_options, lifted_apply, mini_bookshelf_domain)
+                       builtin_domain, ground_options, lifted_apply)
 from mhgfilter import rewrite
 from mhgfilter.canon import (canonical_form, canonical_form_lifted, pinned_form,
                              pinned_form_lifted)
@@ -27,7 +27,7 @@ from oracles import (box_groundings, brute_fire, brute_matches,
 
 
 def test_derived_states_share_the_layout():
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     l = domain.initial_state
     walk = domain.rule("walk")
     g = next(l.iter_groundings())
@@ -57,7 +57,7 @@ def test_each_rule_compiles_once_per_domain(monkeypatch):
         return compiled(rule, layout)
 
     monkeypatch.setattr(rewrite, "_compiled", counted)
-    domains = [mini_bookshelf_domain(), mini_bookshelf_domain()]
+    domains = [builtin_domain("mini"), builtin_domain("mini")]
     for domain in domains:
         trace, _ = generate_trace(domain, seed=3, length=12)
         assert not compare(domain, trace).divergent
@@ -73,7 +73,7 @@ def test_domains_with_the_same_ids_share_no_compiled_entry():
     """A second domain with the same vertex ids and the same rule objects,
     but ``floor`` and ``table`` relabelled the other way round, compiles its
     own entries after the first domain has filled its layout."""
-    first = mini_bookshelf_domain()
+    first = builtin_domain("mini")
     swap = {"floor": "table", "table": "floor"}
     l = first.initial_state
     second = dataclasses.replace(first, initial_state=LiftedMultiHypergraph(
@@ -466,7 +466,7 @@ def test_all_states_of_a_compare_share_equal_edges(monkeypatch):
             _init(self, *args, **kwargs)
             states.append(self)
         monkeypatch.setattr(cls, "__init__", recording)
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     trace, _ = generate_trace(domain, seed=3, length=12)
     assert not compare(domain, trace).divergent
     assert {type(s) for s in states} == {MultiHypergraph, LiftedMultiHypergraph}

@@ -4,13 +4,11 @@ import math
 
 import pytest
 
-from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
-                       Domain, Effect, EffectEdge, Hyperedge, IntegrityError,
-                       LiftedMultiHypergraph, Pattern, PatternEdge,
-                       PatternVertex, Rule, TotalConstraint,
-                       TraceInconsistencyError, Vertex,
-                       GroundBelief, compare, expand, ground_filter_trace,
-                       mini_bookshelf_domain, generate_trace, total_variation)
+from mhgfilter import (AnnotationTuple, Belief, BoundedEdge, GroundBelief,
+                       IntegrityError, LiftedMultiHypergraph, TotalConstraint,
+                       TraceInconsistencyError, Vertex, builtin_domain,
+                       compare, expand, generate_trace, ground_filter_trace,
+                       parse_domain, total_variation)
 from oracles import unchecked_lifted_apply
 
 
@@ -56,7 +54,7 @@ def test_total_variation():
 
 
 def test_ground_filter_hand_computed():
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     trace = [AnnotationTuple("walk", "floor", "table"),
              AnnotationTuple("take", "table", "table", {}, {"eccentric": 1})]
     result = ground_filter_trace(domain, trace)
@@ -73,7 +71,7 @@ def test_ground_filter_hand_computed():
 
 
 def test_ground_filter_rejects_impossible_annotation():
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     trace = [AnnotationTuple("walk", "floor", "table"),
              AnnotationTuple("take", "table", "table", {}, {"eccentric": 3})]
     with pytest.raises(TraceInconsistencyError) as exc:
@@ -83,7 +81,7 @@ def test_ground_filter_rejects_impossible_annotation():
 
 
 def test_compare_agrees_on_mini_traces():
-    domain = mini_bookshelf_domain()
+    domain = builtin_domain("mini")
     for seed in range(5):
         trace, _ = generate_trace(domain, seed=seed, length=8)
         report = compare(domain, trace)
@@ -93,41 +91,42 @@ def test_compare_agrees_on_mini_traces():
         assert not report.divergent
 
 
-def unchecked_domain():
+def unchecked_document() -> dict:
     """A domain whose install rule meets ``unchecked_lifted_apply``'s raw
     interval arithmetic: with it patched in, the lifted filter drifts away
     from the ground truth."""
-    vertices = [Vertex("agent", "agent"), Vertex("table", "table"),
-                Vertex("e", "eccentric", 2),
-                Vertex("s1", "slot_a"), Vertex("s2", "slot_b")]
-    initial = LiftedMultiHypergraph(
-        vertices,
-        [Hyperedge("at", ("agent", "table")), Hyperedge("holds", ("agent", "e"))],
-        [BoundedEdge("at", ("e", "s1"), 0, 1), BoundedEdge("at", ("e", "s2"), 0, 1)],
-        [TotalConstraint("installed", frozenset({("at", ("e", "s1")),
-                                                 ("at", ("e", "s2"))}), 1)],
-        frozenset({"at", "holds"}), frozenset({"eccentric"}))
-    install = Rule(
-        "install",
-        Pattern((PatternVertex("A", "agent"), PatternVertex("E", "eccentric"),
-                 PatternVertex("T", "table"),
-                 PatternVertex("SL", frozenset({"slot_a", "slot_b"}))),
-                (PatternEdge("at", ("A", "T")), PatternEdge("holds", ("A", "E")))),
-        Effect(retract=(EffectEdge("holds", ("A", "E")),),
-               assert_=(EffectEdge("at", ("E", "SL"), cap=1),)))
-    return Domain(name="unchecked", agent_id="agent",
-                  location_labels=frozenset({"table"}),
-                  agent_location_labels=frozenset({"table"}),
-                  holdable_labels=frozenset({"eccentric"}),
-                  conservation_labels=frozenset({"at", "holds"}),
-                  conserved_vertex_labels=frozenset({"eccentric"}),
-                  initial_state=initial, rules=(install,),
-                  action_model=ActionModel())
+    slots = [["at", ["e", "s1"]], ["at", ["e", "s2"]]]
+    return {
+        "format": "mhg-domain/1", "name": "unchecked", "agent": "agent",
+        "labels": {"locations": ["table"], "agent_locations": ["table"],
+                   "holdable": ["eccentric"]},
+        "conservation": {"edges": ["at", "holds"], "vertices": ["eccentric"]},
+        "vertices": [{"id": "agent", "label": "agent"},
+                     {"id": "table", "label": "table"},
+                     {"id": "e", "label": "eccentric", "multiplicity": 2},
+                     {"id": "s1", "label": "slot_a"},
+                     {"id": "s2", "label": "slot_b"}],
+        "edges": [{"label": "at", "incidence": ["agent", "table"]},
+                  {"label": "holds", "incidence": ["agent", "e"]}],
+        "bounded_edges": [{"label": label, "incidence": inc, "lower": 0, "upper": 1}
+                          for label, inc in slots],
+        "constraints": [{"name": "installed", "edges": slots, "total": 1}],
+        "rules": [{
+            "name": "install",
+            "pattern": {"vertices": [{"var": "A", "label": "agent"},
+                                     {"var": "E", "label": "eccentric"},
+                                     {"var": "T", "label": "table"},
+                                     {"var": "SL", "label_any_of": ["slot_a", "slot_b"]}],
+                        "edges": [{"label": "at", "vars": ["A", "T"]},
+                                  {"label": "holds", "vars": ["A", "E"]}]},
+            "effect": {"retract": [{"label": "holds", "vars": ["A", "E"]}],
+                       "assert": [{"label": "at", "vars": ["E", "SL"], "cap": 1}]}}],
+    }
 
 
 def test_compare_flags_unchecked_divergence(monkeypatch):
     monkeypatch.setattr("mhgfilter.filtering.lifted_apply", unchecked_lifted_apply)
-    domain = unchecked_domain()
+    domain = parse_domain(unchecked_document(), "unchecked")
     trace = [AnnotationTuple("install", "table", "table",
                              {"eccentric": 1}, {"eccentric": 0})]
     report = compare(domain, trace)

@@ -8,7 +8,7 @@ from mhgfilter import (BoundedEdge, Effect, EffectEdge,
                        EffectError, Hyperedge, LiftedMultiHypergraph, Match,
                        Pattern, PatternEdge, PatternVertex, Rule, StructuralError,
                        TotalConstraint, Vertex, apply,
-                       build_graph, edge_key, ground_options,
+                       build_graph, builtin_domain, edge_key, ground_options,
                        lifted_apply, successors)
 from oracles import (ground_pushforward, lifted_distribution, tv_distance,
                      unchecked_lifted_apply)
@@ -127,6 +127,44 @@ def test_apply_effect_errors():
                   Effect(retract=(EffectEdge("holds", ("A", "E"), 2),)))
     with pytest.raises(EffectError):
         apply(hungry, g, m)
+
+
+def test_apply_fires_only_at_a_match():
+    """``apply`` takes its assignment from the caller.  One that swaps two
+    variables, binds two variables to one vertex, binds a vertex outside a
+    variable's candidates, or binds too few, too many or one variable twice
+    raises EffectError and leaves the rule's caches as they were.  A binding
+    whose pattern edges the state lacks raises too."""
+    g = build_graph([Vertex("a", "agent"), Vertex("e", "screw")],
+                    [Hyperedge("holds", ("a", "e"))])
+    drop = Rule("drop", Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw")),
+                                (PatternEdge("holds", ("A", "E")),)),
+                Effect(retract=(EffectEdge("holds", ("A", "E")),),
+                       assert_=(EffectEdge("at", ("E", "a")),)))
+    [m] = ground_options(drop, g)
+    assert apply(drop, g, m).edge_dict() == {("at", ("a", "e")): 1}
+    bad = [(drop, g, (("A", "e"), ("E", "a")))]           # holds(a, e) either way
+    mini = builtin_domain("mini")
+    start = mini.initial_state.groundings()[0]             # agent on the floor
+    walk, take = mini.rule("walk"), mini.rule("take")
+    bad += [(walk, start, (("A", "agent"), ("X", "floor"), ("Y", "floor"))),
+            (take, start, (("A", "agent"), ("I", "eccentric"), ("L", "eccentric"))),
+            (take, start, (("A", "agent"), ("I", "eccentric"))),
+            (take, start, (("A", "agent"), ("I", "eccentric"), ("L", "floor"),
+                           ("X", "table"))),
+            (walk, start, (("A", "agent"), ("X", "floor"), ("X", "table"),
+                           ("Y", "floor")))]
+    for rule, state, assignment in bad:
+        for m in ground_options(rule, state):               # compiles, fills keys
+            apply(rule, state, m)
+        compiled = state.layout.compiled[id(rule)]
+        before = dict(compiled.keys), dict(compiled.pattern_keys)
+        for _ in range(2):
+            with pytest.raises(EffectError, match="does not bind each pattern variable"):
+                apply(rule, state, Match(assignment))
+        assert (compiled.keys, compiled.pattern_keys) == before, assignment
+    with pytest.raises(EffectError, match="is not a match"):
+        apply(take, start, Match((("A", "agent"), ("I", "eccentric"), ("L", "floor"))))
 
 
 def test_ground_options_expand_free_slots():
