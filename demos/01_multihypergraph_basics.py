@@ -5,7 +5,8 @@ isomorphism checks into byte comparisons and how pinning breaks symmetry
 when a particular vertex must be told apart from its twins.
 """
 
-from mhgfilter import Hyperedge, Vertex, build_graph, pinned_form
+from mhgfilter import (Hyperedge, MultiHypergraph, Vertex, index_vertices,
+                       pinned_form)
 
 
 def scene(slot_a="s1", slot_b="s2"):
@@ -23,9 +24,11 @@ def scene(slot_a="s1", slot_b="s2"):
         Hyperedge("holds", ("agent", "screw")),
         Hyperedge("adj", (slot_a, slot_b)),
     ]
-    return build_graph(vertices, edges,
-                       conservation_labels=("at", "holds"),
-                       conserved_vertex_labels=("eccentric",))
+    # Conservation is declared once, on the vertex layout that every state
+    # over these vertices shares.
+    layout = index_vertices(vertices, conservation_labels=("at", "holds"),
+                            conserved_vertex_labels=("eccentric",))
+    return MultiHypergraph(layout, edges)
 
 
 def main():
@@ -39,7 +42,7 @@ def main():
 
     # Conservation is validated at construction time: the two eccentric
     # screws are accounted for by one installed copy and one held copy.
-    print("\nconservation labels:", sorted(g.conservation_labels))
+    print("\nconservation labels:", sorted(g.layout.conservation_labels))
 
     # Renaming vertex ids changes nothing observable.  The canonical form
     # is identical bytes, so equality is O(1) after the first computation.
@@ -55,12 +58,9 @@ def main():
     print("slot-swapped scene isomorphic:",
           g.canonical_form() == swapped.canonical_form())
 
-    # A real structural change does show up.
-    vertices = list(g.vertices)
-    edges = [e for e in g.edges if e.label != "adj"]
-    no_adj = build_graph(vertices, edges,
-                         conservation_labels=("at", "holds"),
-                         conserved_vertex_labels=("eccentric",))
+    # A real structural change does show up.  The new state keeps g's
+    # layout, and with it the conservation declaration.
+    no_adj = g.replace_edges({e.key: 0 for e in g.edges if e.label == "adj"})
     print("adjacency-dropped scene isomorphic:",
           g.canonical_form() == no_adj.canonical_form())
 

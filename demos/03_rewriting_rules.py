@@ -11,8 +11,8 @@ numerically on a small install step.
 from collections import defaultdict
 
 from mhgfilter import (Effect, EffectEdge, Hyperedge, LiftedMultiHypergraph,
-                       Pattern, PatternEdge, PatternVertex, Rule, Vertex,
-                       build_graph, expand, ground_options,
+                       MultiHypergraph, Pattern, PatternEdge, PatternVertex,
+                       Rule, Vertex, expand, ground_options, index_vertices,
                        lifted_apply, successors, total_variation)
 
 
@@ -28,12 +28,11 @@ def install_rule():
 
 
 def workbench():
-    return build_graph(
+    layout = index_vertices(
         [Vertex("agent", "agent"), Vertex("e", "screw", 2),
          Vertex("s1", "slot"), Vertex("s2", "slot"), Vertex("s3", "slot")],
-        [Hyperedge("holds", ("agent", "e"), 2)],
-        conservation_labels=("holds", "at"),
-        conserved_vertex_labels=("screw",))
+        conservation_labels=("holds", "at"), conserved_vertex_labels=("screw",))
+    return MultiHypergraph(layout, [Hyperedge("holds", ("agent", "e"), 2)])
 
 
 def main():

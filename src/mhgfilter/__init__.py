@@ -16,13 +16,13 @@ from .filtering import (ActionModel, Belief, FilterResult, JointPrediction,
                         Particle, StepStats, agent_location,
                         filter_trace, predict, update)
 from .graphs import (EdgeKey, Hyperedge, Label, MultiHypergraph, Vertex,
-                     build_graph, edge_key)
+                     edge_key, index_vertices)
 from .lifted import (MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph,
                      TotalConstraint)
 from .domain import (AnnotationTuple, Domain, builtin_domain, format_trace,
                      generate_trace, held_counts, parse_domain, parse_trace)
-from .oracle import (ComparisonReport, GroundBelief, GroundFilterResult,
-                     compare, expand, ground_filter_trace, total_variation)
+from .oracle import (ComparisonReport, GroundBelief, compare, expand,
+                     ground_filter_trace, total_variation)
 from .rewrite import (Effect, EffectEdge, LiftedApplyResult, Match, Pattern,
                       PatternEdge, PatternVertex, Rule, apply,
                       ground_options, lifted_apply, successors)
@@ -33,18 +33,17 @@ __all__ = [
     "ActionModel", "AnnotationTuple", "Belief", "BoundedEdge", "CanonicalForm",
     "ComparisonReport", "Domain", "EdgeKey",
     "Effect", "EffectEdge", "EffectError", "EngineError",
-    "EnumerationLimitError", "FilterResult", "GroundBelief",
-    "GroundFilterResult", "Hyperedge",
+    "EnumerationLimitError", "FilterResult", "GroundBelief", "Hyperedge",
     "IntegrityError", "JointPrediction", "Label",
     "LiftedApplyResult", "LiftedMultiHypergraph", "MAX_GROUNDINGS", "Match",
     "MultiHypergraph", "ParseError", "Particle", "Pattern", "PatternEdge",
     "PatternVertex", "Rule", "StepStats", "StructuralError",
     "TotalConstraint", "TraceInconsistencyError", "Vertex", "agent_location",
-    "apply", "build_graph", "builtin_domain",
+    "apply", "builtin_domain",
     "canonical_form", "canonical_form_lifted", "compare",
     "edge_key", "expand", "filter_trace",
     "format_trace", "generate_trace", "ground_filter_trace",
-    "ground_options", "held_counts",
+    "ground_options", "held_counts", "index_vertices",
     "lifted_apply", "parse_domain", "parse_trace",
     "pinned_form", "predict", "successors",
     "total_variation", "update", "__version__",

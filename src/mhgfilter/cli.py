@@ -86,7 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_domain(spec: str) -> Domain:
     if spec in BUILTIN_DOMAINS:
         return builtin_domain(spec)
-    with open(spec, "r", encoding="utf-8") as fh:
+    try:
+        fh = open(spec, "r", encoding="utf-8")
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{spec!r} is neither a built-in domain "
+                                f"({', '.join(BUILTIN_DOMAINS)}) nor a file") from None
+    with fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -3,10 +3,11 @@
 A domain bundles everything the filter needs: the vertex/edge vocabulary,
 the observation schema (which vertex is the agent, which labels express
 position and holding, which labels are observable as held counts), the
-conservation declaration, the initial state, the rules, and the action
-model.  Two assembly scenes ship built in, as domain documents under
-``domains/``: ``mini`` (small enough for the ground reference filter) and
-``bookshelf`` (large enough that only the lifted filter is practical).
+initial state, whose vertex layout carries the conservation declaration,
+the rules, and the action model.  Two assembly scenes ship built in, as
+domain documents under ``domains/``: ``mini`` (small enough for the ground
+reference filter) and ``bookshelf`` (large enough that only the lifted
+filter is practical).
 
 Domains are stored as JSON (format tag ``mhg-domain/1``); traces as JSON
 lines, one annotation per line with the action name, the agent's location
@@ -25,20 +26,12 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import IntegrityError, ParseError, StructuralError
 from .filtering import ActionModel, agent_location
-from .graphs import Hyperedge, MultiHypergraph, Vertex, edge_key
+from .graphs import Hyperedge, MultiHypergraph, Vertex, edge_key, index_vertices
 from .lifted import BoundedEdge, LiftedMultiHypergraph, TotalConstraint
 from .rewrite import (Effect, EffectEdge, Pattern, PatternEdge, PatternVertex,
                       Rule, ground_options, apply)
 
 DOMAIN_FORMAT = "mhg-domain/1"
-
-# Retired ``lifted_effect`` keys of the raw interval arithmetic, with the one
-# value still accepted (their former default).  Any other key besides
-# ``group`` and ``slots`` loads only when false.  Ignoring another value
-# would silently turn a divergent rule into an exact one.  The ``group``
-# name is accepted and ignored.
-_RETIRED_LIFTED_KEYS = {"total_delta": 1, "per_edge_upper_delta": 1,
-                        "cap_to_total": True}
 
 __all__ = ["AnnotationTuple", "Domain", "parse_domain", "parse_trace",
            "format_trace", "generate_trace", "held_counts", "builtin_domain",
@@ -70,8 +63,6 @@ class Domain:
     location_labels: frozenset[str]
     agent_location_labels: frozenset[str]
     holdable_labels: frozenset[str]
-    conservation_labels: frozenset[str]
-    conserved_vertex_labels: frozenset[str]
     initial_state: LiftedMultiHypergraph
     rules: tuple[Rule, ...]
     action_model: ActionModel = field(default_factory=ActionModel)
@@ -210,11 +201,9 @@ def _desugar_lifted_effect(le: dict, pattern: Pattern, effect: Effect,
     their labels, which no other variable may bind; otherwise the rewrite
     would change which options the rule has.
     """
-    for key, value in le.items():
-        if (key not in ("group", "slots")
-                and value != _RETIRED_LIFTED_KEYS.get(key, False)):
-            raise ParseError(f"lifted_effect key {key!r} is not "
-                             f"supported with value {value!r}", source)
+    for key in le:
+        if key not in ("group", "slots"):   # ``group`` is accepted and ignored
+            raise ParseError(f"lifted_effect key {key!r} is not supported", source)
     slots = [(_req(s, "label", source), tuple(_req(s, "incidence", source)),
               _integer(s.get("capacity", 1), "capacity"))
              for s in _req(le, "slots", source)]
@@ -312,13 +301,10 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
         action_model = _action_model(
             data.get("action_model", {}), {r.name for r in rules},
             {v.id for v in vertices if v.label in agent_locations})
-        conservation_labels = _labels(conservation.get("edges", []),
-                                      "conservation.edges")
-        conserved_vertex_labels = _labels(conservation.get("vertices", []),
-                                          "conservation.vertices")
-        initial = LiftedMultiHypergraph(
-            vertices, edges, bounded, constraints,
-            conservation_labels, conserved_vertex_labels)
+        layout = index_vertices(
+            vertices, _labels(conservation.get("edges", []), "conservation.edges"),
+            _labels(conservation.get("vertices", []), "conservation.vertices"))
+        initial = LiftedMultiHypergraph(layout, edges, bounded, constraints)
         return Domain(
             name=str(data.get("name", source)),
             agent_id=_req(data, "agent", source),
@@ -327,8 +313,6 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
             agent_location_labels=agent_locations,
             holdable_labels=_labels(_req(labels, "holdable", source),
                                     "labels.holdable"),
-            conservation_labels=conservation_labels,
-            conserved_vertex_labels=conserved_vertex_labels,
             initial_state=initial,
             rules=tuple(rules),
             action_model=action_model,

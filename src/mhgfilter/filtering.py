@@ -165,7 +165,11 @@ class StepStats:
 
 @dataclass(frozen=True)
 class FilterResult:
-    beliefs: tuple[Belief, ...]
+    """One belief and one stats record per trace prefix, index 0 the initial
+    belief: ``Belief``s from ``filter_trace``, ``GroundBelief``s from the
+    ground reference filter."""
+
+    beliefs: tuple
     stats: tuple[StepStats, ...]
     log_likelihood: float
     warnings: tuple[str, ...] = ()
@@ -189,7 +193,9 @@ def agent_location(domain, state: State) -> str | None:
 
 def _conditions(domain, loc: str, held: Mapping[str, int]
                 ) -> list[tuple[tuple[EdgeKey, ...], int]]:
-    """Exact-count conditions (key set, required total) for one observation side."""
+    """Exact-count conditions (key set, required total) for one observation
+    side, the agent's location first.  An unknown location fails it: its
+    key has multiplicity 0 in every state."""
     conds = [((edge_key(domain.at_label, (domain.agent_id, loc)),), 1)]
     conds += [(keys, int(held.get(label, 0))) for label, keys in domain.holds_keys]
     # an unknown label has no keys: only 0 is satisfiable
@@ -198,22 +204,18 @@ def _conditions(domain, loc: str, held: Mapping[str, int]
     return conds
 
 
-def _ground_consistent(g: MultiHypergraph, loc: str,
+def _ground_consistent(g: MultiHypergraph,
                        conds: list[tuple[tuple[EdgeKey, ...], int]]) -> bool:
-    """Whether g meets one observation side: its location and ``_conditions``."""
-    if not g.has_vertex(loc):
-        return False
+    """Whether g meets one observation side's ``_conditions``."""
     for keys, required in conds:
         if sum(g.multiplicity_bounds(k)[0] for k in keys) != required:
             return False
     return True
 
 
-def _condition_state(l: State, loc: str,
-                     conds: list[tuple[tuple[EdgeKey, ...], int]]
+def _condition_state(l: State, conds: list[tuple[tuple[EdgeKey, ...], int]]
                      ) -> tuple[float, list[tuple[LiftedMultiHypergraph, float]]]:
-    """Condition a state on one observation side: its location and
-    ``_conditions``.
+    """Condition a state on one observation side's ``_conditions``.
 
     Returns (fraction of groundings that are consistent, the states taking
     l's place with relative weights summing to one; l itself when the
@@ -222,8 +224,6 @@ def _condition_state(l: State, loc: str,
     resolved by enumeration, within ``MAX_GROUNDINGS``.  A ground state only
     ever takes the first branch.
     """
-    if not l.has_vertex(loc):
-        return 0.0, []
     work = l
     frac = 1.0
     deferred: list[tuple[tuple[EdgeKey, ...], int]] = []
@@ -245,7 +245,8 @@ def _condition_state(l: State, loc: str,
             new_bounds = [bb if bb.key != k else
                           BoundedEdge(bb.label, bb.incidence, v, v)
                           for bb in work.bounded_edges]
-            tightened = work.rebuild(bounded=new_bounds)
+            tightened = LiftedMultiHypergraph(work.layout, work.fixed_edges,
+                                              new_bounds, work.constraints)
             if tightened.is_empty:
                 return 0.0, []
             frac *= tightened.count_groundings() / before
@@ -340,15 +341,14 @@ def update(domain, annotation, joint: JointPrediction, step: int = 0
     for p in joint.particles:
         if p.rule.name != annotation.action:
             continue
-        f_prev, prevs = _condition_state(p.prev, annotation.loc_t, prev_conds)
+        f_prev, prevs = _condition_state(p.prev, prev_conds)
         for tight, rel in prevs:
             # applicability is grounding-independent on the particle's
             # predecessor, hence also on any subset of its groundings, so
             # the successor probabilities need no reweighting
             t = p.transition if tight is p.prev else lifted_apply(p.rule, tight)
             for succ, prob in t.outputs(next_conds):
-                f_next, nexts = _condition_state(succ, annotation.loc_next,
-                                                 next_conds)
+                f_next, nexts = _condition_state(succ, next_conds)
                 if f_next == 0.0:
                     continue
                 base = p.weight * f_prev * rel * prob * f_next

@@ -22,7 +22,9 @@ shares it: matching and canonical forms compile what depends on the
 vertices alone once per layout, which is exact for all of those states.
 The layout also interns edges: each (key, multiplicity) is built,
 validated and checked against the vertices once, and every state over the
-layout holds that one :class:`Hyperedge` object.
+layout holds that one :class:`Hyperedge` object.  The conservation
+declaration belongs to the layout too: :func:`index_vertices` makes it,
+once, and every state over the layout is checked against it.
 """
 
 from __future__ import annotations
@@ -82,19 +84,29 @@ def edge_key(label: Label, incidence: Iterable[str]) -> EdgeKey:
 
 @dataclass(frozen=True, eq=False)
 class VertexLayout:
-    """Sorted vertices, their id index and the forms compiled from them:
-    rules' keyed by ``id(rule)``, each holding its rule so the id stays
-    taken, and canonical forms' keyed by their compile function.
+    """Sorted vertices, their id index, the conservation declaration and the
+    forms compiled from them: rules' keyed by ``id(rule)``, each holding its
+    rule so the id stays taken, and canonical forms' keyed by their compile
+    function.
 
-    ``edges`` interns the layout's edges by (key, multiplicity); an edge is
-    in it only once its incidence has been checked against the vertices,
-    which never change.
+    ``conserved`` maps each conserved vertex's id to its multiplicity, in
+    vertex order; it is empty when either label set is.  ``edges`` interns
+    the layout's edges by (key, multiplicity); an edge is in it only once
+    its incidence has been checked against the vertices, which never change.
     """
 
     vertices: tuple[Vertex, ...]
     by_id: dict[str, Vertex]
+    conservation_labels: frozenset[Label] = frozenset()
+    conserved_vertex_labels: frozenset[Label] = frozenset()
+    conserved: dict[str, int] = field(init=False)
     compiled: dict = field(default_factory=dict)
     edges: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        conserved = self.conserved_vertex_labels if self.conservation_labels else ()
+        object.__setattr__(self, "conserved", {
+            v.id: v.multiplicity for v in self.vertices if v.label in conserved})
 
     def edge(self, key: EdgeKey, multiplicity: int) -> Hyperedge:
         """The layout's edge with this key and multiplicity, built on first
@@ -113,10 +125,16 @@ class VertexLayout:
         return got
 
 
-def index_vertices(vertices: Iterable[Vertex] | VertexLayout) -> VertexLayout:
+def index_vertices(vertices: Iterable[Vertex] | VertexLayout,
+                   conservation_labels: Iterable[Label] = (),
+                   conserved_vertex_labels: Iterable[Label] = ()) -> VertexLayout:
     """The layout of a vertex list (sorted, indexed by id; raises on a
-    duplicate id), or the given layout itself."""
+    duplicate id) under the given conservation declaration, or the given
+    layout itself, which keeps its own declaration: declaring again raises."""
     if isinstance(vertices, VertexLayout):
+        if conservation_labels or conserved_vertex_labels:
+            raise StructuralError("a vertex layout's conservation is declared "
+                                  "once, when the layout is made")
         return vertices
     verts = tuple(sorted(vertices))
     by_id: dict[str, Vertex] = {}
@@ -124,7 +142,8 @@ def index_vertices(vertices: Iterable[Vertex] | VertexLayout) -> VertexLayout:
         if v.id in by_id:
             raise StructuralError(f"duplicate vertex id {v.id!r}")
         by_id[v.id] = v
-    return VertexLayout(verts, by_id)
+    return VertexLayout(verts, by_id, frozenset(conservation_labels),
+                        frozenset(conserved_vertex_labels))
 
 
 def check_incidence(label: Label, incidence: Iterable[str],
@@ -134,12 +153,10 @@ def check_incidence(label: Label, incidence: Iterable[str],
             raise StructuralError(f"edge {label!r} references unknown vertex {vid!r}")
 
 
-def check_conservation(vertices: tuple[Vertex, ...], fixed_edges: Iterable[Hyperedge],
-                       bounded_edges=(), constraints=(),
-                       conservation_labels: frozenset[Label] = frozenset(),
-                       conserved_vertex_labels: frozenset[Label] = frozenset()) -> None:
-    """Raise IntegrityError unless every participating vertex's conserved sum
-    equals its multiplicity in every grounding.
+def check_conservation(layout: VertexLayout, fixed_edges: Iterable[Hyperedge],
+                       bounded_edges=(), constraints=()) -> None:
+    """Raise IntegrityError unless every conserved vertex of the layout has
+    a conserved sum equal to its multiplicity in every grounding.
 
     One pass over the edges.  Fixed edges and ungrouped bounded edges add
     their multiplicity (lower and upper bound) once per incidence; a
@@ -147,9 +164,10 @@ def check_conservation(vertices: tuple[Vertex, ...], fixed_edges: Iterable[Hyper
     over the assignments that meet its total.  A ground state passes its
     edges as ``fixed_edges`` and nothing else.
     """
-    if not conservation_labels or not conserved_vertex_labels:
+    if not layout.conserved:
         return
-    lo = {v.id: 0 for v in vertices if v.label in conserved_vertex_labels}
+    conservation_labels = layout.conservation_labels
+    lo = dict.fromkeys(layout.conserved, 0)
     up = dict(lo)
     for e in fixed_edges:
         if e.label in conservation_labels:
@@ -181,12 +199,12 @@ def check_conservation(vertices: tuple[Vertex, ...], fixed_edges: Iterable[Hyper
                 mn, mx = _group_coef_range(members, c.total)
                 lo[vid] += mn
                 up[vid] += mx
-    for v in vertices:
-        if v.id in lo and not lo[v.id] == up[v.id] == v.multiplicity:
+    for vid, m in layout.conserved.items():
+        if not lo[vid] == up[vid] == m:
             raise IntegrityError(
-                f"vertex {v.id!r} ({v.label}): conserved multiplicity sum "
-                f"ranges over [{lo[v.id]}, {up[v.id]}] across groundings, "
-                f"expected exactly {v.multiplicity}")
+                f"vertex {vid!r} ({layout.by_id[vid].label}): conserved "
+                f"multiplicity sum ranges over [{lo[vid]}, {up[vid]}] across "
+                f"groundings, expected exactly {m}")
 
 
 def _group_coef_range(members: list[tuple[int, int, int]], total: int
@@ -215,8 +233,9 @@ def _group_coef_range(members: list[tuple[int, int, int]], total: int
 class MultiHypergraph:
     """Immutable validated multi-hypergraph.
 
-    Equality and hashing are structural (same ids, labels, multiplicities);
-    compare canonical forms for identity up to renaming.
+    Equality and hashing are structural (same ids, labels, multiplicities;
+    equality also asks for the same conservation declaration); compare
+    canonical forms for identity up to renaming.
 
     A ground state reads like a lifted state without bounded edges: it
     offers ``fixed_edges``, empty ``bounded_edges`` and ``constraints``,
@@ -224,17 +243,14 @@ class MultiHypergraph:
     conditioning take one code path for both.
     """
 
-    __slots__ = ("layout", "vertices", "edges", "conservation_labels",
-                 "conserved_vertex_labels", "_mult", "_canonical")
+    __slots__ = ("layout", "vertices", "edges", "_mult", "_canonical")
 
     bounded_edges: tuple = ()
     constraints: tuple = ()
     is_empty = False
 
     def __init__(self, vertices: Iterable[Vertex] | VertexLayout,
-                 edges: Iterable[Hyperedge] = (),
-                 conservation_labels: Iterable[Label] = (),
-                 conserved_vertex_labels: Iterable[Label] = ()):
+                 edges: Iterable[Hyperedge] = ()):
         layout = index_vertices(vertices)
         by_key: dict[EdgeKey, Hyperedge] = {}
         for e in edges:
@@ -247,12 +263,9 @@ class MultiHypergraph:
         self.layout = layout
         self.vertices = layout.vertices
         self.edges = tuple(e for _, e in sorted(by_key.items()))
-        self.conservation_labels = frozenset(conservation_labels)
-        self.conserved_vertex_labels = frozenset(conserved_vertex_labels)
         self._mult = {k: e.multiplicity for k, e in by_key.items()}
         self._canonical = None
-        check_conservation(self.vertices, self.edges, (), (), self.conservation_labels,
-                           self.conserved_vertex_labels)
+        check_conservation(layout, self.edges)
 
     # -- queries -----------------------------------------------------------
 
@@ -286,8 +299,7 @@ class MultiHypergraph:
         """
         edges = [e for e in self.edges if e.key not in mults]
         edges += [self.layout.edge(k, m) for k, m in mults.items() if m > 0]
-        return MultiHypergraph(self.layout, edges,
-                               self.conservation_labels, self.conserved_vertex_labels)
+        return MultiHypergraph(self.layout, edges)
 
     def canonical_form(self):
         from .canon import canonical_form
@@ -300,9 +312,10 @@ class MultiHypergraph:
     def __eq__(self, other):
         if not isinstance(other, MultiHypergraph):
             return NotImplemented
+        a, b = self.layout, other.layout
         return (self.vertices == other.vertices and self.edges == other.edges
-                and self.conservation_labels == other.conservation_labels
-                and self.conserved_vertex_labels == other.conserved_vertex_labels)
+                and a.conservation_labels == b.conservation_labels
+                and a.conserved_vertex_labels == b.conserved_vertex_labels)
 
     def __hash__(self):
         return hash((self.vertices, self.edges))
@@ -311,9 +324,3 @@ class MultiHypergraph:
         return (f"MultiHypergraph({len(self.vertices)} vertices, "
                 f"{len(self.edges)} edges)")
 
-
-def build_graph(vertices: Iterable[Vertex], edges: Iterable[Hyperedge] = (),
-                conservation_labels: Iterable[Label] = (),
-                conserved_vertex_labels: Iterable[Label] = ()) -> MultiHypergraph:
-    """Validated constructor; see :class:`MultiHypergraph` for invariants."""
-    return MultiHypergraph(vertices, edges, conservation_labels, conserved_vertex_labels)

@@ -18,14 +18,15 @@ Construction normalises the representation:
 
 Infeasible constraints yield an *empty* lifted state (no groundings), which
 is constructible but rejected wherever a belief requires non-empty support.
-Conservation must hold in every grounding; the constructor verifies that the
-conserved multiplicity sum of every participating vertex is constant across
-the support and equal to the vertex multiplicity.
+Conservation, declared on the vertex layout, must hold in every grounding;
+the constructor verifies that the conserved multiplicity sum of every
+participating vertex is constant across the support and equal to the vertex
+multiplicity.
 
-Every state built from another (shifted, rebuilt, lifted from a graph, or
-grounded) keeps its vertex layout, with its compiled forms and its interned
-edges: a state's fixed edges, and a grounding's edges, are the layout's
-objects.
+Every state built from another (shifted, lifted from a graph, or grounded)
+keeps its vertex layout, with its conservation declaration, its compiled
+forms and its interned edges: a state's fixed edges, and a grounding's
+edges, are the layout's objects.
 """
 
 from __future__ import annotations
@@ -90,16 +91,13 @@ class TotalConstraint:
 
 class LiftedMultiHypergraph:
     __slots__ = ("layout", "vertices", "fixed_edges", "bounded_edges", "constraints",
-                 "conservation_labels", "conserved_vertex_labels", "is_empty",
-                 "_fixed_mult", "_bounded_by_key", "_group_of",
+                 "is_empty", "_fixed_mult", "_bounded_by_key", "_group_of",
                  "_canonical", "_count")
 
     def __init__(self, vertices: Iterable[Vertex] | VertexLayout,
                  fixed_edges: Iterable[Hyperedge] = (),
                  bounded_edges: Iterable[BoundedEdge] = (),
-                 constraints: Iterable[TotalConstraint] = (),
-                 conservation_labels: Iterable[str] = (),
-                 conserved_vertex_labels: Iterable[str] = ()):
+                 constraints: Iterable[TotalConstraint] = ()):
         layout = index_vertices(vertices)
         fixed: dict[EdgeKey, int] = {}
         for e in fixed_edges:
@@ -175,8 +173,6 @@ class LiftedMultiHypergraph:
             (TotalConstraint(name, frozenset(keys), t)
              for name, (keys, t) in groups.items()),
             key=lambda c: (sorted(c.edge_keys), c.name)))
-        self.conservation_labels = frozenset(conservation_labels)
-        self.conserved_vertex_labels = frozenset(conserved_vertex_labels)
         self.is_empty = empty
         self._fixed_mult = {e.key: e.multiplicity for e in self.fixed_edges}
         self._bounded_by_key = {b.key: b for b in self.bounded_edges}
@@ -187,9 +183,8 @@ class LiftedMultiHypergraph:
         self._canonical = None
         self._count = None
         if not empty:
-            check_conservation(self.vertices, self.fixed_edges, self.bounded_edges,
-                               self.constraints, self.conservation_labels,
-                               self.conserved_vertex_labels)
+            check_conservation(layout, self.fixed_edges, self.bounded_edges,
+                               self.constraints)
 
     # -- queries -----------------------------------------------------------
 
@@ -210,15 +205,7 @@ class LiftedMultiHypergraph:
 
     @classmethod
     def from_graph(cls, g: MultiHypergraph) -> "LiftedMultiHypergraph":
-        return cls(g.layout, g.edges, (), (),
-                   g.conservation_labels, g.conserved_vertex_labels)
-
-    def rebuild(self, *, bounded: Iterable[BoundedEdge]) -> "LiftedMultiHypergraph":
-        """New lifted state over the same vertices, fixed edges and
-        constraints with replaced bounded edges."""
-        return LiftedMultiHypergraph(
-            self.layout, self.fixed_edges, bounded, self.constraints,
-            self.conservation_labels, self.conserved_vertex_labels)
+        return cls(g.layout, g.edges)
 
     def shifted(self, delta: Mapping[EdgeKey, int], grow: str | None = None,
                 fresh: frozenset[EdgeKey] = frozenset()) -> "LiftedMultiHypergraph":
@@ -255,7 +242,7 @@ class LiftedMultiHypergraph:
             self.layout,
             [self.layout.edge(k, m) for k, m in fixed.items() if m],
             [BoundedEdge(lbl, inc, lo, up) for (lbl, inc), (lo, up) in bounds.items()],
-            constraints, self.conservation_labels, self.conserved_vertex_labels)
+            constraints)
 
     # -- grounding ---------------------------------------------------------
 
@@ -286,8 +273,7 @@ class LiftedMultiHypergraph:
     def _ground(self, assignment: Mapping[EdgeKey, int]) -> MultiHypergraph:
         edges = [*self.fixed_edges,
                  *(self.layout.edge(k, v) for k, v in assignment.items() if v)]
-        return MultiHypergraph(self.layout, edges,
-                               self.conservation_labels, self.conserved_vertex_labels)
+        return MultiHypergraph(self.layout, edges)
 
     def iter_groundings(self) -> Iterator[MultiHypergraph]:
         """Every grounding; raises EnumerationLimitError beyond MAX_GROUNDINGS."""

@@ -23,8 +23,8 @@ from .graphs import MultiHypergraph
 from .lifted import LiftedMultiHypergraph
 from .rewrite import Rule, successors
 
-__all__ = ["expand", "GroundBelief", "GroundFilterResult", "ground_filter_trace",
-           "compare", "ComparisonReport", "total_variation"]
+__all__ = ["expand", "GroundBelief", "ground_filter_trace", "compare",
+           "ComparisonReport", "total_variation"]
 
 
 def expand(l: LiftedMultiHypergraph) -> list[tuple[MultiHypergraph, float]]:
@@ -67,16 +67,9 @@ class GroundBelief:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class GroundFilterResult:
-    beliefs: tuple[GroundBelief, ...]
-    stats: tuple[StepStats, ...]
-    log_likelihood: float
-    warnings: tuple[str, ...] = ()
-
-
-def ground_filter_trace(domain, trace: Sequence) -> GroundFilterResult:
-    """Filter a trace entirely in ground space (the reference semantics)."""
+def ground_filter_trace(domain, trace: Sequence) -> FilterResult:
+    """Filter a trace entirely in ground space (the reference semantics);
+    the result's beliefs are ``GroundBelief``s."""
     belief = GroundBelief(expand(domain.initial_state))
     beliefs = [belief]
     stats = [StepStats(0, None, len(belief), len(belief), 0.0, "ground")]
@@ -127,10 +120,10 @@ def ground_filter_trace(domain, trace: Sequence) -> GroundFilterResult:
             w /= total
             if rule.name != annotation.action:
                 continue
-            if not _ground_consistent(g, annotation.loc_t, prev_conds):
+            if not _ground_consistent(g, prev_conds):
                 continue
             for h, p in outs:
-                if not _ground_consistent(h, annotation.loc_next, next_conds):
+                if not _ground_consistent(h, next_conds):
                     continue
                 mass = w * p
                 masses.append((h, mass))
@@ -142,8 +135,8 @@ def ground_filter_trace(domain, trace: Sequence) -> GroundFilterResult:
         beliefs.append(belief)
         stats.append(StepStats(i + 1, annotation.action, len(belief), len(belief),
                                math.log(z), "ground", dropped))
-    return GroundFilterResult(tuple(beliefs), tuple(stats), log_likelihood,
-                              tuple(warnings))
+    return FilterResult(tuple(beliefs), tuple(stats), log_likelihood,
+                        tuple(warnings))
 
 
 @dataclass(frozen=True)

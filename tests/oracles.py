@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Mapping
 from mhgfilter import (BoundedEdge, Effect, LiftedApplyResult,
                        LiftedMultiHypergraph, MultiHypergraph, Rule,
                        TotalConstraint, agent_location, apply, edge_key,
-                       ground_options, held_counts, lifted_apply)
+                       ground_options, held_counts, index_vertices, lifted_apply)
 from mhgfilter.canon import _ranked, _refine, _structure
 from mhgfilter.graphs import Hyperedge, Vertex
 
@@ -31,6 +31,14 @@ def builtin_document(name: str) -> dict:
     so that a test may edit it."""
     path = resources.files("mhgfilter") / "domains" / f"{name}.json"
     return json.loads(path.read_text(encoding="utf-8"))
+
+
+def fresh_layout(state, vertices=None):
+    """A new vertex layout over the state's vertices, or the given ones,
+    with the state's conservation declaration."""
+    layout = state.layout
+    return index_vertices(state.vertices if vertices is None else vertices,
+                          layout.conservation_labels, layout.conserved_vertex_labels)
 
 
 def brute_isomorphic(g1: MultiHypergraph, g2: MultiHypergraph) -> bool:
@@ -140,8 +148,7 @@ def box_groundings(l: LiftedMultiHypergraph) -> list[MultiHypergraph]:
                  for e in l.fixed_edges]
         edges += [Hyperedge(label, inc, v)
                   for (label, inc), v in zip(keys, values) if v > 0]
-        out.append(MultiHypergraph(l.vertices, edges, l.conservation_labels,
-                                   l.conserved_vertex_labels))
+        out.append(MultiHypergraph(fresh_layout(l), edges))
     return out
 
 
@@ -284,8 +291,8 @@ def brute_transition(rule: Rule, l: LiftedMultiHypergraph
         n_app += 1
         for after in successors.values():
             h = MultiHypergraph(
-                l.vertices, [Hyperedge(label, inc, m) for (label, inc), m in after.items()],
-                l.conservation_labels, l.conserved_vertex_labels)
+                fresh_layout(l),
+                [Hyperedge(label, inc, m) for (label, inc), m in after.items()])
             key = h.canonical_form().data
             dist[key] = dist.get(key, 0.0) + 1.0 / len(successors)
     if n_app:
@@ -394,8 +401,9 @@ def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph) -> LiftedApplyR
         for e in rest.effect.assert_:
             fixed[key(e, assignment)] = fixed.get(key(e, assignment), 0) + e.multiplicity
         state = LiftedMultiHypergraph(
-            l.vertices, [Hyperedge(lbl, inc, c) for (lbl, inc), c in fixed.items() if c],
-            bounded, constraints, l.conservation_labels, l.conserved_vertex_labels)
+            fresh_layout(l),
+            [Hyperedge(lbl, inc, c) for (lbl, inc), c in fixed.items() if c],
+            bounded, constraints)
         outputs.append((state, 1.0 / len(matches)))
     return _RawTransition(rule, l, n, n, raw=tuple(outputs))
 
@@ -445,8 +453,7 @@ def relabel(g, rng):
     edges = [Hyperedge(e.label, tuple(mapping[x] for x in e.incidence),
                        e.multiplicity) for e in g.fixed_edges]
     if not isinstance(g, LiftedMultiHypergraph):
-        return MultiHypergraph(vertices, edges, g.conservation_labels,
-                               g.conserved_vertex_labels)
+        return MultiHypergraph(fresh_layout(g, vertices), edges)
 
     def key(k):
         return edge_key(k[0], [mapping[x] for x in k[1]])
@@ -455,8 +462,8 @@ def relabel(g, rng):
                            b.lower, b.upper) for b in g.bounded_edges]
     constraints = [TotalConstraint(c.name, frozenset(key(k) for k in c.edge_keys),
                                    c.total) for c in g.constraints]
-    return LiftedMultiHypergraph(vertices, edges, bounded, constraints,
-                                 g.conservation_labels, g.conserved_vertex_labels)
+    return LiftedMultiHypergraph(fresh_layout(g, vertices), edges, bounded,
+                                 constraints)
 
 
 def random_lifted(rng, n_vertices: int = 4) -> LiftedMultiHypergraph:

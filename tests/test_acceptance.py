@@ -23,7 +23,8 @@ from mhgfilter import (ActionModel, AnnotationTuple, BoundedEdge, Domain,
                        TraceInconsistencyError, Vertex, agent_location,
                        apply, builtin_domain, compare,
                        expand, filter_trace, generate_trace, ground_options,
-                       held_counts, lifted_apply, parse_domain, predict)
+                       held_counts, index_vertices, lifted_apply, parse_domain,
+                       predict)
 from mhgfilter.cli import main
 from oracles import (box_groundings, brute_isomorphic, builtin_document,
                      ground_pushforward, lifted_distribution,
@@ -71,9 +72,8 @@ def five_slot_domain() -> Domain:
                 Vertex("e", "eccentric", 2)]
     vertices += [Vertex(s, f"slot_{s}") for s in slot_ids]
     initial = LiftedMultiHypergraph(
-        vertices,
-        [Hyperedge("at", ("agent", "table")), Hyperedge("holds", ("agent", "e"), 2)],
-        (), (), frozenset({"at", "holds"}), frozenset({"eccentric"}))
+        index_vertices(vertices, {"at", "holds"}, {"eccentric"}),
+        [Hyperedge("at", ("agent", "table")), Hyperedge("holds", ("agent", "e"), 2)])
     install = Rule(
         "install",
         Pattern((PatternVertex("A", "agent"), PatternVertex("E", "eccentric"),
@@ -85,8 +85,6 @@ def five_slot_domain() -> Domain:
                   location_labels=frozenset({"table"}),
                   agent_location_labels=frozenset({"table"}),
                   holdable_labels=frozenset({"eccentric"}),
-                  conservation_labels=frozenset({"at", "holds"}),
-                  conserved_vertex_labels=frozenset({"eccentric"}),
                   initial_state=initial, rules=(install,),
                   action_model=ActionModel())
 

@@ -8,7 +8,7 @@ import pytest
 
 import mhgfilter.canon
 from mhgfilter import (BoundedEdge, Hyperedge, LiftedMultiHypergraph,
-                       TotalConstraint, Vertex, build_graph)
+                       MultiHypergraph, TotalConstraint, Vertex)
 from mhgfilter.canon import (canonical_form, canonical_form_lifted,
                              pinned_form, pinned_form_lifted)
 from oracles import (brute_isomorphic, random_graph, random_lifted, relabel,
@@ -47,7 +47,7 @@ PINNED_LIFTED_SNAPSHOT = (
 
 
 def reference_ground():
-    return build_graph(
+    return MultiHypergraph(
         [Vertex("a", "agent"), Vertex("t", "table"), Vertex("s", "screw", 3)],
         [Hyperedge("at", ("a", "t")), Hyperedge("at", ("s", "t"), 2),
          Hyperedge("holds", ("a", "s"))])
@@ -119,10 +119,10 @@ def test_canonical_equality_matches_brute_isomorphism():
 
 
 def test_distinguishes_multiplicity():
-    g = build_graph([Vertex("a", "x"), Vertex("b", "x")],
-                    [Hyperedge("e", ("a", "b"), 1)])
-    h = build_graph([Vertex("a", "x"), Vertex("b", "x")],
-                    [Hyperedge("e", ("a", "b"), 2)])
+    g = MultiHypergraph([Vertex("a", "x"), Vertex("b", "x")],
+                        [Hyperedge("e", ("a", "b"), 1)])
+    h = MultiHypergraph([Vertex("a", "x"), Vertex("b", "x")],
+                        [Hyperedge("e", ("a", "b"), 2)])
     assert canonical_form(g) != canonical_form(h)
 
 
@@ -135,8 +135,8 @@ def test_distinguishes_regular_but_nonisomorphic():
 
     ids = [f"v{i}" for i in range(6)]
     verts = [Vertex(i, "n") for i in ids]
-    hexagon = build_graph(verts, cycle(ids))
-    triangles = build_graph(verts, cycle(ids[:3]) + cycle(ids[3:]))
+    hexagon = MultiHypergraph(verts, cycle(ids))
+    triangles = MultiHypergraph(verts, cycle(ids[:3]) + cycle(ids[3:]))
     assert not brute_isomorphic(hexagon, triangles)
     assert canonical_form(hexagon) != canonical_form(triangles)
 
@@ -147,7 +147,7 @@ def test_hyperedge_arity_three_invariance():
     edges = [Hyperedge("tri", ("v0", "v1", "v2")),
              Hyperedge("tri", ("v2", "v3", "v4"), 2),
              Hyperedge("tri", ("v0", "v0", "v4"))]
-    g = build_graph(verts, edges)
+    g = MultiHypergraph(verts, edges)
     for _ in range(50):
         assert canonical_form(relabel(g, rng)) == canonical_form(g)
 
@@ -156,14 +156,14 @@ def test_pinned_form_separates_asymmetric_choices():
     """Pinning distinguishable vertices gives different bytes; pinning
     vertices related by an automorphism gives identical bytes."""
     verts = [Vertex("m", "mid"), Vertex("l", "leaf"), Vertex("r", "leaf")]
-    g = build_graph(verts, [Hyperedge("e", ("m", "l")),
-                            Hyperedge("e", ("m", "r"))])
+    g = MultiHypergraph(verts, [Hyperedge("e", ("m", "l")),
+                                Hyperedge("e", ("m", "r"))])
     # l and r are swappable, so pinning either one looks the same
     assert pinned_form(g, {"l": 0}) == pinned_form(g, {"r": 0})
     assert pinned_form(g, {"l": 0}) != pinned_form(g, {"m": 0})
 
-    h = build_graph(verts, [Hyperedge("e", ("m", "l")),
-                            Hyperedge("f", ("m", "r"))])
+    h = MultiHypergraph(verts, [Hyperedge("e", ("m", "l")),
+                                Hyperedge("f", ("m", "r"))])
     # now the leaves differ structurally
     assert pinned_form(h, {"l": 0}) != pinned_form(h, {"r": 0})
 
@@ -235,9 +235,9 @@ def test_pinned_lifted_form_separates_slots():
 
 def star(n: int):
     """One board holding ``n`` interchangeable slots."""
-    return build_graph([Vertex("board", "board")]
-                       + [Vertex(f"s{i}", "slot") for i in range(n)],
-                       [Hyperedge("has", ("board", f"s{i}")) for i in range(n)])
+    return MultiHypergraph([Vertex("board", "board")]
+                           + [Vertex(f"s{i}", "slot") for i in range(n)],
+                           [Hyperedge("has", ("board", f"s{i}")) for i in range(n)])
 
 
 def dealt_pairs():

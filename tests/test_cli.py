@@ -241,6 +241,10 @@ def test_missing_files_exit_five(tmp_path, capsys):
     code, _, _ = run(capsys, "filter", "--domain", str(tmp_path / "nodomain.json"),
                      "--trace", str(tmp_path / "nope.jsonl"))
     assert code == 5
+    # a mistyped built-in name is neither a built-in nor a file
+    code, out, err = run(capsys, "gentrace", "--domain", "warehouse")
+    assert code == 5 and not out
+    assert "'warehouse' is neither a built-in domain (bookshelf, mini)" in err
 
 
 def test_compare_tolerance_flag(mini_trace, capsys):

@@ -8,7 +8,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from mhgfilter import (BoundedEdge, Hyperedge, IntegrityError,  # noqa: E402
-                       LiftedMultiHypergraph, TotalConstraint, Vertex)
+                       LiftedMultiHypergraph, TotalConstraint, Vertex,
+                       index_vertices)
 
 CONSERVED_EDGES = frozenset({"at"})
 CONSERVED_VERTICES = frozenset({"item"})
@@ -56,8 +57,8 @@ def test_conservation_check_matches_enumeration(parts, skew):
 
     def build(mults, conservation=((), ())):
         vertices = [Vertex(vid, label, m) for vid, label, m in zip(ids, labels, mults)]
-        return LiftedMultiHypergraph(vertices, fixed, bounded, constraints,
-                                     *conservation)
+        return LiftedMultiHypergraph(index_vertices(vertices, *conservation),
+                                     fixed, bounded, constraints)
 
     grounds = list(build([1] * len(ids)).iter_groundings())
     # multiplicities read off one grounding (the first vertex skewed), so that

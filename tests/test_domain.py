@@ -217,21 +217,22 @@ def lifted_effect_document():
 
 
 def test_parse_rejects_retired_lifted_effect_keys():
-    """Retired interval-arithmetic keys load only at their former defaults;
-    any other value would change the rule's meaning if ignored."""
+    """A ``lifted_effect`` takes only ``group`` and ``slots``: the retired
+    interval-arithmetic keys are rejected at any value, their former
+    defaults included, since ignoring one could change the rule's meaning."""
     mini = builtin_domain("mini")
     good, index = lifted_effect_document()
     assert set(good["rules"][index]["lifted_effect"]) == {"group", "slots"}
+    assert parse_domain(good, "doc").rules == mini.rules
 
     def with_keys(**extra):
         doc = copy.deepcopy(good)
         doc["rules"][index]["lifted_effect"].update(extra)
         return doc
 
-    defaults = with_keys(total_delta=1, per_edge_upper_delta=1,
-                         cap_to_total=True, unchecked=False)
-    assert parse_domain(defaults, "doc").rules == mini.rules
-    for key, value in (("total_delta", 2), ("per_edge_upper_delta", 0),
+    for key, value in (("total_delta", 1), ("per_edge_upper_delta", 1),
+                       ("cap_to_total", True), ("unchecked", False),
+                       ("total_delta", 2), ("per_edge_upper_delta", 0),
                        ("cap_to_total", False), ("unchecked", True)):
         with pytest.raises(ParseError) as exc:
             parse_domain(with_keys(**{key: value}), "doc")

@@ -7,11 +7,12 @@ import pytest
 
 from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
                        Domain, Effect, EffectEdge, Hyperedge, IntegrityError,
-                       LiftedApplyResult, LiftedMultiHypergraph, Pattern,
-                       PatternEdge, PatternVertex, Rule, TotalConstraint,
+                       LiftedApplyResult, LiftedMultiHypergraph, MultiHypergraph,
+                       Pattern, PatternEdge, PatternVertex, Rule, TotalConstraint,
                        TraceInconsistencyError, Vertex, agent_location,
-                       build_graph, builtin_domain, filter_trace,
-                       generate_trace, lifted_apply, predict, update)
+                       builtin_domain, filter_trace, index_vertices,
+                       generate_trace, ground_filter_trace, lifted_apply,
+                       predict, update)
 from mhgfilter import rewrite
 from mhgfilter.filtering import _condition_state, _conditions
 
@@ -32,36 +33,36 @@ TAKE = Rule("take",
                    assert_=(EffectEdge("holds", ("A", "I")),)))
 
 
-def tiny_domain(initial, rules=(WALK, TAKE), action_model=None,
-                conserved=frozenset({"gear"})):
+def tiny_domain(initial, rules=(WALK, TAKE), action_model=None):
     return Domain(name="tiny", agent_id="agent",
                   location_labels=LOCS, agent_location_labels=LOCS,
                   holdable_labels=frozenset({"gear"}),
-                  conservation_labels=frozenset({"at", "holds"}),
-                  conserved_vertex_labels=conserved,
                   initial_state=initial, rules=tuple(rules),
                   action_model=action_model or ActionModel())
 
 
+def gear_layout(vertices):
+    """A layout that conserves gears by their ``at`` and ``holds`` edges."""
+    return index_vertices(vertices, {"at", "holds"}, {"gear"})
+
+
 def sharp_initial():
     return LiftedMultiHypergraph(
-        [Vertex("agent", "agent"), Vertex("floor", "floor"),
-         Vertex("table", "table"), Vertex("gear", "gear")],
-        [Hyperedge("at", ("agent", "table")), Hyperedge("at", ("gear", "table"))],
-        (), (), frozenset({"at", "holds"}), frozenset({"gear"}))
+        gear_layout([Vertex("agent", "agent"), Vertex("floor", "floor"),
+                     Vertex("table", "table"), Vertex("gear", "gear")]),
+        [Hyperedge("at", ("agent", "table")), Hyperedge("at", ("gear", "table"))])
 
 
 def spread_initial():
     """The gear sits on the floor or the table, unobserved."""
     return LiftedMultiHypergraph(
-        [Vertex("agent", "agent"), Vertex("floor", "floor"),
-         Vertex("table", "table"), Vertex("gear", "gear")],
+        gear_layout([Vertex("agent", "agent"), Vertex("floor", "floor"),
+                     Vertex("table", "table"), Vertex("gear", "gear")]),
         [Hyperedge("at", ("agent", "floor"))],
         [BoundedEdge("at", ("gear", "floor"), 0, 1),
          BoundedEdge("at", ("gear", "table"), 0, 1)],
         [TotalConstraint("where", frozenset({("at", ("floor", "gear")),
-                                             ("at", ("gear", "table"))}), 1)],
-        frozenset({"at", "holds"}), frozenset({"gear"}))
+                                             ("at", ("gear", "table"))}), 1)])
 
 
 def test_action_model_weights():
@@ -77,10 +78,9 @@ def test_action_model_weights():
 def test_belief_normalises_and_merges():
     l = sharp_initial()
     relabeled = LiftedMultiHypergraph(
-        [Vertex("agent", "agent"), Vertex("floor", "floor"),
-         Vertex("table", "table"), Vertex("cog", "gear")],
-        [Hyperedge("at", ("agent", "table")), Hyperedge("at", ("cog", "table"))],
-        (), (), frozenset({"at", "holds"}), frozenset({"gear"}))
+        gear_layout([Vertex("agent", "agent"), Vertex("floor", "floor"),
+                     Vertex("table", "table"), Vertex("cog", "gear")]),
+        [Hyperedge("at", ("agent", "table")), Hyperedge("at", ("cog", "table"))])
     b = Belief([(l, 3.0), (relabeled, 1.0)])
     assert len(b) == 1
     assert b.total_weight() == pytest.approx(1.0)
@@ -107,15 +107,15 @@ def test_agent_location():
     domain = tiny_domain(sharp_initial())
     assert agent_location(domain, sharp_initial()) == "table"
     assert agent_location(domain, sharp_initial().groundings()[0]) == "table"
-    lost = build_graph(
+    lost = MultiHypergraph(
         [Vertex("agent", "agent"), Vertex("floor", "floor"), Vertex("table", "table")],
         [Hyperedge("at", ("agent", "floor")), Hyperedge("at", ("agent", "table"))])
     assert agent_location(domain, lost) is None
-    doubled = build_graph(
+    doubled = MultiHypergraph(
         [Vertex("agent", "agent"), Vertex("floor", "floor")],
         [Hyperedge("at", ("agent", "floor"), 2)])
     assert agent_location(domain, doubled) is None
-    looped = build_graph(
+    looped = MultiHypergraph(
         [Vertex("agent", "agent"), Vertex("floor", "floor")],
         [Hyperedge("at", ("agent", "agent"))])
     assert agent_location(domain, looped) is None
@@ -184,20 +184,34 @@ def test_update_raises_when_nothing_survives():
 
 def condition(domain, l, loc, held):
     """Condition l on one observation side, as ``update`` does."""
-    return _condition_state(l, loc, _conditions(domain, loc, held))
+    return _condition_state(l, _conditions(domain, loc, held))
+
+
+def test_an_unknown_location_is_inconsistent_at_its_step():
+    """A location the domain lacks fails the location condition in both
+    filters, on either side of a step: its ``at`` key has multiplicity 0 in
+    every state."""
+    domain = builtin_domain("mini")
+    assert not domain.initial_state.has_vertex("attic")
+    filter_trace(domain, [AnnotationTuple("walk", "floor", "table")])
+    for loc_t, loc_next in (("floor", "attic"), ("attic", "table")):
+        trace = [AnnotationTuple("walk", loc_t, loc_next)]
+        for run in (filter_trace, ground_filter_trace):
+            with pytest.raises(TraceInconsistencyError) as exc:
+                run(domain, trace)
+            assert exc.value.step == 0
 
 
 def test_condition_state_tightens_single_bounded_key():
     domain = tiny_domain(sharp_initial())
     l = LiftedMultiHypergraph(
-        [Vertex("agent", "agent"), Vertex("floor", "floor"),
-         Vertex("table", "table"), Vertex("gear", "gear", 3)],
+        gear_layout([Vertex("agent", "agent"), Vertex("floor", "floor"),
+                     Vertex("table", "table"), Vertex("gear", "gear", 3)]),
         [Hyperedge("at", ("agent", "floor"))],
         [BoundedEdge("holds", ("agent", "gear"), 0, 2),
          BoundedEdge("at", ("floor", "gear"), 1, 3)],
         [TotalConstraint("spread", frozenset({("holds", ("agent", "gear")),
-                                              ("at", ("floor", "gear"))}), 3)],
-        frozenset({"at", "holds"}), frozenset({"gear"}))
+                                              ("at", ("floor", "gear"))}), 3)])
     assert l.count_groundings() == 3
     frac, states = condition(domain, l, "floor", {"gear": 1})
     assert frac == pytest.approx(1 / 3)
@@ -217,8 +231,8 @@ def test_condition_state_enumerates_entangled_keys():
     initial = LiftedMultiHypergraph(
         [Vertex("agent", "agent"), Vertex("floor", "floor"),
          Vertex("table", "table"), Vertex("g1", "gear"), Vertex("g2", "gear")],
-        [Hyperedge("at", ("agent", "floor"))], (), (), (), ())
-    domain = tiny_domain(initial, conserved=frozenset())
+        [Hyperedge("at", ("agent", "floor"))])
+    domain = tiny_domain(initial)
     l = LiftedMultiHypergraph(
         initial.vertices,
         [Hyperedge("at", ("agent", "floor")), Hyperedge("at", ("g2", "table"))],

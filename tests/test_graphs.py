@@ -5,7 +5,7 @@ import random
 import pytest
 
 from mhgfilter import (Hyperedge, IntegrityError, MultiHypergraph,
-                       StructuralError, Vertex, build_graph, edge_key)
+                       StructuralError, Vertex, edge_key, index_vertices)
 from oracles import brute_isomorphic, random_graph, relabel
 
 
@@ -36,24 +36,24 @@ def test_hyperedge_validation():
 
 def test_duplicate_vertex_ids_rejected():
     with pytest.raises(StructuralError):
-        build_graph([Vertex("a", "x"), Vertex("a", "y")])
+        MultiHypergraph([Vertex("a", "x"), Vertex("a", "y")])
 
 
 def test_dangling_incidence_rejected():
     with pytest.raises(StructuralError):
-        build_graph([Vertex("a", "x")], [Hyperedge("at", ("a", "ghost"))])
+        MultiHypergraph([Vertex("a", "x")], [Hyperedge("at", ("a", "ghost"))])
 
 
 def test_parallel_edges_merge_multiplicities():
-    g = build_graph([Vertex("a", "x"), Vertex("b", "y")],
-                    [Hyperedge("at", ("a", "b")),
-                     Hyperedge("at", ("b", "a"), 2)])
+    g = MultiHypergraph([Vertex("a", "x"), Vertex("b", "y")],
+                        [Hyperedge("at", ("a", "b")),
+                         Hyperedge("at", ("b", "a"), 2)])
     assert g.edge_multiplicity("at", ("a", "b")) == 3
     assert len(g.edges) == 1
 
 
 def test_edge_queries():
-    g = build_graph(
+    g = MultiHypergraph(
         [Vertex("a", "x"), Vertex("b", "y"), Vertex("c", "z")],
         [Hyperedge("at", ("a", "b")), Hyperedge("near", ("a", "c"), 2)])
     assert g.edge_multiplicity("missing", ("a", "b")) == 0
@@ -63,8 +63,8 @@ def test_edge_queries():
 
 
 def test_replace_edges_drops_zeros_and_validates():
-    g = build_graph([Vertex("a", "x"), Vertex("b", "y")],
-                    [Hyperedge("at", ("a", "b"), 2)])
+    g = MultiHypergraph([Vertex("a", "x"), Vertex("b", "y")],
+                        [Hyperedge("at", ("a", "b"), 2)])
     h = g.replace_edges({("at", ("a", "b")): 0, ("near", ("a", "b")): 1})
     assert h.edge_dict() == {("near", ("a", "b")): 1}
     with pytest.raises(StructuralError):
@@ -73,55 +73,52 @@ def test_replace_edges_drops_zeros_and_validates():
 
 def test_conservation_accepts_exact_sum():
     """A conserved vertex's multiplicity equals its conserved incidence sum."""
-    g = build_graph(
-        [Vertex("agent", "agent"), Vertex("table", "table"),
-         Vertex("screw", "screw", 3)],
+    g = MultiHypergraph(
+        index_vertices([Vertex("agent", "agent"), Vertex("table", "table"),
+                        Vertex("screw", "screw", 3)], {"at", "holds"}, {"screw"}),
         [Hyperedge("at", ("screw", "table"), 2),
-         Hyperedge("holds", ("agent", "screw"), 1)],
-        conservation_labels={"at", "holds"},
-        conserved_vertex_labels={"screw"})
+         Hyperedge("holds", ("agent", "screw"), 1)])
     assert g.edge_multiplicity("at", ("screw", "table")) == 2
 
 
 def test_conservation_rejects_bad_sum():
     with pytest.raises(IntegrityError):
-        build_graph(
-            [Vertex("screw", "screw", 3), Vertex("table", "table")],
-            [Hyperedge("at", ("screw", "table"), 2)],
-            conservation_labels={"at"},
-            conserved_vertex_labels={"screw"})
+        MultiHypergraph(
+            index_vertices([Vertex("screw", "screw", 3), Vertex("table", "table")],
+                           {"at"}, {"screw"}),
+            [Hyperedge("at", ("screw", "table"), 2)])
 
 
 def test_conservation_ignores_nonparticipating_vertices():
     """Location-side vertices may have any number of incident edges."""
-    g = build_graph(
-        [Vertex("table", "table"), Vertex("s1", "screw"), Vertex("s2", "screw")],
-        [Hyperedge("at", ("s1", "table")), Hyperedge("at", ("s2", "table"))],
-        conservation_labels={"at"},
-        conserved_vertex_labels={"screw"})
+    g = MultiHypergraph(
+        index_vertices([Vertex("table", "table"), Vertex("s1", "screw"),
+                        Vertex("s2", "screw")], {"at"}, {"screw"}),
+        [Hyperedge("at", ("s1", "table")), Hyperedge("at", ("s2", "table"))])
     # table has two incident conserved edges but multiplicity 1: fine
     assert g.vertex("table").multiplicity == 1
 
 
 def test_conservation_counts_repeated_incidence():
     # a self-loop style edge mentioning the vertex twice counts twice
-    g = build_graph(
-        [Vertex("s", "screw", 2)],
-        [Hyperedge("paired", ("s", "s"))],
-        conservation_labels={"paired"},
-        conserved_vertex_labels={"screw"})
+    g = MultiHypergraph(index_vertices([Vertex("s", "screw", 2)], {"paired"}, {"screw"}),
+                        [Hyperedge("paired", ("s", "s"))])
     assert g.edge_multiplicity("paired", ("s", "s")) == 1
 
 
 def test_structural_equality_and_hash():
-    g1 = build_graph([Vertex("a", "x"), Vertex("b", "y")],
-                     [Hyperedge("at", ("a", "b"))])
-    g2 = build_graph([Vertex("b", "y"), Vertex("a", "x")],
-                     [Hyperedge("at", ("b", "a"))])
-    g3 = build_graph([Vertex("a", "x"), Vertex("b", "y")])
+    g1 = MultiHypergraph([Vertex("a", "x"), Vertex("b", "y")],
+                         [Hyperedge("at", ("a", "b"))])
+    g2 = MultiHypergraph([Vertex("b", "y"), Vertex("a", "x")],
+                         [Hyperedge("at", ("b", "a"))])
+    g3 = MultiHypergraph([Vertex("a", "x"), Vertex("b", "y")])
     assert g1 == g2
     assert hash(g1) == hash(g2)
     assert g1 != g3
+    # the same vertices and edges under another conservation declaration
+    g4 = MultiHypergraph(index_vertices([Vertex("a", "x"), Vertex("b", "y")],
+                                        {"at"}, {"x"}), g1.edges)
+    assert g1 != g4 and hash(g1) == hash(g4)
 
 
 def test_canonical_equality_agrees_with_brute_force():

@@ -17,13 +17,14 @@ from mhgfilter import (BoundedEdge, EffectEdge, Effect, EffectError, Hyperedge,
                        MultiHypergraph, Pattern, PatternEdge, PatternVertex,
                        Rule, StructuralError,
                        TotalConstraint, Vertex, apply, compare, generate_trace,
-                       builtin_domain, ground_options, lifted_apply)
+                       builtin_domain, ground_options, index_vertices,
+                       lifted_apply)
 from mhgfilter import rewrite
 from mhgfilter.canon import (canonical_form, canonical_form_lifted, pinned_form,
                              pinned_form_lifted)
-from oracles import (box_groundings, brute_fire, brute_matches,
-                     brute_transition, lifted_distribution, random_graph,
-                     random_lifted, symmetric_lifted, tv_distance)
+from oracles import (_admits, box_groundings, brute_fire, brute_matches,
+                     brute_transition, fresh_layout, lifted_distribution,
+                     random_graph, random_lifted, symmetric_lifted, tv_distance)
 
 
 def test_derived_states_share_the_layout():
@@ -33,15 +34,55 @@ def test_derived_states_share_the_layout():
     g = next(l.iter_groundings())
     derived = [lifted_apply(walk, l).outputs()[0][0],
                l.shifted({}),
-               l.rebuild(bounded=l.bounded_edges),
                g,
                LiftedMultiHypergraph.from_graph(g),
                g.replace_edges(g.edge_dict()),
                apply(walk, g, ground_options(walk, g)[0])]
     assert all(s.layout is l.layout for s in derived)
-    fresh = LiftedMultiHypergraph(list(l.vertices), l.fixed_edges, (), (),
-                                  l.conservation_labels, l.conserved_vertex_labels)
+    assert l.layout.conservation_labels == {"at", "holds"}
+    fresh = LiftedMultiHypergraph(list(l.vertices), l.fixed_edges)
     assert fresh.layout is not l.layout
+
+
+def test_a_layout_is_declared_once():
+    """Conservation is declared when a layout is made from a vertex list.
+    Declaring again on an existing layout raises; passed on alone, the
+    layout keeps its declaration."""
+    layout = index_vertices([Vertex("e", "screw", 2), Vertex("s", "slot")],
+                            {"at"}, {"screw"})
+    assert layout.conserved == {"e": 2}
+    for again in (({"at"}, {"screw"}), ({"at"}, ()), ((), {"slot"})):
+        with pytest.raises(StructuralError, match="declared once"):
+            index_vertices(layout, *again)
+    assert index_vertices(layout) is layout
+    assert index_vertices(layout.vertices).conserved == {}
+    assert index_vertices(layout.vertices, {"at"}).conserved == {}
+
+
+def test_derived_states_keep_the_declaration():
+    """States made by ``shifted``, ``replace_edges``, ``from_graph`` and
+    grounding share their source's layout, declaration included, so a
+    derived state that breaks conservation still raises IntegrityError."""
+    layout = index_vertices([Vertex("a", "agent"), Vertex("e", "screw", 2),
+                             Vertex("s1", "slot"), Vertex("s2", "slot")],
+                            {"at", "holds"}, {"screw"})
+    at1, at2, held = ("at", ("e", "s1")), ("at", ("e", "s2")), ("holds", ("a", "e"))
+    l = LiftedMultiHypergraph(layout, [Hyperedge(*held)],
+                              [BoundedEdge(*at1, 0, 1), BoundedEdge(*at2, 0, 1)],
+                              [TotalConstraint("g", frozenset({at1, at2}), 1)])
+    groundings = list(l.iter_groundings())
+    g = groundings[0]
+    derived = [l.shifted({}), l.shifted({held: -1}, grow="g"), *groundings,
+               g.replace_edges({}), LiftedMultiHypergraph.from_graph(g)]
+    assert all(s.layout is layout for s in derived)
+    for build in (lambda: l.shifted({held: -1}),
+                  lambda: g.replace_edges({held: 0}),
+                  lambda: g.replace_edges({at1: 1, at2: 1})):
+        with pytest.raises(IntegrityError, match="vertex 'e'"):
+            build()
+    # the same edges over an undeclared layout are a valid state
+    MultiHypergraph(layout.vertices, [Hyperedge(*at1), Hyperedge(*at2),
+                                      Hyperedge(*held)])
 
 
 def test_each_rule_compiles_once_per_domain(monkeypatch):
@@ -77,9 +118,9 @@ def test_domains_with_the_same_ids_share_no_compiled_entry():
     swap = {"floor": "table", "table": "floor"}
     l = first.initial_state
     second = dataclasses.replace(first, initial_state=LiftedMultiHypergraph(
-        [Vertex(v.id, swap.get(v.label, v.label), v.multiplicity) for v in l.vertices],
-        l.fixed_edges, l.bounded_edges, l.constraints,
-        l.conservation_labels, l.conserved_vertex_labels))
+        fresh_layout(l, [Vertex(v.id, swap.get(v.label, v.label), v.multiplicity)
+                         for v in l.vertices]),
+        l.fixed_edges, l.bounded_edges, l.constraints))
     for domain in (first, second):
         trace, _ = generate_trace(domain, seed=1, length=10)
         assert not compare(domain, trace).divergent
@@ -186,12 +227,10 @@ def test_a_warm_layout_gives_the_results_of_a_fresh_one():
     def check(scene):
         state, rule, pins = scene
         cold = results(state, rule, pins)
-        warm = state.rebuild(bounded=state.bounded_edges)
+        warm = state.shifted({})
         assert warm.layout is state.layout and warm.layout.compiled
-        fresh = LiftedMultiHypergraph(
-            list(state.vertices), state.fixed_edges, state.bounded_edges,
-            state.constraints, state.conservation_labels,
-            state.conserved_vertex_labels)
+        fresh = LiftedMultiHypergraph(fresh_layout(state), state.fixed_edges,
+                                      state.bounded_edges, state.constraints)
         assert fresh.layout is not state.layout
         assert results(warm, rule, pins) == cold == results(fresh, rule, pins)
 
@@ -206,7 +245,9 @@ def test_matches_and_transitions_equal_the_brute_force_reference():
     keys grew on other states: the state's groundings, each checked
     against the reference too.  On each grounding, ``apply`` at a sure
     match gives the reference's successor when the match is an option and
-    raises EffectError otherwise."""
+    raises EffectError otherwise; at random assignments that are not
+    matches it raises EffectError, and one that does not bind each variable
+    to a distinct candidate leaves the rule's caches as they were."""
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
 
@@ -216,6 +257,9 @@ def test_matches_and_transitions_equal_the_brute_force_reference():
         state = oracle_state(draw, rng)
         hypothesis.assume(not state.is_empty)
         return state, [random_rule(rng, state) for _ in range(4)]
+
+    draws = random.Random(0)    # the non-matches' own stream
+    drawn: Counter = Counter()  # non-matches drawn, by whether they bind
 
     def check_state(rule, state, want_options):
         matches = rewrite._raw_matches(rewrite._compiled(rule, state.layout), state)
@@ -236,6 +280,30 @@ def test_matches_and_transitions_equal_the_brute_force_reference():
             else:
                 with pytest.raises(EffectError):
                     apply(rule, g, m)
+        # random non-matches: mostly admitted vertices, sometimes any id or
+        # an unknown one, and sometimes a variable too few or too many
+        c = rewrite._compiled(rule, g.layout)
+        admitted = {pv.var: [v.id for v in g.vertices if _admits(pv, v)]
+                    for pv in rule.pattern.vertices}
+        ids = [v.id for v in g.vertices] + ["ghost"]
+        for _ in range(4):
+            names = list(admitted)
+            if draws.random() < 0.2:
+                names = names[1:] if names and draws.random() < 0.5 else names + ["W"]
+            m = Match(tuple((x, draws.choice(admitted[x] if admitted.get(x)
+                                             and draws.random() < 0.7 else ids))
+                            for x in names))
+            if m in sure:
+                continue
+            binds = (set(names) == set(admitted)
+                     and len({vid for _, vid in m.assignment}) == len(names)
+                     and all(vid in admitted[x] for x, vid in m.assignment))
+            drawn[binds] += 1
+            before = (len(c.keys), len(c.pattern_keys))  # caches only grow
+            with pytest.raises(EffectError):
+                apply(rule, g, m)
+            if not binds:
+                assert (len(c.keys), len(c.pattern_keys)) == before
 
     @hypothesis.settings(max_examples=100, derandomize=True, deadline=None,
                          database=None)
@@ -245,7 +313,7 @@ def test_matches_and_transitions_equal_the_brute_force_reference():
         for rule in rules:
             options, n_app, n_tot, dist = brute_transition(rule, state)
             assert id(rule) not in state.layout.compiled
-            for l in (state, state.rebuild(bounded=state.bounded_edges)):
+            for l in (state, state.shifted({})):
                 check_state(rule, l, options)
                 t = lifted_apply(rule, l)
                 assert (t.n_applicable, t.n_groundings) == (n_app, n_tot)
@@ -254,6 +322,7 @@ def test_matches_and_transitions_equal_the_brute_force_reference():
                     check_apply(rule, g)
 
     check()
+    assert drawn[True] and drawn[False]
 
 
 def test_an_unknown_vertex_in_an_effect_raises_on_every_call():
@@ -290,16 +359,18 @@ def test_a_pattern_without_variables_matches_once():
 
 # -- interned edges ------------------------------------------------------------
 
-def fresh_vertices(state) -> list[Vertex]:
-    return [Vertex(v.id, v.label, v.multiplicity) for v in state.vertices]
+def fresh_vertices(state):
+    """A new layout over fresh copies of the state's vertices, with its
+    conservation declaration."""
+    return fresh_layout(state, [Vertex(v.id, v.label, v.multiplicity)
+                                for v in state.vertices])
 
 
 def fresh_ground(state, mults) -> MultiHypergraph:
     """The ground state with these edge multiplicities, built by the public
     constructor from fresh vertices and freshly made edges."""
     return MultiHypergraph(fresh_vertices(state),
-                           [Hyperedge(*k, m) for k, m in mults.items() if m > 0],
-                           state.conservation_labels, state.conserved_vertex_labels)
+                           [Hyperedge(*k, m) for k, m in mults.items() if m > 0])
 
 
 def fresh_lifted(state, fixed, bounds, totals) -> LiftedMultiHypergraph:
@@ -309,8 +380,7 @@ def fresh_lifted(state, fixed, bounds, totals) -> LiftedMultiHypergraph:
         fresh_vertices(state),
         [Hyperedge(*k, m) for k, m in fixed.items() if m > 0],
         [BoundedEdge(*k, lo, up) for k, (lo, up) in bounds.items()],
-        [TotalConstraint(name, keys, t) for name, (keys, t) in totals.items()],
-        state.conservation_labels, state.conserved_vertex_labels)
+        [TotalConstraint(name, keys, t) for name, (keys, t) in totals.items()])
 
 
 def assert_same(derived, fresh):
@@ -341,7 +411,7 @@ def parts(l: LiftedMultiHypergraph):
 def test_derived_states_equal_fresh_builds():
     """On random states from the test oracle's generators, every state built
     from another -- by ``replace_edges``, ``iter_groundings``, ``shifted``,
-    ``rebuild`` and ``from_graph`` -- equals the state the public
+    the constructor over its layout and ``from_graph`` -- equals the state the public
     constructors build from fresh vertices and freshly made edges."""
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
@@ -361,13 +431,15 @@ def test_derived_states_equal_fresh_builds():
         fixed, bounds, groups = parts(l)
         ids = [v.id for v in l.vertices]
 
-        # rebuild: one bounded edge narrowed to its lower bound
+        # the constructor over the layout, as conditioning calls it: one
+        # bounded edge narrowed to its lower bound
         if bounds:
             k = rng.choice(sorted(bounds))
             narrowed = {**bounds, k: (bounds[k][0], bounds[k][0])}
-            assert_same(l.rebuild(bounded=[BoundedEdge(*key, lo, up)
-                                           for key, (lo, up) in narrowed.items()]),
-                        fresh_lifted(l, fixed, narrowed, groups))
+            assert_same(LiftedMultiHypergraph(
+                l.layout, l.fixed_edges,
+                [BoundedEdge(*key, lo, up) for key, (lo, up) in narrowed.items()],
+                l.constraints), fresh_lifted(l, fixed, narrowed, groups))
 
         # shifted: a fixed key and a bounded key move, a group may grow, and
         # fresh keys may open a new group
@@ -434,9 +506,9 @@ def test_a_key_checked_in_one_layout_is_checked_again_in_another():
 
 
 def test_replace_edges_still_checks_conservation():
-    g = MultiHypergraph([Vertex("e", "screw", 2), Vertex("s", "slot")],
-                        [Hyperedge("at", ("e", "s"), 2)],
-                        {"at"}, {"screw"})
+    g = MultiHypergraph(index_vertices([Vertex("e", "screw", 2), Vertex("s", "slot")],
+                                       {"at"}, {"screw"}),
+                        [Hyperedge("at", ("e", "s"), 2)])
     for _ in range(2):  # the second time the edge is already interned
         with pytest.raises(IntegrityError):
             g.replace_edges({("at", ("e", "s")): 1})

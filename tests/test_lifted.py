@@ -6,7 +6,8 @@ import pytest
 
 from mhgfilter import (MAX_GROUNDINGS, BoundedEdge, EnumerationLimitError,
                        Hyperedge, IntegrityError, LiftedMultiHypergraph,
-                       StructuralError, TotalConstraint, Vertex, build_graph)
+                       MultiHypergraph, StructuralError, TotalConstraint, Vertex,
+                       index_vertices)
 from oracles import box_groundings, random_lifted, raw_groundings
 
 
@@ -156,45 +157,42 @@ def test_groundings_sorted_by_canonical_form():
 
 
 def test_conservation_must_pin_the_sum():
-    verts = [Vertex("e", "screw", 2), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")]
+    layout = index_vertices([Vertex("e", "screw", 2), Vertex("s1", "slot_a"),
+                             Vertex("s2", "slot_b")], ("at",), ("screw",))
     bounded = [BoundedEdge("at", ("e", "s1"), 0, 2),
                BoundedEdge("at", ("e", "s2"), 0, 2)]
     group = [TotalConstraint("g", frozenset({("at", ("e", "s1")),
                                              ("at", ("e", "s2"))}), 2)]
-    l = LiftedMultiHypergraph(verts, [], bounded, group,
-                              conservation_labels=("at",),
-                              conserved_vertex_labels=("screw",))
+    l = LiftedMultiHypergraph(layout, [], bounded, group)
     assert l.count_groundings() == 3
     with pytest.raises(IntegrityError):
-        LiftedMultiHypergraph(verts, [], bounded, [],
-                              conservation_labels=("at",),
-                              conserved_vertex_labels=("screw",))
+        LiftedMultiHypergraph(layout, [], bounded, [])
     with pytest.raises(IntegrityError):
         LiftedMultiHypergraph(
-            verts, [Hyperedge("at", ("e", "s1"))], bounded,
-            [TotalConstraint("g", frozenset({("at", ("e", "s2"))}), 2)],
-            conservation_labels=("at",),
-            conserved_vertex_labels=("screw",))
+            layout, [Hyperedge("at", ("e", "s1"))], bounded,
+            [TotalConstraint("g", frozenset({("at", ("e", "s2"))}), 2)])
 
 
 def test_from_graph_and_skeleton():
-    g = build_graph(
-        [Vertex("a", "agent"), Vertex("t", "table"), Vertex("e", "screw", 2)],
-        [Hyperedge("at", ("a", "t")), Hyperedge("at", ("e", "t"), 2)],
-        conservation_labels=("at",), conserved_vertex_labels=("screw",))
+    g = MultiHypergraph(
+        index_vertices([Vertex("a", "agent"), Vertex("t", "table"),
+                        Vertex("e", "screw", 2)], ("at",), ("screw",)),
+        [Hyperedge("at", ("a", "t")), Hyperedge("at", ("e", "t"), 2)])
     l = LiftedMultiHypergraph.from_graph(g)
     assert not l.bounded_edges
     assert l.count_groundings() == 1
     assert l.groundings()[0] == g
-    assert l.conservation_labels == {"at"}
-    assert l.conserved_vertex_labels == {"screw"}
+    assert l.layout is g.layout
+    assert l.layout.conservation_labels == {"at"}
+    assert l.layout.conserved_vertex_labels == {"screw"}
 
 
-def test_rebuild_replaces_parts():
+def test_a_state_over_the_same_layout_replaces_parts():
     l = hull_example()
-    loosened = l.rebuild(
-        bounded=[BoundedEdge("at", ("e", "s1"), 0, 4),
-                 BoundedEdge("at", ("e", "s2"), 0, 4)])
+    loosened = LiftedMultiHypergraph(
+        l.layout, l.fixed_edges,
+        [BoundedEdge("at", ("e", "s1"), 0, 4), BoundedEdge("at", ("e", "s2"), 0, 4)],
+        l.constraints)
     assert loosened.count_groundings() == 5
     assert loosened.vertices == l.vertices
 

@@ -6,9 +6,9 @@ import pytest
 
 from mhgfilter import (BoundedEdge, Effect, EffectEdge,
                        EffectError, Hyperedge, LiftedMultiHypergraph, Match,
-                       Pattern, PatternEdge, PatternVertex, Rule, StructuralError,
-                       TotalConstraint, Vertex, apply,
-                       build_graph, builtin_domain, edge_key, ground_options,
+                       MultiHypergraph, Pattern, PatternEdge, PatternVertex, Rule,
+                       StructuralError, TotalConstraint, Vertex, apply,
+                       builtin_domain, edge_key, ground_options,
                        lifted_apply, successors)
 from oracles import (ground_pushforward, lifted_distribution, tv_distance,
                      unchecked_lifted_apply)
@@ -60,7 +60,7 @@ def test_match_access():
 
 
 def test_find_matches_one_per_screw():
-    g = build_graph(
+    g = MultiHypergraph(
         [Vertex("e1", "screw"), Vertex("e2", "screw"), Vertex("e3", "screw"),
          Vertex("l1", "shelf"), Vertex("l2", "desk"), Vertex("l3", "floor")],
         [Hyperedge("at", ("e1", "l1")), Hyperedge("at", ("e2", "l2")),
@@ -77,7 +77,7 @@ def test_find_matches_one_per_screw():
 
 
 def test_matches_are_injective():
-    g = build_graph([Vertex("l1", "loc")], [Hyperedge("adj", ("l1", "l1"))])
+    g = MultiHypergraph([Vertex("l1", "loc")], [Hyperedge("adj", ("l1", "l1"))])
     rule = Rule("loop",
                 Pattern((PatternVertex("X", "loc"), PatternVertex("Y", "loc")),
                         (PatternEdge("adj", ("X", "Y")),)))
@@ -85,8 +85,8 @@ def test_matches_are_injective():
 
 
 def test_label_sets_and_wildcards():
-    g = build_graph([Vertex("a", "agent"), Vertex("s", "screw", 2),
-                     Vertex("t", "tool")])
+    g = MultiHypergraph([Vertex("a", "agent"), Vertex("s", "screw", 2),
+                         Vertex("t", "tool")])
     anything = Rule("any", Pattern((PatternVertex("V"),)))
     assert len(ground_options(anything, g)) == 3
     either = Rule("either",
@@ -97,7 +97,7 @@ def test_label_sets_and_wildcards():
 
 
 def test_infeasible_effects_filter_matches():
-    g = build_graph(
+    g = MultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw")],
         [Hyperedge("at", ("a", "e"))])
     underflow = Rule(
@@ -115,7 +115,7 @@ def test_infeasible_effects_filter_matches():
 
 
 def test_apply_effect_errors():
-    g = build_graph(
+    g = MultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw", 2),
          Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
         [Hyperedge("holds", ("a", "e")), Hyperedge("at", ("e", "s1"))])
@@ -135,8 +135,8 @@ def test_apply_fires_only_at_a_match():
     variable's candidates, or binds too few, too many or one variable twice
     raises EffectError and leaves the rule's caches as they were.  A binding
     whose pattern edges the state lacks raises too."""
-    g = build_graph([Vertex("a", "agent"), Vertex("e", "screw")],
-                    [Hyperedge("holds", ("a", "e"))])
+    g = MultiHypergraph([Vertex("a", "agent"), Vertex("e", "screw")],
+                        [Hyperedge("holds", ("a", "e"))])
     drop = Rule("drop", Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw")),
                                 (PatternEdge("holds", ("A", "E")),)),
                 Effect(retract=(EffectEdge("holds", ("A", "E")),),
@@ -168,7 +168,7 @@ def test_apply_fires_only_at_a_match():
 
 
 def test_ground_options_expand_free_slots():
-    g = build_graph(
+    g = MultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw", 2),
          Vertex("s1", "slot_a"), Vertex("s2", "slot_b"), Vertex("s3", "slot_c")],
         [Hyperedge("holds", ("a", "e")), Hyperedge("at", ("e", "s1"))])
@@ -179,7 +179,7 @@ def test_ground_options_expand_free_slots():
 
 
 def test_successors_merge_symmetric_options():
-    g = build_graph(
+    g = MultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw"),
          Vertex("s1", "slot"), Vertex("s2", "slot")],
         [Hyperedge("holds", ("a", "e"))])
