@@ -6,11 +6,18 @@ multiplicity-preserving vertex bijection mapping one edge structure onto the
 other).  It is computed by iterative colour refinement over vertex signatures
 with backtracking individualisation on ties; the returned bytes are the
 minimum serialisation over all leaves of the search tree.  Subtrees that an
-automorphism found during the search maps onto searched ones are pruned
-(McKay and Piperno, "Practical graph isomorphism, II", 2014); they hold
-only leaves with the same bytes, so the result is still the minimum over
-every leaf of the unpruned tree.  Searches of several leaves log their
-size at debug level on the ``mhgfilter`` logger and warn at ``WARN_LEAVES``.
+automorphism found during the search maps onto searched ones are pruned,
+and a leaf with the best bytes sends the search back to the node where its
+path parts from the best leaf's (McKay and Piperno, "Practical graph
+isomorphism, II", 2014); the skipped subtrees hold only leaves with the
+same bytes, so the result is still the minimum over every leaf of the
+unpruned tree.  After an individualisation, and in every round after the
+first, refinement recomputes only the cells with a vertex that shares an
+edge with a fragment of a cell that just split, leaving out one fragment
+per split cell (Junttila and Kaski, ALENEX 2007); every other cell provably
+keeps its rows, so each round gives the colours of recomputing every row.
+Searches of several leaves log their size at debug level on the
+``mhgfilter`` logger and warn at ``WARN_LEAVES``.
 
 Byte layout (all integers fixed-width big-endian):
 
@@ -128,17 +135,75 @@ def _colour_profile(colors: list[int], pairs) -> tuple:
     return tuple(sorted(count.items()))
 
 
-def _refine(st: _Structure, colors: list[int]) -> list[int]:
+def _refine(st: _Structure, colors: list[int],
+            touched: Iterable[int] | None = None) -> list[int]:
+    """Refine the dense colour ranks ``colors`` until no cell splits.
+
+    A round ranks each vertex by its colour, then its sorted row of incident
+    edge summaries and colour profiles.  ``touched`` holds the vertices of
+    every fragment but one of each cell that split just before this call,
+    on a colouring that was stable before that split (``None`` at the root:
+    every cell is recomputed in the first round).
+
+    A row can change order only through a vertex of a touched fragment.  Map
+    each colour of the previous round to its unsplit cell's new colour, or
+    to the colour of its skipped fragment: the map is strictly increasing,
+    and every edge that reaches no touched vertex changes its profile by it.
+    So a cell none of whose vertices shares an edge with a touched vertex
+    had equal rows and keeps them, and does not split.  Only the other cells
+    are recomputed, every cell keeps its order, and colours are renumbered
+    by prefix sums: the colours of every round are those of recomputing
+    every row.
+    """
+    descs, incident, occurrences = st.descs, st.incident, st.occurrences
     while True:
-        eco = [_colour_profile(colors, pairs) for pairs in st.occurrences]
-        sigs = []
-        for i in range(st.n):
-            row = sorted((st.descs[e], occ, eco[e]) for e, occ in st.incident[i])
-            sigs.append((colors[i], tuple(row)))
-        new = _ranked(sigs)
-        if new == colors:
+        cells: list[list[int]] = [[] for _ in range(max(colors) + 1)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        if touched is None:
+            dirty = {c for c, cell in enumerate(cells) if len(cell) > 1}
+        else:
+            dirty = {colors[w] for u in touched for e, _ in incident[u]
+                     for w, _ in occurrences[e]}
+            dirty = {c for c in dirty if len(cells[c]) > 1}
+        eco: dict[int, tuple] = {}
+        splits: dict[int, list[list[int]]] = {}
+        for c in dirty:
+            rows: dict[tuple, list[int]] = {}
+            for v in cells[c]:
+                row = []
+                for e, occ in incident[v]:
+                    if e not in eco:
+                        eco[e] = _colour_profile(colors, occurrences[e])
+                    row.append((descs[e], occ, eco[e]))
+                row.sort()
+                rows.setdefault(tuple(row), []).append(v)
+            if len(rows) > 1:
+                splits[c] = [rows[r] for r in sorted(rows)]
+        if not splits:
             return colors
+        new = [0] * st.n
+        rank = 0
+        for c, cell in enumerate(cells):
+            for fragment in splits.get(c, (cell,)):
+                for v in fragment:
+                    new[v] = rank
+                rank += 1
+        touched = []
+        for fragments in splits.values():
+            skipped = max(fragments, key=len)
+            for fragment in fragments:
+                if fragment is not skipped:
+                    touched.extend(fragment)
         colors = new
+
+
+def _individualize(st: _Structure, colors: list[int], v: int) -> list[int]:
+    """Give ``v`` a colour of its own just before the rest of its cell, on a
+    stable colouring, and refine."""
+    cv = colors[v]
+    split = [c + (c > cv or (c == cv and u != v)) for u, c in enumerate(colors)]
+    return _refine(st, split, (v,))
 
 
 def _canonical_bytes(st: _Structure) -> bytes:
@@ -151,14 +216,25 @@ def _canonical_bytes(st: _Structure) -> bytes:
     of one child onto the subtree of its image, leaf bytes included.  Of the
     target-cell children in one orbit of those automorphisms only the first
     is searched, so the minimum over the unpruned tree is unchanged.
+
+    A leaf's colouring determines its path: the vertex individualised at a
+    node has the least leaf colour of that node's target cell.  So the
+    automorphism from the best leaf to a leaf with equal bytes maps the best
+    leaf's path onto the current one: it fixes the prefix they share and maps
+    the best leaf's child of the node where they part onto the current
+    child.  That child's subtree, already entered, holds only images of the
+    searched subtree of the best leaf's child, so the search jumps back to
+    the node where the paths part.
     """
     best: bytes | None = None
     best_colors: list[int] = []
+    best_prefix: tuple[int, ...] = ()
     autos: list[list[int]] = []
     leaves = 0
+    jump = -1   # depth the search returns to, while it unwinds from a leaf
 
     def rec(colors: list[int], prefix: tuple[int, ...]) -> None:
-        nonlocal best, best_colors, leaves
+        nonlocal best, best_colors, best_prefix, leaves, jump
         counts = Counter(colors)
         target = min((c for c, k in counts.items() if k > 1), default=None)
         if target is None:
@@ -169,13 +245,15 @@ def _canonical_bytes(st: _Structure) -> bytes:
                                st.n, leaves)
             b = st.serialize(colors)
             if best is None or b < best:
-                best, best_colors = b, colors
+                best, best_colors, best_prefix = b, colors, prefix
             elif b == best:
                 # at a leaf a colour is a canonical position
                 pos = [0] * st.n
                 for v, c in enumerate(best_colors):
                     pos[c] = v
                 autos.append([pos[c] for c in colors])
+                jump = next(d for d, (u, w) in enumerate(zip(prefix, best_prefix))
+                            if u != w)
             return
         cell = [v for v in range(st.n) if colors[v] == target]
         orbit = {v: v for v in cell}   # union-find over the cell
@@ -196,9 +274,11 @@ def _canonical_bytes(st: _Structure) -> bytes:
             if any(find(v) == find(u) for u in searched):
                 continue
             searched.append(v)
-            split = [c * 2 for c in colors]
-            split[v] -= 1
-            rec(_refine(st, _ranked(split)), prefix + (v,))
+            rec(_individualize(st, colors, v), prefix + (v,))
+            if jump >= 0:
+                if jump < len(prefix):
+                    return
+                jump = -1
 
     rec(_refine(st, _ranked(st.init_keys)), ())
     # ``rec`` refers to itself; dropping it frees the structure now rather

@@ -3,9 +3,10 @@
 Everything here is deliberately naive: bijection search for isomorphism,
 permutation search for pattern matches, cartesian-product enumeration for
 groundings, explicit ground-state mixtures for rule pushforwards, and a
-canonical-form search that visits every leaf.  The point is to share no code path with the library internals
-being checked; the unpruned search shares the library's refinement on
-purpose, because it checks the pruning alone.
+canonical-form search that visits every leaf with a refinement that
+recomputes every row in every round.  The point is to share no code path
+with the library internals being checked; the unpruned search shares only
+the library's prepared view of a state and its leaf serialiser.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from mhgfilter import (BoundedEdge, Effect, LiftedApplyResult,
                        LiftedMultiHypergraph, MultiHypergraph, Rule,
                        TotalConstraint, agent_location, apply, edge_key,
                        ground_options, held_counts, index_vertices, lifted_apply)
-from mhgfilter.canon import _ranked, _refine, _structure
+from mhgfilter.canon import _structure
 from mhgfilter.graphs import Hyperedge, Vertex
 
 
@@ -80,6 +81,48 @@ def brute_isomorphic(g1: MultiHypergraph, g2: MultiHypergraph) -> bool:
     return False
 
 
+def ranked(keys) -> list[int]:
+    """Dense ranks of ``keys``: equal keys share a rank, in ascending order."""
+    palette = {k: r for r, k in enumerate(sorted(set(keys)))}
+    return [palette[k] for k in keys]
+
+
+def _colour_counts(colors: list[int], pairs) -> dict[int, int]:
+    count: dict[int, int] = {}
+    for v, occ in pairs:
+        count[colors[v]] = count.get(colors[v], 0) + occ
+    return count
+
+
+def reference_refine(st, colors: list[int]) -> list[int]:
+    """Colour refinement that recomputes every vertex's row in every round.
+
+    A round ranks each vertex by its colour, then its sorted row of (edge
+    summary, occurrences, edge colour profile) over its incident edges, where
+    an edge's profile is the sorted (colour, total occurrences) pairs of its
+    incidence.  It stops when a round splits no cell.
+    """
+    while True:
+        eco = [tuple(sorted(_colour_counts(colors, pairs).items()))
+               for pairs in st.occurrences]
+        sigs = []
+        for i in range(st.n):
+            row = sorted((st.descs[e], occ, eco[e]) for e, occ in st.incident[i])
+            sigs.append((colors[i], tuple(row)))
+        new = ranked(sigs)
+        if new == colors:
+            return colors
+        colors = new
+
+
+def reference_individualize(st, colors: list[int], v: int) -> list[int]:
+    """Individualise ``v`` (a colour just before the rest of its cell) and
+    refine from scratch."""
+    split = [c * 2 for c in colors]
+    split[v] -= 1
+    return reference_refine(st, ranked(split))
+
+
 def unpruned_canonical_bytes(state, pins: Mapping[str, int] | None,
                              version: int) -> bytes:
     """Canonical bytes as the minimum over every leaf of the
@@ -101,13 +144,10 @@ def unpruned_canonical_bytes(state, pins: Mapping[str, int] | None,
                 best = b
             return
         for v in range(st.n):
-            if colors[v] != target:
-                continue
-            split = [c * 2 for c in colors]
-            split[v] -= 1
-            rec(_refine(st, _ranked(split)))
+            if colors[v] == target:
+                rec(reference_individualize(st, colors, v))
 
-    rec(_refine(st, _ranked(st.init_keys)))
+    rec(reference_refine(st, ranked(st.init_keys)))
     assert best is not None
     return best
 

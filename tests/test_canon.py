@@ -11,7 +11,8 @@ from mhgfilter import (BoundedEdge, Hyperedge, LiftedMultiHypergraph,
                        MultiHypergraph, TotalConstraint, Vertex)
 from mhgfilter.canon import (canonical_form, canonical_form_lifted,
                              pinned_form, pinned_form_lifted)
-from oracles import (brute_isomorphic, random_graph, random_lifted, relabel,
+from oracles import (brute_isomorphic, random_graph, random_lifted, ranked,
+                     reference_individualize, reference_refine, relabel,
                      symmetric_graph, symmetric_lifted, unpruned_canonical_bytes)
 
 # Pinned serializations of two reference states.  These freeze the byte
@@ -256,6 +257,40 @@ def dealt_pairs():
          for j in range(3)])
 
 
+def installed_slots():
+    """Four eccentrics installed, unobserved, into six identical slots on one
+    board: one lifted state with a single constraint group."""
+    slots = [f"slot_{i}" for i in range(6)]
+    bounded = [BoundedEdge("at", ("eccentric", s), 0, 1) for s in slots]
+    return LiftedMultiHypergraph(
+        [Vertex(v, v) for v in ("agent", "board", "floor", "screwdriver", "table")]
+        + [Vertex("eccentric", "eccentric", 4)] + [Vertex(s, "slot") for s in slots],
+        [Hyperedge("at", ("agent", "table")),
+         Hyperedge("holds", ("agent", "screwdriver"))]
+        + [Hyperedge("has", ("board", s)) for s in slots], bounded,
+        [TotalConstraint("installed", frozenset(b.key for b in bounded), 4)])
+
+
+def search_size(caplog) -> str:
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("canonical search")]
+    caplog.clear()
+    assert len(lines) == 1
+    return lines[0].split(" vertices, ")[1]
+
+
+def test_an_equal_leaf_jumps_back_to_where_the_paths_part(caplog):
+    """A leaf with the best bytes ends the search below the node where its
+    path parts from the best leaf's: a star of n slots searches n leaves and
+    finds n - 1 automorphisms, and four installs into six slots 6 leaves."""
+    caplog.set_level(logging.DEBUG, logger="mhgfilter")
+    for n in (6, 8, 10):
+        canonical_form(star(n))
+        assert search_size(caplog) == f"{n} leaves, {n - 1} automorphisms"
+    canonical_form_lifted(installed_slots())
+    assert search_size(caplog).startswith("6 leaves, ")
+
+
 def test_colour_profile_matches_a_counter_over_the_incidence():
     """Refinement's per-edge profile keeps its former definition, so ranks
     and bytes do not move."""
@@ -286,6 +321,7 @@ def test_pruned_search_equals_unpruned_reference():
                 for _ in range(randint(0, 2))}
         return state, pins
 
+    @hypothesis.seed(0)
     @hypothesis.settings(max_examples=300, derandomize=True, deadline=None,
                          database=None)
     @hypothesis.given(cases())
@@ -306,14 +342,52 @@ def test_pruned_search_equals_unpruned_reference():
     check()
 
 
+def test_refinement_equals_the_reference_at_every_node():
+    """Incremental refinement gives the colours of recomputing every row in
+    every round, at the root and after each of a random sequence of
+    individualisations down to a leaf, pinned and unpinned."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        def randint(a, b):
+            return data.draw(st.integers(a, b))
+        lifted = randint(0, 1)
+        state = (symmetric_lifted if lifted else symmetric_graph)(randint, 9)
+        ids = [v.id for v in state.vertices]
+        pins = ({ids[randint(0, len(ids) - 1)]: randint(0, 1)
+                 for _ in range(randint(1, 2))} if randint(0, 1) else None)
+        version = ((0x02 if lifted else 0x01) if pins is None
+                   else (0xFF if lifted else 0xFE))
+        structure = mhgfilter.canon._structure(state, pins, version)
+        start = ranked(structure.init_keys)
+        colors = mhgfilter.canon._refine(structure, start)
+        assert colors == reference_refine(structure, start)
+        while True:
+            ties = [v for v, c in enumerate(colors) if colors.count(c) > 1]
+            if not ties:
+                break
+            v = ties[randint(0, len(ties) - 1)]
+            colors, expected = (mhgfilter.canon._individualize(structure, colors, v),
+                                reference_individualize(structure, colors, v))
+            assert colors == expected
+
+    check()
+
+
 def counting_refine(monkeypatch) -> list[int]:
-    """Patch ``_refine`` to count its calls into the returned one-item list."""
+    """Patch ``_refine`` to count its calls, at the root and after each
+    individualisation alike, into the returned one-item list."""
     calls = [0]
     refine = mhgfilter.canon._refine
 
-    def counting(st, colors):
+    def counting(st, colors, touched=None):
         calls[0] += 1
-        return refine(st, colors)
+        return refine(st, colors, touched)
 
     monkeypatch.setattr(mhgfilter.canon, "_refine", counting)
     return calls
@@ -355,6 +429,7 @@ def test_distinct_vertex_records_give_the_search_bytes():
         recs = [(v.label, v.multiplicity) for v in state.vertices]
         return len(set(recs)) == len(recs)
 
+    @hypothesis.seed(0)
     @hypothesis.settings(max_examples=300, derandomize=True, deadline=None,
                          database=None)
     @hypothesis.given(st.integers(0, 2**32 - 1), st.booleans())
@@ -397,7 +472,7 @@ def test_multi_leaf_search_is_logged_at_debug(caplog):
 
 def test_factorial_search_warns(caplog):
     """Nine slots dealt into three interchangeable groups of total 1 take
-    2,729 leaves, and the search warns once; a star of six slots, whose
+    2,285 leaves, and the search warns once; a star of six slots, whose
     automorphisms prune the search, does not warn."""
     slots = [f"s{i}" for i in range(9)]
     bounded = [BoundedEdge("at", ("item", s), 0, 1) for s in slots]

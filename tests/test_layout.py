@@ -221,6 +221,7 @@ def test_a_warm_layout_gives_the_results_of_a_fresh_one():
         pinned = rng.sample(state.vertices, rng.randint(0, 2))
         return state, random_rule(rng, state), {v.id: i for i, v in enumerate(pinned)}
 
+    @hypothesis.seed(0)
     @hypothesis.settings(max_examples=100, derandomize=True, deadline=None,
                          database=None)
     @hypothesis.given(scenes())
@@ -305,6 +306,7 @@ def test_matches_and_transitions_equal_the_brute_force_reference():
             if not binds:
                 assert (len(c.keys), len(c.pattern_keys)) == before
 
+    @hypothesis.seed(0)
     @hypothesis.settings(max_examples=100, derandomize=True, deadline=None,
                          database=None)
     @hypothesis.given(scenes())
@@ -423,6 +425,7 @@ def test_derived_states_equal_fresh_builds():
         hypothesis.assume(not state.is_empty)
         return state, rng
 
+    @hypothesis.seed(0)
     @hypothesis.settings(max_examples=100, derandomize=True, deadline=None,
                          database=None)
     @hypothesis.given(scenes())

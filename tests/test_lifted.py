@@ -293,6 +293,7 @@ def test_normalisation_is_exact_on_raw_parts():
     def sorted_dicts(dicts):
         return sorted(sorted(d.items()) for d in dicts)
 
+    @hypothesis.seed(0)
     @hypothesis.settings(max_examples=300, derandomize=True, deadline=None,
                          database=None)
     @hypothesis.given(raw_parts())
