@@ -17,8 +17,8 @@ def four_screws_two_piles():
         [],
         [BoundedEdge("at", ("e", "s1"), 0, 2),
          BoundedEdge("at", ("e", "s2"), 0, 4)],
-        [TotalConstraint("g", frozenset({("at", ("e", "s1")),
-                                         ("at", ("e", "s2"))}), 4)])
+        [TotalConstraint(frozenset({("at", ("e", "s1")),
+                                    ("at", ("e", "s2"))}), 4)])
 
 
 def main():
@@ -51,8 +51,8 @@ def main():
         [],
         [BoundedEdge("at", ("e", "s1"), 0, 2),
          BoundedEdge("at", ("e", "s2"), 0, 2)],
-        [TotalConstraint("g", frozenset({("at", ("e", "s1")),
-                                         ("at", ("e", "s2"))}), 4)])
+        [TotalConstraint(frozenset({("at", ("e", "s1")),
+                                    ("at", ("e", "s2"))}), 4)])
     print("\nsaturated state bounded edges:", len(tight.bounded_edges))
     print("saturated state fixed edges:")
     for e in tight.fixed_edges:

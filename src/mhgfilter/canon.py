@@ -450,9 +450,9 @@ def pinned_form(g, pins: Mapping[str, int]) -> bytes:
 def canonical_form_lifted(l) -> CanonicalForm:
     """Canonical form of a lifted multi-hypergraph (layout version 2).
 
-    Equal forms imply identical ground-support distributions; constraint
-    group names are deliberately excluded so states differing only in group
-    naming merge.
+    Equal forms imply identical ground-support distributions.  A constraint
+    group is written as its total and its members' bounded-edge positions,
+    so its record is fixed by the group's key set alone.
     """
     return CanonicalForm(_form(l, None, 0x02))
 

@@ -12,7 +12,7 @@ Three subcommands:
 Exit codes: 0 success, 1 comparison divergence, 2 inconsistent trace,
 3 parse error, 4 enumeration cap exceeded, 5 I/O error, 6 the domain's
 dynamics break a model invariant (any other ``EngineError``, such as a
-rule whose effect breaks conservation).
+rule whose effect breaks conservation), 7 a ``--corrupt-at`` off the trace.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ EXIT_PARSE = 3
 EXIT_ENUMERATION = 4
 EXIT_IO = 5
 EXIT_DYNAMICS = 6
+EXIT_CORRUPT_AT = 7
 
 __all__ = ["main", "build_parser"]
 
@@ -178,10 +179,14 @@ def _cmd_compare(args) -> int:
 
 def _cmd_gentrace(args) -> int:
     domain = _load_domain(args.domain)
-    trace, truncated = generate_trace(domain, seed=args.seed,
-                                      length=args.length,
-                                      corrupt_at=args.corrupt_at,
-                                      policy=args.policy)
+    try:
+        trace, truncated = generate_trace(domain, seed=args.seed,
+                                          length=args.length,
+                                          corrupt_at=args.corrupt_at,
+                                          policy=args.policy)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CORRUPT_AT
     if truncated:
         print(f"warning: trace truncated at {len(trace)} steps (dead end)",
               file=sys.stderr)

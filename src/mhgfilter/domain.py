@@ -1,8 +1,9 @@
 """Domain definitions, their file formats, and trace generation.
 
 A domain bundles everything the filter needs: the vertex/edge vocabulary,
-the observation schema (which vertex is the agent, which labels express
-position and holding, which labels are observable as held counts), the
+the observation schema (which vertex is the agent, which labels are
+locations, which labels are observable as held counts; the agent's
+position and holding are always ``at`` and ``holds`` edges), the
 initial state, whose vertex layout carries the conservation declaration,
 the rules, and the action model.  Two assembly scenes ship built in, as
 domain documents under ``domains/``: ``mini`` (small enough for the ground
@@ -25,7 +26,7 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IntegrityError, ParseError, StructuralError
-from .filtering import ActionModel, agent_location
+from .filtering import HOLDS_LABEL, ActionModel, agent_location
 from .graphs import Hyperedge, MultiHypergraph, Vertex, edge_key, index_vertices
 from .lifted import BoundedEdge, LiftedMultiHypergraph, TotalConstraint
 from .rewrite import (Effect, EffectEdge, Pattern, PatternEdge, PatternVertex,
@@ -66,8 +67,6 @@ class Domain:
     initial_state: LiftedMultiHypergraph
     rules: tuple[Rule, ...]
     action_model: ActionModel = field(default_factory=ActionModel)
-    at_label: str = "at"
-    holds_label: str = "holds"
 
     def __post_init__(self):
         names = [r.name for r in self.rules]
@@ -79,10 +78,9 @@ class Domain:
         by_label: dict[str, list[Vertex]] = {}
         for v in self.initial_state.vertices:
             by_label.setdefault(v.label, []).append(v)
-        object.__setattr__(self, "_by_label", by_label)
         # the observed held-count keys, per holdable label in sorted order
         object.__setattr__(self, "holds_keys", tuple(
-            (label, tuple(edge_key(self.holds_label, (self.agent_id, v.id))
+            (label, tuple(edge_key(HOLDS_LABEL, (self.agent_id, v.id))
                           for v in by_label.get(label, ())))
             for label in sorted(self.holdable_labels)))
         # Beliefs merge states by label-preserving isomorphism, but the
@@ -112,9 +110,6 @@ class Domain:
                     f"domain {self.name!r}: vertex {vid!r} shares its label "
                     f"with another vertex, but the observation or a rule "
                     f"names it by id")
-
-    def vertices_with_label(self, label: str) -> tuple[Vertex, ...]:
-        return tuple(self._by_label.get(label, ()))
 
     def rule(self, name: str) -> Rule:
         for r in self.rules:
@@ -246,6 +241,10 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
     if data.get("format") != DOMAIN_FORMAT:
         raise ParseError(f"unsupported domain format {data.get('format')!r}; "
                          f"expected {DOMAIN_FORMAT!r}", source)
+    for key in ("at_label", "holds_label"):
+        if key in data:
+            raise ParseError(f"domain key {key!r} is not supported: observations "
+                             "always read 'at' and 'holds' edges", source)
     try:
         labels = data.get("labels", {})
         conservation = data.get("conservation", {})
@@ -262,11 +261,9 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
                                _integer(_req(b, "upper", source), "upper"))
                    for b in data.get("bounded_edges", ())]
         constraints = [
-            TotalConstraint(
-                _req(c, "name", source),
-                frozenset((label, tuple(sorted(inc)))
-                          for label, inc in _req(c, "edges", source)),
-                _integer(_req(c, "total", source), "total"))
+            TotalConstraint(frozenset((label, tuple(sorted(inc)))
+                                      for label, inc in _req(c, "edges", source)),
+                            _integer(_req(c, "total", source), "total"))
             for c in data.get("constraints", ())]
         rules = []
         for r in _req(data, "rules", source):
@@ -315,9 +312,7 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
                                     "labels.holdable"),
             initial_state=initial,
             rules=tuple(rules),
-            action_model=action_model,
-            at_label=str(data.get("at_label", "at")),
-            holds_label=str(data.get("holds_label", "holds")))
+            action_model=action_model)
     except ParseError:
         raise
     except (StructuralError, IntegrityError, KeyError, TypeError,
@@ -389,9 +384,8 @@ def builtin_domain(name: str) -> Domain:
 
 def held_counts(domain: Domain, g: MultiHypergraph) -> dict[str, int]:
     out = {}
-    for label in sorted(domain.holdable_labels):
-        c = sum(g.edge_multiplicity(domain.holds_label, (domain.agent_id, v.id))
-                for v in domain.vertices_with_label(label))
+    for label, keys in domain.holds_keys:
+        c = sum(g.multiplicity_bounds(k)[0] for k in keys)
         if c:
             out[label] = c
     return out
@@ -411,8 +405,7 @@ def _pick_install_heavy(domain: Domain, g: MultiHypergraph, rng: random.Random,
     choice = pick("installEccentric")
     if choice:
         return choice
-    have_sd = g.edge_multiplicity(domain.holds_label,
-                                  (domain.agent_id, "screwdriver")) > 0
+    have_sd = g.edge_multiplicity(HOLDS_LABEL, (domain.agent_id, "screwdriver")) > 0
     at_table = agent_location(domain, g) == "table"
     if not at_table:
         choice = pick("walk", lambda m: m.get("Y") == "table")
@@ -440,7 +433,8 @@ def generate_trace(domain: Domain, seed: int, length: int,
     the screwdriver, then alternate taking and installing eccentrics).
     Returns the trace and whether it was truncated by a dead end.
     ``corrupt_at`` overwrites the held-count observation of that step with
-    an impossible value, making the trace inconsistent exactly there.
+    an impossible value, making the trace inconsistent exactly there; it
+    raises ValueError unless it is a step of the returned trace.
     """
     if policy not in ("uniform", "install_heavy"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -477,7 +471,10 @@ def generate_trace(domain: Domain, seed: int, length: int,
                                      agent_location(domain, g2),
                                      held_t, held_counts(domain, g2)))
         g = g2
-    if corrupt_at is not None and 0 <= corrupt_at < len(trace):
+    if corrupt_at is not None:
+        if not 0 <= corrupt_at < len(trace):
+            raise ValueError(f"corrupt_at {corrupt_at} is not a step of the "
+                             f"{len(trace)}-step trace")
         t = trace[corrupt_at]
         bad_label = sorted(domain.holdable_labels)[0]
         trace[corrupt_at] = AnnotationTuple(t.action, t.loc_t, t.loc_next,

@@ -42,7 +42,11 @@ logger = logging.getLogger("mhgfilter")
 
 __all__ = ["ActionModel", "Belief", "Particle", "JointPrediction", "StepStats",
            "FilterResult", "agent_location", "predict", "update",
-           "filter_trace"]
+           "filter_trace", "AT_LABEL", "HOLDS_LABEL"]
+
+# The observation's edge labels, the same in every domain.
+AT_LABEL = "at"
+HOLDS_LABEL = "holds"
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,7 @@ def agent_location(domain, state: State) -> str | None:
     """The agent's location vertex id, or None when not uniquely fixed."""
     found = None
     for e in state.fixed_edges:
-        if e.label != domain.at_label or domain.agent_id not in e.incidence:
+        if e.label != AT_LABEL or domain.agent_id not in e.incidence:
             continue
         others = [v for v in e.incidence if v != domain.agent_id]
         if (len(e.incidence) != 2 or len(others) != 1 or e.multiplicity != 1
@@ -196,7 +200,7 @@ def _conditions(domain, loc: str, held: Mapping[str, int]
     """Exact-count conditions (key set, required total) for one observation
     side, the agent's location first.  An unknown location fails it: its
     key has multiplicity 0 in every state."""
-    conds = [((edge_key(domain.at_label, (domain.agent_id, loc)),), 1)]
+    conds = [((edge_key(AT_LABEL, (domain.agent_id, loc)),), 1)]
     conds += [(keys, int(held.get(label, 0))) for label, keys in domain.holds_keys]
     # an unknown label has no keys: only 0 is satisfiable
     conds += [((), int(held[label])) for label in sorted(held)

@@ -175,26 +175,26 @@ def check_conservation(layout: VertexLayout, fixed_edges: Iterable[Hyperedge],
                 if vid in lo:
                     lo[vid] += e.multiplicity
                     up[vid] += e.multiplicity
-    group_of = {k: c.name for c in constraints for k in c.edge_keys}
-    # group name -> vertex id -> edge key -> incidence count
-    coefs: dict[str, dict[str, dict[EdgeKey, int]]] = {}
+    group_of = {k: i for i, c in enumerate(constraints) for k in c.edge_keys}
+    # group index -> vertex id -> edge key -> incidence count
+    coefs: dict[int, dict[str, dict[EdgeKey, int]]] = {}
     for b in bounded_edges:
         if b.label not in conservation_labels:
             continue
         for vid in b.incidence:
             if vid not in lo:
                 continue
-            name = group_of.get(b.key)
-            if name is None:
+            i = group_of.get(b.key)
+            if i is None:
                 lo[vid] += b.lower
                 up[vid] += b.upper
             else:
-                per_key = coefs.setdefault(name, {}).setdefault(vid, {})
+                per_key = coefs.setdefault(i, {}).setdefault(vid, {})
                 per_key[b.key] = per_key.get(b.key, 0) + 1
     if coefs:
         bounds = {b.key: (b.lower, b.upper) for b in bounded_edges}
-        for c in constraints:
-            for vid, per_key in coefs.get(c.name, {}).items():
+        for i, c in enumerate(constraints):
+            for vid, per_key in coefs.get(i, {}).items():
                 members = [(*bounds[k], per_key.get(k, 0)) for k in c.edge_keys]
                 mn, mx = _group_coef_range(members, c.total)
                 lo[vid] += mn

@@ -4,9 +4,10 @@ A lifted state compactly represents a uniform distribution over a set of
 ground states that share their vertices and a fixed edge core but differ in
 the multiplicities of *bounded* edges.  Each bounded edge carries an integer
 interval [lower, upper]; exact-total constraints tie disjoint groups of
-bounded edges to a fixed multiplicity sum.  A grounding picks one value per
-bounded edge within its bounds such that every group total holds; the lifted
-state denotes the uniform distribution over all such assignments.
+bounded edges, each identified by its key set, to a fixed multiplicity sum.
+A grounding picks one value per bounded edge within its bounds such that
+every group total holds; the lifted state denotes the uniform distribution
+over all such assignments.
 
 Construction normalises the representation:
 
@@ -74,18 +75,16 @@ class BoundedEdge:
 class TotalConstraint:
     """Exact multiplicity total over a group of bounded edges.
 
-    Groups of distinct constraints are disjoint.  The name addresses the
-    group within its state (``shifted``'s ``grow``) and is excluded from
-    canonical forms.
+    Groups of distinct constraints are disjoint, so a group's key set
+    identifies it within its state.
     """
 
-    name: str
     edge_keys: frozenset[EdgeKey]
     total: int
 
     def __post_init__(self):
         if self.total < 0:
-            raise StructuralError(f"constraint {self.name!r}: negative total")
+            raise StructuralError(f"constraint total {self.total} is negative")
         object.__setattr__(self, "edge_keys", frozenset(self.edge_keys))
 
 
@@ -111,21 +110,18 @@ class LiftedMultiHypergraph:
                 raise StructuralError(f"duplicate bounded edge {b.key!r}")
             bounds[b.key] = (b.lower, b.upper)
 
-        groups: dict[str, tuple[set[EdgeKey], int]] = {}
-        owner: dict[EdgeKey, str] = {}
+        groups: list[tuple[set[EdgeKey], int]] = []
+        owner: dict[EdgeKey, int] = {}
         for c in constraints:
-            if c.name in groups:
-                raise StructuralError(f"duplicate constraint name {c.name!r}")
             for k in c.edge_keys:
                 if k not in bounds:
                     raise StructuralError(
-                        f"constraint {c.name!r} references unknown bounded edge {k!r}")
+                        f"constraint references unknown bounded edge {k!r}")
                 if k in owner:
                     raise StructuralError(
-                        f"bounded edge {k!r} appears in constraints "
-                        f"{owner[k]!r} and {c.name!r}")
-                owner[k] = c.name
-            groups[c.name] = (set(c.edge_keys), c.total)
+                        f"bounded edge {k!r} appears in two constraints")
+                owner[k] = len(groups)
+            groups.append((set(c.edge_keys), c.total))
 
         # absorb fixed multiplicity into co-keyed bounds
         for k in list(bounds):
@@ -141,8 +137,7 @@ class LiftedMultiHypergraph:
         # projection of its group's feasible set, so tightening again, or
         # fixing the keys with lower = upper, leaves every other hull as is.
         empty = False
-        for name in sorted(groups):
-            keys, t = groups[name]
+        for keys, t in groups:
             lo_sum = sum(bounds[k][0] for k in keys)
             up_sum = sum(bounds[k][1] for k in keys)
             if lo_sum > t or up_sum < t:
@@ -161,7 +156,7 @@ class LiftedMultiHypergraph:
                     keys, t = groups[owner[k]]
                     keys.discard(k)
                     groups[owner[k]] = (keys, t - lo)
-            groups = {name: g for name, g in groups.items() if g[0]}
+            groups = [g for g in groups if g[0]]
 
         self.layout = layout
         self.vertices = layout.vertices
@@ -170,9 +165,8 @@ class LiftedMultiHypergraph:
         self.bounded_edges = tuple(BoundedEdge(lbl, inc, lo, up)
                                    for (lbl, inc), (lo, up) in sorted(bounds.items()))
         self.constraints = tuple(sorted(
-            (TotalConstraint(name, frozenset(keys), t)
-             for name, (keys, t) in groups.items()),
-            key=lambda c: (sorted(c.edge_keys), c.name)))
+            (TotalConstraint(frozenset(keys), t) for keys, t in groups),
+            key=lambda c: sorted(c.edge_keys)))
         self.is_empty = empty
         self._fixed_mult = {e.key: e.multiplicity for e in self.fixed_edges}
         self._bounded_by_key = {b.key: b for b in self.bounded_edges}
@@ -207,42 +201,39 @@ class LiftedMultiHypergraph:
     def from_graph(cls, g: MultiHypergraph) -> "LiftedMultiHypergraph":
         return cls(g.layout, g.edges)
 
-    def shifted(self, delta: Mapping[EdgeKey, int], grow: str | None = None,
-                fresh: frozenset[EdgeKey] = frozenset()) -> "LiftedMultiHypergraph":
+    def shifted(self, delta: Mapping[EdgeKey, int], group: tuple | None = None
+                ) -> "LiftedMultiHypergraph":
         """The state with every grounding's edges moved rigidly.
 
         A bounded key's interval moves by its delta, and so does its group's
         total; any other key's fixed multiplicity moves by its delta.
-        ``grow`` names a group whose total rises by one, and the ``fresh``
-        keys, absent here, become [0,1] members of a new group of total 1.
-        Raises StructuralError when a fixed multiplicity would fall below
-        zero.
+        ``group = (keys, total)`` makes ``keys`` one group with that total
+        after the delta: an existing group's key set keeps its members'
+        bounds, and keys absent here join as [0,1] members.  Raises
+        StructuralError when a fixed multiplicity would fall below zero, or
+        when ``keys`` partly overlap a group.
         """
         fixed = dict(self._fixed_mult)
         bounds = {k: (b.lower, b.upper) for k, b in self._bounded_by_key.items()}
-        totals = {c.name: c.total for c in self.constraints}
+        totals = {c.edge_keys: c.total for c in self.constraints}
         for k, d in delta.items():
             if k in bounds:
                 bounds[k] = (bounds[k][0] + d, bounds[k][1] + d)
                 if k in self._group_of:
-                    totals[self._group_of[k].name] += d
+                    totals[self._group_of[k].edge_keys] += d
                 continue
             fixed[k] = fixed.get(k, 0) + d
             if fixed[k] < 0:
                 raise StructuralError(f"shift takes edge {k!r} below zero")
-        if grow is not None:
-            totals[grow] += 1
-        constraints = [TotalConstraint(c.name, c.edge_keys, totals[c.name])
-                       for c in self.constraints]
-        if fresh:
-            bounds.update((k, (0, 1)) for k in fresh)
-            name = next(f"#{i}" for i in itertools.count() if f"#{i}" not in totals)
-            constraints.append(TotalConstraint(name, fresh, 1))
+        if group is not None:
+            keys, total = group
+            bounds.update((k, (0, 1)) for k in keys if k not in bounds)
+            totals[frozenset(keys)] = total
         return LiftedMultiHypergraph(
             self.layout,
             [self.layout.edge(k, m) for k, m in fixed.items() if m],
             [BoundedEdge(lbl, inc, lo, up) for (lbl, inc), (lo, up) in bounds.items()],
-            constraints)
+            [TotalConstraint(keys, t) for keys, t in totals.items()])
 
     # -- grounding ---------------------------------------------------------
 

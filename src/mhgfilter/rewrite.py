@@ -39,16 +39,16 @@ successor lifted states from that answer.  Two strategies are used:
   one feasibility pass gives the sure/possible verdict of the effect, sure
   meaning in every grounding and possible in some, together with its net
   edge delta.  Where the two agree, the successor is the same delta in
-  every grounding: a plan step is (options, delta, grow, fresh), and
+  every grounding: a plan step is (options, delta, group), and
   ``LiftedMultiHypergraph.shifted`` applies it as a rigid shift that
   cannot fail.  A rule's only assert with cap 1 and multiplicity 1 is its
   *slot edge*.  Matches whose remaining effect has the same delta form one
   class, and the class's choice among its free slot keys stays one [0,1]
-  constraint group: an existing group whose total grows by one, or
-  ``fresh`` empty keys that become a new group of total 1
-  (counting-formula lifting; this is the source of state compression).  A
-  single empty slot key joins the delta.  Rules without a slot edge shift
-  each match separately.
+  constraint group, the step's ``group`` (key set, total): an existing
+  group with its total grown by one, or empty keys that become a new group
+  of total 1 (counting-formula lifting; the source of state compression).
+  A single empty slot key joins the delta.  Rules without a slot edge
+  shift each match separately.
 * exact fallback: enumerate groundings and their options; ``outputs``
   applies the rule at each option and merges the results by canonical
   form.  Past ``lifted.MAX_GROUNDINGS`` groundings it raises
@@ -472,16 +472,16 @@ class LiftedApplyResult:
                          for _, (h, w) in sorted(merge_by_form(pairs).items()))
         l = self.state
         n_options = sum(step[0] for step in self.plan)
-        outs = merge_by_form((l.shifted(delta, grow, fresh), n / n_options)
-                             for n, delta, grow, fresh in self.plan
-                             if not _excluded(l, delta, fresh, conditions))
+        outs = merge_by_form((l.shifted(delta, group), n / n_options)
+                             for n, delta, group in self.plan
+                             if not _excluded(l, delta, group, conditions))
         return tuple(v for _, v in sorted(outs.items()))
 
 
 def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:
     """Check the preconditions of the lifted path, once.
 
-    Returns one (options, delta, grow, fresh) step per successor, the
+    Returns one (options, delta, group) step per successor, the
     arguments of ``l.shifted`` that build it, where ``options`` counts the
     options of every grounding that lead to it; an empty list when the rule
     fires in no grounding, or None when the exact fallback is needed.  A
@@ -505,7 +505,7 @@ def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:
             feasible.append(keys)
 
     if c.slot is None:
-        return [(1, keys.rest.delta, None, frozenset()) for keys in feasible]
+        return [(1, keys.rest.delta, None) for keys in feasible]
     return _slot_plan(l, feasible, give_up)
 
 
@@ -519,9 +519,9 @@ def _slot_plan(l: LiftedMultiHypergraph, feasible: list[_EffectKeys],
     grounding), full (dropped: the cap forbids it) or a [0,1] member of one
     group G holding no key outside the class.  When every member is reached
     by c matches, each grounding has c * (|G| - total) member options, all
-    leading to G with total + 1.  Two or more empties reached by equally
-    many matches become a fresh group of total 1; any other empty is a
-    successor of its own.
+    leading to the step group (G's keys, total + 1).  Two or more empties
+    reached by equally many matches become the step group (their keys, 1);
+    any other empty is a successor of its own.
     """
     classes: dict[tuple, dict[EdgeKey, int]] = {}    # slot key -> match count
     for keys in feasible:
@@ -544,32 +544,33 @@ def _slot_plan(l: LiftedMultiHypergraph, feasible: list[_EffectKeys],
             return give_up("slot keys in several groups")
         group = groups.pop() if groups else None
         if group is not None and not group.edge_keys.issubset(counts):
-            return give_up(f"group {group.name!r} has keys outside the class")
+            return give_up("the slot group has keys outside the class")
         empties = [k for k in counts if l.group_of(k) is None]
         if group is not None:
             c = counts[next(iter(group.edge_keys))]
             if any(counts[k] != c for k in group.edge_keys):
                 return give_up("slot keys reached by unequal match counts")
             plan.append((c * (len(group.edge_keys) - group.total), delta,
-                         group.name, frozenset()))
+                         (group.edge_keys, group.total + 1)))
         elif len(empties) >= 2 and len(set(counts.values())) == 1:
-            plan.append((counts[empties[0]] * len(empties), delta, None,
-                         frozenset(empties)))
+            plan.append((counts[empties[0]] * len(empties), delta,
+                         (frozenset(empties), 1)))
             continue
-        plan += [(counts[k], {**delta, k: 1}, None, frozenset()) for k in empties]
+        plan += [(counts[k], {**delta, k: 1}, None) for k in empties]
     return plan
 
 
 def _excluded(l: LiftedMultiHypergraph, delta: Mapping[EdgeKey, int],
-              fresh: frozenset[EdgeKey], conditions) -> bool:
+              group: tuple[frozenset[EdgeKey], int] | None, conditions) -> bool:
     """Whether a plan step's successor puts a condition's key sum off its total.
 
-    A key's hull is its bounds moved by the delta, or (0, 1) for a fresh key;
-    each key is looked up once for both sums."""
+    A key's hull is (0, 1) for a key of the step's group, else its bounds
+    moved by the delta; each key is looked up once for both sums."""
+    slots = group[0] if group else ()
     for keys, required in conditions:
         lo_sum = up_sum = 0
         for k in keys:
-            if k in fresh:
+            if k in slots:
                 up_sum += 1
                 continue
             lo, up = l.multiplicity_bounds(k)

@@ -24,6 +24,7 @@ from mhgfilter import (BoundedEdge, Effect, LiftedApplyResult,
                        TotalConstraint, agent_location, apply, edge_key,
                        ground_options, held_counts, index_vertices, lifted_apply)
 from mhgfilter.canon import _structure
+from mhgfilter.filtering import AT_LABEL
 from mhgfilter.graphs import Hyperedge, Vertex
 
 
@@ -352,7 +353,7 @@ def merge_free_log_likelihood(domain, trace) -> float:
     match the annotation exactly.
     """
     def observed(g, loc, held):
-        return (g.edge_multiplicity(domain.at_label, (domain.agent_id, loc)) == 1
+        return (g.edge_multiplicity(AT_LABEL, (domain.agent_id, loc)) == 1
                 and held_counts(domain, g) == {k: v for k, v in held.items() if v})
 
     grounds = domain.initial_state.groundings()
@@ -430,7 +431,7 @@ def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph) -> LiftedApplyR
     total = group.total + 1
     bounded = [BoundedEdge(b.label, b.incidence, b.lower, min(b.upper + 1, total))
                if b.key in group.edge_keys else b for b in l.bounded_edges]
-    constraints = [TotalConstraint(c.name, c.edge_keys, total) if c is group else c
+    constraints = [TotalConstraint(c.edge_keys, total) if c is group else c
                    for c in l.constraints]
     outputs = []
     for m in matches:
@@ -500,8 +501,8 @@ def relabel(g, rng):
 
     bounded = [BoundedEdge(b.label, tuple(mapping[x] for x in b.incidence),
                            b.lower, b.upper) for b in g.bounded_edges]
-    constraints = [TotalConstraint(c.name, frozenset(key(k) for k in c.edge_keys),
-                                   c.total) for c in g.constraints]
+    constraints = [TotalConstraint(frozenset(key(k) for k in c.edge_keys), c.total)
+                   for c in g.constraints]
     return LiftedMultiHypergraph(fresh_layout(g, vertices), edges, bounded,
                                  constraints)
 
@@ -539,7 +540,7 @@ def random_lifted(rng, n_vertices: int = 4) -> LiftedMultiHypergraph:
         lo_sum = sum(bounded[k].lower for k in members)
         up_sum = sum(bounded[k].upper for k in members)
         constraints.append(TotalConstraint(
-            "grp", frozenset(members), rng.randint(lo_sum, up_sum)))
+            frozenset(members), rng.randint(lo_sum, up_sum)))
     return LiftedMultiHypergraph(vertices, fixed, bounded.values(), constraints)
 
 
@@ -601,7 +602,7 @@ def symmetric_lifted(randint: Callable[[int, int], int], max_vertices: int = 8,
     groups = [[b for i, b in enumerate(bounded)
                if (i % k if dealt else i * k // len(bounded)) == j] for j in range(k)]
     shared = randint(0, upper) if randint(0, 3) else None
-    constraints = [TotalConstraint(f"g{j}", frozenset(b.key for b in group),
+    constraints = [TotalConstraint(frozenset(b.key for b in group),
                                    randint(0, upper * len(group)) if shared is None
                                    else min(shared, upper * len(group)))
                    for j, group in enumerate(groups) if group]

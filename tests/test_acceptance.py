@@ -55,8 +55,8 @@ def test_interval_state_expands_to_uniform_thirds():
         [],
         [BoundedEdge("at", ("e", "s1"), 0, 2),
          BoundedEdge("at", ("e", "s2"), 0, 4)],
-        [TotalConstraint("pile", frozenset({("at", ("e", "s1")),
-                                            ("at", ("e", "s2"))}), 4)])
+        [TotalConstraint(frozenset({("at", ("e", "s1")),
+                                    ("at", ("e", "s2"))}), 4)])
     entries = expand(state)
     assert len(entries) == 3
     for g, w in entries:

@@ -134,6 +134,18 @@ def test_corrupted_trace_exits_two(tmp_path, capsys):
         path.read_text().splitlines()[5])["action"]
 
 
+def test_corrupt_at_outside_the_trace_exits_seven(tmp_path, capsys):
+    """An out-of-range ``--corrupt-at`` prints one error line and writes no
+    trace."""
+    path = tmp_path / "bad.jsonl"
+    for step in ("9", "-1"):
+        code, out, err = run(capsys, "gentrace", "--domain", "mini", "--length",
+                             "5", "--corrupt-at", step, "--output", str(path))
+        assert code == 7
+        assert out == "" and not path.exists()
+        assert err.startswith("error: corrupt_at ") and err.count("\n") == 1
+
+
 def test_parse_problems_exit_three(tmp_path, capsys):
     bad_trace = tmp_path / "bad.jsonl"
     bad_trace.write_text("{not json\n")

@@ -39,7 +39,7 @@ def lifted_parts(draw):
         up = sum(b.upper for b in members)
         # one past either end of the feasible range gives an empty state
         constraints.append(TotalConstraint(
-            "grp", frozenset(b.key for b in members),
+            frozenset(b.key for b in members),
             draw(st.integers(max(lo - 1, 0), up + 1))))
     return ids, labels, fixed, bounded, constraints
 

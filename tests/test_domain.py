@@ -56,7 +56,6 @@ def test_domain_validation():
     assert mini.rule("walk").name == "walk"
     with pytest.raises(KeyError):
         mini.rule("teleport")
-    assert [v.id for v in mini.vertices_with_label("eccentric")] == ["eccentric"]
 
 
 def test_bookshelf_inventory():
@@ -121,6 +120,12 @@ def test_parse_domain_errors():
     with pytest.raises(ParseError) as exc:
         parse_domain(broken, "leaky.json")
     assert exc.value.source == "leaky.json"
+
+    # the observation labels are always "at" and "holds": a document that
+    # sets them is rejected rather than read with other labels
+    for key in ("at_label", "holds_label"):
+        with pytest.raises(ParseError, match=key):
+            parse_domain({**good, key: "at"}, "doc")
 
 
 def test_parse_domain_takes_values_as_written():
@@ -334,6 +339,26 @@ def test_generate_trace_corruption():
     assert corrupt[7:] == clean[7:]
     assert corrupt[6].held_next == {"eccentric": 9999}
     assert corrupt[6].action == clean[6].action
+
+
+def test_generate_trace_rejects_a_corrupt_at_outside_the_trace():
+    """``corrupt_at`` must name a step of the returned trace; a step past its
+    end, a negative one, or one a dead end cut off raises ValueError."""
+    domain = builtin_domain("mini")
+    for step in (10, -1):
+        with pytest.raises(ValueError, match=f"corrupt_at {step} "):
+            generate_trace(domain, seed=4, length=10, corrupt_at=step)
+    # with take as its only rule and the agent at the table, the agent
+    # takes the five items there and then meets a dead end
+    doc = builtin_document("mini")
+    doc["rules"] = [r for r in doc["rules"] if r["name"] == "take"]
+    assert doc["edges"][0]["incidence"] == ["agent", "floor"]
+    doc["edges"][0]["incidence"] = ["agent", "table"]
+    taker = parse_domain(doc, "taker")
+    trace, truncated = generate_trace(taker, seed=0, length=8, corrupt_at=4)
+    assert truncated and len(trace) == 5
+    with pytest.raises(ValueError, match="5-step trace"):
+        generate_trace(taker, seed=0, length=8, corrupt_at=5)
 
 
 def test_generate_trace_rejects_unknown_policy():

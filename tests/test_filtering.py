@@ -61,8 +61,8 @@ def spread_initial():
         [Hyperedge("at", ("agent", "floor"))],
         [BoundedEdge("at", ("gear", "floor"), 0, 1),
          BoundedEdge("at", ("gear", "table"), 0, 1)],
-        [TotalConstraint("where", frozenset({("at", ("floor", "gear")),
-                                             ("at", ("gear", "table"))}), 1)])
+        [TotalConstraint(frozenset({("at", ("floor", "gear")),
+                                    ("at", ("gear", "table"))}), 1)])
 
 
 def test_action_model_weights():
@@ -98,7 +98,7 @@ def test_belief_rejects_bad_entries():
     empty = LiftedMultiHypergraph(
         [Vertex("a", "x")],
         bounded_edges=[BoundedEdge("at", ("a",), 0, 1)],
-        constraints=[TotalConstraint("g", frozenset({("at", ("a",))}), 9)])
+        constraints=[TotalConstraint(frozenset({("at", ("a",))}), 9)])
     with pytest.raises(IntegrityError):
         Belief([(empty, 1.0)])
 
@@ -210,8 +210,8 @@ def test_condition_state_tightens_single_bounded_key():
         [Hyperedge("at", ("agent", "floor"))],
         [BoundedEdge("holds", ("agent", "gear"), 0, 2),
          BoundedEdge("at", ("floor", "gear"), 1, 3)],
-        [TotalConstraint("spread", frozenset({("holds", ("agent", "gear")),
-                                              ("at", ("floor", "gear"))}), 3)])
+        [TotalConstraint(frozenset({("holds", ("agent", "gear")),
+                                    ("at", ("floor", "gear"))}), 3)])
     assert l.count_groundings() == 3
     frac, states = condition(domain, l, "floor", {"gear": 1})
     assert frac == pytest.approx(1 / 3)

@@ -69,10 +69,11 @@ def test_derived_states_keep_the_declaration():
     at1, at2, held = ("at", ("e", "s1")), ("at", ("e", "s2")), ("holds", ("a", "e"))
     l = LiftedMultiHypergraph(layout, [Hyperedge(*held)],
                               [BoundedEdge(*at1, 0, 1), BoundedEdge(*at2, 0, 1)],
-                              [TotalConstraint("g", frozenset({at1, at2}), 1)])
+                              [TotalConstraint(frozenset({at1, at2}), 1)])
     groundings = list(l.iter_groundings())
     g = groundings[0]
-    derived = [l.shifted({}), l.shifted({held: -1}, grow="g"), *groundings,
+    derived = [l.shifted({}), l.shifted({held: -1}, (frozenset({at1, at2}), 2)),
+               *groundings,
                g.replace_edges({}), LiftedMultiHypergraph.from_graph(g)]
     assert all(s.layout is layout for s in derived)
     for build in (lambda: l.shifted({held: -1}),
@@ -377,12 +378,12 @@ def fresh_ground(state, mults) -> MultiHypergraph:
 
 def fresh_lifted(state, fixed, bounds, totals) -> LiftedMultiHypergraph:
     """The lifted state with these fixed multiplicities, bounds and groups
-    (name -> (keys, total)), built from fresh vertices and freshly made edges."""
+    (keys -> total), built from fresh vertices and freshly made edges."""
     return LiftedMultiHypergraph(
         fresh_vertices(state),
         [Hyperedge(*k, m) for k, m in fixed.items() if m > 0],
         [BoundedEdge(*k, lo, up) for k, (lo, up) in bounds.items()],
-        [TotalConstraint(name, keys, t) for name, (keys, t) in totals.items()])
+        [TotalConstraint(keys, t) for keys, t in totals.items()])
 
 
 def assert_same(derived, fresh):
@@ -407,7 +408,7 @@ def parts(l: LiftedMultiHypergraph):
     """(fixed multiplicities, bounds, groups) of a lifted state."""
     return ({e.key: e.multiplicity for e in l.fixed_edges},
             {b.key: (b.lower, b.upper) for b in l.bounded_edges},
-            {c.name: (c.edge_keys, c.total) for c in l.constraints})
+            {c.edge_keys: c.total for c in l.constraints})
 
 
 def test_derived_states_equal_fresh_builds():
@@ -444,8 +445,9 @@ def test_derived_states_equal_fresh_builds():
                 [BoundedEdge(*key, lo, up) for key, (lo, up) in narrowed.items()],
                 l.constraints), fresh_lifted(l, fixed, narrowed, groups))
 
-        # shifted: a fixed key and a bounded key move, a group may grow, and
-        # fresh keys may open a new group
+        # shifted: a fixed key and a bounded key move, and the step's group
+        # is an existing one whose total after the delta rises by one, fresh
+        # keys that open a group of total 1, or none
         delta = {}
         if fixed:
             k = rng.choice(sorted(fixed))
@@ -453,25 +455,30 @@ def test_derived_states_equal_fresh_builds():
         if bounds:
             k = rng.choice(sorted(bounds))
             delta[k] = rng.choice([-bounds[k][0], 1])
-        grow = rng.choice(sorted(groups)) if groups and rng.random() < 0.5 else None
-        fresh = frozenset({("fresh", (rng.choice(ids),)), ("fresh", tuple(ids[:2]))}
-                          if rng.random() < 0.5 else ())
         want_fixed, want_bounds, want_groups = dict(fixed), dict(bounds), dict(groups)
         for k, d in delta.items():
             if k in bounds:
                 want_bounds[k] = (bounds[k][0] + d, bounds[k][1] + d)
-                for name, (keys, t) in groups.items():
+                for keys, t in groups.items():
                     if k in keys:
-                        want_groups[name] = (keys, t + d)
+                        want_groups[keys] = t + d
             else:
                 want_fixed[k] += d
-        if grow is not None:
-            keys, t = want_groups[grow]
-            want_groups[grow] = (keys, t + 1)
-        if fresh:
+        fresh = frozenset({("fresh", (rng.choice(ids),)), ("fresh", tuple(ids[:2]))})
+        kind = rng.choice(["grow", "fresh", None] if groups else ["fresh", None])
+        group = None
+        if kind == "grow":
+            keys = rng.choice(sorted(groups, key=sorted))
+            group = (keys, want_groups[keys] + 1)
+            # the same keys with fresh ones added overlap the group
+            with pytest.raises(StructuralError):
+                l.shifted(delta, (keys | fresh, 1))
+        elif kind == "fresh":
+            group = (fresh, 1)
             want_bounds.update((k, (0, 1)) for k in fresh)
-            want_groups["#0"] = (fresh, 1)
-        assert_same(l.shifted(delta, grow, fresh),
+        if group is not None:
+            want_groups[group[0]] = group[1]
+        assert_same(l.shifted(delta, group),
                     fresh_lifted(l, want_fixed, want_bounds, want_groups))
 
         # iter_groundings, then from_graph and replace_edges on groundings

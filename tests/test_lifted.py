@@ -18,8 +18,8 @@ def hull_example():
         [],
         [BoundedEdge("at", ("e", "s1"), 0, 2),
          BoundedEdge("at", ("e", "s2"), 0, 4)],
-        [TotalConstraint("g", frozenset({("at", ("e", "s1")),
-                                         ("at", ("e", "s2"))}), 4)])
+        [TotalConstraint(frozenset({("at", ("e", "s1")),
+                                    ("at", ("e", "s2"))}), 4)])
 
 
 def test_bounded_edge_validation():
@@ -38,7 +38,7 @@ def test_bounded_edge_validation():
 
 def test_total_constraint_validation():
     with pytest.raises(StructuralError):
-        TotalConstraint("g", frozenset({("at", ("a",))}), -1)
+        TotalConstraint(frozenset({("at", ("a",))}), -1)
 
 
 def test_duplicate_bounded_keys_rejected():
@@ -54,7 +54,7 @@ def test_constraint_must_reference_known_edges():
         LiftedMultiHypergraph(
             [Vertex("a", "x")],
             bounded_edges=[BoundedEdge("at", ("a",), 0, 1)],
-            constraints=[TotalConstraint("g", frozenset({("at", ("b",))}), 1)])
+            constraints=[TotalConstraint(frozenset({("at", ("b",))}), 1)])
 
 
 def test_overlapping_groups_rejected():
@@ -64,8 +64,8 @@ def test_overlapping_groups_rejected():
             [Vertex("a", "x")],
             bounded_edges=[BoundedEdge("at", ("a",), 0, 1),
                            BoundedEdge("on", ("a",), 0, 1)],
-            constraints=[TotalConstraint("g1", frozenset({key1, key2}), 1),
-                         TotalConstraint("g2", frozenset({key1}), 1)])
+            constraints=[TotalConstraint(frozenset({key1, key2}), 1),
+                         TotalConstraint(frozenset({key1}), 1)])
 
 
 def test_fixed_multiplicity_absorbed_into_bounds():
@@ -74,8 +74,8 @@ def test_fixed_multiplicity_absorbed_into_bounds():
         [Hyperedge("at", ("a", "b"), 2)],
         [BoundedEdge("at", ("a", "b"), 0, 3),
          BoundedEdge("on", ("a", "b"), 0, 3)],
-        [TotalConstraint("g", frozenset({("at", ("a", "b")),
-                                         ("on", ("a", "b"))}), 1)])
+        [TotalConstraint(frozenset({("at", ("a", "b")),
+                                    ("on", ("a", "b"))}), 1)])
     at, on = ("at", ("a", "b")), ("on", ("a", "b"))
     assert at not in {e.key for e in l.fixed_edges}
     assert l.multiplicity_bounds(at) == (2, 3)
@@ -97,8 +97,8 @@ def test_saturated_group_collapses_to_fixed():
         [Vertex("a", "x"), Vertex("b", "y")],
         bounded_edges=[BoundedEdge("at", ("a",), 0, 1),
                        BoundedEdge("at", ("b",), 0, 1)],
-        constraints=[TotalConstraint("g", frozenset({("at", ("a",)),
-                                                     ("at", ("b",))}), 2)])
+        constraints=[TotalConstraint(frozenset({("at", ("a",)),
+                                                ("at", ("b",))}), 2)])
     assert not l.bounded_edges and not l.constraints
     assert l.fixed_edges == (Hyperedge("at", ("a",)), Hyperedge("at", ("b",)))
 
@@ -108,8 +108,8 @@ def test_infeasible_total_yields_empty_state():
         [Vertex("a", "x"), Vertex("b", "y")],
         bounded_edges=[BoundedEdge("at", ("a",), 0, 1),
                        BoundedEdge("at", ("b",), 0, 1)],
-        constraints=[TotalConstraint("g", frozenset({("at", ("a",)),
-                                                     ("at", ("b",))}), 3)])
+        constraints=[TotalConstraint(frozenset({("at", ("a",)),
+                                                ("at", ("b",))}), 3)])
     assert l.is_empty
     assert l.count_groundings() == 0
     assert l.groundings() == []
@@ -118,10 +118,10 @@ def test_infeasible_total_yields_empty_state():
 
 def test_constraint_over_no_edges_must_total_zero():
     l = LiftedMultiHypergraph([Vertex("a", "x")],
-                              constraints=[TotalConstraint("g", frozenset(), 0)])
+                              constraints=[TotalConstraint(frozenset(), 0)])
     assert not l.is_empty and not l.constraints
     l = LiftedMultiHypergraph([Vertex("a", "x")],
-                              constraints=[TotalConstraint("g", frozenset(), 1)])
+                              constraints=[TotalConstraint(frozenset(), 1)])
     assert l.is_empty
 
 
@@ -161,8 +161,8 @@ def test_conservation_must_pin_the_sum():
                              Vertex("s2", "slot_b")], ("at",), ("screw",))
     bounded = [BoundedEdge("at", ("e", "s1"), 0, 2),
                BoundedEdge("at", ("e", "s2"), 0, 2)]
-    group = [TotalConstraint("g", frozenset({("at", ("e", "s1")),
-                                             ("at", ("e", "s2"))}), 2)]
+    group = [TotalConstraint(frozenset({("at", ("e", "s1")),
+                                        ("at", ("e", "s2"))}), 2)]
     l = LiftedMultiHypergraph(layout, [], bounded, group)
     assert l.count_groundings() == 3
     with pytest.raises(IntegrityError):
@@ -170,7 +170,7 @@ def test_conservation_must_pin_the_sum():
     with pytest.raises(IntegrityError):
         LiftedMultiHypergraph(
             layout, [Hyperedge("at", ("e", "s1"))], bounded,
-            [TotalConstraint("g", frozenset({("at", ("e", "s2"))}), 2)])
+            [TotalConstraint(frozenset({("at", ("e", "s2"))}), 2)])
 
 
 def test_from_graph_and_skeleton():
@@ -219,21 +219,27 @@ def test_shifted_moves_every_grounding_by_the_delta():
 def test_shifted_grows_a_group_and_adds_fresh_ones():
     l = hull_example()
     s1, s2 = ("at", ("e", "s1")), ("at", ("e", "s2"))
-    grown = l.shifted({}, grow="g")
-    assert grown.group_of(s1).total == l.group_of(s1).total + 1 == 5
-    assert {g.edge_multiplicity(*s1) + g.edge_multiplicity(*s2)
-            for g in grown.iter_groundings()} == {5}
+    g = l.group_of(s1)
+    for total in (g.total + 1, g.total - 1):
+        moved = l.shifted({}, (g.edge_keys, total))
+        assert moved.group_of(s1).total == total
+        assert {h.edge_multiplicity(*s1) + h.edge_multiplicity(*s2)
+                for h in moved.iter_groundings()} == {total}
 
     marks = frozenset({("mark", ("s1",)), ("mark", ("s2",))})
-    marked = l.shifted({}, fresh=marks)
+    marked = l.shifted({}, (marks, 1))
     assert marked.count_groundings() == l.count_groundings() * len(marks)
-    assert all(sum(g.edge_multiplicity(*k) for k in marks) == 1
-               for g in marked.iter_groundings())
-    # a second fresh group takes a name of its own
+    assert all(sum(h.edge_multiplicity(*k) for k in marks) == 1
+               for h in marked.iter_groundings())
+    # a second fresh group is a group of its own
     tags = frozenset({("tag", ("s1",)), ("tag", ("s2",)), ("tag", ("e",))})
-    tagged = marked.shifted({}, fresh=tags)
+    tagged = marked.shifted({}, (tags, 2))
     assert len(tagged.constraints) == 3
-    assert tagged.count_groundings() == marked.count_groundings() * len(tags)
+    assert tagged.count_groundings() == marked.count_groundings() * 3
+    # keys that partly overlap a group are no group of their own
+    for keys in ({s1}, {s1, ("mark", ("s1",))}, marks | {s2}):
+        with pytest.raises(StructuralError):
+            l.shifted({}, (frozenset(keys), 1))
 
 
 def test_shifted_rejects_a_negative_multiplicity():
@@ -283,9 +289,8 @@ def test_normalisation_is_exact_on_raw_parts():
         n_groups = draw(st.sampled_from((2, 1, 0)))
         owners = [draw(st.sampled_from([*range(n_groups), None])) for _ in bounded]
         constraints = [
-            TotalConstraint(f"g{i}", frozenset(b.key for b, owner
-                                               in zip(bounded, owners)
-                                               if owner == i),
+            TotalConstraint(frozenset(b.key for b, owner in zip(bounded, owners)
+                                      if owner == i),
                             draw(st.integers(0, 8)))
             for i in range(n_groups)]
         return [Vertex(vid, "x") for vid in ids], fixed, bounded, constraints
@@ -321,7 +326,7 @@ def test_vertices_are_sorted_and_equal_states_share_canonicals():
         [],
         [BoundedEdge("at", ("s2", "e"), 0, 4),
          BoundedEdge("at", ("s1", "e"), 0, 2)],
-        [TotalConstraint("other_name", frozenset({("at", ("e", "s1")),
-                                                  ("at", ("e", "s2"))}), 4)])
+        [TotalConstraint(frozenset({("at", ("e", "s1")),
+                                    ("at", ("e", "s2"))}), 4)])
     assert [v.id for v in l2.vertices] == ["e", "s1", "s2"]
     assert l1.canonical_form() == l2.canonical_form()

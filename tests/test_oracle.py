@@ -18,8 +18,8 @@ def symmetric_pair():
         [Vertex("e", "screw"), Vertex("s1", "slot"), Vertex("s2", "slot")],
         [],
         [BoundedEdge("at", ("e", "s1"), 0, 1), BoundedEdge("at", ("e", "s2"), 0, 1)],
-        [TotalConstraint("g", frozenset({("at", ("e", "s1")),
-                                         ("at", ("e", "s2"))}), 1)])
+        [TotalConstraint(frozenset({("at", ("e", "s1")),
+                                    ("at", ("e", "s2"))}), 1)])
 
 
 def test_expand_merges_isomorphic_groundings():

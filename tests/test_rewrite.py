@@ -206,8 +206,7 @@ def member_state():
          Vertex("s2", "slot_b"), Vertex("s3", "slot_c")],
         [Hyperedge("holds", ("a", "e"))],
         [BoundedEdge("at", ("e", "s1"), 0, 1), BoundedEdge("at", ("e", "s2"), 0, 1)],
-        [TotalConstraint("installed",
-                         frozenset({("at", ("e", "s1")), ("at", ("e", "s2"))}), 1)])
+        [TotalConstraint(frozenset({("at", ("e", "s1")), ("at", ("e", "s2"))}), 1)])
 
 
 def test_lifted_apply_slot_aggregation():
@@ -239,8 +238,7 @@ def test_lifted_apply_shifts_untouched_bounds():
          Vertex("e", "screw", 2), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
         [Hyperedge("at", ("a", "l1")), Hyperedge("adj", ("l1", "l2"))],
         [BoundedEdge("at", ("e", "s1"), 0, 2), BoundedEdge("at", ("e", "s2"), 0, 2)],
-        [TotalConstraint("installed",
-                         frozenset({("at", ("e", "s1")), ("at", ("e", "s2"))}), 2)])
+        [TotalConstraint(frozenset({("at", ("e", "s1")), ("at", ("e", "s2"))}), 2)])
     res = check_against_ground(walk_rule(), l)
     assert res.n_applicable == res.n_groundings == 3
     assert len(res.outputs()) == 1
@@ -279,7 +277,7 @@ def test_lifted_apply_empty_and_inapplicable():
     empty = LiftedMultiHypergraph(
         [Vertex("a", "x")],
         bounded_edges=[BoundedEdge("at", ("a",), 0, 1)],
-        constraints=[TotalConstraint("g", frozenset({("at", ("a",))}), 5)])
+        constraints=[TotalConstraint(frozenset({("at", ("a",))}), 5)])
     assert lifted_apply(walk_rule(), empty) == (
         lifted_apply(walk_rule(), empty))
     assert lifted_apply(walk_rule(), empty).n_groundings == 0
@@ -297,8 +295,7 @@ def test_unchecked_effect_diverges_from_exact():
          Vertex("s2", "slot_b")],
         [Hyperedge("holds", ("a", "e"))],
         [BoundedEdge("at", ("e", "s1"), 0, 1), BoundedEdge("at", ("e", "s2"), 0, 1)],
-        [TotalConstraint("installed",
-                         frozenset({("at", ("e", "s1")), ("at", ("e", "s2"))}), 1)])
+        [TotalConstraint(frozenset({("at", ("e", "s1")), ("at", ("e", "s2"))}), 1)])
     res = unchecked_lifted_apply(rule, l)
     dist, _, _ = ground_pushforward(rule, l)
     gap = tv_distance(lifted_distribution(res.outputs()), dist)
@@ -330,7 +327,7 @@ def test_find_matches_fire_in_every_grounding():
     l = LiftedMultiHypergraph(
         [Vertex("a", "agent"), Vertex("s1", "slot"), Vertex("s2", "slot")], [],
         [BoundedEdge(label, inc, 0, 1) for label, inc in keys],
-        [TotalConstraint("g", frozenset(keys), 1)])
+        [TotalConstraint(frozenset(keys), 1)])
     rule = Rule("mark_s1", Pattern((PatternVertex("A", "agent"),)),
                 Effect(assert_=(EffectEdge("mark", ("A", "s1"), cap=1),)))
     _, n_app, n_tot = ground_pushforward(rule, l)
@@ -370,7 +367,7 @@ def slot_scene(draw):
         members = draw(st.lists(st.sampled_from(slots), min_size=2, unique=True))
         bounded += [BoundedEdge("at", ("e1", s), 0, 1) for s in members]
         constraints.append(TotalConstraint(
-            "placed", frozenset(("at", ("e1", s)) for s in members),
+            frozenset(("at", ("e1", s)) for s in members),
             draw(st.integers(1, len(members) - 1))))
     tools = [Vertex(f"t{i}", "tool") for i in range(draw(st.integers(0, 2)))]
     l = LiftedMultiHypergraph(
@@ -512,7 +509,7 @@ def test_condition_prune_on_every_kind_of_plan_step():
         + [Hyperedge(*mark("cup", "s3")), Hyperedge(*mark("key", "s2")),
            Hyperedge(*mark("key", "s3"))],
         [BoundedEdge(*k, 0, 1) for k in pen_keys],
-        [TotalConstraint("pen", pen_keys, 1)])
+        [TotalConstraint(pen_keys, 1)])
     rule = Rule(
         "mark",
         Pattern((PatternVertex("A", "agent"), PatternVertex("I", frozenset(items)),
