@@ -35,7 +35,7 @@ from typing import Iterable, Mapping, Sequence
 from .canon import merge_by_form
 from .errors import IntegrityError, TraceInconsistencyError
 from .graphs import EdgeKey, MultiHypergraph, edge_key
-from .lifted import BoundedEdge, LiftedMultiHypergraph, State
+from .lifted import LiftedMultiHypergraph, State
 from .rewrite import LiftedApplyResult, Rule, lifted_apply
 
 logger = logging.getLogger("mhgfilter")
@@ -234,26 +234,15 @@ def _condition_state(l: State, conds: list[tuple[tuple[EdgeKey, ...], int]]
     for keys, required in conds:
         bounds = [work.multiplicity_bounds(k) for k in keys]
         fixed_sum = sum(lo for lo, up in bounds if lo == up)
-        bounded = [(k, lo, up) for k, (lo, up) in zip(keys, bounds) if lo != up]
+        bounded = [k for k, (lo, up) in zip(keys, bounds) if lo != up]
         if not bounded:
             if fixed_sum != required:
                 return 0.0, []
         elif len(bounded) == 1:
-            # bounded keys carry no fixed part, and lower < upper after
-            # normalisation, so a feasible value always tightens
-            k, lo, up = bounded[0]
-            v = required - fixed_sum
-            if v < lo or v > up:
-                return 0.0, []
-            before = work.count_groundings()
-            new_bounds = [bb if bb.key != k else
-                          BoundedEdge(bb.label, bb.incidence, v, v)
-                          for bb in work.bounded_edges]
-            tightened = LiftedMultiHypergraph(work.layout, work.fixed_edges,
-                                              new_bounds, work.constraints)
+            tightened = work.conditioned(bounded[0], required - fixed_sum)
             if tightened.is_empty:
                 return 0.0, []
-            frac *= tightened.count_groundings() / before
+            frac *= tightened.count_groundings() / work.count_groundings()
             work = tightened
         else:
             deferred.append((keys, required))

@@ -15,6 +15,9 @@ fixtures) are unconstrained.
 
 The construction checks here (vertex index, incidence, conservation) serve
 lifted states too; a ground state is checked as one without bounded edges.
+A state derived from a checked one -- :meth:`MultiHypergraph.replace_edges`
+here, the lifted derivations in ``lifted.py`` -- is checked locally: only
+the vertices that its changed parts touch (:func:`check_conservation`).
 
 Rules change edges only, never vertices.  So a :class:`VertexLayout` is
 built once, from the initial vertex list, and every state derived from it
@@ -29,8 +32,10 @@ once, and every state over the layout is checked against it.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from operator import attrgetter
+from typing import Container, Iterable, Mapping
 
 from .errors import IntegrityError, StructuralError
 
@@ -153,58 +158,99 @@ def check_incidence(label: Label, incidence: Iterable[str],
             raise StructuralError(f"edge {label!r} references unknown vertex {vid!r}")
 
 
-def check_conservation(layout: VertexLayout, fixed_edges: Iterable[Hyperedge],
-                       bounded_edges=(), constraints=()) -> None:
+Bounds = tuple[EdgeKey, int, int]     # (key, lower, upper) of one edge
+
+
+def conserved_sums(layout: VertexLayout, singles: Iterable[Bounds],
+                   groups: Iterable[tuple[list[Bounds], int]] = ()
+                   ) -> dict[str, list[int]]:
+    """[least, greatest] conserved sum of some parts over their groundings,
+    at each conserved vertex they touch.
+
+    A part is an edge on its own, (key, lower, upper) with lower = upper
+    for a fixed edge, or a group, (members, total), whose members (key,
+    lower, upper) sum to the total.  An edge adds its multiplicity once per
+    incidence; a group, which must be feasible, adds the exact minimum and
+    maximum of its conserved sum over the assignments that meet its total.
+    """
+    labels, conserved = layout.conservation_labels, layout.conserved
+    sums: dict[str, list[int]] = {}
+    for (label, incidence), lo, up in singles:
+        if label in labels:
+            for vid in incidence:
+                if vid in conserved:
+                    s = sums.setdefault(vid, [0, 0])
+                    s[0] += lo
+                    s[1] += up
+    for members, total in groups:
+        coefs: dict[str, list[int]] = {}    # vertex id -> incidences per member
+        for i, ((label, incidence), _, _) in enumerate(members):
+            if label in labels:
+                for vid in incidence:
+                    if vid in conserved:
+                        coefs.setdefault(vid, [0] * len(members))[i] += 1
+        for vid, coef in coefs.items():
+            if coef.count(coef[0]) == len(coef):    # the same in every assignment
+                mn = mx = coef[0] * total
+            else:
+                mn, mx = _group_coef_range(
+                    [(lo, up, c) for (_, lo, up), c in zip(members, coef)], total)
+            s = sums.setdefault(vid, [0, 0])
+            s[0] += mn
+            s[1] += mx
+    return sums
+
+
+def check_conservation(layout: VertexLayout, singles: Iterable[Bounds],
+                       groups: Iterable[tuple[list[Bounds], int]] = (),
+                       replaced: tuple | None = None) -> None:
     """Raise IntegrityError unless every conserved vertex of the layout has
     a conserved sum equal to its multiplicity in every grounding.
 
-    One pass over the edges.  Fixed edges and ungrouped bounded edges add
-    their multiplicity (lower and upper bound) once per incidence; a
-    constraint group adds the exact minimum and maximum of its conserved sum
-    over the assignments that meet its total.  A ground state passes its
-    edges as ``fixed_edges`` and nothing else.
+    ``singles`` and ``groups`` are all of a state's parts, as
+    :func:`conserved_sums` reads them.  With ``replaced`` the check is
+    local: the parts given are those of a state derived from a conserving
+    one that differ from it, and ``replaced`` is (singles, groups) of the
+    parts they take the place of.  Every part of a conserving state adds a
+    constant to each conserved vertex, so the derived state's sum is the
+    vertex multiplicity less the replaced parts plus the new ones, and only
+    a vertex that these touch can fail.  Either way the first failing
+    vertex, in vertex order, is reported with its full range.
     """
     if not layout.conserved:
         return
-    conservation_labels = layout.conservation_labels
-    lo = dict.fromkeys(layout.conserved, 0)
-    up = dict(lo)
-    for e in fixed_edges:
-        if e.label in conservation_labels:
-            for vid in e.incidence:
-                if vid in lo:
-                    lo[vid] += e.multiplicity
-                    up[vid] += e.multiplicity
-    group_of = {k: i for i, c in enumerate(constraints) for k in c.edge_keys}
-    # group index -> vertex id -> edge key -> incidence count
-    coefs: dict[int, dict[str, dict[EdgeKey, int]]] = {}
-    for b in bounded_edges:
-        if b.label not in conservation_labels:
-            continue
-        for vid in b.incidence:
-            if vid not in lo:
-                continue
-            i = group_of.get(b.key)
-            if i is None:
-                lo[vid] += b.lower
-                up[vid] += b.upper
-            else:
-                per_key = coefs.setdefault(i, {}).setdefault(vid, {})
-                per_key[b.key] = per_key.get(b.key, 0) + 1
-    if coefs:
-        bounds = {b.key: (b.lower, b.upper) for b in bounded_edges}
-        for i, c in enumerate(constraints):
-            for vid, per_key in coefs.get(i, {}).items():
-                members = [(*bounds[k], per_key.get(k, 0)) for k in c.edge_keys]
-                mn, mx = _group_coef_range(members, c.total)
-                lo[vid] += mn
-                up[vid] += mx
-    for vid, m in layout.conserved.items():
-        if not lo[vid] == up[vid] == m:
+    sums = conserved_sums(layout, singles, groups)
+    if replaced is None:
+        before: dict[str, list[int]] = {}
+        vids = layout.conserved
+    else:
+        before = conserved_sums(layout, *replaced)
+        vids = sorted(sums.keys() | before.keys())   # vertices sort by id
+    for vid in vids:
+        m = layout.conserved[vid]
+        lo, up = sums.get(vid, (0, 0))
+        if replaced is not None:
+            rest = m - before.get(vid, (0, 0))[0]
+            lo, up = lo + rest, up + rest
+        if not lo == up == m:
             raise IntegrityError(
                 f"vertex {vid!r} ({layout.by_id[vid].label}): conserved "
-                f"multiplicity sum ranges over [{lo[vid]}, {up[vid]}] across "
+                f"multiplicity sum ranges over [{lo}, {up}] across "
                 f"groundings, expected exactly {m}")
+
+
+def patched(items: tuple, changed: Container[EdgeKey], new: Iterable) -> tuple:
+    """``items``, sorted by key, less those whose key is in ``changed``,
+    with ``new`` inserted in key order."""
+    if not changed:
+        return items
+    out = [e for e in items if e.key not in changed]
+    for e in new:
+        insort(out, e, key=_KEY)
+    return tuple(out)
+
+
+_KEY = attrgetter("key")
 
 
 def _group_coef_range(members: list[tuple[int, int, int]], total: int
@@ -252,20 +298,20 @@ class MultiHypergraph:
     def __init__(self, vertices: Iterable[Vertex] | VertexLayout,
                  edges: Iterable[Hyperedge] = ()):
         layout = index_vertices(vertices)
-        by_key: dict[EdgeKey, Hyperedge] = {}
+        mult: dict[EdgeKey, int] = {}
         for e in edges:
             e = layout.intern(e)
-            same = by_key.get(e.key)
-            if same is not None:
-                e = layout.edge(e.key, same.multiplicity + e.multiplicity)
-            by_key[e.key] = e
+            mult[e.key] = mult.get(e.key, 0) + e.multiplicity
+        check_conservation(layout, ((k, m, m) for k, m in mult.items()))
+        self._set(layout, mult, tuple(layout.edge(k, m) for k, m in sorted(mult.items())))
 
+    def _set(self, layout: VertexLayout, mult: dict[EdgeKey, int],
+             edges: tuple[Hyperedge, ...]) -> None:
         self.layout = layout
         self.vertices = layout.vertices
-        self.edges = tuple(e for _, e in sorted(by_key.items()))
-        self._mult = {k: e.multiplicity for k, e in by_key.items()}
+        self.edges = edges
+        self._mult = mult
         self._canonical = None
-        check_conservation(layout, self.edges)
 
     # -- queries -----------------------------------------------------------
 
@@ -295,11 +341,26 @@ class MultiHypergraph:
         dropped) and the edges of every other key kept as they are.
 
         Keys are named as :func:`edge_key` builds them.  Vertices are never
-        created or destroyed by this operation.
+        created or destroyed by this operation.  Only the replaced keys are
+        built and checked: conservation locally, against this graph.
         """
-        edges = [e for e in self.edges if e.key not in mults]
-        edges += [self.layout.edge(k, m) for k, m in mults.items() if m > 0]
-        return MultiHypergraph(self.layout, edges)
+        layout, old = self.layout, self._mult
+        mult = dict(old)
+        for k in mults:
+            mult.pop(k, None)
+        added = []
+        for k, m in mults.items():
+            if m > 0:
+                k = layout.edge(k, m).key
+                mult[k] = mult.get(k, 0) + m
+                added.append(k)
+        changed = {k for k in (*mults, *added) if mult.get(k) != old.get(k)}
+        check_conservation(layout, [(k, mult[k], mult[k]) for k in changed if k in mult],
+                           replaced=([(k, old[k], old[k]) for k in changed if k in old],))
+        g = object.__new__(MultiHypergraph)
+        g._set(layout, mult, patched(self.edges, changed,
+                                     [layout.edge(k, mult[k]) for k in changed if k in mult]))
+        return g
 
     def canonical_form(self):
         from .canon import canonical_form

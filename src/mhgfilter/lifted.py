@@ -17,30 +17,47 @@ Construction normalises the representation:
 * bounded edges with lower = upper become fixed edges (absent when zero),
 * satisfied empty groups are dropped.
 
-Infeasible constraints yield an *empty* lifted state (no groundings), which
-is constructible but rejected wherever a belief requires non-empty support.
-Conservation, declared on the vertex layout, must hold in every grounding;
-the constructor verifies that the conserved multiplicity sum of every
-participating vertex is constant across the support and equal to the vertex
-multiplicity.
+Infeasible constraints yield the *empty* lifted state (no groundings, no
+parts), which is constructible but rejected wherever a belief requires
+non-empty support.  Conservation, declared on the vertex layout, must hold
+in every grounding; the constructor verifies that the conserved
+multiplicity sum of every participating vertex is constant across the
+support and equal to the vertex multiplicity.
 
-Every state built from another (shifted, lifted from a graph, or grounded)
-keeps its vertex layout, with its conservation declaration, its compiled
-forms and its interned edges: a state's fixed edges, and a grounding's
-edges, are the layout's objects.
+The constructor is the definition.  A state derived from another --
+``shifted``, ``conditioned``, ``from_graph`` -- is born normalised instead:
+it copies its source's bounds map, changes the keys the step names, and
+reuses every other edge, bounded edge, group and per-group count.  Both
+arguments for that are exact:
+
+* Tightening.  A group's hull reads only its own members' bounds and total
+  (``_normalise``, the one helper the constructor runs over every group).
+  A step re-tightens just the group it regroups or conditions on; a group
+  whose members and total move by the same shifts is translated, so its
+  hull moves with it and its count stays.
+* Conservation.  In a conserving state every part -- a fixed edge, an
+  ungrouped bounded edge, a group -- adds a constant to each conserved
+  vertex.  So the successor conserves iff, at each conserved vertex that a
+  changed part touches, the new parts are constant and the sum less the
+  replaced parts plus the new ones is the vertex multiplicity; only those
+  parts are read, and a failure raises the constructor's IntegrityError.
+
+Every state built from another (shifted, conditioned, lifted from a graph,
+or grounded) keeps its vertex layout, with its conservation declaration,
+its compiled forms and its interned edges: a state's fixed edges, and a
+grounding's edges, are the layout's objects.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Union
 
 from .canon import CanonicalForm, canonical_form_lifted as _canon_lifted
 from .errors import EnumerationLimitError, StructuralError
 from .graphs import (EdgeKey, Hyperedge, MultiHypergraph, Vertex, VertexLayout,
-                     check_conservation, check_incidence, index_vertices)
+                     check_conservation, check_incidence, index_vertices, patched)
 
 # Enumerating more groundings than this raises EnumerationLimitError.
 MAX_GROUNDINGS = 10 ** 6
@@ -90,8 +107,7 @@ class TotalConstraint:
 
 class LiftedMultiHypergraph:
     __slots__ = ("layout", "vertices", "fixed_edges", "bounded_edges", "constraints",
-                 "is_empty", "_fixed_mult", "_bounded_by_key", "_group_of",
-                 "_canonical", "_count")
+                 "is_empty", "_bounds", "_group_of", "_counts", "_canonical", "_count")
 
     def __init__(self, vertices: Iterable[Vertex] | VertexLayout,
                  fixed_edges: Iterable[Hyperedge] = (),
@@ -110,7 +126,7 @@ class LiftedMultiHypergraph:
                 raise StructuralError(f"duplicate bounded edge {b.key!r}")
             bounds[b.key] = (b.lower, b.upper)
 
-        groups: list[tuple[set[EdgeKey], int]] = []
+        groups: list[tuple[frozenset[EdgeKey], int]] = []
         owner: dict[EdgeKey, int] = {}
         for c in constraints:
             for k in c.edge_keys:
@@ -121,64 +137,118 @@ class LiftedMultiHypergraph:
                     raise StructuralError(
                         f"bounded edge {k!r} appears in two constraints")
                 owner[k] = len(groups)
-            groups.append((set(c.edge_keys), c.total))
+            groups.append((c.edge_keys, c.total))
 
-        # absorb fixed multiplicity into co-keyed bounds
-        for k in list(bounds):
-            f = fixed.pop(k, 0)
-            if f:
-                lo, up = bounds[k]
-                bounds[k] = (lo + f, up + f)
-                if k in owner:
-                    keys, t = groups[owner[k]]
-                    groups[owner[k]] = (keys, t + f)
+        # absorb fixed multiplicity into co-keyed bounds (group total shifted
+        # accordingly); from here on ``bounds`` holds every key, a fixed one
+        # with lower = upper
+        for k, f in fixed.items():
+            lo, up = bounds.get(k, _ABSENT)
+            bounds[k] = (lo + f, up + f)
+            if k in owner:
+                keys, t = groups[owner[k]]
+                groups[owner[k]] = (keys, t + f)
+        for k in [k for k, b in bounds.items() if b == _ABSENT and k not in owner]:
+            del bounds[k]
 
-        # One pass is exact: groups are disjoint and each key's hull is the
-        # projection of its group's feasible set, so tightening again, or
-        # fixing the keys with lower = upper, leaves every other hull as is.
-        empty = False
+        left = []
         for keys, t in groups:
-            lo_sum = sum(bounds[k][0] for k in keys)
-            up_sum = sum(bounds[k][1] for k in keys)
-            if lo_sum > t or up_sum < t:
-                empty = True
-                break
-            for k in keys:
-                lo, up = bounds[k]
-                bounds[k] = (max(lo, t - (up_sum - up)), min(up, t - (lo_sum - lo)))
-        if not empty:
-            for k, (lo, up) in list(bounds.items()):
-                if lo < up:
-                    continue
-                del bounds[k]
-                fixed[k] = lo
-                if k in owner:
-                    keys, t = groups[owner[k]]
-                    keys.discard(k)
-                    groups[owner[k]] = (keys, t - lo)
-            groups = [g for g in groups if g[0]]
+            group = _normalise(bounds, keys, t)
+            if group is None:
+                self._set(layout, {}, (), (), (), {}, {}, True)
+                return
+            if group[0]:
+                left.append(TotalConstraint(*group))
+        group_of = {k: c for c in left for k in c.edge_keys}
+        items = sorted(bounds.items())
+        self._set(layout, bounds,
+                  tuple(layout.edge(k, lo) for k, (lo, up) in items if lo == up),
+                  tuple(BoundedEdge(*k, lo, up) for k, (lo, up) in items if lo < up),
+                  tuple(sorted(left, key=_group_order)), group_of, {})
+        check_conservation(layout, *_parts(bounds, group_of, bounds))
 
+    def _set(self, layout, bounds, fixed_edges, bounded_edges, constraints,
+             group_of, counts, is_empty=False) -> None:
         self.layout = layout
         self.vertices = layout.vertices
-        self.fixed_edges = tuple(layout.edge(k, m)
-                                 for k, m in sorted(fixed.items()) if m > 0)
-        self.bounded_edges = tuple(BoundedEdge(lbl, inc, lo, up)
-                                   for (lbl, inc), (lo, up) in sorted(bounds.items()))
-        self.constraints = tuple(sorted(
-            (TotalConstraint(frozenset(keys), t) for keys, t in groups),
-            key=lambda c: sorted(c.edge_keys)))
-        self.is_empty = empty
-        self._fixed_mult = {e.key: e.multiplicity for e in self.fixed_edges}
-        self._bounded_by_key = {b.key: b for b in self.bounded_edges}
-        self._group_of = {}
-        for c in self.constraints:
-            for k in c.edge_keys:
-                self._group_of[k] = c
+        self.fixed_edges = fixed_edges
+        self.bounded_edges = bounded_edges
+        self.constraints = constraints
+        self.is_empty = is_empty
+        self._bounds = bounds         # key -> (lower, upper); absent keys are 0
+        self._group_of = group_of     # key -> its TotalConstraint
+        self._counts = counts         # group key set -> its number of assignments
         self._canonical = None
         self._count = None
-        if not empty:
-            check_conservation(layout, self.fixed_edges, self.bounded_edges,
-                               self.constraints)
+
+    def _derive(self, bounds: dict[EdgeKey, tuple[int, int]], keys: set[EdgeKey],
+                totals: dict[frozenset[EdgeKey], int],
+                step: frozenset[EdgeKey] | None = None) -> "LiftedMultiHypergraph":
+        """The state whose bounds map is ``bounds``, which differs from this
+        state's at ``keys`` only, and whose groups are this state's with the
+        groups ``totals`` names (key set -> total after the change) in place
+        of theirs.
+
+        ``step``, a key set of ``totals`` whose keys are all in ``keys``, is
+        the one group that is normalised, by the constructor's helper; every
+        other group of ``totals`` must have moved rigidly, by a shift of its
+        members and the same shift of its total, so it stays tight, keeps
+        no fixed member and keeps its number of assignments.  Unchanged
+        edges, groups and counts are this state's objects, and conservation
+        is checked over the changed parts only.
+        """
+        layout = self.layout
+        group_of, counts, groups = self._group_of, self._counts, None
+        if totals:
+            # a state shares its group index and counts while its groups are the same
+            group_of, counts = dict(group_of), dict(counts)
+            groups = {c.edge_keys: c for c in self.constraints}
+            for gkeys, total in totals.items():
+                groups.pop(gkeys, None)
+                if gkeys == step:
+                    tight = _normalise(bounds, gkeys, total)
+                    if tight is None:
+                        return self._empty()
+                    counts.pop(gkeys, None)
+                    for k in gkeys:
+                        group_of.pop(k, None)
+                    gkeys, total = tight
+                    if not gkeys:
+                        continue
+                c = groups[gkeys] = TotalConstraint(gkeys, total)
+                for k in gkeys:
+                    group_of[k] = c
+        old = self._bounds
+        changed = {k for k in keys if bounds.get(k) != old.get(k)}
+        if layout.conserved:
+            scope = changed.union(*totals)
+            check_conservation(layout, *_parts(bounds, group_of, scope),
+                               replaced=_parts(old, self._group_of, scope))
+        fixed, bounded = [], []
+        for k in changed:
+            if k in bounds:
+                lo, up = bounds[k]
+                if lo == up:
+                    fixed.append(layout.edge(k, lo))
+                else:
+                    bounded.append(BoundedEdge(*k, lo, up))
+        return self._made(
+            layout, bounds, patched(self.fixed_edges, changed, fixed),
+            patched(self.bounded_edges, changed, bounded),
+            self.constraints if groups is None
+            else tuple(sorted(groups.values(), key=_group_order)),
+            group_of, counts)
+
+    @classmethod
+    def _made(cls, *parts) -> "LiftedMultiHypergraph":
+        """A state from parts that are normalised and checked already."""
+        l = object.__new__(cls)
+        l._set(*parts)
+        return l
+
+    def _empty(self) -> "LiftedMultiHypergraph":
+        """The empty state over this state's layout."""
+        return self._made(self.layout, {}, (), (), (), {}, {}, True)
 
     # -- queries -----------------------------------------------------------
 
@@ -190,16 +260,17 @@ class LiftedMultiHypergraph:
 
     def multiplicity_bounds(self, key: EdgeKey) -> tuple[int, int]:
         """(lower, upper) multiplicity of an edge key across the groundings."""
-        f = self._fixed_mult.get(key, 0)
-        b = self._bounded_by_key.get(key)
-        return (f + b.lower, f + b.upper) if b else (f, f)
+        return self._bounds.get(key, _ABSENT)
 
     def group_of(self, key: EdgeKey) -> TotalConstraint | None:
         return self._group_of.get(key)
 
     @classmethod
     def from_graph(cls, g: MultiHypergraph) -> "LiftedMultiHypergraph":
-        return cls(g.layout, g.edges)
+        """The state whose one grounding is ``g``: its edges, all fixed.  A
+        ground state has nothing to normalise and is checked already."""
+        return cls._made(g.layout, {e.key: (e.multiplicity,) * 2 for e in g.edges},
+                         g.edges, (), (), {}, {})
 
     def shifted(self, delta: Mapping[EdgeKey, int], group: tuple | None = None
                 ) -> "LiftedMultiHypergraph":
@@ -210,54 +281,87 @@ class LiftedMultiHypergraph:
         ``group = (keys, total)`` makes ``keys`` one group with that total
         after the delta: an existing group's key set keeps its members'
         bounds, and keys absent here join as [0,1] members.  Raises
-        StructuralError when a fixed multiplicity would fall below zero, or
-        when ``keys`` partly overlap a group.
+        StructuralError when a multiplicity would fall below zero, or when
+        ``keys`` partly overlap a group.  The empty state stays empty.
         """
-        fixed = dict(self._fixed_mult)
-        bounds = {k: (b.lower, b.upper) for k, b in self._bounded_by_key.items()}
-        totals = {c.edge_keys: c.total for c in self.constraints}
+        if self.is_empty:
+            return self
+        bounds = dict(self._bounds)
+        totals: dict[frozenset[EdgeKey], int] = {}
         for k, d in delta.items():
-            if k in bounds:
-                bounds[k] = (bounds[k][0] + d, bounds[k][1] + d)
-                if k in self._group_of:
-                    totals[self._group_of[k].edge_keys] += d
-                continue
-            fixed[k] = fixed.get(k, 0) + d
-            if fixed[k] < 0:
+            lo, up = bounds.get(k, _ABSENT)
+            if lo + d < 0:
                 raise StructuralError(f"shift takes edge {k!r} below zero")
+            c = self._group_of.get(k)
+            if c is not None:
+                totals[c.edge_keys] = totals.get(c.edge_keys, c.total) + d
+            if up + d:
+                bounds[k] = (lo + d, up + d)
+            else:
+                bounds.pop(k, None)
+        keys = set(delta)
+        step = None
         if group is not None:
-            keys, total = group
-            bounds.update((k, (0, 1)) for k in keys if k not in bounds)
-            totals[frozenset(keys)] = total
-        return LiftedMultiHypergraph(
-            self.layout,
-            [self.layout.edge(k, m) for k, m in fixed.items() if m],
-            [BoundedEdge(lbl, inc, lo, up) for (lbl, inc), (lo, up) in bounds.items()],
-            [TotalConstraint(keys, t) for keys, t in totals.items()])
+            step, total = frozenset(group[0]), group[1]
+            for c in {self._group_of.get(k) for k in step} - {None}:
+                if c.edge_keys != step:
+                    raise StructuralError(
+                        f"group keys {sorted(step)!r} partly overlap a group")
+            for k in step:
+                lo, up = bounds.get(k, _ABSENT)
+                if lo == up:    # a fixed key joins at its value, as a [0,1] member
+                    bounds[k] = (lo, lo + 1)
+                    total += lo
+            totals[step] = total
+            keys |= step
+        return self._derive(bounds, keys, totals, step)
+
+    def conditioned(self, key: EdgeKey, value: int) -> "LiftedMultiHypergraph":
+        """The state of the groundings in which ``key`` has multiplicity
+        ``value``: empty when there are none, this state when all are."""
+        lo, up = self.multiplicity_bounds(key)
+        if lo == up == value:
+            return self
+        if not lo <= value <= up or self.is_empty:
+            return self._empty()
+        bounds = dict(self._bounds)
+        bounds[key] = (value, value)
+        c = self._group_of.get(key)
+        if c is None:
+            if not value:
+                del bounds[key]
+            return self._derive(bounds, {key}, {})
+        return self._derive(bounds, set(c.edge_keys), {c.edge_keys: c.total},
+                            c.edge_keys)
 
     # -- grounding ---------------------------------------------------------
 
     def count_groundings(self) -> int:
-        """Number of groundings, via per-group bounded-composition counting."""
-        if self.is_empty:
-            return 0
+        """Number of groundings: the product of the ungrouped bounded edges'
+        widths and each group's count, which a derived state carries over
+        from its source for every group that did not change."""
         if self._count is None:
-            b = self._bounded_by_key
-            self._count = math.prod(
-                [b[k].upper - b[k].lower + 1 for k in b if k not in self._group_of]
-                + [_count_compositions([(b[k].lower, b[k].upper)
-                                        for k in sorted(c.edge_keys)], c.total)
-                   for c in self.constraints])
+            n = 0 if self.is_empty else 1
+            for b in self.bounded_edges:
+                if b.key not in self._group_of:
+                    n *= b.upper - b.lower + 1
+            for c in self.constraints:
+                m = self._counts.get(c.edge_keys)
+                if m is None:
+                    m = self._counts[c.edge_keys] = _count_compositions(
+                        [self._bounds[k] for k in c.edge_keys], c.total)
+                n *= m
+            self._count = n
         return self._count
 
     def _iter_assignments(self) -> Iterator[dict[EdgeKey, int]]:
-        b = self._bounded_by_key
-        choices = [[((k, v),) for v in range(b[k].lower, b[k].upper + 1)]
-                   for k in sorted(set(b) - set(self._group_of))]
+        b = self._bounds
+        choices = [[((e.key, v),) for v in range(e.lower, e.upper + 1)]
+                   for e in self.bounded_edges if e.key not in self._group_of]
         for c in self.constraints:
             keys = sorted(c.edge_keys)
             choices.append([tuple(zip(keys, comp)) for comp in _compositions(
-                [(b[k].lower, b[k].upper) for k in keys], c.total)])
+                [b[k] for k in keys], c.total)])
         for parts in itertools.product(*choices):
             yield dict(itertools.chain.from_iterable(parts))
 
@@ -306,15 +410,82 @@ class LiftedMultiHypergraph:
 State = Union[MultiHypergraph, LiftedMultiHypergraph]
 
 
+_ABSENT = (0, 0)     # the bounds of a key with no edge
+
+
+def _group_order(c: TotalConstraint) -> list[EdgeKey]:
+    return sorted(c.edge_keys)
+
+
+def _normalise(bounds: dict[EdgeKey, tuple[int, int]], keys: Iterable[EdgeKey],
+               total: int) -> tuple[frozenset[EdgeKey], int] | None:
+    """Tighten one group's members in ``bounds`` to the group's feasible
+    hull, and take out the members it fixes.
+
+    Returns what is left of the group, (keys, total), or None, with
+    ``bounds`` untouched, when no assignment meets the total.  A member
+    whose hull is one value leaves the group as a fixed key (absent at
+    zero) and takes that value off the total.  One pass is exact: the hull
+    of a key is the projection of its group's feasible set, which fixing a
+    member does not change, and it reads only the group's own bounds and
+    total, so no other group's hull moves.
+    """
+    lo_sum = up_sum = 0
+    for k in keys:
+        lo, up = bounds[k]
+        lo_sum += lo
+        up_sum += up
+    if lo_sum > total or up_sum < total:
+        return None
+    left, fixed = [], 0
+    for k in keys:
+        lo, up = bounds[k]
+        lo, up = max(lo, total - (up_sum - up)), min(up, total - (lo_sum - lo))
+        if lo < up:
+            bounds[k] = (lo, up)
+            left.append(k)
+            continue
+        fixed += lo
+        if lo:
+            bounds[k] = (lo, lo)
+        else:
+            del bounds[k]
+    return frozenset(left), total - fixed
+
+
+def _parts(bounds: dict[EdgeKey, tuple[int, int]], group_of: dict,
+           keys: Iterable[EdgeKey]) -> tuple[list, list]:
+    """(singles, groups) of the parts that hold ``keys``, each group once,
+    as ``check_conservation`` reads them; ``keys`` must hold every member
+    of each of those groups."""
+    singles, groups = [], {}
+    for k in keys:
+        c = group_of.get(k)
+        if c is not None:
+            groups[c.edge_keys] = c
+        elif k in bounds:
+            singles.append((k, *bounds[k]))
+    return singles, [([(k, *bounds[k]) for k in c.edge_keys], c.total)
+                     for c in groups.values()]
+
+
 def _count_compositions(bounds: list[tuple[int, int]], total: int) -> int:
-    ways = {0: 1}
+    """Number of tuples within the bounds summing to total, in O(n * total).
+
+    Each value is shifted down by its lower bound, so the tuples sum to
+    t = total - sum(lower), and ``ways[s]`` counts the prefixes summing to
+    s.  A member of width w = upper - lower makes ``ways[s]`` the sum of
+    the old ``ways[s - w .. s]``, a difference of two running sums.
+    """
+    t = total - sum(lo for lo, _ in bounds)
+    if t < 0:
+        return 0
+    ways = [1] + [0] * t
     for lo, up in bounds:
-        new: dict[int, int] = {}
-        for s, w in ways.items():
-            for v in range(lo, min(up, total - s) + 1):
-                new[s + v] = new.get(s + v, 0) + w
-        ways = new
-    return ways.get(total, 0)
+        w = up - lo
+        run = list(itertools.accumulate(ways, initial=0))   # run[s] = sum(ways[:s])
+        ways = [run[s + 1] - run[max(0, s - w)] for s in range(t + 1)]
+    return ways[t]
 
 
 def _compositions(bounds: list[tuple[int, int]], total: int

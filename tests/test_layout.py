@@ -16,9 +16,9 @@ from mhgfilter import (BoundedEdge, EffectEdge, Effect, EffectError, Hyperedge,
                        IntegrityError, LiftedMultiHypergraph, Match,
                        MultiHypergraph, Pattern, PatternEdge, PatternVertex,
                        Rule, StructuralError,
-                       TotalConstraint, Vertex, apply, compare, generate_trace,
-                       builtin_domain, ground_options, index_vertices,
-                       lifted_apply)
+                       TotalConstraint, Vertex, apply, compare, filter_trace,
+                       generate_trace, builtin_domain, ground_options,
+                       index_vertices, lifted_apply)
 from mhgfilter import rewrite
 from mhgfilter.canon import (canonical_form, canonical_form_lifted, pinned_form,
                              pinned_form_lifted)
@@ -387,8 +387,9 @@ def fresh_lifted(state, fixed, bounds, totals) -> LiftedMultiHypergraph:
 
 
 def assert_same(derived, fresh):
-    """``derived`` equals ``fresh`` edge by edge and by canonical bytes, and
-    holds its own layout's interned edges."""
+    """``derived`` equals ``fresh`` edge by edge, in its bounds, groups and
+    grounding count and by canonical bytes, and holds its own layout's
+    interned edges."""
     assert derived.layout is not fresh.layout
     if isinstance(fresh, MultiHypergraph):
         assert derived == fresh and hash(derived) == hash(fresh)
@@ -402,6 +403,25 @@ def assert_same(derived, fresh):
     assert derived.canonical_form().data == fresh.canonical_form().data
     table = derived.layout.edges
     assert all(table[e.key, e.multiplicity] is e for e in derived.fixed_edges)
+    if isinstance(fresh, LiftedMultiHypergraph):
+        assert derived.count_groundings() == fresh.count_groundings()
+        for e in fresh.fixed_edges + fresh.bounded_edges:
+            assert derived.multiplicity_bounds(e.key) == fresh.multiplicity_bounds(e.key)
+            assert derived.group_of(e.key) == fresh.group_of(e.key)
+
+
+def assert_same_or_both_raise(derive, build):
+    """``derive()`` equals the fresh ``build()``, or both raise
+    IntegrityError with the same message."""
+    try:
+        fresh = build()
+    except IntegrityError as e:
+        with pytest.raises(IntegrityError) as got:
+            derive()
+        assert str(got.value) == str(e)
+        return False
+    assert_same(derive(), fresh)
+    return True
 
 
 def parts(l: LiftedMultiHypergraph):
@@ -411,11 +431,41 @@ def parts(l: LiftedMultiHypergraph):
             {c.edge_keys: c.total for c in l.constraints})
 
 
+SPARE = ("spare_a", "spare_b")    # conserved edge labels of no edge
+
+
+def declared(l: LiftedMultiHypergraph, rng) -> LiftedMultiHypergraph:
+    """``l`` over a new layout that declares conservation: on a random subset
+    of its edge labels and the ``SPARE`` ones, for a random subset of the
+    vertex labels whose every vertex has one conserved sum, at least 1, in
+    all groundings; each such vertex's multiplicity becomes that sum."""
+    fixed, bounds, _ = parts(l)
+    edge_labels = {k[0] for k in (*fixed, *bounds) if rng.random() < 0.6} | set(SPARE)
+    sums: dict[str, set[int]] = {v.id: set() for v in l.vertices}
+    for g in box_groundings(l):
+        for vid in sums:
+            sums[vid].add(sum(e.multiplicity * e.incidence.count(vid)
+                              for e in g.edges if e.label in edge_labels))
+    by_label: dict[str, list[str]] = {}
+    for v in l.vertices:
+        by_label.setdefault(v.label, []).append(v.id)
+    vertex_labels = {label for label, ids in by_label.items()
+                     if all(len(sums[i]) == 1 and min(sums[i]) >= 1 for i in ids)
+                     and rng.random() < 0.8}
+    vertices = [Vertex(v.id, v.label, min(sums[v.id]) if v.label in vertex_labels
+                       else v.multiplicity) for v in l.vertices]
+    return LiftedMultiHypergraph(index_vertices(vertices, edge_labels, vertex_labels),
+                                 l.fixed_edges, l.bounded_edges, l.constraints)
+
+
 def test_derived_states_equal_fresh_builds():
-    """On random states from the test oracle's generators, every state built
-    from another -- by ``replace_edges``, ``iter_groundings``, ``shifted``,
-    the constructor over its layout and ``from_graph`` -- equals the state the public
-    constructors build from fresh vertices and freshly made edges."""
+    """On random states from the test oracle's generators, half of them
+    declaring conservation, every state built from another -- by
+    ``conditioned``, ``shifted``, ``replace_edges``, ``iter_groundings``, the
+    constructor over its layout and ``from_graph`` -- equals the state the
+    public constructors build from fresh vertices and freshly made edges,
+    or raises IntegrityError with its message.  An infeasible step gives the
+    empty state, and a step group that partly overlaps a group raises."""
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
 
@@ -424,37 +474,57 @@ def test_derived_states_equal_fresh_builds():
         rng = draw(st.randoms(use_true_random=True))
         state = oracle_state(draw, rng)
         hypothesis.assume(not state.is_empty)
+        if draw(st.booleans()):
+            state = declared(state, rng)
         return state, rng
 
+    outcomes: Counter = Counter()
+
     @hypothesis.seed(0)
-    @hypothesis.settings(max_examples=100, derandomize=True, deadline=None,
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None,
                          database=None)
     @hypothesis.given(scenes())
     def check(scene):
         l, rng = scene
+        l.count_groundings()    # a derived state carries the unchanged counts
         fixed, bounds, groups = parts(l)
         ids = [v.id for v in l.vertices]
 
-        # the constructor over the layout, as conditioning calls it: one
-        # bounded edge narrowed to its lower bound
+        # one bounded edge narrowed to one value: by the constructor over the
+        # layout, and by conditioning
         if bounds:
             k = rng.choice(sorted(bounds))
-            narrowed = {**bounds, k: (bounds[k][0], bounds[k][0])}
+            v = rng.randint(*bounds[k])
+            narrowed = {**bounds, k: (v, v)}
+            fresh = fresh_lifted(l, fixed, narrowed, groups)
             assert_same(LiftedMultiHypergraph(
                 l.layout, l.fixed_edges,
                 [BoundedEdge(*key, lo, up) for key, (lo, up) in narrowed.items()],
-                l.constraints), fresh_lifted(l, fixed, narrowed, groups))
+                l.constraints), fresh)
+            assert_same(l.conditioned(k, v), fresh)
+            assert l.conditioned(k, bounds[k][1] + 1).is_empty
 
         # shifted: a fixed key and a bounded key move, and the step's group
         # is an existing one whose total after the delta rises by one, fresh
-        # keys that open a group of total 1, or none
+        # keys that open a group of total 1, a fixed edge's unit moved into
+        # a group of two spare-labelled edges over its incidence (or two
+        # units: conservation breaks), a group that no grounding meets, or
+        # none
         delta = {}
+        kinds = ["fresh", "infeasible", None] + ["grow"] * bool(groups)
+        # fixed keys at a conserved vertex, when there are any
+        touching = [k for k in sorted(fixed) if set(k[1]) & l.layout.conserved.keys()]
         if fixed:
-            k = rng.choice(sorted(fixed))
+            k = rng.choice(touching or sorted(fixed))
             delta[k] = rng.choice([-fixed[k], -1, 1])
+            kinds.append("transfer")
         if bounds:
             k = rng.choice(sorted(bounds))
             delta[k] = rng.choice([-bounds[k][0], 1])
+        kind = rng.choice(kinds)
+        if kind == "transfer":
+            k = rng.choice(touching or sorted(fixed))
+            delta = {k: -1}
         want_fixed, want_bounds, want_groups = dict(fixed), dict(bounds), dict(groups)
         for k, d in delta.items():
             if k in bounds:
@@ -465,21 +535,28 @@ def test_derived_states_equal_fresh_builds():
             else:
                 want_fixed[k] += d
         fresh = frozenset({("fresh", (rng.choice(ids),)), ("fresh", tuple(ids[:2]))})
-        kind = rng.choice(["grow", "fresh", None] if groups else ["fresh", None])
         group = None
         if kind == "grow":
             keys = rng.choice(sorted(groups, key=sorted))
             group = (keys, want_groups[keys] + 1)
-            # the same keys with fresh ones added overlap the group
-            with pytest.raises(StructuralError):
-                l.shifted(delta, (keys | fresh, 1))
-        elif kind == "fresh":
-            group = (fresh, 1)
-            want_bounds.update((k, (0, 1)) for k in fresh)
+            # the same keys with fresh ones added, or some of them, overlap
+            # the group
+            for overlapping in (keys | fresh, frozenset(sorted(keys)[1:])):
+                with pytest.raises(StructuralError, match="overlap"):
+                    l.shifted(delta, (overlapping, 1))
+        elif kind in ("fresh", "infeasible"):
+            group = (fresh, 1 if kind == "fresh" else len(fresh) + 1)
+        elif kind == "transfer":
+            group = (frozenset((label, k[1]) for label in SPARE), rng.choice([1, 1, 2]))
         if group is not None:
+            want_bounds.update((k, (0, 1)) for k in group[0] if k not in bounds)
             want_groups[group[0]] = group[1]
-        assert_same(l.shifted(delta, group),
-                    fresh_lifted(l, want_fixed, want_bounds, want_groups))
+        conserved = assert_same_or_both_raise(
+            lambda: l.shifted(delta, group),
+            lambda: fresh_lifted(l, want_fixed, want_bounds, want_groups))
+        outcomes[kind, conserved] += 1
+        if kind == "infeasible":
+            assert l.shifted(delta, group).is_empty
 
         # iter_groundings, then from_graph and replace_edges on groundings
         expected = {g.edges: g for g in box_groundings(l)}
@@ -494,10 +571,14 @@ def test_derived_states_equal_fresh_builds():
             if mults:
                 changes[rng.choice(sorted(mults))] = rng.randrange(4)
             changes["fresh", (ids[-1], ids[0])] = rng.randrange(1, 3)
-            assert_same(g.replace_edges(changes),
-                        fresh_ground(g, {**mults, **changes}))
+            outcomes["replace", assert_same_or_both_raise(
+                lambda: g.replace_edges(changes),
+                lambda: fresh_ground(g, {**mults, **changes}))] += 1
 
     check()
+    # conserving and violating steps both come up, for each kind of group
+    assert all(outcomes[kind, ok] for kind in ("grow", "fresh", "transfer", None,
+                                               "replace") for ok in (True, False))
 
 
 def test_a_key_checked_in_one_layout_is_checked_again_in_another():
@@ -541,13 +622,21 @@ def test_duplicate_keys_still_sum_and_incidence_still_sorts():
 
 def test_all_states_of_a_compare_share_equal_edges(monkeypatch):
     """Over one mini ``compare``, every state's edges with the same key and
-    multiplicity are one object, the layout's."""
+    multiplicity are one object, the layout's, whether the state was built
+    by a constructor or derived from another state."""
     states = []
     for cls in (MultiHypergraph, LiftedMultiHypergraph):
         def recording(self, *args, _init=cls.__init__, **kwargs):
             _init(self, *args, **kwargs)
             states.append(self)
         monkeypatch.setattr(cls, "__init__", recording)
+    for cls, name in ((MultiHypergraph, "replace_edges"),
+                      (LiftedMultiHypergraph, "shifted"),
+                      (LiftedMultiHypergraph, "conditioned")):
+        def derived(*args, _derive=getattr(cls, name), **kwargs):
+            states.append(_derive(*args, **kwargs))
+            return states[-1]
+        monkeypatch.setattr(cls, name, derived)
     domain = builtin_domain("mini")
     trace, _ = generate_trace(domain, seed=3, length=12)
     assert not compare(domain, trace).divergent
@@ -559,3 +648,23 @@ def test_all_states_of_a_compare_share_equal_edges(monkeypatch):
             objects.setdefault((e.key, e.multiplicity), set()).add(id(e))
     assert len(objects) > 10
     assert all(len(ids) == 1 for ids in objects.values())
+
+
+def test_filtering_derives_every_state(monkeypatch):
+    """Filtering a 30-step bookshelf ``install_heavy`` trace, whose belief
+    grows to thousands of groundings, runs the lifted constructor for no
+    state: each successor and each conditioned state is derived from its
+    predecessor's parts."""
+    domain = builtin_domain("bookshelf")
+    trace, _ = generate_trace(domain, seed=0, length=30, policy="install_heavy")
+    runs = []
+    init = LiftedMultiHypergraph.__init__
+
+    def counted(self, *args, **kwargs):
+        runs.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LiftedMultiHypergraph, "__init__", counted)
+    result = filter_trace(domain, trace)
+    assert max(s.ground_count for s in result.stats) == 3432
+    assert len(runs) == 0

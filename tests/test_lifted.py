@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from mhgfilter import (MAX_GROUNDINGS, BoundedEdge, EnumerationLimitError,
                        Hyperedge, IntegrityError, LiftedMultiHypergraph,
                        MultiHypergraph, StructuralError, TotalConstraint, Vertex,
                        index_vertices)
+from mhgfilter.lifted import _count_compositions
 from oracles import box_groundings, random_lifted, raw_groundings
 
 
@@ -123,6 +125,32 @@ def test_constraint_over_no_edges_must_total_zero():
     l = LiftedMultiHypergraph([Vertex("a", "x")],
                               constraints=[TotalConstraint(frozenset(), 1)])
     assert l.is_empty
+
+
+def test_composition_count_equals_the_brute_force_product():
+    """The sliding-window count of tuples within bounds that meet a total
+    equals a brute-force pass over the product of the ranges, with
+    zero-width members, totals outside the range and no members at all."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    assert _count_compositions([], 0) == 1
+    assert _count_compositions([], 1) == 0
+    assert _count_compositions([(2, 2), (0, 1)], 2) == 1
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                               max_size=5),
+                      st.integers(-2, 32))
+    def check(spans, total):
+        bounds = [(lo, lo + width) for lo, width in spans]
+        brute = sum(sum(xs) == total for xs in itertools.product(
+            *(range(lo, up + 1) for lo, up in bounds)))
+        assert _count_compositions(bounds, total) == brute
+
+    check()
 
 
 def test_bound_hull_is_tightened():
