@@ -190,11 +190,8 @@ def conserved_sums(layout: VertexLayout, singles: Iterable[Bounds],
                     if vid in conserved:
                         coefs.setdefault(vid, [0] * len(members))[i] += 1
         for vid, coef in coefs.items():
-            if coef.count(coef[0]) == len(coef):    # the same in every assignment
-                mn = mx = coef[0] * total
-            else:
-                mn, mx = _group_coef_range(
-                    [(lo, up, c) for (_, lo, up), c in zip(members, coef)], total)
+            mn, mx = _group_coef_range(
+                [(lo, up, c) for (_, lo, up), c in zip(members, coef)], total)
             s = sums.setdefault(vid, [0, 0])
             s[0] += mn
             s[1] += mx
