@@ -38,8 +38,12 @@ pin index of each vertex; two pin assignments give equal bytes iff an
 automorphism maps one onto the other.  No library code calls them, and they
 never stand in for canonical forms.
 
-``merge_by_form`` merges weighted states by canonical form for every layer
-(beliefs, rule successors, the ground oracle).
+``merged`` merges weighted states by canonical form for every layer
+(beliefs, rule successors, the ground oracle).  A form has two jobs there:
+it lets isomorphic states merge, and it puts the merged states in a fixed
+order.  Fewer than two states have nothing to merge and only one order, so
+``merged`` returns them as they are and computes no form; forms are lazy
+and cached, so a form is computed only where two states meet.
 
 The vertex index and records are compiled once per vertex layout, and each
 edge key's index incidence, record head and occurrence pairs once per key
@@ -68,7 +72,7 @@ from struct import pack
 from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
 __all__ = ["CanonicalForm", "canonical_form", "canonical_form_lifted",
-           "pinned_form", "pinned_form_lifted", "merge_by_form"]
+           "pinned_form", "pinned_form_lifted", "merged"]
 
 logger = logging.getLogger("mhgfilter")
 WARN_LEAVES = 1000      # a search this wide warns: it may be factorial
@@ -467,19 +471,22 @@ S = TypeVar("S")
 W = TypeVar("W", int, float)
 
 
-def merge_by_form(pairs: Iterable[tuple[S, W]]) -> dict[bytes, tuple[S, W]]:
+def merged(pairs: Iterable[tuple[S, W]]) -> list[tuple[S, W]]:
     """Merge (state, weight) pairs whose states share a canonical form.
 
     Each form keeps the first state seen with it, and its weights are summed
-    in input order, so float results do not depend on the caller.  The result
-    is keyed by canonical bytes in first-seen order; callers sort its items
-    for the canonical order.
+    in input order, so float results do not depend on the caller.  The
+    merged pairs come in ascending canonical byte order.  Fewer than two
+    pairs are returned as they are, and no form is asked for.
     """
-    merged: dict[bytes, tuple[S, W]] = {}
+    pairs = list(pairs)
+    if len(pairs) < 2:
+        return pairs
+    by_form: dict[bytes, tuple[S, W]] = {}
     for state, w in pairs:
         key = state.canonical_form().data
-        if key in merged:
-            merged[key] = (merged[key][0], merged[key][1] + w)
+        if key in by_form:
+            by_form[key] = (by_form[key][0], by_form[key][1] + w)
         else:
-            merged[key] = (state, w)
-    return merged
+            by_form[key] = (state, w)
+    return [v for _, v in sorted(by_form.items())]

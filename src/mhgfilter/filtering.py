@@ -13,7 +13,11 @@ particle carries that transition, not its successors.  The update builds
 successors only for particles whose rule is the observed action, from the
 particle's plan (re-planned where conditioning tightens the predecessor),
 and only those the next-side observation does not already exclude.  Every
-state that enters a belief is built, and checked, on the way.
+state that enters a belief is built, and checked, on the way.  A canonical
+form is computed only where two states meet: to merge a belief's entries,
+a transition's successors or the groundings an enumeration keeps, and to
+order particles from more than one predecessor.  A step that holds one
+state computes none.
 
 Exactness contract: prediction splits a belief entry into its groundings
 whenever some rule is applicable in only part of them, or the action model
@@ -32,7 +36,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .canon import merge_by_form
+from .canon import merged
 from .errors import IntegrityError, TraceInconsistencyError
 from .graphs import EdgeKey, MultiHypergraph, edge_key
 from .lifted import LiftedMultiHypergraph, State
@@ -66,16 +70,17 @@ class ActionModel:
         w = self.weights.get(rule_name, 1.0)
         if location is not None and location in self.by_location:
             w = self.by_location[location].get(rule_name, w)
-        if w < 0:
-            raise IntegrityError(f"negative action weight for {rule_name!r}")
+        if not (math.isfinite(w) and w >= 0):
+            raise IntegrityError(
+                f"action weight {w!r} for {rule_name!r} is not finite and >= 0")
         return w
 
 
 class Belief:
     """Weighted mixture of non-empty lifted states, merged by canonical form.
 
-    Weights are normalised on construction; an all-zero or empty mixture is
-    rejected.
+    Weights are normalised on construction; a weight that is not finite and
+    non-negative, or an all-zero or empty mixture, is rejected.
     """
 
     __slots__ = ("entries",)
@@ -83,19 +88,19 @@ class Belief:
     def __init__(self, entries: Iterable[tuple[LiftedMultiHypergraph, float]]):
         def checked():
             for state, w in entries:
-                if w < 0:
-                    raise IntegrityError("negative belief weight")
+                if not (math.isfinite(w) and w >= 0):
+                    raise IntegrityError(f"belief weight {w!r} is not finite and >= 0")
                 if w == 0:
                     continue
                 if state.is_empty:
                     raise IntegrityError("belief entry with empty support")
                 yield state, w
 
-        merged = merge_by_form(checked())
-        total = sum(w for _, w in merged.values())
-        if not merged or total <= 0:
+        pairs = merged(checked())
+        total = sum(w for _, w in pairs)
+        if not pairs or total <= 0:
             raise IntegrityError("belief has no mass")
-        self.entries = tuple((s, w / total) for _, (s, w) in sorted(merged.items()))
+        self.entries = tuple((s, w / total) for s, w in pairs)
 
     @classmethod
     def from_state(cls, state: LiftedMultiHypergraph) -> "Belief":
@@ -232,9 +237,13 @@ def _condition_state(l: State, conds: list[tuple[tuple[EdgeKey, ...], int]]
     frac = 1.0
     deferred: list[tuple[tuple[EdgeKey, ...], int]] = []
     for keys, required in conds:
-        bounds = [work.multiplicity_bounds(k) for k in keys]
-        fixed_sum = sum(lo for lo, up in bounds if lo == up)
-        bounded = [k for k, (lo, up) in zip(keys, bounds) if lo != up]
+        fixed_sum, bounded = 0, []
+        for k in keys:
+            lo, up = work.multiplicity_bounds(k)
+            if lo == up:
+                fixed_sum += lo
+            else:
+                bounded.append(k)
         if not bounded:
             if fixed_sum != required:
                 return 0.0, []
@@ -247,17 +256,16 @@ def _condition_state(l: State, conds: list[tuple[tuple[EdgeKey, ...], int]]
         else:
             deferred.append((keys, required))
     if deferred:
-        survivors = merge_by_form(
+        survivors = merged(
             (g, 1) for g in work.iter_groundings()
             if all(sum(g.multiplicity_bounds(k)[0] for k in keys) == required
                    for keys, required in deferred))
-        kept = sum(c for _, c in survivors.values())
+        kept = sum(c for _, c in survivors)
         if kept == 0:
             return 0.0, []
         frac *= kept / work.count_groundings()
-        states = [(LiftedMultiHypergraph.from_graph(g), c / kept)
-                  for _, (g, c) in sorted(survivors.items())]
-        return frac, states
+        return frac, [(LiftedMultiHypergraph.from_graph(g), c / kept)
+                      for g, c in survivors]
     return frac, [(work, 1.0)]
 
 
@@ -314,7 +322,10 @@ def predict(domain, belief: Belief) -> JointPrediction:
         return JointPrediction((), dropped)
     scale = 1.0 / sum(m for _, m in masses)
     particles = [Particle(t, m * scale) for t, m in masses]
-    particles.sort(key=lambda p: (p.rule.name, p.prev.canonical_form().data))
+    if any(p.prev is not particles[0].prev for p in particles):
+        particles.sort(key=lambda p: (p.rule.name, p.prev.canonical_form().data))
+    else:   # one predecessor, one form: the rule name alone gives that order
+        particles.sort(key=lambda p: p.rule.name)
     return JointPrediction(tuple(particles), dropped)
 
 

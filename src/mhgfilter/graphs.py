@@ -310,6 +310,16 @@ class MultiHypergraph:
         self._mult = mult
         self._canonical = None
 
+    @classmethod
+    def _made(cls, layout: VertexLayout, mult: dict[EdgeKey, int],
+              edges: tuple[Hyperedge, ...]) -> "MultiHypergraph":
+        """A graph from parts that are checked already: ``edges`` are the
+        layout's, sorted by key, and ``mult`` maps each key to its
+        multiplicity."""
+        g = object.__new__(cls)
+        g._set(layout, mult, edges)
+        return g
+
     # -- queries -----------------------------------------------------------
 
     def vertex(self, vid: str) -> Vertex:
@@ -354,10 +364,8 @@ class MultiHypergraph:
         changed = {k for k in (*mults, *added) if mult.get(k) != old.get(k)}
         check_conservation(layout, [(k, mult[k], mult[k]) for k in changed if k in mult],
                            replaced=([(k, old[k], old[k]) for k in changed if k in old],))
-        g = object.__new__(MultiHypergraph)
-        g._set(layout, mult, patched(self.edges, changed,
-                                     [layout.edge(k, mult[k]) for k in changed if k in mult]))
-        return g
+        return self._made(layout, mult, patched(
+            self.edges, changed, [layout.edge(k, mult[k]) for k in changed if k in mult]))
 
     def canonical_form(self):
         from .canon import canonical_form

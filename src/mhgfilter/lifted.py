@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Union
 
 from .canon import CanonicalForm, canonical_form_lifted as _canon_lifted
@@ -365,10 +366,20 @@ class LiftedMultiHypergraph:
         for parts in itertools.product(*choices):
             yield dict(itertools.chain.from_iterable(parts))
 
-    def _ground(self, assignment: Mapping[EdgeKey, int]) -> MultiHypergraph:
-        edges = [*self.fixed_edges,
-                 *(self.layout.edge(k, v) for k, v in assignment.items() if v)]
-        return MultiHypergraph(self.layout, edges)
+    def _ground(self, fixed: dict[EdgeKey, int], assignment: Mapping[EdgeKey, int]
+                ) -> MultiHypergraph:
+        """The grounding of one assignment, from the fixed edges' multiplicity
+        map ``fixed`` and the layout's interned edges.  The constructor, or
+        the local check of the derivation that made this state, proved that
+        every grounding conserves, so none is checked again."""
+        mult = dict(fixed)
+        edges = list(self.fixed_edges)
+        for k, v in assignment.items():
+            if v:
+                mult[k] = v
+                edges.append(self.layout.edge(k, v))
+        edges.sort(key=_KEY)
+        return MultiHypergraph._made(self.layout, mult, tuple(edges))
 
     def iter_groundings(self) -> Iterator[MultiHypergraph]:
         """Every grounding; raises EnumerationLimitError beyond MAX_GROUNDINGS."""
@@ -377,8 +388,9 @@ class LiftedMultiHypergraph:
         n = self.count_groundings()
         if n > MAX_GROUNDINGS:
             raise EnumerationLimitError(n, MAX_GROUNDINGS)
+        fixed = {e.key: e.multiplicity for e in self.fixed_edges}
         for assignment in self._iter_assignments():
-            yield self._ground(assignment)
+            yield self._ground(fixed, assignment)
 
     def groundings(self) -> list[MultiHypergraph]:
         """All groundings, sorted by canonical form.
@@ -411,6 +423,7 @@ State = Union[MultiHypergraph, LiftedMultiHypergraph]
 
 
 _ABSENT = (0, 0)     # the bounds of a key with no edge
+_KEY = attrgetter("key")
 
 
 def _group_order(c: TotalConstraint) -> list[EdgeKey]:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .canon import merge_by_form
+from .canon import merged
 from .errors import IntegrityError, TraceInconsistencyError
 from .filtering import (Belief, FilterResult, StepStats, _conditions,
                         _ground_consistent, agent_location, logger)
@@ -32,9 +32,9 @@ def expand(l: LiftedMultiHypergraph) -> list[tuple[MultiHypergraph, float]]:
 
     Raises EnumerationLimitError past ``MAX_GROUNDINGS`` groundings.
     """
-    merged = merge_by_form((g, 1) for g in l.iter_groundings())
-    n = sum(c for _, c in merged.values())
-    return [(g, c / n) for _, (g, c) in sorted(merged.items())]
+    pairs = merged((g, 1) for g in l.iter_groundings())
+    n = sum(c for _, c in pairs)
+    return [(g, c / n) for g, c in pairs]
 
 
 class GroundBelief:
@@ -43,11 +43,11 @@ class GroundBelief:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[tuple[MultiHypergraph, float]]):
-        merged = merge_by_form((g, w) for g, w in entries if w > 0)
-        total = sum(w for _, w in merged.values())
-        if not merged or total <= 0:
+        pairs = merged((g, w) for g, w in entries if w > 0)
+        total = sum(w for _, w in pairs)
+        if not pairs or total <= 0:
             raise IntegrityError("ground belief has no mass")
-        self.entries = tuple((g, w / total) for _, (g, w) in sorted(merged.items()))
+        self.entries = tuple((g, w / total) for g, w in pairs)
 
     @classmethod
     def from_belief(cls, belief: Belief) -> "GroundBelief":

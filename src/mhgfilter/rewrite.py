@@ -68,7 +68,7 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
-from .canon import merge_by_form
+from .canon import merged
 from .errors import EffectError, StructuralError
 from .graphs import EdgeKey, MultiHypergraph, Vertex, VertexLayout, edge_key
 from .lifted import LiftedMultiHypergraph, State
@@ -429,8 +429,8 @@ def successors(rule: Rule, g: MultiHypergraph) -> list[tuple[MultiHypergraph, fl
     """Successor distribution of the rule in g: uniform over its options,
     grouped by canonical form.  Empty when the rule is not applicable."""
     options = ground_options(rule, g)
-    grouped = merge_by_form((apply(rule, g, m), 1) for m in options)
-    return [(h, c / len(options)) for _, (h, c) in sorted(grouped.items())]
+    return [(h, c / len(options))
+            for h, c in merged((apply(rule, g, m), 1) for m in options)]
 
 
 # -- lifted application --------------------------------------------------------
@@ -469,13 +469,12 @@ class LiftedApplyResult:
             pairs = [(apply(self.rule, g, m), 1.0 / len(options))
                      for g, options in self.groundings for m in options]
             return tuple((LiftedMultiHypergraph.from_graph(h), w / self.n_applicable)
-                         for _, (h, w) in sorted(merge_by_form(pairs).items()))
+                         for h, w in merged(pairs))
         l = self.state
         n_options = sum(step[0] for step in self.plan)
-        outs = merge_by_form((l.shifted(delta, group), n / n_options)
-                             for n, delta, group in self.plan
-                             if not _excluded(l, delta, group, conditions))
-        return tuple(v for _, v in sorted(outs.items()))
+        return tuple(merged((l.shifted(delta, group), n / n_options)
+                            for n, delta, group in self.plan
+                            if not _excluded(l, delta, group, conditions)))
 
 
 def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:

@@ -9,7 +9,7 @@ import pytest
 import mhgfilter.canon
 from mhgfilter import (BoundedEdge, Hyperedge, LiftedMultiHypergraph,
                        MultiHypergraph, TotalConstraint, Vertex)
-from mhgfilter.canon import (canonical_form, canonical_form_lifted,
+from mhgfilter.canon import (canonical_form, canonical_form_lifted, merged,
                              pinned_form, pinned_form_lifted)
 from oracles import (brute_isomorphic, random_graph, random_lifted, ranked,
                      reference_individualize, reference_refine, relabel,
@@ -567,3 +567,58 @@ def _networkx_agreement(nx):
         same += iso
         differ += not iso
     assert same >= 40 and differ >= 40
+
+
+# -- merging ------------------------------------------------------------------
+
+class Formless:
+    """A state whose canonical form must not be asked for."""
+
+    def canonical_form(self):
+        raise AssertionError("a form was computed with nothing to merge")
+
+
+def test_merging_fewer_than_two_pairs_computes_no_form():
+    assert merged([]) == []
+    assert merged(iter(())) == []
+    s = Formless()
+    assert merged([(s, 0.25)]) == [(s, 0.25)]
+    assert merged((pair for pair in [(s, 3)])) == [(s, 3)]
+    with pytest.raises(AssertionError, match="nothing to merge"):
+        merged([(s, 1), (Formless(), 1)])
+
+
+def test_merging_sums_isomorphic_weights_in_input_order():
+    """Renamed copies merge into the first one seen, ground and lifted, and
+    their weights are summed left to right: (0.1 + 0.2) + 0.3 differs from
+    0.1 + (0.2 + 0.3) in the last bit."""
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    rng = random.Random(5)
+    for make in (random_graph, random_lifted):
+        a = make(rng)
+        copies = [a, relabel(a, rng), relabel(a, rng)]
+        [(state, w)] = merged(zip(copies, (0.1, 0.2, 0.3)))
+        assert state is a and w == (0.1 + 0.2) + 0.3
+        [(state, w)] = merged(zip(copies[::-1], (0.3, 0.2, 0.1)))
+        assert state is copies[-1] and w == (0.3 + 0.2) + 0.1
+
+
+def test_merged_states_come_in_canonical_byte_order():
+    """Over random ground states with renamed copies mixed in, each form
+    appears once, with its first state and the sum of its weights, and
+    the forms ascend bytewise."""
+    rng = random.Random(11)
+    for _ in range(50):
+        states = [random_graph(rng, n_vertices=3, n_labels=2, n_edges=2)
+                  for _ in range(rng.randrange(2, 6))]
+        states += [relabel(rng.choice(states), rng) for _ in range(3)]
+        rng.shuffle(states)
+        pairs = [(g, rng.randrange(1, 10)) for g in states]
+        first: dict[bytes, MultiHypergraph] = {}
+        total: Counter[bytes] = Counter()
+        for g, w in pairs:
+            first.setdefault(g.canonical_form().data, g)
+            total[g.canonical_form().data] += w
+        out = merged(pairs)
+        assert [(id(g), w) for g, w in out] == [(id(first[k]), total[k])
+                                                for k in sorted(first)]

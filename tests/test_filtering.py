@@ -13,6 +13,7 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
                        builtin_domain, filter_trace, index_vertices,
                        generate_trace, ground_filter_trace, lifted_apply,
                        predict, update)
+from mhgfilter import lifted as lifted_module
 from mhgfilter import rewrite
 from mhgfilter.filtering import _condition_state, _conditions
 
@@ -73,6 +74,26 @@ def test_action_model_weights():
     assert am.rule_weight("walk", "table") == 2.0
     with pytest.raises(IntegrityError):
         ActionModel({"walk": -1.0}).rule_weight("walk", None)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+def test_weights_that_are_not_finite_and_non_negative_raise(bad):
+    """A NaN or infinite weight, like a negative one, is rejected by the
+    action model, in the lifted and the ground filter, and by ``Belief``,
+    rather than turning the log likelihood into NaN."""
+    for am, loc in ((ActionModel({"walk": bad}), None),
+                    (ActionModel(by_location={"table": {"walk": bad}}), "table")):
+        with pytest.raises(IntegrityError, match="not finite and >= 0"):
+            am.rule_weight("walk", loc)
+        domain = tiny_domain(sharp_initial(), action_model=am)
+        trace = [AnnotationTuple("walk", "table", "floor", {}, {})]
+        for run in (filter_trace, ground_filter_trace):
+            with pytest.raises(IntegrityError, match="not finite and >= 0"):
+                run(domain, trace)
+    with pytest.raises(IntegrityError, match="not finite and >= 0"):
+        Belief([(sharp_initial(), bad)])
+    with pytest.raises(IntegrityError, match="not finite and >= 0"):
+        Belief([(sharp_initial(), 1.0), (spread_initial(), bad)])
 
 
 def test_belief_normalises_and_merges():
@@ -329,6 +350,34 @@ def test_update_builds_only_successors_the_observation_allows(monkeypatch):
     monkeypatch.setattr(LiftedMultiHypergraph, "shifted", counting)
     filter_trace(domain, trace)
     assert built == 30
+
+
+def test_one_state_steps_compute_no_lifted_form(monkeypatch):
+    """The seed-0 ``symmetric_slots`` benchmark trace and an install-heavy
+    bookshelf trace hold one lifted state at every step.  A form is
+    computed only where two states meet, so filtering them runs no lifted
+    canonical search."""
+    from belief_digest import _import_paths
+    _import_paths()
+    import inputs
+    calls = 0
+    real = lifted_module._canon_lifted
+
+    def counting(l):
+        nonlocal calls
+        calls += 1
+        return real(l)
+
+    monkeypatch.setattr(lifted_module, "_canon_lifted", counting)
+    symmetric = inputs.symmetric_slots_domain()
+    bookshelf = builtin_domain("bookshelf")
+    install, _ = generate_trace(bookshelf, seed=0, length=40, policy="install_heavy")
+    for domain, trace in ((symmetric, inputs.symmetric_trace(symmetric, 0)),
+                          (bookshelf, install)):
+        result = filter_trace(domain, trace)
+        assert len(result.stats) == len(trace) + 1
+        assert max(s.lifted_count for s in result.stats) == 1
+    assert calls == 0
 
 
 # ``take`` that drops the gear from its location without handing it to the

@@ -581,6 +581,46 @@ def test_derived_states_equal_fresh_builds():
                                                "replace") for ok in (True, False))
 
 
+def test_groundings_equal_constructor_builds():
+    """On random states from the test oracle's generators, half of them
+    declaring conservation, and on a state conditioned from each, every
+    grounding -- built from the state's parts, with no conservation check
+    of its own -- equals the graph the constructor builds over the same
+    layout from its edges, whose check passes.  Its multiplicity map and
+    hash agree too, and its edges are the layout's interned ones."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    @st.composite
+    def scenes(draw):
+        rng = draw(st.randoms(use_true_random=True))
+        state = oracle_state(draw, rng)
+        hypothesis.assume(not state.is_empty)
+        if draw(st.booleans()):
+            state = declared(state, rng)
+        return state, rng
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=100, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(scenes())
+    def check(scene):
+        l, rng = scene
+        states = [l]
+        if l.bounded_edges:
+            b = rng.choice(l.bounded_edges)
+            states.append(l.conditioned(b.key, rng.randint(b.lower, b.upper)))
+        for state in states:
+            table = state.layout.edges
+            for g in state.iter_groundings():
+                built = MultiHypergraph(state.layout, g.edges)
+                assert g == built and hash(g) == hash(built)
+                assert g.edge_dict() == built.edge_dict()
+                assert all(table[e.key, e.multiplicity] is e for e in g.edges)
+
+    check()
+
+
 def test_a_key_checked_in_one_layout_is_checked_again_in_another():
     a = MultiHypergraph([Vertex("a", "x"), Vertex("b", "y")],
                         [Hyperedge("at", ("a", "b"))])
