@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 
@@ -59,6 +60,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, metavar="PATH",
                        help="write the result there instead of stdout")
 
+    def tolerance(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and value >= 0):
+            raise argparse.ArgumentTypeError(f"{text!r} is not finite and >= 0")
+        return value
+
     p_filter = sub.add_parser("filter", help="filter an annotation trace")
     common(p_filter)
     p_filter.add_argument("--trace", required=True, metavar="PATH")
@@ -69,8 +76,9 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="check the lifted filter against ground enumeration")
     common(p_compare)
     p_compare.add_argument("--trace", required=True, metavar="PATH")
-    p_compare.add_argument("--tolerance", type=float, default=1e-9,
-                           help="divergence threshold (default 1e-9)")
+    p_compare.add_argument("--tolerance", type=tolerance, default=1e-9,
+                           help="divergence threshold, finite and >= 0 "
+                                "(default 1e-9)")
 
     p_gen = sub.add_parser("gentrace", help="simulate and emit a trace")
     common(p_gen)

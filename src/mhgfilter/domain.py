@@ -394,30 +394,16 @@ def held_counts(domain: Domain, g: MultiHypergraph) -> dict[str, int]:
 def _pick_install_heavy(domain: Domain, g: MultiHypergraph, rng: random.Random,
                         options_by_rule: dict[str, list]) -> tuple[Rule, object]:
     """Greedy choice: install when possible, otherwise work toward installing."""
-    def pick(rule_name, want=None):
-        opts = options_by_rule.get(rule_name, [])
-        if want is not None:
-            opts = [m for m in opts if want(m)]
-        if not opts:
-            return None
-        return domain.rule(rule_name), opts[rng.randrange(len(opts))]
-
-    choice = pick("installEccentric")
-    if choice:
-        return choice
-    have_sd = g.edge_multiplicity(HOLDS_LABEL, (domain.agent_id, "screwdriver")) > 0
-    at_table = agent_location(domain, g) == "table"
-    if not at_table:
-        choice = pick("walk", lambda m: m.get("Y") == "table")
-        if choice:
-            return choice
-    if not have_sd:
-        choice = pick("take", lambda m: m.get("I") == "screwdriver")
-        if choice:
-            return choice
-    choice = pick("take", lambda m: m.get("I") == "eccentric")
-    if choice:
-        return choice
+    wanted = [("installEccentric", lambda m: True)]
+    if agent_location(domain, g) != "table":
+        wanted.append(("walk", lambda m: m.get("Y") == "table"))
+    if g.edge_multiplicity(HOLDS_LABEL, (domain.agent_id, "screwdriver")) == 0:
+        wanted.append(("take", lambda m: m.get("I") == "screwdriver"))
+    wanted.append(("take", lambda m: m.get("I") == "eccentric"))
+    for rule_name, want in wanted:
+        opts = [m for m in options_by_rule.get(rule_name, ()) if want(m)]
+        if opts:
+            return domain.rule(rule_name), opts[rng.randrange(len(opts))]
     applicable = [(r, m) for r in domain.rules
                   for m in options_by_rule.get(r.name, ())]
     return applicable[rng.randrange(len(applicable))]
@@ -444,11 +430,8 @@ def generate_trace(domain: Domain, seed: int, length: int,
     trace: list[AnnotationTuple] = []
     truncated = False
     for _ in range(length):
-        options_by_rule = {}
-        for rule in domain.rules:
-            opts = ground_options(rule, g)
-            if opts:
-                options_by_rule[rule.name] = opts
+        options_by_rule = {rule.name: opts for rule in domain.rules
+                           if (opts := ground_options(rule, g))}
         if not options_by_rule:
             truncated = True
             break

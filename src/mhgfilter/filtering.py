@@ -303,21 +303,17 @@ def predict(domain, belief: Belief) -> JointPrediction:
             for g in state.iter_groundings():
                 queue.append((LiftedMultiHypergraph.from_graph(g), w / n))
             continue
-        if not applicable:
-            logger.warning("dead end: no applicable rule; dropping %g belief mass", w)
-            dropped += w
-            continue
         weights = [domain.action_model.rule_weight(t.rule.name, loc)
                    for t in applicable]
         total_w = sum(weights)
         if total_w <= 0:
-            logger.warning("dead end: zero action mass; dropping %g belief mass", w)
+            logger.warning("dead end: %s; dropping %g belief mass", "zero action mass"
+                           if applicable else "no applicable rule", w)
             dropped += w
             continue
         for t, rw in zip(applicable, weights):
-            if rw == 0:
-                continue
-            masses.append((t, w * rw / total_w))
+            if rw:
+                masses.append((t, w * rw / total_w))
     if not masses:
         return JointPrediction((), dropped)
     scale = 1.0 / sum(m for _, m in masses)

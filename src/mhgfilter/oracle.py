@@ -2,11 +2,13 @@
 
 This is the second, independent route to the same posterior: expand every
 belief into explicit ground states, push each through the rule options
-directly, and condition with exact 0/1 checks.  It shares no probability
-arithmetic with the lifted filter (no interval tightening, no bound
-shifting), which is what makes agreement between the two a meaningful
-correctness check.  It is exponential in the number of unknowns and only
-suitable for small scenes.
+directly, and condition with exact 0/1 checks.  As in the lifted filter, a
+rule is applicable where ``ground_options`` finds an option, and successors
+are built only for the observed rule.  It shares no probability arithmetic
+with the lifted filter (no interval tightening, no bound shifting), which
+is what makes agreement between the two a meaningful correctness check.
+It is exponential in the number of unknowns and only suitable for small
+scenes.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .filtering import (Belief, FilterResult, StepStats, _conditions,
                         _ground_consistent, agent_location, logger)
 from .graphs import MultiHypergraph
 from .lifted import LiftedMultiHypergraph
-from .rewrite import Rule, successors
+from .rewrite import Rule, ground_options, successors
 
 __all__ = ["expand", "GroundBelief", "ground_filter_trace", "compare",
            "ComparisonReport", "total_variation"]
@@ -38,12 +40,24 @@ def expand(l: LiftedMultiHypergraph) -> list[tuple[MultiHypergraph, float]]:
 
 
 class GroundBelief:
-    """Normalised weighted set of ground states, merged by canonical form."""
+    """Normalised weighted set of ground states, merged by canonical form.
+
+    As for ``Belief``, a weight that is not finite and non-negative, or an
+    all-zero or empty set, is rejected.
+    """
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable[tuple[MultiHypergraph, float]]):
-        pairs = merged((g, w) for g, w in entries if w > 0)
+        def checked():
+            for g, w in entries:
+                if not (math.isfinite(w) and w >= 0):
+                    raise IntegrityError(
+                        f"ground belief weight {w!r} is not finite and >= 0")
+                if w:
+                    yield g, w
+
+        pairs = merged(checked())
         total = sum(w for _, w in pairs)
         if not pairs or total <= 0:
             raise IntegrityError("ground belief has no mass")
@@ -77,38 +91,28 @@ def ground_filter_trace(domain, trace: Sequence) -> FilterResult:
     log_likelihood = 0.0
     succ_cache: dict[tuple[str, bytes], list[tuple[MultiHypergraph, float]]] = {}
 
-    def rule_successors(rule: Rule, g: MultiHypergraph):
-        key = (rule.name, g.canonical_form().data)
-        if key not in succ_cache:
-            succ_cache[key] = successors(rule, g)
-        return succ_cache[key]
-
     for i, annotation in enumerate(trace):
-        # predict
-        particles: list[tuple[MultiHypergraph, Rule, float,
-                              list[tuple[MultiHypergraph, float]]]] = []
+        # predict: a rule is applicable where it has an option; successors
+        # are built in the update, and only for the observed rule
+        particles: list[tuple[MultiHypergraph, Rule, float]] = []
         dropped = 0.0
         for g, w in belief.entries:
-            per_rule = [(rule, rule_successors(rule, g)) for rule in domain.rules]
-            applicable = [(rule, outs) for rule, outs in per_rule if outs]
-            if not applicable:
-                logger.warning(
-                    "ground dead end: no applicable rule; dropping %g mass", w)
-                dropped += w
-                continue
+            applicable = [rule for rule in domain.rules if ground_options(rule, g)]
             loc = agent_location(domain, g)
             rws = [domain.action_model.rule_weight(rule.name, loc)
-                   for rule, _ in applicable]
+                   for rule in applicable]
             total_w = sum(rws)
             if total_w <= 0:
+                logger.warning("ground dead end: %s; dropping %g mass", "zero action mass"
+                               if applicable else "no applicable rule", w)
                 dropped += w
                 continue
-            for (rule, outs), rw in zip(applicable, rws):
+            for rule, rw in zip(applicable, rws):
                 if rw:
-                    particles.append((g, rule, w * rw / total_w, outs))
+                    particles.append((g, rule, w * rw / total_w))
         if dropped:
             warnings.append(f"step {i}: dropped {dropped:g} dead-end mass")
-        total = sum(w for _, _, w, _ in particles)
+        total = sum(w for _, _, w in particles)
         if total <= 0:
             raise TraceInconsistencyError(i, annotation.action)
         # update
@@ -116,13 +120,14 @@ def ground_filter_trace(domain, trace: Sequence) -> FilterResult:
         z = 0.0
         prev_conds = _conditions(domain, annotation.loc_t, annotation.held_t)
         next_conds = _conditions(domain, annotation.loc_next, annotation.held_next)
-        for g, rule, w, outs in particles:
+        for g, rule, w in particles:
             w /= total
-            if rule.name != annotation.action:
+            if rule.name != annotation.action or not _ground_consistent(g, prev_conds):
                 continue
-            if not _ground_consistent(g, prev_conds):
-                continue
-            for h, p in outs:
+            key = (rule.name, g.canonical_form().data)
+            if key not in succ_cache:
+                succ_cache[key] = successors(rule, g)
+            for h, p in succ_cache[key]:
                 if not _ground_consistent(h, next_conds):
                     continue
                 mass = w * p
@@ -162,7 +167,12 @@ def total_variation(p: dict[bytes, float], q: dict[bytes, float]) -> float:
 
 
 def compare(domain, trace: Sequence, tolerance: float = 1e-9) -> ComparisonReport:
-    """Run both filters over the trace and report per-step belief distance."""
+    """Run both filters over the trace and report per-step belief distance.
+
+    Raises ValueError when ``tolerance`` is not finite and >= 0.
+    """
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError(f"tolerance {tolerance!r} is not finite and >= 0")
     from .filtering import filter_trace
     lifted = filter_trace(domain, trace)
     ground = ground_filter_trace(domain, trace)

@@ -22,7 +22,8 @@ from mhgfilter import (ActionModel, AnnotationTuple, BoundedEdge, Domain,
                        TotalConstraint,
                        TraceInconsistencyError, Vertex, agent_location,
                        apply, builtin_domain, compare,
-                       expand, filter_trace, generate_trace, ground_options,
+                       expand, filter_trace, generate_trace, ground_filter_trace,
+                       ground_options,
                        held_counts, index_vertices, lifted_apply, parse_domain,
                        predict)
 from mhgfilter.cli import main
@@ -398,6 +399,27 @@ def test_ground_oracle_matches_the_pinned_digest():
     from belief_digest import ground_digest
     assert ground_digest(0) == (
         "82eda8dd6db85c3c3e8a64eb513f9afeb21ef952bb9da49afb0f44a14b898817")
+
+
+def test_ground_oracle_stats_match_the_pinned_digest():
+    """The ground oracle's seed-0 ``StepStats``, log likelihoods and warnings
+    on the ``mini_compare`` traces are bit-identical to the pinned ones.
+    ``--ground`` hashes beliefs only; this pins the rest of the result."""
+    import hashlib
+    from belief_digest import _import_paths
+    _import_paths()
+    from workloads import WORKLOADS
+    workload = WORKLOADS["mini_compare"]
+    domain = workload.make_domain()
+    h = hashlib.sha256()
+    for op in workload.make_ops(domain, 0):
+        h.update(op.label.encode())
+        result = ground_filter_trace(domain, op.trace)
+        for stats in result.stats:
+            h.update(repr(stats).encode())
+        h.update(repr((result.log_likelihood, result.warnings)).encode())
+    assert h.hexdigest() == (
+        "9ddf3e1d36d1f024751fbffd6a660f7f3ce6d71651fcdfe94c510937c1520535")
 
 
 def test_the_digest_script_rejects_unknown_workload_names(capsys):

@@ -263,3 +263,23 @@ def test_compare_tolerance_flag(mini_trace, capsys):
     code, out, _ = run(capsys, "compare", "--domain", "mini",
                        "--trace", str(mini_trace), "--tolerance", "1e-12")
     assert json.loads(out)["tolerance"] == 1e-12
+    code, out, _ = run(capsys, "compare", "--domain", "mini",
+                       "--trace", str(mini_trace), "--tolerance", "0")
+    assert code == 0 and json.loads(out)["tolerance"] == 0.0
+
+
+@pytest.mark.parametrize("bad", ["abc", "nan", "inf", "-inf", "-1e-9", "-0.5"])
+def test_compare_rejects_a_tolerance_that_is_not_finite_and_non_negative(
+        bad, mini_trace, capsys):
+    """A NaN tolerance would let every comparison pass and an infinite one
+    would print a report that is not JSON: both are usage errors, like a
+    tolerance that is not a number."""
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--domain", "mini", "--trace", str(mini_trace),
+              f"--tolerance={bad}"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "argument --tolerance" in out.err
+    if bad != "abc":
+        assert f"{bad!r} is not finite and >= 0" in out.err

@@ -10,7 +10,7 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
                        LiftedApplyResult, LiftedMultiHypergraph, MultiHypergraph,
                        Pattern, PatternEdge, PatternVertex, Rule, TotalConstraint,
                        TraceInconsistencyError, Vertex, agent_location,
-                       builtin_domain, filter_trace, index_vertices,
+                       builtin_domain, compare, filter_trace, index_vertices,
                        generate_trace, ground_filter_trace, lifted_apply,
                        predict, update)
 from mhgfilter import lifted as lifted_module
@@ -173,6 +173,22 @@ def test_predict_drops_dead_ends(caplog):
     assert len(joint.particles) == 1
     assert joint.particles[0].rule.name == "take"
     assert any("dead end" in r.message for r in caplog.records)
+
+
+def test_zero_action_mass_is_a_logged_dead_end_in_both_filters(caplog):
+    """Where every applicable rule weighs 0, both filters drop the entry and
+    log a warning."""
+    domain = tiny_domain(sharp_initial(), action_model=ActionModel(
+        by_location={"table": {"walk": 0.0, "take": 0.0}}))
+    joint = predict(domain, Belief.from_state(domain.initial_state))
+    assert joint.dropped_mass == 1.0 and not joint.particles
+    walked = [AnnotationTuple("walk", "table", "floor")]
+    for run in (filter_trace, ground_filter_trace):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="mhgfilter"):
+            with pytest.raises(TraceInconsistencyError):
+                run(domain, walked)
+        assert any("zero action mass" in r.getMessage() for r in caplog.records)
 
 
 def test_update_conditions_and_normalises():
@@ -387,14 +403,20 @@ LOSSY_TAKE = Rule("take", TAKE.pattern,
 
 
 def test_observed_rule_breaking_conservation_raises():
+    """Both filters build successors only for the observed rule, so they
+    raise on an observed rule that breaks conservation and agree while it
+    stays unobserved."""
     domain = tiny_domain(sharp_initial(), rules=(WALK, LOSSY_TAKE))
     took = AnnotationTuple("take", "table", "table", {}, {})
-    with pytest.raises(IntegrityError):
-        filter_trace(domain, [took])
-    # an unobserved rule's successors are never built, so walking is fine
+    for run in (filter_trace, ground_filter_trace):
+        with pytest.raises(IntegrityError):
+            run(domain, [took])
     walked = AnnotationTuple("walk", "table", "floor")
-    result = filter_trace(domain, [walked])
-    assert result.log_likelihood == pytest.approx(math.log(0.5))
+    for run in (filter_trace, ground_filter_trace):
+        assert run(domain, [walked]).log_likelihood == pytest.approx(math.log(0.5))
+    report = compare(domain, [walked])
+    assert not report.divergent
+    assert report.log_likelihood_ground == pytest.approx(math.log(0.5))
 
 
 def test_lifted_apply_fallbacks_are_logged_at_debug(caplog):

@@ -46,6 +46,16 @@ def test_ground_belief_normalisation():
     assert GroundBelief.from_belief(lifted).as_dict() == b.as_dict()
 
 
+def test_ground_belief_rejects_weights_that_are_not_finite_and_non_negative():
+    """As ``Belief`` does: a NaN or negative weight is not silently dropped,
+    and an infinite one does not turn into a NaN after normalising."""
+    g1, g2 = symmetric_pair().groundings()
+    for entries in ([(g1, math.nan), (g2, 1.0)], [(g1, -1.0), (g2, 1.0)],
+                    [(g1, math.inf)], [(g1, 1.0), (g2, -math.inf)]):
+        with pytest.raises(IntegrityError, match="is not finite and >= 0"):
+            GroundBelief(entries)
+
+
 def test_total_variation():
     assert total_variation({b"x": 1.0}, {b"x": 1.0}) == 0.0
     assert total_variation({b"x": 1.0}, {b"y": 1.0}) == 1.0
@@ -89,6 +99,46 @@ def test_compare_agrees_on_mini_traces():
         assert report.max_tv <= 1e-9
         assert report.log_likelihood_gap <= 1e-9
         assert not report.divergent
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-12])
+def test_compare_rejects_a_tolerance_that_is_not_finite_and_non_negative(bad):
+    domain = builtin_domain("mini")
+    trace, _ = generate_trace(domain, seed=0, length=3)
+    with pytest.raises(ValueError, match="is not finite and >= 0"):
+        compare(domain, trace, tolerance=bad)
+    assert not compare(domain, trace, tolerance=0.0).divergent
+
+
+def test_ground_filter_builds_successors_only_for_the_observed_rule(monkeypatch):
+    """Applicability comes from the rule's options, so the only successors
+    the ground reference builds are the observed rule's, as in the lifted
+    filter."""
+    import mhgfilter.oracle as oracle
+    domain = builtin_domain("mini")
+    step = -1
+    calls: list[tuple[int, str]] = []
+    real_belief, real_successors = oracle.GroundBelief, oracle.successors
+
+    def counting_belief(entries):
+        # built once for the prior, then once at the end of each step
+        nonlocal step
+        step += 1
+        return real_belief(entries)
+
+    def recording_successors(rule, g):
+        calls.append((step, rule.name))
+        return real_successors(rule, g)
+
+    monkeypatch.setattr(oracle, "GroundBelief", counting_belief)
+    monkeypatch.setattr(oracle, "successors", recording_successors)
+    for seed in range(4):
+        trace, _ = generate_trace(domain, seed=seed, length=10)
+        step, calls[:] = -1, []
+        ground_filter_trace(domain, trace)
+        assert calls
+        assert {trace[i].action for i, _ in calls} == {a.action for a in trace}
+        assert all(name == trace[i].action for i, name in calls)
 
 
 def unchecked_document() -> dict:
