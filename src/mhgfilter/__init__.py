@@ -15,10 +15,9 @@ from .errors import (EffectError, EngineError, EnumerationLimitError,
 from .filtering import (ActionModel, Belief, FilterResult, JointPrediction,
                         Particle, StepStats, agent_location,
                         filter_trace, predict, update)
-from .graphs import (EdgeKey, Hyperedge, Label, MultiHypergraph, Vertex,
-                     edge_key, index_vertices)
+from .graphs import EdgeKey, Hyperedge, Label, Vertex, edge_key, index_vertices
 from .lifted import (MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph,
-                     TotalConstraint)
+                     MultiHypergraph, TotalConstraint)
 from .domain import (AnnotationTuple, Domain, builtin_domain, format_trace,
                      generate_trace, held_counts, parse_domain, parse_trace)
 from .oracle import (ComparisonReport, GroundBelief, compare, expand,

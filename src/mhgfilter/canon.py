@@ -386,8 +386,8 @@ def _structure(state, pins: Mapping[str, int] | None, version: int) -> _Structur
 
     Ground layouts (``0x01``, ``0xFE``) serialise the vertex and edge
     sections; lifted layouts (``0x02``, ``0xFF``) append the bounded-edge
-    and constraint sections.  A ground state offers the same read interface
-    with no bounded edges and no constraints.
+    and constraint sections.  A ground state is a lifted state with no
+    bounded edges and no constraints.
     """
     records = _records(state.layout)
     vrecs = records.vrecs

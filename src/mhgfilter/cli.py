@@ -12,7 +12,8 @@ Three subcommands:
 Exit codes: 0 success, 1 comparison divergence, 2 inconsistent trace,
 3 parse error, 4 enumeration cap exceeded, 5 I/O error, 6 the domain's
 dynamics break a model invariant (any other ``EngineError``, such as a
-rule whose effect breaks conservation), 7 a ``--corrupt-at`` off the trace.
+rule whose effect breaks conservation), 7 a ``--corrupt-at`` off the trace,
+8 a usage error such as ``--length -3`` (``--help`` exits 0).
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ EXIT_ENUMERATION = 4
 EXIT_IO = 5
 EXIT_DYNAMICS = 6
 EXIT_CORRUPT_AT = 7
+EXIT_USAGE = 8
 
 __all__ = ["main", "build_parser"]
 
@@ -66,6 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
             raise argparse.ArgumentTypeError(f"{text!r} is not finite and >= 0")
         return value
 
+    def length(text: str) -> int:
+        value = int(text)
+        if value < 0:
+            raise argparse.ArgumentTypeError(f"{text!r} is negative")
+        return value
+
     p_filter = sub.add_parser("filter", help="filter an annotation trace")
     common(p_filter)
     p_filter.add_argument("--trace", required=True, metavar="PATH")
@@ -83,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gentrace", help="simulate and emit a trace")
     common(p_gen)
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--length", type=int, default=20)
+    p_gen.add_argument("--length", type=length, default=20)
     p_gen.add_argument("--corrupt-at", type=int, default=None, metavar="STEP",
                        help="overwrite this step's held counts with an "
                             "impossible value")
@@ -204,7 +212,10 @@ def _cmd_gentrace(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:   # argparse exits 2 on a usage error, 0 after --help
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
         logging.basicConfig(level=getattr(logging, args.log_level.upper()))
         if args.command == "filter":

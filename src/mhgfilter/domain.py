@@ -27,8 +27,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import IntegrityError, ParseError, StructuralError
 from .filtering import HOLDS_LABEL, ActionModel, agent_location
-from .graphs import Hyperedge, MultiHypergraph, Vertex, edge_key, index_vertices
-from .lifted import BoundedEdge, LiftedMultiHypergraph, TotalConstraint
+from .graphs import Hyperedge, Vertex, edge_key, index_vertices
+from .lifted import BoundedEdge, LiftedMultiHypergraph, MultiHypergraph, TotalConstraint
 from .rewrite import (Effect, EffectEdge, Pattern, PatternEdge, PatternVertex,
                       Rule, ground_options, apply)
 

@@ -38,8 +38,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .canon import merged
 from .errors import IntegrityError, TraceInconsistencyError
-from .graphs import EdgeKey, MultiHypergraph, edge_key
-from .lifted import LiftedMultiHypergraph, State
+from .graphs import EdgeKey, edge_key
+from .lifted import LiftedMultiHypergraph, MultiHypergraph
 from .rewrite import LiftedApplyResult, Rule, lifted_apply
 
 logger = logging.getLogger("mhgfilter")
@@ -186,7 +186,7 @@ class FilterResult:
 
 # -- observation schema --------------------------------------------------------
 
-def agent_location(domain, state: State) -> str | None:
+def agent_location(domain, state: LiftedMultiHypergraph) -> str | None:
     """The agent's location vertex id, or None when not uniquely fixed."""
     found = None
     for e in state.fixed_edges:
@@ -222,7 +222,8 @@ def _ground_consistent(g: MultiHypergraph,
     return True
 
 
-def _condition_state(l: State, conds: list[tuple[tuple[EdgeKey, ...], int]]
+def _condition_state(l: LiftedMultiHypergraph,
+                     conds: list[tuple[tuple[EdgeKey, ...], int]]
                      ) -> tuple[float, list[tuple[LiftedMultiHypergraph, float]]]:
     """Condition a state on one observation side's ``_conditions``.
 
@@ -256,10 +257,8 @@ def _condition_state(l: State, conds: list[tuple[tuple[EdgeKey, ...], int]]
         else:
             deferred.append((keys, required))
     if deferred:
-        survivors = merged(
-            (g, 1) for g in work.iter_groundings()
-            if all(sum(g.multiplicity_bounds(k)[0] for k in keys) == required
-                   for keys, required in deferred))
+        survivors = merged((g, 1) for g in work.iter_groundings()
+                           if _ground_consistent(g, deferred))
         kept = sum(c for _, c in survivors)
         if kept == 0:
             return 0.0, []

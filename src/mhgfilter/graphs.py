@@ -1,4 +1,4 @@
-"""Ground multi-hypergraph states.
+"""Vertices, hyperedges, vertex layouts and conservation checking.
 
 A state is a set of labelled vertices and labelled hyperedges, both carrying
 positive integer multiplicities.  A vertex of multiplicity k stands for k
@@ -14,10 +14,9 @@ relation instance.  Non-participating vertices (locations, the agent, static
 fixtures) are unconstrained.
 
 The construction checks here (vertex index, incidence, conservation) serve
-lifted states too; a ground state is checked as one without bounded edges.
-A state derived from a checked one -- :meth:`MultiHypergraph.replace_edges`
-here, the lifted derivations in ``lifted.py`` -- is checked locally: only
-the vertices that its changed parts touch (:func:`check_conservation`).
+every state in ``lifted.py``, a ground state being one without bounded
+edges.  A state derived from a checked one is checked locally: only the
+vertices that its changed parts touch (:func:`check_conservation`).
 
 Rules change edges only, never vertices.  So a :class:`VertexLayout` is
 built once, from the initial vertex list, and every state derived from it
@@ -271,122 +270,3 @@ def _group_coef_range(members: list[tuple[int, int, int]], total: int
 
     asc = sorted(members, key=lambda m: m[2])
     return extreme(asc), extreme(asc[::-1])
-
-
-class MultiHypergraph:
-    """Immutable validated multi-hypergraph.
-
-    Equality and hashing are structural (same ids, labels, multiplicities;
-    equality also asks for the same conservation declaration); compare
-    canonical forms for identity up to renaming.
-
-    A ground state reads like a lifted state without bounded edges: it
-    offers ``fixed_edges``, empty ``bounded_edges`` and ``constraints``,
-    ``is_empty`` and :meth:`multiplicity_bounds`, so matching and
-    conditioning take one code path for both.
-    """
-
-    __slots__ = ("layout", "vertices", "edges", "_mult", "_canonical")
-
-    bounded_edges: tuple = ()
-    constraints: tuple = ()
-    is_empty = False
-
-    def __init__(self, vertices: Iterable[Vertex] | VertexLayout,
-                 edges: Iterable[Hyperedge] = ()):
-        layout = index_vertices(vertices)
-        mult: dict[EdgeKey, int] = {}
-        for e in edges:
-            e = layout.intern(e)
-            mult[e.key] = mult.get(e.key, 0) + e.multiplicity
-        check_conservation(layout, ((k, m, m) for k, m in mult.items()))
-        self._set(layout, mult, tuple(layout.edge(k, m) for k, m in sorted(mult.items())))
-
-    def _set(self, layout: VertexLayout, mult: dict[EdgeKey, int],
-             edges: tuple[Hyperedge, ...]) -> None:
-        self.layout = layout
-        self.vertices = layout.vertices
-        self.edges = edges
-        self._mult = mult
-        self._canonical = None
-
-    @classmethod
-    def _made(cls, layout: VertexLayout, mult: dict[EdgeKey, int],
-              edges: tuple[Hyperedge, ...]) -> "MultiHypergraph":
-        """A graph from parts that are checked already: ``edges`` are the
-        layout's, sorted by key, and ``mult`` maps each key to its
-        multiplicity."""
-        g = object.__new__(cls)
-        g._set(layout, mult, edges)
-        return g
-
-    # -- queries -----------------------------------------------------------
-
-    def vertex(self, vid: str) -> Vertex:
-        return self.layout.by_id[vid]
-
-    def has_vertex(self, vid: str) -> bool:
-        return vid in self.layout.by_id
-
-    def edge_multiplicity(self, label: Label, incidence: Iterable[str]) -> int:
-        return self._mult.get(edge_key(label, incidence), 0)
-
-    def multiplicity_bounds(self, key: EdgeKey) -> tuple[int, int]:
-        """(lower, upper) multiplicity of an edge key; equal on a ground state."""
-        m = self._mult.get(key, 0)
-        return m, m
-
-    @property
-    def fixed_edges(self) -> tuple[Hyperedge, ...]:
-        return self.edges
-
-    def edge_dict(self) -> dict[EdgeKey, int]:
-        return dict(self._mult)
-
-    def replace_edges(self, mults: Mapping[EdgeKey, int]) -> "MultiHypergraph":
-        """New graph with the given edge keys' multiplicities replaced (zeroes
-        dropped) and the edges of every other key kept as they are.
-
-        Keys are named as :func:`edge_key` builds them.  Vertices are never
-        created or destroyed by this operation.  Only the replaced keys are
-        built and checked: conservation locally, against this graph.
-        """
-        layout, old = self.layout, self._mult
-        mult = dict(old)
-        for k in mults:
-            mult.pop(k, None)
-        added = []
-        for k, m in mults.items():
-            if m > 0:
-                k = layout.edge(k, m).key
-                mult[k] = mult.get(k, 0) + m
-                added.append(k)
-        changed = {k for k in (*mults, *added) if mult.get(k) != old.get(k)}
-        check_conservation(layout, [(k, mult[k], mult[k]) for k in changed if k in mult],
-                           replaced=([(k, old[k], old[k]) for k in changed if k in old],))
-        return self._made(layout, mult, patched(
-            self.edges, changed, [layout.edge(k, mult[k]) for k in changed if k in mult]))
-
-    def canonical_form(self):
-        from .canon import canonical_form
-        if self._canonical is None:
-            self._canonical = canonical_form(self)
-        return self._canonical
-
-    # -- dunder ------------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiHypergraph):
-            return NotImplemented
-        a, b = self.layout, other.layout
-        return (self.vertices == other.vertices and self.edges == other.edges
-                and a.conservation_labels == b.conservation_labels
-                and a.conserved_vertex_labels == b.conserved_vertex_labels)
-
-    def __hash__(self):
-        return hash((self.vertices, self.edges))
-
-    def __repr__(self):
-        return (f"MultiHypergraph({len(self.vertices)} vertices, "
-                f"{len(self.edges)} edges)")
-

@@ -24,6 +24,11 @@ in every grounding; the constructor verifies that the conserved
 multiplicity sum of every participating vertex is constant across the
 support and equal to the vertex multiplicity.
 
+A ground state, :class:`MultiHypergraph`, is a lifted state with every
+edge fixed and the ground canonical form (``0x01``).  Its derivations stay
+ground while no key is bounded; ``from_graph`` re-classes its parts as a
+plain lifted state, with the lifted form (``0x02``).
+
 The constructor is the definition.  A state derived from another --
 ``shifted``, ``conditioned``, ``from_graph`` -- is born normalised instead:
 it copies its source's bounds map, changes the keys the step names, and
@@ -52,19 +57,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Iterator, Mapping
 
+from . import canon
 from .canon import CanonicalForm, canonical_form_lifted as _canon_lifted
 from .errors import EnumerationLimitError, StructuralError
-from .graphs import (EdgeKey, Hyperedge, MultiHypergraph, Vertex, VertexLayout,
-                     check_conservation, check_incidence, index_vertices, patched)
+from .graphs import (EdgeKey, Hyperedge, Label, Vertex, VertexLayout,
+                     check_conservation, check_incidence, edge_key, index_vertices,
+                     patched)
 
 # Enumerating more groundings than this raises EnumerationLimitError.
 MAX_GROUNDINGS = 10 ** 6
 
 __all__ = ["BoundedEdge", "TotalConstraint", "LiftedMultiHypergraph",
-           "MAX_GROUNDINGS"]
+           "MultiHypergraph", "MAX_GROUNDINGS"]
 
 
 @dataclass(frozen=True, order=True)
@@ -233,9 +239,11 @@ class LiftedMultiHypergraph:
                     fixed.append(layout.edge(k, lo))
                 else:
                     bounded.append(BoundedEdge(*k, lo, up))
-        return self._made(
-            layout, bounds, patched(self.fixed_edges, changed, fixed),
-            patched(self.bounded_edges, changed, bounded),
+        bounded = patched(self.bounded_edges, changed, bounded)
+        # a ground state's successor stays ground unless a key became bounded
+        made = LiftedMultiHypergraph._made if bounded else self._made
+        return made(
+            layout, bounds, patched(self.fixed_edges, changed, fixed), bounded,
             self.constraints if groups is None
             else tuple(sorted(groups.values(), key=_group_order)),
             group_of, counts)
@@ -248,8 +256,8 @@ class LiftedMultiHypergraph:
         return l
 
     def _empty(self) -> "LiftedMultiHypergraph":
-        """The empty state over this state's layout."""
-        return self._made(self.layout, {}, (), (), (), {}, {}, True)
+        """The empty state over this state's layout; it is never ground."""
+        return LiftedMultiHypergraph._made(self.layout, {}, (), (), (), {}, {}, True)
 
     # -- queries -----------------------------------------------------------
 
@@ -266,19 +274,20 @@ class LiftedMultiHypergraph:
     def group_of(self, key: EdgeKey) -> TotalConstraint | None:
         return self._group_of.get(key)
 
-    @classmethod
-    def from_graph(cls, g: MultiHypergraph) -> "LiftedMultiHypergraph":
-        """The state whose one grounding is ``g``: its edges, all fixed.  A
-        ground state has nothing to normalise and is checked already."""
-        return cls._made(g.layout, {e.key: (e.multiplicity,) * 2 for e in g.edges},
-                         g.edges, (), (), {}, {})
+    @staticmethod
+    def from_graph(g: "MultiHypergraph") -> "LiftedMultiHypergraph":
+        """``g``'s parts as a plain lifted state: belief entries merge by
+        lifted forms, ground states by ground forms."""
+        return LiftedMultiHypergraph._made(g.layout, g._bounds, g.fixed_edges,
+                                           (), (), {}, {})
 
     def shifted(self, delta: Mapping[EdgeKey, int], group: tuple | None = None
                 ) -> "LiftedMultiHypergraph":
         """The state with every grounding's edges moved rigidly.
 
         A bounded key's interval moves by its delta, and so does its group's
-        total; any other key's fixed multiplicity moves by its delta.
+        total; any other key's fixed multiplicity moves by its delta.  Keys
+        are read as ``edge_key`` builds them, and the deltas of one key sum.
         ``group = (keys, total)`` makes ``keys`` one group with that total
         after the delta: an existing group's key set keeps its members'
         bounds, and keys absent here join as [0,1] members.  Raises
@@ -287,9 +296,13 @@ class LiftedMultiHypergraph:
         """
         if self.is_empty:
             return self
+        net: dict[EdgeKey, int] = {}
+        for k, d in delta.items():   # this state's own keys are sorted already
+            k = k if k in self._bounds else edge_key(*k)
+            net[k] = net.get(k, 0) + d
         bounds = dict(self._bounds)
         totals: dict[frozenset[EdgeKey], int] = {}
-        for k, d in delta.items():
+        for k, d in net.items():
             lo, up = bounds.get(k, _ABSENT)
             if lo + d < 0:
                 raise StructuralError(f"shift takes edge {k!r} below zero")
@@ -300,10 +313,11 @@ class LiftedMultiHypergraph:
                 bounds[k] = (lo + d, up + d)
             else:
                 bounds.pop(k, None)
-        keys = set(delta)
+        keys = set(net)
         step = None
         if group is not None:
-            step, total = frozenset(group[0]), group[1]
+            step = frozenset(k if k in bounds else edge_key(*k) for k in group[0])
+            total = group[1]
             for c in {self._group_of.get(k) for k in step} - {None}:
                 if c.edge_keys != step:
                     raise StructuralError(
@@ -366,33 +380,33 @@ class LiftedMultiHypergraph:
         for parts in itertools.product(*choices):
             yield dict(itertools.chain.from_iterable(parts))
 
-    def _ground(self, fixed: dict[EdgeKey, int], assignment: Mapping[EdgeKey, int]
-                ) -> MultiHypergraph:
-        """The grounding of one assignment, from the fixed edges' multiplicity
-        map ``fixed`` and the layout's interned edges.  The constructor, or
-        the local check of the derivation that made this state, proved that
-        every grounding conserves, so none is checked again."""
-        mult = dict(fixed)
-        edges = list(self.fixed_edges)
+    def _ground(self, assignment: Mapping[EdgeKey, int]) -> "MultiHypergraph":
+        """The grounding of one assignment to the bounded keys.  The
+        constructor, or the local check of the derivation that made this
+        state, proved that every grounding conserves: none is checked again."""
+        bounds = dict(self._bounds)
+        edges = []
         for k, v in assignment.items():
             if v:
-                mult[k] = v
+                bounds[k] = (v, v)
                 edges.append(self.layout.edge(k, v))
-        edges.sort(key=_KEY)
-        return MultiHypergraph._made(self.layout, mult, tuple(edges))
+            else:
+                del bounds[k]
+        return MultiHypergraph._made(self.layout, bounds,
+                                     patched(self.fixed_edges, assignment, edges),
+                                     (), (), {}, {})
 
-    def iter_groundings(self) -> Iterator[MultiHypergraph]:
+    def iter_groundings(self) -> Iterator["MultiHypergraph"]:
         """Every grounding; raises EnumerationLimitError beyond MAX_GROUNDINGS."""
         if self.is_empty:
             return
         n = self.count_groundings()
         if n > MAX_GROUNDINGS:
             raise EnumerationLimitError(n, MAX_GROUNDINGS)
-        fixed = {e.key: e.multiplicity for e in self.fixed_edges}
         for assignment in self._iter_assignments():
-            yield self._ground(fixed, assignment)
+            yield self._ground(assignment)
 
-    def groundings(self) -> list[MultiHypergraph]:
+    def groundings(self) -> list["MultiHypergraph"]:
         """All groundings, sorted by canonical form.
 
         Assignments are pairwise distinct by construction; no isomorphism
@@ -418,12 +432,50 @@ class LiftedMultiHypergraph:
                 f"{len(self.constraints)} constraints)")
 
 
-# A ground state offers the same read interface as a lifted one.
-State = Union[MultiHypergraph, LiftedMultiHypergraph]
+class MultiHypergraph(LiftedMultiHypergraph):
+    """A ground state, built from its edges.  Equality and hashing are
+    structural (same ids, labels, multiplicities; equality also asks for
+    the same conservation declaration); compare canonical forms for
+    identity up to renaming."""
+
+    __slots__ = ()
+
+    def __init__(self, vertices: Iterable[Vertex] | VertexLayout,
+                 edges: Iterable[Hyperedge] = ()):
+        super().__init__(vertices, edges)
+
+    @property
+    def edges(self) -> tuple[Hyperedge, ...]:
+        return self.fixed_edges
+
+    def edge_multiplicity(self, label: Label, incidence: Iterable[str]) -> int:
+        return self._bounds.get(edge_key(label, incidence), _ABSENT)[0]
+
+    def edge_dict(self) -> dict[EdgeKey, int]:
+        return {k: m for k, (m, _) in self._bounds.items()}
+
+    def canonical_form(self) -> CanonicalForm:
+        if self._canonical is None:
+            self._canonical = canon.canonical_form(self)
+        return self._canonical
+
+    def __eq__(self, other):
+        if not isinstance(other, MultiHypergraph):
+            return NotImplemented
+        a, b = self.layout, other.layout
+        return (self.vertices == other.vertices and self.edges == other.edges
+                and a.conservation_labels == b.conservation_labels
+                and a.conserved_vertex_labels == b.conserved_vertex_labels)
+
+    def __hash__(self):
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self):
+        return (f"MultiHypergraph({len(self.vertices)} vertices, "
+                f"{len(self.edges)} edges)")
 
 
 _ABSENT = (0, 0)     # the bounds of a key with no edge
-_KEY = attrgetter("key")
 
 
 def _group_order(c: TotalConstraint) -> list[EdgeKey]:

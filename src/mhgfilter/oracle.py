@@ -4,11 +4,13 @@ This is the second, independent route to the same posterior: expand every
 belief into explicit ground states, push each through the rule options
 directly, and condition with exact 0/1 checks.  As in the lifted filter, a
 rule is applicable where ``ground_options`` finds an option, and successors
-are built only for the observed rule.  It shares no probability arithmetic
-with the lifted filter (no interval tightening, no bound shifting), which
-is what makes agreement between the two a meaningful correctness check.
-It is exponential in the number of unknowns and only suitable for small
-scenes.
+are built only for the observed rule.  It shares state derivation with the
+lifted filter (``apply`` is a ``shifted`` of a ground state; the tests check
+it on its own against a brute-force reference) but no probability
+arithmetic: no interval tightening, grounding fractions or counting over
+groups, which is what makes agreement between the two a meaningful
+correctness check.  It is exponential in the number of unknowns and only
+suitable for small scenes.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from .canon import merged
 from .errors import IntegrityError, TraceInconsistencyError
 from .filtering import (Belief, FilterResult, StepStats, _conditions,
                         _ground_consistent, agent_location, logger)
-from .graphs import MultiHypergraph
-from .lifted import LiftedMultiHypergraph
+from .lifted import LiftedMultiHypergraph, MultiHypergraph
 from .rewrite import Rule, ground_options, successors
 
 __all__ = ["expand", "GroundBelief", "ground_filter_trace", "compare",

@@ -27,6 +27,7 @@ Whether an effect can fire at a match is decided in one place,
 ``_effect_feasible``: ``ground_options``, the lifted plan and ``apply`` all
 ask it.  ``apply`` also checks that its assignment is a match: the binding
 once per assignment and layout, and the pattern edges' minima at every call.
+It is then one ``shifted`` by the effect's net delta.
 
 Lifted semantics: ``lifted_apply`` answers, once per rule and lifted state,
 in how many groundings the rule is applicable and how its successors arise;
@@ -70,8 +71,8 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 from .canon import merged
 from .errors import EffectError, StructuralError
-from .graphs import EdgeKey, MultiHypergraph, Vertex, VertexLayout, edge_key
-from .lifted import LiftedMultiHypergraph, State
+from .graphs import EdgeKey, Vertex, VertexLayout, edge_key
+from .lifted import LiftedMultiHypergraph, MultiHypergraph
 
 logger = logging.getLogger("mhgfilter")
 
@@ -263,7 +264,8 @@ def _children(c: _CompiledRule, path: tuple[tuple[str, str], ...]) -> list:
     return entries
 
 
-def _raw_matches(c: _CompiledRule, state: State) -> list[tuple[Match, bool]]:
+def _raw_matches(c: _CompiledRule, state: LiftedMultiHypergraph
+                 ) -> list[tuple[Match, bool]]:
     """All injective assignments whose pattern edges meet their minimum on
     upper multiplicity bounds, each with ``sure``: whether they meet it on
     lower bounds too.  Sorted by match.
@@ -377,7 +379,8 @@ def _pattern_keys(c: _CompiledRule, match: Match) -> tuple[tuple[EdgeKey, int], 
     return checks
 
 
-def _effect_feasible(f: _Feasibility, state: State) -> tuple[bool, bool]:
+def _effect_feasible(f: _Feasibility, state: LiftedMultiHypergraph
+                     ) -> tuple[bool, bool]:
     """(sure, possible): whether retracts stay non-negative and caps hold in
     every grounding, and in some grounding.
 
@@ -398,7 +401,7 @@ def _effect_feasible(f: _Feasibility, state: State) -> tuple[bool, bool]:
     return sure, True
 
 
-def ground_options(rule: Rule, state: State) -> list[Match]:
+def ground_options(rule: Rule, state: LiftedMultiHypergraph) -> list[Match]:
     """The rule's equally likely application options, sorted.
 
     An option is an injective match of the pattern whose effect can fire:
@@ -422,7 +425,7 @@ def apply(rule: Rule, g: MultiHypergraph, match: Match) -> MultiHypergraph:
     if not _effect_feasible(f, g)[0]:
         raise EffectError(f"rule {rule.name!r} cannot fire at {match.as_dict()}: "
                           f"a retract goes below zero or an assert exceeds its cap")
-    return g.replace_edges({k: g.multiplicity_bounds(k)[0] + d for k, d in f.changes})
+    return g.shifted(f.delta)
 
 
 def successors(rule: Rule, g: MultiHypergraph) -> list[tuple[MultiHypergraph, float]]:

@@ -493,7 +493,7 @@ def relabel(g, rng):
                 for v in g.vertices]
     edges = [Hyperedge(e.label, tuple(mapping[x] for x in e.incidence),
                        e.multiplicity) for e in g.fixed_edges]
-    if not isinstance(g, LiftedMultiHypergraph):
+    if isinstance(g, MultiHypergraph):     # a ground state is a lifted one too
         return MultiHypergraph(fresh_layout(g, vertices), edges)
 
     def key(k):

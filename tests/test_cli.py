@@ -274,12 +274,30 @@ def test_compare_rejects_a_tolerance_that_is_not_finite_and_non_negative(
     """A NaN tolerance would let every comparison pass and an infinite one
     would print a report that is not JSON: both are usage errors, like a
     tolerance that is not a number."""
-    with pytest.raises(SystemExit) as exc:
-        main(["compare", "--domain", "mini", "--trace", str(mini_trace),
-              f"--tolerance={bad}"])
-    assert exc.value.code == 2
-    out = capsys.readouterr()
-    assert out.out == ""
-    assert "argument --tolerance" in out.err
+    code, out, err = run(capsys, "compare", "--domain", "mini",
+                         "--trace", str(mini_trace), f"--tolerance={bad}")
+    assert code == 8
+    assert out == ""
+    assert "argument --tolerance" in err
     if bad != "abc":
-        assert f"{bad!r} is not finite and >= 0" in out.err
+        assert f"{bad!r} is not finite and >= 0" in err
+
+
+def test_usage_errors_exit_eight_and_help_exits_zero(tmp_path, capsys):
+    """A negative ``--length`` is a usage error, like an unknown option or
+    a missing subcommand, and none of them writes a trace; ``--help``
+    prints the usage and exits 0."""
+    path = tmp_path / "trace.jsonl"
+    for argv in (["gentrace", "--domain", "mini", "--length", "-3"],
+                 ["gentrace", "--domain", "mini", "--length", "x"],
+                 ["gentrace", "--domain", "mini", "--no-such-flag"],
+                 []):
+        code, out, err = run(capsys, *argv, "--output", str(path))
+        assert code == 8 and out == "" and err.startswith("usage: mhgfilter")
+        assert not path.exists()
+    assert "argument --length: '-3' is negative" in run(
+        capsys, "gentrace", "--domain", "mini", "--length", "-3")[2]
+    code, out, _ = run(capsys, "gentrace", "--help")
+    assert code == 0 and out.startswith("usage: mhgfilter gentrace")
+    code, out, _ = run(capsys, "gentrace", "--domain", "mini", "--length", "0")
+    assert code == 0 and out == ""

@@ -62,13 +62,16 @@ def test_edge_queries():
     assert g.has_vertex("c") and not g.has_vertex("d")
 
 
-def test_replace_edges_drops_zeros_and_validates():
+def test_shifted_drops_zeros_and_validates():
     g = MultiHypergraph([Vertex("a", "x"), Vertex("b", "y")],
                         [Hyperedge("at", ("a", "b"), 2)])
-    h = g.replace_edges({("at", ("a", "b")): 0, ("near", ("a", "b")): 1})
+    h = g.shifted({("at", ("a", "b")): -2, ("near", ("a", "b")): 1})
     assert h.edge_dict() == {("near", ("a", "b")): 1}
-    with pytest.raises(StructuralError):
-        g.replace_edges({("at", ("a", "zzz")): 1})
+    assert h == MultiHypergraph(g.layout, [Hyperedge("near", ("a", "b"))])
+    with pytest.raises(StructuralError, match="unknown vertex 'zzz'"):
+        g.shifted({("at", ("a", "zzz")): 1})
+    with pytest.raises(StructuralError, match="below zero"):
+        g.shifted({("at", ("a", "b")): -3})
 
 
 def test_conservation_accepts_exact_sum():

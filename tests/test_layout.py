@@ -36,7 +36,7 @@ def test_derived_states_share_the_layout():
                l.shifted({}),
                g,
                LiftedMultiHypergraph.from_graph(g),
-               g.replace_edges(g.edge_dict()),
+               g.shifted({}),
                apply(walk, g, ground_options(walk, g)[0])]
     assert all(s.layout is l.layout for s in derived)
     assert l.layout.conservation_labels == {"at", "holds"}
@@ -60,9 +60,10 @@ def test_a_layout_is_declared_once():
 
 
 def test_derived_states_keep_the_declaration():
-    """States made by ``shifted``, ``replace_edges``, ``from_graph`` and
-    grounding share their source's layout, declaration included, so a
-    derived state that breaks conservation still raises IntegrityError."""
+    """States made by ``shifted``, of a lifted state or a grounding,
+    ``from_graph`` and grounding share their source's layout, declaration
+    included, so a derived state that breaks conservation still raises
+    IntegrityError."""
     layout = index_vertices([Vertex("a", "agent"), Vertex("e", "screw", 2),
                              Vertex("s1", "slot"), Vertex("s2", "slot")],
                             {"at", "holds"}, {"screw"})
@@ -74,11 +75,11 @@ def test_derived_states_keep_the_declaration():
     g = groundings[0]
     derived = [l.shifted({}), l.shifted({held: -1}, (frozenset({at1, at2}), 2)),
                *groundings,
-               g.replace_edges({}), LiftedMultiHypergraph.from_graph(g)]
+               g.shifted({}), LiftedMultiHypergraph.from_graph(g)]
     assert all(s.layout is layout for s in derived)
     for build in (lambda: l.shifted({held: -1}),
-                  lambda: g.replace_edges({held: 0}),
-                  lambda: g.replace_edges({at1: 1, at2: 1})):
+                  lambda: g.shifted({held: -1}),
+                  lambda: g.shifted({k: 1 - g.edge_multiplicity(*k) for k in (at1, at2)})):
         with pytest.raises(IntegrityError, match="vertex 'e'"):
             build()
     # the same edges over an undeclared layout are a valid state
@@ -461,11 +462,13 @@ def declared(l: LiftedMultiHypergraph, rng) -> LiftedMultiHypergraph:
 def test_derived_states_equal_fresh_builds():
     """On random states from the test oracle's generators, half of them
     declaring conservation, every state built from another -- by
-    ``conditioned``, ``shifted``, ``replace_edges``, ``iter_groundings``, the
-    constructor over its layout and ``from_graph`` -- equals the state the
-    public constructors build from fresh vertices and freshly made edges,
-    or raises IntegrityError with its message.  An infeasible step gives the
-    empty state, and a step group that partly overlaps a group raises."""
+    ``conditioned``, ``shifted`` (of the state and of its groundings),
+    ``iter_groundings``, the constructor over its layout and ``from_graph``
+    -- equals the state the public constructors build from fresh vertices
+    and freshly made edges, or raises IntegrityError with its message.  A
+    key given with unsorted incidence is read in sorted order.  An
+    infeasible step gives the empty state, and a step group that partly
+    overlaps a group raises."""
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
 
@@ -558,7 +561,7 @@ def test_derived_states_equal_fresh_builds():
         if kind == "infeasible":
             assert l.shifted(delta, group).is_empty
 
-        # iter_groundings, then from_graph and replace_edges on groundings
+        # iter_groundings, then from_graph and shifted on groundings
         expected = {g.edges: g for g in box_groundings(l)}
         groundings = list(l.iter_groundings())
         assert len(groundings) == len(expected) == l.count_groundings()
@@ -567,18 +570,18 @@ def test_derived_states_equal_fresh_builds():
             mults = g.edge_dict()
             assert_same(LiftedMultiHypergraph.from_graph(g),
                         fresh_lifted(g, mults, {}, {}))
-            changes = {}    # the keys replaced; the others keep their edges
+            changes = {}    # the keys moved; the others keep their edges
             if mults:
                 changes[rng.choice(sorted(mults))] = rng.randrange(4)
             changes["fresh", (ids[-1], ids[0])] = rng.randrange(1, 3)
-            outcomes["replace", assert_same_or_both_raise(
-                lambda: g.replace_edges(changes),
+            outcomes["ground", assert_same_or_both_raise(
+                lambda: g.shifted({k: m - mults.get(k, 0) for k, m in changes.items()}),
                 lambda: fresh_ground(g, {**mults, **changes}))] += 1
 
     check()
     # conserving and violating steps both come up, for each kind of group
     assert all(outcomes[kind, ok] for kind in ("grow", "fresh", "transfer", None,
-                                               "replace") for ok in (True, False))
+                                               "ground") for ok in (True, False))
 
 
 def test_groundings_equal_constructor_builds():
@@ -629,21 +632,23 @@ def test_a_key_checked_in_one_layout_is_checked_again_in_another():
     b = MultiHypergraph([Vertex("a", "x"), Vertex("c", "y")])
     for build in (lambda: MultiHypergraph(b.layout, [edge]),
                   lambda: LiftedMultiHypergraph(b.layout, [edge]),
-                  lambda: b.replace_edges({edge.key: 1}),
+                  lambda: b.shifted({edge.key: 1}),
                   lambda: b.layout.edge(edge.key, 1)):
         with pytest.raises(StructuralError, match="unknown vertex 'b'"):
             build()
     assert not b.layout.edges
 
 
-def test_replace_edges_still_checks_conservation():
+def test_shifted_still_checks_conservation():
     g = MultiHypergraph(index_vertices([Vertex("e", "screw", 2), Vertex("s", "slot")],
                                        {"at"}, {"screw"}),
                         [Hyperedge("at", ("e", "s"), 2)])
     for _ in range(2):  # the second time the edge is already interned
-        with pytest.raises(IntegrityError):
-            g.replace_edges({("at", ("e", "s")): 1})
-    assert g.replace_edges(g.edge_dict()) == g
+        with pytest.raises(IntegrityError, match=r"vertex 'e' \(screw\): conserved "
+                           r"multiplicity sum ranges over \[1, 1\] across "
+                           r"groundings, expected exactly 2"):
+            g.shifted({("at", ("e", "s")): -1})
+    assert g.shifted(dict.fromkeys(g.edge_dict(), 0)) == g
 
 
 def test_duplicate_keys_still_sum_and_incidence_still_sorts():
@@ -653,9 +658,20 @@ def test_duplicate_keys_still_sum_and_incidence_still_sorts():
     h = MultiHypergraph(g.layout, [e, e, Hyperedge("at", ("a", "b"), 2)])
     assert h.edge_dict() == {("at", ("a", "b")): 4}
     assert h.edges[0] is g.layout.edge(("at", ("a", "b")), 4)
-    unsorted = g.replace_edges({("at", ("b", "a")): 3, ("at", ("a", "b")): 1})
+    unsorted = g.shifted({("at", ("b", "a")): 2, ("at", ("a", "b")): 1})
     assert unsorted.edges == (Hyperedge("at", ("a", "b"), 4),)
     assert unsorted.edges[0] is h.edges[0]
+    assert unsorted.edge_multiplicity("at", ("b", "a")) == 4
+    assert unsorted.multiplicity_bounds(("at", ("a", "b"))) == (4, 4)
+    # a lifted state's shift and step group read keys the same way
+    l = LiftedMultiHypergraph([Vertex("a", "x"), Vertex("b", "y")])
+    once = l.shifted({("at", ("b", "a")): 1})
+    assert once.fixed_edges == (Hyperedge("at", ("a", "b")),)
+    assert once.multiplicity_bounds(("at", ("a", "b"))) == (1, 1)
+    grouped = l.shifted({}, ([("at", ("b", "a")), ("on", ("a",))], 1))
+    assert grouped.constraints == (TotalConstraint(
+        {("at", ("a", "b")), ("on", ("a",))}, 1),)
+    assert grouped.multiplicity_bounds(("at", ("a", "b"))) == (0, 1)
     assert g.layout.edge(("at", ("b", "a")), 1) is e
     assert e.incidence == ("a", "b")
 
@@ -670,8 +686,8 @@ def test_all_states_of_a_compare_share_equal_edges(monkeypatch):
             _init(self, *args, **kwargs)
             states.append(self)
         monkeypatch.setattr(cls, "__init__", recording)
-    for cls, name in ((MultiHypergraph, "replace_edges"),
-                      (LiftedMultiHypergraph, "shifted"),
+    # a ground state derives by the lifted methods: ``apply`` shifts
+    for cls, name in ((LiftedMultiHypergraph, "shifted"),
                       (LiftedMultiHypergraph, "conditioned")):
         def derived(*args, _derive=getattr(cls, name), **kwargs):
             states.append(_derive(*args, **kwargs))

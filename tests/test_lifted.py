@@ -5,10 +5,12 @@ import random
 
 import pytest
 
-from mhgfilter import (MAX_GROUNDINGS, BoundedEdge, EnumerationLimitError,
-                       Hyperedge, IntegrityError, LiftedMultiHypergraph,
-                       MultiHypergraph, StructuralError, TotalConstraint, Vertex,
-                       index_vertices)
+from mhgfilter import (MAX_GROUNDINGS, BoundedEdge, Effect, EffectEdge,
+                       EnumerationLimitError, Hyperedge, IntegrityError,
+                       LiftedMultiHypergraph, Match, MultiHypergraph, Pattern,
+                       PatternEdge, PatternVertex, Rule, StructuralError,
+                       TotalConstraint, Vertex, apply, index_vertices)
+from mhgfilter.canon import canonical_form_lifted
 from mhgfilter.lifted import _count_compositions
 from oracles import box_groundings, random_lifted, raw_groundings
 
@@ -213,6 +215,48 @@ def test_from_graph_and_skeleton():
     assert l.layout is g.layout
     assert l.layout.conservation_labels == {"at"}
     assert l.layout.conserved_vertex_labels == {"screw"}
+
+
+def test_derivations_keep_the_ground_class_and_tag():
+    """A ground state is a lifted state without bounded edges.  ``apply``,
+    ``shifted`` and ``conditioned`` of one give a ground state whose ground
+    bytes equal a fresh constructor build's; a step that leaves a key
+    bounded, or no grounding, gives a plain lifted state; ``from_graph``
+    gives a plain lifted state with the lifted bytes; and the ground
+    constructor takes no bounded edges."""
+    declared = ({"at", "holds"}, {"screw"})
+
+    def fresh_layout():
+        return index_vertices([Vertex("a", "agent"), Vertex("e", "screw"),
+                               Vertex("s", "slot"), Vertex("t", "slot")], *declared)
+
+    held, at_s, at_t = ("holds", ("a", "e")), ("at", ("e", "s")), ("at", ("e", "t"))
+    g = MultiHypergraph(fresh_layout(), [Hyperedge(*held)])
+    drop = Rule("drop", Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw"),
+                                 PatternVertex("S", "slot")),
+                                (PatternEdge("holds", ("A", "E")),)),
+                Effect(retract=(EffectEdge("holds", ("A", "E")),),
+                       assert_=(EffectEdge("at", ("E", "S")),)))
+    derived = [(apply(drop, g, Match((("A", "a"), ("E", "e"), ("S", "s")))), at_s),
+               (g.shifted({held: -1, at_t: 1}), at_t),
+               (g.conditioned(held, 1), held)]
+    for h, key in derived:
+        fresh = MultiHypergraph(fresh_layout(), [Hyperedge(*key)])
+        assert type(h) is MultiHypergraph and h == fresh
+        assert h.canonical_form().data[0] == 0x01
+        assert h.canonical_form().data == fresh.canonical_form().data
+
+    lifted = [g.shifted({held: -1}, ({at_s, at_t}, 1)), g.conditioned(held, 0),
+              LiftedMultiHypergraph.from_graph(g)]
+    assert all(type(h) is LiftedMultiHypergraph for h in lifted)
+    assert lifted[0].count_groundings() == 2 and lifted[1].is_empty
+    l = lifted[2]
+    assert l.fixed_edges == g.edges and not l.bounded_edges
+    assert l.canonical_form().data[0] == 0x02
+    assert l.canonical_form().data == canonical_form_lifted(
+        LiftedMultiHypergraph(fresh_layout(), [Hyperedge(*held)])).data
+    with pytest.raises(TypeError):
+        MultiHypergraph(fresh_layout(), [], [BoundedEdge(*at_s, 0, 1)])
 
 
 def test_a_state_over_the_same_layout_replaces_parts():
