@@ -420,10 +420,13 @@ def generate_trace(domain: Domain, seed: int, length: int,
     Returns the trace and whether it was truncated by a dead end.
     ``corrupt_at`` overwrites the held-count observation of that step with
     an impossible value, making the trace inconsistent exactly there; it
-    raises ValueError unless it is a step of the returned trace.
+    raises ValueError unless it is a step of the returned trace.  A negative
+    ``length`` raises ValueError.
     """
     if policy not in ("uniform", "install_heavy"):
         raise ValueError(f"unknown policy {policy!r}")
+    if length < 0:
+        raise ValueError(f"length {length} is negative")
     rng = random.Random(seed)
     grounds = domain.initial_state.groundings()
     g = grounds[rng.randrange(len(grounds))]

@@ -274,11 +274,11 @@ def predict(domain, belief: Belief) -> JointPrediction:
     """Push the belief through one step of the rule dynamics.
 
     Entries whose groundings disagree on some rule's applicability, or may
-    disagree on its weight, are split into grounding singletons first, so
-    every particle's rule probability is well defined.  Entries with no
-    applicable rule at all are dropped (dead ends) and the prediction is
-    renormalised.  Each rule is planned once per entry; the update builds
-    the successors of the particles it keeps.
+    disagree on its weight, are split into grounding singletons first (a
+    debug log line says why), so every particle's rule probability is well
+    defined.  Entries with no applicable rule at all are dropped (dead
+    ends) and the prediction is renormalised.  Each rule is planned once
+    per entry; the update builds the successors of the particles it keeps.
     """
     queue: list[tuple[LiftedMultiHypergraph, float]] = list(belief.entries)
     masses: list[tuple[LiftedApplyResult, float]] = []
@@ -289,16 +289,18 @@ def predict(domain, belief: Belief) -> JointPrediction:
         # rule weights by agent location may differ across the groundings
         split = bool(loc is None and domain.action_model.by_location
                      and state.count_groundings() > 1)
+        reason = "rule weights depend on the agent's location"
         applicable = []
         for rule in () if split else domain.rules:
             t = lifted_apply(rule, state)
             if 0 < t.n_applicable < t.n_groundings:
-                split = True
+                split, reason = True, f"{rule.name!r} applies in only some groundings"
                 break
             if t.n_applicable > 0:
                 applicable.append(t)
         if split:
             n = state.count_groundings()
+            logger.debug("predict: split into %d groundings, %s", n, reason)
             for g in state.iter_groundings():
                 queue.append((LiftedMultiHypergraph.from_graph(g), w / n))
             continue

@@ -171,6 +171,8 @@ def conserved_sums(layout: VertexLayout, singles: Iterable[Bounds],
     lower, upper) sum to the total.  An edge adds its multiplicity once per
     incidence; a group, which must be feasible, adds the exact minimum and
     maximum of its conserved sum over the assignments that meet its total.
+    Where every member touches a vertex c times, as slot edges do, both are
+    c * total, since sum(c * x) = c * sum(x); else :func:`_group_coef_range`.
     """
     labels, conserved = layout.conservation_labels, layout.conserved
     sums: dict[str, list[int]] = {}
@@ -189,8 +191,11 @@ def conserved_sums(layout: VertexLayout, singles: Iterable[Bounds],
                     if vid in conserved:
                         coefs.setdefault(vid, [0] * len(members))[i] += 1
         for vid, coef in coefs.items():
-            mn, mx = _group_coef_range(
-                [(lo, up, c) for (_, lo, up), c in zip(members, coef)], total)
+            if coef.count(coef[0]) == len(coef):
+                mn = mx = coef[0] * total
+            else:
+                mn, mx = _group_coef_range(
+                    [(lo, up, c) for (_, lo, up), c in zip(members, coef)], total)
             s = sums.setdefault(vid, [0, 0])
             s[0] += mn
             s[1] += mx

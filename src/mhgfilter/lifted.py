@@ -56,6 +56,7 @@ grounding's edges, are the layout's objects.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -535,16 +536,20 @@ def _parts(bounds: dict[EdgeKey, tuple[int, int]], group_of: dict,
 
 
 def _count_compositions(bounds: list[tuple[int, int]], total: int) -> int:
-    """Number of tuples within the bounds summing to total, in O(n * total).
+    """Number of tuples within the bounds summing to total.
 
-    Each value is shifted down by its lower bound, so the tuples sum to
-    t = total - sum(lower), and ``ways[s]`` counts the prefixes summing to
-    s.  A member of width w = upper - lower makes ``ways[s]`` the sum of
-    the old ``ways[s - w .. s]``, a difference of two running sums.
+    Less their lower bounds, the values sum to t = total - sum(lower).
+    When every member has width one, as slot edges do, each adds 0 or 1 and
+    the count is C(n, t), the choices of which t members add 1.
+    Otherwise ``ways[s]``, in O(n * t), counts the prefixes summing to s: a
+    member of width w makes it the sum of the old ``ways[s - w .. s]``, a
+    difference of two running sums.
     """
     t = total - sum(lo for lo, _ in bounds)
     if t < 0:
         return 0
+    if all(up - lo == 1 for lo, up in bounds):
+        return math.comb(len(bounds), t)
     ways = [1] + [0] * t
     for lo, up in bounds:
         w = up - lo

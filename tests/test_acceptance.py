@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
 import random
 import time
@@ -19,7 +20,7 @@ import pytest
 from mhgfilter import (ActionModel, AnnotationTuple, BoundedEdge, Domain,
                        Effect, EffectEdge, Hyperedge, LiftedMultiHypergraph,
                        ParseError, Pattern, PatternEdge, PatternVertex, Rule,
-                       TotalConstraint,
+                       Belief, TotalConstraint,
                        TraceInconsistencyError, Vertex, agent_location,
                        apply, builtin_domain, compare,
                        expand, filter_trace, generate_trace, ground_filter_trace,
@@ -282,13 +283,10 @@ def test_distinct_spots_equal_the_merge_free_oracle():
     assert abs(result.log_likelihood - expected) <= 1e-12
 
 
-def test_location_weights_apply_per_grounding():
+def location_weighted_domain():
     """The mini scene with the agent on the floor or at the table (a [0,1]
     group of total 1), the screwdriver on the floor, and walk weighted 5 at
-    the table.  Both groundings admit the same rules, but weigh walk
-    differently: P(walk from the table) = 1/2 * 5/6 = 5/12, and the lifted
-    filter must weigh each grounding at its own location, as the ground
-    oracle does."""
+    the table."""
     doc = builtin_document("mini")
     doc["edges"] = [e for e in doc["edges"]
                     if e["incidence"][0] not in ("agent", "screwdriver")]
@@ -299,11 +297,36 @@ def test_location_weights_apply_per_grounding():
     doc["constraints"] = [{"name": "start", "total": 1,
                            "edges": [["at", ["agent", p]] for p in places]}]
     doc["action_model"] = {"weights": {}, "by_location": {"table": {"walk": 5}}}
-    report = compare(parse_domain(doc),
+    return parse_domain(doc)
+
+
+def test_location_weights_apply_per_grounding():
+    """On the location-weighted scene both groundings admit the same rules,
+    but weigh walk differently: P(walk from the table) = 1/2 * 5/6 = 5/12,
+    and the lifted filter must weigh each grounding at its own location, as
+    the ground oracle does."""
+    report = compare(location_weighted_domain(),
                      [AnnotationTuple("walk", "table", "floor", {}, {})])
     assert not report.divergent
     assert report.log_likelihood_gap <= 1e-9
     assert abs(report.log_likelihood_lifted - math.log(5 / 12)) <= 1e-9
+
+
+def test_predict_logs_each_split_with_its_reason(caplog):
+    """Splitting an entry into groundings is logged at debug level with the
+    reason and the number of groundings; a predict that splits nothing logs
+    no split."""
+    caplog.set_level(logging.DEBUG, logger="mhgfilter")
+    domain = location_weighted_domain()
+    predict(domain, Belief.from_state(domain.initial_state))
+    assert [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("predict:")] == [
+        "predict: split into 2 groundings, rule weights depend on the "
+        "agent's location"]
+    caplog.clear()
+    domain = builtin_domain("mini")
+    predict(domain, Belief.from_state(domain.initial_state))
+    assert not [r for r in caplog.records if "split" in r.getMessage()]
 
 
 def test_canonical_forms_are_isomorphism_invariants():

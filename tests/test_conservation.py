@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -10,6 +12,7 @@ from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 from mhgfilter import (BoundedEdge, Hyperedge, IntegrityError,  # noqa: E402
                        LiftedMultiHypergraph, TotalConstraint, Vertex,
                        index_vertices)
+from mhgfilter.graphs import conserved_sums as group_sums  # noqa: E402
 
 CONSERVED_EDGES = frozenset({"at"})
 CONSERVED_VERTICES = frozenset({"item"})
@@ -77,3 +80,43 @@ def test_conservation_check_matches_enumeration(parts, skew):
             build(mults, conservation)
     else:
         build(mults, conservation)
+
+
+@st.composite
+def one_group(draw):
+    """1-5 members over 1-3 conserved items and one place that is not
+    conserved, labelled ``at`` (conserved) or ``near`` (not), so that a
+    member touches an item 0, 1 or 2 times; and a feasible total."""
+    items = [f"c{i}" for i in range(draw(st.integers(1, 3)))]
+    incidence = st.lists(st.sampled_from(items + ["p"]), min_size=1,
+                         max_size=2).map(lambda xs: tuple(sorted(xs)))
+    members = draw(st.lists(
+        st.tuples(st.tuples(st.sampled_from(["at", "near"]), incidence),
+                  st.integers(0, 2), st.integers(0, 2)),
+        min_size=1, max_size=5, unique_by=lambda m: m[0]))
+    members = [(key, lo, lo + width) for key, lo, width in members]
+    total = draw(st.integers(sum(m[1] for m in members),
+                             sum(m[2] for m in members)))
+    return items, members, total
+
+
+@seed(0)
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(one_group())
+def test_group_sums_equal_enumeration(group):
+    """Each conserved vertex's [least, greatest] sum over one group equals
+    the brute-force extremes of sum(coef * x) over the assignments that
+    meet the group's total, whether the members touch it equally or not."""
+    items, members, total = group
+    layout = index_vertices([Vertex(v, "item") for v in items]
+                            + [Vertex("p", "place")], CONSERVED_EDGES,
+                            CONSERVED_VERTICES)
+    coefs = {v: [inc.count(v) if label in CONSERVED_EDGES else 0
+                 for (label, inc), _, _ in members] for v in items}
+    sums = {v: [sum(c * x for c, x in zip(coef, xs))
+                for xs in itertools.product(*(range(lo, up + 1)
+                                              for _, lo, up in members))
+                if sum(xs) == total]
+            for v, coef in coefs.items() if any(coef)}
+    assert group_sums(layout, (), [(members, total)]) == {
+        v: [min(s), max(s)] for v, s in sums.items()}

@@ -361,6 +361,13 @@ def test_generate_trace_rejects_a_corrupt_at_outside_the_trace():
         generate_trace(taker, seed=0, length=8, corrupt_at=5)
 
 
+def test_generate_trace_rejects_a_negative_length():
+    domain = builtin_domain("mini")
+    with pytest.raises(ValueError, match="length -3 "):
+        generate_trace(domain, seed=0, length=-3)
+    assert generate_trace(domain, seed=0, length=0) == ([], False)
+
+
 def test_generate_trace_rejects_unknown_policy():
     with pytest.raises(ValueError):
         generate_trace(builtin_domain("mini"), seed=0, length=1, policy="lazy")

@@ -156,9 +156,12 @@ def test_predict_applies_action_weights():
         assert sum(w for _, w in outputs) == pytest.approx(1.0)
 
 
-def test_predict_splits_on_partial_applicability():
+def test_predict_splits_on_partial_applicability(caplog):
     domain = tiny_domain(spread_initial())
-    joint = predict(domain, Belief.from_state(domain.initial_state))
+    with caplog.at_level(logging.DEBUG, logger="mhgfilter"):
+        joint = predict(domain, Belief.from_state(domain.initial_state))
+    assert "predict: split into 2 groundings, 'take' applies in only some " \
+        "groundings" in [r.getMessage() for r in caplog.records]
     weights = sorted((p.rule.name, round(p.weight, 12)) for p in joint.particles)
     assert weights == [("take", 0.25), ("walk", 0.25), ("walk", 0.5)]
     assert [p.rule.name for p in joint.particles] == ["take", "walk", "walk"]

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -130,15 +131,23 @@ def test_constraint_over_no_edges_must_total_zero():
 
 
 def test_composition_count_equals_the_brute_force_product():
-    """The sliding-window count of tuples within bounds that meet a total
-    equals a brute-force pass over the product of the ranges, with
-    zero-width members, totals outside the range and no members at all."""
+    """The count of tuples within bounds that meet a total equals a
+    brute-force pass over the product of the ranges, with zero-width
+    members, totals outside the range and no members at all, and for groups
+    of unit-width members, which are counted as C(n, t), up to slot sizes."""
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
+
+    def brute(bounds, total):
+        return sum(sum(xs) == total for xs in itertools.product(
+            *(range(lo, up + 1) for lo, up in bounds)))
 
     assert _count_compositions([], 0) == 1
     assert _count_compositions([], 1) == 0
     assert _count_compositions([(2, 2), (0, 1)], 2) == 1
+    for total in range(16):
+        assert _count_compositions([(0, 1)] * 14, total) == math.comb(14, total)
+    assert _count_compositions([(1, 2)] * 6, 9) == math.comb(6, 3)
 
     @hypothesis.seed(0)
     @hypothesis.settings(max_examples=300, derandomize=True, deadline=None,
@@ -148,11 +157,25 @@ def test_composition_count_equals_the_brute_force_product():
                       st.integers(-2, 32))
     def check(spans, total):
         bounds = [(lo, lo + width) for lo, width in spans]
-        brute = sum(sum(xs) == total for xs in itertools.product(
-            *(range(lo, up + 1) for lo, up in bounds)))
-        assert _count_compositions(bounds, total) == brute
+        assert _count_compositions(bounds, total) == brute(bounds, total)
+
+    @st.composite
+    def unit_groups(draw):
+        bounds = [(lo, lo + 1) for lo in draw(
+            st.lists(st.integers(0, 2), min_size=1, max_size=10))]
+        base = sum(lo for lo, _ in bounds)
+        return bounds, draw(st.integers(-1, len(bounds) + base + 1))
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(unit_groups())
+    def check_unit(group):
+        bounds, total = group
+        assert _count_compositions(bounds, total) == brute(bounds, total)
 
     check()
+    check_unit()
 
 
 def test_bound_hull_is_tightened():
