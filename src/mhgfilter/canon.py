@@ -317,13 +317,12 @@ def _records(layout) -> _Records:
     return compiled[_records]
 
 
-def _edge_entry(records: _Records, e) -> tuple:
+def _edge_entry(records: _Records, key) -> tuple:
     """An edge key's index incidence, record head, occurrence pairs and, on
     a layout with canonical positions, its record up to the tail."""
-    key = (e.label, e.incidence)
     if key not in records.by_key:
-        inc = tuple(records.index[x] for x in e.incidence)
-        head = _label_rec(e.label) + pack(">I", len(inc))
+        inc = tuple(records.index[x] for x in key[1])
+        head = _label_rec(key[0]) + pack(">I", len(inc))
         rank = records.rank
         records.by_key[key] = (
             inc, head, tuple(Counter(inc).items()),
@@ -344,16 +343,22 @@ def _edge_rec(head: bytes, positions) -> bytes:
     return head + b"".join(pack(">I", k) for k in sorted(positions))
 
 
-def _tails(state) -> list[bytes]:
-    return ([pack(">Q", e.multiplicity) for e in state.fixed_edges]
-            + [pack(">QQ", b.lower, b.upper) for b in state.bounded_edges])
-
-
-def _groups(state) -> list[tuple[int, list[int]]]:
-    """Each constraint's total and its members' indices among the bounded edges."""
-    bindex = {b.key: i for i, b in enumerate(state.bounded_edges)}
-    return [(c.total, [bindex[k] for k in sorted(c.edge_keys)])
-            for c in state.constraints]
+def _edges(state) -> tuple[list[tuple], list[bytes], int, list]:
+    """A state's edges as (key, lower, upper) in its bounds map's order,
+    fixed ones first (every byte section is sorted, so the order never
+    shows); their record tails; the number of fixed ones; and each
+    constraint's total with its members' indices among the bounded ones."""
+    fixed, bounded = [], []
+    for k, (lo, up) in state.bounds.items():
+        (fixed if lo == up else bounded).append((k, lo, up))
+    groups: dict = {}
+    for bi, (k, _, _) in enumerate(bounded):
+        c = state.group_of(k)
+        if c is not None:
+            groups.setdefault(c.edge_keys, (c.total, []))[1].append(bi)
+    edges = fixed + bounded
+    tails = [pack(">Q", lo) if lo == up else pack(">QQ", lo, up) for _, lo, up in edges]
+    return edges, tails, len(fixed), list(groups.values())
 
 
 def _pinned(vrecs: list[bytes], state, pins: Mapping[str, int]) -> list[bytes]:
@@ -364,9 +369,9 @@ def _pinned(vrecs: list[bytes], state, pins: Mapping[str, int]) -> list[bytes]:
 
 def _serialize(version: int, vsection: bytes, erecs: list[bytes], nf: int,
                groups) -> bytes:
-    """The form from its vertex section and the edge records in state order
-    (``nf`` fixed, then bounded); lifted layouts (``0x02``, ``0xFF``) append
-    the bounded-edge and constraint sections."""
+    """The form from its vertex section and the edge records as ``_edges``
+    lists them (``nf`` fixed, then bounded); lifted layouts (``0x02``,
+    ``0xFF``) append the bounded-edge and constraint sections."""
     out = [bytes([version]), vsection, _section(sorted(erecs[:nf]))]
     if version in (0x02, 0xFF):
         branked = sorted(range(len(erecs) - nf), key=lambda bi: erecs[nf + bi])
@@ -392,15 +397,12 @@ def _structure(state, pins: Mapping[str, int] | None, version: int) -> _Structur
     records = _records(state.layout)
     vrecs = records.vrecs
     n = len(vrecs)
-    recs = [_edge_entry(records, e) for e in state.fixed_edges + state.bounded_edges]
-    nf = len(state.fixed_edges)
-    descs = ([(0, e.label, e.multiplicity) for e in state.fixed_edges]
-             + [(1, b.label, b.lower, b.upper) for b in state.bounded_edges])
-    tails = _tails(state)
+    edges, tails, nf, groups = _edges(state)
+    recs = [_edge_entry(records, k) for k, _, _ in edges]
+    descs = [(0, k[0], lo) if lo == up else (1, k[0], lo, up) for k, lo, up in edges]
     if pins is not None:
         vrecs = _pinned(vrecs, state, pins)
     init_keys = vrecs
-    groups = _groups(state)
     if groups:
         # constraint profile folded into the initial colours (colour-independent)
         profile: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
@@ -431,10 +433,9 @@ def _form(state, pins: Mapping[str, int] | None, version: int) -> bytes:
     # the one leaf: records are prefix-free, so pins do not reorder them
     vsection = (records.vsection if pins is None
                 else _section(sorted(_pinned(records.vrecs, state, pins))))
-    erecs = [_edge_entry(records, e)[3] + tail
-             for e, tail in zip(state.fixed_edges + state.bounded_edges, _tails(state))]
-    return _serialize(version, vsection, erecs, len(state.fixed_edges),
-                      _groups(state))
+    edges, tails, nf, groups = _edges(state)
+    erecs = [_edge_entry(records, k)[3] + tail for (k, _, _), tail in zip(edges, tails)]
+    return _serialize(version, vsection, erecs, nf, groups)
 
 
 def canonical_form(g) -> CanonicalForm:

@@ -72,6 +72,9 @@ class Domain:
         names = [r.name for r in self.rules]
         if len(names) != len(set(names)):
             raise StructuralError(f"domain {self.name!r}: duplicate rule name")
+        if not self.initial_state.has_vertex(self.agent_id):
+            raise StructuralError(f"domain {self.name!r}: agent {self.agent_id!r} "
+                                  f"is no vertex of the initial state")
         if not self.agent_location_labels <= self.location_labels:
             raise StructuralError(
                 f"domain {self.name!r}: agent locations must be locations")
@@ -393,13 +396,15 @@ def held_counts(domain: Domain, g: MultiHypergraph) -> dict[str, int]:
 
 def _pick_install_heavy(domain: Domain, g: MultiHypergraph, rng: random.Random,
                         options_by_rule: dict[str, list]) -> tuple[Rule, object]:
-    """Greedy choice: install when possible, otherwise work toward installing."""
+    """Greedy choice: install when possible, otherwise work toward installing.
+    A domain whose ``walk`` or ``take`` names its variables otherwise gets
+    no preference from that rule."""
     wanted = [("installEccentric", lambda m: True)]
     if agent_location(domain, g) != "table":
-        wanted.append(("walk", lambda m: m.get("Y") == "table"))
+        wanted.append(("walk", lambda m: m.as_dict().get("Y") == "table"))
     if g.edge_multiplicity(HOLDS_LABEL, (domain.agent_id, "screwdriver")) == 0:
-        wanted.append(("take", lambda m: m.get("I") == "screwdriver"))
-    wanted.append(("take", lambda m: m.get("I") == "eccentric"))
+        wanted.append(("take", lambda m: m.as_dict().get("I") == "screwdriver"))
+    wanted.append(("take", lambda m: m.as_dict().get("I") == "eccentric"))
     for rule_name, want in wanted:
         opts = [m for m in options_by_rule.get(rule_name, ()) if want(m)]
         if opts:

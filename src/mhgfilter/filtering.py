@@ -188,13 +188,12 @@ class FilterResult:
 
 def agent_location(domain, state: LiftedMultiHypergraph) -> str | None:
     """The agent's location vertex id, or None when not uniquely fixed."""
-    found = None
-    for e in state.fixed_edges:
-        if e.label != AT_LABEL or domain.agent_id not in e.incidence:
+    agent, found = domain.agent_id, None
+    for (label, incidence), (lo, up) in state.bounds.items():
+        if label != AT_LABEL or lo != up or agent not in incidence:
             continue
-        others = [v for v in e.incidence if v != domain.agent_id]
-        if (len(e.incidence) != 2 or len(others) != 1 or e.multiplicity != 1
-                or found is not None):
+        others = [v for v in incidence if v != agent]
+        if len(incidence) != 2 or len(others) != 1 or lo != 1 or found is not None:
             return None
         found = others[0]
     return found

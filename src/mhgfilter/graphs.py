@@ -16,25 +16,22 @@ fixtures) are unconstrained.
 The construction checks here (vertex index, incidence, conservation) serve
 every state in ``lifted.py``, a ground state being one without bounded
 edges.  A state derived from a checked one is checked locally: only the
-vertices that its changed parts touch (:func:`check_conservation`).
+vertices that its changed parts touch (:func:`check_conservation`), and
+only the keys new to it (:func:`check_incidence`).
 
 Rules change edges only, never vertices.  So a :class:`VertexLayout` is
 built once, from the initial vertex list, and every state derived from it
 shares it: matching and canonical forms compile what depends on the
 vertices alone once per layout, which is exact for all of those states.
-The layout also interns edges: each (key, multiplicity) is built,
-validated and checked against the vertices once, and every state over the
-layout holds that one :class:`Hyperedge` object.  The conservation
-declaration belongs to the layout too: :func:`index_vertices` makes it,
-once, and every state over the layout is checked against it.
+The conservation declaration belongs to the layout too:
+:func:`index_vertices` makes it, once, and every state over the layout is
+checked against it.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Container, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .errors import IntegrityError, StructuralError
 
@@ -94,9 +91,7 @@ class VertexLayout:
     function.
 
     ``conserved`` maps each conserved vertex's id to its multiplicity, in
-    vertex order; it is empty when either label set is.  ``edges`` interns
-    the layout's edges by (key, multiplicity); an edge is in it only once
-    its incidence has been checked against the vertices, which never change.
+    vertex order; it is empty when either label set is.
     """
 
     vertices: tuple[Vertex, ...]
@@ -105,28 +100,11 @@ class VertexLayout:
     conserved_vertex_labels: frozenset[Label] = frozenset()
     conserved: dict[str, int] = field(init=False)
     compiled: dict = field(default_factory=dict)
-    edges: dict = field(default_factory=dict)
 
     def __post_init__(self):
         conserved = self.conserved_vertex_labels if self.conservation_labels else ()
         object.__setattr__(self, "conserved", {
             v.id: v.multiplicity for v in self.vertices if v.label in conserved})
-
-    def edge(self, key: EdgeKey, multiplicity: int) -> Hyperedge:
-        """The layout's edge with this key and multiplicity, built on first
-        request."""
-        e = self.edges.get((key, multiplicity))
-        return e if e is not None else self.intern(Hyperedge(*key, multiplicity))
-
-    def intern(self, e: Hyperedge) -> Hyperedge:
-        """The layout's edge equal to ``e``; ``e`` itself, once its incidence
-        is checked, when the layout has none yet."""
-        k = (e.key, e.multiplicity)
-        got = self.edges.get(k)
-        if got is None:
-            check_incidence(e.label, e.incidence, self.by_id)
-            got = self.edges[k] = e
-        return got
 
 
 def index_vertices(vertices: Iterable[Vertex] | VertexLayout,
@@ -238,20 +216,6 @@ def check_conservation(layout: VertexLayout, singles: Iterable[Bounds],
                 f"vertex {vid!r} ({layout.by_id[vid].label}): conserved "
                 f"multiplicity sum ranges over [{lo}, {up}] across "
                 f"groundings, expected exactly {m}")
-
-
-def patched(items: tuple, changed: Container[EdgeKey], new: Iterable) -> tuple:
-    """``items``, sorted by key, less those whose key is in ``changed``,
-    with ``new`` inserted in key order."""
-    if not changed:
-        return items
-    out = [e for e in items if e.key not in changed]
-    for e in new:
-        insort(out, e, key=_KEY)
-    return tuple(out)
-
-
-_KEY = attrgetter("key")
 
 
 def _group_coef_range(members: list[tuple[int, int, int]], total: int

@@ -29,11 +29,15 @@ edge fixed and the ground canonical form (``0x01``).  Its derivations stay
 ground while no key is bounded; ``from_graph`` re-classes its parts as a
 plain lifted state, with the lifted form (``0x02``).
 
+A state stores only its bounds map, ``bounds`` (key -> (lower, upper),
+never mutated), and its group index; ``fixed_edges``, ``bounded_edges``
+and ``constraints`` are sorted views of them, built on first read.
+
 The constructor is the definition.  A state derived from another --
 ``shifted``, ``conditioned``, ``from_graph`` -- is born normalised instead:
 it copies its source's bounds map, changes the keys the step names, and
-reuses every other edge, bounded edge, group and per-group count.  Both
-arguments for that are exact:
+reuses every other group and per-group count.  Both arguments for that are
+exact:
 
 * Tightening.  A group's hull reads only its own members' bounds and total
   (``_normalise``, the one helper the constructor runs over every group).
@@ -48,9 +52,10 @@ arguments for that are exact:
   parts are read, and a failure raises the constructor's IntegrityError.
 
 Every state built from another (shifted, conditioned, lifted from a graph,
-or grounded) keeps its vertex layout, with its conservation declaration,
-its compiled forms and its interned edges: a state's fixed edges, and a
-grounding's edges, are the layout's objects.
+or grounded) keeps its vertex layout, with its conservation declaration
+and its compiled forms.  A key's incidence is checked against the
+vertices where the key enters a state: the constructor's edges, and a key
+new to a derived state.
 """
 
 from __future__ import annotations
@@ -64,8 +69,7 @@ from . import canon
 from .canon import CanonicalForm, canonical_form_lifted as _canon_lifted
 from .errors import EnumerationLimitError, StructuralError
 from .graphs import (EdgeKey, Hyperedge, Label, Vertex, VertexLayout,
-                     check_conservation, check_incidence, edge_key, index_vertices,
-                     patched)
+                     check_conservation, check_incidence, edge_key, index_vertices)
 
 # Enumerating more groundings than this raises EnumerationLimitError.
 MAX_GROUNDINGS = 10 ** 6
@@ -114,8 +118,8 @@ class TotalConstraint:
 
 
 class LiftedMultiHypergraph:
-    __slots__ = ("layout", "vertices", "fixed_edges", "bounded_edges", "constraints",
-                 "is_empty", "_bounds", "_group_of", "_counts", "_canonical", "_count")
+    __slots__ = ("layout", "vertices", "is_empty", "bounds", "_group_of", "_counts",
+                 "_canonical", "_count", "_views")
 
     def __init__(self, vertices: Iterable[Vertex] | VertexLayout,
                  fixed_edges: Iterable[Hyperedge] = (),
@@ -124,7 +128,7 @@ class LiftedMultiHypergraph:
         layout = index_vertices(vertices)
         fixed: dict[EdgeKey, int] = {}
         for e in fixed_edges:
-            e = layout.intern(e)
+            check_incidence(e.label, e.incidence, layout.by_id)
             fixed[e.key] = fixed.get(e.key, 0) + e.multiplicity
 
         bounds: dict[EdgeKey, tuple[int, int]] = {}
@@ -163,31 +167,41 @@ class LiftedMultiHypergraph:
         for keys, t in groups:
             group = _normalise(bounds, keys, t)
             if group is None:
-                self._set(layout, {}, (), (), (), {}, {}, True)
+                self._set(layout, {}, {}, {}, True)
                 return
             if group[0]:
                 left.append(TotalConstraint(*group))
         group_of = {k: c for c in left for k in c.edge_keys}
-        items = sorted(bounds.items())
-        self._set(layout, bounds,
-                  tuple(layout.edge(k, lo) for k, (lo, up) in items if lo == up),
-                  tuple(BoundedEdge(*k, lo, up) for k, (lo, up) in items if lo < up),
-                  tuple(sorted(left, key=_group_order)), group_of, {})
+        self._set(layout, bounds, group_of, {})
         check_conservation(layout, *_parts(bounds, group_of, bounds))
 
-    def _set(self, layout, bounds, fixed_edges, bounded_edges, constraints,
-             group_of, counts, is_empty=False) -> None:
+    def _set(self, layout, bounds, group_of, counts, is_empty=False) -> None:
         self.layout = layout
         self.vertices = layout.vertices
-        self.fixed_edges = fixed_edges
-        self.bounded_edges = bounded_edges
-        self.constraints = constraints
         self.is_empty = is_empty
-        self._bounds = bounds         # key -> (lower, upper); absent keys are 0
+        self.bounds = bounds          # key -> (lower, upper), never mutated
         self._group_of = group_of     # key -> its TotalConstraint
         self._counts = counts         # group key set -> its number of assignments
         self._canonical = None
         self._count = None
+        self._views = None
+
+    fixed_edges = property(lambda self: self._edge_views()[0])
+    bounded_edges = property(lambda self: self._edge_views()[1])
+    constraints = property(lambda self: self._edge_views()[2])
+
+    def _edge_views(self) -> tuple[tuple, tuple, tuple]:
+        """The sorted fixed edges, bounded edges and constraints."""
+        if self._views is None:
+            items = sorted(self.bounds.items())
+            self._views = (
+                tuple(Hyperedge(*k, lo) for k, (lo, up) in items if lo == up),
+                tuple(BoundedEdge(*k, lo, up) for k, (lo, up) in items if lo < up),
+                tuple(self._groups()))
+        return self._views
+
+    def _groups(self) -> list[TotalConstraint]:
+        return sorted(set(self._group_of.values()), key=lambda c: sorted(c.edge_keys))
 
     def _derive(self, bounds: dict[EdgeKey, tuple[int, int]], keys: set[EdgeKey],
                 totals: dict[frozenset[EdgeKey], int],
@@ -202,17 +216,16 @@ class LiftedMultiHypergraph:
         other group of ``totals`` must have moved rigidly, by a shift of its
         members and the same shift of its total, so it stays tight, keeps
         no fixed member and keeps its number of assignments.  Unchanged
-        edges, groups and counts are this state's objects, and conservation
-        is checked over the changed parts only.
+        groups and counts are this state's objects.  Conservation is
+        checked over the changed parts only, and incidence over the keys
+        new to the state.
         """
         layout = self.layout
-        group_of, counts, groups = self._group_of, self._counts, None
+        group_of, counts = self._group_of, self._counts
         if totals:
             # a state shares its group index and counts while its groups are the same
             group_of, counts = dict(group_of), dict(counts)
-            groups = {c.edge_keys: c for c in self.constraints}
             for gkeys, total in totals.items():
-                groups.pop(gkeys, None)
                 if gkeys == step:
                     tight = _normalise(bounds, gkeys, total)
                     if tight is None:
@@ -223,31 +236,25 @@ class LiftedMultiHypergraph:
                     gkeys, total = tight
                     if not gkeys:
                         continue
-                c = groups[gkeys] = TotalConstraint(gkeys, total)
+                c = TotalConstraint(gkeys, total)
                 for k in gkeys:
                     group_of[k] = c
-        old = self._bounds
+        old = self.bounds
         changed = {k for k in keys if bounds.get(k) != old.get(k)}
         if layout.conserved:
             scope = changed.union(*totals)
             check_conservation(layout, *_parts(bounds, group_of, scope),
                                replaced=_parts(old, self._group_of, scope))
-        fixed, bounded = [], []
+        # a ground state's successor stays ground unless a key became bounded
+        made = self._made
         for k in changed:
             if k in bounds:
+                if k not in old:
+                    check_incidence(*k, layout.by_id)
                 lo, up = bounds[k]
-                if lo == up:
-                    fixed.append(layout.edge(k, lo))
-                else:
-                    bounded.append(BoundedEdge(*k, lo, up))
-        bounded = patched(self.bounded_edges, changed, bounded)
-        # a ground state's successor stays ground unless a key became bounded
-        made = LiftedMultiHypergraph._made if bounded else self._made
-        return made(
-            layout, bounds, patched(self.fixed_edges, changed, fixed), bounded,
-            self.constraints if groups is None
-            else tuple(sorted(groups.values(), key=_group_order)),
-            group_of, counts)
+                if lo < up:
+                    made = LiftedMultiHypergraph._made
+        return made(layout, bounds, group_of, counts)
 
     @classmethod
     def _made(cls, *parts) -> "LiftedMultiHypergraph":
@@ -258,7 +265,7 @@ class LiftedMultiHypergraph:
 
     def _empty(self) -> "LiftedMultiHypergraph":
         """The empty state over this state's layout; it is never ground."""
-        return LiftedMultiHypergraph._made(self.layout, {}, (), (), (), {}, {}, True)
+        return LiftedMultiHypergraph._made(self.layout, {}, {}, {}, True)
 
     # -- queries -----------------------------------------------------------
 
@@ -270,7 +277,7 @@ class LiftedMultiHypergraph:
 
     def multiplicity_bounds(self, key: EdgeKey) -> tuple[int, int]:
         """(lower, upper) multiplicity of an edge key across the groundings."""
-        return self._bounds.get(key, _ABSENT)
+        return self.bounds.get(key, _ABSENT)
 
     def group_of(self, key: EdgeKey) -> TotalConstraint | None:
         return self._group_of.get(key)
@@ -279,8 +286,7 @@ class LiftedMultiHypergraph:
     def from_graph(g: "MultiHypergraph") -> "LiftedMultiHypergraph":
         """``g``'s parts as a plain lifted state: belief entries merge by
         lifted forms, ground states by ground forms."""
-        return LiftedMultiHypergraph._made(g.layout, g._bounds, g.fixed_edges,
-                                           (), (), {}, {})
+        return LiftedMultiHypergraph._made(g.layout, g.bounds, {}, {})
 
     def shifted(self, delta: Mapping[EdgeKey, int], group: tuple | None = None
                 ) -> "LiftedMultiHypergraph":
@@ -299,9 +305,9 @@ class LiftedMultiHypergraph:
             return self
         net: dict[EdgeKey, int] = {}
         for k, d in delta.items():   # this state's own keys are sorted already
-            k = k if k in self._bounds else edge_key(*k)
+            k = k if k in self.bounds else edge_key(*k)
             net[k] = net.get(k, 0) + d
-        bounds = dict(self._bounds)
+        bounds = dict(self.bounds)
         totals: dict[frozenset[EdgeKey], int] = {}
         for k, d in net.items():
             lo, up = bounds.get(k, _ABSENT)
@@ -340,7 +346,7 @@ class LiftedMultiHypergraph:
             return self
         if not lo <= value <= up or self.is_empty:
             return self._empty()
-        bounds = dict(self._bounds)
+        bounds = dict(self.bounds)
         bounds[key] = (value, value)
         c = self._group_of.get(key)
         if c is None:
@@ -358,23 +364,26 @@ class LiftedMultiHypergraph:
         from its source for every group that did not change."""
         if self._count is None:
             n = 0 if self.is_empty else 1
-            for b in self.bounded_edges:
-                if b.key not in self._group_of:
-                    n *= b.upper - b.lower + 1
-            for c in self.constraints:
+            for k, (lo, up) in self.bounds.items():
+                if lo < up and k not in self._group_of:
+                    n *= up - lo + 1
+            for c in set(self._group_of.values()):
                 m = self._counts.get(c.edge_keys)
                 if m is None:
                     m = self._counts[c.edge_keys] = _count_compositions(
-                        [self._bounds[k] for k in c.edge_keys], c.total)
+                        [self.bounds[k] for k in c.edge_keys], c.total)
                 n *= m
             self._count = n
         return self._count
 
     def _iter_assignments(self) -> Iterator[dict[EdgeKey, int]]:
-        b = self._bounds
-        choices = [[((e.key, v),) for v in range(e.lower, e.upper + 1)]
-                   for e in self.bounded_edges if e.key not in self._group_of]
-        for c in self.constraints:
+        # sorted key order fixes the order of the groundings, and so the
+        # order in which merged weights are summed
+        b = self.bounds
+        choices = [[((k, v),) for v in range(lo, up + 1)]
+                   for k, (lo, up) in sorted(b.items())
+                   if lo < up and k not in self._group_of]
+        for c in self._groups():
             keys = sorted(c.edge_keys)
             choices.append([tuple(zip(keys, comp)) for comp in _compositions(
                 [b[k] for k in keys], c.total)])
@@ -385,17 +394,13 @@ class LiftedMultiHypergraph:
         """The grounding of one assignment to the bounded keys.  The
         constructor, or the local check of the derivation that made this
         state, proved that every grounding conserves: none is checked again."""
-        bounds = dict(self._bounds)
-        edges = []
+        bounds = dict(self.bounds)
         for k, v in assignment.items():
             if v:
                 bounds[k] = (v, v)
-                edges.append(self.layout.edge(k, v))
             else:
                 del bounds[k]
-        return MultiHypergraph._made(self.layout, bounds,
-                                     patched(self.fixed_edges, assignment, edges),
-                                     (), (), {}, {})
+        return MultiHypergraph._made(self.layout, bounds, {}, {})
 
     def iter_groundings(self) -> Iterator["MultiHypergraph"]:
         """Every grounding; raises EnumerationLimitError beyond MAX_GROUNDINGS."""
@@ -445,15 +450,13 @@ class MultiHypergraph(LiftedMultiHypergraph):
                  edges: Iterable[Hyperedge] = ()):
         super().__init__(vertices, edges)
 
-    @property
-    def edges(self) -> tuple[Hyperedge, ...]:
-        return self.fixed_edges
+    edges = LiftedMultiHypergraph.fixed_edges
 
     def edge_multiplicity(self, label: Label, incidence: Iterable[str]) -> int:
-        return self._bounds.get(edge_key(label, incidence), _ABSENT)[0]
+        return self.bounds.get(edge_key(label, incidence), _ABSENT)[0]
 
     def edge_dict(self) -> dict[EdgeKey, int]:
-        return {k: m for k, (m, _) in self._bounds.items()}
+        return {k: m for k, (m, _) in self.bounds.items()}
 
     def canonical_form(self) -> CanonicalForm:
         if self._canonical is None:
@@ -464,7 +467,7 @@ class MultiHypergraph(LiftedMultiHypergraph):
         if not isinstance(other, MultiHypergraph):
             return NotImplemented
         a, b = self.layout, other.layout
-        return (self.vertices == other.vertices and self.edges == other.edges
+        return (self.vertices == other.vertices and self.bounds == other.bounds
                 and a.conservation_labels == b.conservation_labels
                 and a.conserved_vertex_labels == b.conserved_vertex_labels)
 
@@ -477,10 +480,6 @@ class MultiHypergraph(LiftedMultiHypergraph):
 
 
 _ABSENT = (0, 0)     # the bounds of a key with no edge
-
-
-def _group_order(c: TotalConstraint) -> list[EdgeKey]:
-    return sorted(c.edge_keys)
 
 
 def _normalise(bounds: dict[EdgeKey, tuple[int, int]], keys: Iterable[EdgeKey],

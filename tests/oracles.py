@@ -35,6 +35,39 @@ def builtin_document(name: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def renamed_mini_document() -> dict:
+    """The mini document with ``walk``'s destination variable named ``TO``
+    and ``take``'s item variable ``ITEM``: the same dynamics under names
+    the ``install_heavy`` policy does not look for."""
+    doc = builtin_document("mini")
+    for rule in doc["rules"]:
+        old = {"walk": "Y", "take": "I"}.get(rule["name"])
+        if old is not None:
+            new = {"Y": "TO", "I": "ITEM"}[old]
+            for pv in rule["pattern"]["vertices"]:
+                pv["var"] = new if pv["var"] == old else pv["var"]
+            for e in (rule["pattern"].get("edges", []) + rule["effect"]["retract"]
+                      + rule["effect"]["assert"]):
+                e["vars"] = [new if v == old else v for v in e["vars"]]
+    return doc
+
+
+def reference_agent_location(domain, state) -> str | None:
+    """``agent_location`` as a scan of the state's sorted fixed edges: the
+    other end of the agent's one binary ``at`` edge of multiplicity 1, or
+    None when the agent has no such edge, or another fixed ``at`` edge."""
+    found = None
+    for e in state.fixed_edges:
+        if e.label != AT_LABEL or domain.agent_id not in e.incidence:
+            continue
+        others = [v for v in e.incidence if v != domain.agent_id]
+        if (len(e.incidence) != 2 or len(others) != 1 or e.multiplicity != 1
+                or found is not None):
+            return None
+        found = others[0]
+    return found
+
+
 def fresh_layout(state, vertices=None):
     """A new vertex layout over the state's vertices, or the given ones,
     with the state's conservation declaration."""

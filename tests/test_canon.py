@@ -622,3 +622,66 @@ def test_merged_states_come_in_canonical_byte_order():
         out = merged(pairs)
         assert [(id(g), w) for g, w in out] == [(id(first[k]), total[k])
                                                 for k in sorted(first)]
+
+
+# -- bounds map order ---------------------------------------------------------
+
+def reordered(state, rng) -> list:
+    """``state`` built again with its bounds map in other orders: by the
+    constructor over its layout from its shuffled edge, bounded-edge and
+    constraint lists, and twice by taking its fixed edges out in one shift
+    and putting them back one shift at a time, in a random order."""
+    fixed, bounded, constraints = (list(state.fixed_edges), list(state.bounded_edges),
+                                   list(state.constraints))
+    for parts in (fixed, bounded, constraints):
+        rng.shuffle(parts)
+    builds = [MultiHypergraph(state.layout, fixed) if isinstance(state, MultiHypergraph)
+              else LiftedMultiHypergraph(state.layout, fixed, bounded, constraints)]
+    bare = state.shifted({e.key: -e.multiplicity for e in fixed})
+    for _ in range(2):
+        rng.shuffle(fixed)
+        derived = bare
+        for e in fixed:
+            derived = derived.shifted({e.key: e.multiplicity})
+        builds.append(derived)
+    return builds
+
+
+def test_canonical_bytes_ignore_the_bounds_map_order():
+    """Forms are built from a state's bounds map in its order, and every
+    byte section is sorted: the same state with its map in another order,
+    built by the constructor from shuffled lists or by derivations applied
+    in other orders, has the same ground or lifted bytes, pinned or not.
+    This holds on layouts whose vertex records are distinct (the one leaf)
+    and on symmetric ones (the search)."""
+    def distinct(state) -> bool:
+        recs = [(v.label, v.multiplicity) for v in state.vertices]
+        return len(set(recs)) == len(recs)
+
+    def forms(state, pins) -> tuple[bytes, bytes]:
+        if isinstance(state, MultiHypergraph):
+            return canonical_form(state).data, pinned_form(state, pins)
+        return canonical_form_lifted(state).data, pinned_form_lifted(state, pins)
+
+    rng = random.Random(11)
+    states = []
+    while len(states) < 80:
+        state = (random_lifted(rng, rng.randrange(1, 6)) if len(states) % 2
+                 else random_graph(rng, rng.randrange(1, 7), n_labels=4))
+        if distinct(state) and not state.is_empty:
+            states.append(state)
+    while len(states) < 160:
+        state = (symmetric_lifted if len(states) % 2 else symmetric_graph)(rng.randint, 7)
+        if not distinct(state):
+            states.append(state)
+    moved = 0
+    for state in states:
+        ids = [v.id for v in state.vertices]
+        pins = {rng.choice(ids): rng.randrange(2) for _ in range(rng.randrange(3))}
+        want = forms(state, pins)
+        builds = reordered(state, rng)
+        moved += len({tuple(b.bounds) for b in builds}) > 1
+        for b in builds:
+            assert type(b) is type(state) and b.bounds == state.bounds
+            assert forms(b, pins) == want
+    assert moved > 120

@@ -7,7 +7,7 @@ import pytest
 
 from mhgfilter import AnnotationTuple, format_trace
 from mhgfilter.cli import main
-from oracles import builtin_document, unchecked_lifted_apply
+from oracles import builtin_document, renamed_mini_document, unchecked_lifted_apply
 from test_oracle import unchecked_document
 
 
@@ -176,6 +176,34 @@ def test_bad_domain_values_exit_three(tmp_path, mini_trace, capsys):
         assert code == 3
         assert out == ""
         assert f"{key}.json" in err
+
+def test_an_agent_that_is_no_vertex_exits_three(tmp_path, mini_trace, capsys):
+    """An ``agent`` that names no vertex is a parse error, not a run that
+    reports every trace inconsistent or writes ``"loc_t": null``."""
+    doc = builtin_document("mini")
+    doc["agent"] = "robot"
+    path = tmp_path / "robot.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("filter", "--domain", str(path), "--trace", str(mini_trace)),
+                 ("gentrace", "--domain", str(path), "--length", "3")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert "robot.json" in err and "'robot'" in err
+
+
+def test_install_heavy_on_variables_named_otherwise_exits_zero(tmp_path, capsys):
+    """``gentrace --policy install_heavy`` on a domain whose ``walk`` and
+    ``take`` name their variables otherwise writes a trace that filters."""
+    domain = tmp_path / "renamed.json"
+    domain.write_text(json.dumps(renamed_mini_document()))
+    trace = tmp_path / "trace.jsonl"
+    code, _, err = run(capsys, "gentrace", "--domain", str(domain), "--policy",
+                       "install_heavy", "--seed", "0", "--length", "12",
+                       "--output", str(trace))
+    assert (code, err) == (0, "")
+    code, out, _ = run(capsys, "filter", "--domain", str(domain), "--trace", str(trace))
+    assert code == 0 and json.loads(out)["totals"]["steps"] == 12
+
 
 def test_bad_action_models_exit_three(tmp_path, mini_trace, capsys):
     """Action weights that are not finite non-negative numbers, name no rule

@@ -11,10 +11,10 @@ import pytest
 
 from mhgfilter import (ActionModel, AnnotationTuple, Effect, EffectEdge,
                        ParseError, StructuralError, apply, builtin_domain,
-                       format_trace, generate_trace, ground_options,
+                       filter_trace, format_trace, generate_trace, ground_options,
                        held_counts, parse_domain, parse_trace)
 from mhgfilter.domain import BUILTIN_DOMAINS
-from oracles import builtin_document
+from oracles import builtin_document, renamed_mini_document
 
 COMPONENT_LABELS = {"shelf_top", "shelf_bottom", "shelf_middle", "side_left",
                     "side_right", "back_panel", "base_plate",
@@ -383,6 +383,27 @@ def test_install_heavy_policy_installs():
     assert installs >= 10
     assert installs > sum(a.action == "installEccentric" for a in uniform)
     assert heavy != uniform
+
+
+def test_install_heavy_runs_on_variables_named_otherwise():
+    """``install_heavy`` looks for the mini variable names ``Y`` and ``I``; a
+    domain that names them otherwise still gets a trace, which filters."""
+    domain = parse_domain(renamed_mini_document(), "renamed.json")
+    trace, _ = generate_trace(domain, seed=0, length=12, policy="install_heavy")
+    assert trace and {a.action for a in trace} >= {"walk", "take"}
+    assert len(filter_trace(domain, trace).beliefs) == len(trace) + 1
+
+
+def test_an_agent_that_is_no_vertex_is_rejected():
+    """An ``agent`` id that names no vertex of the initial state is a
+    structural error of the domain, and a parse error of its document."""
+    doc = builtin_document("mini")
+    doc["agent"] = "robot"
+    with pytest.raises(ParseError, match="agent 'robot' is no vertex") as exc:
+        parse_domain(doc, "robot.json")
+    assert exc.value.source == "robot.json"
+    with pytest.raises(StructuralError, match="agent 'robot' is no vertex"):
+        dataclasses.replace(builtin_domain("mini"), agent_id="robot")
 
 
 def test_held_counts():

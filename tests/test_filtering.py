@@ -16,6 +16,7 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
 from mhgfilter import lifted as lifted_module
 from mhgfilter import rewrite
 from mhgfilter.filtering import _condition_state, _conditions
+from oracles import reference_agent_location
 
 LOCS = frozenset({"floor", "table"})
 
@@ -440,3 +441,44 @@ def test_step_stats_serialisation():
     assert d == {"step": 0, "action": None, "lifted_count": 1,
                  "ground_count": 1, "log_z": 0.0, "mode": "lifted",
                  "dropped_mass": 0.0}
+
+
+def test_agent_location_equals_the_fixed_edge_scan(monkeypatch):
+    """``agent_location`` reads the bounds map; it gives the reference scan of
+    the fixed edges' answer on hand-made states and on every state that one
+    mini ``compare`` derives, lifted and ground."""
+    domain = tiny_domain(sharp_initial())
+    vertices = [Vertex("agent", "agent"), Vertex("floor", "floor"),
+                Vertex("table", "table"), Vertex("gear", "gear")]
+    at = Hyperedge("at", ("agent", "floor"))
+    around = [Hyperedge("at", ("gear", "table")), Hyperedge("holds", ("agent", "gear"))]
+    maybe = BoundedEdge("at", ("agent", "table"), 0, 1)
+    cases = [
+        ([], [], None),                                                # no agent edge
+        ([at], [], "floor"),                                           # one
+        ([at, Hyperedge("at", ("agent", "table"))], [], None),         # two
+        ([Hyperedge("at", ("agent", "floor"), 2)], [], None),          # multiplicity 2
+        ([Hyperedge("at", ("agent", "floor", "table"))], [], None),    # arity 3
+        ([Hyperedge("at", ("agent", "agent"))], [], None),             # a loop
+        ([at], [maybe], "floor"),                                      # bounded: ignored
+        ([], [maybe], None),
+    ]
+    for fixed, bounded, want in cases:
+        state = LiftedMultiHypergraph(vertices, around + fixed, bounded)
+        assert agent_location(domain, state) == want
+        assert reference_agent_location(domain, state) == want
+
+    states = []
+    for name in ("shifted", "conditioned"):     # a ground state's too
+        def derived(*args, _derive=getattr(LiftedMultiHypergraph, name), **kwargs):
+            states.append(_derive(*args, **kwargs))
+            return states[-1]
+        monkeypatch.setattr(LiftedMultiHypergraph, name, derived)
+    mini = builtin_domain("mini")
+    trace, _ = generate_trace(mini, seed=3, length=12)
+    assert not compare(mini, trace).divergent
+    assert {type(s) for s in states} == {MultiHypergraph, LiftedMultiHypergraph}
+    assert len(states) > 40 and any(s.bounded_edges for s in states)
+    assert {agent_location(mini, s) for s in states} == {"floor", "table"}
+    for s in states:
+        assert agent_location(mini, s) == reference_agent_location(mini, s)

@@ -1,7 +1,7 @@
 """Vertex layouts: every derived state shares its source's layout, each
-rule compiles once per layout, compiled forms change no result, and
-interned edges are shared by every state of a layout while every
-construction check still runs."""
+rule compiles once per layout, compiled forms change no result, and a
+state derived from another equals a fresh build while every construction
+check still runs."""
 
 from __future__ import annotations
 
@@ -361,7 +361,7 @@ def test_a_pattern_without_variables_matches_once():
         assert p == 1.0 and h.multiplicity_bounds(("marked", ("a",))) == (1, 1)
 
 
-# -- interned edges ------------------------------------------------------------
+# -- derived states and fresh builds --------------------------------------------
 
 def fresh_vertices(state):
     """A new layout over fresh copies of the state's vertices, with its
@@ -388,9 +388,8 @@ def fresh_lifted(state, fixed, bounds, totals) -> LiftedMultiHypergraph:
 
 
 def assert_same(derived, fresh):
-    """``derived`` equals ``fresh`` edge by edge, in its bounds, groups and
-    grounding count and by canonical bytes, and holds its own layout's
-    interned edges."""
+    """``derived`` equals ``fresh`` edge by edge, in its bounds map, groups
+    and grounding count and by canonical bytes."""
     assert derived.layout is not fresh.layout
     if isinstance(fresh, MultiHypergraph):
         assert derived == fresh and hash(derived) == hash(fresh)
@@ -402,8 +401,7 @@ def assert_same(derived, fresh):
     assert derived.constraints == fresh.constraints
     assert derived.is_empty == fresh.is_empty
     assert derived.canonical_form().data == fresh.canonical_form().data
-    table = derived.layout.edges
-    assert all(table[e.key, e.multiplicity] is e for e in derived.fixed_edges)
+    assert derived.bounds == fresh.bounds
     if isinstance(fresh, LiftedMultiHypergraph):
         assert derived.count_groundings() == fresh.count_groundings()
         for e in fresh.fixed_edges + fresh.bounded_edges:
@@ -589,8 +587,8 @@ def test_groundings_equal_constructor_builds():
     declaring conservation, and on a state conditioned from each, every
     grounding -- built from the state's parts, with no conservation check
     of its own -- equals the graph the constructor builds over the same
-    layout from its edges, whose check passes.  Its multiplicity map and
-    hash agree too, and its edges are the layout's interned ones."""
+    layout from its edges, whose check passes.  Its multiplicity map,
+    bounds map and hash agree too."""
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
 
@@ -614,12 +612,11 @@ def test_groundings_equal_constructor_builds():
             b = rng.choice(l.bounded_edges)
             states.append(l.conditioned(b.key, rng.randint(b.lower, b.upper)))
         for state in states:
-            table = state.layout.edges
             for g in state.iter_groundings():
                 built = MultiHypergraph(state.layout, g.edges)
                 assert g == built and hash(g) == hash(built)
                 assert g.edge_dict() == built.edge_dict()
-                assert all(table[e.key, e.multiplicity] is e for e in g.edges)
+                assert g.bounds == built.bounds
 
     check()
 
@@ -628,22 +625,20 @@ def test_a_key_checked_in_one_layout_is_checked_again_in_another():
     a = MultiHypergraph([Vertex("a", "x"), Vertex("b", "y")],
                         [Hyperedge("at", ("a", "b"))])
     edge = a.edges[0]
-    assert a.layout.edges[edge.key, 1] is edge
     b = MultiHypergraph([Vertex("a", "x"), Vertex("c", "y")])
     for build in (lambda: MultiHypergraph(b.layout, [edge]),
                   lambda: LiftedMultiHypergraph(b.layout, [edge]),
                   lambda: b.shifted({edge.key: 1}),
-                  lambda: b.layout.edge(edge.key, 1)):
+                  lambda: b.shifted({}, ([edge.key], 1))):
         with pytest.raises(StructuralError, match="unknown vertex 'b'"):
             build()
-    assert not b.layout.edges
 
 
 def test_shifted_still_checks_conservation():
     g = MultiHypergraph(index_vertices([Vertex("e", "screw", 2), Vertex("s", "slot")],
                                        {"at"}, {"screw"}),
                         [Hyperedge("at", ("e", "s"), 2)])
-    for _ in range(2):  # the second time the edge is already interned
+    for _ in range(2):  # a failed shift leaves the state as it was
         with pytest.raises(IntegrityError, match=r"vertex 'e' \(screw\): conserved "
                            r"multiplicity sum ranges over \[1, 1\] across "
                            r"groundings, expected exactly 2"):
@@ -657,10 +652,9 @@ def test_duplicate_keys_still_sum_and_incidence_still_sorts():
     e = g.edges[0]
     h = MultiHypergraph(g.layout, [e, e, Hyperedge("at", ("a", "b"), 2)])
     assert h.edge_dict() == {("at", ("a", "b")): 4}
-    assert h.edges[0] is g.layout.edge(("at", ("a", "b")), 4)
+    assert h.edges == (Hyperedge("at", ("a", "b"), 4),)
     unsorted = g.shifted({("at", ("b", "a")): 2, ("at", ("a", "b")): 1})
-    assert unsorted.edges == (Hyperedge("at", ("a", "b"), 4),)
-    assert unsorted.edges[0] is h.edges[0]
+    assert unsorted.edges == h.edges
     assert unsorted.edge_multiplicity("at", ("b", "a")) == 4
     assert unsorted.multiplicity_bounds(("at", ("a", "b"))) == (4, 4)
     # a lifted state's shift and step group read keys the same way
@@ -672,14 +666,14 @@ def test_duplicate_keys_still_sum_and_incidence_still_sorts():
     assert grouped.constraints == (TotalConstraint(
         {("at", ("a", "b")), ("on", ("a",))}, 1),)
     assert grouped.multiplicity_bounds(("at", ("a", "b"))) == (0, 1)
-    assert g.layout.edge(("at", ("b", "a")), 1) is e
     assert e.incidence == ("a", "b")
 
 
 def test_all_states_of_a_compare_share_equal_edges(monkeypatch):
-    """Over one mini ``compare``, every state's edges with the same key and
-    multiplicity are one object, the layout's, whether the state was built
-    by a constructor or derived from another state."""
+    """Over one mini ``compare``, every state, whether built by a
+    constructor or derived from another state, shares the initial layout,
+    holds only keys over its vertices, and its fixed-edge view reads its
+    bounds map."""
     states = []
     for cls in (MultiHypergraph, LiftedMultiHypergraph):
         def recording(self, *args, _init=cls.__init__, **kwargs):
@@ -697,13 +691,14 @@ def test_all_states_of_a_compare_share_equal_edges(monkeypatch):
     trace, _ = generate_trace(domain, seed=3, length=12)
     assert not compare(domain, trace).divergent
     assert {type(s) for s in states} == {MultiHypergraph, LiftedMultiHypergraph}
-    objects: dict = {}
+    edges = set()
     for s in states:
         assert s.layout is domain.initial_state.layout
+        assert all(v in s.layout.by_id for _, incidence in s.bounds for v in incidence)
         for e in s.fixed_edges:
-            objects.setdefault((e.key, e.multiplicity), set()).add(id(e))
-    assert len(objects) > 10
-    assert all(len(ids) == 1 for ids in objects.values())
+            assert s.bounds[e.key] == (e.multiplicity, e.multiplicity)
+            edges.add(e)
+    assert len(edges) > 10
 
 
 def test_filtering_derives_every_state(monkeypatch):
