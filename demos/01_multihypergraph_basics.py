@@ -5,8 +5,7 @@ isomorphism checks into byte comparisons and how pinning breaks symmetry
 when a particular vertex must be told apart from its twins.
 """
 
-from mhgfilter import (Hyperedge, MultiHypergraph, Vertex, index_vertices,
-                       pinned_form)
+from mhgfilter import MultiHypergraph, Vertex, index_vertices, pinned_form
 
 
 def scene(slot_a="s1", slot_b="s2"):
@@ -18,12 +17,14 @@ def scene(slot_a="s1", slot_b="s2"):
         Vertex(slot_b, "slot"),
         Vertex("screw", "eccentric", multiplicity=2),
     ]
-    edges = [
-        Hyperedge("at", ("agent", "table")),
-        Hyperedge("at", ("screw", slot_a)),
-        Hyperedge("holds", ("agent", "screw")),
-        Hyperedge("adj", (slot_a, slot_b)),
-    ]
+    # An edge is its key, (label, incidence), mapped to its multiplicity;
+    # the incidence is a multiset, so its order does not matter.
+    edges = {
+        ("at", ("agent", "table")): 1,
+        ("at", ("screw", slot_a)): 1,
+        ("holds", ("agent", "screw")): 1,
+        ("adj", (slot_a, slot_b)): 1,
+    }
     # Conservation is declared once, on the vertex layout that every state
     # over these vertices shares.
     layout = index_vertices(vertices, conservation_labels=("at", "holds"),
@@ -37,8 +38,8 @@ def main():
     for v in g.vertices:
         print(f"  {v.id:7s} label={v.label!r} multiplicity={v.multiplicity}")
     print("scene edges:")
-    for e in g.edges:
-        print(f"  {e.label}{e.incidence} x{e.multiplicity}")
+    for (label, incidence), m in sorted(g.edge_dict().items()):
+        print(f"  {label}{incidence} x{m}")
 
     # Conservation is validated at construction time: the two eccentric
     # screws are accounted for by one installed copy and one held copy.
@@ -60,7 +61,7 @@ def main():
 
     # A real structural change does show up.  The new state keeps g's
     # layout, and with it the conservation declaration.
-    no_adj = g.shifted({e.key: -e.multiplicity for e in g.edges if e.label == "adj"})
+    no_adj = g.shifted({k: -m for k, m in g.edge_dict().items() if k[0] == "adj"})
     print("adjacency-dropped scene isomorphic:",
           g.canonical_form() == no_adj.canonical_form())
 

@@ -6,19 +6,20 @@ such object stands for its whole set of groundings, and the filter treats
 it as the uniform distribution over them.
 """
 
-from mhgfilter import (BoundedEdge, LiftedMultiHypergraph, TotalConstraint,
-                       Vertex, expand)
+from mhgfilter import LiftedMultiHypergraph, Vertex, expand
+
+PILE_1, PILE_2 = ("at", ("e", "s1")), ("at", ("e", "s2"))
 
 
 def four_screws_two_piles():
-    """Four screws split between two piles, each pile only interval-known."""
+    """Four screws split between two piles, each pile only interval-known.
+
+    The state is built from its bounds map, edge key -> (lower, upper), and
+    its groups, each (edge keys, exact total)."""
     return LiftedMultiHypergraph(
         [Vertex("e", "screw", 4), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
-        [],
-        [BoundedEdge("at", ("e", "s1"), 0, 2),
-         BoundedEdge("at", ("e", "s2"), 0, 4)],
-        [TotalConstraint(frozenset({("at", ("e", "s1")),
-                                    ("at", ("e", "s2"))}), 4)])
+        {PILE_1: (0, 2), PILE_2: (0, 4)},
+        [({PILE_1, PILE_2}, 4)])
 
 
 def main():
@@ -27,9 +28,9 @@ def main():
     # Normalisation already ran inside the constructor.  The declared
     # intervals were [0,2] and [0,4]; the exact total of 4 forces at least
     # 2 screws into the second pile, so its interval tightens to [2,4].
-    print("normalised bounded edges:")
-    for b in l.bounded_edges:
-        print(f"  {b.label}{b.incidence} in [{b.lower}, {b.upper}]")
+    print("normalised bounds:")
+    for (label, incidence), (lower, upper) in sorted(l.bounds.items()):
+        print(f"  {label}{incidence} in [{lower}, {upper}]")
 
     n = l.count_groundings()
     print("\nground support size:", n)
@@ -46,17 +47,15 @@ def main():
         print(f"  weight {w:.6f} digest {g.canonical_form().digest()}")
 
     # A saturated constraint collapses back to an ordinary ground state.
+    # Its bounds close to single values: lower = upper on every key.
     tight = LiftedMultiHypergraph(
         [Vertex("e", "screw", 4), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
-        [],
-        [BoundedEdge("at", ("e", "s1"), 0, 2),
-         BoundedEdge("at", ("e", "s2"), 0, 2)],
-        [TotalConstraint(frozenset({("at", ("e", "s1")),
-                                    ("at", ("e", "s2"))}), 4)])
-    print("\nsaturated state bounded edges:", len(tight.bounded_edges))
-    print("saturated state fixed edges:")
-    for e in tight.fixed_edges:
-        print(f"  {e.label}{e.incidence} x{e.multiplicity}")
+        {PILE_1: (0, 2), PILE_2: (0, 2)},
+        [({PILE_1, PILE_2}, 4)])
+    print("\nsaturated state groundings:", tight.count_groundings())
+    print("saturated state bounds:")
+    for (label, incidence), (lower, upper) in sorted(tight.bounds.items()):
+        print(f"  {label}{incidence} in [{lower}, {upper}]")
 
 
 if __name__ == "__main__":

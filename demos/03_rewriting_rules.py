@@ -10,7 +10,7 @@ numerically on a small install step.
 
 from collections import defaultdict
 
-from mhgfilter import (Effect, EffectEdge, Hyperedge, LiftedMultiHypergraph,
+from mhgfilter import (Effect, EffectEdge, LiftedMultiHypergraph,
                        MultiHypergraph, Pattern, PatternEdge, PatternVertex,
                        Rule, Vertex, expand, ground_options, index_vertices,
                        lifted_apply, successors, total_variation)
@@ -32,7 +32,7 @@ def workbench():
         [Vertex("agent", "agent"), Vertex("e", "screw", 2),
          Vertex("s1", "slot"), Vertex("s2", "slot"), Vertex("s3", "slot")],
         conservation_labels=("holds", "at"), conserved_vertex_labels=("screw",))
-    return MultiHypergraph(layout, [Hyperedge("holds", ("agent", "e"), 2)])
+    return MultiHypergraph(layout, {("holds", ("agent", "e")): 2})
 
 
 def main():
@@ -49,7 +49,7 @@ def main():
     succ = successors(rule, g)
     print("distinct successors after canonical merge:")
     for out, p in succ:
-        installed = sum(e.multiplicity for e in out.edges if e.label == "at")
+        installed = sum(m for (label, _), m in out.edge_dict().items() if label == "at")
         print(f"  p={p:.4f} installed={installed}")
 
     # The same step on a lifted state.  Start from the output of one
@@ -58,8 +58,9 @@ def main():
     assert l1.n_applicable == l1.n_groundings == 1
     state_after_one = l1.outputs()[0][0]
     print("\nafter one unobserved install:")
-    for b in state_after_one.bounded_edges:
-        print(f"  {b.label}{b.incidence} in [{b.lower}, {b.upper}]")
+    for (label, incidence), (lower, upper) in sorted(state_after_one.bounds.items()):
+        if lower < upper:
+            print(f"  {label}{incidence} in [{lower}, {upper}]")
     print("  ground support:", state_after_one.count_groundings())
 
     # Apply the rule again, now to a genuinely uncertain state.

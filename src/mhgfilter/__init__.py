@@ -15,9 +15,9 @@ from .errors import (EffectError, EngineError, EnumerationLimitError,
 from .filtering import (ActionModel, Belief, FilterResult, JointPrediction,
                         Particle, StepStats, agent_location,
                         filter_trace, predict, update)
-from .graphs import EdgeKey, Hyperedge, Label, Vertex, edge_key, index_vertices
-from .lifted import (MAX_GROUNDINGS, BoundedEdge, LiftedMultiHypergraph,
-                     MultiHypergraph, TotalConstraint)
+from .graphs import EdgeKey, Label, Vertex, edge_key, index_vertices
+from .lifted import (MAX_GROUNDINGS, LiftedMultiHypergraph, MultiHypergraph,
+                     TotalConstraint)
 from .domain import (AnnotationTuple, Domain, builtin_domain, format_trace,
                      generate_trace, held_counts, parse_domain, parse_trace)
 from .oracle import (ComparisonReport, GroundBelief, compare, expand,
@@ -29,10 +29,10 @@ from .rewrite import (Effect, EffectEdge, LiftedApplyResult, Match, Pattern,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionModel", "AnnotationTuple", "Belief", "BoundedEdge", "CanonicalForm",
+    "ActionModel", "AnnotationTuple", "Belief", "CanonicalForm",
     "ComparisonReport", "Domain", "EdgeKey",
     "Effect", "EffectEdge", "EffectError", "EngineError",
-    "EnumerationLimitError", "FilterResult", "GroundBelief", "Hyperedge",
+    "EnumerationLimitError", "FilterResult", "GroundBelief",
     "IntegrityError", "JointPrediction", "Label",
     "LiftedApplyResult", "LiftedMultiHypergraph", "MAX_GROUNDINGS", "Match",
     "MultiHypergraph", "ParseError", "Particle", "Pattern", "PatternEdge",

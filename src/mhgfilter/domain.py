@@ -27,8 +27,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import IntegrityError, ParseError, StructuralError
 from .filtering import HOLDS_LABEL, ActionModel, agent_location
-from .graphs import Hyperedge, Vertex, edge_key, index_vertices
-from .lifted import BoundedEdge, LiftedMultiHypergraph, MultiHypergraph, TotalConstraint
+from .graphs import EdgeKey, Vertex, edge_key, index_vertices
+from .lifted import LiftedMultiHypergraph, MultiHypergraph
 from .rewrite import (Effect, EffectEdge, Pattern, PatternEdge, PatternVertex,
                       Rule, ground_options, apply)
 
@@ -123,10 +123,11 @@ class Domain:
 
 # -- domain JSON ---------------------------------------------------------------
 
-def _req(obj: dict, key: str, source: str):
+def _req(obj: dict, key: str, source: str, kind=None):
+    """A required field, read by ``kind`` (as ``kind(value, key)``) if given."""
     if key not in obj:
         raise ParseError(f"missing key {key!r}", source)
-    return obj[key]
+    return obj[key] if kind is None else kind(obj[key], key)
 
 
 def _integer(value, name: str) -> int:
@@ -136,11 +137,28 @@ def _integer(value, name: str) -> int:
     return value
 
 
-def _labels(value, name: str) -> frozenset[str]:
-    """A label set as written: a JSON array of strings."""
+def _string(value, name: str) -> str:
+    """A field as written: a JSON string, never coerced."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} is {value!r}, not a string")
+    return value
+
+
+def _strings(value, name: str) -> tuple[str, ...]:
+    """A list field as written: a JSON array of strings, never a bare string."""
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ValueError(f"{name} is {value!r}, not a list of strings")
-    return frozenset(value)
+    return tuple(value)
+
+
+def _labels(value, name: str) -> frozenset[str]:
+    """A label set as written: a JSON array of strings."""
+    return frozenset(_strings(value, name))
+
+
+def _edge_fields(obj: dict, source: str, vars_key: str = "incidence") -> tuple:
+    """The ``label`` and ``incidence`` (or ``vars``) of an edge entry, as written."""
+    return _req(obj, "label", source, _string), _req(obj, vars_key, source, _strings)
 
 
 def _weights(value, name: str, rule_names: set[str]) -> dict[str, float]:
@@ -182,8 +200,9 @@ def _pattern_vertex(pv: dict, source: str) -> PatternVertex:
     any_of = pv.get("label_any_of")
     if label is not None and any_of is not None:
         raise ParseError("pattern vertex has both label and label_any_of", source)
-    return PatternVertex(_req(pv, "var", source),
-                         label if any_of is None else _labels(any_of, "label_any_of"),
+    label = (_labels(any_of, "label_any_of") if any_of is not None
+             else None if label is None else _string(label, "label"))
+    return PatternVertex(_req(pv, "var", source, _string), label,
                          _integer(pv.get("min_multiplicity", 1), "min_multiplicity"))
 
 
@@ -202,8 +221,7 @@ def _desugar_lifted_effect(le: dict, pattern: Pattern, effect: Effect,
     for key in le:
         if key not in ("group", "slots"):   # ``group`` is accepted and ignored
             raise ParseError(f"lifted_effect key {key!r} is not supported", source)
-    slots = [(_req(s, "label", source), tuple(_req(s, "incidence", source)),
-              _integer(s.get("capacity", 1), "capacity"))
+    slots = [(*_edge_fields(s, source), _integer(s.get("capacity", 1), "capacity"))
              for s in _req(le, "slots", source)]
     if not slots:
         raise ParseError("lifted_effect has no slots", source)
@@ -238,6 +256,48 @@ def _desugar_lifted_effect(le: dict, pattern: Pattern, effect: Effect,
             Effect(effect.retract, effect.assert_ + (slot_edge,)))
 
 
+def _initial_edges(data: dict, source: str) -> tuple[dict, list]:
+    """The initial bounds map and groups, (keys, total), of a document.
+    Fixed edges with one key sum, and a fixed multiplicity on a bounded key
+    adds to its interval and its group's total, which keeps each grounding:
+    the bounded value plus the fixed one."""
+    fixed: dict[EdgeKey, int] = {}
+    for e in data.get("edges", ()):
+        key = edge_key(*_edge_fields(e, source))
+        m = _integer(e.get("multiplicity", 1), "multiplicity")
+        if m < 1:
+            raise ValueError(f"edge {key!r}: multiplicity {m} is below 1")
+        fixed[key] = fixed.get(key, 0) + m
+    bounds: dict[EdgeKey, tuple[int, int]] = {}
+    for b in data.get("bounded_edges", ()):
+        key = edge_key(*_edge_fields(b, source))
+        lo, up = (_req(b, k, source, _integer) for k in ("lower", "upper"))
+        if not 0 <= lo <= up:
+            raise ValueError(f"bounded edge {key!r}: bad bounds [{lo}, {up}]")
+        if key in bounds:
+            raise ValueError(f"duplicate bounded edge {key!r}")
+        bounds[key] = (lo, up)
+    groups = []
+    for c in data.get("constraints", ()):
+        keys = set()
+        for entry in _req(c, "edges", source):    # [label, [vertex ids]]
+            if not isinstance(entry, list) or len(entry) != 2:
+                raise ValueError(f"constraint edge {entry!r} is not a pair")
+            keys.add(edge_key(_string(entry[0], "label"),
+                              _strings(entry[1], "incidence")))
+        total = _req(c, "total", source, _integer)
+        if total < 0:
+            raise ValueError(f"constraint total {total} is negative")
+        if not keys <= bounds.keys():
+            raise ValueError(f"constraint references unknown bounded edge "
+                             f"{min(keys - bounds.keys())!r}")
+        groups.append((keys, total + sum(fixed.get(k, 0) for k in keys)))
+    for k, m in fixed.items():
+        lo, up = bounds.get(k, (0, 0))
+        bounds[k] = (lo + m, up + m)
+    return bounds, groups
+
+
 def parse_domain(data: dict, source: str = "<domain>") -> Domain:
     if not isinstance(data, dict):
         raise ParseError("domain document must be an object", source)
@@ -251,31 +311,17 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
     try:
         labels = data.get("labels", {})
         conservation = data.get("conservation", {})
-        vertices = [Vertex(_req(v, "id", source), _req(v, "label", source),
+        vertices = [Vertex(*(_req(v, k, source, _string) for k in ("id", "label")),
                            _integer(v.get("multiplicity", 1), "multiplicity"))
                     for v in _req(data, "vertices", source)]
-        edges = [Hyperedge(_req(e, "label", source),
-                           tuple(_req(e, "incidence", source)),
-                           _integer(e.get("multiplicity", 1), "multiplicity"))
-                 for e in data.get("edges", ())]
-        bounded = [BoundedEdge(_req(b, "label", source),
-                               tuple(_req(b, "incidence", source)),
-                               _integer(_req(b, "lower", source), "lower"),
-                               _integer(_req(b, "upper", source), "upper"))
-                   for b in data.get("bounded_edges", ())]
-        constraints = [
-            TotalConstraint(frozenset((label, tuple(sorted(inc)))
-                                      for label, inc in _req(c, "edges", source)),
-                            _integer(_req(c, "total", source), "total"))
-            for c in data.get("constraints", ())]
+        bounds, groups = _initial_edges(data, source)
         rules = []
         for r in _req(data, "rules", source):
             pat = r.get("pattern", {})
             pattern = Pattern(
                 tuple(_pattern_vertex(pv, source)
                       for pv in pat.get("vertices", ())),
-                tuple(PatternEdge(_req(pe, "label", source),
-                                  tuple(_req(pe, "vars", source)),
+                tuple(PatternEdge(*_edge_fields(pe, source, "vars"),
                                   _integer(pe.get("min_multiplicity", 1),
                                            "min_multiplicity"))
                       for pe in pat.get("edges", ())))
@@ -283,8 +329,7 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
 
             def _effect_edges(entries):
                 return tuple(
-                    EffectEdge(_req(e, "label", source),
-                               tuple(_req(e, "vars", source)),
+                    EffectEdge(*_edge_fields(e, source, "vars"),
                                _integer(e.get("multiplicity", 1), "multiplicity"),
                                None if e.get("cap") is None
                                else _integer(e["cap"], "cap"))
@@ -295,7 +340,7 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
             if r.get("lifted_effect") is not None:
                 pattern, effect = _desugar_lifted_effect(
                     r["lifted_effect"], pattern, effect, vertices, source)
-            rules.append(Rule(_req(r, "name", source), pattern, effect))
+            rules.append(Rule(_req(r, "name", source, _string), pattern, effect))
         agent_locations = _labels(_req(labels, "agent_locations", source),
                                   "labels.agent_locations")
         action_model = _action_model(
@@ -304,16 +349,15 @@ def parse_domain(data: dict, source: str = "<domain>") -> Domain:
         layout = index_vertices(
             vertices, _labels(conservation.get("edges", []), "conservation.edges"),
             _labels(conservation.get("vertices", []), "conservation.vertices"))
-        initial = LiftedMultiHypergraph(layout, edges, bounded, constraints)
         return Domain(
-            name=str(data.get("name", source)),
-            agent_id=_req(data, "agent", source),
+            name=_string(data.get("name", source), "name"),
+            agent_id=_req(data, "agent", source, _string),
             location_labels=_labels(_req(labels, "locations", source),
                                     "labels.locations"),
             agent_location_labels=agent_locations,
             holdable_labels=_labels(_req(labels, "holdable", source),
                                     "labels.holdable"),
-            initial_state=initial,
+            initial_state=LiftedMultiHypergraph(layout, bounds, groups),
             rules=tuple(rules),
             action_model=action_model)
     except ParseError:
@@ -340,19 +384,11 @@ def parse_trace(text: str, source: str = "<trace>") -> list[AnnotationTuple]:
         try:
             held_t = _held_counts(obj.get("held_t", {}))
             held_next = _held_counts(obj.get("held_next", {}))
-            out.append(AnnotationTuple(_string(obj, "action"), _string(obj, "loc_t"),
-                                       _string(obj, "loc_next"), held_t, held_next))
+            fields = [_string(obj[k], k) for k in ("action", "loc_t", "loc_next")]
+            out.append(AnnotationTuple(*fields, held_t, held_next))
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise ParseError(f"bad annotation: {exc}", source, lineno) from exc
     return out
-
-
-def _string(obj: dict, key: str) -> str:
-    """A field as written: a JSON string, never coerced."""
-    value = obj[key]
-    if not isinstance(value, str):
-        raise ValueError(f"{key} is {value!r}, not a string")
-    return value
 
 
 def _held_counts(raw: dict) -> dict[str, int]:

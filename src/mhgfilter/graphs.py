@@ -1,4 +1,4 @@
-"""Vertices, hyperedges, vertex layouts and conservation checking.
+"""Vertices, edge keys, vertex layouts and conservation checking.
 
 A state is a set of labelled vertices and labelled hyperedges, both carrying
 positive integer multiplicities.  A vertex of multiplicity k stands for k
@@ -54,32 +54,8 @@ class Vertex:
             raise StructuralError(f"vertex {self.id!r}: multiplicity must be >= 1")
 
 
-@dataclass(frozen=True, order=True)
-class Hyperedge:
-    """A labelled hyperedge over a multiset of vertex ids.
-
-    The incidence is a multiset: the same vertex id may appear repeatedly and
-    the stored tuple is kept sorted, so two edges with the same label and the
-    same id multiset compare equal regardless of construction order.
-    """
-
-    label: Label
-    incidence: tuple[str, ...]
-    multiplicity: int = 1
-    key: EdgeKey = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.label:
-            raise StructuralError("edge label must be non-empty")
-        if not self.incidence:
-            raise StructuralError(f"edge {self.label!r}: incidence must be non-empty")
-        object.__setattr__(self, "incidence", tuple(sorted(self.incidence)))
-        object.__setattr__(self, "key", (self.label, self.incidence))
-        if self.multiplicity < 1:
-            raise StructuralError(f"edge {self.label!r}: multiplicity must be >= 1")
-
-
 def edge_key(label: Label, incidence: Iterable[str]) -> EdgeKey:
+    """An edge's key: its label and sorted incidence, whatever the id order."""
     return (label, tuple(sorted(incidence)))
 
 
@@ -130,6 +106,9 @@ def index_vertices(vertices: Iterable[Vertex] | VertexLayout,
 
 def check_incidence(label: Label, incidence: Iterable[str],
                     by_id: Mapping[str, Vertex]) -> None:
+    """Raise StructuralError on an empty label or incidence or unknown vertex."""
+    if not label or not incidence:
+        raise StructuralError(f"edge {label!r}: label and incidence must be non-empty")
     for vid in incidence:
         if vid not in by_id:
             raise StructuralError(f"edge {label!r} references unknown vertex {vid!r}")

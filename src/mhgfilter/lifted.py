@@ -9,12 +9,12 @@ A grounding picks one value per bounded edge within its bounds such that
 every group total holds; the lifted state denotes the uniform distribution
 over all such assignments.
 
-Construction normalises the representation:
+A state is built from, and stores, its bounds map, ``bounds`` (edge key ->
+(lower, upper), never mutated; a fixed edge has lower = upper), and its
+groups, each (key set, total).  The constructor checks them and normalises:
 
-* fixed edges sharing a key with a bounded edge are absorbed into its bounds
-  (support-preserving reparameterisation, group total shifted accordingly),
 * bounds are tightened to the feasible hull within each constraint group,
-* bounded edges with lower = upper become fixed edges (absent when zero),
+* a grouped key whose hull is one value becomes fixed (absent when zero),
 * satisfied empty groups are dropped.
 
 Infeasible constraints yield the *empty* lifted state (no groundings, no
@@ -25,13 +25,10 @@ multiplicity sum of every participating vertex is constant across the
 support and equal to the vertex multiplicity.
 
 A ground state, :class:`MultiHypergraph`, is a lifted state with every
-edge fixed and the ground canonical form (``0x01``).  Its derivations stay
-ground while no key is bounded; ``from_graph`` re-classes its parts as a
-plain lifted state, with the lifted form (``0x02``).
-
-A state stores only its bounds map, ``bounds`` (key -> (lower, upper),
-never mutated), and its group index; ``fixed_edges``, ``bounded_edges``
-and ``constraints`` are sorted views of them, built on first read.
+edge fixed and the ground canonical form (``0x01``), built from its edge
+dict (key -> multiplicity).  Its derivations stay ground while no key is
+bounded; ``from_graph`` re-classes its parts as a plain lifted state, with
+the lifted form (``0x02``).
 
 The constructor is the definition.  A state derived from another --
 ``shifted``, ``conditioned``, ``from_graph`` -- is born normalised instead:
@@ -54,7 +51,7 @@ exact:
 Every state built from another (shifted, conditioned, lifted from a graph,
 or grounded) keeps its vertex layout, with its conservation declaration
 and its compiled forms.  A key's incidence is checked against the
-vertices where the key enters a state: the constructor's edges, and a key
+vertices where the key enters a state: the constructor's map, and a key
 new to a derived state.
 """
 
@@ -62,118 +59,77 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from . import canon
 from .canon import CanonicalForm, canonical_form_lifted as _canon_lifted
 from .errors import EnumerationLimitError, StructuralError
-from .graphs import (EdgeKey, Hyperedge, Label, Vertex, VertexLayout,
+from .graphs import (EdgeKey, Label, Vertex, VertexLayout,
                      check_conservation, check_incidence, edge_key, index_vertices)
 
 # Enumerating more groundings than this raises EnumerationLimitError.
 MAX_GROUNDINGS = 10 ** 6
 
-__all__ = ["BoundedEdge", "TotalConstraint", "LiftedMultiHypergraph",
-           "MultiHypergraph", "MAX_GROUNDINGS"]
+__all__ = ["TotalConstraint", "LiftedMultiHypergraph", "MultiHypergraph",
+           "MAX_GROUNDINGS"]
 
 
-@dataclass(frozen=True, order=True)
-class BoundedEdge:
-    """A hyperedge whose multiplicity is only known to lie in [lower, upper]."""
-
-    label: str
-    incidence: tuple[str, ...]
-    lower: int
-    upper: int
-    key: EdgeKey = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.label:
-            raise StructuralError("bounded edge label must be non-empty")
-        if not self.incidence:
-            raise StructuralError(f"bounded edge {self.label!r}: empty incidence")
-        object.__setattr__(self, "incidence", tuple(sorted(self.incidence)))
-        object.__setattr__(self, "key", (self.label, self.incidence))
-        if self.lower < 0 or self.lower > self.upper:
-            raise StructuralError(
-                f"bounded edge {self.label!r}: bad bounds [{self.lower}, {self.upper}]")
-
-
-@dataclass(frozen=True)
-class TotalConstraint:
-    """Exact multiplicity total over a group of bounded edges.
-
-    Groups of distinct constraints are disjoint, so a group's key set
-    identifies it within its state.
-    """
+class TotalConstraint(NamedTuple):
+    """A group, as ``group_of`` reports it: its key set, which identifies
+    it within its state since groups are disjoint, and its exact total."""
 
     edge_keys: frozenset[EdgeKey]
     total: int
 
-    def __post_init__(self):
-        if self.total < 0:
-            raise StructuralError(f"constraint total {self.total} is negative")
-        object.__setattr__(self, "edge_keys", frozenset(self.edge_keys))
-
 
 class LiftedMultiHypergraph:
     __slots__ = ("layout", "vertices", "is_empty", "bounds", "_group_of", "_counts",
-                 "_canonical", "_count", "_views")
+                 "_canonical", "_count")
 
     def __init__(self, vertices: Iterable[Vertex] | VertexLayout,
-                 fixed_edges: Iterable[Hyperedge] = (),
-                 bounded_edges: Iterable[BoundedEdge] = (),
-                 constraints: Iterable[TotalConstraint] = ()):
+                 bounds: Mapping[EdgeKey, tuple[int, int]] = MappingProxyType({}),
+                 groups: Iterable[tuple[Iterable[EdgeKey], int]] = ()):
+        """The state with these key -> (lower, upper) bounds and (keys, total)
+        groups.  Raises StructuralError on an empty label or incidence, an
+        unknown vertex, bounds outside 0 <= lower <= upper, a key given twice,
+        a negative total, or a group key not in the map or in two groups."""
         layout = index_vertices(vertices)
-        fixed: dict[EdgeKey, int] = {}
-        for e in fixed_edges:
-            check_incidence(e.label, e.incidence, layout.by_id)
-            fixed[e.key] = fixed.get(e.key, 0) + e.multiplicity
+        own: dict[EdgeKey, tuple[int, int]] = {}
+        for k, (lo, up) in bounds.items():
+            check_incidence(*k, layout.by_id)
+            key = edge_key(*k)
+            if not 0 <= lo <= up:
+                raise StructuralError(f"edge {key!r}: bad bounds [{lo}, {up}]")
+            if key in own:
+                raise StructuralError(f"duplicate edge key {key!r}")
+            own[key] = (lo, up)
 
-        bounds: dict[EdgeKey, tuple[int, int]] = {}
-        for b in bounded_edges:
-            check_incidence(b.label, b.incidence, layout.by_id)
-            if b.key in bounds:
-                raise StructuralError(f"duplicate bounded edge {b.key!r}")
-            bounds[b.key] = (b.lower, b.upper)
+        parts = [(frozenset(edge_key(*k) for k in keys), t) for keys, t in groups]
+        grouped: set[EdgeKey] = set()
+        for keys, total in parts:
+            if total < 0:
+                raise StructuralError(f"constraint total {total} is negative")
+            for k in keys:
+                if k not in own:
+                    raise StructuralError(f"constraint references unknown edge {k!r}")
+                if k in grouped:
+                    raise StructuralError(f"edge {k!r} appears in two constraints")
+            grouped |= keys
+        for k in [k for k, b in own.items() if b == _ABSENT and k not in grouped]:
+            del own[k]
 
-        groups: list[tuple[frozenset[EdgeKey], int]] = []
-        owner: dict[EdgeKey, int] = {}
-        for c in constraints:
-            for k in c.edge_keys:
-                if k not in bounds:
-                    raise StructuralError(
-                        f"constraint references unknown bounded edge {k!r}")
-                if k in owner:
-                    raise StructuralError(
-                        f"bounded edge {k!r} appears in two constraints")
-                owner[k] = len(groups)
-            groups.append((c.edge_keys, c.total))
-
-        # absorb fixed multiplicity into co-keyed bounds (group total shifted
-        # accordingly); from here on ``bounds`` holds every key, a fixed one
-        # with lower = upper
-        for k, f in fixed.items():
-            lo, up = bounds.get(k, _ABSENT)
-            bounds[k] = (lo + f, up + f)
-            if k in owner:
-                keys, t = groups[owner[k]]
-                groups[owner[k]] = (keys, t + f)
-        for k in [k for k, b in bounds.items() if b == _ABSENT and k not in owner]:
-            del bounds[k]
-
-        left = []
-        for keys, t in groups:
-            group = _normalise(bounds, keys, t)
+        group_of: dict[EdgeKey, TotalConstraint] = {}
+        for keys, total in parts:
+            group = _normalise(own, keys, total)
             if group is None:
                 self._set(layout, {}, {}, {}, True)
                 return
-            if group[0]:
-                left.append(TotalConstraint(*group))
-        group_of = {k: c for c in left for k in c.edge_keys}
-        self._set(layout, bounds, group_of, {})
-        check_conservation(layout, *_parts(bounds, group_of, bounds))
+            c = TotalConstraint(*group)
+            for k in c.edge_keys:
+                group_of[k] = c
+        self._set(layout, own, group_of, {})
+        check_conservation(layout, *_parts(own, group_of, own))
 
     def _set(self, layout, bounds, group_of, counts, is_empty=False) -> None:
         self.layout = layout
@@ -184,21 +140,6 @@ class LiftedMultiHypergraph:
         self._counts = counts         # group key set -> its number of assignments
         self._canonical = None
         self._count = None
-        self._views = None
-
-    fixed_edges = property(lambda self: self._edge_views()[0])
-    bounded_edges = property(lambda self: self._edge_views()[1])
-    constraints = property(lambda self: self._edge_views()[2])
-
-    def _edge_views(self) -> tuple[tuple, tuple, tuple]:
-        """The sorted fixed edges, bounded edges and constraints."""
-        if self._views is None:
-            items = sorted(self.bounds.items())
-            self._views = (
-                tuple(Hyperedge(*k, lo) for k, (lo, up) in items if lo == up),
-                tuple(BoundedEdge(*k, lo, up) for k, (lo, up) in items if lo < up),
-                tuple(self._groups()))
-        return self._views
 
     def _groups(self) -> list[TotalConstraint]:
         return sorted(set(self._group_of.values()), key=lambda c: sorted(c.edge_keys))
@@ -433,24 +374,23 @@ class LiftedMultiHypergraph:
     def __repr__(self):
         if self.is_empty:
             return "LiftedMultiHypergraph(empty)"
+        fixed = sum(lo == up for lo, up in self.bounds.values())
         return (f"LiftedMultiHypergraph({len(self.vertices)} vertices, "
-                f"{len(self.fixed_edges)} fixed, {len(self.bounded_edges)} bounded, "
-                f"{len(self.constraints)} constraints)")
+                f"{fixed} fixed, {len(self.bounds) - fixed} bounded, "
+                f"{len(set(self._group_of.values()))} constraints)")
 
 
 class MultiHypergraph(LiftedMultiHypergraph):
-    """A ground state, built from its edges.  Equality and hashing are
-    structural (same ids, labels, multiplicities; equality also asks for
-    the same conservation declaration); compare canonical forms for
-    identity up to renaming."""
+    """A ground state, built from its edge dict (key -> multiplicity) as
+    ``edge_dict`` returns it.  Equality and hashing are structural (same ids,
+    labels, multiplicities; equality also asks for the same conservation
+    declaration); compare canonical forms for identity up to renaming."""
 
     __slots__ = ()
 
     def __init__(self, vertices: Iterable[Vertex] | VertexLayout,
-                 edges: Iterable[Hyperedge] = ()):
-        super().__init__(vertices, edges)
-
-    edges = LiftedMultiHypergraph.fixed_edges
+                 edges: Mapping[EdgeKey, int] = MappingProxyType({})):
+        super().__init__(vertices, {k: (m, m) for k, m in edges.items()})
 
     def edge_multiplicity(self, label: Label, incidence: Iterable[str]) -> int:
         return self.bounds.get(edge_key(label, incidence), _ABSENT)[0]
@@ -472,11 +412,10 @@ class MultiHypergraph(LiftedMultiHypergraph):
                 and a.conserved_vertex_labels == b.conserved_vertex_labels)
 
     def __hash__(self):
-        return hash((self.vertices, self.edges))
+        return hash((self.vertices, frozenset(self.bounds.items())))
 
     def __repr__(self):
-        return (f"MultiHypergraph({len(self.vertices)} vertices, "
-                f"{len(self.edges)} edges)")
+        return f"MultiHypergraph({len(self.vertices)} vertices, {len(self.bounds)} edges)"
 
 
 _ABSENT = (0, 0)     # the bounds of a key with no edge

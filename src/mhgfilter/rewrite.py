@@ -115,8 +115,8 @@ class PatternEdge:
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
-        if not self.vars:
-            raise StructuralError(f"pattern edge {self.label!r}: no variables")
+        if not self.label or not self.vars:
+            raise StructuralError(f"pattern edge {self.label!r}: no label or vars")
         if self.min_multiplicity < 1:
             raise StructuralError(f"pattern edge {self.label!r}: min multiplicity < 1")
 
@@ -155,6 +155,8 @@ class EffectEdge:
 
     def __post_init__(self):
         object.__setattr__(self, "vars", tuple(self.vars))
+        if not self.label or not self.vars:
+            raise StructuralError(f"effect edge {self.label!r}: no label or vars")
         if self.multiplicity < 1:
             raise StructuralError(f"effect edge {self.label!r}: multiplicity < 1")
         if self.cap is not None and self.cap < 0:

@@ -19,13 +19,30 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Iterable, Mapping
 
-from mhgfilter import (BoundedEdge, Effect, LiftedApplyResult,
-                       LiftedMultiHypergraph, MultiHypergraph, Rule,
-                       TotalConstraint, agent_location, apply, edge_key,
+from mhgfilter import (Effect, LiftedApplyResult, LiftedMultiHypergraph,
+                       MultiHypergraph, Rule, agent_location, apply, edge_key,
                        ground_options, held_counts, index_vertices, lifted_apply)
 from mhgfilter.canon import _structure
 from mhgfilter.filtering import AT_LABEL
-from mhgfilter.graphs import Hyperedge, Vertex
+from mhgfilter.graphs import EdgeKey, Vertex
+
+
+def lifted_state(vertices, fixed: Mapping[EdgeKey, int] = {},
+                 bounded: Mapping[EdgeKey, tuple[int, int]] = {},
+                 groups: Iterable[tuple[Iterable[EdgeKey], int]] = ()
+                 ) -> LiftedMultiHypergraph:
+    """The lifted state with the ``bounded`` (lower, upper) intervals, the
+    ``fixed`` multiplicities and the groups, (keys, total), as one bounds
+    map, bounded keys first.  A fixed multiplicity on a bounded key adds to
+    its interval and to its group's total, as the domain parser reads a
+    document that lists the key in ``edges`` and ``bounded_edges``."""
+    bounds = dict(bounded)
+    for k, m in fixed.items():
+        lo, up = bounds.get(k, (0, 0))
+        bounds[k] = (lo + m, up + m)
+    return LiftedMultiHypergraph(
+        vertices, bounds,
+        [(keys, total + sum(fixed.get(k, 0) for k in keys)) for keys, total in groups])
 
 
 def builtin_document(name: str) -> dict:
@@ -53,16 +70,15 @@ def renamed_mini_document() -> dict:
 
 
 def reference_agent_location(domain, state) -> str | None:
-    """``agent_location`` as a scan of the state's sorted fixed edges: the
-    other end of the agent's one binary ``at`` edge of multiplicity 1, or
-    None when the agent has no such edge, or another fixed ``at`` edge."""
+    """``agent_location`` as a scan of the state's fixed edges in key order:
+    the other end of the agent's one binary ``at`` edge of multiplicity 1,
+    or None when the agent has no such edge, or another fixed ``at`` edge."""
     found = None
-    for e in state.fixed_edges:
-        if e.label != AT_LABEL or domain.agent_id not in e.incidence:
+    for (label, incidence), (m, upper) in sorted(state.bounds.items()):
+        if label != AT_LABEL or domain.agent_id not in incidence or m != upper:
             continue
-        others = [v for v in e.incidence if v != domain.agent_id]
-        if (len(e.incidence) != 2 or len(others) != 1 or e.multiplicity != 1
-                or found is not None):
+        others = [v for v in incidence if v != domain.agent_id]
+        if len(incidence) != 2 or len(others) != 1 or m != 1 or found is not None:
             return None
         found = others[0]
     return found
@@ -208,48 +224,29 @@ def box_groundings(l: LiftedMultiHypergraph) -> list[MultiHypergraph]:
     """Enumerate groundings as a plain box product filtered by the totals."""
     if l.is_empty:
         return []
-    bs = list(l.bounded_edges)
-    keys = [b.key for b in bs]
-    # each constraint as (positions of its members in ``keys``, total)
-    totals = [([keys.index(k) for k in c.edge_keys], c.total)
-              for c in l.constraints]
-    out = []
-    for values in itertools.product(*(range(b.lower, b.upper + 1) for b in bs)):
-        if any(sum(values[i] for i in members) != total
-               for members, total in totals):
-            continue
-        edges = [Hyperedge(e.label, e.incidence, e.multiplicity)
-                 for e in l.fixed_edges]
-        edges += [Hyperedge(label, inc, v)
-                  for (label, inc), v in zip(keys, values) if v > 0]
-        out.append(MultiHypergraph(fresh_layout(l), edges))
-    return out
+    return [MultiHypergraph(fresh_layout(l), g)
+            for g in raw_groundings(dict(sorted(l.bounds.items())), l._groups())]
 
 
-def raw_groundings(fixed: Iterable[Hyperedge], bounded: Iterable[BoundedEdge],
-                   constraints: Iterable[TotalConstraint]
-                   ) -> list[dict[tuple, int]]:
-    """Groundings of lifted-state parts as given, before any normalisation.
+def raw_groundings(bounds: Mapping[EdgeKey, tuple[int, int]],
+                   groups: Iterable[tuple[Iterable[EdgeKey], int]]
+                   ) -> list[dict[EdgeKey, int]]:
+    """Groundings of a bounds map and groups as given, before any
+    normalisation: a plain box product filtered by the totals.
 
-    Every bounded edge takes each value within its own bounds, a group's
-    total counts those values alone, and a fixed edge's multiplicity is
-    added on top of a bounded edge with its key.  Returns each grounding
-    as its edge dict (key to positive multiplicity).
+    Every key takes each value within its own bounds, and a group's total
+    counts its members' values.  Returns each grounding as its edge dict
+    (key to positive multiplicity).
     """
-    base = Counter()
-    for e in fixed:
-        base[e.key] += e.multiplicity
-    bs = list(bounded)
-    keys = [b.key for b in bs]
-    totals = [([keys.index(k) for k in c.edge_keys], c.total)
-              for c in constraints]
+    keys = list(bounds)
+    # each group as (positions of its members in ``keys``, total)
+    totals = [([keys.index(k) for k in members], total) for members, total in groups]
     out = []
-    for values in itertools.product(*(range(b.lower, b.upper + 1) for b in bs)):
+    for values in itertools.product(*(range(lo, up + 1) for lo, up in bounds.values())):
         if any(sum(values[i] for i in members) != total
                for members, total in totals):
             continue
-        mults = base + Counter(dict(zip(keys, values)))
-        out.append(dict(mults))
+        out.append({k: v for k, v in zip(keys, values) if v})
     return out
 
 
@@ -294,15 +291,7 @@ def brute_matches(pattern, state) -> list[tuple[tuple[tuple[str, str], ...], boo
     multiplicities the variables admit and whose pattern edges reach their
     minimum on upper bounds; each with whether they reach it on lower
     bounds too.  Sorted by assignment, each sorted by variable."""
-    bounds: dict[tuple, list[int]] = {}
-    for e in state.fixed_edges:
-        b = bounds.setdefault((e.label, tuple(sorted(e.incidence))), [0, 0])
-        b[0] += e.multiplicity
-        b[1] += e.multiplicity
-    for e in state.bounded_edges:
-        b = bounds.setdefault((e.label, tuple(sorted(e.incidence))), [0, 0])
-        b[0] += e.lower
-        b[1] += e.upper
+    bounds = state.bounds
     out = []
     for chosen in itertools.permutations(state.vertices, len(pattern.vertices)):
         if not all(_admits(pv, v) for pv, v in zip(pattern.vertices, chosen)):
@@ -364,9 +353,7 @@ def brute_transition(rule: Rule, l: LiftedMultiHypergraph
             continue
         n_app += 1
         for after in successors.values():
-            h = MultiHypergraph(
-                fresh_layout(l),
-                [Hyperedge(label, inc, m) for (label, inc), m in after.items()])
+            h = MultiHypergraph(fresh_layout(l), after)
             key = h.canonical_form().data
             dist[key] = dist.get(key, 0.0) + 1.0 / len(successors)
     if n_app:
@@ -462,22 +449,19 @@ def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph) -> LiftedApplyR
     group = next(g for g in (l.group_of(key(capped, m.as_dict())) for m in matches)
                  if g is not None)
     total = group.total + 1
-    bounded = [BoundedEdge(b.label, b.incidence, b.lower, min(b.upper + 1, total))
-               if b.key in group.edge_keys else b for b in l.bounded_edges]
-    constraints = [TotalConstraint(c.edge_keys, total) if c is group else c
-                   for c in l.constraints]
+    bounded = {k: (lo, min(up + 1, total)) if k in group.edge_keys else (lo, up)
+               for k, (lo, up) in l.bounds.items() if lo < up}
+    groups = [(c.edge_keys, total) if c == group else c for c in l._groups()]
     outputs = []
     for m in matches:
         assignment = m.as_dict()
-        fixed = {e.key: e.multiplicity for e in l.fixed_edges}
+        fixed = {k: lo for k, (lo, up) in l.bounds.items() if lo == up}
         for e in rest.effect.retract:
             fixed[key(e, assignment)] -= e.multiplicity
         for e in rest.effect.assert_:
             fixed[key(e, assignment)] = fixed.get(key(e, assignment), 0) + e.multiplicity
-        state = LiftedMultiHypergraph(
-            fresh_layout(l),
-            [Hyperedge(lbl, inc, c) for (lbl, inc), c in fixed.items() if c],
-            bounded, constraints)
+        state = lifted_state(fresh_layout(l), {k: c for k, c in fixed.items() if c},
+                             bounded, groups)
         outputs.append((state, 1.0 / len(matches)))
     return _RawTransition(rule, l, n, n, raw=tuple(outputs))
 
@@ -506,12 +490,12 @@ def random_graph(rng, n_vertices: int = 5, n_labels: int = 3,
                        rng.randrange(1, max_multiplicity + 1))
                 for i in range(n_vertices)]
     ids = [v.id for v in vertices]
-    edges = []
+    edges = Counter()
     for _ in range(rng.randrange(n_edges + 1)):
         arity = rng.randrange(1, max_arity + 1)
-        edges.append(Hyperedge(f"e{rng.randrange(n_labels)}",
-                               tuple(rng.choice(ids) for _ in range(arity)),
-                               rng.randrange(1, max_multiplicity + 1)))
+        edges[edge_key(f"e{rng.randrange(n_labels)}",
+                       [rng.choice(ids) for _ in range(arity)])] += \
+            rng.randrange(1, max_multiplicity + 1)
     return MultiHypergraph(vertices, edges)
 
 
@@ -524,20 +508,16 @@ def relabel(g, rng):
     mapping = dict(zip(ids, shuffled))
     vertices = [Vertex(mapping[v.id], v.label, v.multiplicity)
                 for v in g.vertices]
-    edges = [Hyperedge(e.label, tuple(mapping[x] for x in e.incidence),
-                       e.multiplicity) for e in g.fixed_edges]
-    if isinstance(g, MultiHypergraph):     # a ground state is a lifted one too
-        return MultiHypergraph(fresh_layout(g, vertices), edges)
 
     def key(k):
         return edge_key(k[0], [mapping[x] for x in k[1]])
 
-    bounded = [BoundedEdge(b.label, tuple(mapping[x] for x in b.incidence),
-                           b.lower, b.upper) for b in g.bounded_edges]
-    constraints = [TotalConstraint(frozenset(key(k) for k in c.edge_keys), c.total)
-                   for c in g.constraints]
-    return LiftedMultiHypergraph(fresh_layout(g, vertices), edges, bounded,
-                                 constraints)
+    if isinstance(g, MultiHypergraph):     # a ground state is a lifted one too
+        return MultiHypergraph(fresh_layout(g, vertices),
+                               {key(k): m for k, m in g.edge_dict().items()})
+    return LiftedMultiHypergraph(
+        fresh_layout(g, vertices), {key(k): b for k, b in g.bounds.items()},
+        [([key(k) for k in keys], total) for keys, total in g._groups()])
 
 
 def random_lifted(rng, n_vertices: int = 4) -> LiftedMultiHypergraph:
@@ -545,36 +525,32 @@ def random_lifted(rng, n_vertices: int = 4) -> LiftedMultiHypergraph:
 
     Bounds are kept narrow so the grounding count stays in the hundreds.
     """
-    from mhgfilter import BoundedEdge, TotalConstraint
-
     vertices = [Vertex(f"v{i}", f"L{rng.randrange(3)}", rng.randrange(1, 4))
                 for i in range(n_vertices)]
     ids = [v.id for v in vertices]
-    fixed = []
+    fixed = Counter()
     for _ in range(rng.randrange(4)):
         arity = rng.randrange(1, 3)
-        fixed.append(Hyperedge(f"e{rng.randrange(2)}",
-                               tuple(rng.choice(ids) for _ in range(arity)),
-                               rng.randrange(1, 3)))
+        fixed[edge_key(f"e{rng.randrange(2)}",
+                       [rng.choice(ids) for _ in range(arity)])] += rng.randrange(1, 3)
     bounded = {}
     for _ in range(rng.randrange(1, 6)):
         arity = rng.randrange(1, 3)
-        inc = tuple(sorted(rng.choice(ids) for _ in range(arity)))
-        key = (f"b{rng.randrange(2)}", inc)
+        inc = [rng.choice(ids) for _ in range(arity)]
+        key = edge_key(f"b{rng.randrange(2)}", inc)
         if key in bounded:
             continue
         lo = rng.randrange(3)
-        bounded[key] = BoundedEdge(key[0], inc, lo, lo + rng.randrange(3))
-    constraints = []
+        bounded[key] = (lo, lo + rng.randrange(3))
+    groups = []
     pool = sorted(bounded)
     rng.shuffle(pool)
     if len(pool) >= 2 and rng.random() < 0.8:
         members = pool[:rng.randrange(2, min(3, len(pool)) + 1)]
-        lo_sum = sum(bounded[k].lower for k in members)
-        up_sum = sum(bounded[k].upper for k in members)
-        constraints.append(TotalConstraint(
-            frozenset(members), rng.randint(lo_sum, up_sum)))
-    return LiftedMultiHypergraph(vertices, fixed, bounded.values(), constraints)
+        lo_sum = sum(bounded[k][0] for k in members)
+        up_sum = sum(bounded[k][1] for k in members)
+        groups.append((members, rng.randint(lo_sum, up_sum)))
+    return lifted_state(vertices, fixed, bounded, groups)
 
 
 def symmetric_graph(randint: Callable[[int, int], int],
@@ -590,14 +566,14 @@ def symmetric_graph(randint: Callable[[int, int], int],
     if shape == 0:
         n = randint(1, max_vertices - 1)
         verts = [Vertex("board", "board")] + [Vertex(f"s{i}", "slot") for i in range(n)]
-        edges = [Hyperedge("has", ("board", f"s{i}")) for i in range(n)]
+        edges = [("has", ("board", f"s{i}"), 1) for i in range(n)]
     elif shape == 1:
         verts, edges, left = [], [], randint(3, max_vertices)
         while left >= 3:
             size = left if left < 6 else randint(3, left)
             ids = [f"c{len(verts) + i}" for i in range(size)]
             verts += [Vertex(x, "node") for x in ids]
-            edges += [Hyperedge("e", (ids[i], ids[(i + 1) % size])) for i in range(size)]
+            edges += [("e", (ids[i], ids[(i + 1) % size]), 1) for i in range(size)]
             left -= size
     else:
         copies = randint(2, 3)
@@ -608,12 +584,15 @@ def symmetric_graph(randint: Callable[[int, int], int],
         verts, edges = [], []
         for c in range(copies):
             verts += [Vertex(f"k{c}_{i}", labels[i]) for i in range(size)]
-            edges += [Hyperedge("t", (f"k{c}_{a}", f"k{c}_{b}"), m) for a, b, m in template]
+            edges += [("t", (f"k{c}_{a}", f"k{c}_{b}"), m) for a, b, m in template]
     ids = [v.id for v in verts]
     for _ in range(randint(0, 2)):
-        edges.append(Hyperedge("x", (ids[randint(0, len(ids) - 1)],
-                                     ids[randint(0, len(ids) - 1)])))
-    return MultiHypergraph(verts, edges)
+        edges.append(("x", (ids[randint(0, len(ids) - 1)],
+                            ids[randint(0, len(ids) - 1)]), 1))
+    mults = Counter()
+    for label, incidence, m in edges:
+        mults[edge_key(label, incidence)] += m
+    return MultiHypergraph(verts, mults)
 
 
 def symmetric_lifted(randint: Callable[[int, int], int], max_vertices: int = 8,
@@ -629,16 +608,148 @@ def symmetric_lifted(randint: Callable[[int, int], int], max_vertices: int = 8,
         by_label.setdefault(v.label, []).append(v.id)
     slots = max(by_label.values(), key=len)
     upper = randint(1, 2)
-    bounded = [BoundedEdge("at", ("item", s), 0, upper) for s in slots]
+    bounded = [edge_key("at", ("item", s)) for s in slots]
     k = randint(1, max_groups)
     dealt = randint(0, 1)
     groups = [[b for i, b in enumerate(bounded)
                if (i % k if dealt else i * k // len(bounded)) == j] for j in range(k)]
     shared = randint(0, upper) if randint(0, 3) else None
-    constraints = [TotalConstraint(frozenset(b.key for b in group),
-                                   randint(0, upper * len(group)) if shared is None
-                                   else min(shared, upper * len(group)))
-                   for j, group in enumerate(groups) if group]
-    return LiftedMultiHypergraph(
+    totals = [(group, randint(0, upper * len(group)) if shared is None
+               else min(shared, upper * len(group)))
+              for j, group in enumerate(groups) if group]
+    return lifted_state(
         list(g.vertices) + [Vertex("item", "item", randint(1, 3))],
-        g.edges, bounded, constraints)
+        g.edge_dict(), dict.fromkeys(bounded, (0, upper)), totals)
+
+
+def random_mini_document(rng) -> dict:
+    """A random ``mhg-domain/1`` document in the mini family.
+
+    The scene has one board with 1-5 slots, whose labels are distinct or
+    (one time in four) drawn with repeats, 1-4 eccentrics and a
+    screwdriver, under mini's rules with an install cap of 1 or 2.  With cap
+    1, half the time the agent also holds a dowel that installs like an
+    eccentric, and half the time no annotation observes the eccentrics'
+    held count; either makes plans of several steps whose weights no
+    observation settles.  (Unobserved installs under cap 2 are lifted by
+    no plan, and the belief grows past a thousand states.)  The start is
+    uncertain: the agent's and the screwdriver's locations may each be a
+    [0,1] group over floor and table, and the eccentrics not known to be
+    on a pile, at floor or table, are one group over some of the slots,
+    each holding up to the cap, and sometimes the pile too.  The known ones
+    are an ``edges`` entry on the pile's key, which the parser folds into
+    that key when it is bounded too.  The action model has random
+    ``weights`` and ``by_location`` tables.
+    """
+    places = ["floor", "table"]
+
+    def edge(label, *incidence, **extra):
+        return {"label": label, "incidence": list(incidence), **extra}
+
+    def somewhere(item, known):
+        """``item`` at floor or table: known, or a [0,1] group of the two."""
+        if rng.random() < known:
+            doc["edges"].append(edge("at", item, rng.choice(places)))
+            return
+        doc["bounded_edges"] += [edge("at", item, p, lower=0, upper=1) for p in places]
+        doc["constraints"].append({"edges": [["at", [item, p]] for p in places],
+                                   "total": 1})
+
+    n = rng.randint(1, 5)
+    slots = [f"slot_{i}" for i in range(n)]
+    shared = rng.random() < 0.25
+    labels = {s: f"slot_{rng.randrange(n)}" if shared else s for s in slots}
+    items = {"eccentric": rng.randint(1, 4)}
+    cap = rng.randint(1, 2)
+    if cap == 1 and rng.random() < 0.5:
+        items["dowel"] = rng.randint(1, 2)
+    unobserved = cap == 1 and rng.random() < 0.5    # the eccentrics' held count
+    doc = {
+        "format": "mhg-domain/1", "name": "random-mini", "agent": "agent",
+        "labels": {"locations": places + sorted(set(labels.values())),
+                   "agent_locations": places,
+                   "holdable": ["eccentric", "screwdriver"][unobserved:]},
+        "conservation": {"edges": ["at", "holds"],
+                         "vertices": sorted(items) + ["screwdriver"]},
+        "vertices": ([{"id": v, "label": v} for v in ["agent", "board"] + places]
+                     + [{"id": s, "label": labels[s]} for s in slots]
+                     + [{"id": i, "label": i, "multiplicity": m}
+                        for i, m in items.items()]
+                     + [{"id": "screwdriver", "label": "screwdriver"}]),
+        "edges": [edge("has", "board", s) for s in slots],
+        "bounded_edges": [], "constraints": []}
+    somewhere("agent", 1 / 3)
+    somewhere("screwdriver", 1 / 2)
+    if "dowel" in items:
+        doc["edges"].append(edge("holds", "agent", "dowel", multiplicity=items["dowel"]))
+    m = items["eccentric"]
+    # eccentrics known to be on a pile, which is where the install rule
+    # can take them from when their installs are unobserved
+    known, pile = rng.randint(0, m), "table" if cap == 1 else rng.choice(places)
+    homes = slots[:rng.randint(1, n)]
+    if rng.random() < 0.5:              # the rest are in the slots or on the pile
+        homes.append(pile)
+    else:                               # the rest are in the slots
+        known = max(known, m - cap * len(homes))
+    if known:
+        doc["edges"].append(edge("at", "eccentric", pile, multiplicity=known))
+    if known < m:
+        doc["bounded_edges"] += [edge("at", "eccentric", p, lower=0,
+                                      upper=m - known if p == pile else cap)
+                                 for p in homes]
+        doc["constraints"].append({"edges": [["at", ["eccentric", p]] for p in homes],
+                                   "total": m - known})
+    agent = {"var": "A", "label": "agent"}
+    at_table = [agent, {"var": "E", "label_any_of": sorted(items)},
+                {"var": "S", "label": "screwdriver"}, {"var": "T", "label": "table"},
+                {"var": "SL", "label_any_of": sorted(set(labels.values()))}]
+    movable = [agent, {"var": "I", "label_any_of": sorted(items) + ["screwdriver"]},
+               {"var": "L", "label_any_of": places}]
+
+    def rule(name, vertices, reads, retract, assert_):
+        return {"name": name,
+                "pattern": {"vertices": vertices,
+                            "edges": [{"label": lb, "vars": v} for lb, v in reads]},
+                "effect": {"retract": [retract], "assert": [assert_]}}
+
+    doc["rules"] = [
+        rule("walk", [agent, {"var": "X", "label_any_of": places},
+                      {"var": "Y", "label_any_of": places}],
+             [("at", ["A", "X"])], {"label": "at", "vars": ["A", "X"]},
+             {"label": "at", "vars": ["A", "Y"]}),
+        rule("take", movable, [("at", ["A", "L"]), ("at", ["I", "L"])],
+             {"label": "at", "vars": ["I", "L"]}, {"label": "holds", "vars": ["A", "I"]}),
+        rule("putDown", movable, [("at", ["A", "L"]), ("holds", ["A", "I"])],
+             {"label": "holds", "vars": ["A", "I"]}, {"label": "at", "vars": ["I", "L"]}),
+        rule("installEccentric", at_table,
+             [("at", ["A", "T"]), ("holds", ["A", "E"]), ("holds", ["A", "S"])],
+             {"label": "holds", "vars": ["A", "E"]},
+             {"label": "at", "vars": ["E", "SL"], "cap": cap}),
+        rule("uninstall", at_table,
+             [("at", ["A", "T"]), ("holds", ["A", "S"]), ("at", ["E", "SL"])],
+             {"label": "at", "vars": ["E", "SL"]},
+             {"label": "holds", "vars": ["A", "E"]})]
+
+    def weights():
+        names = [r["name"] for r in doc["rules"]]
+        return {name: rng.choice([0.5, 1, 2, 3])
+                for name in rng.sample(names, rng.randint(0, len(names)))}
+
+    doc["action_model"] = {"weights": weights(),
+                           "by_location": {p: weights() for p in places
+                                           if rng.random() < 1 / 3}}
+    return doc
+
+
+def mini_documents():
+    """A Hypothesis strategy of ``random_mini_document`` documents, each
+    with the domain ``parse_domain`` loads from it."""
+    from hypothesis import strategies as st
+
+    from mhgfilter import parse_domain
+
+    def load(rng):
+        doc = random_mini_document(rng)
+        return doc, parse_domain(doc, "random-mini")
+
+    return st.randoms(use_true_random=True).map(load)

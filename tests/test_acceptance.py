@@ -14,14 +14,14 @@ import logging
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 
-from mhgfilter import (ActionModel, AnnotationTuple, BoundedEdge, Domain,
-                       Effect, EffectEdge, Hyperedge, LiftedMultiHypergraph,
-                       ParseError, Pattern, PatternEdge, PatternVertex, Rule,
-                       Belief, TotalConstraint,
-                       TraceInconsistencyError, Vertex, agent_location,
+from mhgfilter import (ActionModel, AnnotationTuple, Domain, Effect, EffectEdge,
+                       LiftedMultiHypergraph, ParseError, Pattern, PatternEdge,
+                       PatternVertex, Rule, Belief, TraceInconsistencyError,
+                       Vertex, agent_location,
                        apply, builtin_domain, compare,
                        expand, filter_trace, generate_trace, ground_filter_trace,
                        ground_options,
@@ -30,8 +30,8 @@ from mhgfilter import (ActionModel, AnnotationTuple, BoundedEdge, Domain,
 from mhgfilter.cli import main
 from oracles import (box_groundings, brute_isomorphic, builtin_document,
                      ground_pushforward, lifted_distribution,
-                     merge_free_log_likelihood, random_graph, relabel,
-                     tv_distance)
+                     merge_free_log_likelihood, mini_documents, random_graph,
+                     relabel, tv_distance)
 
 
 def test_lifted_filter_matches_ground_enumeration_on_mini_traces():
@@ -54,11 +54,8 @@ def test_interval_state_expands_to_uniform_thirds():
     splits (0,4), (1,3), (2,2), each carrying probability 1/3."""
     state = LiftedMultiHypergraph(
         [Vertex("e", "screw", 4), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
-        [],
-        [BoundedEdge("at", ("e", "s1"), 0, 2),
-         BoundedEdge("at", ("e", "s2"), 0, 4)],
-        [TotalConstraint(frozenset({("at", ("e", "s1")),
-                                    ("at", ("e", "s2"))}), 4)])
+        {("at", ("e", "s1")): (0, 2), ("at", ("e", "s2")): (0, 4)},
+        [({("at", ("e", "s1")), ("at", ("e", "s2"))}, 4)])
     entries = expand(state)
     assert len(entries) == 3
     for g, w in entries:
@@ -75,7 +72,7 @@ def five_slot_domain() -> Domain:
     vertices += [Vertex(s, f"slot_{s}") for s in slot_ids]
     initial = LiftedMultiHypergraph(
         index_vertices(vertices, {"at", "holds"}, {"eccentric"}),
-        [Hyperedge("at", ("agent", "table")), Hyperedge("holds", ("agent", "e"), 2)])
+        {("at", ("agent", "table")): (1, 1), ("holds", ("agent", "e")): (2, 2)})
     install = Rule(
         "install",
         Pattern((PatternVertex("A", "agent"), PatternVertex("E", "eccentric"),
@@ -193,6 +190,43 @@ def test_corrupted_traces_are_rejected_at_the_corrupted_step():
         assert exc.value.step == k
         detected += 1
     assert detected == 50
+
+
+def test_random_documents_filter_as_ground_enumeration():
+    """On random mini-family documents, loaded by ``parse_domain``, and
+    traces of 4-30 steps that ``generate_trace`` writes under both
+    policies, the lifted filter agrees with ground enumeration: ``compare``
+    is not divergent at 1e-9.  About one trace in seven has a corrupted
+    step, at which both filters raise TraceInconsistencyError."""
+    hypothesis = pytest.importorskip("hypothesis")
+    traces = random.Random(0)   # the traces' own stream, across examples
+    corrupted = Counter()
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(mini_documents())
+    def check(drawn):
+        _, domain = drawn
+        for policy in ("uniform", "install_heavy"):
+            seed, length = traces.randrange(2 ** 16), traces.randint(4, 30)
+            trace, _ = generate_trace(domain, seed, length, policy=policy)
+            if trace and traces.random() < 0.15:
+                at = traces.randrange(len(trace))
+                trace, _ = generate_trace(domain, seed, length, at, policy)
+                for run in (filter_trace, ground_filter_trace):
+                    with pytest.raises(TraceInconsistencyError) as exc:
+                        run(domain, trace)
+                    assert exc.value.step == at
+                corrupted[True] += 1
+            else:
+                report = compare(domain, trace, 1e-9)
+                assert not report.divergent, (report.max_tv,
+                                              report.log_likelihood_gap)
+                corrupted[False] += 1
+
+    check()
+    assert corrupted[True] >= 5 and corrupted[False] >= 50
 
 
 def spot_document(spot_labels, extra_vertices=(), extra_rules=()) -> dict:

@@ -7,11 +7,10 @@ from collections import Counter
 import pytest
 
 import mhgfilter.canon
-from mhgfilter import (BoundedEdge, Hyperedge, LiftedMultiHypergraph,
-                       MultiHypergraph, TotalConstraint, Vertex)
+from mhgfilter import LiftedMultiHypergraph, MultiHypergraph, Vertex, edge_key
 from mhgfilter.canon import (canonical_form, canonical_form_lifted, merged,
                              pinned_form, pinned_form_lifted)
-from oracles import (brute_isomorphic, random_graph, random_lifted, ranked,
+from oracles import (brute_isomorphic, lifted_state, random_graph, random_lifted, ranked,
                      reference_individualize, reference_refine, relabel,
                      symmetric_graph, symmetric_lifted, unpruned_canonical_bytes)
 
@@ -50,18 +49,14 @@ PINNED_LIFTED_SNAPSHOT = (
 def reference_ground():
     return MultiHypergraph(
         [Vertex("a", "agent"), Vertex("t", "table"), Vertex("s", "screw", 3)],
-        [Hyperedge("at", ("a", "t")), Hyperedge("at", ("s", "t"), 2),
-         Hyperedge("holds", ("a", "s"))])
+        {("at", ("a", "t")): 1, ("at", ("s", "t")): 2, ("holds", ("a", "s")): 1})
 
 
 def reference_lifted():
     return LiftedMultiHypergraph(
         [Vertex("e", "screw", 2), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
-        [],
-        [BoundedEdge("at", ("e", "s1"), 0, 1),
-         BoundedEdge("at", ("e", "s2"), 0, 1)],
-        [TotalConstraint(frozenset({("at", ("e", "s1")), ("at", ("e", "s2"))}),
-                         1)])
+        {("at", ("e", "s1")): (0, 1), ("at", ("e", "s2")): (0, 1)},
+        [({("at", ("e", "s1")), ("at", ("e", "s2"))}, 1)])
 
 
 def test_ground_snapshot():
@@ -119,24 +114,21 @@ def test_canonical_equality_matches_brute_isomorphism():
 
 
 def test_distinguishes_multiplicity():
-    g = MultiHypergraph([Vertex("a", "x"), Vertex("b", "x")],
-                        [Hyperedge("e", ("a", "b"), 1)])
-    h = MultiHypergraph([Vertex("a", "x"), Vertex("b", "x")],
-                        [Hyperedge("e", ("a", "b"), 2)])
+    g = MultiHypergraph([Vertex("a", "x"), Vertex("b", "x")], {("e", ("a", "b")): 1})
+    h = MultiHypergraph([Vertex("a", "x"), Vertex("b", "x")], {("e", ("a", "b")): 2})
     assert canonical_form(g) != canonical_form(h)
 
 
 def test_distinguishes_regular_but_nonisomorphic():
     """Two 6-cycles versus two triangles: same degrees, different graphs."""
     def cycle(ids):
-        edges = [Hyperedge("e", (ids[i], ids[(i + 1) % len(ids)]))
-                 for i in range(len(ids))]
-        return edges
+        return {edge_key("e", (ids[i], ids[(i + 1) % len(ids)])): 1
+                for i in range(len(ids))}
 
     ids = [f"v{i}" for i in range(6)]
     verts = [Vertex(i, "n") for i in ids]
     hexagon = MultiHypergraph(verts, cycle(ids))
-    triangles = MultiHypergraph(verts, cycle(ids[:3]) + cycle(ids[3:]))
+    triangles = MultiHypergraph(verts, cycle(ids[:3]) | cycle(ids[3:]))
     assert not brute_isomorphic(hexagon, triangles)
     assert canonical_form(hexagon) != canonical_form(triangles)
 
@@ -144,9 +136,8 @@ def test_distinguishes_regular_but_nonisomorphic():
 def test_hyperedge_arity_three_invariance():
     rng = random.Random(99)
     verts = [Vertex(f"v{i}", "n") for i in range(5)]
-    edges = [Hyperedge("tri", ("v0", "v1", "v2")),
-             Hyperedge("tri", ("v2", "v3", "v4"), 2),
-             Hyperedge("tri", ("v0", "v0", "v4"))]
+    edges = {("tri", ("v0", "v1", "v2")): 1, ("tri", ("v2", "v3", "v4")): 2,
+             ("tri", ("v0", "v0", "v4")): 1}
     g = MultiHypergraph(verts, edges)
     for _ in range(50):
         assert canonical_form(relabel(g, rng)) == canonical_form(g)
@@ -156,14 +147,12 @@ def test_pinned_form_separates_asymmetric_choices():
     """Pinning distinguishable vertices gives different bytes; pinning
     vertices related by an automorphism gives identical bytes."""
     verts = [Vertex("m", "mid"), Vertex("l", "leaf"), Vertex("r", "leaf")]
-    g = MultiHypergraph(verts, [Hyperedge("e", ("m", "l")),
-                                Hyperedge("e", ("m", "r"))])
+    g = MultiHypergraph(verts, {("e", ("l", "m")): 1, ("e", ("m", "r")): 1})
     # l and r are swappable, so pinning either one looks the same
     assert pinned_form(g, {"l": 0}) == pinned_form(g, {"r": 0})
     assert pinned_form(g, {"l": 0}) != pinned_form(g, {"m": 0})
 
-    h = MultiHypergraph(verts, [Hyperedge("e", ("m", "l")),
-                                Hyperedge("f", ("m", "r"))])
+    h = MultiHypergraph(verts, {("e", ("l", "m")): 1, ("f", ("m", "r")): 1})
     # now the leaves differ structurally
     assert pinned_form(h, {"l": 0}) != pinned_form(h, {"r": 0})
 
@@ -172,14 +161,11 @@ def test_lifted_bounds_matter():
     base = reference_lifted()
     other = LiftedMultiHypergraph(
         [Vertex("e", "screw", 2), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
-        [],
-        [BoundedEdge("at", ("e", "s1"), 0, 1),
-         BoundedEdge("at", ("e", "s2"), 0, 1)],
-        [TotalConstraint(frozenset({("at", ("e", "s1")), ("at", ("e", "s2"))}),
-                         2)])
+        {("at", ("e", "s1")): (0, 1), ("at", ("e", "s2")): (0, 1)},
+        [({("at", ("e", "s1")), ("at", ("e", "s2"))}, 2)])
     # total 2 forces both slots full; the state degenerates to fixed edges
     assert canonical_form_lifted(base) != canonical_form_lifted(other)
-    assert not other.bounded_edges
+    assert set(other.bounds.values()) == {(1, 1)}
 
 
 def test_lifted_permutation_invariance():
@@ -188,23 +174,18 @@ def test_lifted_permutation_invariance():
         n = rng.randrange(2, 5)
         verts = [Vertex(f"v{i}", "slot") for i in range(n)] + \
                 [Vertex("e", "screw", 2)]
-        bounded = [BoundedEdge("at", ("e", f"v{i}"), 0, 1) for i in range(n)]
+        bounded = dict.fromkeys([("at", ("e", f"v{i}")) for i in range(n)], (0, 1))
         total = rng.randrange(0, n + 1)
-        l = LiftedMultiHypergraph(
-            verts, [], bounded,
-            [TotalConstraint(frozenset(b.key for b in bounded), min(total, 2))])
+        l = LiftedMultiHypergraph(verts, bounded, [(bounded, min(total, 2))])
         ids = [f"v{i}" for i in range(n)]
         shuffled = ids[:]
         rng.shuffle(shuffled)
         mapping = dict(zip(ids, shuffled))
         mapping["e"] = "e"
         verts2 = [Vertex(mapping[v.id], v.label, v.multiplicity) for v in verts]
-        bounded2 = [BoundedEdge(b.label,
-                                tuple(mapping[x] for x in b.incidence),
-                                b.lower, b.upper) for b in bounded]
-        l2 = LiftedMultiHypergraph(
-            verts2, [], bounded2,
-            [TotalConstraint(frozenset(b.key for b in bounded2), min(total, 2))])
+        bounded2 = {(label, tuple(mapping[x] for x in inc)): b
+                    for (label, inc), b in bounded.items()}
+        l2 = LiftedMultiHypergraph(verts2, bounded2, [(bounded2, min(total, 2))])
         assert canonical_form_lifted(l) == canonical_form_lifted(l2)
 
 
@@ -212,11 +193,9 @@ def test_pinned_lifted_form_separates_slots():
     l = LiftedMultiHypergraph(
         [Vertex("e", "screw", 2), Vertex("s1", "slot"), Vertex("s2", "slot"),
          Vertex("t", "table")],
-        [Hyperedge("near", ("s1", "t"))],
-        [BoundedEdge("at", ("e", "s1"), 0, 1),
-         BoundedEdge("at", ("e", "s2"), 0, 1)],
-        [TotalConstraint(frozenset({("at", ("e", "s1")), ("at", ("e", "s2"))}),
-                         1)])
+        {("at", ("e", "s1")): (0, 1), ("at", ("e", "s2")): (0, 1),
+         ("near", ("s1", "t")): (1, 1)},
+        [({("at", ("e", "s1")), ("at", ("e", "s2"))}, 1)])
     # s1 sits near the table, s2 does not: pinning them differs
     assert pinned_form_lifted(l, {"s1": 0}) != pinned_form_lifted(l, {"s2": 0})
 
@@ -227,7 +206,7 @@ def star(n: int):
     """One board holding ``n`` interchangeable slots."""
     return MultiHypergraph([Vertex("board", "board")]
                            + [Vertex(f"s{i}", "slot") for i in range(n)],
-                           [Hyperedge("has", ("board", f"s{i}")) for i in range(n)])
+                           {("has", ("board", f"s{i}")): 1 for i in range(n)})
 
 
 def dealt_pairs():
@@ -237,13 +216,12 @@ def dealt_pairs():
     automorphism that moves the prefix fuses the two kinds of child.  Random
     draws reach this shape only a few times in a thousand."""
     slots = [f"s{i}" for i in range(6)]
-    bounded = [BoundedEdge("at", ("item", s), 0, 1) for s in slots]
-    return LiftedMultiHypergraph(
+    bounded = [("at", ("item", s)) for s in slots]
+    return lifted_state(
         [Vertex("board", "board"), Vertex("item", "item", 3)]
         + [Vertex(s, "slot") for s in slots],
-        [Hyperedge("has", ("board", s)) for s in slots], bounded,
-        [TotalConstraint(frozenset(b.key for b in bounded[j::3]), 1)
-         for j in range(3)])
+        {("has", ("board", s)): 1 for s in slots}, dict.fromkeys(bounded, (0, 1)),
+        [(bounded[j::3], 1) for j in range(3)])
 
 
 def cycles_6_and_3():
@@ -254,21 +232,19 @@ def cycles_6_and_3():
     ring = [(ids[i], ids[(i + 1) % 6]) for i in range(6)]
     ring += [(ids[6 + i], ids[6 + (i + 1) % 3]) for i in range(3)]
     return MultiHypergraph([Vertex(v, "v") for v in ids],
-                           [Hyperedge("e", pair) for pair in ring])
+                           {("e", pair): 1 for pair in ring})
 
 
 def installed_slots():
     """Four eccentrics installed, unobserved, into six identical slots on one
     board: one lifted state with a single constraint group."""
     slots = [f"slot_{i}" for i in range(6)]
-    bounded = [BoundedEdge("at", ("eccentric", s), 0, 1) for s in slots]
-    return LiftedMultiHypergraph(
+    bounded = dict.fromkeys([("at", ("eccentric", s)) for s in slots], (0, 1))
+    fixed = {("at", ("agent", "table")): 1, ("holds", ("agent", "screwdriver")): 1}
+    return lifted_state(
         [Vertex(v, v) for v in ("agent", "board", "floor", "screwdriver", "table")]
         + [Vertex("eccentric", "eccentric", 4)] + [Vertex(s, "slot") for s in slots],
-        [Hyperedge("at", ("agent", "table")),
-         Hyperedge("holds", ("agent", "screwdriver"))]
-        + [Hyperedge("has", ("board", s)) for s in slots], bounded,
-        [TotalConstraint(frozenset(b.key for b in bounded), 4)])
+        fixed | {("has", ("board", s)): 1 for s in slots}, bounded, [(bounded, 4)])
 
 
 def search_size(caplog) -> str:
@@ -476,13 +452,12 @@ def test_factorial_search_warns(caplog):
     2,285 leaves, and the search warns once; a star of six slots, whose
     automorphisms prune the search, does not warn."""
     slots = [f"s{i}" for i in range(9)]
-    bounded = [BoundedEdge("at", ("item", s), 0, 1) for s in slots]
-    dealt = LiftedMultiHypergraph(
+    bounded = [("at", ("item", s)) for s in slots]
+    dealt = lifted_state(
         [Vertex("board", "board"), Vertex("item", "item", 3)]
         + [Vertex(s, "slot") for s in slots],
-        [Hyperedge("has", ("board", s)) for s in slots], bounded,
-        [TotalConstraint(frozenset(b.key for b in bounded[j::3]), 1)
-         for j in range(3)])
+        {("has", ("board", s)): 1 for s in slots}, dict.fromkeys(bounded, (0, 1)),
+        [(bounded[j::3], 1) for j in range(3)])
     caplog.set_level(logging.WARNING, logger="mhgfilter")
     canonical_form(star(6))
     assert not caplog.records
@@ -501,20 +476,16 @@ def incidence_graph(nx, state):
     g = nx.Graph()
     for v in state.vertices:
         g.add_node(("v", v.id), kind=("v", v.label, v.multiplicity))
-    for i, e in enumerate(state.fixed_edges):
-        g.add_node(("e", i), kind=("e", e.label, e.multiplicity))
-        for x, occ in Counter(e.incidence).items():
-            g.add_edge(("e", i), ("v", x), occ=occ)
-    bounded = {}
-    for i, b in enumerate(state.bounded_edges):
-        bounded[b.key] = ("b", i)
-        g.add_node(("b", i), kind=("b", b.label, b.lower, b.upper))
-        for x, occ in Counter(b.incidence).items():
-            g.add_edge(("b", i), ("v", x), occ=occ)
-    for i, c in enumerate(state.constraints):
+    for i, ((label, incidence), (lo, up)) in enumerate(sorted(state.bounds.items())):
+        node = ("e", i) if lo == up else ("b", i)
+        g.add_node(node, kind=("e", label, lo) if lo == up else ("b", label, lo, up))
+        for x, occ in Counter(incidence).items():
+            g.add_edge(node, ("v", x), occ=occ)
+    keys = sorted(state.bounds)
+    for i, c in enumerate(state._groups()):
         g.add_node(("c", i), kind=("c", c.total))
         for k in c.edge_keys:
-            g.add_edge(("c", i), bounded[k], occ=0)
+            g.add_edge(("c", i), ("b", keys.index(k)), occ=0)
     return g
 
 
@@ -544,7 +515,7 @@ def test_canonical_equality_matches_networkx_isomorphism():
 def _networkx_agreement(nx):
     rng = random.Random(31)
 
-    def lifted_state(randint, max_vertices):
+    def two_groups(randint, max_vertices):
         # three interchangeable groups over a dozen slots still search
         # exponentially many leaves, so at most two groups here
         return symmetric_lifted(randint, max_vertices, max_groups=2)
@@ -552,7 +523,7 @@ def _networkx_agreement(nx):
     same = differ = 0
     for trial in range(120):
         lifted = trial % 2 == 1
-        make = lifted_state if lifted else symmetric_graph
+        make = two_groups if lifted else symmetric_graph
         form = canonical_form_lifted if lifted else canonical_form
         while True:
             a = make(rng.randint, 14)
@@ -628,21 +599,22 @@ def test_merged_states_come_in_canonical_byte_order():
 
 def reordered(state, rng) -> list:
     """``state`` built again with its bounds map in other orders: by the
-    constructor over its layout from its shuffled edge, bounded-edge and
-    constraint lists, and twice by taking its fixed edges out in one shift
-    and putting them back one shift at a time, in a random order."""
-    fixed, bounded, constraints = (list(state.fixed_edges), list(state.bounded_edges),
-                                   list(state.constraints))
-    for parts in (fixed, bounded, constraints):
-        rng.shuffle(parts)
-    builds = [MultiHypergraph(state.layout, fixed) if isinstance(state, MultiHypergraph)
-              else LiftedMultiHypergraph(state.layout, fixed, bounded, constraints)]
-    bare = state.shifted({e.key: -e.multiplicity for e in fixed})
+    constructor over its layout from its shuffled map and groups, and twice
+    by taking its fixed edges out in one shift and putting them back one
+    shift at a time, in a random order."""
+    items, groups = list(state.bounds.items()), state._groups()
+    rng.shuffle(items)
+    rng.shuffle(groups)
+    fixed = [(k, lo) for k, (lo, up) in items if lo == up]
+    builds = [MultiHypergraph(state.layout, dict(fixed))
+              if isinstance(state, MultiHypergraph)
+              else LiftedMultiHypergraph(state.layout, dict(items), groups)]
+    bare = state.shifted({k: -m for k, m in fixed})
     for _ in range(2):
         rng.shuffle(fixed)
         derived = bare
-        for e in fixed:
-            derived = derived.shifted({e.key: e.multiplicity})
+        for k, m in fixed:
+            derived = derived.shifted({k: m})
         builds.append(derived)
     return builds
 
@@ -650,10 +622,11 @@ def reordered(state, rng) -> list:
 def test_canonical_bytes_ignore_the_bounds_map_order():
     """Forms are built from a state's bounds map in its order, and every
     byte section is sorted: the same state with its map in another order,
-    built by the constructor from shuffled lists or by derivations applied
-    in other orders, has the same ground or lifted bytes, pinned or not.
-    This holds on layouts whose vertex records are distinct (the one leaf)
-    and on symmetric ones (the search)."""
+    built by the constructor from a shuffled map or by derivations applied
+    in other orders, has the same ground or lifted bytes, pinned or not,
+    and a ground state the same hash.  This holds on layouts whose vertex
+    records are distinct (the one leaf) and on symmetric ones (the
+    search)."""
     def distinct(state) -> bool:
         recs = [(v.label, v.multiplicity) for v in state.vertices]
         return len(set(recs)) == len(recs)
@@ -684,4 +657,6 @@ def test_canonical_bytes_ignore_the_bounds_map_order():
         for b in builds:
             assert type(b) is type(state) and b.bounds == state.bounds
             assert forms(b, pins) == want
+            if isinstance(state, MultiHypergraph):
+                assert b == state and hash(b) == hash(state)
     assert moved > 120

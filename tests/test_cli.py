@@ -177,6 +177,24 @@ def test_bad_domain_values_exit_three(tmp_path, mini_trace, capsys):
         assert out == ""
         assert f"{key}.json" in err
 
+def test_values_of_the_wrong_type_exit_three(tmp_path, mini_trace, capsys):
+    """A vertex label written as a number, or an incidence written as a
+    string, is a parse error naming the value, not a traceback that exits 1
+    as if ``compare`` had diverged."""
+    changes = {"7": lambda d: d["vertices"][3].update(label=7),
+               "'pq'": lambda d: d["edges"][0].update(incidence="pq")}
+    for i, (shown, change) in enumerate(changes.items()):
+        doc = builtin_document("mini")
+        change(doc)
+        path = tmp_path / f"typed{i}.json"
+        path.write_text(json.dumps(doc))
+        for argv in (("gentrace", "--domain", str(path), "--length", "3"),
+                     ("compare", "--domain", str(path), "--trace", str(mini_trace))):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (3, ""), argv
+            assert f"typed{i}.json" in err and shown in err, argv
+
+
 def test_an_agent_that_is_no_vertex_exits_three(tmp_path, mini_trace, capsys):
     """An ``agent`` that names no vertex is a parse error, not a run that
     reports every trace inconsistent or writes ``"loc_t": null``."""

@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, seed, settings, strategies as st  # noqa: E402
 
-from mhgfilter import (BoundedEdge, Hyperedge, IntegrityError,  # noqa: E402
-                       LiftedMultiHypergraph, TotalConstraint, Vertex,
-                       index_vertices)
+from mhgfilter import IntegrityError, Vertex, index_vertices  # noqa: E402
 from mhgfilter.graphs import conserved_sums as group_sums  # noqa: E402
+from oracles import lifted_state  # noqa: E402
 
 CONSERVED_EDGES = frozenset({"at"})
 CONSERVED_VERTICES = frozenset({"item"})
@@ -20,36 +20,37 @@ CONSERVED_VERTICES = frozenset({"item"})
 
 @st.composite
 def lifted_parts(draw):
-    """Vertex ids and labels, fixed edges, at most four bounded edges and at
-    most one constraint group over them."""
+    """Vertex ids and labels, fixed multiplicities, at most four bounded
+    intervals and at most one constraint group over them."""
     ids = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
     labels = [draw(st.sampled_from(["item", "place"])) for _ in ids]
     incidence = st.lists(st.sampled_from(ids), min_size=1, max_size=2).map(
         lambda xs: tuple(sorted(xs)))
     edge_label = st.sampled_from(["at", "near"])
-    fixed = draw(st.lists(st.builds(Hyperedge, edge_label, incidence,
-                                    st.integers(1, 2)), max_size=3))
+    fixed = Counter()
+    for label, inc, m in draw(st.lists(st.tuples(edge_label, incidence,
+                                                 st.integers(1, 2)), max_size=3)):
+        fixed[label, inc] += m
     bounded: dict = {}
     for label, inc, lower, width in draw(st.lists(
             st.tuples(edge_label, incidence, st.integers(0, 2), st.integers(0, 2)),
             max_size=4)):
-        bounded.setdefault((label, inc), BoundedEdge(label, inc, lower, lower + width))
-    bounded = list(bounded.values())
-    members = draw(st.lists(st.sampled_from(bounded), unique=True)) if bounded else []
-    constraints = []
+        bounded.setdefault((label, inc), (lower, lower + width))
+    keys = list(bounded)
+    members = draw(st.lists(st.sampled_from(keys), unique=True)) if keys else []
+    groups = []
     if members:
-        lo = sum(b.lower for b in members)
-        up = sum(b.upper for b in members)
+        lo = sum(bounded[k][0] for k in members)
+        up = sum(bounded[k][1] for k in members)
         # one past either end of the feasible range gives an empty state
-        constraints.append(TotalConstraint(
-            frozenset(b.key for b in members),
-            draw(st.integers(max(lo - 1, 0), up + 1))))
-    return ids, labels, fixed, bounded, constraints
+        groups.append((members, draw(st.integers(max(lo - 1, 0), up + 1))))
+    return ids, labels, fixed, bounded, groups
 
 
 def conserved_sums(g, ids):
-    return {vid: sum(e.multiplicity * e.incidence.count(vid)
-                     for e in g.edges if e.label in CONSERVED_EDGES)
+    return {vid: sum(m * inc.count(vid)
+                     for (label, inc), m in g.edge_dict().items()
+                     if label in CONSERVED_EDGES)
             for vid in ids}
 
 
@@ -57,12 +58,12 @@ def conserved_sums(g, ids):
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(lifted_parts(), st.integers(-1, 1))
 def test_conservation_check_matches_enumeration(parts, skew):
-    ids, labels, fixed, bounded, constraints = parts
+    ids, labels, fixed, bounded, groups = parts
 
     def build(mults, conservation=((), ())):
         vertices = [Vertex(vid, label, m) for vid, label, m in zip(ids, labels, mults)]
-        return LiftedMultiHypergraph(index_vertices(vertices, *conservation),
-                                     fixed, bounded, constraints)
+        return lifted_state(index_vertices(vertices, *conservation),
+                            fixed, bounded, groups)
 
     grounds = list(build([1] * len(ids)).iter_groundings())
     # multiplicities read off one grounding (the first vertex skewed), so that

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script, and a star import of the package, runs to
+completion against the package sources."""
 
 from __future__ import annotations
 
@@ -22,4 +23,14 @@ def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     run = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+
+
+def test_every_exported_name_resolves():
+    """``from mhgfilter import *`` binds every name of ``__all__``: a name
+    left there after its object was deleted fails the import."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", "from mhgfilter import *"],
+                         cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr

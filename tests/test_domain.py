@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import random
 from fnmatch import fnmatch
 from importlib import resources
@@ -10,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from mhgfilter import (ActionModel, AnnotationTuple, Effect, EffectEdge,
-                       ParseError, StructuralError, apply, builtin_domain,
-                       filter_trace, format_trace, generate_trace, ground_options,
-                       held_counts, parse_domain, parse_trace)
+                       ParseError, PatternEdge, StructuralError, apply,
+                       builtin_domain, filter_trace, format_trace, generate_trace,
+                       ground_options, held_counts, parse_domain, parse_trace)
 from mhgfilter.domain import BUILTIN_DOMAINS
 from oracles import builtin_document, renamed_mini_document
 
@@ -67,7 +68,8 @@ def test_bookshelf_inventory():
     slots = [v for v in init.vertices if v.id.startswith("slot_")]
     assert len(slots) == 14
     assert len({v.label for v in slots}) == 14
-    adjacency = [e for e in init.fixed_edges if e.label == "adjacent"]
+    adjacency = [k for k, (lo, up) in init.bounds.items()
+                 if k[0] == "adjacent" and lo == up]
     assert len(adjacency) == 13
     assert init.count_groundings() == 1
     assert {r.name for r in domain.rules} == {
@@ -129,8 +131,10 @@ def test_parse_domain_errors():
 
 
 def test_parse_domain_takes_values_as_written():
-    """Integer fields must be JSON integers, not booleans, and label sets
-    JSON arrays of strings: a coerced value would load another domain."""
+    """Integer fields must be JSON integers, not booleans; ids, labels,
+    variables and names JSON strings; and label sets, incidences, variable
+    lists and constraint edge entries JSON arrays of strings: a coerced
+    value would load another domain."""
     good = builtin_document("mini")
     good["bounded_edges"] = [{"label": "mark", "incidence": ["floor"],
                               "lower": 0, "upper": 1}]
@@ -141,8 +145,27 @@ def test_parse_domain_takes_values_as_written():
     ecc = next(i for i, v in enumerate(good["vertices"]) if v["id"] == "eccentric")
     inst = next(i for i, r in enumerate(good["rules"])
                 if r["name"] == "installEccentric")
+    take = next(i for i, r in enumerate(good["rules"]) if r["name"] == "take")
     cases = [
         (good, ("vertices", ecc, "multiplicity"), (4.7, "4", True)),
+        (good, ("vertices", ecc, "id"), (7, None)),
+        (good, ("vertices", ecc, "label"), (7, ["eccentric"])),
+        (good, ("edges", 0, "label"), (5,)),
+        (good, ("edges", 0, "incidence"), ("pq", ["agent", 1])),
+        (good, ("bounded_edges", 0, "label"), (5,)),
+        (good, ("bounded_edges", 0, "incidence"), ("floor",)),
+        (good, ("constraints", 0, "edges", 0), ("mark", ["mark"], 3)),
+        (good, ("constraints", 0, "edges", 0, 0), (5,)),
+        (good, ("constraints", 0, "edges", 0, 1), ("floor", [1])),
+        (good, ("rules", take, "pattern", "vertices", 0, "var"), (1,)),
+        (good, ("rules", take, "pattern", "vertices", 0, "label"), (7,)),
+        (good, ("rules", take, "pattern", "edges", 0, "label"), (5,)),
+        (good, ("rules", take, "pattern", "edges", 0, "vars"), ("AL",)),
+        (good, ("rules", take, "effect", "retract", 0, "label"), (5,)),
+        (good, ("rules", take, "effect", "assert", 0, "vars"), ("AI", [1, "I"])),
+        (good, ("rules", take, "name"), (3,)),
+        (good, ("agent",), (1,)),
+        (good, ("name",), (12,)),
         (good, ("edges", 0, "multiplicity"), (1.0, "1")),
         (good, ("bounded_edges", 0, "lower"), ("0", False)),
         (good, ("bounded_edges", 0, "upper"), (1.0, True)),
@@ -172,6 +195,103 @@ def test_parse_domain_takes_values_as_written():
             with pytest.raises(ParseError) as exc:
                 parse_domain(bad, "doc")
             assert repr(value) in str(exc.value), (path, value)
+
+
+def tiny_document(**parts) -> dict:
+    """A document of two vertices, ``a`` (the agent) and ``b``, and no rules,
+    with the given top-level parts."""
+    return {"format": "mhg-domain/1", "agent": "a",
+            "labels": {"locations": [], "agent_locations": [], "holdable": []},
+            "vertices": [{"id": "a", "label": "x"}, {"id": "b", "label": "y"}],
+            "rules": [], **parts}
+
+
+def initial_digest(doc) -> str:
+    return hashlib.sha256(parse_domain(doc).initial_state.canonical_form().data
+                          ).hexdigest()
+
+
+def test_fixed_multiplicity_absorbed_into_bounds():
+    """A key listed in ``edges`` and in ``bounded_edges`` adds its fixed
+    multiplicity to its interval and to its group's total, in any incidence
+    order; ``edges`` entries that share a key sum."""
+    doc = tiny_document(
+        edges=[{"label": "at", "incidence": ["b", "a"], "multiplicity": 2}],
+        bounded_edges=[{"label": "at", "incidence": ["a", "b"], "lower": 0, "upper": 3},
+                       {"label": "on", "incidence": ["a", "b"], "lower": 0, "upper": 3}],
+        constraints=[{"edges": [["at", ["a", "b"]], ["on", ["b", "a"]]], "total": 1}])
+    l = parse_domain(doc).initial_state
+    at, on = ("at", ("a", "b")), ("on", ("a", "b"))
+    assert l.multiplicity_bounds(at) == (2, 3)
+    assert l.multiplicity_bounds(on) == (0, 1)
+    assert l.group_of(at).total == 3
+    assert l.count_groundings() == 2
+    summed = tiny_document(edges=[{"label": "at", "incidence": ["b", "a"]},
+                                  {"label": "at", "incidence": ["a", "b"],
+                                   "multiplicity": 2}])
+    assert parse_domain(summed).initial_state.bounds == {at: (3, 3)}
+
+
+def test_documents_load_to_the_initial_bytes_they_always_had():
+    """The shipped domains and the documents that fold keys load to the
+    initial canonical bytes they loaded to when states were built from edge
+    lists (sha256 pinned); the documents those lists rejected still raise
+    ParseError."""
+    pinned = {
+        "mini": "0ee05d1895ef979cf3bdaeb6a9bf54d33a11ec295a53b09995f848bdcc5763e0",
+        "bookshelf": "83e9d6fc1170f22275d7ae1c752ff4feadb24a58e463da22095f27b858eba14a",
+    }
+    for name, digest in pinned.items():
+        assert initial_digest(builtin_document(name)) == digest
+    at = {"label": "at", "incidence": ["a", "b"]}
+    assert initial_digest(tiny_document(
+        edges=[{"label": "at", "incidence": ["b", "a"], "multiplicity": 2}],
+        bounded_edges=[{**at, "lower": 0, "upper": 3},
+                       {"label": "on", "incidence": ["a", "b"], "lower": 0, "upper": 3}],
+        constraints=[{"edges": [["at", ["a", "b"]], ["on", ["b", "a"]]], "total": 1}])
+    ) == "3d50e242c46f20271ff17cada9e8321f386b07e910fec2ffd951c79d2bec5086"
+    assert initial_digest(tiny_document(
+        edges=[{"label": "at", "incidence": ["b", "a"]}, {**at, "multiplicity": 2}])
+    ) == "908aa83f647ecc4c9780a2b708677ebfe61fc9b6a61ca4dcef99af3f19992b86"
+    group = {"edges": [["at", ["a", "b"]]], "total": 1}
+    rejected = [
+        # a constraint key listed in ``edges`` only
+        tiny_document(edges=[at], constraints=[group]),
+        tiny_document(bounded_edges=[{**at, "lower": 0, "upper": 1},
+                                     {**at, "incidence": ["b", "a"], "lower": 0,
+                                      "upper": 2}]),
+        tiny_document(edges=[{**at, "multiplicity": 0}]),
+        tiny_document(bounded_edges=[{**at, "lower": 2, "upper": 1}]),
+        # out of range before a fixed multiplicity would bring them in range
+        tiny_document(edges=[at], bounded_edges=[{**at, "lower": -1, "upper": 1}]),
+        tiny_document(edges=[at], bounded_edges=[{**at, "lower": 0, "upper": 1}],
+                      constraints=[{**group, "total": -1}]),
+        tiny_document(bounded_edges=[{**at, "lower": 0, "upper": 1}],
+                      constraints=[group, {"edges": [["at", ["b", "a"]]], "total": 1}]),
+    ]
+    for doc in rejected:
+        with pytest.raises(ParseError):
+            parse_domain(doc)
+
+
+def test_rule_edges_must_be_non_empty():
+    """A pattern or effect edge with an empty label, or an effect edge over
+    no vertices, is rejected when the rule is built: a parse error of its
+    document, not an edge with no incidence in the states."""
+    with pytest.raises(StructuralError):
+        PatternEdge("", ("A",))
+    for label, variables in (("", ("A",)), ("ghost", ())):
+        with pytest.raises(StructuralError):
+            EffectEdge(label, variables)
+    for edge in ({"label": "ghost", "vars": []}, {"label": "", "vars": ["A"]}, None):
+        doc = builtin_document("mini")
+        walk = next(r for r in doc["rules"] if r["name"] == "walk")
+        if edge is None:
+            walk["pattern"]["edges"][0]["label"] = ""
+        else:
+            walk["effect"]["assert"].append(edge)
+        with pytest.raises(ParseError):
+            parse_domain(doc, "doc")
 
 
 def test_parse_domain_validates_the_action_model():

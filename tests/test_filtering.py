@@ -5,10 +5,10 @@ import math
 
 import pytest
 
-from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
-                       Domain, Effect, EffectEdge, Hyperedge, IntegrityError,
-                       LiftedApplyResult, LiftedMultiHypergraph, MultiHypergraph,
-                       Pattern, PatternEdge, PatternVertex, Rule, TotalConstraint,
+from mhgfilter import (ActionModel, AnnotationTuple, Belief, Domain, Effect,
+                       EffectEdge, IntegrityError, LiftedApplyResult,
+                       LiftedMultiHypergraph, MultiHypergraph, Pattern,
+                       PatternEdge, PatternVertex, Rule,
                        TraceInconsistencyError, Vertex, agent_location,
                        builtin_domain, compare, filter_trace, index_vertices,
                        generate_trace, ground_filter_trace, lifted_apply,
@@ -16,7 +16,7 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, BoundedEdge,
 from mhgfilter import lifted as lifted_module
 from mhgfilter import rewrite
 from mhgfilter.filtering import _condition_state, _conditions
-from oracles import reference_agent_location
+from oracles import lifted_state, reference_agent_location
 
 LOCS = frozenset({"floor", "table"})
 
@@ -52,7 +52,7 @@ def sharp_initial():
     return LiftedMultiHypergraph(
         gear_layout([Vertex("agent", "agent"), Vertex("floor", "floor"),
                      Vertex("table", "table"), Vertex("gear", "gear")]),
-        [Hyperedge("at", ("agent", "table")), Hyperedge("at", ("gear", "table"))])
+        {("at", ("agent", "table")): (1, 1), ("at", ("gear", "table")): (1, 1)})
 
 
 def spread_initial():
@@ -60,11 +60,9 @@ def spread_initial():
     return LiftedMultiHypergraph(
         gear_layout([Vertex("agent", "agent"), Vertex("floor", "floor"),
                      Vertex("table", "table"), Vertex("gear", "gear")]),
-        [Hyperedge("at", ("agent", "floor"))],
-        [BoundedEdge("at", ("gear", "floor"), 0, 1),
-         BoundedEdge("at", ("gear", "table"), 0, 1)],
-        [TotalConstraint(frozenset({("at", ("floor", "gear")),
-                                    ("at", ("gear", "table"))}), 1)])
+        {("at", ("gear", "floor")): (0, 1), ("at", ("gear", "table")): (0, 1),
+         ("at", ("agent", "floor")): (1, 1)},
+        [({("at", ("floor", "gear")), ("at", ("gear", "table"))}, 1)])
 
 
 def test_action_model_weights():
@@ -102,7 +100,7 @@ def test_belief_normalises_and_merges():
     relabeled = LiftedMultiHypergraph(
         gear_layout([Vertex("agent", "agent"), Vertex("floor", "floor"),
                      Vertex("table", "table"), Vertex("cog", "gear")]),
-        [Hyperedge("at", ("agent", "table")), Hyperedge("at", ("cog", "table"))])
+        {("at", ("agent", "table")): (1, 1), ("at", ("cog", "table")): (1, 1)})
     b = Belief([(l, 3.0), (relabeled, 1.0)])
     assert len(b) == 1
     assert b.total_weight() == pytest.approx(1.0)
@@ -117,10 +115,8 @@ def test_belief_rejects_bad_entries():
         Belief([(l, 0.0)])
     with pytest.raises(IntegrityError):
         Belief([])
-    empty = LiftedMultiHypergraph(
-        [Vertex("a", "x")],
-        bounded_edges=[BoundedEdge("at", ("a",), 0, 1)],
-        constraints=[TotalConstraint(frozenset({("at", ("a",))}), 9)])
+    empty = LiftedMultiHypergraph([Vertex("a", "x")], {("at", ("a",)): (0, 1)},
+                                  [({("at", ("a",))}, 9)])
     with pytest.raises(IntegrityError):
         Belief([(empty, 1.0)])
 
@@ -131,15 +127,15 @@ def test_agent_location():
     assert agent_location(domain, sharp_initial().groundings()[0]) == "table"
     lost = MultiHypergraph(
         [Vertex("agent", "agent"), Vertex("floor", "floor"), Vertex("table", "table")],
-        [Hyperedge("at", ("agent", "floor")), Hyperedge("at", ("agent", "table"))])
+        {("at", ("agent", "floor")): 1, ("at", ("agent", "table")): 1})
     assert agent_location(domain, lost) is None
     doubled = MultiHypergraph(
         [Vertex("agent", "agent"), Vertex("floor", "floor")],
-        [Hyperedge("at", ("agent", "floor"), 2)])
+        {("at", ("agent", "floor")): 2})
     assert agent_location(domain, doubled) is None
     looped = MultiHypergraph(
         [Vertex("agent", "agent"), Vertex("floor", "floor")],
-        [Hyperedge("at", ("agent", "agent"))])
+        {("at", ("agent", "agent")): 1})
     assert agent_location(domain, looped) is None
 
 
@@ -205,12 +201,13 @@ def test_update_conditions_and_normalises():
     assert z == pytest.approx(2 / 7)
     assert len(posterior) == 1
     state = posterior.entries[0][0]
-    assert Hyperedge("at", ("agent", "floor")) in state.fixed_edges
+    assert state.multiplicity_bounds(("at", ("agent", "floor"))) == (1, 1)
 
     took = AnnotationTuple("take", "table", "table", {}, {"gear": 1})
     posterior, z = update(domain, took, joint)
     assert z == pytest.approx(5 / 7)
-    assert Hyperedge("holds", ("agent", "gear")) in posterior.entries[0][0].fixed_edges
+    held = ("holds", ("agent", "gear"))
+    assert posterior.entries[0][0].multiplicity_bounds(held) == (1, 1)
 
 
 def test_update_raises_when_nothing_survives():
@@ -248,17 +245,15 @@ def test_condition_state_tightens_single_bounded_key():
     l = LiftedMultiHypergraph(
         gear_layout([Vertex("agent", "agent"), Vertex("floor", "floor"),
                      Vertex("table", "table"), Vertex("gear", "gear", 3)]),
-        [Hyperedge("at", ("agent", "floor"))],
-        [BoundedEdge("holds", ("agent", "gear"), 0, 2),
-         BoundedEdge("at", ("floor", "gear"), 1, 3)],
-        [TotalConstraint(frozenset({("holds", ("agent", "gear")),
-                                    ("at", ("floor", "gear"))}), 3)])
+        {("holds", ("agent", "gear")): (0, 2), ("at", ("floor", "gear")): (1, 3),
+         ("at", ("agent", "floor")): (1, 1)},
+        [({("holds", ("agent", "gear")), ("at", ("floor", "gear"))}, 3)])
     assert l.count_groundings() == 3
     frac, states = condition(domain, l, "floor", {"gear": 1})
     assert frac == pytest.approx(1 / 3)
     assert states == [(states[0][0], 1.0)]
-    assert Hyperedge("holds", ("agent", "gear")) in states[0][0].fixed_edges
-    assert Hyperedge("at", ("floor", "gear"), 2) in states[0][0].fixed_edges
+    assert states[0][0].multiplicity_bounds(("holds", ("agent", "gear"))) == (1, 1)
+    assert states[0][0].multiplicity_bounds(("at", ("floor", "gear"))) == (2, 2)
 
     frac, states = condition(domain, l, "floor", {"gear": 5})
     assert frac == 0.0 and states == []
@@ -272,18 +267,17 @@ def test_condition_state_enumerates_entangled_keys():
     initial = LiftedMultiHypergraph(
         [Vertex("agent", "agent"), Vertex("floor", "floor"),
          Vertex("table", "table"), Vertex("g1", "gear"), Vertex("g2", "gear")],
-        [Hyperedge("at", ("agent", "floor"))])
+        {("at", ("agent", "floor")): (1, 1)})
     domain = tiny_domain(initial)
     l = LiftedMultiHypergraph(
         initial.vertices,
-        [Hyperedge("at", ("agent", "floor")), Hyperedge("at", ("g2", "table"))],
-        [BoundedEdge("holds", ("agent", "g1"), 0, 1),
-         BoundedEdge("holds", ("agent", "g2"), 0, 1)])
+        {("holds", ("agent", "g1")): (0, 1), ("holds", ("agent", "g2")): (0, 1),
+         ("at", ("agent", "floor")): (1, 1), ("at", ("g2", "table")): (1, 1)})
     frac, states = condition(domain, l, "floor", {"gear": 1})
     assert frac == pytest.approx(0.5)
     assert len(states) == 2
     assert all(rel == pytest.approx(0.5) for _, rel in states)
-    assert all(not s.bounded_edges for s, _ in states)
+    assert all(s.count_groundings() == 1 for s, _ in states)
 
 
 def test_filter_trace_keeps_unit_mass():
@@ -450,21 +444,21 @@ def test_agent_location_equals_the_fixed_edge_scan(monkeypatch):
     domain = tiny_domain(sharp_initial())
     vertices = [Vertex("agent", "agent"), Vertex("floor", "floor"),
                 Vertex("table", "table"), Vertex("gear", "gear")]
-    at = Hyperedge("at", ("agent", "floor"))
-    around = [Hyperedge("at", ("gear", "table")), Hyperedge("holds", ("agent", "gear"))]
-    maybe = BoundedEdge("at", ("agent", "table"), 0, 1)
+    at = {("at", ("agent", "floor")): 1}
+    around = {("at", ("gear", "table")): 1, ("holds", ("agent", "gear")): 1}
+    maybe = {("at", ("agent", "table")): (0, 1)}
     cases = [
-        ([], [], None),                                                # no agent edge
-        ([at], [], "floor"),                                           # one
-        ([at, Hyperedge("at", ("agent", "table"))], [], None),         # two
-        ([Hyperedge("at", ("agent", "floor"), 2)], [], None),          # multiplicity 2
-        ([Hyperedge("at", ("agent", "floor", "table"))], [], None),    # arity 3
-        ([Hyperedge("at", ("agent", "agent"))], [], None),             # a loop
-        ([at], [maybe], "floor"),                                      # bounded: ignored
-        ([], [maybe], None),
+        ({}, {}, None),                                                # no agent edge
+        (at, {}, "floor"),                                             # one
+        (at | {("at", ("agent", "table")): 1}, {}, None),              # two
+        ({("at", ("agent", "floor")): 2}, {}, None),                   # multiplicity 2
+        ({("at", ("agent", "floor", "table")): 1}, {}, None),          # arity 3
+        ({("at", ("agent", "agent")): 1}, {}, None),                   # a loop
+        (at, maybe, "floor"),                                          # bounded: ignored
+        ({}, maybe, None),
     ]
     for fixed, bounded, want in cases:
-        state = LiftedMultiHypergraph(vertices, around + fixed, bounded)
+        state = lifted_state(vertices, around | fixed, bounded)
         assert agent_location(domain, state) == want
         assert reference_agent_location(domain, state) == want
 
@@ -478,7 +472,7 @@ def test_agent_location_equals_the_fixed_edge_scan(monkeypatch):
     trace, _ = generate_trace(mini, seed=3, length=12)
     assert not compare(mini, trace).divergent
     assert {type(s) for s in states} == {MultiHypergraph, LiftedMultiHypergraph}
-    assert len(states) > 40 and any(s.bounded_edges for s in states)
+    assert len(states) > 40 and any(s.count_groundings() > 1 for s in states)
     assert {agent_location(mini, s) for s in states} == {"floor", "table"}
     for s in states:
         assert agent_location(mini, s) == reference_agent_location(mini, s)

@@ -12,11 +12,10 @@ from collections import Counter
 
 import pytest
 
-from mhgfilter import (BoundedEdge, EffectEdge, Effect, EffectError, Hyperedge,
-                       IntegrityError, LiftedMultiHypergraph, Match,
-                       MultiHypergraph, Pattern, PatternEdge, PatternVertex,
-                       Rule, StructuralError,
-                       TotalConstraint, Vertex, apply, compare, filter_trace,
+from mhgfilter import (EffectEdge, Effect, EffectError, IntegrityError,
+                       LiftedMultiHypergraph, Match, MultiHypergraph, Pattern,
+                       PatternEdge, PatternVertex, Rule, StructuralError,
+                       Vertex, apply, compare, filter_trace,
                        generate_trace, builtin_domain, ground_options,
                        index_vertices, lifted_apply)
 from mhgfilter import rewrite
@@ -24,7 +23,8 @@ from mhgfilter.canon import (canonical_form, canonical_form_lifted, pinned_form,
                              pinned_form_lifted)
 from oracles import (_admits, box_groundings, brute_fire, brute_matches,
                      brute_transition, fresh_layout, lifted_distribution,
-                     random_graph, random_lifted, symmetric_lifted, tv_distance)
+                     lifted_state, random_graph, random_lifted, symmetric_lifted,
+                     tv_distance)
 
 
 def test_derived_states_share_the_layout():
@@ -40,7 +40,7 @@ def test_derived_states_share_the_layout():
                apply(walk, g, ground_options(walk, g)[0])]
     assert all(s.layout is l.layout for s in derived)
     assert l.layout.conservation_labels == {"at", "holds"}
-    fresh = LiftedMultiHypergraph(list(l.vertices), l.fixed_edges)
+    fresh = LiftedMultiHypergraph(list(l.vertices), l.bounds)
     assert fresh.layout is not l.layout
 
 
@@ -68,9 +68,8 @@ def test_derived_states_keep_the_declaration():
                              Vertex("s1", "slot"), Vertex("s2", "slot")],
                             {"at", "holds"}, {"screw"})
     at1, at2, held = ("at", ("e", "s1")), ("at", ("e", "s2")), ("holds", ("a", "e"))
-    l = LiftedMultiHypergraph(layout, [Hyperedge(*held)],
-                              [BoundedEdge(*at1, 0, 1), BoundedEdge(*at2, 0, 1)],
-                              [TotalConstraint(frozenset({at1, at2}), 1)])
+    l = LiftedMultiHypergraph(layout, {at1: (0, 1), at2: (0, 1), held: (1, 1)},
+                              [({at1, at2}, 1)])
     groundings = list(l.iter_groundings())
     g = groundings[0]
     derived = [l.shifted({}), l.shifted({held: -1}, (frozenset({at1, at2}), 2)),
@@ -83,8 +82,7 @@ def test_derived_states_keep_the_declaration():
         with pytest.raises(IntegrityError, match="vertex 'e'"):
             build()
     # the same edges over an undeclared layout are a valid state
-    MultiHypergraph(layout.vertices, [Hyperedge(*at1), Hyperedge(*at2),
-                                      Hyperedge(*held)])
+    MultiHypergraph(layout.vertices, {at1: 1, at2: 1, held: 1})
 
 
 def test_each_rule_compiles_once_per_domain(monkeypatch):
@@ -122,7 +120,7 @@ def test_domains_with_the_same_ids_share_no_compiled_entry():
     second = dataclasses.replace(first, initial_state=LiftedMultiHypergraph(
         fresh_layout(l, [Vertex(v.id, swap.get(v.label, v.label), v.multiplicity)
                          for v in l.vertices]),
-        l.fixed_edges, l.bounded_edges, l.constraints))
+        l.bounds, l._groups()))
     for domain in (first, second):
         trace, _ = generate_trace(domain, seed=1, length=10)
         assert not compare(domain, trace).divergent
@@ -142,8 +140,10 @@ def random_rule(rng: random.Random, state) -> Rule:
     the variables they use admit its vertices, so that some assignment can
     meet them."""
     labels = sorted({v.label for v in state.vertices})
-    present = state.fixed_edges + state.bounded_edges
-    edge_labels = sorted({e.label for e in present} | {"new"})
+    # the state's keys, fixed ones first
+    present = sorted(state.bounds,
+                     key=lambda k: (state.bounds[k][0] < state.bounds[k][1], k))
+    edge_labels = sorted({label for label, _ in present} | {"new"})
     variables = [f"V{i}" for i in range(rng.randint(1, 3))]
     witness: dict[str, Vertex] = {}     # variable -> a vertex it should admit
 
@@ -152,14 +152,13 @@ def random_rule(rng: random.Random, state) -> Rule:
 
     def pattern_edge():
         e = rng.choice(present) if present and rng.random() < 0.75 else None
-        ids = sorted(set(e.incidence)) if e is not None else ()
+        ids = sorted(set(e[1])) if e is not None else ()
         if not ids or len(ids) > len(variables):
             return PatternEdge(rng.choice(edge_labels), over())
         names = dict(zip(ids, rng.sample(variables, len(ids))))
         for vid, var in names.items():
             witness.setdefault(var, state.vertex(vid))
-        return PatternEdge(e.label, tuple(names[x] for x in e.incidence),
-                           rng.choice([1, 1, 2]))
+        return PatternEdge(e[0], tuple(names[x] for x in e[1]), rng.choice([1, 1, 2]))
 
     def pattern_vertex(var):
         v = witness.get(var)
@@ -232,8 +231,8 @@ def test_a_warm_layout_gives_the_results_of_a_fresh_one():
         cold = results(state, rule, pins)
         warm = state.shifted({})
         assert warm.layout is state.layout and warm.layout.compiled
-        fresh = LiftedMultiHypergraph(fresh_layout(state), state.fixed_edges,
-                                      state.bounded_edges, state.constraints)
+        fresh = LiftedMultiHypergraph(fresh_layout(state), state.bounds,
+                                      state._groups())
         assert fresh.layout is not state.layout
         assert results(warm, rule, pins) == cold == results(fresh, rule, pins)
 
@@ -331,7 +330,7 @@ def test_matches_and_transitions_equal_the_brute_force_reference():
 
 def test_an_unknown_vertex_in_an_effect_raises_on_every_call():
     g = MultiHypergraph([Vertex("a", "agent"), Vertex("e", "screw")],
-                        [Hyperedge("holds", ("a", "e"))])
+                        {("holds", ("a", "e")): 1})
     rule = Rule("drop", Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw")),
                                 (PatternEdge("holds", ("A", "E")),)),
                 Effect(retract=(EffectEdge("holds", ("A", "E")),),
@@ -372,41 +371,33 @@ def fresh_vertices(state):
 
 def fresh_ground(state, mults) -> MultiHypergraph:
     """The ground state with these edge multiplicities, built by the public
-    constructor from fresh vertices and freshly made edges."""
+    constructor from fresh vertices."""
     return MultiHypergraph(fresh_vertices(state),
-                           [Hyperedge(*k, m) for k, m in mults.items() if m > 0])
+                           {k: m for k, m in mults.items() if m > 0})
 
 
 def fresh_lifted(state, fixed, bounds, totals) -> LiftedMultiHypergraph:
     """The lifted state with these fixed multiplicities, bounds and groups
-    (keys -> total), built from fresh vertices and freshly made edges."""
-    return LiftedMultiHypergraph(
-        fresh_vertices(state),
-        [Hyperedge(*k, m) for k, m in fixed.items() if m > 0],
-        [BoundedEdge(*k, lo, up) for k, (lo, up) in bounds.items()],
-        [TotalConstraint(keys, t) for keys, t in totals.items()])
+    (keys -> total), built from fresh vertices."""
+    return lifted_state(fresh_vertices(state),
+                        {k: m for k, m in fixed.items() if m > 0}, bounds,
+                        totals.items())
 
 
 def assert_same(derived, fresh):
-    """``derived`` equals ``fresh`` edge by edge, in its bounds map, groups
-    and grounding count and by canonical bytes."""
+    """``derived`` equals ``fresh`` in its bounds map, groups and grounding
+    count and by canonical bytes."""
     assert derived.layout is not fresh.layout
     if isinstance(fresh, MultiHypergraph):
         assert derived == fresh and hash(derived) == hash(fresh)
-    for mine, theirs in ((derived.fixed_edges, fresh.fixed_edges),
-                         (derived.bounded_edges, fresh.bounded_edges)):
-        assert list(mine) == list(theirs)
-        assert [hash(e) for e in mine] == [hash(e) for e in theirs]
-        assert [e.key for e in mine] == [(e.label, e.incidence) for e in theirs]
-    assert derived.constraints == fresh.constraints
+    assert derived._groups() == fresh._groups()
     assert derived.is_empty == fresh.is_empty
     assert derived.canonical_form().data == fresh.canonical_form().data
     assert derived.bounds == fresh.bounds
-    if isinstance(fresh, LiftedMultiHypergraph):
-        assert derived.count_groundings() == fresh.count_groundings()
-        for e in fresh.fixed_edges + fresh.bounded_edges:
-            assert derived.multiplicity_bounds(e.key) == fresh.multiplicity_bounds(e.key)
-            assert derived.group_of(e.key) == fresh.group_of(e.key)
+    assert derived.count_groundings() == fresh.count_groundings()
+    for k in fresh.bounds:
+        assert derived.multiplicity_bounds(k) == fresh.multiplicity_bounds(k)
+        assert derived.group_of(k) == fresh.group_of(k)
 
 
 def assert_same_or_both_raise(derive, build):
@@ -424,10 +415,12 @@ def assert_same_or_both_raise(derive, build):
 
 
 def parts(l: LiftedMultiHypergraph):
-    """(fixed multiplicities, bounds, groups) of a lifted state."""
-    return ({e.key: e.multiplicity for e in l.fixed_edges},
-            {b.key: (b.lower, b.upper) for b in l.bounded_edges},
-            {c.edge_keys: c.total for c in l.constraints})
+    """(fixed multiplicities, bounds of the other keys, groups) of a lifted
+    state, each in key order."""
+    items = sorted(l.bounds.items())
+    return ({k: lo for k, (lo, up) in items if lo == up},
+            {k: (lo, up) for k, (lo, up) in items if lo < up},
+            {c.edge_keys: c.total for c in l._groups()})
 
 
 SPARE = ("spare_a", "spare_b")    # conserved edge labels of no edge
@@ -443,8 +436,9 @@ def declared(l: LiftedMultiHypergraph, rng) -> LiftedMultiHypergraph:
     sums: dict[str, set[int]] = {v.id: set() for v in l.vertices}
     for g in box_groundings(l):
         for vid in sums:
-            sums[vid].add(sum(e.multiplicity * e.incidence.count(vid)
-                              for e in g.edges if e.label in edge_labels))
+            sums[vid].add(sum(m * incidence.count(vid)
+                              for (label, incidence), m in g.edge_dict().items()
+                              if label in edge_labels))
     by_label: dict[str, list[str]] = {}
     for v in l.vertices:
         by_label.setdefault(v.label, []).append(v.id)
@@ -454,7 +448,7 @@ def declared(l: LiftedMultiHypergraph, rng) -> LiftedMultiHypergraph:
     vertices = [Vertex(v.id, v.label, min(sums[v.id]) if v.label in vertex_labels
                        else v.multiplicity) for v in l.vertices]
     return LiftedMultiHypergraph(index_vertices(vertices, edge_labels, vertex_labels),
-                                 l.fixed_edges, l.bounded_edges, l.constraints)
+                                 l.bounds, l._groups())
 
 
 def test_derived_states_equal_fresh_builds():
@@ -463,7 +457,7 @@ def test_derived_states_equal_fresh_builds():
     ``conditioned``, ``shifted`` (of the state and of its groundings),
     ``iter_groundings``, the constructor over its layout and ``from_graph``
     -- equals the state the public constructors build from fresh vertices
-    and freshly made edges, or raises IntegrityError with its message.  A
+    or raises IntegrityError with its message.  A
     key given with unsorted incidence is read in sorted order.  An
     infeasible step gives the empty state, and a step group that partly
     overlaps a group raises."""
@@ -498,10 +492,8 @@ def test_derived_states_equal_fresh_builds():
             v = rng.randint(*bounds[k])
             narrowed = {**bounds, k: (v, v)}
             fresh = fresh_lifted(l, fixed, narrowed, groups)
-            assert_same(LiftedMultiHypergraph(
-                l.layout, l.fixed_edges,
-                [BoundedEdge(*key, lo, up) for key, (lo, up) in narrowed.items()],
-                l.constraints), fresh)
+            assert_same(LiftedMultiHypergraph(l.layout, {**l.bounds, k: (v, v)},
+                                              l._groups()), fresh)
             assert_same(l.conditioned(k, v), fresh)
             assert l.conditioned(k, bounds[k][1] + 1).is_empty
 
@@ -560,11 +552,11 @@ def test_derived_states_equal_fresh_builds():
             assert l.shifted(delta, group).is_empty
 
         # iter_groundings, then from_graph and shifted on groundings
-        expected = {g.edges: g for g in box_groundings(l)}
+        expected = {frozenset(g.edge_dict().items()): g for g in box_groundings(l)}
         groundings = list(l.iter_groundings())
         assert len(groundings) == len(expected) == l.count_groundings()
         for g in itertools.islice(groundings, 8):
-            assert_same(g, expected[g.edges])
+            assert_same(g, expected[frozenset(g.edge_dict().items())])
             mults = g.edge_dict()
             assert_same(LiftedMultiHypergraph.from_graph(g),
                         fresh_lifted(g, mults, {}, {}))
@@ -608,12 +600,13 @@ def test_groundings_equal_constructor_builds():
     def check(scene):
         l, rng = scene
         states = [l]
-        if l.bounded_edges:
-            b = rng.choice(l.bounded_edges)
-            states.append(l.conditioned(b.key, rng.randint(b.lower, b.upper)))
+        bounded = sorted(k for k, (lo, up) in l.bounds.items() if lo < up)
+        if bounded:
+            k = rng.choice(bounded)
+            states.append(l.conditioned(k, rng.randint(*l.bounds[k])))
         for state in states:
             for g in state.iter_groundings():
-                built = MultiHypergraph(state.layout, g.edges)
+                built = MultiHypergraph(state.layout, g.edge_dict())
                 assert g == built and hash(g) == hash(built)
                 assert g.edge_dict() == built.edge_dict()
                 assert g.bounds == built.bounds
@@ -622,14 +615,13 @@ def test_groundings_equal_constructor_builds():
 
 
 def test_a_key_checked_in_one_layout_is_checked_again_in_another():
-    a = MultiHypergraph([Vertex("a", "x"), Vertex("b", "y")],
-                        [Hyperedge("at", ("a", "b"))])
-    edge = a.edges[0]
+    key = ("at", ("a", "b"))
+    MultiHypergraph([Vertex("a", "x"), Vertex("b", "y")], {key: 1})
     b = MultiHypergraph([Vertex("a", "x"), Vertex("c", "y")])
-    for build in (lambda: MultiHypergraph(b.layout, [edge]),
-                  lambda: LiftedMultiHypergraph(b.layout, [edge]),
-                  lambda: b.shifted({edge.key: 1}),
-                  lambda: b.shifted({}, ([edge.key], 1))):
+    for build in (lambda: MultiHypergraph(b.layout, {key: 1}),
+                  lambda: LiftedMultiHypergraph(b.layout, {key: (1, 1)}),
+                  lambda: b.shifted({key: 1}),
+                  lambda: b.shifted({}, ([key], 1))):
         with pytest.raises(StructuralError, match="unknown vertex 'b'"):
             build()
 
@@ -637,7 +629,7 @@ def test_a_key_checked_in_one_layout_is_checked_again_in_another():
 def test_shifted_still_checks_conservation():
     g = MultiHypergraph(index_vertices([Vertex("e", "screw", 2), Vertex("s", "slot")],
                                        {"at"}, {"screw"}),
-                        [Hyperedge("at", ("e", "s"), 2)])
+                        {("at", ("e", "s")): 2})
     for _ in range(2):  # a failed shift leaves the state as it was
         with pytest.raises(IntegrityError, match=r"vertex 'e' \(screw\): conserved "
                            r"multiplicity sum ranges over \[1, 1\] across "
@@ -647,33 +639,35 @@ def test_shifted_still_checks_conservation():
 
 
 def test_duplicate_keys_still_sum_and_incidence_still_sorts():
-    g = MultiHypergraph([Vertex("a", "x"), Vertex("b", "y")],
-                        [Hyperedge("at", ("b", "a"))])
-    e = g.edges[0]
-    h = MultiHypergraph(g.layout, [e, e, Hyperedge("at", ("a", "b"), 2)])
-    assert h.edge_dict() == {("at", ("a", "b")): 4}
-    assert h.edges == (Hyperedge("at", ("a", "b"), 4),)
+    """``shifted`` sums the deltas of one key given in two incidence
+    orders, and every entry point reads a key sorted.  The constructors
+    reject a key given twice instead; the domain parser sums such
+    ``edges`` entries."""
+    g = MultiHypergraph([Vertex("a", "x"), Vertex("b", "y")], {("at", ("b", "a")): 1})
+    assert g.edge_dict() == {("at", ("a", "b")): 1}
+    twice = {("at", ("b", "a")): 1, ("at", ("a", "b")): 2}
+    for build in (lambda: MultiHypergraph(g.layout, twice),
+                  lambda: LiftedMultiHypergraph(
+                      g.layout, {k: (0, m) for k, m in twice.items()})):
+        with pytest.raises(StructuralError, match="duplicate"):
+            build()
     unsorted = g.shifted({("at", ("b", "a")): 2, ("at", ("a", "b")): 1})
-    assert unsorted.edges == h.edges
+    assert unsorted.edge_dict() == {("at", ("a", "b")): 4}
     assert unsorted.edge_multiplicity("at", ("b", "a")) == 4
     assert unsorted.multiplicity_bounds(("at", ("a", "b"))) == (4, 4)
     # a lifted state's shift and step group read keys the same way
     l = LiftedMultiHypergraph([Vertex("a", "x"), Vertex("b", "y")])
     once = l.shifted({("at", ("b", "a")): 1})
-    assert once.fixed_edges == (Hyperedge("at", ("a", "b")),)
-    assert once.multiplicity_bounds(("at", ("a", "b"))) == (1, 1)
+    assert once.bounds == {("at", ("a", "b")): (1, 1)}
     grouped = l.shifted({}, ([("at", ("b", "a")), ("on", ("a",))], 1))
-    assert grouped.constraints == (TotalConstraint(
-        {("at", ("a", "b")), ("on", ("a",))}, 1),)
+    assert grouped._groups() == [({("at", ("a", "b")), ("on", ("a",))}, 1)]
     assert grouped.multiplicity_bounds(("at", ("a", "b"))) == (0, 1)
-    assert e.incidence == ("a", "b")
 
 
 def test_all_states_of_a_compare_share_equal_edges(monkeypatch):
     """Over one mini ``compare``, every state, whether built by a
-    constructor or derived from another state, shares the initial layout,
-    holds only keys over its vertices, and its fixed-edge view reads its
-    bounds map."""
+    constructor or derived from another state, shares the initial layout
+    and holds only keys over its vertices, with 0 <= lower <= upper."""
     states = []
     for cls in (MultiHypergraph, LiftedMultiHypergraph):
         def recording(self, *args, _init=cls.__init__, **kwargs):
@@ -695,9 +689,8 @@ def test_all_states_of_a_compare_share_equal_edges(monkeypatch):
     for s in states:
         assert s.layout is domain.initial_state.layout
         assert all(v in s.layout.by_id for _, incidence in s.bounds for v in incidence)
-        for e in s.fixed_edges:
-            assert s.bounds[e.key] == (e.multiplicity, e.multiplicity)
-            edges.add(e)
+        assert all(0 <= lo <= up for lo, up in s.bounds.values())
+        edges.update((k, lo) for k, (lo, up) in s.bounds.items() if lo == up)
     assert len(edges) > 10
 
 

@@ -6,11 +6,10 @@ import random
 
 import pytest
 
-from mhgfilter import (MAX_GROUNDINGS, BoundedEdge, Effect, EffectEdge,
-                       EnumerationLimitError, Hyperedge, IntegrityError,
-                       LiftedMultiHypergraph, Match, MultiHypergraph, Pattern,
-                       PatternEdge, PatternVertex, Rule, StructuralError,
-                       TotalConstraint, Vertex, apply, index_vertices)
+from mhgfilter import (MAX_GROUNDINGS, Effect, EffectEdge, EnumerationLimitError,
+                       IntegrityError, LiftedMultiHypergraph, Match, MultiHypergraph,
+                       Pattern, PatternEdge, PatternVertex, Rule, StructuralError,
+                       Vertex, apply, index_vertices)
 from mhgfilter.canon import canonical_form_lifted
 from mhgfilter.lifted import _count_compositions
 from oracles import box_groundings, random_lifted, raw_groundings
@@ -20,101 +19,69 @@ def hull_example():
     """Two bounded piles of four screws with a shared exact total."""
     return LiftedMultiHypergraph(
         [Vertex("e", "screw", 4), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
-        [],
-        [BoundedEdge("at", ("e", "s1"), 0, 2),
-         BoundedEdge("at", ("e", "s2"), 0, 4)],
-        [TotalConstraint(frozenset({("at", ("e", "s1")),
-                                    ("at", ("e", "s2"))}), 4)])
+        {("at", ("e", "s1")): (0, 2), ("at", ("e", "s2")): (0, 4)},
+        [({("at", ("e", "s1")), ("at", ("e", "s2"))}, 4)])
 
 
 def test_bounded_edge_validation():
-    with pytest.raises(StructuralError):
-        BoundedEdge("", ("a",), 0, 1)
-    with pytest.raises(StructuralError):
-        BoundedEdge("at", (), 0, 1)
-    with pytest.raises(StructuralError):
-        BoundedEdge("at", ("a",), -1, 1)
-    with pytest.raises(StructuralError):
-        BoundedEdge("at", ("a",), 2, 1)
-    b = BoundedEdge("at", ("b", "a"), 0, 1)
-    assert b.incidence == ("a", "b")
-    assert b.key == ("at", ("a", "b"))
+    vertices = [Vertex("a", "x"), Vertex("b", "y")]
+    for bad in ({("", ("a",)): (0, 1)}, {("at", ()): (0, 1)},
+                {("at", ("a",)): (-1, 1)}, {("at", ("a",)): (2, 1)},
+                {("at", ("a", "ghost")): (0, 1)}):
+        with pytest.raises(StructuralError):
+            LiftedMultiHypergraph(vertices, bad)
+    at, on = ("at", ("b", "a")), ("on", ("b",))
+    l = LiftedMultiHypergraph(vertices, {at: (0, 1), on: (0, 1)}, [([at, on], 1)])
+    assert l.bounds == {("at", ("a", "b")): (0, 1), ("on", ("b",)): (0, 1)}
+    assert l.group_of(("at", ("a", "b"))).total == 1
 
 
 def test_total_constraint_validation():
-    with pytest.raises(StructuralError):
-        TotalConstraint(frozenset({("at", ("a",))}), -1)
+    with pytest.raises(StructuralError, match="negative"):
+        LiftedMultiHypergraph([Vertex("a", "x")], {("at", ("a",)): (0, 1)},
+                              [({("at", ("a",))}, -1)])
 
 
 def test_duplicate_bounded_keys_rejected():
-    with pytest.raises(StructuralError):
-        LiftedMultiHypergraph(
-            [Vertex("a", "x")],
-            bounded_edges=[BoundedEdge("at", ("a",), 0, 1),
-                           BoundedEdge("at", ("a",), 0, 2)])
+    with pytest.raises(StructuralError, match="duplicate"):
+        LiftedMultiHypergraph([Vertex("a", "x"), Vertex("b", "y")],
+                              {("at", ("a", "b")): (0, 1), ("at", ("b", "a")): (0, 2)})
 
 
 def test_constraint_must_reference_known_edges():
     with pytest.raises(StructuralError):
-        LiftedMultiHypergraph(
-            [Vertex("a", "x")],
-            bounded_edges=[BoundedEdge("at", ("a",), 0, 1)],
-            constraints=[TotalConstraint(frozenset({("at", ("b",))}), 1)])
+        LiftedMultiHypergraph([Vertex("a", "x")], {("at", ("a",)): (0, 1)},
+                              [({("at", ("b",))}, 1)])
 
 
 def test_overlapping_groups_rejected():
     key1, key2 = ("at", ("a",)), ("on", ("a",))
     with pytest.raises(StructuralError):
-        LiftedMultiHypergraph(
-            [Vertex("a", "x")],
-            bounded_edges=[BoundedEdge("at", ("a",), 0, 1),
-                           BoundedEdge("on", ("a",), 0, 1)],
-            constraints=[TotalConstraint(frozenset({key1, key2}), 1),
-                         TotalConstraint(frozenset({key1}), 1)])
-
-
-def test_fixed_multiplicity_absorbed_into_bounds():
-    l = LiftedMultiHypergraph(
-        [Vertex("a", "x"), Vertex("b", "y")],
-        [Hyperedge("at", ("a", "b"), 2)],
-        [BoundedEdge("at", ("a", "b"), 0, 3),
-         BoundedEdge("on", ("a", "b"), 0, 3)],
-        [TotalConstraint(frozenset({("at", ("a", "b")),
-                                    ("on", ("a", "b"))}), 1)])
-    at, on = ("at", ("a", "b")), ("on", ("a", "b"))
-    assert at not in {e.key for e in l.fixed_edges}
-    assert l.multiplicity_bounds(at) == (2, 3)
-    assert l.multiplicity_bounds(on) == (0, 1)
-    assert l.group_of(at).total == 3
-    assert l.count_groundings() == 2
+        LiftedMultiHypergraph([Vertex("a", "x")], {key1: (0, 1), key2: (0, 1)},
+                              [({key1, key2}, 1), ({key1}, 1)])
 
 
 def test_degenerate_bounds_become_fixed():
     l = LiftedMultiHypergraph([Vertex("a", "x")],
-                              bounded_edges=[BoundedEdge("at", ("a",), 2, 2)])
-    assert not l.bounded_edges
-    assert l.fixed_edges == (Hyperedge("at", ("a",), 2),)
+                              {("at", ("a",)): (2, 2), ("on", ("a",)): (0, 0)})
+    assert l.bounds == {("at", ("a",)): (2, 2)}
     assert l.count_groundings() == 1
 
 
 def test_saturated_group_collapses_to_fixed():
     l = LiftedMultiHypergraph(
         [Vertex("a", "x"), Vertex("b", "y")],
-        bounded_edges=[BoundedEdge("at", ("a",), 0, 1),
-                       BoundedEdge("at", ("b",), 0, 1)],
-        constraints=[TotalConstraint(frozenset({("at", ("a",)),
-                                                ("at", ("b",))}), 2)])
-    assert not l.bounded_edges and not l.constraints
-    assert l.fixed_edges == (Hyperedge("at", ("a",)), Hyperedge("at", ("b",)))
+        {("at", ("a",)): (0, 1), ("at", ("b",)): (0, 1)},
+        [({("at", ("a",)), ("at", ("b",))}, 2)])
+    assert l.group_of(("at", ("a",))) is None
+    assert l.bounds == {("at", ("a",)): (1, 1), ("at", ("b",)): (1, 1)}
 
 
 def test_infeasible_total_yields_empty_state():
     l = LiftedMultiHypergraph(
         [Vertex("a", "x"), Vertex("b", "y")],
-        bounded_edges=[BoundedEdge("at", ("a",), 0, 1),
-                       BoundedEdge("at", ("b",), 0, 1)],
-        constraints=[TotalConstraint(frozenset({("at", ("a",)),
-                                                ("at", ("b",))}), 3)])
+        {("at", ("a",)): (0, 1), ("at", ("b",)): (0, 1)},
+        [({("at", ("a",)), ("at", ("b",))}, 3)])
     assert l.is_empty
     assert l.count_groundings() == 0
     assert l.groundings() == []
@@ -122,11 +89,9 @@ def test_infeasible_total_yields_empty_state():
 
 
 def test_constraint_over_no_edges_must_total_zero():
-    l = LiftedMultiHypergraph([Vertex("a", "x")],
-                              constraints=[TotalConstraint(frozenset(), 0)])
-    assert not l.is_empty and not l.constraints
-    l = LiftedMultiHypergraph([Vertex("a", "x")],
-                              constraints=[TotalConstraint(frozenset(), 1)])
+    l = LiftedMultiHypergraph([Vertex("a", "x")], {}, [((), 0)])
+    assert not l.is_empty and not l.bounds
+    l = LiftedMultiHypergraph([Vertex("a", "x")], {}, [((), 1)])
     assert l.is_empty
 
 
@@ -180,7 +145,7 @@ def test_composition_count_equals_the_brute_force_product():
 
 def test_bound_hull_is_tightened():
     l = hull_example()
-    assert [(b.lower, b.upper) for b in l.bounded_edges] == [(0, 2), (2, 4)]
+    assert sorted(l.bounds.values()) == [(0, 2), (2, 4)]
     assert l.count_groundings() == 3
 
 
@@ -212,27 +177,23 @@ def test_groundings_sorted_by_canonical_form():
 def test_conservation_must_pin_the_sum():
     layout = index_vertices([Vertex("e", "screw", 2), Vertex("s1", "slot_a"),
                              Vertex("s2", "slot_b")], ("at",), ("screw",))
-    bounded = [BoundedEdge("at", ("e", "s1"), 0, 2),
-               BoundedEdge("at", ("e", "s2"), 0, 2)]
-    group = [TotalConstraint(frozenset({("at", ("e", "s1")),
-                                        ("at", ("e", "s2"))}), 2)]
-    l = LiftedMultiHypergraph(layout, [], bounded, group)
+    s1, s2 = ("at", ("e", "s1")), ("at", ("e", "s2"))
+    bounded = {s1: (0, 2), s2: (0, 2)}
+    l = LiftedMultiHypergraph(layout, bounded, [({s1, s2}, 2)])
     assert l.count_groundings() == 3
     with pytest.raises(IntegrityError):
-        LiftedMultiHypergraph(layout, [], bounded, [])
+        LiftedMultiHypergraph(layout, bounded)
     with pytest.raises(IntegrityError):
-        LiftedMultiHypergraph(
-            layout, [Hyperedge("at", ("e", "s1"))], bounded,
-            [TotalConstraint(frozenset({("at", ("e", "s2"))}), 2)])
+        LiftedMultiHypergraph(layout, {s1: (1, 3), s2: (0, 2)}, [({s2}, 2)])
 
 
 def test_from_graph_and_skeleton():
     g = MultiHypergraph(
         index_vertices([Vertex("a", "agent"), Vertex("t", "table"),
                         Vertex("e", "screw", 2)], ("at",), ("screw",)),
-        [Hyperedge("at", ("a", "t")), Hyperedge("at", ("e", "t"), 2)])
+        {("at", ("a", "t")): 1, ("at", ("e", "t")): 2})
     l = LiftedMultiHypergraph.from_graph(g)
-    assert not l.bounded_edges
+    assert l.bounds == {("at", ("a", "t")): (1, 1), ("at", ("e", "t")): (2, 2)}
     assert l.count_groundings() == 1
     assert l.groundings()[0] == g
     assert l.layout is g.layout
@@ -254,7 +215,7 @@ def test_derivations_keep_the_ground_class_and_tag():
                                Vertex("s", "slot"), Vertex("t", "slot")], *declared)
 
     held, at_s, at_t = ("holds", ("a", "e")), ("at", ("e", "s")), ("at", ("e", "t"))
-    g = MultiHypergraph(fresh_layout(), [Hyperedge(*held)])
+    g = MultiHypergraph(fresh_layout(), {held: 1})
     drop = Rule("drop", Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw"),
                                  PatternVertex("S", "slot")),
                                 (PatternEdge("holds", ("A", "E")),)),
@@ -264,7 +225,7 @@ def test_derivations_keep_the_ground_class_and_tag():
                (g.shifted({held: -1, at_t: 1}), at_t),
                (g.conditioned(held, 1), held)]
     for h, key in derived:
-        fresh = MultiHypergraph(fresh_layout(), [Hyperedge(*key)])
+        fresh = MultiHypergraph(fresh_layout(), {key: 1})
         assert type(h) is MultiHypergraph and h == fresh
         assert h.canonical_form().data[0] == 0x01
         assert h.canonical_form().data == fresh.canonical_form().data
@@ -274,20 +235,19 @@ def test_derivations_keep_the_ground_class_and_tag():
     assert all(type(h) is LiftedMultiHypergraph for h in lifted)
     assert lifted[0].count_groundings() == 2 and lifted[1].is_empty
     l = lifted[2]
-    assert l.fixed_edges == g.edges and not l.bounded_edges
+    assert l.bounds == {held: (1, 1)}
     assert l.canonical_form().data[0] == 0x02
     assert l.canonical_form().data == canonical_form_lifted(
-        LiftedMultiHypergraph(fresh_layout(), [Hyperedge(*held)])).data
+        LiftedMultiHypergraph(fresh_layout(), {held: (1, 1)})).data
     with pytest.raises(TypeError):
-        MultiHypergraph(fresh_layout(), [], [BoundedEdge(*at_s, 0, 1)])
+        MultiHypergraph(fresh_layout(), {}, [({at_s}, 1)])
 
 
 def test_a_state_over_the_same_layout_replaces_parts():
     l = hull_example()
-    loosened = LiftedMultiHypergraph(
-        l.layout, l.fixed_edges,
-        [BoundedEdge("at", ("e", "s1"), 0, 4), BoundedEdge("at", ("e", "s2"), 0, 4)],
-        l.constraints)
+    s1, s2 = ("at", ("e", "s1")), ("at", ("e", "s2"))
+    loosened = LiftedMultiHypergraph(l.layout, {s1: (0, 4), s2: (0, 4)},
+                                     [l.group_of(s1)])
     assert loosened.count_groundings() == 5
     assert loosened.vertices == l.vertices
 
@@ -296,8 +256,7 @@ def test_shifted_moves_every_grounding_by_the_delta():
     rng = random.Random(11)
     for _ in range(200):
         l = random_lifted(rng)
-        keys = sorted({e.key for e in l.fixed_edges}
-                      | {b.key for b in l.bounded_edges} | {("e0", ("v0",))})
+        keys = sorted(l.bounds.keys() | {("e0", ("v0",))})
         delta = {k: rng.randint(-l.multiplicity_bounds(k)[0], 2)
                  for k in rng.sample(keys, rng.randint(1, len(keys)))}
         expected = []
@@ -329,7 +288,7 @@ def test_shifted_grows_a_group_and_adds_fresh_ones():
     # a second fresh group is a group of its own
     tags = frozenset({("tag", ("s1",)), ("tag", ("s2",)), ("tag", ("e",))})
     tagged = marked.shifted({}, (tags, 2))
-    assert len(tagged.constraints) == 3
+    assert len(tagged._groups()) == 3
     assert tagged.count_groundings() == marked.count_groundings() * 3
     # keys that partly overlap a group are no group of their own
     for keys in ({s1}, {s1, ("mark", ("s1",))}, marks | {s2}):
@@ -339,8 +298,8 @@ def test_shifted_grows_a_group_and_adds_fresh_ones():
 
 def test_shifted_rejects_a_negative_multiplicity():
     l = LiftedMultiHypergraph([Vertex("e", "screw"), Vertex("s", "slot")],
-                              [Hyperedge("at", ("e", "s"))])
-    assert l.shifted({("at", ("e", "s")): -1}).fixed_edges == ()
+                              {("at", ("e", "s")): (1, 1)})
+    assert l.shifted({("at", ("e", "s")): -1}).bounds == {}
     with pytest.raises(StructuralError):
         l.shifted({("at", ("e", "s")): -2})
     with pytest.raises(StructuralError):
@@ -352,11 +311,11 @@ def test_enumeration_limit():
         ids = [f"m{i}" for i in range(n)]
         return LiftedMultiHypergraph(
             [Vertex(vid, "x") for vid in ids],
-            bounded_edges=[BoundedEdge("mark", (vid,), 0, 9) for vid in ids])
+            {("mark", (vid,)): (0, 9) for vid in ids})
 
     at_cap = free_marks(6)
     assert at_cap.count_groundings() == 10 ** 6 == MAX_GROUNDINGS
-    assert next(at_cap.iter_groundings()).edges == ()
+    assert next(at_cap.iter_groundings()).edge_dict() == {}
     with pytest.raises(EnumerationLimitError) as exc:
         next(free_marks(7).iter_groundings())
     assert exc.value.count == 10 ** 7
@@ -375,20 +334,16 @@ def test_normalisation_is_exact_on_raw_parts():
         keys = draw(st.lists(st.tuples(st.sampled_from(["a", "b"]),
                                        incidences.map(lambda x: tuple(sorted(x)))),
                              min_size=1, max_size=5, unique=True))
-        bounded = []
-        for label, inc in keys:
+        bounds = {}
+        for key in keys:
             lo = draw(st.integers(0, 3))
-            bounded.append(BoundedEdge(label, inc, lo, lo + draw(st.integers(0, 3))))
-        fixed = [Hyperedge(b.label, b.incidence, draw(st.integers(1, 2)))
-                 for b in bounded if draw(st.booleans())]
+            bounds[key] = (lo, lo + draw(st.integers(0, 3)))
         n_groups = draw(st.sampled_from((2, 1, 0)))
-        owners = [draw(st.sampled_from([*range(n_groups), None])) for _ in bounded]
-        constraints = [
-            TotalConstraint(frozenset(b.key for b, owner in zip(bounded, owners)
-                                      if owner == i),
-                            draw(st.integers(0, 8)))
-            for i in range(n_groups)]
-        return [Vertex(vid, "x") for vid in ids], fixed, bounded, constraints
+        owners = [draw(st.sampled_from([*range(n_groups), None])) for _ in keys]
+        groups = [([k for k, owner in zip(keys, owners) if owner == i],
+                   draw(st.integers(0, 8)))
+                  for i in range(n_groups)]
+        return [Vertex(vid, "x") for vid in ids], bounds, groups
 
     def sorted_dicts(dicts):
         return sorted(sorted(d.items()) for d in dicts)
@@ -398,15 +353,15 @@ def test_normalisation_is_exact_on_raw_parts():
                          database=None)
     @hypothesis.given(raw_parts())
     def check(parts):
-        vertices, fixed, bounded, constraints = parts
-        l = LiftedMultiHypergraph(vertices, fixed, bounded, constraints)
-        expected = raw_groundings(fixed, bounded, constraints)
+        vertices, bounds, groups = parts
+        l = LiftedMultiHypergraph(vertices, bounds, groups)
+        expected = raw_groundings(bounds, groups)
         assert l.is_empty == (not expected)
         grounds = [g.edge_dict() for g in l.iter_groundings()]
         assert sorted_dicts(grounds) == sorted_dicts(expected)
         if l.is_empty:
             return
-        keys = {k for g in grounds for k in g} | {b.key for b in l.bounded_edges}
+        keys = {k for g in grounds for k in g} | l.bounds.keys()
         for k in keys:
             seen = [g.get(k, 0) for g in grounds]
             assert l.multiplicity_bounds(k) == (min(seen), max(seen))
@@ -418,10 +373,7 @@ def test_vertices_are_sorted_and_equal_states_share_canonicals():
     l1 = hull_example()
     l2 = LiftedMultiHypergraph(
         [Vertex("s2", "slot_b"), Vertex("s1", "slot_a"), Vertex("e", "screw", 4)],
-        [],
-        [BoundedEdge("at", ("s2", "e"), 0, 4),
-         BoundedEdge("at", ("s1", "e"), 0, 2)],
-        [TotalConstraint(frozenset({("at", ("e", "s1")),
-                                    ("at", ("e", "s2"))}), 4)])
+        {("at", ("s2", "e")): (0, 4), ("at", ("s1", "e")): (0, 2)},
+        [({("at", ("e", "s1")), ("at", ("s2", "e"))}, 4)])
     assert [v.id for v in l2.vertices] == ["e", "s1", "s2"]
     assert l1.canonical_form() == l2.canonical_form()

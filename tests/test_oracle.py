@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from mhgfilter import (AnnotationTuple, Belief, BoundedEdge, GroundBelief,
-                       IntegrityError, LiftedMultiHypergraph, TotalConstraint,
+from mhgfilter import (AnnotationTuple, Belief, GroundBelief,
+                       IntegrityError, LiftedMultiHypergraph,
                        TraceInconsistencyError, Vertex, builtin_domain,
                        compare, expand, generate_trace, ground_filter_trace,
                        parse_domain, total_variation)
@@ -16,10 +16,8 @@ def symmetric_pair():
     """One screw across two indistinguishable slots: groundings collapse."""
     return LiftedMultiHypergraph(
         [Vertex("e", "screw"), Vertex("s1", "slot"), Vertex("s2", "slot")],
-        [],
-        [BoundedEdge("at", ("e", "s1"), 0, 1), BoundedEdge("at", ("e", "s2"), 0, 1)],
-        [TotalConstraint(frozenset({("at", ("e", "s1")),
-                                    ("at", ("e", "s2"))}), 1)])
+        {("at", ("e", "s1")): (0, 1), ("at", ("e", "s2")): (0, 1)},
+        [({("at", ("e", "s1")), ("at", ("e", "s2"))}, 1)])
 
 
 def test_expand_merges_isomorphic_groundings():

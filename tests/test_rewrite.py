@@ -4,14 +4,12 @@ import itertools
 
 import pytest
 
-from mhgfilter import (BoundedEdge, Effect, EffectEdge,
-                       EffectError, Hyperedge, LiftedMultiHypergraph, Match,
-                       MultiHypergraph, Pattern, PatternEdge, PatternVertex, Rule,
-                       StructuralError, TotalConstraint, Vertex, apply,
-                       builtin_domain, edge_key, ground_options,
-                       lifted_apply, successors)
-from oracles import (ground_pushforward, lifted_distribution, tv_distance,
-                     unchecked_lifted_apply)
+from mhgfilter import (Effect, EffectEdge, EffectError, LiftedMultiHypergraph,
+                       Match, MultiHypergraph, Pattern, PatternEdge, PatternVertex,
+                       Rule, StructuralError, Vertex, apply, builtin_domain,
+                       edge_key, ground_options, lifted_apply, successors)
+from oracles import (ground_pushforward, lifted_distribution, lifted_state,
+                     tv_distance, unchecked_lifted_apply)
 
 
 def install_rule(slot_labels, capacity=1):
@@ -63,8 +61,7 @@ def test_find_matches_one_per_screw():
     g = MultiHypergraph(
         [Vertex("e1", "screw"), Vertex("e2", "screw"), Vertex("e3", "screw"),
          Vertex("l1", "shelf"), Vertex("l2", "desk"), Vertex("l3", "floor")],
-        [Hyperedge("at", ("e1", "l1")), Hyperedge("at", ("e2", "l2")),
-         Hyperedge("at", ("e3", "l3"))])
+        {("at", ("e1", "l1")): 1, ("at", ("e2", "l2")): 1, ("at", ("e3", "l3")): 1})
     rule = Rule("pick",
                 Pattern((PatternVertex("E", "screw"), PatternVertex("L")),
                         (PatternEdge("at", ("E", "L")),)),
@@ -77,7 +74,7 @@ def test_find_matches_one_per_screw():
 
 
 def test_matches_are_injective():
-    g = MultiHypergraph([Vertex("l1", "loc")], [Hyperedge("adj", ("l1", "l1"))])
+    g = MultiHypergraph([Vertex("l1", "loc")], {("adj", ("l1", "l1")): 1})
     rule = Rule("loop",
                 Pattern((PatternVertex("X", "loc"), PatternVertex("Y", "loc")),
                         (PatternEdge("adj", ("X", "Y")),)))
@@ -99,7 +96,7 @@ def test_label_sets_and_wildcards():
 def test_infeasible_effects_filter_matches():
     g = MultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw")],
-        [Hyperedge("at", ("a", "e"))])
+        {("at", ("a", "e")): 1})
     underflow = Rule(
         "grab",
         Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw")),
@@ -118,7 +115,7 @@ def test_apply_effect_errors():
     g = MultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw", 2),
          Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
-        [Hyperedge("holds", ("a", "e")), Hyperedge("at", ("e", "s1"))])
+        {("holds", ("a", "e")): 1, ("at", ("e", "s1")): 1})
     rule = install_rule(("slot_a", "slot_b"))
     m = Match((("A", "a"), ("E", "e"), ("SL", "s1")))
     with pytest.raises(EffectError):
@@ -136,7 +133,7 @@ def test_apply_fires_only_at_a_match():
     raises EffectError and leaves the rule's caches as they were.  A binding
     whose pattern edges the state lacks raises too."""
     g = MultiHypergraph([Vertex("a", "agent"), Vertex("e", "screw")],
-                        [Hyperedge("holds", ("a", "e"))])
+                        {("holds", ("a", "e")): 1})
     drop = Rule("drop", Pattern((PatternVertex("A", "agent"), PatternVertex("E", "screw")),
                                 (PatternEdge("holds", ("A", "E")),)),
                 Effect(retract=(EffectEdge("holds", ("A", "E")),),
@@ -171,7 +168,7 @@ def test_ground_options_expand_free_slots():
     g = MultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw", 2),
          Vertex("s1", "slot_a"), Vertex("s2", "slot_b"), Vertex("s3", "slot_c")],
-        [Hyperedge("holds", ("a", "e")), Hyperedge("at", ("e", "s1"))])
+        {("holds", ("a", "e")): 1, ("at", ("e", "s1")): 1})
     options = ground_options(install_rule(("slot_a", "slot_b", "slot_c")), g)
     assert [m.get("SL") for m in options] == ["s2", "s3"]
     roomy = install_rule(("slot_a", "slot_b", "slot_c"), capacity=2)
@@ -182,7 +179,7 @@ def test_successors_merge_symmetric_options():
     g = MultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw"),
          Vertex("s1", "slot"), Vertex("s2", "slot")],
-        [Hyperedge("holds", ("a", "e"))])
+        {("holds", ("a", "e")): 1})
     succ = successors(install_rule(("slot",)), g)
     assert len(succ) == 1
     state, p = succ[0]
@@ -204,9 +201,9 @@ def member_state():
     return LiftedMultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw", 2), Vertex("s1", "slot_a"),
          Vertex("s2", "slot_b"), Vertex("s3", "slot_c")],
-        [Hyperedge("holds", ("a", "e"))],
-        [BoundedEdge("at", ("e", "s1"), 0, 1), BoundedEdge("at", ("e", "s2"), 0, 1)],
-        [TotalConstraint(frozenset({("at", ("e", "s1")), ("at", ("e", "s2"))}), 1)])
+        {("at", ("e", "s1")): (0, 1), ("at", ("e", "s2")): (0, 1),
+         ("holds", ("a", "e")): (1, 1)},
+        [({("at", ("e", "s1")), ("at", ("e", "s2"))}, 1)])
 
 
 def test_lifted_apply_slot_aggregation():
@@ -221,14 +218,14 @@ def test_lifted_apply_creates_fresh_group():
     l = LiftedMultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw"), Vertex("s1", "slot_a"),
          Vertex("s2", "slot_b"), Vertex("s3", "slot_c")],
-        [Hyperedge("holds", ("a", "e"))])
+        {("holds", ("a", "e")): (1, 1)})
     res = check_against_ground(install_rule(("slot_a", "slot_b", "slot_c")), l)
     assert len(res.outputs()) == 1
     state, p = res.outputs()[0]
     assert p == 1.0
-    assert len(state.constraints) == 1
-    assert state.constraints[0].total == 1
-    assert len(state.constraints[0].edge_keys) == 3
+    [group] = state._groups()
+    assert group.total == 1
+    assert len(group.edge_keys) == 3
     assert state.count_groundings() == 3
 
 
@@ -236,17 +233,18 @@ def test_lifted_apply_shifts_untouched_bounds():
     l = LiftedMultiHypergraph(
         [Vertex("a", "agent"), Vertex("l1", "desk"), Vertex("l2", "shelf"),
          Vertex("e", "screw", 2), Vertex("s1", "slot_a"), Vertex("s2", "slot_b")],
-        [Hyperedge("at", ("a", "l1")), Hyperedge("adj", ("l1", "l2"))],
-        [BoundedEdge("at", ("e", "s1"), 0, 2), BoundedEdge("at", ("e", "s2"), 0, 2)],
-        [TotalConstraint(frozenset({("at", ("e", "s1")), ("at", ("e", "s2"))}), 2)])
+        {("at", ("e", "s1")): (0, 2), ("at", ("e", "s2")): (0, 2),
+         ("at", ("a", "l1")): (1, 1), ("adj", ("l1", "l2")): (1, 1)},
+        [({("at", ("e", "s1")), ("at", ("e", "s2"))}, 2)])
     res = check_against_ground(walk_rule(), l)
     assert res.n_applicable == res.n_groundings == 3
     assert len(res.outputs()) == 1
     state, p = res.outputs()[0]
     assert p == 1.0
-    assert Hyperedge("at", ("a", "l2")) in state.fixed_edges
+    assert state.multiplicity_bounds(("at", ("a", "l2"))) == (1, 1)
     assert state.multiplicity_bounds(("at", ("a", "l1"))) == (0, 0)
-    assert state.bounded_edges == l.bounded_edges
+    assert ({k: b for k, b in state.bounds.items() if b[0] < b[1]}
+            == {k: b for k, b in l.bounds.items() if b[0] < b[1]})
 
 
 def test_lifted_apply_falls_back_on_partial_applicability():
@@ -267,17 +265,15 @@ def test_lifted_apply_falls_back_on_partial_applicability():
 def test_lifted_apply_falls_back_on_roomy_slots():
     l = LiftedMultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw", 2), Vertex("s1", "slot_a")],
-        [Hyperedge("holds", ("a", "e")), Hyperedge("at", ("e", "s1"))])
+        {("holds", ("a", "e")): (1, 1), ("at", ("e", "s1")): (1, 1)})
     res = check_against_ground(install_rule(("slot_a",), capacity=2), l)
     assert res.n_applicable == res.n_groundings == 1
-    assert Hyperedge("at", ("e", "s1"), 2) in res.outputs()[0][0].fixed_edges
+    assert res.outputs()[0][0].multiplicity_bounds(("at", ("e", "s1"))) == (2, 2)
 
 
 def test_lifted_apply_empty_and_inapplicable():
-    empty = LiftedMultiHypergraph(
-        [Vertex("a", "x")],
-        bounded_edges=[BoundedEdge("at", ("a",), 0, 1)],
-        constraints=[TotalConstraint(frozenset({("at", ("a",))}), 5)])
+    empty = LiftedMultiHypergraph([Vertex("a", "x")], {("at", ("a",)): (0, 1)},
+                                  [({("at", ("a",))}, 5)])
     assert lifted_apply(walk_rule(), empty) == (
         lifted_apply(walk_rule(), empty))
     assert lifted_apply(walk_rule(), empty).n_groundings == 0
@@ -293,9 +289,9 @@ def test_unchecked_effect_diverges_from_exact():
     l = LiftedMultiHypergraph(
         [Vertex("a", "agent"), Vertex("e", "screw", 2), Vertex("s1", "slot_a"),
          Vertex("s2", "slot_b")],
-        [Hyperedge("holds", ("a", "e"))],
-        [BoundedEdge("at", ("e", "s1"), 0, 1), BoundedEdge("at", ("e", "s2"), 0, 1)],
-        [TotalConstraint(frozenset({("at", ("e", "s1")), ("at", ("e", "s2"))}), 1)])
+        {("at", ("e", "s1")): (0, 1), ("at", ("e", "s2")): (0, 1),
+         ("holds", ("a", "e")): (1, 1)},
+        [({("at", ("e", "s1")), ("at", ("e", "s2"))}, 1)])
     res = unchecked_lifted_apply(rule, l)
     dist, _, _ = ground_pushforward(rule, l)
     gap = tv_distance(lifted_distribution(res.outputs()), dist)
@@ -309,8 +305,8 @@ def test_feasibility_reads_the_binding_bound_of_each_edge():
     fuel is 1 and mark is 0, in one of the four groundings, so the count is
     partial; neither all-lower nor all-upper bounds would see that."""
     l = LiftedMultiHypergraph(
-        [Vertex("a", "agent"), Vertex("x", "thing")], [],
-        [BoundedEdge("fuel", ("a",), 0, 1), BoundedEdge("mark", ("x",), 0, 1)])
+        [Vertex("a", "agent"), Vertex("x", "thing")],
+        {("fuel", ("a",)): (0, 1), ("mark", ("x",)): (0, 1)})
     spend = Rule("spend",
                  Pattern((PatternVertex("A", "agent"), PatternVertex("X", "thing"))),
                  Effect(retract=(EffectEdge("fuel", ("A",)),),
@@ -325,9 +321,8 @@ def test_find_matches_fire_in_every_grounding():
     groundings, so the match is not applicable in every grounding."""
     keys = [("mark", ("a", "s1")), ("mark", ("a", "s2"))]
     l = LiftedMultiHypergraph(
-        [Vertex("a", "agent"), Vertex("s1", "slot"), Vertex("s2", "slot")], [],
-        [BoundedEdge(label, inc, 0, 1) for label, inc in keys],
-        [TotalConstraint(frozenset(keys), 1)])
+        [Vertex("a", "agent"), Vertex("s1", "slot"), Vertex("s2", "slot")],
+        dict.fromkeys(keys, (0, 1)), [(keys, 1)])
     rule = Rule("mark_s1", Pattern((PatternVertex("A", "agent"),)),
                 Effect(assert_=(EffectEdge("mark", ("A", "s1"), cap=1),)))
     _, n_app, n_tot = ground_pushforward(rule, l)
@@ -361,21 +356,19 @@ def slot_scene(draw):
     filled = draw(st.sets(st.sampled_from(pairs), max_size=2))
     tag_lo = draw(st.integers(0, 1))
     tag_up = tag_lo + draw(st.integers(0, 2))
-    bounded = [BoundedEdge("tag", ("a",), tag_lo, tag_up)]
-    constraints = []
+    bounded = {("tag", ("a",)): (tag_lo, tag_up)}
+    groups = []
     if draw(st.booleans()):
         members = draw(st.lists(st.sampled_from(slots), min_size=2, unique=True))
-        bounded += [BoundedEdge("at", ("e1", s), 0, 1) for s in members]
-        constraints.append(TotalConstraint(
-            frozenset(("at", ("e1", s)) for s in members),
-            draw(st.integers(1, len(members) - 1))))
+        keys = [("at", ("e1", s)) for s in members]
+        bounded.update(dict.fromkeys(keys, (0, 1)))
+        groups.append((keys, draw(st.integers(1, len(members) - 1))))
     tools = [Vertex(f"t{i}", "tool") for i in range(draw(st.integers(0, 2)))]
-    l = LiftedMultiHypergraph(
+    l = lifted_state(
         [Vertex("a", "agent")] + [Vertex(e, "screw", mults[e]) for e in screws]
         + [Vertex(s, label) for s, label in zip(slots, labels)] + tools,
-        [Hyperedge("holds", ("a", e)) for e in screws]
-        + [Hyperedge("at", pair) for pair in filled],
-        bounded, constraints)
+        {("holds", ("a", e)): 1 for e in screws} | {("at", pair): 1 for pair in filled},
+        bounded, groups)
 
     label_set = sorted(set(labels))
     reach = st.one_of(st.just(frozenset(label_set)),
@@ -505,11 +498,11 @@ def test_condition_prune_on_every_kind_of_plan_step():
     l = LiftedMultiHypergraph(
         [Vertex("a", "agent")] + [Vertex(i, i) for i in items]
         + [Vertex(s, f"slot_{s}") for s in slots],
-        [Hyperedge("holds", ("a", i)) for i in items]
-        + [Hyperedge(*mark("cup", "s3")), Hyperedge(*mark("key", "s2")),
-           Hyperedge(*mark("key", "s3"))],
-        [BoundedEdge(*k, 0, 1) for k in pen_keys],
-        [TotalConstraint(pen_keys, 1)])
+        dict.fromkeys(pen_keys, (0, 1))
+        | dict.fromkeys([("holds", ("a", i)) for i in items]
+                        + [mark("cup", "s3"), mark("key", "s2"), mark("key", "s3")],
+                        (1, 1)),
+        [(pen_keys, 1)])
     rule = Rule(
         "mark",
         Pattern((PatternVertex("A", "agent"), PatternVertex("I", frozenset(items)),
