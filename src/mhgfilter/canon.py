@@ -56,10 +56,12 @@ record is a length-prefixed label plus a fixed-width multiplicity, so no
 record is a proper prefix of another, and the pin or constraint-profile
 bytes appended to it never reorder two vertices.  So the rank of a vertex's
 record is its canonical position in every ground or lifted state of the
-layout, pinned or not, and the form is written from those ranks by the
-same serialiser as a search leaf, bytes unchanged: the vertex section is
-built once per layout and each edge key's record up to its tail once per
-key.  Only layouts with a repeated record run the search.
+layout, pinned or not, and every edge record is fixed by its key and its
+bounds alone.  The layout caches the vertex section once and each edge's
+whole record, with its length prefix, once per (key, bounds) it is seen
+with; a form is then one lookup per edge, and its sections are only sorted
+and joined by the same serialiser as a search leaf, bytes unchanged.  Only
+layouts with a repeated record run the search.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ import hashlib
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from struct import pack
 from typing import Callable, Iterable, Mapping, NamedTuple, TypeVar
 
@@ -302,6 +305,7 @@ class _Records(NamedTuple):
     by_key: dict                    # edge key -> ``_edge_entry``
     rank: list[int] | None          # canonical positions, if records are distinct
     vsection: bytes | None          # their unpinned vertex section
+    whole: dict                     # (key, bounds) -> ``_whole``, if ``rank``
 
 
 def _records(layout) -> _Records:
@@ -313,52 +317,43 @@ def _records(layout) -> _Records:
         compiled[_records] = _Records(
             {v.id: i for i, v in enumerate(verts)}, vrecs, {},
             _ranked(vrecs) if distinct else None,
-            _section(sorted(vrecs)) if distinct else None)
+            _section(sorted(map(_prefixed, vrecs))) if distinct else None, {})
     return compiled[_records]
 
 
 def _edge_entry(records: _Records, key) -> tuple:
-    """An edge key's index incidence, record head, occurrence pairs and, on
-    a layout with canonical positions, its record up to the tail."""
+    """An edge key's index incidence, record head and occurrence pairs."""
     if key not in records.by_key:
         inc = tuple(records.index[x] for x in key[1])
-        head = _label_rec(key[0]) + pack(">I", len(inc))
-        rank = records.rank
-        records.by_key[key] = (
-            inc, head, tuple(Counter(inc).items()),
-            None if rank is None else _edge_rec(head, [rank[j] for j in inc]))
+        records.by_key[key] = (inc, _label_rec(key[0]) + pack(">I", len(inc)),
+                               tuple(Counter(inc).items()))
     return records.by_key[key]
 
 
-def _section(recs) -> bytes:
-    out = [pack(">I", len(recs))]
-    for rec in recs:
-        out.append(pack(">I", len(rec)))
-        out.append(rec)
-    return b"".join(out)
+def _whole(records: _Records, item) -> tuple[bytes, bytes]:
+    """A bounds-map item's whole record, prefixed, on a layout with
+    canonical positions, where it is the same in every state."""
+    key, (lo, up) = item
+    inc, head, _ = _edge_entry(records, key)
+    rec = _edge_rec(head, [records.rank[j] for j in inc], lo, up)
+    records.whole[item] = out = _prefixed(rec)
+    return out
 
 
-def _edge_rec(head: bytes, positions) -> bytes:
-    """An edge record up to its tail: the head, then ascending positions."""
-    return head + b"".join(pack(">I", k) for k in sorted(positions))
+def _prefixed(rec: bytes) -> tuple[bytes, bytes]:
+    return rec, pack(">I", len(rec)) + rec
 
 
-def _edges(state) -> tuple[list[tuple], list[bytes], int, list]:
-    """A state's edges as (key, lower, upper) in its bounds map's order,
-    fixed ones first (every byte section is sorted, so the order never
-    shows); their record tails; the number of fixed ones; and each
-    constraint's total with its members' indices among the bounded ones."""
-    fixed, bounded = [], []
-    for k, (lo, up) in state.bounds.items():
-        (fixed if lo == up else bounded).append((k, lo, up))
-    groups: dict = {}
-    for bi, (k, _, _) in enumerate(bounded):
-        c = state.group_of(k)
-        if c is not None:
-            groups.setdefault(c.edge_keys, (c.total, []))[1].append(bi)
-    edges = fixed + bounded
-    tails = [pack(">Q", lo) if lo == up else pack(">QQ", lo, up) for _, lo, up in edges]
-    return edges, tails, len(fixed), list(groups.values())
+def _section(pairs) -> bytes:
+    """A section of (record, prefixed record, ...) entries, in the given order."""
+    return pack(">I", len(pairs)) + b"".join([p[1] for p in pairs])
+
+
+def _edge_rec(head: bytes, positions, lo: int, up: int) -> bytes:
+    """An edge record: the head, ascending positions, then the multiplicity
+    of a fixed edge or the bounds of a bounded one."""
+    return (head + b"".join([pack(">I", k) for k in sorted(positions)])
+            + (pack(">Q", lo) if lo == up else pack(">QQ", lo, up)))
 
 
 def _pinned(vrecs: list[bytes], state, pins: Mapping[str, int]) -> list[bytes]:
@@ -367,22 +362,26 @@ def _pinned(vrecs: list[bytes], state, pins: Mapping[str, int]) -> list[bytes]:
             for rec, v in zip(vrecs, state.vertices)]
 
 
-def _serialize(version: int, vsection: bytes, erecs: list[bytes], nf: int,
-               groups) -> bytes:
-    """The form from its vertex section and the edge records as ``_edges``
-    lists them (``nf`` fixed, then bounded); lifted layouts (``0x02``,
-    ``0xFF``) append the bounded-edge and constraint sections."""
-    out = [bytes([version]), vsection, _section(sorted(erecs[:nf]))]
+def _serialize(version: int, vsection: bytes, fixed: list[tuple[bytes, bytes]],
+               bounded: list[tuple[bytes, bytes, object]]) -> bytes:
+    """The form from its vertex section, the fixed edges' (record, prefixed
+    record) pairs and the bounded edges' pairs with their constraint group
+    (or ``None``), each in any order; lifted layouts (``0x02``, ``0xFF``)
+    append the bounded-edge and constraint sections.  Sections are sorted by
+    record, not by prefixed record, whose length prefix would reorder them;
+    edges with equal records keep their order."""
+    out = [bytes([version]), vsection, _section(sorted(fixed))]
     if version in (0x02, 0xFF):
-        branked = sorted(range(len(erecs) - nf), key=lambda bi: erecs[nf + bi])
-        bpos = {bi: r for r, bi in enumerate(branked)}
-        out.append(_section([erecs[nf + bi] for bi in branked]))
-        crecs = []
-        for total, members in groups:
-            refs = sorted(bpos[bi] for bi in members)
-            crecs.append(pack(">QI", total, len(refs))
-                         + b"".join(pack(">I", r) for r in refs))
-        out.append(_section(sorted(crecs)))
+        bounded.sort(key=itemgetter(0))
+        out.append(_section(bounded))
+        refs: dict = {}
+        for r, (_, _, group) in enumerate(bounded):
+            if group is not None:
+                refs.setdefault(group, []).append(r)
+        out.append(_section(sorted(
+            _prefixed(pack(">QI", group.total, len(rs))
+                      + b"".join([pack(">I", r) for r in rs]))
+            for group, rs in refs.items())))
     return b"".join(out)
 
 
@@ -397,33 +396,43 @@ def _structure(state, pins: Mapping[str, int] | None, version: int) -> _Structur
     records = _records(state.layout)
     vrecs = records.vrecs
     n = len(vrecs)
-    edges, tails, nf, groups = _edges(state)
-    recs = [_edge_entry(records, k) for k, _, _ in edges]
-    descs = [(0, k[0], lo) if lo == up else (1, k[0], lo, up) for k, lo, up in edges]
+    edges = list(state.bounds.items())
+    recs = [_edge_entry(records, k) for k, _ in edges]
+    groups = [state.group_of(k) if lo != up else None for k, (lo, up) in edges]
+    descs = [(0, k[0], lo) if lo == up else (1, k[0], lo, up) for k, (lo, up) in edges]
     if pins is not None:
         vrecs = _pinned(vrecs, state, pins)
     init_keys = vrecs
-    if groups:
+    members: dict = {}
+    for (inc, _, _), group in zip(recs, groups):
+        if group is not None:
+            members.setdefault(group, []).append(inc)
+    if members:
         # constraint profile folded into the initial colours (colour-independent)
         profile: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        for total, members in groups:
+        for group, incs in members.items():
             touched: Counter[int] = Counter()
-            for bi in members:
-                touched.update(recs[nf + bi][0])
+            for inc in incs:
+                touched.update(inc)
             for vi, occ in touched.items():
-                profile[vi].append((total, len(members), occ))
+                profile[vi].append((group.total, len(incs), occ))
         init_keys = [rec + b"".join(pack(">QIQ", t, s, o) for t, s, o in sorted(prof))
                      for rec, prof in zip(vrecs, profile)]
 
     def serialize(colors: list[int]) -> bytes:
         # at a leaf the colouring is discrete: a colour is a canonical position
         order = sorted(range(n), key=colors.__getitem__)
-        erecs = [_edge_rec(head, [colors[j] for j in inc]) + tail
-                 for (inc, head, _, _), tail in zip(recs, tails)]
-        return _serialize(version, _section([vrecs[i] for i in order]), erecs,
-                          nf, groups)
+        fixed, bounded = [], []
+        for (inc, head, _), (_, (lo, up)), group in zip(recs, edges, groups):
+            pair = _prefixed(_edge_rec(head, [colors[j] for j in inc], lo, up))
+            if lo == up:
+                fixed.append(pair)
+            else:
+                bounded.append(pair + (group,))
+        return _serialize(version, _section([_prefixed(vrecs[i]) for i in order]),
+                          fixed, bounded)
 
-    return _Structure(n, init_keys, descs, [occ for _, _, occ, _ in recs], serialize)
+    return _Structure(n, init_keys, descs, [occ for _, _, occ in recs], serialize)
 
 
 def _form(state, pins: Mapping[str, int] | None, version: int) -> bytes:
@@ -432,10 +441,17 @@ def _form(state, pins: Mapping[str, int] | None, version: int) -> bytes:
         return _canonical_bytes(_structure(state, pins, version))
     # the one leaf: records are prefix-free, so pins do not reorder them
     vsection = (records.vsection if pins is None
-                else _section(sorted(_pinned(records.vrecs, state, pins))))
-    edges, tails, nf, groups = _edges(state)
-    erecs = [_edge_entry(records, k)[3] + tail for (k, _, _), tail in zip(edges, tails)]
-    return _serialize(version, vsection, erecs, nf, groups)
+                else _section(sorted(map(_prefixed, _pinned(records.vrecs, state, pins)))))
+    whole = records.whole
+    fixed, bounded = [], []
+    for item in state.bounds.items():
+        pair = whole.get(item) or _whole(records, item)
+        lo, up = item[1]
+        if lo == up:
+            fixed.append(pair)
+        else:
+            bounded.append(pair + (state.group_of(item[0]),))
+    return _serialize(version, vsection, fixed, bounded)
 
 
 def canonical_form(g) -> CanonicalForm:

@@ -432,9 +432,10 @@ def held_counts(domain: Domain, g: MultiHypergraph) -> dict[str, int]:
 
 def _pick_install_heavy(domain: Domain, g: MultiHypergraph, rng: random.Random,
                         options_by_rule: dict[str, list]) -> tuple[Rule, object]:
-    """Greedy choice: install when possible, otherwise work toward installing.
-    A domain whose ``walk`` or ``take`` names its variables otherwise gets
-    no preference from that rule."""
+    """Greedy choice among ``options_by_rule`` (the rules of positive weight
+    that have an option): install when possible, otherwise work toward
+    installing.  A domain whose ``walk`` or ``take`` names its variables
+    otherwise gets no preference from that rule."""
     wanted = [("installEccentric", lambda m: True)]
     if agent_location(domain, g) != "table":
         wanted.append(("walk", lambda m: m.as_dict().get("Y") == "table"))
@@ -458,7 +459,9 @@ def generate_trace(domain: Domain, seed: int, length: int,
     ``policy`` is "uniform" (rules weighted by the action model, option
     uniform within the rule) or "install_heavy" (greedy assembly: acquire
     the screwdriver, then alternate taking and installing eccentrics).
-    Returns the trace and whether it was truncated by a dead end.
+    Neither policy takes a rule the action model gives weight 0 at the
+    agent's location.  Returns the trace and whether it was truncated by a
+    dead end, where no rule of positive weight has an option.
     ``corrupt_at`` overwrites the held-count observation of that step with
     an impossible value, making the trace inconsistent exactly there; it
     raises ValueError unless it is a step of the returned trace.  A negative
@@ -474,24 +477,22 @@ def generate_trace(domain: Domain, seed: int, length: int,
     trace: list[AnnotationTuple] = []
     truncated = False
     for _ in range(length):
+        # a rule the action model gives weight 0 here is never taken
+        loc_t = agent_location(domain, g)
+        weights = {rule.name: domain.action_model.rule_weight(rule.name, loc_t)
+                   for rule in domain.rules}
         options_by_rule = {rule.name: opts for rule in domain.rules
-                           if (opts := ground_options(rule, g))}
+                           if weights[rule.name] and (opts := ground_options(rule, g))}
         if not options_by_rule:
             truncated = True
             break
         if policy == "install_heavy":
             rule, match = _pick_install_heavy(domain, g, rng, options_by_rule)
         else:
-            loc = agent_location(domain, g)
             names = sorted(options_by_rule)
-            weights = [domain.action_model.rule_weight(n, loc) for n in names]
-            if sum(weights) <= 0:
-                truncated = True
-                break
-            name = rng.choices(names, weights=weights)[0]
+            name = rng.choices(names, weights=[weights[n] for n in names])[0]
             opts = options_by_rule[name]
             rule, match = domain.rule(name), opts[rng.randrange(len(opts))]
-        loc_t = agent_location(domain, g)
         held_t = held_counts(domain, g)
         g2 = apply(rule, g, match)
         trace.append(AnnotationTuple(rule.name, loc_t,

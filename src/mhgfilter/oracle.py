@@ -4,7 +4,8 @@ This is the second, independent route to the same posterior: expand every
 belief into explicit ground states, push each through the rule options
 directly, and condition with exact 0/1 checks.  As in the lifted filter, a
 rule is applicable where ``ground_options`` finds an option, and successors
-are built only for the observed rule.  It shares state derivation with the
+are built only for the observed rule.  Within a trace, both are memoised by
+ground canonical form, which is exact (see ``ground_filter_trace``).  It shares state derivation with the
 lifted filter (``apply`` is a ``shifted`` of a ground state; the tests check
 it on its own against a brute-force reference) but no probability
 arithmetic: no interval tightening, grounding fractions or counting over
@@ -84,13 +85,22 @@ class GroundBelief:
 
 def ground_filter_trace(domain, trace: Sequence) -> FilterResult:
     """Filter a trace entirely in ground space (the reference semantics);
-    the result's beliefs are ``GroundBelief``s."""
+    the result's beliefs are ``GroundBelief``s.
+
+    Within one trace, each distinct ground state (by canonical form) has its
+    applicable rules and their weights found once, and each (rule, state)
+    its successors built once.  Both are exact: ``Domain`` makes the agent,
+    its locations and every vertex an effect names literally the only
+    vertex with its label, so an isomorphism between two ground states
+    fixes them, and isomorphic states have the same applicable rules, the
+    same agent location and isomorphic successors."""
     belief = GroundBelief(expand(domain.initial_state))
     beliefs = [belief]
     stats = [StepStats(0, None, len(belief), len(belief), 0.0, "ground")]
     warnings: list[str] = []
     log_likelihood = 0.0
     succ_cache: dict[tuple[str, bytes], list[tuple[MultiHypergraph, float]]] = {}
+    rule_cache: dict[bytes, tuple[list[Rule], list[float]]] = {}
 
     for i, annotation in enumerate(trace):
         # predict: a rule is applicable where it has an option; successors
@@ -98,10 +108,13 @@ def ground_filter_trace(domain, trace: Sequence) -> FilterResult:
         particles: list[tuple[MultiHypergraph, Rule, float]] = []
         dropped = 0.0
         for g, w in belief.entries:
-            applicable = [rule for rule in domain.rules if ground_options(rule, g)]
-            loc = agent_location(domain, g)
-            rws = [domain.action_model.rule_weight(rule.name, loc)
-                   for rule in applicable]
+            form = g.canonical_form().data
+            if form not in rule_cache:
+                applicable = [rule for rule in domain.rules if ground_options(rule, g)]
+                loc = agent_location(domain, g)
+                rule_cache[form] = applicable, [
+                    domain.action_model.rule_weight(rule.name, loc) for rule in applicable]
+            applicable, rws = rule_cache[form]
             total_w = sum(rws)
             if total_w <= 0:
                 logger.warning("ground dead end: %s; dropping %g mass", "zero action mass"

@@ -639,7 +639,8 @@ def random_mini_document(rng) -> dict:
     each holding up to the cap, and sometimes the pile too.  The known ones
     are an ``edges`` entry on the pile's key, which the parser folds into
     that key when it is bounded too.  The action model has random
-    ``weights`` and ``by_location`` tables.
+    ``weights`` and ``by_location`` tables; one time in four they give a
+    rule weight 0, everywhere or at one place.
     """
     places = ["floor", "table"]
 
@@ -738,6 +739,12 @@ def random_mini_document(rng) -> dict:
     doc["action_model"] = {"weights": weights(),
                            "by_location": {p: weights() for p in places
                                            if rng.random() < 1 / 3}}
+    # one time in four, a rule has weight 0, everywhere or at one place
+    if rng.random() < 1 / 4:
+        where = rng.choice([None] + places)
+        table = (doc["action_model"]["weights"] if where is None
+                 else doc["action_model"]["by_location"].setdefault(where, {}))
+        table[rng.choice(doc["rules"])["name"]] = 0
     return doc
 
 

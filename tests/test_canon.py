@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import logging
 import random
 from collections import Counter
@@ -429,6 +430,73 @@ def test_distinct_vertex_records_give_the_search_bytes():
                 unpruned_canonical_bytes(state, None, 0x01)
             assert pinned_form(state, pins) == \
                 unpruned_canonical_bytes(state, pins, 0xFE)
+
+    check()
+
+
+def test_a_warm_layout_gives_the_bytes_of_a_cold_one():
+    """States derived over one layout whose vertex records are distinct
+    (by ``shifted``, ``conditioned``, ``iter_groundings`` and
+    ``from_graph``) share its cached edge records.  Their forms, ground and
+    lifted, pinned or not, computed in a random order, equal the forms of
+    the same states rebuilt on a fresh layout, whose cache is cold, and the
+    minimum over every leaf of the unpruned search."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    def derived(rng, root) -> list:
+        states = [root]
+        grounds = list(itertools.islice(root.iter_groundings(), 8))
+        states += grounds + [LiftedMultiHypergraph.from_graph(g) for g in grounds]
+        for k, (lo, up) in root.bounds.items():
+            if lo != up:
+                states += [root.conditioned(k, v) for v in range(lo, up + 1)]
+                states.append(root.shifted({k: rng.randint(-lo, 2)}))
+        ids = [v.id for v in root.vertices]
+        for g in grounds:
+            keys = list(g.bounds) + [edge_key("e0", rng.sample(ids, 1))]
+            k = rng.choice(keys)
+            states.append(g.shifted({k: rng.randint(-g.bounds.get(k, (0, 0))[0], 2)}))
+        return [s for s in states if not s.is_empty]
+
+    def cold(state):
+        if isinstance(state, MultiHypergraph):
+            return MultiHypergraph(list(state.vertices), state.edge_dict())
+        return LiftedMultiHypergraph(list(state.vertices), dict(state.bounds),
+                                     state._groups())
+
+    def forms(state, pins) -> list[bytes]:
+        out = [canonical_form_lifted(state).data, pinned_form_lifted(state, pins)]
+        if isinstance(state, MultiHypergraph):
+            out += [canonical_form(state).data, pinned_form(state, pins)]
+        return out
+
+    def reference(state, pins) -> list[bytes]:
+        versions = [(None, 0x02), (pins, 0xFF)]
+        if isinstance(state, MultiHypergraph):
+            versions += [(None, 0x01), (pins, 0xFE)]
+        return [unpruned_canonical_bytes(state, p, v) for p, v in versions]
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = random.Random(seed)
+        while True:
+            root = random_lifted(rng, rng.randrange(1, 6))
+            recs = [(v.label, v.multiplicity) for v in root.vertices]
+            if len(set(recs)) == len(recs) and not root.is_empty:
+                break
+        states = derived(rng, root)
+        rng.shuffle(states)
+        ids = [v.id for v in root.vertices]
+        for state in states:
+            assert state.layout is root.layout
+            pins = {rng.choice(ids): rng.randrange(2) for _ in range(rng.randrange(3))}
+            fresh = cold(state)
+            assert fresh.layout is not root.layout
+            assert forms(state, pins) == forms(fresh, pins) == reference(state, pins)
 
     check()
 

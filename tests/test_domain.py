@@ -12,8 +12,9 @@ import pytest
 
 from mhgfilter import (ActionModel, AnnotationTuple, Effect, EffectEdge,
                        ParseError, PatternEdge, StructuralError, apply,
-                       builtin_domain, filter_trace, format_trace, generate_trace,
-                       ground_options, held_counts, parse_domain, parse_trace)
+                       builtin_domain, compare, filter_trace, format_trace,
+                       generate_trace, ground_options, held_counts, parse_domain,
+                       parse_trace)
 from mhgfilter.domain import BUILTIN_DOMAINS
 from oracles import builtin_document, renamed_mini_document
 
@@ -512,6 +513,29 @@ def test_install_heavy_runs_on_variables_named_otherwise():
     trace, _ = generate_trace(domain, seed=0, length=12, policy="install_heavy")
     assert trace and {a.action for a in trace} >= {"walk", "take"}
     assert len(filter_trace(domain, trace).beliefs) == len(trace) + 1
+
+
+@pytest.mark.parametrize("action_model", [
+    {"weights": {"walk": 0, "take": 0}},
+    {"weights": {"installEccentric": 0}},
+    {"weights": {"uninstall": 0}, "by_location": {"table": {"walk": 0}}}])
+def test_install_heavy_takes_no_rule_of_weight_zero(action_model):
+    """The greedy policy only picks among rules of positive weight at the
+    agent's location, and stops the trace when none has an option, as the
+    uniform policy does: both filters accept its traces and agree on them.
+    With ``walk`` and ``take`` at 0 the agent cannot leave the floor, so
+    the trace stops at once."""
+    doc = builtin_document("mini")
+    doc["action_model"] = action_model
+    domain = parse_domain(doc, "weights.json")
+    for seed in range(3):
+        trace, truncated = generate_trace(domain, seed, 12, policy="install_heavy")
+        assert all(domain.action_model.rule_weight(a.action, a.loc_t) for a in trace)
+        assert not compare(domain, trace, 1e-9).divergent   # runs both filters
+        if "walk" in action_model.get("weights", {}):
+            assert trace == [] and truncated
+        else:
+            assert len(trace) == 12
 
 
 def test_an_agent_that_is_no_vertex_is_rejected():

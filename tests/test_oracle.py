@@ -180,3 +180,36 @@ def test_compare_flags_unchecked_divergence(monkeypatch):
     report = compare(domain, trace)
     assert report.divergent
     assert report.max_tv == pytest.approx(2 / 3)
+
+
+def test_the_oracle_tests_each_distinct_ground_state_once(monkeypatch):
+    """Within a trace the oracle asks ``ground_options`` once per rule and
+    distinct ground state (by canonical form), however many steps and
+    belief entries that state recurs in, and its beliefs are bit-identical
+    to those of testing every entry at every step, pinned here by hash."""
+    import hashlib
+
+    import mhgfilter.oracle
+    domain = builtin_domain("mini")
+    trace, _ = generate_trace(domain, seed=3, length=20)
+    tested = []
+    real = mhgfilter.oracle.ground_options
+
+    def counting(rule, g):
+        tested.append((rule.name, g.canonical_form().data))
+        return real(rule, g)
+
+    monkeypatch.setattr(mhgfilter.oracle, "ground_options", counting)
+    result = ground_filter_trace(domain, trace)
+    predicted = [g for belief in result.beliefs[:-1] for g, _ in belief]
+    forms = {g.canonical_form().data for g in predicted}
+    assert sorted(tested) == sorted((r.name, f) for r in domain.rules for f in forms)
+    assert (len(forms), len(predicted)) == (10, 23)
+    h = hashlib.sha256()
+    for belief in result.beliefs:
+        h.update(b"belief")
+        for g, w in belief:
+            h.update(g.canonical_form().data)
+            h.update(repr(w).encode())
+    assert h.hexdigest() == (
+        "e866427ec62e51a62953ba99afe8eeb9218d17abb183079ff7d523ca8c44b411")
