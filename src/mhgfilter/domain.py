@@ -72,6 +72,9 @@ class Domain:
         names = [r.name for r in self.rules]
         if len(names) != len(set(names)):
             raise StructuralError(f"domain {self.name!r}: duplicate rule name")
+        if self.initial_state.is_empty:
+            raise StructuralError(f"domain {self.name!r}: the initial state's "
+                                  f"constraints admit no grounding")
         if not self.initial_state.has_vertex(self.agent_id):
             raise StructuralError(f"domain {self.name!r}: agent {self.agent_id!r} "
                                   f"is no vertex of the initial state")
@@ -461,7 +464,9 @@ def generate_trace(domain: Domain, seed: int, length: int,
     the screwdriver, then alternate taking and installing eccentrics).
     Neither policy takes a rule the action model gives weight 0 at the
     agent's location.  Returns the trace and whether it was truncated by a
-    dead end, where no rule of positive weight has an option.
+    dead end, where no rule of positive weight has an option.  Raises
+    IntegrityError at a step that leaves the agent, or finds it, without
+    a single location, which no annotation can record.
     ``corrupt_at`` overwrites the held-count observation of that step with
     an impossible value, making the trace inconsistent exactly there; it
     raises ValueError unless it is a step of the returned trace.  A negative
@@ -476,9 +481,9 @@ def generate_trace(domain: Domain, seed: int, length: int,
     g = grounds[rng.randrange(len(grounds))]
     trace: list[AnnotationTuple] = []
     truncated = False
-    for _ in range(length):
+    loc_t = agent_location(domain, g)
+    for step in range(length):
         # a rule the action model gives weight 0 here is never taken
-        loc_t = agent_location(domain, g)
         weights = {rule.name: domain.action_model.rule_weight(rule.name, loc_t)
                    for rule in domain.rules}
         options_by_rule = {rule.name: opts for rule in domain.rules
@@ -495,10 +500,13 @@ def generate_trace(domain: Domain, seed: int, length: int,
             rule, match = domain.rule(name), opts[rng.randrange(len(opts))]
         held_t = held_counts(domain, g)
         g2 = apply(rule, g, match)
-        trace.append(AnnotationTuple(rule.name, loc_t,
-                                     agent_location(domain, g2),
+        loc_next = agent_location(domain, g2)
+        if loc_t is None or loc_next is None:
+            raise IntegrityError(f"step {step} (rule {rule.name!r}): the agent "
+                                 f"has no single location before or after it")
+        trace.append(AnnotationTuple(rule.name, loc_t, loc_next,
                                      held_t, held_counts(domain, g2)))
-        g = g2
+        g, loc_t = g2, loc_next
     if corrupt_at is not None:
         if not 0 <= corrupt_at < len(trace):
             raise ValueError(f"corrupt_at {corrupt_at} is not a step of the "

@@ -15,9 +15,11 @@ fixtures) are unconstrained.
 
 The construction checks here (vertex index, incidence, conservation) serve
 every state in ``lifted.py``, a ground state being one without bounded
-edges.  A state derived from a checked one is checked locally: only the
-vertices that its changed parts touch (:func:`check_conservation`), and
-only the keys new to it (:func:`check_incidence`).
+edges.  Conservation reads a state's bounds map (key -> (lower, upper))
+and group index (key -> (key set, total)) as they are.  A state derived
+from a checked one is checked locally: both maps, its own and its
+source's, at its changed keys only (:func:`check_conservation`), and
+incidence at the keys new to it (:func:`check_incidence`).
 
 Rules change edges only, never vertices.  So a :class:`VertexLayout` is
 built once, from the initial vertex list, and every state derived from it
@@ -114,35 +116,38 @@ def check_incidence(label: Label, incidence: Iterable[str],
             raise StructuralError(f"edge {label!r} references unknown vertex {vid!r}")
 
 
-Bounds = tuple[EdgeKey, int, int]     # (key, lower, upper) of one edge
+def conserved_sums(layout: VertexLayout, bounds: Mapping[EdgeKey, tuple[int, int]],
+                   group_of: Mapping, keys: Iterable[EdgeKey]) -> dict[str, list[int]]:
+    """[least, greatest] conserved sum, over a state's groundings, of the
+    parts that hold ``keys``, at each conserved vertex they touch.
 
-
-def conserved_sums(layout: VertexLayout, singles: Iterable[Bounds],
-                   groups: Iterable[tuple[list[Bounds], int]] = ()
-                   ) -> dict[str, list[int]]:
-    """[least, greatest] conserved sum of some parts over their groundings,
-    at each conserved vertex they touch.
-
-    A part is an edge on its own, (key, lower, upper) with lower = upper
-    for a fixed edge, or a group, (members, total), whose members (key,
-    lower, upper) sum to the total.  An edge adds its multiplicity once per
-    incidence; a group, which must be feasible, adds the exact minimum and
-    maximum of its conserved sum over the assignments that meet its total.
-    Where every member touches a vertex c times, as slot edges do, both are
-    c * total, since sum(c * x) = c * sum(x); else :func:`_group_coef_range`.
+    ``bounds`` maps an edge key to (lower, upper), lower = upper for a fixed
+    edge, and ``group_of`` maps a grouped key to its group, (key set,
+    total).  A key on its own adds its multiplicity once per incidence; a
+    group, read once whichever of its keys come up, must be feasible, and
+    adds the exact minimum and maximum of its conserved sum over the
+    assignments that meet its total.  Where every member touches a vertex
+    c times, as slot edges do, both are c * total, since sum(c * x) =
+    c * sum(x); else :func:`_group_coef_range`.
     """
     labels, conserved = layout.conservation_labels, layout.conserved
     sums: dict[str, list[int]] = {}
-    for (label, incidence), lo, up in singles:
-        if label in labels:
-            for vid in incidence:
+    groups = {}     # key set -> total, each group of ``keys`` once
+    for key in keys:
+        group = group_of.get(key)
+        if group is not None:
+            groups[group[0]] = group[1]
+        elif key[0] in labels and key in bounds:
+            lo, up = bounds[key]
+            for vid in key[1]:
                 if vid in conserved:
                     s = sums.setdefault(vid, [0, 0])
                     s[0] += lo
                     s[1] += up
-    for members, total in groups:
+    for members, total in groups.items():
+        members = list(members)
         coefs: dict[str, list[int]] = {}    # vertex id -> incidences per member
-        for i, ((label, incidence), _, _) in enumerate(members):
+        for i, (label, incidence) in enumerate(members):
             if label in labels:
                 for vid in incidence:
                     if vid in conserved:
@@ -152,37 +157,39 @@ def conserved_sums(layout: VertexLayout, singles: Iterable[Bounds],
                 mn = mx = coef[0] * total
             else:
                 mn, mx = _group_coef_range(
-                    [(lo, up, c) for (_, lo, up), c in zip(members, coef)], total)
+                    [(*bounds[k], c) for k, c in zip(members, coef)], total)
             s = sums.setdefault(vid, [0, 0])
             s[0] += mn
             s[1] += mx
     return sums
 
 
-def check_conservation(layout: VertexLayout, singles: Iterable[Bounds],
-                       groups: Iterable[tuple[list[Bounds], int]] = (),
+def check_conservation(layout: VertexLayout, bounds: Mapping[EdgeKey, tuple[int, int]],
+                       group_of: Mapping, keys: Iterable[EdgeKey] | None = None,
                        replaced: tuple | None = None) -> None:
     """Raise IntegrityError unless every conserved vertex of the layout has
     a conserved sum equal to its multiplicity in every grounding.
 
-    ``singles`` and ``groups`` are all of a state's parts, as
-    :func:`conserved_sums` reads them.  With ``replaced`` the check is
-    local: the parts given are those of a state derived from a conserving
-    one that differ from it, and ``replaced`` is (singles, groups) of the
-    parts they take the place of.  Every part of a conserving state adds a
-    constant to each conserved vertex, so the derived state's sum is the
-    vertex multiplicity less the replaced parts plus the new ones, and only
-    a vertex that these touch can fail.  Either way the first failing
-    vertex, in vertex order, is reported with its full range.
+    ``bounds`` and ``group_of`` are a state's maps, as :func:`conserved_sums`
+    reads them, over all their keys by default.  With ``replaced`` the
+    check is local: the state is derived from a conserving one whose maps
+    are ``replaced`` = (bounds, group_of), and ``keys`` holds every key at
+    which they differ.  Every part of a conserving state adds a constant
+    to each conserved vertex, so the derived state's sum is the vertex
+    multiplicity less the replaced parts plus the new ones, both read over
+    ``keys``, and only a vertex that these touch can fail.  Either way the
+    first failing vertex, in vertex order, is reported with its full range.
     """
     if not layout.conserved:
         return
-    sums = conserved_sums(layout, singles, groups)
+    if keys is None:
+        keys = bounds
+    sums = conserved_sums(layout, bounds, group_of, keys)
     if replaced is None:
         before: dict[str, list[int]] = {}
         vids = layout.conserved
     else:
-        before = conserved_sums(layout, *replaced)
+        before = conserved_sums(layout, *replaced, keys)
         vids = sorted(sums.keys() | before.keys())   # vertices sort by id
     for vid in vids:
         m = layout.conserved[vid]

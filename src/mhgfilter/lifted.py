@@ -33,20 +33,20 @@ the lifted form (``0x02``).
 The constructor is the definition.  A state derived from another --
 ``shifted``, ``conditioned``, ``from_graph`` -- is born normalised instead:
 it copies its source's bounds map, changes the keys the step names, and
-reuses every other group and per-group count.  Both arguments for that are
-exact:
+reuses every other group.  Both arguments for that are exact:
 
 * Tightening.  A group's hull reads only its own members' bounds and total
   (``_normalise``, the one helper the constructor runs over every group).
   A step re-tightens just the group it regroups or conditions on; a group
   whose members and total move by the same shifts is translated, so its
-  hull moves with it and its count stays.
+  hull moves with it.
 * Conservation.  In a conserving state every part -- a fixed edge, an
   ungrouped bounded edge, a group -- adds a constant to each conserved
   vertex.  So the successor conserves iff, at each conserved vertex that a
   changed part touches, the new parts are constant and the sum less the
-  replaced parts plus the new ones is the vertex multiplicity; only those
-  parts are read, and a failure raises the constructor's IntegrityError.
+  replaced parts plus the new ones is the vertex multiplicity.  Both maps
+  are read at the changed keys only, and a failure raises the
+  constructor's IntegrityError.
 
 Every state built from another (shifted, conditioned, lifted from a graph,
 or grounded) keeps its vertex layout, with its conservation declaration
@@ -84,7 +84,7 @@ class TotalConstraint(NamedTuple):
 
 
 class LiftedMultiHypergraph:
-    __slots__ = ("layout", "vertices", "is_empty", "bounds", "_group_of", "_counts",
+    __slots__ = ("layout", "vertices", "is_empty", "bounds", "_group_of",
                  "_canonical", "_count")
 
     def __init__(self, vertices: Iterable[Vertex] | VertexLayout,
@@ -123,21 +123,20 @@ class LiftedMultiHypergraph:
         for keys, total in parts:
             group = _normalise(own, keys, total)
             if group is None:
-                self._set(layout, {}, {}, {}, True)
+                self._set(layout, {}, {}, True)
                 return
             c = TotalConstraint(*group)
             for k in c.edge_keys:
                 group_of[k] = c
-        self._set(layout, own, group_of, {})
-        check_conservation(layout, *_parts(own, group_of, own))
+        self._set(layout, own, group_of)
+        check_conservation(layout, own, group_of)
 
-    def _set(self, layout, bounds, group_of, counts, is_empty=False) -> None:
+    def _set(self, layout, bounds, group_of, is_empty=False) -> None:
         self.layout = layout
         self.vertices = layout.vertices
         self.is_empty = is_empty
         self.bounds = bounds          # key -> (lower, upper), never mutated
         self._group_of = group_of     # key -> its TotalConstraint
-        self._counts = counts         # group key set -> its number of assignments
         self._canonical = None
         self._count = None
 
@@ -155,23 +154,21 @@ class LiftedMultiHypergraph:
         ``step``, a key set of ``totals`` whose keys are all in ``keys``, is
         the one group that is normalised, by the constructor's helper; every
         other group of ``totals`` must have moved rigidly, by a shift of its
-        members and the same shift of its total, so it stays tight, keeps
-        no fixed member and keeps its number of assignments.  Unchanged
-        groups and counts are this state's objects.  Conservation is
-        checked over the changed parts only, and incidence over the keys
-        new to the state.
+        members and the same shift of its total, so it stays tight and keeps
+        no fixed member.  Unchanged groups are this state's objects.
+        Conservation is checked over the changed parts only, and incidence
+        over the keys new to the state.
         """
         layout = self.layout
-        group_of, counts = self._group_of, self._counts
+        group_of = self._group_of
         if totals:
-            # a state shares its group index and counts while its groups are the same
-            group_of, counts = dict(group_of), dict(counts)
+            # a state shares its group index while its groups are the same
+            group_of = dict(group_of)
             for gkeys, total in totals.items():
                 if gkeys == step:
                     tight = _normalise(bounds, gkeys, total)
                     if tight is None:
                         return self._empty()
-                    counts.pop(gkeys, None)
                     for k in gkeys:
                         group_of.pop(k, None)
                     gkeys, total = tight
@@ -183,9 +180,8 @@ class LiftedMultiHypergraph:
         old = self.bounds
         changed = {k for k in keys if bounds.get(k) != old.get(k)}
         if layout.conserved:
-            scope = changed.union(*totals)
-            check_conservation(layout, *_parts(bounds, group_of, scope),
-                               replaced=_parts(old, self._group_of, scope))
+            check_conservation(layout, bounds, group_of, changed.union(*totals),
+                               (old, self._group_of))
         # a ground state's successor stays ground unless a key became bounded
         made = self._made
         for k in changed:
@@ -195,7 +191,7 @@ class LiftedMultiHypergraph:
                 lo, up = bounds[k]
                 if lo < up:
                     made = LiftedMultiHypergraph._made
-        return made(layout, bounds, group_of, counts)
+        return made(layout, bounds, group_of)
 
     @classmethod
     def _made(cls, *parts) -> "LiftedMultiHypergraph":
@@ -206,7 +202,7 @@ class LiftedMultiHypergraph:
 
     def _empty(self) -> "LiftedMultiHypergraph":
         """The empty state over this state's layout; it is never ground."""
-        return LiftedMultiHypergraph._made(self.layout, {}, {}, {}, True)
+        return LiftedMultiHypergraph._made(self.layout, {}, {}, True)
 
     # -- queries -----------------------------------------------------------
 
@@ -227,7 +223,7 @@ class LiftedMultiHypergraph:
     def from_graph(g: "MultiHypergraph") -> "LiftedMultiHypergraph":
         """``g``'s parts as a plain lifted state: belief entries merge by
         lifted forms, ground states by ground forms."""
-        return LiftedMultiHypergraph._made(g.layout, g.bounds, {}, {})
+        return LiftedMultiHypergraph._made(g.layout, g.bounds, {})
 
     def shifted(self, delta: Mapping[EdgeKey, int], group: tuple | None = None
                 ) -> "LiftedMultiHypergraph":
@@ -301,19 +297,14 @@ class LiftedMultiHypergraph:
 
     def count_groundings(self) -> int:
         """Number of groundings: the product of the ungrouped bounded edges'
-        widths and each group's count, which a derived state carries over
-        from its source for every group that did not change."""
+        widths and each group's count."""
         if self._count is None:
             n = 0 if self.is_empty else 1
             for k, (lo, up) in self.bounds.items():
                 if lo < up and k not in self._group_of:
                     n *= up - lo + 1
             for c in set(self._group_of.values()):
-                m = self._counts.get(c.edge_keys)
-                if m is None:
-                    m = self._counts[c.edge_keys] = _count_compositions(
-                        [self.bounds[k] for k in c.edge_keys], c.total)
-                n *= m
+                n *= _count_compositions([self.bounds[k] for k in c.edge_keys], c.total)
             self._count = n
         return self._count
 
@@ -341,7 +332,7 @@ class LiftedMultiHypergraph:
                 bounds[k] = (v, v)
             else:
                 del bounds[k]
-        return MultiHypergraph._made(self.layout, bounds, {}, {})
+        return MultiHypergraph._made(self.layout, bounds, {})
 
     def iter_groundings(self) -> Iterator["MultiHypergraph"]:
         """Every grounding; raises EnumerationLimitError beyond MAX_GROUNDINGS."""
@@ -455,22 +446,6 @@ def _normalise(bounds: dict[EdgeKey, tuple[int, int]], keys: Iterable[EdgeKey],
         else:
             del bounds[k]
     return frozenset(left), total - fixed
-
-
-def _parts(bounds: dict[EdgeKey, tuple[int, int]], group_of: dict,
-           keys: Iterable[EdgeKey]) -> tuple[list, list]:
-    """(singles, groups) of the parts that hold ``keys``, each group once,
-    as ``check_conservation`` reads them; ``keys`` must hold every member
-    of each of those groups."""
-    singles, groups = [], {}
-    for k in keys:
-        c = group_of.get(k)
-        if c is not None:
-            groups[c.edge_keys] = c
-        elif k in bounds:
-            singles.append((k, *bounds[k]))
-    return singles, [([(k, *bounds[k]) for k in c.edge_keys], c.total)
-                     for c in groups.values()]
 
 
 def _count_compositions(bounds: list[tuple[int, int]], total: int) -> int:

@@ -8,6 +8,7 @@ import pytest
 from mhgfilter import AnnotationTuple, format_trace
 from mhgfilter.cli import main
 from oracles import builtin_document, renamed_mini_document, unchecked_lifted_apply
+from test_domain import empty_start_document, leave_document
 from test_oracle import unchecked_document
 
 
@@ -134,6 +135,47 @@ def test_corrupted_trace_exits_two(tmp_path, capsys):
         path.read_text().splitlines()[5])["action"]
 
 
+def test_compare_on_a_corrupted_trace_exits_two(tmp_path, capsys):
+    """``compare`` reports the inconsistent step on one error line and
+    writes no report."""
+    path = tmp_path / "bad.jsonl"
+    code, _, _ = run(capsys, "gentrace", "--domain", "mini", "--seed", "3",
+                     "--length", "8", "--corrupt-at", "5", "--output", str(path))
+    assert code == 0
+    code, out, err = run(capsys, "compare", "--domain", "mini", "--trace", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: inconsistent trace at step 5\n"
+
+
+def test_gentrace_cut_short_by_a_dead_end_warns_and_exits_zero(tmp_path, capsys):
+    """With ``take`` as its only rule and the agent at the table, the agent
+    takes the five items there and then meets a dead end: the five steps
+    are written, with one warning line."""
+    doc = builtin_document("mini")
+    doc["rules"] = [r for r in doc["rules"] if r["name"] == "take"]
+    doc["edges"][0]["incidence"] = ["agent", "table"]
+    domain = tmp_path / "taker.json"
+    domain.write_text(json.dumps(doc))
+    trace = tmp_path / "trace.jsonl"
+    code, out, err = run(capsys, "gentrace", "--domain", str(domain), "--seed", "0",
+                         "--length", "8", "--output", str(trace))
+    assert (code, out) == (0, "")
+    assert err == "warning: trace truncated at 5 steps (dead end)\n"
+    assert len(trace.read_text().splitlines()) == 5
+
+
+def test_gentrace_that_loses_the_agent_exits_six(tmp_path, capsys):
+    """A rule that leaves the agent without a location makes a step no
+    annotation can record: one error line naming it, and no trace."""
+    domain = tmp_path / "leave.json"
+    domain.write_text(json.dumps(leave_document()))
+    trace = tmp_path / "trace.jsonl"
+    code, out, err = run(capsys, "gentrace", "--domain", str(domain), "--seed", "0",
+                         "--length", "6", "--output", str(trace))
+    assert (code, out) == (6, "") and not trace.exists()
+    assert err.startswith("error: step 1 (rule 'leave'): ") and err.count("\n") == 1
+
+
 def test_corrupt_at_outside_the_trace_exits_seven(tmp_path, capsys):
     """An out-of-range ``--corrupt-at`` prints one error line and writes no
     trace."""
@@ -158,6 +200,14 @@ def test_parse_problems_exit_three(tmp_path, capsys):
     code, _, err = run(capsys, "gentrace", "--domain", str(bad_domain))
     assert code == 3
     assert "mhg-domain/0" in err
+
+
+def test_a_domain_file_that_is_not_json_exits_three(tmp_path, capsys):
+    path = tmp_path / "domain.json"
+    path.write_text("{not json")
+    code, out, err = run(capsys, "gentrace", "--domain", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {path}:1: bad JSON: ")
 
 
 
@@ -207,6 +257,20 @@ def test_an_agent_that_is_no_vertex_exits_three(tmp_path, mini_trace, capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
         assert "robot.json" in err and "'robot'" in err
+
+
+def test_an_initial_state_without_groundings_exits_three(tmp_path, mini_trace,
+                                                        capsys):
+    """Constraints that no grounding meets are a parse error of the domain
+    for every command, not an empty belief or a crash mid-run."""
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(empty_start_document()))
+    trace = ("--trace", str(mini_trace))
+    for argv in (("gentrace", "--length", "3"), ("filter", *trace),
+                 ("filter", "--mode", "ground", *trace), ("compare", *trace)):
+        code, out, err = run(capsys, *argv, "--domain", str(path))
+        assert (code, out) == (3, ""), argv
+        assert "empty.json" in err and "admit no grounding" in err, argv
 
 
 def test_install_heavy_on_variables_named_otherwise_exits_zero(tmp_path, capsys):

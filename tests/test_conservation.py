@@ -119,5 +119,7 @@ def test_group_sums_equal_enumeration(group):
                                               for _, lo, up in members))
                 if sum(xs) == total]
             for v, coef in coefs.items() if any(coef)}
-    assert group_sums(layout, (), [(members, total)]) == {
+    bounds = {key: (lo, up) for key, lo, up in members}
+    group = (frozenset(bounds), total)
+    assert group_sums(layout, bounds, dict.fromkeys(bounds, group), bounds) == {
         v: [min(s), max(s)] for v, s in sums.items()}

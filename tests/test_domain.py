@@ -11,12 +11,13 @@ from pathlib import Path
 import pytest
 
 from mhgfilter import (ActionModel, AnnotationTuple, Effect, EffectEdge,
-                       ParseError, PatternEdge, StructuralError, apply,
+                       IntegrityError, Match, ParseError, PatternEdge,
+                       StructuralError, apply,
                        builtin_domain, compare, filter_trace, format_trace,
                        generate_trace, ground_options, held_counts, parse_domain,
                        parse_trace)
 from mhgfilter.domain import BUILTIN_DOMAINS
-from oracles import builtin_document, renamed_mini_document
+from oracles import builtin_document, mini_documents, renamed_mini_document
 
 COMPONENT_LABELS = {"shelf_top", "shelf_bottom", "shelf_middle", "side_left",
                     "side_right", "back_panel", "base_plate",
@@ -406,6 +407,58 @@ def test_parse_desugars_lifted_effect():
         broken(change)
 
 
+def test_parse_rejects_malformed_lifted_effect_slots():
+    """Slots must exist, share label, arity and a capacity of at least 1,
+    and differ in exactly one incidence entry."""
+    good, index = lifted_effect_document()
+
+    def slot(i, **change):
+        return lambda slots: slots[i].update(change)
+
+    same = "one label, arity and capacity of at least 1"
+    for shown, change in (
+            ("has no slots", lambda slots: slots.clear()),
+            (same, slot(1, label="on")),
+            (same, slot(1, incidence=["E", "slot_a2", "table"])),
+            (same, slot(1, capacity=2)),
+            (same, lambda slots: [s.update(capacity=0) for s in slots]),
+            ("differ in exactly one incidence entry",
+             slot(1, incidence=["S", "slot_a2"]))):
+        doc = copy.deepcopy(good)
+        change(doc["rules"][index]["lifted_effect"]["slots"])
+        with pytest.raises(ParseError, match=shown):
+            parse_domain(doc, "doc")
+
+
+def test_lifted_effect_slot_variable_avoids_a_taken_name():
+    """In a pattern that already binds ``SL`` the slot variable is ``SL_``,
+    and the rule has the hand-written rule's options under those names."""
+    mini = builtin_domain("mini")
+    doc, index = lifted_effect_document()
+    pattern = doc["rules"][index]["pattern"]
+    for pv in pattern["vertices"]:
+        pv["var"] = "SL" if pv["var"] == "T" else pv["var"]
+    for pe in pattern["edges"]:
+        pe["vars"] = ["SL" if v == "T" else v for v in pe["vars"]]
+    desugared = parse_domain(doc, "doc").rules[index]
+    assert desugared.pattern.vertices[-1].var == "SL_"
+    assert desugared.effect.assert_[-1].vars == ("E", "SL_")
+    names = {"SL": "T", "SL_": "SL"}
+    hand = mini.rules[index]
+    rng = random.Random(3)
+    g = mini.initial_state.groundings()[0]
+    installs = 0
+    for _ in range(40):
+        options = ground_options(hand, g)
+        assert sorted(Match(tuple((names.get(v, v), x) for v, x in m.assignment))
+                      for m in ground_options(desugared, g)) == options
+        installs += bool(options)
+        options = [(r, m) for r in mini.rules for m in ground_options(r, g)]
+        rule, match = options[rng.randrange(len(options))]
+        g = apply(rule, g, match)
+    assert installs > 0
+
+
 def test_trace_round_trip():
     domain = builtin_domain("mini")
     trace, _ = generate_trace(domain, seed=1, length=5)
@@ -548,6 +601,72 @@ def test_an_agent_that_is_no_vertex_is_rejected():
     assert exc.value.source == "robot.json"
     with pytest.raises(StructuralError, match="agent 'robot' is no vertex"):
         dataclasses.replace(builtin_domain("mini"), agent_id="robot")
+
+
+def empty_start_document() -> dict:
+    """The mini document with the agent at floor or table, each [0, 1],
+    under one constraint of total 3, which no grounding meets."""
+    doc = builtin_document("mini")
+    assert doc["edges"][0]["incidence"] == ["agent", "floor"]
+    del doc["edges"][0]
+    places = ("floor", "table")
+    doc["bounded_edges"] = [{"label": "at", "incidence": ["agent", p],
+                             "lower": 0, "upper": 1} for p in places]
+    doc["constraints"] = [{"edges": [["at", ["agent", p]] for p in places],
+                           "total": 3}]
+    return doc
+
+
+def test_an_initial_state_without_groundings_is_rejected():
+    """An initial state whose constraints admit no grounding is a structural
+    error of the domain, and a parse error of its document."""
+    with pytest.raises(ParseError, match="admit no grounding") as exc:
+        parse_domain(empty_start_document(), "empty.json")
+    assert exc.value.source == "empty.json"
+    mini = builtin_domain("mini")
+    empty = mini.initial_state.conditioned(("at", ("agent", "floor")), 2)
+    assert empty.is_empty
+    with pytest.raises(StructuralError, match="admit no grounding"):
+        dataclasses.replace(mini, initial_state=empty)
+
+
+def leave_document() -> dict:
+    """The mini document plus ``leave``: ``walk`` without its assert, so
+    the agent ends up nowhere."""
+    doc = builtin_document("mini")
+    leave = copy.deepcopy(next(r for r in doc["rules"] if r["name"] == "walk"))
+    leave["name"] = "leave"
+    leave["effect"]["assert"] = []
+    doc["rules"].append(leave)
+    return doc
+
+
+def test_generate_trace_rejects_a_step_that_loses_the_agent():
+    """No annotation records an agent without a single location, so the
+    generator raises IntegrityError at the step that makes one."""
+    domain = parse_domain(leave_document(), "leave.json")
+    with pytest.raises(IntegrityError, match=r"step 1 \(rule 'leave'\)"):
+        generate_trace(domain, seed=0, length=6)
+
+
+def test_generated_traces_round_trip():
+    """Every trace ``generate_trace`` returns on a random mini-family
+    document, under both policies, reads back from its text unchanged."""
+    hypothesis = pytest.importorskip("hypothesis")
+    traces = random.Random(0)   # the traces' own stream, across examples
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(mini_documents())
+    def check(drawn):
+        _, domain = drawn
+        for policy in ("uniform", "install_heavy"):
+            trace, _ = generate_trace(domain, traces.randrange(2 ** 16),
+                                      traces.randint(1, 30), policy=policy)
+            assert parse_trace(format_trace(trace)) == trace
+
+    check()
 
 
 def test_held_counts():

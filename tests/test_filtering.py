@@ -280,6 +280,20 @@ def test_condition_state_enumerates_entangled_keys():
     assert all(s.count_groundings() == 1 for s, _ in states)
 
 
+def test_condition_state_enumeration_that_keeps_no_grounding():
+    """Two bounded held keys are enumerated; when no grounding holds the
+    observed count, the state has no consistent part."""
+    initial = LiftedMultiHypergraph(
+        [Vertex("agent", "agent"), Vertex("floor", "floor"),
+         Vertex("table", "table"), Vertex("g1", "gear"), Vertex("g2", "gear")],
+        {("at", ("agent", "floor")): (1, 1)})
+    l = LiftedMultiHypergraph(
+        initial.vertices,
+        {("holds", ("agent", "g1")): (0, 1), ("holds", ("agent", "g2")): (0, 1),
+         ("at", ("agent", "floor")): (1, 1)})
+    assert condition(tiny_domain(initial), l, "floor", {"gear": 3}) == (0.0, [])
+
+
 def test_filter_trace_keeps_unit_mass():
     domain = builtin_domain("mini")
     trace, truncated = generate_trace(domain, seed=3, length=6)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import logging
 
 import pytest
 
@@ -46,6 +47,16 @@ def test_pattern_validation():
         Pattern((PatternVertex("A"),), (PatternEdge("at", ("A", "B")),))
     with pytest.raises(StructuralError):
         Rule("")
+
+
+def test_edge_multiplicities_and_caps_are_checked():
+    with pytest.raises(StructuralError, match="min multiplicity < 1"):
+        PatternEdge("at", ("A", "B"), min_multiplicity=0)
+    with pytest.raises(StructuralError, match="multiplicity < 1"):
+        EffectEdge("at", ("A", "B"), multiplicity=0)
+    with pytest.raises(StructuralError, match="negative cap"):
+        EffectEdge("at", ("A", "B"), cap=-1)
+    assert EffectEdge("at", ("A", "B"), cap=0).cap == 0
 
 
 def test_match_access():
@@ -269,6 +280,24 @@ def test_lifted_apply_falls_back_on_roomy_slots():
     res = check_against_ground(install_rule(("slot_a",), capacity=2), l)
     assert res.n_applicable == res.n_groundings == 1
     assert res.outputs()[0][0].multiplicity_bounds(("at", ("e", "s1"))) == (2, 2)
+
+
+def test_lifted_apply_falls_back_on_slot_keys_in_two_groups(caplog):
+    """One screw sits in {s1, s2} and one in {s3, s4}: the install's slot
+    keys lie in two groups, which no plan step regroups, so the rule takes
+    the exact fallback."""
+    slots = ("s1", "s2", "s3", "s4")
+    at = [("at", ("e", s)) for s in slots]
+    l = LiftedMultiHypergraph(
+        [Vertex("a", "agent"), Vertex("e", "screw", 3)]
+        + [Vertex(s, "slot") for s in slots],
+        {**dict.fromkeys(at, (0, 1)), ("holds", ("a", "e")): (1, 1)},
+        [(at[:2], 1), (at[2:], 1)])
+    with caplog.at_level(logging.DEBUG, logger="mhgfilter"):
+        res = check_against_ground(install_rule(("slot",)), l)
+    assert "fallback, slot keys in several groups" in caplog.text
+    assert res.groundings is not None
+    assert res.n_applicable == res.n_groundings == 4
 
 
 def test_lifted_apply_empty_and_inapplicable():
