@@ -175,8 +175,8 @@ class StepStats:
 @dataclass(frozen=True)
 class FilterResult:
     """One belief and one stats record per trace prefix, index 0 the initial
-    belief: ``Belief``s from ``filter_trace``, ``GroundBelief``s from the
-    ground reference filter."""
+    belief (``Belief``s, or the ground filter's ``GroundBelief``s), the sum
+    of log Z and one warning per step that dropped dead-end mass."""
 
     beliefs: tuple
     stats: tuple[StepStats, ...]
@@ -366,30 +366,40 @@ def update(domain, annotation, joint: JointPrediction, step: int = 0
 
 def filter_trace(domain, trace: Sequence, initial: Belief | None = None
                  ) -> FilterResult:
-    """Run the filter over a whole annotation trace.
+    """Run the filter over a whole annotation trace: each step is
+    ``predict`` then ``update``, recorded by ``_run_trace``.
 
-    Produces one belief per prefix (index 0 is the initial belief) and one
-    stats record per step; the log likelihood accumulates log Z over steps.
     Raises TraceInconsistencyError with the offending step index when an
     annotation kills all mass, and EnumerationLimitError when an exact
     fallback would enumerate more than ``MAX_GROUNDINGS`` groundings.
     """
+    def step(belief, annotation, i):
+        joint = predict(domain, belief)
+        if not joint.particles:
+            raise TraceInconsistencyError(i, annotation.action)
+        posterior, z = update(domain, annotation, joint, step=i)
+        return posterior, z, joint.dropped_mass
+
     belief = initial if initial is not None else Belief.from_state(domain.initial_state)
+    return _run_trace(trace, belief, step, "lifted")
+
+
+def _run_trace(trace: Sequence, belief: Belief, step, mode: str) -> FilterResult:
+    """The per-step bookkeeping of both filters: ``step(belief, annotation,
+    i)`` returns (posterior, Z, dropped dead-end mass), or raises
+    TraceInconsistencyError, and each step adds its posterior, a ``StepStats``
+    record, a warning when it dropped mass, and log Z."""
     beliefs = [belief]
-    stats = [StepStats(0, None, len(belief), belief.ground_count(), 0.0, "lifted")]
+    stats = [StepStats(0, None, len(belief), belief.ground_count(), 0.0, mode)]
     warnings: list[str] = []
     log_likelihood = 0.0
     for i, annotation in enumerate(trace):
-        joint = predict(domain, belief)
-        if joint.dropped_mass:
-            warnings.append(f"step {i}: dropped {joint.dropped_mass:g} dead-end mass")
-        if not joint.particles:
-            raise TraceInconsistencyError(i, annotation.action)
-        belief, z = update(domain, annotation, joint, step=i)
+        belief, z, dropped = step(belief, annotation, i)
+        if dropped:
+            warnings.append(f"step {i}: dropped {dropped:g} dead-end mass")
         log_likelihood += math.log(z)
         beliefs.append(belief)
         stats.append(StepStats(i + 1, annotation.action, len(belief),
-                               belief.ground_count(), math.log(z), "lifted",
-                               joint.dropped_mass))
+                               belief.ground_count(), math.log(z), mode, dropped))
     return FilterResult(tuple(beliefs), tuple(stats), log_likelihood,
                         tuple(warnings))

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .canon import merged
-from .errors import IntegrityError, TraceInconsistencyError
-from .filtering import (Belief, FilterResult, StepStats, _conditions,
-                        _ground_consistent, agent_location, logger)
+from .errors import TraceInconsistencyError
+from .filtering import (Belief, FilterResult, _conditions, _ground_consistent,
+                        _run_trace, agent_location, logger)
 from .lifted import LiftedMultiHypergraph, MultiHypergraph
 from .rewrite import Rule, ground_options, successors
 
@@ -41,29 +41,11 @@ def expand(l: LiftedMultiHypergraph) -> list[tuple[MultiHypergraph, float]]:
     return [(g, c / n) for g, c in pairs]
 
 
-class GroundBelief:
-    """Normalised weighted set of ground states, merged by canonical form.
+class GroundBelief(Belief):
+    """Normalised weighted set of ground states, merged by canonical form;
+    ``Belief``'s weight checks and normalisation apply."""
 
-    As for ``Belief``, a weight that is not finite and non-negative, or an
-    all-zero or empty set, is rejected.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: Iterable[tuple[MultiHypergraph, float]]):
-        def checked():
-            for g, w in entries:
-                if not (math.isfinite(w) and w >= 0):
-                    raise IntegrityError(
-                        f"ground belief weight {w!r} is not finite and >= 0")
-                if w:
-                    yield g, w
-
-        pairs = merged(checked())
-        total = sum(w for _, w in pairs)
-        if not pairs or total <= 0:
-            raise IntegrityError("ground belief has no mass")
-        self.entries = tuple((g, w / total) for g, w in pairs)
+    __slots__ = ()
 
     @classmethod
     def from_belief(cls, belief: Belief) -> "GroundBelief":
@@ -76,11 +58,8 @@ class GroundBelief:
     def as_dict(self) -> dict[bytes, float]:
         return {g.canonical_form().data: w for g, w in self.entries}
 
-    def __len__(self):
+    def ground_count(self) -> int:
         return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
 
 
 def ground_filter_trace(domain, trace: Sequence) -> FilterResult:
@@ -94,15 +73,10 @@ def ground_filter_trace(domain, trace: Sequence) -> FilterResult:
     vertex with its label, so an isomorphism between two ground states
     fixes them, and isomorphic states have the same applicable rules, the
     same agent location and isomorphic successors."""
-    belief = GroundBelief(expand(domain.initial_state))
-    beliefs = [belief]
-    stats = [StepStats(0, None, len(belief), len(belief), 0.0, "ground")]
-    warnings: list[str] = []
-    log_likelihood = 0.0
     succ_cache: dict[tuple[str, bytes], list[tuple[MultiHypergraph, float]]] = {}
     rule_cache: dict[bytes, tuple[list[Rule], list[float]]] = {}
 
-    for i, annotation in enumerate(trace):
+    def step(belief, annotation, i):
         # predict: a rule is applicable where it has an option; successors
         # are built in the update, and only for the observed rule
         particles: list[tuple[MultiHypergraph, Rule, float]] = []
@@ -124,8 +98,6 @@ def ground_filter_trace(domain, trace: Sequence) -> FilterResult:
             for rule, rw in zip(applicable, rws):
                 if rw:
                     particles.append((g, rule, w * rw / total_w))
-        if dropped:
-            warnings.append(f"step {i}: dropped {dropped:g} dead-end mass")
         total = sum(w for _, _, w in particles)
         if total <= 0:
             raise TraceInconsistencyError(i, annotation.action)
@@ -149,13 +121,9 @@ def ground_filter_trace(domain, trace: Sequence) -> FilterResult:
                 z += mass
         if z <= 0 or not masses:
             raise TraceInconsistencyError(i, annotation.action)
-        belief = GroundBelief(masses)
-        log_likelihood += math.log(z)
-        beliefs.append(belief)
-        stats.append(StepStats(i + 1, annotation.action, len(belief), len(belief),
-                               math.log(z), "ground", dropped))
-    return FilterResult(tuple(beliefs), tuple(stats), log_likelihood,
-                        tuple(warnings))
+        return GroundBelief(masses), z, dropped
+
+    return _run_trace(trace, GroundBelief(expand(domain.initial_state)), step, "ground")
 
 
 @dataclass(frozen=True)
