@@ -42,13 +42,20 @@ __all__ = ["AnnotationTuple", "Domain", "parse_domain", "parse_trace",
 @dataclass(frozen=True)
 class AnnotationTuple:
     """One observed step: action name, agent location and held-item counts
-    on both sides of the transition."""
+    on both sides of the transition.  Checked as ``parse_trace`` checks a
+    line, held maps copied; a bad value raises ValueError naming it."""
 
     action: str
     loc_t: str
     loc_next: str
     held_t: Mapping[str, int] = field(default_factory=dict)
     held_next: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("held_t", "held_next"):
+            object.__setattr__(self, name, _held_counts(getattr(self, name), name))
+        for name in ("action", "loc_t", "loc_next"):
+            _string(getattr(self, name), name)
 
     def to_dict(self) -> dict:
         return {"action": self.action, "loc_t": self.loc_t,
@@ -384,19 +391,25 @@ def parse_trace(text: str, source: str = "<trace>") -> list[AnnotationTuple]:
             raise ParseError(f"bad JSON: {exc.msg}", source, lineno) from exc
         if not isinstance(obj, dict):
             raise ParseError("annotation must be an object", source, lineno)
+        # an ignored key, say a misspelled "held_nxt", would change what is observed
+        for key in obj:
+            if key not in ("action", "loc_t", "loc_next", "held_t", "held_next"):
+                raise ParseError(f"bad annotation: unknown key {key!r}", source, lineno)
         try:
-            held_t = _held_counts(obj.get("held_t", {}))
-            held_next = _held_counts(obj.get("held_next", {}))
-            fields = [_string(obj[k], k) for k in ("action", "loc_t", "loc_next")]
-            out.append(AnnotationTuple(*fields, held_t, held_next))
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            out.append(AnnotationTuple(obj["action"], obj["loc_t"], obj["loc_next"],
+                                       obj.get("held_t", {}), obj.get("held_next", {})))
+        except (KeyError, ValueError) as exc:
             raise ParseError(f"bad annotation: {exc}", source, lineno) from exc
     return out
 
 
-def _held_counts(raw: dict) -> dict[str, int]:
-    """Held counts as written: JSON integers, not booleans, at least zero."""
+def _held_counts(raw: Mapping, name: str) -> dict[str, int]:
+    """Held counts as written: string labels to integers, not booleans, >= 0."""
+    if not isinstance(raw, Mapping):
+        raise ValueError(f"{name} is {raw!r}, not an object")
     for label, n in raw.items():
+        if not isinstance(label, str):
+            raise ValueError(f"{name} label {label!r} is not a string")
         if isinstance(n, bool) or not isinstance(n, int) or n < 0:
             raise ValueError(f"held count {label!r} is {n!r}, "
                              "not a non-negative integer")
@@ -511,6 +524,8 @@ def generate_trace(domain: Domain, seed: int, length: int,
         if not 0 <= corrupt_at < len(trace):
             raise ValueError(f"corrupt_at {corrupt_at} is not a step of the "
                              f"{len(trace)}-step trace")
+        if not domain.holdable_labels:
+            raise ValueError("corrupt_at needs a holdable label; the domain has none")
         t = trace[corrupt_at]
         bad_label = sorted(domain.holdable_labels)[0]
         trace[corrupt_at] = AnnotationTuple(t.action, t.loc_t, t.loc_next,

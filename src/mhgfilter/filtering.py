@@ -205,9 +205,9 @@ def _conditions(domain, loc: str, held: Mapping[str, int]
     side, the agent's location first.  An unknown location fails it: its
     key has multiplicity 0 in every state."""
     conds = [((edge_key(AT_LABEL, (domain.agent_id, loc)),), 1)]
-    conds += [(keys, int(held.get(label, 0))) for label, keys in domain.holds_keys]
+    conds += [(keys, held.get(label, 0)) for label, keys in domain.holds_keys]
     # an unknown label has no keys: only 0 is satisfiable
-    conds += [((), int(held[label])) for label in sorted(held)
+    conds += [((), held[label]) for label in sorted(held)
               if label not in domain.holdable_labels]
     return conds
 

@@ -4,14 +4,18 @@ This is the second, independent route to the same posterior: expand every
 belief into explicit ground states, push each through the rule options
 directly, and condition with exact 0/1 checks.  As in the lifted filter, a
 rule is applicable where ``ground_options`` finds an option, and successors
-are built only for the observed rule.  Within a trace, both are memoised by
-ground canonical form, which is exact (see ``ground_filter_trace``).  It shares state derivation with the
-lifted filter (``apply`` is a ``shifted`` of a ground state; the tests check
-it on its own against a brute-force reference) but no probability
-arithmetic: no interval tightening, grounding fractions or counting over
-groups, which is what makes agreement between the two a meaningful
-correctness check.  It is exponential in the number of unknowns and only
-suitable for small scenes.
+are built only for the observed rule; within a trace, both are memoised by
+ground canonical form, which is exact (see ``ground_filter_trace``).
+
+It shares the lifted filter's scaffolding: the belief container (a
+``GroundBelief`` is a ``Belief``), the trace bookkeeping (``_run_trace``),
+the observation conditions, ``merged`` and state derivation (``apply`` is
+a ``shifted`` of a ground state, tested on its own against a brute-force
+reference).  It keeps its own probability arithmetic (applicability,
+action-model normalisation, dead ends, option counts, conditioning and Z)
+and has no interval tightening, grounding fractions or counting over
+groups: that is what makes agreement between the two a meaningful check.
+It is exponential in the number of unknowns: for small scenes only.
 """
 
 from __future__ import annotations

@@ -188,6 +188,28 @@ def test_corrupt_at_outside_the_trace_exits_seven(tmp_path, capsys):
         assert err.startswith("error: corrupt_at ") and err.count("\n") == 1
 
 
+def test_corrupt_at_without_a_holdable_label_exits_seven(tmp_path, capsys):
+    doc = builtin_document("mini")
+    doc["labels"]["holdable"] = []
+    domain = tmp_path / "nothing_holdable.json"
+    domain.write_text(json.dumps(doc))
+    path = tmp_path / "bad.jsonl"
+    code, out, err = run(capsys, "gentrace", "--domain", str(domain), "--length",
+                         "3", "--corrupt-at", "1", "--output", str(path))
+    assert (code, out) == (7, "") and not path.exists()
+    assert err.startswith("error: corrupt_at ") and err.count("\n") == 1
+
+
+def test_an_unknown_annotation_key_exits_three(tmp_path, capsys):
+    path = tmp_path / "typo.jsonl"
+    path.write_text('{"action": "walk", "loc_t": "floor", "loc_next": "table", '
+                    '"held_nxt": {"eccentric": 1}}\n')
+    for command in ("filter", "compare"):
+        code, out, err = run(capsys, command, "--domain", "mini", "--trace", str(path))
+        assert (code, out) == (3, "")
+        assert "typo.jsonl:1" in err and "'held_nxt'" in err
+
+
 def test_parse_problems_exit_three(tmp_path, capsys):
     bad_trace = tmp_path / "bad.jsonl"
     bad_trace.write_text("{not json\n")

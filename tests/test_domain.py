@@ -496,6 +496,48 @@ def test_parse_trace_errors():
         assert (exc.value.source, exc.value.line) == ("t.jsonl", 2)
 
 
+def test_a_misspelled_annotation_key_is_a_parse_error():
+    """An ignored key would silently change what is observed: ``held_nxt``
+    would leave ``held_next`` empty, an agent holding nothing."""
+    with pytest.raises(ParseError, match="unknown key 'held_nxt'") as exc:
+        parse_trace('{"action": "walk", "loc_t": "a", "loc_next": "b"}\n'
+                    '{"action": "walk", "loc_t": "floor", "loc_next": "table", '
+                    '"held_nxt": {"eccentric": 1}}\n', "t.jsonl")
+    assert (exc.value.source, exc.value.line) == ("t.jsonl", 2)
+
+
+def test_an_annotation_rejects_what_the_trace_parser_rejects():
+    """Built in memory, an annotation checks its fields as ``parse_trace``
+    does: a location that is no string, or a count that is no non-negative
+    integer, raises ValueError naming it, rather than a bare TypeError in
+    the filter or a count read as 0 or 1."""
+    cases = [(("walk", None, "table"), "loc_t"),
+             ((7, "floor", "table"), "action"),
+             (("walk", "floor", "table", {"eccentric": 0.5}), "'eccentric'"),
+             (("walk", "floor", "table", {}, {"eccentric": True}), "'eccentric'"),
+             (("walk", "floor", "table", {}, {"eccentric": -1}), "'eccentric'"),
+             (("walk", "floor", "table", [("eccentric", 1)]), "held_t"),
+             (("walk", "floor", "table", {}, {1: 1}), "held_next")]
+    for args, named in cases:
+        with pytest.raises(ValueError, match=named):
+            AnnotationTuple(*args)
+    held = {"eccentric": 1}
+    annotation = AnnotationTuple("take", "table", "table", {}, held)
+    held["eccentric"] = 2
+    assert annotation.held_next == {"eccentric": 1}
+
+
+def test_corrupt_at_needs_a_holdable_label():
+    """The corruption writes an impossible count of a holdable label, so a
+    domain without one has no corruption to offer."""
+    doc = builtin_document("mini")
+    doc["labels"]["holdable"] = []
+    domain = parse_domain(doc, "nothing_holdable.json")
+    assert generate_trace(domain, seed=0, length=3)[0]
+    with pytest.raises(ValueError, match="holdable label"):
+        generate_trace(domain, seed=0, length=3, corrupt_at=1)
+
+
 def test_generate_trace_is_deterministic():
     domain = builtin_domain("mini")
     first, t1 = generate_trace(domain, seed=9, length=12)

@@ -12,11 +12,12 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, Domain, Effect,
                        TraceInconsistencyError, Vertex, agent_location,
                        builtin_domain, compare, filter_trace, index_vertices,
                        generate_trace, ground_filter_trace, lifted_apply,
-                       predict, update)
+                       parse_domain, predict, update)
 from mhgfilter import lifted as lifted_module
 from mhgfilter import rewrite
 from mhgfilter.filtering import _condition_state, _conditions
 from oracles import lifted_state, reference_agent_location
+from test_domain import empty_start_document
 
 LOCS = frozenset({"floor", "table"})
 
@@ -189,6 +190,23 @@ def test_zero_action_mass_is_a_logged_dead_end_in_both_filters(caplog):
             with pytest.raises(TraceInconsistencyError):
                 run(domain, walked)
         assert any("zero action mass" in r.getMessage() for r in caplog.records)
+
+
+def test_both_filters_record_a_dead_end_the_same_way():
+    """The agent starts at floor or table, and at the table every rule
+    weighs 0: the first step drops the table half as a dead end, and each
+    filter records it as the same warning and ``dropped_mass``."""
+    doc = empty_start_document()
+    doc["constraints"][0]["total"] = 1
+    doc["action_model"] = {"by_location": {"table": {
+        r["name"]: 0 for r in doc["rules"]}}}
+    domain = parse_domain(doc, "stuck_at_table.json")
+    walked = [AnnotationTuple("walk", "floor", "table")]
+    for run in (filter_trace, ground_filter_trace):
+        result = run(domain, walked)
+        assert result.warnings == ("step 0: dropped 0.5 dead-end mass",)
+        assert [s.dropped_mass for s in result.stats] == [0.0, 0.5]
+        assert result.log_likelihood == 0.0
 
 
 def test_update_conditions_and_normalises():

@@ -213,3 +213,39 @@ def test_the_oracle_tests_each_distinct_ground_state_once(monkeypatch):
             h.update(repr(w).encode())
     assert h.hexdigest() == (
         "e866427ec62e51a62953ba99afe8eeb9218d17abb183079ff7d523ca8c44b411")
+
+
+def test_the_reference_shares_no_arithmetic_with_the_lifted_filter():
+    """The ground reference is an independent check only while it computes
+    its own rule weights, conditioning and Z: ``oracle.py`` names none of
+    the lifted filter's arithmetic, and takes from ``filtering`` only the
+    belief container, the trace bookkeeping and the observation schema."""
+    import ast
+    from pathlib import Path
+
+    import mhgfilter.oracle as oracle
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    lifted_arithmetic = {"predict", "update", "lifted_apply", "_condition_state",
+                         "conditioned", "Particle", "JointPrediction",
+                         "LiftedApplyResult"}
+    enclosing = {inner: f.name for f in ast.walk(tree)
+                 if isinstance(f, ast.FunctionDef) for inner in ast.walk(f)}
+    used = set()
+    imported_from_filtering = {}   # name -> importing function, None at top
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            used.update(a.name for a in node.names)
+            used.update(a.asname for a in node.names if a.asname)
+            if isinstance(node, ast.ImportFrom) and node.module == "filtering":
+                imported_from_filtering.update(
+                    (a.name, enclosing.get(node)) for a in node.names)
+    assert used & lifted_arithmetic == set()
+    assert imported_from_filtering == {
+        **dict.fromkeys(["Belief", "FilterResult", "_conditions",
+                         "_ground_consistent", "_run_trace", "agent_location",
+                         "logger"]),
+        "filter_trace": "compare"}
