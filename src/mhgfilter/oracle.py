@@ -63,6 +63,7 @@ class GroundBelief(Belief):
         return {g.canonical_form().data: w for g, w in self.entries}
 
     def ground_count(self) -> int:
+        """Each entry is one ground state: no bounds map to count over."""
         return len(self.entries)
 
 
