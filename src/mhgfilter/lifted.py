@@ -48,6 +48,24 @@ reuses every other group.  Both arguments for that are exact:
   are read at the changed keys only, and a failure raises the
   constructor's IntegrityError.
 
+A state's content is its two maps, and ``content_memo`` gives a dict per
+distinct content over a layout, where callers memoise what is a function
+of the content alone (the lifted plans of ``rewrite``).  The layout keeps
+one such dict per content, under the content hash: the XOR of the hashes
+of the bounds map's items and of the groups, so equal maps give an equal
+hash over any history.  A hit is checked with ``==`` on both maps, so a
+hash collision only misses, and the layout holds maps, never a state.
+A state looks its dict up once and keeps it.
+
+The hash is computed on first request, which the lifted filter makes when
+it plans a state, and kept.  From then on ``_derive`` keeps it current: a
+state derived from one whose hash is known gets its source's, less the
+source's items at the changed keys and the groups the step replaces, plus
+its own items there and the groups the step makes, in O(changed keys)
+while those keys are at hand.  Nearly every such state is planned in
+turn.  Any other state, such as one built by the constructor, a grounding
+or a graph re-classed by ``from_graph``, computes its own when asked.
+
 Every state built from another (shifted, conditioned, lifted from a graph,
 or grounded) keeps its vertex layout, with its conservation declaration
 and its compiled forms.  A key's incidence is checked against the
@@ -59,6 +77,8 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import reduce
+from operator import xor
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, NamedTuple
 
@@ -85,7 +105,7 @@ class TotalConstraint(NamedTuple):
 
 class LiftedMultiHypergraph:
     __slots__ = ("layout", "vertices", "is_empty", "bounds", "_group_of",
-                 "_canonical", "_count")
+                 "_canonical", "_count", "_hash", "_memo")
 
     def __init__(self, vertices: Iterable[Vertex] | VertexLayout,
                  bounds: Mapping[EdgeKey, tuple[int, int]] = MappingProxyType({}),
@@ -139,6 +159,8 @@ class LiftedMultiHypergraph:
         self._group_of = group_of     # key -> its TotalConstraint
         self._canonical = None
         self._count = None
+        self._hash = None             # see content_hash
+        self._memo = None             # this content's dict, see content_memo
 
     def _groups(self) -> list[TotalConstraint]:
         return sorted(set(self._group_of.values()), key=lambda c: sorted(c.edge_keys))
@@ -157,14 +179,20 @@ class LiftedMultiHypergraph:
         members and the same shift of its total, so it stays tight and keeps
         no fixed member.  Unchanged groups are this state's objects.
         Conservation is checked over the changed parts only, and incidence
-        over the keys new to the state.
+        over the keys new to the state.  When this state's content hash is
+        known, the new state's is derived from it over the changed parts.
         """
         layout = self.layout
         group_of = self._group_of
+        swapped = []    # the groups the step replaces, then those it makes
         if totals:
             # a state shares its group index while its groups are the same
             group_of = dict(group_of)
             for gkeys, total in totals.items():
+                for k in gkeys:     # a key set is one group's or no group's
+                    if k in self._group_of:
+                        swapped.append(self._group_of[k])
+                    break
                 if gkeys == step:
                     tight = _normalise(bounds, gkeys, total)
                     if tight is None:
@@ -175,6 +203,7 @@ class LiftedMultiHypergraph:
                     if not gkeys:
                         continue
                 c = TotalConstraint(gkeys, total)
+                swapped.append(c)
                 for k in gkeys:
                     group_of[k] = c
         old = self.bounds
@@ -191,7 +220,20 @@ class LiftedMultiHypergraph:
                 lo, up = bounds[k]
                 if lo < up:
                     made = LiftedMultiHypergraph._made
-        return made(layout, bounds, group_of)
+        l = made(layout, bounds, group_of)
+        h = self._hash
+        if h is not None:   # kept current: the parts at the changed keys
+            for k in changed:
+                b = old.get(k)
+                if b is not None:
+                    h ^= hash((k, b))
+                b = bounds.get(k)
+                if b is not None:
+                    h ^= hash((k, b))
+            for c in swapped:
+                h ^= hash(c)
+            l._hash = h
+        return l
 
     @classmethod
     def _made(cls, *parts) -> "LiftedMultiHypergraph":
@@ -218,6 +260,37 @@ class LiftedMultiHypergraph:
 
     def group_of(self, key: EdgeKey) -> TotalConstraint | None:
         return self._group_of.get(key)
+
+    # -- content -----------------------------------------------------------
+
+    def content_hash(self) -> int:
+        """The XOR of the hashes of the bounds map's items and of the
+        groups: equal for states with equal maps, whatever their history.
+        Computed on first request and kept; see the module docstring."""
+        if self._hash is None:
+            self._hash = (reduce(xor, map(hash, self.bounds.items()), 0)
+                          ^ reduce(xor, map(hash, set(self._group_of.values())), 0))
+        return self._hash
+
+    def content_memo(self) -> dict:
+        """The dict that this state shares with every state of its layout
+        with the same bounds map and groups, for memoising functions of
+        that content; empty until a caller fills it, and as long-lived as
+        the layout.  Found once per state, by ``content_hash``, and kept."""
+        m = self._memo
+        if m is None:
+            m = {}
+            if not self.is_empty:   # its maps are an edgeless state's
+                memos = self.layout.compiled.setdefault(_CONTENT_MEMOS, {})
+                h = self.content_hash()
+                entry = memos.get(h)
+                if (entry is not None and entry[0] == self.bounds
+                        and entry[1] == self._group_of):
+                    m = entry[2]
+                else:
+                    memos[h] = (self.bounds, self._group_of, m)
+            self._memo = m
+        return m
 
     @staticmethod
     def from_graph(g: "MultiHypergraph") -> "LiftedMultiHypergraph":
@@ -410,6 +483,7 @@ class MultiHypergraph(LiftedMultiHypergraph):
 
 
 _ABSENT = (0, 0)     # the bounds of a key with no edge
+_CONTENT_MEMOS = "content memos"     # its key in a layout's ``compiled`` map
 
 
 def _normalise(bounds: dict[EdgeKey, tuple[int, int]], keys: Iterable[EdgeKey],

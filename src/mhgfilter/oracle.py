@@ -4,8 +4,10 @@ This is the second, independent route to the same posterior: expand every
 belief into explicit ground states, push each through the rule options
 directly, and condition with exact 0/1 checks.  As in the lifted filter, a
 rule is applicable where ``ground_options`` finds an option, and successors
-are built only for the observed rule; within a trace, both are memoised by
-ground canonical form, which is exact (see ``ground_filter_trace``).
+are built only for the observed rule.  Both are memoised by ground
+canonical form, which is exact (see ``ground_filter_trace``): a state's
+applicable rules and their weights for the domain's lifetime, and its
+successors within one trace.
 
 It shares the lifted filter's scaffolding: the belief container (a
 ``GroundBelief`` is a ``Belief``), the trace bookkeeping (``_run_trace``),
@@ -21,6 +23,7 @@ It is exponential in the number of unknowns: for small scenes only.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -71,15 +74,23 @@ def ground_filter_trace(domain, trace: Sequence) -> FilterResult:
     """Filter a trace entirely in ground space (the reference semantics);
     the result's beliefs are ``GroundBelief``s.
 
-    Within one trace, each distinct ground state (by canonical form) has its
-    applicable rules and their weights found once, and each (rule, state)
-    its successors built once.  Both are exact: ``Domain`` makes the agent,
-    its locations and every vertex an effect names literally the only
-    vertex with its label, so an isomorphism between two ground states
+    Each distinct ground state (by canonical form) has its applicable rules
+    and their weights found once per domain, and each (rule, state) its
+    successors built once per trace.  Both are exact: ``Domain`` makes the
+    agent, its locations and every vertex an effect names literally the
+    only vertex with its label, so an isomorphism between two ground states
     fixes them, and isomorphic states have the same applicable rules, the
-    same agent location and isomorphic successors."""
+    same agent location and isomorphic successors.  The rule memo builds
+    nothing and computes no form, so it lives on the domain's layout, under
+    a weak reference to the domain that tells its entry apart.  Successors
+    stay per trace, so a trace builds, and computes the forms of, the same
+    states whatever the domain filtered before."""
     succ_cache: dict[tuple[str, bytes], list[tuple[MultiHypergraph, float]]] = {}
-    rule_cache: dict[bytes, tuple[list[Rule], list[float]]] = {}
+    memos, key = domain.initial_state.layout.compiled, ("ground rules", id(domain))
+    entry = memos.get(key)
+    if entry is None or entry[0]() is not domain:
+        entry = memos[key] = (weakref.ref(domain), {})
+    rule_cache: dict[bytes, tuple[list[Rule], list[float]]] = entry[1]
 
     def step(belief, annotation, i):
         # predict: a rule is applicable where it has an option; successors

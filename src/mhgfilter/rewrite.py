@@ -23,6 +23,16 @@ state still reads every multiplicity bound for itself.  An effect literal
 that is no vertex of the layout raises EffectError at compile time, match
 or no match, and nothing is cached.
 
+The lifted plan (see below) is a function of the rule, the layout and the
+state's bounds map and groups, so it is memoised once per rule and state
+content, in the state's ``content_memo`` under the rule's id: a state
+planned again, by the same or another object, gets the stored plan.  The
+layout holds the rule, so its id stays taken while the memo lives.  Two
+things are left out.  A fallback is planned afresh each time, so every one
+enumerates its groundings and logs why.  Successors are built afresh by
+``outputs``, so a domain that has filtered before builds, and computes the
+forms of, the same states as a new one.
+
 Whether an effect can fire at a match is decided in one place,
 ``_effect_feasible``: ``ground_options``, the lifted plan and ``apply`` all
 ask it.  ``apply`` also checks that its assignment is a match: the binding
@@ -482,19 +492,30 @@ class LiftedApplyResult:
                             if not _excluded(l, delta, group, conditions)))
 
 
-def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> list[tuple] | None:
-    """Check the preconditions of the lifted path, once.
+def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> tuple[tuple, ...] | None:
+    """Check the preconditions of the lifted path, once per rule and state
+    content: a plan is memoised, a fallback is not.
 
     Returns one (options, delta, group) step per successor, the
     arguments of ``l.shifted`` that build it, where ``options`` counts the
-    options of every grounding that lead to it; an empty list when the rule
-    fires in no grounding, or None when the exact fallback is needed.  A
-    failed precondition is logged at debug level.
+    options of every grounding that lead to it; an empty tuple when the
+    rule fires in no grounding, or None when the exact fallback is needed.
+    A failed precondition is logged at debug level.
     """
-    def give_up(reason: str) -> None:
-        logger.debug("lifted_apply %r: fallback, %s", rule.name, reason)
+    memo = l.content_memo()
+    plan = memo.get(id(rule))
+    if plan is None:
+        plan = _plan(_compiled(rule, l.layout), l)
+        if plan is not None:
+            plan = memo[id(rule)] = tuple(plan)
+    return plan
 
-    c = _compiled(rule, l.layout)
+
+def _plan(c: _CompiledRule, l: LiftedMultiHypergraph) -> list[tuple] | None:
+    """``_lifted_plan`` without the memo."""
+    def give_up(reason: str) -> None:
+        logger.debug("lifted_apply %r: fallback, %s", c.rule.name, reason)
+
     matches = _raw_matches(c, l)
     if not all(sure for _, sure in matches):
         return give_up("match sets differ across groundings")
@@ -591,9 +612,9 @@ def lifted_apply(rule: Rule, l: LiftedMultiHypergraph) -> LiftedApplyResult:
     pass or one enumeration of groundings; nothing is built until
     ``outputs`` is read."""
     n_tot = l.count_groundings()
-    plan = _lifted_plan(rule, l) if n_tot else []
+    plan = _lifted_plan(rule, l) if n_tot else ()
     if plan is not None:
-        return LiftedApplyResult(rule, l, n_tot if plan else 0, n_tot, tuple(plan))
+        return LiftedApplyResult(rule, l, n_tot if plan else 0, n_tot, plan)
     options = ((g, ground_options(rule, g)) for g in l.iter_groundings())
     groundings = tuple((g, o) for g, o in options if o)
     return LiftedApplyResult(rule, l, len(groundings), n_tot, groundings=groundings)

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import gc
 import logging
 import math
+import random
+import weakref
 
 import pytest
 
@@ -16,7 +19,7 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, Domain, Effect,
 from mhgfilter import lifted as lifted_module
 from mhgfilter import rewrite
 from mhgfilter.filtering import _condition_state, _conditions
-from oracles import lifted_state, reference_agent_location
+from oracles import lifted_state, mini_documents, reference_agent_location
 from test_domain import empty_start_document
 
 LOCS = frozenset({"floor", "table"})
@@ -508,3 +511,79 @@ def test_agent_location_equals_the_fixed_edge_scan(monkeypatch):
     assert {agent_location(mini, s) for s in states} == {"floor", "table"}
     for s in states:
         assert agent_location(mini, s) == reference_agent_location(mini, s)
+
+
+def concluded(result) -> tuple:
+    """What a filter run concludes, bit for bit: each belief's forms and the
+    ``repr`` of their weights, the step records and the log likelihood."""
+    return ([[(l.canonical_form().data, repr(w)) for l, w in b.entries]
+             for b in result.beliefs], result.stats, repr(result.log_likelihood))
+
+
+def test_a_warm_domain_concludes_what_a_cold_one_does(caplog):
+    """On random mini-family documents, a trace filtered twice on one domain
+    and once on a domain loaded afresh gives bit-identical beliefs, step
+    records and log likelihood, and the same debug lines for fallbacks and
+    splits: on the warm run, where plans come from the
+    memo, every fallback still logs ``lifted_apply '<rule>': fallback, ...``."""
+    hypothesis = pytest.importorskip("hypothesis")
+    traces = random.Random(0)   # the traces' own stream, across examples
+    fallbacks = 0
+
+    def run(domain, trace):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="mhgfilter"):
+            out = concluded(filter_trace(domain, trace))
+        # a warm domain's initial state has its form already, so the
+        # canonical search logs less; what the filter did logs the same
+        did = [m for m in caplog.messages if m.startswith(("lifted_apply", "predict"))]
+        return out, did
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=15, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(mini_documents())
+    def check(drawn):
+        nonlocal fallbacks
+        doc, domain = drawn
+        trace, _ = generate_trace(domain, traces.randrange(2 ** 16),
+                                  traces.randint(4, 16), policy="install_heavy")
+        cold = run(domain, trace)
+        warm = run(domain, trace)
+        fresh = run(parse_domain(doc, "random-mini"), trace)
+        assert warm == cold
+        assert fresh == cold
+        fallbacks += sum(m.startswith("lifted_apply '") and ": fallback, " in m
+                         for m in warm[1])
+
+    check()
+    assert fallbacks >= 10
+
+
+def test_the_memos_hold_no_reference_cycle():
+    """With the cycle collector off, a fresh mini domain that has filtered
+    and been compared is freed, layout and all, once it and the results are
+    dropped: nothing its memos keep refers back to it."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        domain = builtin_domain("mini")
+        trace = generate_trace(domain, seed=1, length=20)[0]
+        result, report = filter_trace(domain, trace), compare(domain, trace)
+        assert len(result.beliefs) == 21 and not report.divergent
+        dead = weakref.ref(domain), weakref.ref(domain.initial_state.layout)
+        del domain, result, report
+        assert [ref() for ref in dead] == [None, None]
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_a_content_hash_collision_only_misses(monkeypatch):
+    """With every state's content hash the same, each lookup in the content
+    memo collides, and its ``==`` check on both maps turns a collision into
+    a miss: the filter concludes bit for bit what it does without them."""
+    trace = generate_trace(builtin_domain("mini"), seed=4, length=20)[0]
+    expected = concluded(filter_trace(builtin_domain("mini"), trace))
+    monkeypatch.setattr(LiftedMultiHypergraph, "content_hash", lambda self: 0)
+    assert concluded(filter_trace(builtin_domain("mini"), trace)) == expected

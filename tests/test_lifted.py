@@ -12,7 +12,7 @@ from mhgfilter import (MAX_GROUNDINGS, Effect, EffectEdge, EnumerationLimitError
                        Vertex, apply, index_vertices)
 from mhgfilter.canon import canonical_form_lifted
 from mhgfilter.lifted import _count_compositions
-from oracles import box_groundings, random_lifted, raw_groundings
+from oracles import box_groundings, lifted_state, random_lifted, raw_groundings
 
 
 def hull_example():
@@ -377,3 +377,93 @@ def test_vertices_are_sorted_and_equal_states_share_canonicals():
         [({("at", ("e", "s1")), ("at", ("s2", "e"))}, 4)])
     assert [v.id for v in l2.vertices] == ["e", "s1", "s2"]
     assert l1.canonical_form() == l2.canonical_form()
+
+
+def groups_of(l: LiftedMultiHypergraph) -> list[tuple[frozenset, int]]:
+    """A state's groups as (key set, total) pairs, for its constructor."""
+    return [(c.edge_keys, c.total) for c in {l.group_of(k) for k in l.bounds} - {None}]
+
+
+def test_a_derived_content_hash_equals_the_hash_from_scratch():
+    """From random states, along random chains of ``shifted`` (with and
+    without ``group``), ``conditioned``, ``_ground`` and ``from_graph``,
+    the content hash of a state that is asked for it mid-chain, and of the
+    last state, equals that of the state the constructor rebuilds from its
+    maps, computed from scratch, and the two share one content memo.  Once
+    a state's hash is asked for, its successors' hashes are kept current
+    by derivation; a grounding's is computed when asked."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    ids = ["v0", "v1", "v2"]
+    keys = st.tuples(st.sampled_from(["a", "b"]),
+                     st.lists(st.sampled_from(ids), min_size=1, max_size=2)
+                     .map(lambda vs: tuple(sorted(vs))))
+    derived = 0
+
+    def check_against_rebuilt(l):
+        rebuilt = LiftedMultiHypergraph(l.layout, l.bounds, groups_of(l))
+        assert rebuilt.bounds == l.bounds
+        assert set(groups_of(rebuilt)) == set(groups_of(l))
+        assert l.content_hash() == rebuilt.content_hash()
+        assert l.content_memo() is rebuilt.content_memo()
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=300, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        nonlocal derived
+        draw = data.draw
+        fixed = draw(st.dictionaries(keys, st.integers(1, 2), max_size=3))
+        bounded = {k: (lo, lo + w) for k, lo, w in draw(st.lists(
+            st.tuples(keys, st.integers(0, 1), st.integers(1, 2)),
+            max_size=4, unique_by=lambda t: t[0]))}
+        groups = []
+        pool = sorted(bounded)
+        if len(pool) >= 2 and draw(st.booleans()):
+            members = pool[:draw(st.integers(2, len(pool)))]
+            groups.append((members, draw(st.integers(
+                sum(bounded[k][0] for k in members), sum(bounded[k][1] for k in members)))))
+        l = lifted_state([Vertex(v, "x") for v in ids], fixed, bounded, groups)
+        if draw(st.booleans()):
+            l.content_hash()
+        for op in draw(st.lists(st.sampled_from(
+                ["hash", "shift", "group", "condition", "ground", "lift"]), max_size=8)):
+            if op == "hash":
+                check_against_rebuilt(l)
+                continue
+            if op == "shift":
+                delta = {}
+                for k in draw(st.lists(keys, min_size=1, max_size=3, unique=True)):
+                    delta[k] = draw(st.integers(-l.multiplicity_bounds(k)[0], 2))
+                l = l.shifted(delta)
+            elif op == "group":
+                grouped = {l.group_of(k) for k in l.bounds} - {None}
+                free = [k for k in l.bounds if l.group_of(k) is None]
+                options = [c.edge_keys for c in grouped]
+                if len(free) >= 2:
+                    options.append(frozenset(free[:draw(st.integers(2, len(free)))]))
+                if not options:
+                    continue
+                step = draw(st.sampled_from(sorted(options, key=sorted)))
+                delta = {k: 1 for k in draw(st.lists(keys, max_size=2, unique=True))
+                         if k not in step and l.group_of(k) is None}
+                l = l.shifted(delta, (step, draw(st.integers(0, len(step) + 2))))
+            elif op == "condition":
+                k = draw(st.sampled_from(sorted(l.bounds) or [("a", ("v0",))]))
+                lo, up = l.multiplicity_bounds(k)
+                l = l.conditioned(k, draw(st.integers(max(0, lo - 1), up + 1)))
+            elif op == "ground":
+                if l.is_empty or l.count_groundings() > 50:
+                    continue
+                l = l._ground(draw(st.sampled_from(list(l._iter_assignments()))))
+            elif isinstance(l, MultiHypergraph):
+                l = LiftedMultiHypergraph.from_graph(l)
+            if l.is_empty:
+                return
+            derived += l._hash is not None
+        check_against_rebuilt(l)
+
+    check()
+    assert derived >= 100    # states whose derivation kept their hash current

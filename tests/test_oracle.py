@@ -139,6 +139,41 @@ def test_ground_filter_builds_successors_only_for_the_observed_rule(monkeypatch)
         assert all(name == trace[i].action for i, name in calls)
 
 
+def test_the_ground_filter_finds_applicable_rules_once_per_domain(monkeypatch):
+    """The ground reference keeps each ground state's applicable rules for
+    its domain's lifetime: a trace filtered again on the same domain asks
+    ``ground_options`` nothing for applicability, a domain loaded afresh
+    asks as often as the first run did, and all three runs conclude the
+    same.  Successors stay per trace: each run builds as many."""
+    import mhgfilter.oracle as oracle
+    asked, built = [], []
+    real_options, real_successors = oracle.ground_options, oracle.successors
+
+    def counting_options(rule, g):
+        asked.append(rule.name)
+        return real_options(rule, g)
+
+    def counting_successors(rule, g):
+        built.append(rule.name)
+        return real_successors(rule, g)
+
+    monkeypatch.setattr(oracle, "ground_options", counting_options)
+    monkeypatch.setattr(oracle, "successors", counting_successors)
+    domain = builtin_domain("mini")
+    trace, _ = generate_trace(domain, seed=2, length=15)
+    runs = []
+    for d in (domain, domain, builtin_domain("mini")):
+        asked[:], built[:] = [], []
+        result = ground_filter_trace(d, trace)
+        runs.append(([b.as_dict() for b in result.beliefs], result.stats,
+                     result.log_likelihood, len(asked), len(built)))
+    (*first, asked_cold, built_cold), (*warm, asked_warm, built_warm), \
+        (*fresh, asked_fresh, built_fresh) = runs
+    assert warm == first and fresh == first
+    assert asked_cold > 0 and asked_warm == 0 and asked_fresh == asked_cold
+    assert built_cold > 0 and built_warm == built_fresh == built_cold
+
+
 def unchecked_document() -> dict:
     """A domain whose install rule meets ``unchecked_lifted_apply``'s raw
     interval arithmetic: with it patched in, the lifted filter drifts away

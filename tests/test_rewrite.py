@@ -9,8 +9,8 @@ from mhgfilter import (Effect, EffectEdge, EffectError, LiftedMultiHypergraph,
                        Match, MultiHypergraph, Pattern, PatternEdge, PatternVertex,
                        Rule, StructuralError, Vertex, apply, builtin_domain,
                        edge_key, ground_options, lifted_apply, successors)
-from oracles import (ground_pushforward, lifted_distribution, lifted_state,
-                     tv_distance, unchecked_lifted_apply)
+from oracles import (fresh_layout, ground_pushforward, lifted_distribution,
+                     lifted_state, tv_distance, unchecked_lifted_apply)
 
 
 def install_rule(slot_labels, capacity=1):
@@ -447,6 +447,46 @@ def test_match_aggregation_equals_ground_pushforward():
         res = lifted_apply(rule, l)
         assert (res.n_applicable, res.n_groundings) == (n_app, n_tot)
         assert tv_distance(lifted_distribution(res.outputs()), dist) <= 1e-12
+
+    check()
+
+
+def test_a_plan_is_memoised_by_state_content(caplog):
+    """On random install scenes, a state the constructor rebuilds from a
+    planned state's maps gets the very plan the first one stored, and that
+    plan equals the one planned afresh over a new layout.  A fallback is
+    not stored: the rebuilt state enumerates its groundings again and logs
+    its reason again."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+
+    def rebuilt(l, layout):
+        return LiftedMultiHypergraph(layout, l.bounds, [
+            (c.edge_keys, c.total) for c in {l.group_of(k) for k in l.bounds} - {None}])
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(st.composite(slot_scene)())
+    def check(scene):
+        rule, l = scene
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="mhgfilter"):
+            first = lifted_apply(rule, l)
+            again = lifted_apply(rule, rebuilt(l, l.layout))
+        fresh = lifted_apply(rule, rebuilt(l, fresh_layout(l)))
+        assert (again.n_applicable, again.n_groundings) == (first.n_applicable,
+                                                              first.n_groundings)
+        if first.groundings is None:
+            assert again.plan is first.plan
+            assert fresh.plan == first.plan
+            assert not first.plan or fresh.plan is not first.plan
+            assert caplog.messages == []
+        else:
+            assert again.groundings == first.groundings
+            assert len(caplog.messages) == 2
+            assert caplog.messages[0] == caplog.messages[1]
+            assert caplog.messages[0].startswith(f"lifted_apply {rule.name!r}: fallback, ")
 
     check()
 
