@@ -66,7 +66,9 @@ class VertexLayout:
     """Sorted vertices, their id index, the conservation declaration and the
     forms compiled from them: rules' keyed by ``id(rule)``, each holding its
     rule so the id stays taken, and canonical forms' keyed by their compile
-    function.
+    function.  ``compiled`` also keeps what is memoised for the layout's
+    lifetime: its states' content memos (see ``lifted``) and the ground
+    reference's applicable rules per domain.
 
     ``conserved`` maps each conserved vertex's id to its multiplicity, in
     vertex order; it is empty when either label set is.

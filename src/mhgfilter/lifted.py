@@ -184,7 +184,7 @@ class LiftedMultiHypergraph:
         """
         layout = self.layout
         group_of = self._group_of
-        swapped = []    # the groups the step replaces, then those it makes
+        swapped = []    # the groups the step replaces and those it makes
         if totals:
             # a state shares its group index while its groups are the same
             group_of = dict(group_of)
@@ -280,7 +280,7 @@ class LiftedMultiHypergraph:
         m = self._memo
         if m is None:
             m = {}
-            if not self.is_empty:   # its maps are an edgeless state's
+            if not self.is_empty:   # its maps equal an edgeless state's
                 memos = self.layout.compiled.setdefault(_CONTENT_MEMOS, {})
                 h = self.content_hash()
                 entry = memos.get(h)

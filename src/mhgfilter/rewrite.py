@@ -504,18 +504,13 @@ def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> tuple[tuple, ...] | No
     """
     memo = l.content_memo()
     plan = memo.get(id(rule))
-    if plan is None:
-        plan = _plan(_compiled(rule, l.layout), l)
-        if plan is not None:
-            plan = memo[id(rule)] = tuple(plan)
-    return plan
+    if plan is not None:
+        return plan
 
-
-def _plan(c: _CompiledRule, l: LiftedMultiHypergraph) -> list[tuple] | None:
-    """``_lifted_plan`` without the memo."""
     def give_up(reason: str) -> None:
-        logger.debug("lifted_apply %r: fallback, %s", c.rule.name, reason)
+        logger.debug("lifted_apply %r: fallback, %s", rule.name, reason)
 
+    c = _compiled(rule, l.layout)
     matches = _raw_matches(c, l)
     if not all(sure for _, sure in matches):
         return give_up("match sets differ across groundings")
@@ -530,8 +525,13 @@ def _plan(c: _CompiledRule, l: LiftedMultiHypergraph) -> list[tuple] | None:
             feasible.append(keys)
 
     if c.slot is None:
-        return [(1, keys.rest.delta, None) for keys in feasible]
-    return _slot_plan(l, feasible, give_up)
+        plan = [(1, keys.rest.delta, None) for keys in feasible]
+    else:
+        plan = _slot_plan(l, feasible, give_up)
+        if plan is None:
+            return None
+    plan = memo[id(rule)] = tuple(plan)
+    return plan
 
 
 def _slot_plan(l: LiftedMultiHypergraph, feasible: list[_EffectKeys],

@@ -524,8 +524,8 @@ def test_a_warm_domain_concludes_what_a_cold_one_does(caplog):
     """On random mini-family documents, a trace filtered twice on one domain
     and once on a domain loaded afresh gives bit-identical beliefs, step
     records and log likelihood, and the same debug lines for fallbacks and
-    splits: on the warm run, where plans come from the
-    memo, every fallback still logs ``lifted_apply '<rule>': fallback, ...``."""
+    splits: on the warm run, where plans come from the memo, every fallback
+    still logs ``lifted_apply '<rule>': fallback, ...``."""
     hypothesis = pytest.importorskip("hypothesis")
     traces = random.Random(0)   # the traces' own stream, across examples
     fallbacks = 0
