@@ -67,7 +67,8 @@ class VertexLayout:
     forms compiled from them: rules' keyed by ``id(rule)``, each holding its
     rule so the id stays taken, and canonical forms' keyed by their compile
     function.  ``compiled`` also keeps what is memoised for the layout's
-    lifetime: its states' content memos (see ``lifted``) and the ground
+    lifetime: one dict per distinct state content, under both maps frozen,
+    so it holds maps, never a state (see ``lifted``), and the ground
     reference's applicable rules per domain.
 
     ``conserved`` maps each conserved vertex's id to its multiplicity, in

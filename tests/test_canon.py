@@ -88,6 +88,7 @@ def test_digest_is_prefix_of_sha256():
     assert len(c.digest()) == 12
     assert len(c.digest(20)) == 20
     assert c.digest(20).startswith(c.digest())
+    assert repr(c) == f"CanonicalForm({c.digest()})"
 
 
 def test_canonical_form_is_deterministic():

@@ -109,6 +109,7 @@ def test_belief_normalises_and_merges():
     assert len(b) == 1
     assert b.total_weight() == pytest.approx(1.0)
     assert b.ground_count() == 1
+    assert repr(b) == "Belief(1 entries, 1 groundings)"
 
 
 def test_belief_rejects_bad_entries():
@@ -577,13 +578,3 @@ def test_the_memos_hold_no_reference_cycle():
     finally:
         if was_enabled:
             gc.enable()
-
-
-def test_a_content_hash_collision_only_misses(monkeypatch):
-    """With every state's content hash the same, each lookup in the content
-    memo collides, and its ``==`` check on both maps turns a collision into
-    a miss: the filter concludes bit for bit what it does without them."""
-    trace = generate_trace(builtin_domain("mini"), seed=4, length=20)[0]
-    expected = concluded(filter_trace(builtin_domain("mini"), trace))
-    monkeypatch.setattr(LiftedMultiHypergraph, "content_hash", lambda self: 0)
-    assert concluded(filter_trace(builtin_domain("mini"), trace)) == expected

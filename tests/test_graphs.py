@@ -121,6 +121,7 @@ def test_structural_equality_and_hash():
     assert g1 == g2
     assert hash(g1) == hash(g2)
     assert g1 != g3
+    assert (g1 == object()) is False
     # the same vertices and edges under another conservation declaration
     g4 = MultiHypergraph(index_vertices([Vertex("a", "x"), Vertex("b", "y")],
                                         {"at"}, {"x"}), g1.edge_dict())

@@ -3,15 +3,17 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Mapping
 
 import pytest
 
 from mhgfilter import (MAX_GROUNDINGS, Effect, EffectEdge, EnumerationLimitError,
                        IntegrityError, LiftedMultiHypergraph, Match, MultiHypergraph,
                        Pattern, PatternEdge, PatternVertex, Rule, StructuralError,
-                       Vertex, apply, index_vertices)
+                       Vertex, apply, builtin_domain, filter_trace, generate_trace,
+                       index_vertices)
 from mhgfilter.canon import canonical_form_lifted
-from mhgfilter.lifted import _count_compositions
+from mhgfilter.lifted import _CONTENT_MEMOS, _count_compositions
 from oracles import box_groundings, lifted_state, random_lifted, raw_groundings
 
 
@@ -86,6 +88,8 @@ def test_infeasible_total_yields_empty_state():
     assert l.count_groundings() == 0
     assert l.groundings() == []
     assert l.canonical_form().data == b"\x00empty"
+    assert repr(l) == "LiftedMultiHypergraph(empty)"
+    assert l.shifted({("at", ("a",)): 1}) is l
 
 
 def test_constraint_over_no_edges_must_total_zero():
@@ -306,6 +310,23 @@ def test_shifted_rejects_a_negative_multiplicity():
         l.shifted({("mark", ("s",)): -1})
 
 
+def test_conditioned_reads_a_key_as_edge_key_builds_it():
+    """An unsorted incidence names the same key as the sorted one, as in
+    ``shifted``, whether the key is ungrouped or a group member."""
+    vertices = [Vertex("agent", "agent"), Vertex("floor", "floor"),
+                Vertex("table", "table")]
+    at_t, at_f = ("at", ("agent", "table")), ("at", ("agent", "floor"))
+    for l in (LiftedMultiHypergraph(vertices, {at_t: (0, 1)}),
+              LiftedMultiHypergraph(vertices, {at_t: (0, 1), at_f: (0, 1)},
+                                    [({at_t, at_f}, 1)])):
+        for value in (0, 1):
+            sorted_key = l.conditioned(at_t, value)
+            unsorted = l.conditioned(("at", ("table", "agent")), value)
+            assert unsorted.count_groundings() == sorted_key.count_groundings() == 1
+            assert unsorted.bounds == sorted_key.bounds
+    assert l.conditioned(("at", ("floor", "agent")), 1).bounds == {at_f: (1, 1)}
+
+
 def test_enumeration_limit():
     def free_marks(n):
         ids = [f"m{i}" for i in range(n)]
@@ -384,14 +405,11 @@ def groups_of(l: LiftedMultiHypergraph) -> list[tuple[frozenset, int]]:
     return [(c.edge_keys, c.total) for c in {l.group_of(k) for k in l.bounds} - {None}]
 
 
-def test_a_derived_content_hash_equals_the_hash_from_scratch():
+def test_a_derived_state_shares_the_memo_of_its_rebuilt_content():
     """From random states, along random chains of ``shifted`` (with and
-    without ``group``), ``conditioned``, ``_ground`` and ``from_graph``,
-    the content hash of a state that is asked for it mid-chain, and of the
-    last state, equals that of the state the constructor rebuilds from its
-    maps, computed from scratch, and the two share one content memo.  Once
-    a state's hash is asked for, its successors' hashes are kept current
-    by derivation; a grounding's is computed when asked."""
+    without ``group``), ``conditioned``, ``_ground`` and ``from_graph``, a
+    state asked for its content memo mid-chain, and the last state, share
+    one memo with the state the constructor rebuilds from its maps."""
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
 
@@ -399,13 +417,9 @@ def test_a_derived_content_hash_equals_the_hash_from_scratch():
     keys = st.tuples(st.sampled_from(["a", "b"]),
                      st.lists(st.sampled_from(ids), min_size=1, max_size=2)
                      .map(lambda vs: tuple(sorted(vs))))
-    derived = 0
 
     def check_against_rebuilt(l):
         rebuilt = LiftedMultiHypergraph(l.layout, l.bounds, groups_of(l))
-        assert rebuilt.bounds == l.bounds
-        assert set(groups_of(rebuilt)) == set(groups_of(l))
-        assert l.content_hash() == rebuilt.content_hash()
         assert l.content_memo() is rebuilt.content_memo()
 
     @hypothesis.seed(0)
@@ -413,7 +427,6 @@ def test_a_derived_content_hash_equals_the_hash_from_scratch():
                          database=None)
     @hypothesis.given(st.data())
     def check(data):
-        nonlocal derived
         draw = data.draw
         fixed = draw(st.dictionaries(keys, st.integers(1, 2), max_size=3))
         bounded = {k: (lo, lo + w) for k, lo, w in draw(st.lists(
@@ -427,10 +440,10 @@ def test_a_derived_content_hash_equals_the_hash_from_scratch():
                 sum(bounded[k][0] for k in members), sum(bounded[k][1] for k in members)))))
         l = lifted_state([Vertex(v, "x") for v in ids], fixed, bounded, groups)
         if draw(st.booleans()):
-            l.content_hash()
+            l.content_memo()
         for op in draw(st.lists(st.sampled_from(
-                ["hash", "shift", "group", "condition", "ground", "lift"]), max_size=8)):
-            if op == "hash":
+                ["memo", "shift", "group", "condition", "ground", "lift"]), max_size=8)):
+            if op == "memo":
                 check_against_rebuilt(l)
                 continue
             if op == "shift":
@@ -462,8 +475,38 @@ def test_a_derived_content_hash_equals_the_hash_from_scratch():
                 l = LiftedMultiHypergraph.from_graph(l)
             if l.is_empty:
                 return
-            derived += l._hash is not None
         check_against_rebuilt(l)
 
     check()
-    assert derived >= 100    # states whose derivation kept their hash current
+
+
+def test_a_content_memo_is_keyed_by_both_maps_and_holds_no_state():
+    """States with equal bounds maps but different groups get different
+    memos; the empty state shares none with an edgeless one; and after a
+    filter run the layout's memos hold maps and plans, never a state."""
+    l = hull_example()
+    s1, s2 = ("at", ("e", "s1")), ("at", ("e", "s2"))
+    ungrouped = LiftedMultiHypergraph(l.layout, {s1: (0, 2), s2: (2, 4)})
+    assert ungrouped.bounds == l.bounds
+    assert ungrouped.content_memo() is not l.content_memo()
+    assert (LiftedMultiHypergraph(l.layout, l.bounds, groups_of(l)).content_memo()
+            is l.content_memo())
+
+    edgeless = LiftedMultiHypergraph(l.layout)
+    empty = l.conditioned(s1, 3)
+    assert empty.is_empty and (empty.bounds, empty._group_of) == ({}, {})
+    assert empty.content_memo() is not edgeless.content_memo()
+    assert empty.content_memo() is empty.content_memo()
+
+    domain = builtin_domain("mini")
+    filter_trace(domain, generate_trace(domain, seed=1, length=20)[0])
+    memos = domain.initial_state.layout.compiled[_CONTENT_MEMOS]
+    assert any(memos.values())
+    stack = [memos]
+    while stack:
+        obj = stack.pop()
+        assert not isinstance(obj, LiftedMultiHypergraph)
+        if isinstance(obj, Mapping):
+            stack.extend(obj.items())
+        elif isinstance(obj, (tuple, frozenset)):
+            stack.extend(obj)
