@@ -13,11 +13,13 @@ particle carries that transition, not its successors.  The update builds
 successors only for particles whose rule is the observed action, from the
 particle's plan (re-planned where conditioning tightens the predecessor),
 and only those the next-side observation does not already exclude.  Every
-state that enters a belief is built, and checked, on the way.  A canonical
-form is computed only where two states meet: to merge a belief's entries,
-a transition's successors or the groundings an enumeration keeps, and to
-order particles from more than one predecessor.  A step that holds one
-state computes none.
+state that enters a belief is built on the way, and checked once per
+content: a plan's successor is derived and checked on first build, then
+remade from the memo of its predecessor's content.  A canonical form is
+computed only where two states meet: to merge a belief's entries, a
+transition's successors or the groundings an enumeration keeps, and to
+order particles from more than one predecessor, and once per content.  A
+step that holds one state computes none.
 
 Exactness contract: prediction splits a belief entry into its groundings
 whenever some rule is applicable in only part of them, or the action model

@@ -50,9 +50,13 @@ reuses every other group.  Both arguments for that are exact:
 
 A state's content is its two maps, and ``content_memo`` gives the dict that
 every state of a layout with that content shares, where callers memoise what
-is a function of the content alone (the lifted plans of ``rewrite``): the
-layout keeps one per content, keyed by both maps frozen, so it holds maps,
-never a state.
+is a function of the content alone: the lifted plans of ``rewrite`` under a
+rule's id, each with its successors' parts, which rebuild a successor and
+find its memo by its key (``_parts``, ``_rebuilt``), and the canonical
+forms under their version byte, ``0x01`` and ``0x02``, since a ground state
+and its ``from_graph`` twin share one memo.  The layout keeps one memo per
+content, keyed by both maps frozen.  A memo holds maps, keys, plans and
+forms, never a state or another memo, so it makes no reference cycle.
 
 Every state built from another (shifted, conditioned, lifted from a graph,
 or grounded) keeps its vertex layout, with its conservation declaration
@@ -231,16 +235,47 @@ class LiftedMultiHypergraph:
     def content_memo(self) -> dict:
         """The dict that this state shares with every state of its layout
         with the same bounds map and groups, for memoising functions of
-        that content; empty until a caller fills it, and as long-lived as
-        the layout.  Found once per state and kept."""
+        that content: the lifted plans and successor parts of ``rewrite``,
+        and the canonical forms.  As long-lived as the layout.  Found once
+        per state and kept."""
         if self._memo is None:
             if self.is_empty:   # its maps equal an edgeless state's
                 self._memo = {}
             else:
-                memos = self.layout.compiled.setdefault(_CONTENT_MEMOS, {})
-                self._memo = memos.setdefault((frozenset(self.bounds.items()),
-                                               frozenset(self._group_of.values())), {})
+                self._memo = self._memos().setdefault(self._content_key(), {})
         return self._memo
+
+    def _memos(self) -> dict:
+        return self.layout.compiled.setdefault(_CONTENT_MEMOS, {})
+
+    def _content_key(self) -> tuple:
+        return frozenset(self.bounds.items()), frozenset(self._group_of.values())
+
+    def _parts(self) -> tuple:
+        """What ``_rebuilt`` makes this derived state again from: its bounds
+        map and group index, shared and never mutated, its grounding count,
+        and its content key, None for the empty state.  They hold no state
+        and no memo.  Finds the state's content memo."""
+        if self.is_empty:
+            return {}, {}, 0, None
+        key = self._content_key()
+        if self._memo is None:
+            self._memo = self._memos().setdefault(key, {})
+        return self.bounds, self._group_of, self.count_groundings(), key
+
+    def _rebuilt(self, parts: tuple) -> "LiftedMultiHypergraph":
+        """The state derived from this one whose ``_parts`` these are, with
+        its content memo.  It has this state's class while it has one
+        grounding, that is every key fixed, as ``_derive`` chooses: a
+        ground state and its lifted twin share one memo."""
+        bounds, group_of, count, key = parts
+        if key is None:
+            return self._empty()
+        made = self._made if count == 1 else LiftedMultiHypergraph._made
+        l = made(self.layout, bounds, group_of)
+        l._count = count
+        l._memo = self.layout.compiled[_CONTENT_MEMOS][key]
+        return l
 
     @staticmethod
     def from_graph(g: "MultiHypergraph") -> "LiftedMultiHypergraph":
@@ -380,12 +415,24 @@ class LiftedMultiHypergraph:
         return out
 
     def canonical_form(self) -> CanonicalForm:
+        """The lifted form (``0x02``), kept in the content memo too."""
         if self._canonical is None:
             if self.is_empty:
                 self._canonical = CanonicalForm(b"\x00empty")
             else:
-                self._canonical = _canon_lifted(self)
+                self._canonical = self._shared_form(0x02, _canon_lifted)
         return self._canonical
+
+    def _shared_form(self, version: int, compute) -> CanonicalForm:
+        """``compute(self)``, kept in the content memo under ``version``
+        once the state holds its memo: a form is a function of the content."""
+        memo = self._memo
+        if memo is None:
+            return compute(self)
+        form = memo.get(version)
+        if form is None:
+            form = memo[version] = compute(self)
+        return form
 
     def __repr__(self):
         if self.is_empty:
@@ -415,8 +462,9 @@ class MultiHypergraph(LiftedMultiHypergraph):
         return {k: m for k, (m, _) in self.bounds.items()}
 
     def canonical_form(self) -> CanonicalForm:
+        """The ground form (``0x01``), kept in the content memo too."""
         if self._canonical is None:
-            self._canonical = canon.canonical_form(self)
+            self._canonical = self._shared_form(0x01, canon.canonical_form)
         return self._canonical
 
     def __eq__(self, other):
@@ -505,16 +553,20 @@ def _compositions(bounds: list[tuple[int, int]], total: int
     for i in range(len(bounds) - 1, -1, -1):
         suffix_lo[i] = suffix_lo[i + 1] + bounds[i][0]
         suffix_up[i] = suffix_up[i + 1] + bounds[i][1]
+    return _compositions_from(bounds, suffix_lo, suffix_up, 0, total, ())
 
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]):
-        if i == len(bounds):
-            if remaining == 0:
-                yield prefix
-            return
-        lo, up = bounds[i]
-        lo = max(lo, remaining - suffix_up[i + 1])
-        up = min(up, remaining - suffix_lo[i + 1])
-        for v in range(lo, up + 1):
-            yield from rec(i + 1, remaining - v, prefix + (v,))
 
-    yield from rec(0, total, ())
+def _compositions_from(bounds, suffix_lo, suffix_up, i: int, remaining: int,
+                       prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The compositions that extend ``prefix`` from member ``i``.  Not
+    nested: a nested generator holds itself in a closure cell, a cycle."""
+    if i == len(bounds):
+        if remaining == 0:
+            yield prefix
+        return
+    lo, up = bounds[i]
+    lo = max(lo, remaining - suffix_up[i + 1])
+    up = min(up, remaining - suffix_lo[i + 1])
+    for v in range(lo, up + 1):
+        yield from _compositions_from(bounds, suffix_lo, suffix_up, i + 1,
+                                      remaining - v, prefix + (v,))

@@ -27,11 +27,15 @@ The lifted plan (see below) is a function of the rule, the layout and the
 state's bounds map and groups, so it is memoised once per rule and state
 content, in the state's ``content_memo`` under the rule's id: a state
 planned again, by the same or another object, gets the stored plan.  The
-layout holds the rule, so its id stays taken while the memo lives.  Two
-things are left out.  A fallback is planned afresh each time, so every one
-enumerates its groundings and logs why.  Successors are built afresh by
-``outputs``, so a domain that has filtered before builds, and computes the
-forms of, the same states as a new one.
+layout holds the rule, so its id stays taken while the memo lives.  Beside
+the plan, the same entry keeps each step's successor parts (its maps,
+grounding count and content key, see ``LiftedMultiHypergraph._parts``),
+stored by the first ``outputs`` read that builds the step with
+``shifted``.  A later read remakes the successor from them with its
+content memo attached: it is not normalised or checked again, and finds its
+plans and canonical form in the memo.  A fallback is planned afresh each time,
+so every one enumerates its groundings and logs why, and its successors
+are built afresh.
 
 Whether an effect can fire at a match is decided in one place,
 ``_effect_feasible``: ``ground_options``, the lifted plan and ``apply`` all
@@ -456,8 +460,9 @@ class LiftedApplyResult:
 
     ``n_applicable`` of the ``n_groundings`` groundings admit at least one
     option; callers split the state when 0 < n_applicable < n_groundings.
-    The lifted path fills ``plan``; the fallback fills ``groundings`` with
-    each applicable grounding and its ``ground_options``.
+    The lifted path fills ``plan``, as memoised for the state's content,
+    beside the successor parts that ``outputs`` reads; the fallback fills
+    ``groundings`` with each applicable grounding and its ``ground_options``.
     """
 
     rule: Rule
@@ -479,17 +484,33 @@ class LiftedApplyResult:
         merging successors one verdict (unique agent and agent-location
         labels; held counts sum over a label).  Pinned forms that lift that
         label rule must revisit this.
+
+        A plan step's successor is derived by ``shifted`` the first time it
+        is built for the state's content and rule, and remade from the
+        parts stored beside the plan after that.
         """
         if self.groundings is not None:
             pairs = [(apply(self.rule, g, m), 1.0 / len(options))
                      for g, options in self.groundings for m in options]
             return tuple((LiftedMultiHypergraph.from_graph(h), w / self.n_applicable)
                          for h, w in merged(pairs))
-        l = self.state
-        n_options = sum(step[0] for step in self.plan)
-        return tuple(merged((l.shifted(delta, group), n / n_options)
-                            for n, delta, group in self.plan
-                            if not _excluded(l, delta, group, conditions)))
+        l, plan = self.state, self.plan
+        if not plan:
+            return ()
+        built = l.content_memo()[id(self.rule)][1]
+        n_options = sum(step[0] for step in plan)
+        pairs = []
+        for i, (n, delta, group) in enumerate(plan):
+            if _excluded(l, delta, group, conditions):
+                continue
+            parts = built[i]
+            if parts is None:
+                h = l.shifted(delta, group)
+                built[i] = h._parts()
+            else:
+                h = l._rebuilt(parts)
+            pairs.append((h, n / n_options))
+        return tuple(merged(pairs))
 
 
 def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> tuple[tuple, ...] | None:
@@ -503,9 +524,9 @@ def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> tuple[tuple, ...] | No
     A failed precondition is logged at debug level.
     """
     memo = l.content_memo()
-    plan = memo.get(id(rule))
-    if plan is not None:
-        return plan
+    entry = memo.get(id(rule))
+    if entry is not None:
+        return entry[0]
 
     def give_up(reason: str) -> None:
         logger.debug("lifted_apply %r: fallback, %s", rule.name, reason)
@@ -530,7 +551,8 @@ def _lifted_plan(rule: Rule, l: LiftedMultiHypergraph) -> tuple[tuple, ...] | No
         plan = _slot_plan(l, feasible, give_up)
         if plan is None:
             return None
-    plan = memo[id(rule)] = tuple(plan)
+    plan = tuple(plan)
+    memo[id(rule)] = plan, [None] * len(plan)    # and each step's successor parts
     return plan
 
 

@@ -564,8 +564,10 @@ def test_a_warm_domain_concludes_what_a_cold_one_does(caplog):
 def test_the_memos_hold_no_reference_cycle():
     """With the cycle collector off, a fresh mini domain that has filtered
     and been compared is freed, layout and all, once it and the results are
-    dropped: nothing its memos keep refers back to it."""
+    dropped, and it leaves no garbage that only the collector could free:
+    nothing its memos keep refers back to it or to another memo."""
     was_enabled = gc.isenabled()
+    gc.collect()
     gc.disable()
     try:
         domain = builtin_domain("mini")
@@ -573,8 +575,9 @@ def test_the_memos_hold_no_reference_cycle():
         result, report = filter_trace(domain, trace), compare(domain, trace)
         assert len(result.beliefs) == 21 and not report.divergent
         dead = weakref.ref(domain), weakref.ref(domain.initial_state.layout)
-        del domain, result, report
+        del domain, trace, result, report
         assert [ref() for ref in dead] == [None, None]
+        assert gc.collect() == 0
     finally:
         if was_enabled:
             gc.enable()

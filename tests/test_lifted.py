@@ -483,7 +483,8 @@ def test_a_derived_state_shares_the_memo_of_its_rebuilt_content():
 def test_a_content_memo_is_keyed_by_both_maps_and_holds_no_state():
     """States with equal bounds maps but different groups get different
     memos; the empty state shares none with an edgeless one; and after a
-    filter run the layout's memos hold maps and plans, never a state."""
+    filter run the layout's memos hold maps, plans, successor parts and
+    forms, never a state or another memo."""
     l = hull_example()
     s1, s2 = ("at", ("e", "s1")), ("at", ("e", "s2"))
     ungrouped = LiftedMultiHypergraph(l.layout, {s1: (0, 2), s2: (2, 4)})
@@ -502,11 +503,18 @@ def test_a_content_memo_is_keyed_by_both_maps_and_holds_no_state():
     filter_trace(domain, generate_trace(domain, seed=1, length=20)[0])
     memos = domain.initial_state.layout.compiled[_CONTENT_MEMOS]
     assert any(memos.values())
-    stack = [memos]
+    memo_ids = {id(memo) for memo in memos.values()}
+    stack = list(memos)     # the keys, both maps frozen, and what each memo holds
+    for memo in memos.values():
+        stack.extend(memo.items())
+    built = 0
     while stack:
         obj = stack.pop()
         assert not isinstance(obj, LiftedMultiHypergraph)
+        assert id(obj) not in memo_ids
         if isinstance(obj, Mapping):
             stack.extend(obj.items())
-        elif isinstance(obj, (tuple, frozenset)):
+        elif isinstance(obj, (tuple, frozenset, list)):
             stack.extend(obj)
+            built += isinstance(obj, list) and any(obj)
+    assert built

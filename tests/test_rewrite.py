@@ -451,6 +451,12 @@ def test_match_aggregation_equals_ground_pushforward():
     check()
 
 
+def rebuilt(l, layout):
+    """The state the constructor builds from ``l``'s maps over ``layout``."""
+    return LiftedMultiHypergraph(layout, l.bounds, [
+        (c.edge_keys, c.total) for c in {l.group_of(k) for k in l.bounds} - {None}])
+
+
 def test_a_plan_is_memoised_by_state_content(caplog):
     """On random install scenes, a state the constructor rebuilds from a
     planned state's maps gets the very plan the first one stored, and that
@@ -459,10 +465,6 @@ def test_a_plan_is_memoised_by_state_content(caplog):
     its reason again."""
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
-
-    def rebuilt(l, layout):
-        return LiftedMultiHypergraph(layout, l.bounds, [
-            (c.edge_keys, c.total) for c in {l.group_of(k) for k in l.bounds} - {None}])
 
     @hypothesis.seed(0)
     @hypothesis.settings(max_examples=150, derandomize=True, deadline=None,
@@ -491,6 +493,42 @@ def test_a_plan_is_memoised_by_state_content(caplog):
     check()
 
 
+def condition_scene(draw):
+    """A ``slot_scene`` with exact-count conditions for its ``outputs``,
+    drawn with ``draw(strategy)``: each sums the orbit of its drawn keys
+    under the vertex permutations that keep labels and multiplicities, as
+    the domain's held counts sum over a whole label.  Drawing reads the
+    scene's outputs once."""
+    from hypothesis import strategies as st
+
+    rule, l = slot_scene(draw)
+    alike = {}
+    for v in l.vertices:
+        alike.setdefault((v.label, v.multiplicity), []).append(v.id)
+    twins = {v.id: alike[v.label, v.multiplicity] for v in l.vertices}
+    screws = [e for e in ("e1", "e2") if l.has_vertex(e)]
+    keys = ([("holds", ("a", e)) for e in screws]
+            + [("at", (e, v.id)) for e in screws for v in l.vertices
+               if v.label.startswith("slot_")] + [("tag", ("a",))])
+    # mostly require what one successor's grounding g has, on keys that
+    # g holds, so that the conditions keep some successors and drop others
+    outputs = lifted_apply(rule, l).outputs()
+    g = None
+    if outputs and draw(st.integers(0, 3)):
+        state = draw(st.sampled_from(outputs))[0]
+        g = draw(st.sampled_from(list(state.iter_groundings())))
+    pool = [k for k in keys if g is not None and g.edge_multiplicity(*k)] or keys
+    conds = []
+    for _ in range(draw(st.integers(1, 3))):
+        drawn = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
+                              unique=True))
+        orbit = tuple(sorted({edge_key(label, ids) for label, inc in drawn
+                              for ids in itertools.product(*(twins[v] for v in inc))}))
+        conds.append((orbit, draw(st.integers(0, 2)) if g is None
+                      else sum(g.edge_multiplicity(*k) for k in orbit)))
+    return rule, l, conds
+
+
 def test_condition_prune_drops_only_dead_successors():
     """With conditions, ``outputs`` returns, bit for bit, the outputs it
     returns without them, less some whose every grounding misses a
@@ -503,35 +541,6 @@ def test_condition_prune_drops_only_dead_successors():
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
 
-    @st.composite
-    def scenes(draw):
-        rule, l = slot_scene(draw)
-        alike = {}
-        for v in l.vertices:
-            alike.setdefault((v.label, v.multiplicity), []).append(v.id)
-        twins = {v.id: alike[v.label, v.multiplicity] for v in l.vertices}
-        screws = [e for e in ("e1", "e2") if l.has_vertex(e)]
-        keys = ([("holds", ("a", e)) for e in screws]
-                + [("at", (e, v.id)) for e in screws for v in l.vertices
-                   if v.label.startswith("slot_")] + [("tag", ("a",))])
-        # mostly require what one successor's grounding g has, on keys that
-        # g holds, so that the conditions keep some successors and drop others
-        outputs = lifted_apply(rule, l).outputs()
-        g = None
-        if outputs and draw(st.integers(0, 3)):
-            state = draw(st.sampled_from(outputs))[0]
-            g = draw(st.sampled_from(list(state.iter_groundings())))
-        pool = [k for k in keys if g is not None and g.edge_multiplicity(*k)] or keys
-        conds = []
-        for _ in range(draw(st.integers(1, 3))):
-            drawn = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3,
-                                  unique=True))
-            orbit = tuple(sorted({edge_key(label, ids) for label, inc in drawn
-                                  for ids in itertools.product(*(twins[v] for v in inc))}))
-            conds.append((orbit, draw(st.integers(0, 2)) if g is None
-                          else sum(g.edge_multiplicity(*k) for k in orbit)))
-        return rule, l, conds
-
     def live(state, conds):
         return any(all(sum(g.edge_multiplicity(*k) for k in keys) == required
                        for keys, required in conds)
@@ -540,7 +549,7 @@ def test_condition_prune_drops_only_dead_successors():
     @hypothesis.seed(0)
     @hypothesis.settings(max_examples=250, derandomize=True, deadline=None,
                          database=None)
-    @hypothesis.given(scenes())
+    @hypothesis.given(st.composite(condition_scene)())
     def check(scene):
         rule, l, conds = scene
         t = lifted_apply(rule, l)
@@ -601,3 +610,113 @@ def test_condition_prune_on_every_kind_of_plan_step():
         assert state.multiplicity_bounds(("holds", ("a", item))) == (0, 0)
         kept.add(entry(state, p))
     assert kept == entries
+
+
+def described(outputs) -> list[tuple]:
+    """Each successor's class, bounds map, groups, emptiness and canonical
+    bytes, with the ``repr`` of its probability."""
+    return [(type(s), s.bounds, {s.group_of(k) for k in s.bounds} - {None},
+             s.is_empty, s.canonical_form().data, repr(p)) for s, p in outputs]
+
+
+def test_a_memoised_successor_is_the_state_a_fresh_layout_derives():
+    """On random install scenes, with and without conditions: successors
+    that a rebuilt equal-content state reads from the memo are the states
+    that the cold read and a fresh layout derive, down to class, maps,
+    groups, emptiness, canonical bytes and weights, and each comes with the
+    content memo of the one ``shifted`` derived."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    reused = 0
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(st.composite(condition_scene)(), st.booleans())
+    def check(scene, conditioned):
+        nonlocal reused
+        rule, drawn, conds = scene
+        conds = conds if conditioned else ()
+        l = rebuilt(drawn, fresh_layout(drawn))     # drawing read its outputs
+        cold = lifted_apply(rule, l).outputs(conds)
+        warm = lifted_apply(rule, rebuilt(l, l.layout))
+        fresh = lifted_apply(rule, rebuilt(l, fresh_layout(l)))
+        assert described(warm.outputs(conds)) == described(cold)
+        assert described(warm.outputs(conds)) == described(fresh.outputs(conds))
+        assert described(warm.outputs()) == described(fresh.outputs())
+        for (a, _), (b, _) in zip(cold, warm.outputs(conds)):
+            if warm.groundings is None:     # attached, not looked up again
+                assert b._memo is a.content_memo()
+                reused += 1
+            assert b.content_memo() is a.content_memo()
+    check()
+    assert reused >= 100
+
+
+def test_a_ground_state_and_its_lifted_twin_keep_their_classes_and_forms():
+    """A ground state and its ``from_graph`` twin share one content memo,
+    and so one plan and one set of successor parts per rule.  Read in
+    either order, the ground state's successors are ground, with the
+    ``0x01`` form, until a key is bounded, and the twin's are lifted, with
+    the ``0x02`` form, as over a fresh layout; each state keeps its own
+    form version."""
+    vertices = [Vertex("a", "agent"), Vertex("e", "screw"), Vertex("x", "x"),
+                Vertex("y", "y"), Vertex("z", "z"), Vertex("s1", "slot"),
+                Vertex("s2", "slot")]
+    edges = {("at", ("a", "x")): 1, ("adj", ("x", "y")): 1, ("adj", ("x", "z")): 1,
+             ("holds", ("a", "e")): 1}
+    rules = (walk_rule(), install_rule(["slot"]))
+
+    def kinds(outputs):
+        return [(type(s), s.canonical_form().data[0]) for s, _ in outputs]
+
+    for ground_first in (True, False):
+        g = MultiHypergraph(vertices, edges)
+        twin = LiftedMultiHypergraph.from_graph(g)
+        assert twin.content_memo() is g.content_memo()
+        for state in (g, twin) if ground_first else (twin, g):
+            layout = fresh_layout(state)
+            alone = (MultiHypergraph(layout, edges) if state is g
+                     else LiftedMultiHypergraph.from_graph(MultiHypergraph(layout, edges)))
+            for rule in rules:
+                out, expected = lifted_apply(rule, state), lifted_apply(rule, alone)
+                assert described(out.outputs()) == described(expected.outputs())
+        assert (g.canonical_form().data[0], twin.canonical_form().data[0]) == (1, 2)
+        assert kinds(lifted_apply(rules[0], g).outputs()) == [(MultiHypergraph, 1)] * 2
+        assert kinds(lifted_apply(rules[1], g).outputs()) == [(LiftedMultiHypergraph, 2)]
+        assert kinds(lifted_apply(rules[0], twin).outputs()) == [
+            (LiftedMultiHypergraph, 2)] * 2
+
+
+def test_a_failed_shift_stores_no_successor(monkeypatch):
+    """When ``shifted`` raises while ``outputs`` builds a successor, the
+    memo keeps no parts for it, and the next read builds it afresh."""
+    l = member_state()
+    rule = install_rule(("slot_a", "slot_b", "slot_c"))
+    real = LiftedMultiHypergraph.shifted
+
+    def failing(*args):
+        raise StructuralError("shift failed")
+
+    monkeypatch.setattr(LiftedMultiHypergraph, "shifted", failing)
+    with pytest.raises(StructuralError):
+        lifted_apply(rule, l).outputs()
+    plan, built = l.content_memo()[id(rule)]
+    assert len(plan) == 2 and built == [None, None]
+    monkeypatch.setattr(LiftedMultiHypergraph, "shifted", real)
+    assert described(lifted_apply(rule, l).outputs()) == described(
+        lifted_apply(rule, rebuilt(l, fresh_layout(l))).outputs())
+    assert None not in built
+
+
+def test_an_empty_successor_is_rebuilt_empty():
+    """The parts of the empty state rebuild the empty state, whose memo is
+    its own, never an edgeless state's."""
+    l = member_state()
+    empty = l.conditioned(("at", ("e", "s1")), 2)
+    assert empty.is_empty
+    again = l._rebuilt(empty._parts())
+    assert again.is_empty and again.count_groundings() == 0
+    edgeless = LiftedMultiHypergraph(l.layout)
+    assert again.content_memo() is not edgeless.content_memo()
+    assert again.canonical_form() == empty.canonical_form() != edgeless.canonical_form()

@@ -73,13 +73,16 @@ def main(argv: list[str]) -> int:
     import pytest
 
     sys.path.insert(0, str(ROOT / "tests"))
+    # read before the run: a file edited during it is reported as imported
+    sources = {path: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE.glob("*.py"))}
+    trees = {path: ast.parse(source) for path, source in sources.items()}
     code, hits = trace_lines(lambda: pytest.main(argv or [str(ROOT / "tests")]))
     per_file = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        source = path.read_text(encoding="utf-8")
+    for path, source in sources.items():
         lines = source.splitlines()
         ran = {line for name, line in hits if name == str(path)}
-        missed = sorted(first for first, last in statements(ast.parse(source))
+        missed = sorted(first for first, last in statements(trees[path])
                         if ran.isdisjoint(range(first, last + 1)))
         rel = path.relative_to(ROOT)
         for line in missed:
