@@ -113,12 +113,23 @@ def _load_domain(spec: str) -> Domain:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad JSON: {exc.msg}", spec, exc.lineno) from exc
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc, spec) from exc
     return parse_domain(data, source=spec)
 
 
 def _load_trace(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_trace(fh.read(), source=path)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise _not_utf8(exc, path) from exc
+    return parse_trace(text, source=path)
+
+
+def _not_utf8(exc: UnicodeDecodeError, source: str) -> ParseError:
+    return ParseError(f"not UTF-8: byte {exc.object[exc.start]:#04x} "
+                      f"at offset {exc.start}", source)
 
 
 def _emit(text: str, output: str | None) -> None:

@@ -26,7 +26,7 @@ from importlib import resources
 from typing import Iterable, Mapping, Sequence
 
 from .errors import IntegrityError, ParseError, StructuralError
-from .filtering import HOLDS_LABEL, ActionModel, agent_location
+from .filtering import HOLDS_LABEL, ActionModel, ObservationSchema, agent_location
 from .graphs import EdgeKey, Vertex, edge_key, index_vertices
 from .lifted import LiftedMultiHypergraph, MultiHypergraph
 from .rewrite import (Effect, EffectEdge, Pattern, PatternEdge, PatternVertex,
@@ -92,10 +92,10 @@ class Domain:
         for v in self.initial_state.vertices:
             by_label.setdefault(v.label, []).append(v)
         # the observed held-count keys, per holdable label in sorted order
-        object.__setattr__(self, "holds_keys", tuple(
+        object.__setattr__(self, "observation", ObservationSchema(self.agent_id, tuple(
             (label, tuple(edge_key(HOLDS_LABEL, (self.agent_id, v.id))
                           for v in by_label.get(label, ())))
-            for label in sorted(self.holdable_labels)))
+            for label in sorted(self.holdable_labels))))
         # Beliefs merge states by label-preserving isomorphism, but the
         # observation names the agent and its location by vertex id, and an
         # effect may name a literal id.  Such a vertex must be the only one
@@ -439,7 +439,7 @@ def builtin_domain(name: str) -> Domain:
 
 def held_counts(domain: Domain, g: MultiHypergraph) -> dict[str, int]:
     out = {}
-    for label, keys in domain.holds_keys:
+    for label, keys in domain.observation.holds_keys:
         c = sum(g.multiplicity_bounds(k)[0] for k in keys)
         if c:
             out[label] = c

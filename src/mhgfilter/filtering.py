@@ -12,8 +12,20 @@ Prediction plans each rule once per belief entry and builds nothing; a
 particle carries that transition, not its successors.  The update builds
 successors only for particles whose rule is the observed action, from the
 particle's plan (re-planned where conditioning tightens the predecessor),
-and only those the next-side observation does not already exclude.  Every
-state that enters a belief is built on the way, and checked once per
+and only those the next-side observation does not already exclude.
+
+The observation is compiled at three levels.  Once per domain, the schema
+(``ObservationSchema``) maps each observed ``holds`` key to its label.
+Once per distinct annotation side, a compiled side holds the location's
+``at`` key, the held count per holdable label and whether the side admits
+its other labels at all.  Once per state content, a summary holds the
+agent's location and each label's least and greatest held sum, in the
+content memo under the schema's value.  ``predict`` reads the location
+from the summary; ``update`` decides a state whose observed keys are all
+fixed by comparing summary and side, and a plan step by the labels its
+delta and group touch.
+
+Every state that enters a belief is built on the way, and checked once per
 content: a plan's successor is derived and checked on first build, then
 remade from the memo of its predecessor's content.  A canonical form is
 computed only where two states meet: to merge a belief's entries, a
@@ -186,11 +198,15 @@ class FilterResult:
     warnings: tuple[str, ...] = ()
 
 
-# -- observation schema --------------------------------------------------------
+# -- observation ---------------------------------------------------------------
 
 def agent_location(domain, state: LiftedMultiHypergraph) -> str | None:
     """The agent's location vertex id, or None when not uniquely fixed."""
-    agent, found = domain.agent_id, None
+    return _agent_location(domain.agent_id, state)
+
+
+def _agent_location(agent: str, state: LiftedMultiHypergraph) -> str | None:
+    found = None
     for (label, incidence), (lo, up) in state.bounds.items():
         if label != AT_LABEL or lo != up or agent not in incidence:
             continue
@@ -207,7 +223,8 @@ def _conditions(domain, loc: str, held: Mapping[str, int]
     side, the agent's location first.  An unknown location fails it: its
     key has multiplicity 0 in every state."""
     conds = [((edge_key(AT_LABEL, (domain.agent_id, loc)),), 1)]
-    conds += [(keys, held.get(label, 0)) for label, keys in domain.holds_keys]
+    conds += [(keys, held.get(label, 0))
+              for label, keys in domain.observation.holds_keys]
     # an unknown label has no keys: only 0 is satisfiable
     conds += [((), held[label]) for label in sorted(held)
               if label not in domain.holdable_labels]
@@ -223,18 +240,174 @@ def _ground_consistent(g: MultiHypergraph,
     return True
 
 
+class ObservationSchema:
+    """What a domain observes, compiled once per domain (``Domain.observation``):
+    the agent, the observed ``holds`` keys per holdable label, the labels
+    sorted, and each key's label index.  ``side`` compiles each distinct
+    annotation side once for the domain's lifetime.
+
+    ``key`` holds the schema's value in a frozenset, which keeps its hash:
+    it keys a state's summary in the content memo, so two domains over one
+    layout that observe differently keep their summaries apart, and equal
+    observations share them."""
+
+    def __init__(self, agent: str,
+                 holds_keys: tuple[tuple[str, tuple[EdgeKey, ...]], ...]):
+        self.agent = agent
+        self.holds_keys = holds_keys          # (label, its keys), by label
+        self.labels = tuple(label for label, _ in holds_keys)
+        self.label_of = {k: i for i, (_, keys) in enumerate(holds_keys) for k in keys}
+        self.key = frozenset({("observation", agent, holds_keys)})
+        self._sides: dict[tuple, _Side] = {}
+
+    def side(self, loc: str, held: Mapping[str, int]) -> "_Side":
+        """The annotation side (agent location, held counts) compiled, once
+        per distinct side: a trace's sides repeat, each step's later side
+        being the next step's earlier one."""
+        key = loc, frozenset(held.items())
+        side = self._sides.get(key)
+        if side is None:
+            side = self._sides[key] = _Side(self, loc, held)
+        return side
+
+
+def _summary(observed, state: LiftedMultiHypergraph
+             ) -> tuple[str | None, tuple[int, ...], tuple[int, ...]]:
+    """What a schema observes of one state content: the agent's location
+    (``agent_location``) and, per holdable label, the least and the
+    greatest held sum, its keys' bounds added up.
+
+    ``observed`` is the schema or a side compiled against it.  Computed once
+    per content and kept in the content memo under the schema's key."""
+    memo = state.content_memo()
+    s = memo.get(observed.key)
+    if s is None:
+        bounds = state.bounds
+        lo, up = [0] * len(observed.labels), [0] * len(observed.labels)
+        for k, i in observed.label_of.items():
+            b = bounds.get(k)
+            if b is not None:
+                lo[i] += b[0]
+                up[i] += b[1]
+        lo, up = tuple(lo), tuple(up)
+        s = memo[observed.key] = (_agent_location(observed.agent, state),
+                                  lo, lo if lo == up else up)
+    return s
+
+
+class _Side:
+    """One annotation side compiled against a schema: the location's ``at``
+    key, which must have multiplicity 1, the held count per holdable label,
+    and whether every other label is observed at 0, the only count it
+    admits.  It keeps the schema's fields that ``_summary`` reads rather
+    than the schema, whose ``side`` keeps it.
+
+    It decides a state whose observed sums are all fixed from the state's
+    summary (``verdict``), and a plan step from the summary and the keys
+    the step changes (``excluded``).  Both agree with the plain
+    ``_conditions`` list, and ``conditions`` lists the same conditions for
+    everything else."""
+
+    __slots__ = ("key", "agent", "labels", "label_of", "holds_keys",
+                 "loc_key", "held", "admissible", "_conditions")
+
+    def __init__(self, schema: ObservationSchema, loc: str, held: Mapping[str, int]):
+        self.key, self.agent, self.labels = schema.key, schema.agent, schema.labels
+        self.label_of, self.holds_keys = schema.label_of, schema.holds_keys
+        self.loc_key = edge_key(AT_LABEL, (schema.agent, loc))
+        self.held = tuple([held.get(label, 0) for label in schema.labels])
+        self.admissible = all(n == 0 or label in schema.labels
+                              for label, n in held.items())
+        self._conditions = None
+
+    @property
+    def conditions(self) -> list[tuple[tuple[EdgeKey, ...], int]]:
+        """``_conditions`` of an admissible side, less its no-op ((), 0)."""
+        if self._conditions is None:
+            self._conditions = [((self.loc_key,), 1)] + [
+                (keys, n) for (_, keys), n in zip(self.holds_keys, self.held)]
+        return self._conditions
+
+    def verdict(self, l: LiftedMultiHypergraph) -> bool | None:
+        """Whether l meets this admissible side, where l fixes the location
+        key and every held sum; None where it does not."""
+        _, held, up = _summary(self, l)
+        lo, loc_up = l.multiplicity_bounds(self.loc_key)
+        if held != up or lo != loc_up:
+            return None
+        return lo == 1 and held == self.held
+
+    def excluded(self, l: LiftedMultiHypergraph, plan: Sequence[tuple]) -> list[bool]:
+        """Per step of l's plan, whether the step's successor puts an
+        observed sum off its count, as ``rewrite._excluded`` decides it for
+        ``_conditions``: what ``LiftedApplyResult.outputs`` asks.
+
+        It finds once which held sums l already puts off its count; a step
+        moves only the sums of the observed keys in its delta and group,
+        each key's hull moving as ``rewrite._excluded`` moves it."""
+        if not self.admissible:
+            return [True] * len(plan)
+        _, lo, up = _summary(self, l)
+        required = self.held
+        off = () if lo == up == required else [
+            i for i, r in enumerate(required) if not lo[i] <= r <= up[i]]
+        loc_key, label_of, bounds = self.loc_key, self.label_of, l.multiplicity_bounds
+        loc_lo, loc_up = bounds(loc_key)
+        observed = label_of.keys()
+        out = []
+        for _, delta, group in plan:
+            slots = group[0] if group else ()
+            if loc_key not in slots:    # a group member's hull is (0, 1)
+                d = delta.get(loc_key, 0)
+                if not loc_lo + d <= 1 <= loc_up + d:
+                    out.append(True)
+                    continue
+            moved: dict[int, tuple[int, int]] = {}
+            for k, d in delta.items():
+                i = label_of.get(k)
+                if i is not None and k not in slots:
+                    a, b = moved.get(i, (0, 0))
+                    moved[i] = a + d, b + d
+            if slots and not observed.isdisjoint(slots):
+                for k in observed & slots:
+                    i = label_of[k]
+                    k_lo, k_up = bounds(k)
+                    a, b = moved.get(i, (0, 0))
+                    moved[i] = a - k_lo, b + 1 - k_up
+            # excluded: a sum already off that the step leaves, or one it moves off
+            for i in off:
+                if i not in moved:
+                    out.append(True)
+                    break
+            else:
+                for i, (a, b) in moved.items():
+                    if not lo[i] + a <= required[i] <= up[i] + b:
+                        out.append(True)
+                        break
+                else:
+                    out.append(False)
+        return out
+
+
 def _condition_state(l: LiftedMultiHypergraph,
-                     conds: list[tuple[tuple[EdgeKey, ...], int]]
+                     conds: _Side | list[tuple[tuple[EdgeKey, ...], int]]
                      ) -> tuple[float, list[tuple[LiftedMultiHypergraph, float]]]:
-    """Condition a state on one observation side's ``_conditions``.
+    """Condition a state on one observation side, compiled or as its
+    ``_conditions``.
 
     Returns (fraction of groundings that are consistent, the states taking
     l's place with relative weights summing to one; l itself when the
-    observation leaves it whole).  Fixed edges give 0/1 verdicts; a single
-    bounded key gives an exact interval tightening; anything else is
+    observation leaves it whole).  Fixed edges give 0/1 verdicts, from the
+    summary when the side is compiled and l fixes every observed key; a
+    single bounded key gives an exact interval tightening; anything else is
     resolved by enumeration, within ``MAX_GROUNDINGS``.  A ground state only
     ever takes the first branch.
     """
+    if isinstance(conds, _Side):
+        verdict = conds.verdict(l) if conds.admissible else False
+        if verdict is not None:
+            return (1.0, [(l, 1.0)]) if verdict else (0.0, [])
+        conds = conds.conditions
     work = l
     frac = 1.0
     deferred: list[tuple[tuple[EdgeKey, ...], int]] = []
@@ -286,7 +459,7 @@ def predict(domain, belief: Belief) -> JointPrediction:
     dropped = 0.0
     while queue:
         state, w = queue.pop()
-        loc = agent_location(domain, state)
+        loc = _summary(domain.observation, state)[0]
         # rule weights by agent location may differ across the groundings
         split = bool(loc is None and domain.action_model.by_location
                      and state.count_groundings() > 1)
@@ -338,19 +511,19 @@ def update(domain, annotation, joint: JointPrediction, step: int = 0
     """
     masses: list[tuple[LiftedMultiHypergraph, float]] = []
     z = 0.0
-    prev_conds = _conditions(domain, annotation.loc_t, annotation.held_t)
-    next_conds = _conditions(domain, annotation.loc_next, annotation.held_next)
+    prev_side = domain.observation.side(annotation.loc_t, annotation.held_t)
+    next_side = domain.observation.side(annotation.loc_next, annotation.held_next)
     for p in joint.particles:
         if p.rule.name != annotation.action:
             continue
-        f_prev, prevs = _condition_state(p.prev, prev_conds)
+        f_prev, prevs = _condition_state(p.prev, prev_side)
         for tight, rel in prevs:
             # applicability is grounding-independent on the particle's
             # predecessor, hence also on any subset of its groundings, so
             # the successor probabilities need no reweighting
             t = p.transition if tight is p.prev else lifted_apply(p.rule, tight)
-            for succ, prob in t.outputs(next_conds):
-                f_next, nexts = _condition_state(succ, next_conds)
+            for succ, prob in t.outputs(next_side):
+                f_next, nexts = _condition_state(succ, next_side)
                 if f_next == 0.0:
                     continue
                 base = p.weight * f_prev * rel * prob * f_next

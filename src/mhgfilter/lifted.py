@@ -52,11 +52,13 @@ A state's content is its two maps, and ``content_memo`` gives the dict that
 every state of a layout with that content shares, where callers memoise what
 is a function of the content alone: the lifted plans of ``rewrite`` under a
 rule's id, each with its successors' parts, which rebuild a successor and
-find its memo by its key (``_parts``, ``_rebuilt``), and the canonical
-forms under their version byte, ``0x01`` and ``0x02``, since a ground state
-and its ``from_graph`` twin share one memo.  The layout keeps one memo per
-content, keyed by both maps frozen.  A memo holds maps, keys, plans and
-forms, never a state or another memo, so it makes no reference cycle.
+find its memo by its key (``_parts``, ``_rebuilt``), the canonical forms
+under their version byte, ``0x01`` and ``0x02``, since a ground state and
+its ``from_graph`` twin share one memo, and the filter's observation
+summaries under the value of the schema that made them.  The layout keeps
+one memo per content, keyed by both maps frozen.  A memo holds maps, keys,
+plans, forms and summaries, never a state or another memo, so it makes no
+reference cycle.
 
 Every state built from another (shifted, conditioned, lifted from a graph,
 or grounded) keeps its vertex layout, with its conservation declaration
@@ -236,8 +238,8 @@ class LiftedMultiHypergraph:
         """The dict that this state shares with every state of its layout
         with the same bounds map and groups, for memoising functions of
         that content: the lifted plans and successor parts of ``rewrite``,
-        and the canonical forms.  As long-lived as the layout.  Found once
-        per state and kept."""
+        the canonical forms and the filter's observation summaries.  As
+        long-lived as the layout.  Found once per state and kept."""
         if self._memo is None:
             if self.is_empty:   # its maps equal an edgeless state's
                 self._memo = {}

@@ -73,7 +73,10 @@ Both agree with the ground semantics exactly; the fallback is the
 definition, the shift is a proved-equal fast path whose preconditions are
 the sure/possible verdicts.  A failed precondition is logged at debug level
 with the rule's name.  ``outputs`` does not build the successors that the
-caller's exact-count conditions already exclude.
+caller's exact-count conditions already exclude: given a list of (key set,
+required total), ``_excluded`` sums each condition's keys per plan step;
+given the filter's compiled observation side, the side decides the whole
+plan from the state's summary and the keys each step touches.
 """
 
 from __future__ import annotations
@@ -478,12 +481,14 @@ class LiftedApplyResult:
         rule being applicable.
 
         The lifted path builds no successor whose plan step decides one of
-        the ``conditions`` (key set, required total) false, but counts it in
-        the normaliser; the fallback builds them all.  Exact: construction
-        only tightens bounds, and the domain's conditions give isomorphic,
-        merging successors one verdict (unique agent and agent-location
-        labels; held counts sum over a label).  Pinned forms that lift that
-        label rule must revisit this.
+        the ``conditions`` false, but counts it in the normaliser; the
+        fallback builds them all.  ``conditions`` is a list of (key set,
+        required total), or an object whose ``excluded(state, plan)`` lists
+        that verdict per plan step, as the filter's compiled observation
+        side does.  Exact: construction only tightens bounds, and the
+        domain's conditions give isomorphic, merging successors one verdict
+        (unique agent and agent-location labels; held counts sum over a
+        label).  Pinned forms that lift that label rule must revisit this.
 
         A plan step's successor is derived by ``shifted`` the first time it
         is built for the state's content and rule, and remade from the
@@ -499,9 +504,13 @@ class LiftedApplyResult:
             return ()
         built = l.content_memo()[id(self.rule)][1]
         n_options = sum(step[0] for step in plan)
+        if hasattr(conditions, "excluded"):
+            excluded = conditions.excluded(l, plan)
+        else:
+            excluded = [_excluded(l, delta, group, conditions) for _, delta, group in plan]
         pairs = []
         for i, (n, delta, group) in enumerate(plan):
-            if _excluded(l, delta, group, conditions):
+            if excluded[i]:
                 continue
             parts = built[i]
             if parts is None:

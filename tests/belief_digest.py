@@ -4,6 +4,7 @@ Usage::
 
     python3 tests/belief_digest.py --seed N [WORKLOAD ...]
     python3 tests/belief_digest.py --seed N --ground
+    python3 tests/belief_digest.py --all
 
 Builds the named workloads' operations (every workload by default) from
 ``perfbench/workloads.py`` at the given seed and filters each trace with
@@ -17,6 +18,11 @@ these inputs.
 ``--ground`` prints instead the digest of the ground oracle on the
 ``mini_compare`` operations: each ``ground_filter_trace`` belief entry's
 ground canonical bytes and the ``repr`` of its weight.
+
+``--all`` prints the five digests that ROADMAP.md pins, one labelled line
+each (``PINNED``): every workload at seeds 0 and 1, the ground oracle at
+seeds 0 and 1, and ``mini_compare`` alone at seed 0.  It takes no seed,
+no workload names and no ``--ground``.
 """
 
 from __future__ import annotations
@@ -27,6 +33,11 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# (label, seed, ground, workload names), as ``--all`` prints them
+PINNED = (("seed 0", 0, False, None), ("seed 1", 1, False, None),
+          ("ground seed 0", 0, True, None), ("ground seed 1", 1, True, None),
+          ("seed 0 mini_compare", 0, False, ["mini_compare"]))
 
 
 def _import_paths() -> None:
@@ -80,20 +91,30 @@ def ground_digest(seed: int) -> str:
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None, help="default 0")
     parser.add_argument("--ground", action="store_true",
                         help="digest the ground oracle on mini_compare instead")
+    parser.add_argument("--all", action="store_true",
+                        help="print the five pinned digests, one labelled line each")
     parser.add_argument("workloads", nargs="*", help="workload names (default: all)")
     args = parser.parse_args(argv)
+    if args.all:
+        if args.workloads or args.ground or args.seed is not None:
+            parser.error("--all takes no seed, workload names or --ground")
+        for label, seed, ground, names in PINNED:
+            print(f"{label}: {ground_digest(seed) if ground else digest(seed, names)}",
+                  flush=True)
+        return
     if args.ground and args.workloads:
         parser.error("--ground takes no workload names")
+    seed = 0 if args.seed is None else args.seed
     _import_paths()
     from workloads import WORKLOADS
     unknown = sorted(set(args.workloads) - set(WORKLOADS))
     if unknown:
         parser.error(f"unknown workload(s) {', '.join(unknown)}; "
                      f"known: {', '.join(sorted(WORKLOADS))}")
-    print(ground_digest(args.seed) if args.ground else digest(args.seed, args.workloads))
+    print(ground_digest(seed) if args.ground else digest(seed, args.workloads))
 
 
 if __name__ == "__main__":

@@ -488,6 +488,25 @@ def test_the_digest_script_rejects_unknown_workload_names(capsys):
     assert "unknown workload(s) 1; known: bookshelf_connect" in err
 
 
+
+def test_the_digest_script_prints_the_five_pinned_digests(capsys):
+    """``--all`` prints every pinned digest on one labelled line, and takes
+    no seed, workload names or ``--ground``."""
+    from belief_digest import main
+    main(["--all"])
+    assert capsys.readouterr().out.splitlines() == [
+        "seed 0: 2cdd17623fd6ac168b9b4eb396d33de0eca67fe8fcd73aad501980ad1b0c8c40",
+        "seed 1: f1bd04bc2273d7f6ee28ab06dc66269430440845c1db1ce1eec186d8fe3f99a4",
+        "ground seed 0: 82eda8dd6db85c3c3e8a64eb513f9afeb21ef952bb9da49afb0f44a14b898817",
+        "ground seed 1: 2392aefb6ebf49cc47b3336ce14ed9554773959e41e4993636798120cd4d1fc0",
+        "seed 0 mini_compare: "
+        "61acf0eb2f989b144ff1f80eb8b9a486452164ce0bd75daaf49280be1ed140ae"]
+    for extra in (["mini_compare"], ["--seed", "1"], ["--ground"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--all", *extra])
+        assert exc.value.code == 2
+        assert "--all takes no seed, workload names or --ground" in capsys.readouterr().err
+
 def test_mini_posteriors_match_the_pinned_digest():
     """The seed-0 lifted posteriors and ``compare`` reports on the
     ``mini_compare`` traces are bit-identical to the pinned ones.  This is

@@ -233,6 +233,30 @@ def test_a_domain_file_that_is_not_json_exits_three(tmp_path, capsys):
 
 
 
+def test_a_domain_file_that_is_not_utf8_exits_three(tmp_path, mini_trace, capsys):
+    """A domain document in Latin-1 is a parse error naming the file, not a
+    ``UnicodeDecodeError`` traceback."""
+    path = tmp_path / "domain.json"
+    document = json.dumps(builtin_document("mini"), ensure_ascii=False)
+    path.write_bytes(document.replace('"mini"', '"mini é"').encode("latin-1"))
+    for argv in (("gentrace",), ("filter", "--trace", str(mini_trace)),
+                 ("compare", "--trace", str(mini_trace))):
+        code, out, err = run(capsys, argv[0], "--domain", str(path), *argv[1:])
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {path}: not UTF-8: byte 0xe9 at offset ")
+        assert err.count("\n") == 1
+
+
+def test_a_trace_file_that_is_not_utf8_exits_three(tmp_path, mini_trace, capsys):
+    path = tmp_path / "trace.jsonl"
+    path.write_bytes(mini_trace.read_bytes() + b'# caf\xe9\n')
+    for command in ("filter", "compare"):
+        code, out, err = run(capsys, command, "--domain", "mini", "--trace", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {path}: not UTF-8: byte 0xe9 at offset ")
+        assert err.count("\n") == 1
+
+
 def test_bad_domain_values_exit_three(tmp_path, mini_trace, capsys):
     """An initial state that breaks conservation, and a label list written as
     a string, are parse errors rather than a crash or an inconsistent trace."""

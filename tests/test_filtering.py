@@ -5,6 +5,7 @@ import logging
 import math
 import random
 import weakref
+from dataclasses import replace
 
 import pytest
 
@@ -19,7 +20,8 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, Domain, Effect,
 from mhgfilter import lifted as lifted_module
 from mhgfilter import rewrite
 from mhgfilter.filtering import _condition_state, _conditions
-from oracles import lifted_state, mini_documents, reference_agent_location
+from oracles import (builtin_document, lifted_state, mini_documents,
+                     reference_agent_location)
 from test_domain import empty_start_document
 
 LOCS = frozenset({"floor", "table"})
@@ -581,3 +583,149 @@ def test_the_memos_hold_no_reference_cycle():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def test_a_compiled_side_conditions_as_its_list():
+    """On random mini-family documents, an annotation side compiled against
+    the domain's schema concludes what its plain ``_conditions`` list does:
+    the same ``_condition_state`` result, and bit-identical ``outputs`` of
+    every rule's transition from every belief entry and every state the
+    conditioning leaves.  The sides are a generated trace's and edits of
+    them: a location that is no vertex, a label that is not holdable
+    observed at 0 and at 1, and each held count one higher."""
+    hypothesis = pytest.importorskip("hypothesis")
+    traces = random.Random(1)   # the traces' own stream, across examples
+
+    def described(pairs):
+        return [(s.canonical_form().data, repr(w)) for s, w in pairs]
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=15, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(mini_documents())
+    def check(drawn):
+        _, domain = drawn
+        trace, _ = generate_trace(domain, traces.randrange(2 ** 16),
+                                  traces.randint(3, 8), policy="install_heavy")
+        states = {s.canonical_form(): s
+                  for b in filter_trace(domain, trace).beliefs for s, _ in b}
+        sides = {(a.loc_t, tuple(sorted(a.held_t.items()))) for a in trace}
+        sides |= {(a.loc_next, tuple(sorted(a.held_next.items()))) for a in trace}
+        edited = {("attic", held) for _, held in sides}
+        edited |= {(loc, held + (("agent", n),)) for loc, held in sides for n in (0, 1)}
+        edited |= {(loc, tuple((label, n + 1) for label, n in held) or (("eccentric", 1),))
+                   for loc, held in sides}
+        for loc, held in sorted(sides | edited):
+            held = dict(held)
+            compiled = domain.observation.side(loc, held)
+            plain = _conditions(domain, loc, held)
+            for l in states.values():
+                f, kept = _condition_state(l, compiled)
+                assert (repr(f), described(kept)) == (
+                    repr(_condition_state(l, plain)[0]),
+                    described(_condition_state(l, plain)[1]))
+                for tight in {l} | {s for s, _ in kept}:
+                    for rule in domain.rules:
+                        t = lifted_apply(rule, tight)
+                        assert described(t.outputs(compiled)) == described(t.outputs(plain))
+
+    check()
+
+
+
+def test_a_compiled_side_reads_groups_of_observed_keys():
+    """Plan steps whose group holds the agent's ``holds`` keys, or its
+    ``at`` keys, which no mini-family plan makes: a compiled side excludes
+    exactly the steps its plain list excludes, whatever the held count or
+    location it observes, from a state where those keys are empty and
+    from one where they already form a group."""
+    places = ("floor", "table", "shelf")
+    grab = Rule("grab", Pattern((PatternVertex("A", "agent"),
+                                 PatternVertex("I", "gear")), ()),
+                Effect(assert_=(EffectEdge("holds", ("A", "I"), cap=1),)))
+    jump = Rule("jump", Pattern((PatternVertex("A", "agent"),
+                                 PatternVertex("X", frozenset(places))), ()),
+                Effect(assert_=(EffectEdge("at", ("A", "X"), cap=1),)))
+    initial = LiftedMultiHypergraph(
+        [Vertex("agent", "agent")] + [Vertex(p, p) for p in places]
+        + [Vertex(g, "gear") for g in ("g1", "g2", "g3")],
+        {("at", ("agent", "floor")): (1, 1)})
+    domain = Domain(name="groups", agent_id="agent", location_labels=frozenset(places),
+                    agent_location_labels=frozenset(places),
+                    holdable_labels=frozenset({"gear"}), initial_state=initial,
+                    rules=(grab, jump))
+
+    def described(pairs):
+        return [(s.canonical_form().data, repr(w)) for s, w in pairs]
+
+    states = [initial] + [s for r in domain.rules
+                          for s, _ in lifted_apply(r, initial).outputs()]
+    assert any(s.group_of(("holds", ("agent", "g1"))) for s in states)
+    assert any(s.group_of(("at", ("agent", "table"))) for s in states)
+    kept = set()
+    for loc in places:
+        for n in range(5):
+            compiled = domain.observation.side(loc, {"gear": n})
+            plain = _conditions(domain, loc, {"gear": n})
+            for l in states:
+                for rule in domain.rules:
+                    t = lifted_apply(rule, l)
+                    out = described(t.outputs(compiled))
+                    assert out == described(t.outputs(plain))
+                    kept.add(len(out))
+    assert kept == {0, 1}
+
+def test_two_domains_over_one_layout_conclude_as_if_apart():
+    """``dataclasses.replace`` makes domains that share mini's initial state,
+    hence its layout and content memos, but observe different labels.
+    Filtered one after the other on one layout, in either order, each
+    concludes bit for bit what it concludes on a freshly parsed document:
+    the forms, weight ``repr``s, step records and log likelihood, or a
+    TraceInconsistencyError at the same step.  A state's summary is kept
+    under the schema that made it."""
+    observed = (("eccentric", "screwdriver"), ("eccentric",), ("screwdriver",))
+
+    def twins(base):
+        return [replace(base, holdable_labels=frozenset(labels)) for labels in observed]
+
+    def outcome(domain, trace):
+        try:
+            return concluded(filter_trace(domain, trace))
+        except TraceInconsistencyError as exc:
+            return exc.step
+
+    def fresh(i, trace):
+        return outcome(twins(parse_domain(builtin_document("mini"), "mini"))[i], trace)
+
+    traces = [generate_trace(d, seed, 10, policy=policy)[0]
+              for d in twins(builtin_domain("mini")) for seed, policy in
+              ((1, "install_heavy"), (2, "uniform"))]
+    expected = [[fresh(i, trace) for i in range(len(observed))] for trace in traces]
+    assert any(isinstance(x, int) for row in expected for x in row)
+    assert any(row[0] != row[1] != row[2] for row in expected)
+    for order in ((0, 1, 2), (2, 1, 0)):
+        domains = twins(builtin_domain("mini"))
+        assert len({d.initial_state.layout for d in domains}) == 1
+        for trace, row in zip(traces, expected):
+            for i in order:
+                assert outcome(domains[i], trace) == row[i]
+
+
+def test_dropped_domains_are_collected():
+    """Two domains over one layout that have filtered, been compared and
+    updated by hand are freed, layout and schemas too, once dropped and
+    collected: the compiled annotation sides are kept by the domain's
+    schema, a state's summary in the layout's content memo, and nothing in
+    a module."""
+    mini = builtin_domain("mini")
+    twin = replace(mini, holdable_labels=frozenset({"eccentric"}))
+    for domain in (mini, twin):
+        trace = generate_trace(domain, seed=1, length=12)[0]
+        assert len(filter_trace(domain, trace).beliefs) == 13
+        assert not compare(domain, trace).divergent
+        update(domain, trace[0], predict(domain, Belief.from_state(domain.initial_state)))
+    dead = [weakref.ref(x) for x in (mini, twin, mini.initial_state.layout,
+                                     mini.observation, twin.observation)]
+    del mini, twin, domain, trace
+    gc.collect()
+    assert [ref() for ref in dead] == [None] * 5
