@@ -53,7 +53,7 @@ from typing import Iterable, Mapping, Sequence
 from .canon import merged
 from .errors import IntegrityError, TraceInconsistencyError
 from .graphs import EdgeKey, edge_key
-from .lifted import LiftedMultiHypergraph, MultiHypergraph
+from .lifted import LiftedMultiHypergraph
 from .rewrite import LiftedApplyResult, Rule, lifted_apply
 
 logger = logging.getLogger("mhgfilter")
@@ -201,43 +201,24 @@ class FilterResult:
 # -- observation ---------------------------------------------------------------
 
 def agent_location(domain, state: LiftedMultiHypergraph) -> str | None:
-    """The agent's location vertex id, or None when not uniquely fixed."""
+    """The agent's location vertex id, the same in every grounding: the
+    other end of the agent's one binary ``at`` edge, of multiplicity 1.
+    None when the agent has no such edge, another ``at`` edge, or an ``at``
+    key bounded rather than fixed."""
     return _agent_location(domain.agent_id, state)
 
 
 def _agent_location(agent: str, state: LiftedMultiHypergraph) -> str | None:
     found = None
     for (label, incidence), (lo, up) in state.bounds.items():
-        if label != AT_LABEL or lo != up or agent not in incidence:
+        if label != AT_LABEL or agent not in incidence:
             continue
         others = [v for v in incidence if v != agent]
-        if len(incidence) != 2 or len(others) != 1 or lo != 1 or found is not None:
+        if ((lo, up) != (1, 1) or len(incidence) != 2 or len(others) != 1
+                or found is not None):
             return None
         found = others[0]
     return found
-
-
-def _conditions(domain, loc: str, held: Mapping[str, int]
-                ) -> list[tuple[tuple[EdgeKey, ...], int]]:
-    """Exact-count conditions (key set, required total) for one observation
-    side, the agent's location first.  An unknown location fails it: its
-    key has multiplicity 0 in every state."""
-    conds = [((edge_key(AT_LABEL, (domain.agent_id, loc)),), 1)]
-    conds += [(keys, held.get(label, 0))
-              for label, keys in domain.observation.holds_keys]
-    # an unknown label has no keys: only 0 is satisfiable
-    conds += [((), held[label]) for label in sorted(held)
-              if label not in domain.holdable_labels]
-    return conds
-
-
-def _ground_consistent(g: MultiHypergraph,
-                       conds: list[tuple[tuple[EdgeKey, ...], int]]) -> bool:
-    """Whether g meets one observation side's ``_conditions``."""
-    for keys, required in conds:
-        if sum(g.multiplicity_bounds(k)[0] for k in keys) != required:
-            return False
-    return True
 
 
 class ObservationSchema:
@@ -304,29 +285,23 @@ class _Side:
 
     It decides a state whose observed sums are all fixed from the state's
     summary (``verdict``), and a plan step from the summary and the keys
-    the step changes (``excluded``).  Both agree with the plain
-    ``_conditions`` list, and ``conditions`` lists the same conditions for
-    everything else."""
+    the step changes (``excluded``).  For the states that neither decides,
+    ``conditions`` lists an admissible side as exact-count conditions (key
+    set, required total): the location's key first, then each holdable
+    label's observed ``holds`` keys."""
 
-    __slots__ = ("key", "agent", "labels", "label_of", "holds_keys",
-                 "loc_key", "held", "admissible", "_conditions")
+    __slots__ = ("key", "agent", "labels", "label_of", "loc_key", "held",
+                 "admissible", "conditions")
 
     def __init__(self, schema: ObservationSchema, loc: str, held: Mapping[str, int]):
         self.key, self.agent, self.labels = schema.key, schema.agent, schema.labels
-        self.label_of, self.holds_keys = schema.label_of, schema.holds_keys
+        self.label_of = schema.label_of
         self.loc_key = edge_key(AT_LABEL, (schema.agent, loc))
         self.held = tuple([held.get(label, 0) for label in schema.labels])
         self.admissible = all(n == 0 or label in schema.labels
                               for label, n in held.items())
-        self._conditions = None
-
-    @property
-    def conditions(self) -> list[tuple[tuple[EdgeKey, ...], int]]:
-        """``_conditions`` of an admissible side, less its no-op ((), 0)."""
-        if self._conditions is None:
-            self._conditions = [((self.loc_key,), 1)] + [
-                (keys, n) for (_, keys), n in zip(self.holds_keys, self.held)]
-        return self._conditions
+        self.conditions = [((self.loc_key,), 1)] + [
+            (keys, n) for (_, keys), n in zip(schema.holds_keys, self.held)]
 
     def verdict(self, l: LiftedMultiHypergraph) -> bool | None:
         """Whether l meets this admissible side, where l fixes the location
@@ -339,12 +314,14 @@ class _Side:
 
     def excluded(self, l: LiftedMultiHypergraph, plan: Sequence[tuple]) -> list[bool]:
         """Per step of l's plan, whether the step's successor puts an
-        observed sum off its count, as ``rewrite._excluded`` decides it for
-        ``_conditions``: what ``LiftedApplyResult.outputs`` asks.
+        observed sum off its count in every grounding: what
+        ``LiftedApplyResult.outputs`` asks.  A sum's hull on the successor
+        adds up its keys' hulls, (0, 1) for a key of the step's group and
+        the key's bounds moved by the step's delta for any other; the step
+        is excluded when some sum's required count lies outside its hull.
 
         It finds once which held sums l already puts off its count; a step
-        moves only the sums of the observed keys in its delta and group,
-        each key's hull moving as ``rewrite._excluded`` moves it."""
+        moves only the sums of the observed keys in its delta and group."""
         if not self.admissible:
             return [True] * len(plan)
         _, lo, up = _summary(self, l)
@@ -389,29 +366,26 @@ class _Side:
         return out
 
 
-def _condition_state(l: LiftedMultiHypergraph,
-                     conds: _Side | list[tuple[tuple[EdgeKey, ...], int]]
+def _condition_state(l: LiftedMultiHypergraph, side: _Side
                      ) -> tuple[float, list[tuple[LiftedMultiHypergraph, float]]]:
-    """Condition a state on one observation side, compiled or as its
-    ``_conditions``.
+    """Condition a state on one compiled observation side.
 
     Returns (fraction of groundings that are consistent, the states taking
     l's place with relative weights summing to one; l itself when the
-    observation leaves it whole).  Fixed edges give 0/1 verdicts, from the
-    summary when the side is compiled and l fixes every observed key; a
-    single bounded key gives an exact interval tightening; anything else is
-    resolved by enumeration, within ``MAX_GROUNDINGS``.  A ground state only
-    ever takes the first branch.
+    observation leaves it whole).  An inadmissible side, or a state that
+    fixes every observed sum, gets a 0/1 verdict from the summary; then,
+    per condition, fixed keys give a 0/1 verdict, a single bounded key an
+    exact interval tightening, and anything else is resolved by
+    enumeration, within ``MAX_GROUNDINGS``.  A ground state only ever takes
+    the first branch.
     """
-    if isinstance(conds, _Side):
-        verdict = conds.verdict(l) if conds.admissible else False
-        if verdict is not None:
-            return (1.0, [(l, 1.0)]) if verdict else (0.0, [])
-        conds = conds.conditions
+    verdict = side.verdict(l) if side.admissible else False
+    if verdict is not None:
+        return (1.0, [(l, 1.0)]) if verdict else (0.0, [])
     work = l
     frac = 1.0
     deferred: list[tuple[tuple[EdgeKey, ...], int]] = []
-    for keys, required in conds:
+    for keys, required in side.conditions:
         fixed_sum, bounded = 0, []
         for k in keys:
             lo, up = work.multiplicity_bounds(k)
@@ -431,8 +405,10 @@ def _condition_state(l: LiftedMultiHypergraph,
         else:
             deferred.append((keys, required))
     if deferred:
-        survivors = merged((g, 1) for g in work.iter_groundings()
-                           if _ground_consistent(g, deferred))
+        survivors = merged(
+            (g, 1) for g in work.iter_groundings()
+            if all(sum(g.multiplicity_bounds(k)[0] for k in keys) == required
+                   for keys, required in deferred))
         kept = sum(c for _, c in survivors)
         if kept == 0:
             return 0.0, []

@@ -11,12 +11,14 @@ successors within one trace.
 
 It shares the lifted filter's scaffolding: the belief container (a
 ``GroundBelief`` is a ``Belief``), the trace bookkeeping (``_run_trace``),
-the observation conditions, ``merged`` and state derivation (``apply`` is
-a ``shifted`` of a ground state, tested on its own against a brute-force
+``agent_location``, ``merged`` and state derivation (``apply`` is a
+``shifted`` of a ground state, tested on its own against a brute-force
 reference).  It keeps its own probability arithmetic (applicability,
 action-model normalisation, dead ends, option counts, conditioning and Z)
-and has no interval tightening, grounding fractions or counting over
-groups: that is what makes agreement between the two a meaningful check.
+and its own reading of an annotation side, the one ``generate_trace``
+records, and has no compiled observation, interval tightening, grounding
+fractions or counting over groups: that is what makes agreement between
+the two a meaningful check.
 It is exponential in the number of unknowns: for small scenes only.
 """
 
@@ -25,12 +27,13 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .canon import merged
 from .errors import TraceInconsistencyError
-from .filtering import (Belief, FilterResult, _conditions, _ground_consistent,
-                        _run_trace, agent_location, logger)
+from .domain import held_counts
+from .filtering import (AT_LABEL, Belief, FilterResult, _run_trace, agent_location,
+                        logger)
 from .lifted import LiftedMultiHypergraph, MultiHypergraph
 from .rewrite import Rule, ground_options, successors
 
@@ -120,17 +123,16 @@ def ground_filter_trace(domain, trace: Sequence) -> FilterResult:
         # update
         masses: list[tuple[MultiHypergraph, float]] = []
         z = 0.0
-        prev_conds = _conditions(domain, annotation.loc_t, annotation.held_t)
-        next_conds = _conditions(domain, annotation.loc_next, annotation.held_next)
         for g, rule, w in particles:
             w /= total
-            if rule.name != annotation.action or not _ground_consistent(g, prev_conds):
+            if (rule.name != annotation.action
+                    or not _observed(domain, g, annotation.loc_t, annotation.held_t)):
                 continue
             key = (rule.name, g.canonical_form().data)
             if key not in succ_cache:
                 succ_cache[key] = successors(rule, g)
             for h, p in succ_cache[key]:
-                if not _ground_consistent(h, next_conds):
+                if not _observed(domain, h, annotation.loc_next, annotation.held_next):
                     continue
                 mass = w * p
                 masses.append((h, mass))
@@ -140,6 +142,14 @@ def ground_filter_trace(domain, trace: Sequence) -> FilterResult:
         return GroundBelief(masses), z, dropped
 
     return _run_trace(trace, GroundBelief(expand(domain.initial_state)), step, "ground")
+
+
+def _observed(domain, g: MultiHypergraph, loc: str, held: Mapping[str, int]) -> bool:
+    """Whether g shows one annotation side as ``generate_trace`` records
+    it: the agent's ``at`` edge to ``loc`` has multiplicity 1, and
+    ``held_counts`` equals the side's non-zero counts."""
+    return (g.edge_multiplicity(AT_LABEL, (domain.agent_id, loc)) == 1
+            and held_counts(domain, g) == {label: n for label, n in held.items() if n})
 
 
 @dataclass(frozen=True)

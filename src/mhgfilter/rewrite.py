@@ -72,11 +72,9 @@ successor lifted states from that answer.  Two strategies are used:
 Both agree with the ground semantics exactly; the fallback is the
 definition, the shift is a proved-equal fast path whose preconditions are
 the sure/possible verdicts.  A failed precondition is logged at debug level
-with the rule's name.  ``outputs`` does not build the successors that the
-caller's exact-count conditions already exclude: given a list of (key set,
-required total), ``_excluded`` sums each condition's keys per plan step;
-given the filter's compiled observation side, the side decides the whole
-plan from the state's summary and the keys each step touches.
+with the rule's name.  Given an observation side, ``outputs`` builds only
+the plan steps that ``side.excluded`` does not exclude; without one, it
+builds them all.
 """
 
 from __future__ import annotations
@@ -84,7 +82,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Callable, Mapping, NamedTuple, Sequence, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from .canon import merged
 from .errors import EffectError, StructuralError
@@ -475,20 +473,20 @@ class LiftedApplyResult:
     plan: tuple[tuple, ...] = ()
     groundings: tuple[tuple[MultiHypergraph, list[Match]], ...] | None = None
 
-    def outputs(self, conditions: Sequence[tuple] = ()
+    def outputs(self, side=None
                 ) -> tuple[tuple[LiftedMultiHypergraph, float], ...]:
         """Successor lifted states with probabilities, conditional on the
         rule being applicable.
 
-        The lifted path builds no successor whose plan step decides one of
-        the ``conditions`` false, but counts it in the normaliser; the
-        fallback builds them all.  ``conditions`` is a list of (key set,
-        required total), or an object whose ``excluded(state, plan)`` lists
-        that verdict per plan step, as the filter's compiled observation
-        side does.  Exact: construction only tightens bounds, and the
-        domain's conditions give isomorphic, merging successors one verdict
-        (unique agent and agent-location labels; held counts sum over a
-        label).  Pinned forms that lift that label rule must revisit this.
+        Given an observation side, the lifted path builds no successor
+        whose plan step ``side.excluded(state, plan)`` excludes, but counts
+        it in the normaliser; the fallback builds them all.  The filter's
+        compiled side excludes a step whose successor puts an observed sum
+        off its count in every grounding.  Exact: construction only
+        tightens bounds, and the domain's observation gives isomorphic,
+        merging successors one verdict (unique agent and agent-location
+        labels; held counts sum over a label).  Pinned forms that lift that
+        label rule must revisit this.
 
         A plan step's successor is derived by ``shifted`` the first time it
         is built for the state's content and rule, and remade from the
@@ -504,10 +502,7 @@ class LiftedApplyResult:
             return ()
         built = l.content_memo()[id(self.rule)][1]
         n_options = sum(step[0] for step in plan)
-        if hasattr(conditions, "excluded"):
-            excluded = conditions.excluded(l, plan)
-        else:
-            excluded = [_excluded(l, delta, group, conditions) for _, delta, group in plan]
+        excluded = side.excluded(l, plan) if side is not None else [False] * len(plan)
         pairs = []
         for i, (n, delta, group) in enumerate(plan):
             if excluded[i]:
@@ -614,28 +609,6 @@ def _slot_plan(l: LiftedMultiHypergraph, feasible: list[_EffectKeys],
             continue
         plan += [(counts[k], {**delta, k: 1}, None) for k in empties]
     return plan
-
-
-def _excluded(l: LiftedMultiHypergraph, delta: Mapping[EdgeKey, int],
-              group: tuple[frozenset[EdgeKey], int] | None, conditions) -> bool:
-    """Whether a plan step's successor puts a condition's key sum off its total.
-
-    A key's hull is (0, 1) for a key of the step's group, else its bounds
-    moved by the delta; each key is looked up once for both sums."""
-    slots = group[0] if group else ()
-    for keys, required in conditions:
-        lo_sum = up_sum = 0
-        for k in keys:
-            if k in slots:
-                up_sum += 1
-                continue
-            lo, up = l.multiplicity_bounds(k)
-            d = delta.get(k, 0)
-            lo_sum += lo + d
-            up_sum += up + d
-        if lo_sum > required or up_sum < required:
-            return True
-    return False
 
 
 def lifted_apply(rule: Rule, l: LiftedMultiHypergraph) -> LiftedApplyResult:

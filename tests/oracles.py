@@ -70,15 +70,17 @@ def renamed_mini_document() -> dict:
 
 
 def reference_agent_location(domain, state) -> str | None:
-    """``agent_location`` as a scan of the state's fixed edges in key order:
+    """``agent_location`` as a scan of the state's ``at`` keys in key order:
     the other end of the agent's one binary ``at`` edge of multiplicity 1,
-    or None when the agent has no such edge, or another fixed ``at`` edge."""
+    or None when the agent has no such edge, another ``at`` edge, or a
+    bounded ``at`` key, which some grounding may hold and another not."""
     found = None
     for (label, incidence), (m, upper) in sorted(state.bounds.items()):
-        if label != AT_LABEL or domain.agent_id not in incidence or m != upper:
+        if label != AT_LABEL or domain.agent_id not in incidence:
             continue
         others = [v for v in incidence if v != domain.agent_id]
-        if len(incidence) != 2 or len(others) != 1 or m != 1 or found is not None:
+        if (m != upper or len(incidence) != 2 or len(others) != 1 or m != 1
+                or found is not None):
             return None
         found = others[0]
     return found
@@ -361,6 +363,32 @@ def brute_transition(rule: Rule, l: LiftedMultiHypergraph
     return sorted(every or ()), n_app, len(grounds), dist
 
 
+def observed(domain, g: MultiHypergraph, loc: str, held: Mapping[str, int]) -> bool:
+    """Whether the ground state g shows one annotation side as
+    ``generate_trace`` records it: the agent's ``at`` edge to ``loc`` has
+    multiplicity 1, and the held counts are the side's non-zero ones."""
+    return (g.edge_multiplicity(AT_LABEL, (domain.agent_id, loc)) == 1
+            and held_counts(domain, g) == {k: v for k, v in held.items() if v})
+
+
+class BruteSide:
+    """An observation side for ``LiftedApplyResult.outputs`` from exact-count
+    conditions, (key set, required total): ``excluded`` marks a plan step
+    when no grounding of its successor, built afresh by ``shifted``, meets
+    every condition."""
+
+    def __init__(self, conditions):
+        self.conditions = conditions
+
+    def meets(self, g: MultiHypergraph) -> bool:
+        return all(sum(g.edge_multiplicity(*k) for k in keys) == required
+                   for keys, required in self.conditions)
+
+    def excluded(self, l: LiftedMultiHypergraph, plan) -> list[bool]:
+        return [not any(self.meets(g) for g in l.shifted(delta, group).iter_groundings())
+                for _, delta, group in plan]
+
+
 def merge_free_log_likelihood(domain, trace) -> float:
     """Log likelihood of the trace under ground enumeration that merges
     nothing: ground states are keyed by their exact edge dict, vertex ids
@@ -370,12 +398,8 @@ def merge_free_log_likelihood(domain, trace) -> float:
     is renormalised, the observed rule is chosen with its action-model
     weight among the applicable rules, and then one of its options
     uniformly; the agent's location and the held counts on both sides must
-    match the annotation exactly.
+    match the annotation exactly (``observed``).
     """
-    def observed(g, loc, held):
-        return (g.edge_multiplicity(AT_LABEL, (domain.agent_id, loc)) == 1
-                and held_counts(domain, g) == {k: v for k, v in held.items() if v})
-
     grounds = domain.initial_state.groundings()
     belief = {frozenset(g.edge_dict().items()): (g, 1.0 / len(grounds))
               for g in grounds}
@@ -392,12 +416,12 @@ def merge_free_log_likelihood(domain, trace) -> float:
             if total <= 0:
                 continue
             live += w
-            if not weights.get(a.action) or not observed(g, a.loc_t, a.held_t):
+            if not weights.get(a.action) or not observed(domain, g, a.loc_t, a.held_t):
                 continue
             rule, opts = options[a.action]
             for m in opts:
                 h = apply(rule, g, m)
-                if observed(h, a.loc_next, a.held_next):
+                if observed(domain, h, a.loc_next, a.held_next):
                     mass = w * weights[a.action] / total / len(opts)
                     z += mass
                     key = frozenset(h.edge_dict().items())
@@ -415,7 +439,7 @@ class _RawTransition(LiftedApplyResult):
 
     raw: tuple = ()
 
-    def outputs(self, conditions=()):
+    def outputs(self, side=None):
         return self.raw
 
 
@@ -427,10 +451,10 @@ def unchecked_lifted_apply(rule: Rule, l: LiftedMultiHypergraph) -> LiftedApplyR
     rest moves fixed edges, the group holding the capped assert's key grows
     its total by one, and every member's upper bound grows by one, capped at
     the new total.  The result is exact only by accident.  Other rules take
-    the library's path.  The capped branch's ``outputs`` ignore their
-    conditions and return every successor, so the update's own conditioning
-    alone keeps it exact where the arithmetic is.  Tests patch it in at
-    ``mhgfilter.filtering.lifted_apply``.
+    the library's path.  The capped branch's ``outputs`` ignore the
+    observation side and return every successor, so the update's own
+    conditioning alone keeps it exact where the arithmetic is.  Tests patch
+    it in at ``mhgfilter.filtering.lifted_apply``.
     """
     capped = next((e for e in rule.effect.assert_ if e.cap is not None), None)
     if capped is None:

@@ -19,8 +19,9 @@ from mhgfilter import (ActionModel, AnnotationTuple, Belief, Domain, Effect,
                        parse_domain, predict, update)
 from mhgfilter import lifted as lifted_module
 from mhgfilter import rewrite
-from mhgfilter.filtering import _condition_state, _conditions
-from oracles import (builtin_document, lifted_state, mini_documents,
+from mhgfilter.canon import merged
+from mhgfilter.filtering import _condition_state
+from oracles import (builtin_document, lifted_state, mini_documents, observed,
                      reference_agent_location)
 from test_domain import empty_start_document
 
@@ -246,7 +247,7 @@ def test_update_raises_when_nothing_survives():
 
 def condition(domain, l, loc, held):
     """Condition l on one observation side, as ``update`` does."""
-    return _condition_state(l, _conditions(domain, loc, held))
+    return _condition_state(l, domain.observation.side(loc, held))
 
 
 def test_an_unknown_location_is_inconsistent_at_its_step():
@@ -262,6 +263,18 @@ def test_an_unknown_location_is_inconsistent_at_its_step():
             with pytest.raises(TraceInconsistencyError) as exc:
                 run(domain, trace)
             assert exc.value.step == 0
+
+
+def test_an_unknown_action_is_inconsistent_at_its_step():
+    """An action that names no rule of the domain is never met: both
+    filters stop at its step."""
+    domain = builtin_domain("mini")
+    trace = [AnnotationTuple("walk", "floor", "table"),
+             AnnotationTuple("fly", "table", "table")]
+    for run in (filter_trace, ground_filter_trace):
+        with pytest.raises(TraceInconsistencyError) as exc:
+            run(domain, trace)
+        assert (exc.value.step, exc.value.action) == (1, "fly")
 
 
 def test_condition_state_tightens_single_bounded_key():
@@ -492,7 +505,7 @@ def test_agent_location_equals_the_fixed_edge_scan(monkeypatch):
         ({("at", ("agent", "floor")): 2}, {}, None),                   # multiplicity 2
         ({("at", ("agent", "floor", "table")): 1}, {}, None),          # arity 3
         ({("at", ("agent", "agent")): 1}, {}, None),                   # a loop
-        (at, maybe, "floor"),                                          # bounded: ignored
+        (at, maybe, None),                                             # bounded
         ({}, maybe, None),
     ]
     for fixed, bounded, want in cases:
@@ -585,19 +598,51 @@ def test_the_memos_hold_no_reference_cycle():
             gc.enable()
 
 
-def test_a_compiled_side_conditions_as_its_list():
+def conditions_as_ground(domain, loc, held, l) -> set[int]:
+    """Check the compiled side (loc, held) against the ground reading
+    ``observed`` on l: ``_condition_state`` keeps the share of l's
+    groundings that the reading accepts, as states that expand to exactly
+    those groundings, uniformly; and every rule's ``outputs`` with the side,
+    from l and from each kept state, are those without it, bit for bit,
+    less only successors with no accepted grounding.  Returns the numbers
+    of successors kept."""
+    side = domain.observation.side(loc, held)
+    accepted = [g for g in l.iter_groundings() if observed(domain, g, loc, held)]
+    f, kept = _condition_state(l, side)
+    assert abs(f - len(accepted) / l.count_groundings()) <= 1e-12
+    expanded: dict[bytes, float] = {}
+    for s, rel in kept:
+        for g in s.iter_groundings():
+            form = g.canonical_form().data
+            expanded[form] = expanded.get(form, 0.0) + rel / s.count_groundings()
+    want = {g.canonical_form().data: c / len(accepted) for g, c in merged(
+        (g, 1) for g in accepted)}
+    assert expanded.keys() == want.keys()
+    assert all(abs(expanded[k] - w) <= 1e-12 for k, w in want.items())
+    counts = set()
+    for tight in {l} | {s for s, _ in kept}:
+        for rule in domain.rules:
+            t = lifted_apply(rule, tight)
+            full = t.outputs()
+            everything = [(s.canonical_form().data, repr(p)) for s, p in full]
+            pruned = [(s.canonical_form().data, repr(p)) for s, p in t.outputs(side)]
+            assert pruned == [e for e in everything if e in pruned]
+            for e, (s, _) in zip(everything, full):
+                assert e in pruned or not any(observed(domain, g, loc, held)
+                                              for g in s.iter_groundings())
+            counts.add(len(pruned))
+    return counts
+
+
+def test_a_compiled_side_conditions_as_ground_enumeration():
     """On random mini-family documents, an annotation side compiled against
-    the domain's schema concludes what its plain ``_conditions`` list does:
-    the same ``_condition_state`` result, and bit-identical ``outputs`` of
-    every rule's transition from every belief entry and every state the
-    conditioning leaves.  The sides are a generated trace's and edits of
-    them: a location that is no vertex, a label that is not holdable
-    observed at 0 and at 1, and each held count one higher."""
+    the domain's schema conditions every state a filter run holds as the
+    ground reading of the side does (``conditions_as_ground``).  The sides
+    are a generated trace's and edits of them: a location that is no
+    vertex, a label that is not holdable observed at 0 and at 1, and each
+    held count one higher."""
     hypothesis = pytest.importorskip("hypothesis")
     traces = random.Random(1)   # the traces' own stream, across examples
-
-    def described(pairs):
-        return [(s.canonical_form().data, repr(w)) for s, w in pairs]
 
     @hypothesis.seed(0)
     @hypothesis.settings(max_examples=15, derandomize=True, deadline=None,
@@ -616,36 +661,29 @@ def test_a_compiled_side_conditions_as_its_list():
         edited |= {(loc, tuple((label, n + 1) for label, n in held) or (("eccentric", 1),))
                    for loc, held in sides}
         for loc, held in sorted(sides | edited):
-            held = dict(held)
-            compiled = domain.observation.side(loc, held)
-            plain = _conditions(domain, loc, held)
             for l in states.values():
-                f, kept = _condition_state(l, compiled)
-                assert (repr(f), described(kept)) == (
-                    repr(_condition_state(l, plain)[0]),
-                    described(_condition_state(l, plain)[1]))
-                for tight in {l} | {s for s, _ in kept}:
-                    for rule in domain.rules:
-                        t = lifted_apply(rule, tight)
-                        assert described(t.outputs(compiled)) == described(t.outputs(plain))
+                conditions_as_ground(domain, loc, dict(held), l)
 
     check()
 
 
+def jump_rule(places):
+    """The agent gains an ``at`` edge to any place it is not at."""
+    return Rule("jump", Pattern((PatternVertex("A", "agent"),
+                                 PatternVertex("X", frozenset(places))), ()),
+                Effect(assert_=(EffectEdge("at", ("A", "X"), cap=1),)))
+
 
 def test_a_compiled_side_reads_groups_of_observed_keys():
     """Plan steps whose group holds the agent's ``holds`` keys, or its
-    ``at`` keys, which no mini-family plan makes: a compiled side excludes
-    exactly the steps its plain list excludes, whatever the held count or
-    location it observes, from a state where those keys are empty and
-    from one where they already form a group."""
+    ``at`` keys, which no mini-family plan makes: a compiled side conditions
+    as the ground reading does (``conditions_as_ground``), whatever the
+    held count or location it observes, from a state where those keys are
+    empty and from one where they already form a group."""
     places = ("floor", "table", "shelf")
     grab = Rule("grab", Pattern((PatternVertex("A", "agent"),
                                  PatternVertex("I", "gear")), ()),
                 Effect(assert_=(EffectEdge("holds", ("A", "I"), cap=1),)))
-    jump = Rule("jump", Pattern((PatternVertex("A", "agent"),
-                                 PatternVertex("X", frozenset(places))), ()),
-                Effect(assert_=(EffectEdge("at", ("A", "X"), cap=1),)))
     initial = LiftedMultiHypergraph(
         [Vertex("agent", "agent")] + [Vertex(p, p) for p in places]
         + [Vertex(g, "gear") for g in ("g1", "g2", "g3")],
@@ -653,11 +691,7 @@ def test_a_compiled_side_reads_groups_of_observed_keys():
     domain = Domain(name="groups", agent_id="agent", location_labels=frozenset(places),
                     agent_location_labels=frozenset(places),
                     holdable_labels=frozenset({"gear"}), initial_state=initial,
-                    rules=(grab, jump))
-
-    def described(pairs):
-        return [(s.canonical_form().data, repr(w)) for s, w in pairs]
-
+                    rules=(grab, jump_rule(places)))
     states = [initial] + [s for r in domain.rules
                           for s, _ in lifted_apply(r, initial).outputs()]
     assert any(s.group_of(("holds", ("agent", "g1"))) for s in states)
@@ -665,15 +699,94 @@ def test_a_compiled_side_reads_groups_of_observed_keys():
     kept = set()
     for loc in places:
         for n in range(5):
-            compiled = domain.observation.side(loc, {"gear": n})
-            plain = _conditions(domain, loc, {"gear": n})
             for l in states:
-                for rule in domain.rules:
-                    t = lifted_apply(rule, l)
-                    out = described(t.outputs(compiled))
-                    assert out == described(t.outputs(plain))
-                    kept.add(len(out))
+                kept |= conditions_as_ground(domain, loc, {"gear": n}, l)
     assert kept == {0, 1}
+
+
+def test_a_bounded_at_key_leaves_the_location_open():
+    """After ``jump`` from the floor, the agent is at the floor and at one
+    of table and shelf: every grounding has two ``at`` edges and no
+    location, so ``by_location`` does not apply to the next step.  Both
+    filters give the trace likelihood 1/6 (``jump`` against ``rest``
+    weighted 5 at the floor) times 1/2 (``rest`` against ``jump`` with
+    default weights)."""
+    places = ("floor", "table", "shelf")
+    initial = LiftedMultiHypergraph([Vertex("agent", "agent")] + [Vertex(p, p) for p in places],
+                                    {("at", ("agent", "floor")): (1, 1)})
+    rest = Rule("rest", Pattern((PatternVertex("A", "agent"),), ()))
+    domain = Domain(name="jump", agent_id="agent", location_labels=frozenset(places),
+                    agent_location_labels=frozenset(places), holdable_labels=frozenset(),
+                    initial_state=initial, rules=(jump_rule(places), rest),
+                    action_model=ActionModel(by_location={"floor": {"rest": 5}}))
+    trace = [AnnotationTuple("jump", "floor", "floor"),
+             AnnotationTuple("rest", "floor", "floor")]
+    jumped = filter_trace(domain, trace[:1]).beliefs[1].entries[0][0]
+    assert jumped.group_of(("at", ("agent", "table"))) is not None
+    assert agent_location(domain, jumped) is None
+    report = compare(domain, trace)
+    assert not report.divergent
+    assert report.log_likelihood_lifted == pytest.approx(math.log(1 / 12), abs=1e-12)
+    assert report.log_likelihood_ground == pytest.approx(math.log(1 / 12), abs=1e-12)
+
+
+def test_a_fixed_location_holds_in_every_grounding():
+    """Whenever ``agent_location`` names a place, every grounding of the
+    state is at that place, on hand-made states whose agent ``at`` keys
+    are fixed, bounded or grouped, and on every state a filter run on a
+    random mini-family document holds or plans next."""
+    hypothesis = pytest.importorskip("hypothesis")
+    from hypothesis import strategies as st
+    places = ("floor", "table", "shelf")
+    vertices = [Vertex("agent", "agent")] + [Vertex(p, p) for p in places]
+    domain = Domain(name="places", agent_id="agent", location_labels=frozenset(places),
+                    agent_location_labels=frozenset(places), holdable_labels=frozenset(),
+                    initial_state=LiftedMultiHypergraph(vertices, {}), rules=())
+    kinds = [None, 1, 2, (0, 1), (1, 2), (0, 2)]   # absent, fixed, bounded
+
+    def checked(domain, l):
+        loc = agent_location(domain, l)
+        if loc is not None:
+            assert all(reference_agent_location(domain, g) == loc
+                       for g in l.iter_groundings())
+        return loc
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=200, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(st.lists(st.sampled_from(kinds), min_size=3, max_size=3),
+                      st.integers(0, 3), st.booleans())
+    def hand_made(drawn, total, grouped):
+        keys = {("at", ("agent", p)): kind for p, kind in zip(places, drawn)}
+        fixed = {k: m for k, m in keys.items() if isinstance(m, int)}
+        bounded = {k: m for k, m in keys.items() if isinstance(m, tuple)}
+        members = [k for k, m in bounded.items() if m == (0, 1)]
+        groups = [(members, min(total, len(members)))] if grouped and members else []
+        checked(domain, lifted_state(vertices, fixed, bounded, groups))
+
+    hand_made()
+    traces = random.Random(2)
+    named = 0
+
+    @hypothesis.seed(0)
+    @hypothesis.settings(max_examples=15, derandomize=True, deadline=None,
+                         database=None)
+    @hypothesis.given(mini_documents())
+    def derived(drawn):
+        nonlocal named
+        _, domain = drawn
+        trace, _ = generate_trace(domain, traces.randrange(2 ** 16),
+                                  traces.randint(3, 8), policy="install_heavy")
+        for belief in filter_trace(domain, trace).beliefs:
+            for l, _ in belief:
+                named += checked(domain, l) is not None
+                for rule in domain.rules:
+                    for s, _ in lifted_apply(rule, l).outputs():
+                        named += checked(domain, s) is not None
+
+    derived()
+    assert named > 100
+
 
 def test_two_domains_over_one_layout_conclude_as_if_apart():
     """``dataclasses.replace`` makes domains that share mini's initial state,

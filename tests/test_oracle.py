@@ -252,9 +252,11 @@ def test_the_oracle_tests_each_distinct_ground_state_once(monkeypatch):
 
 def test_the_reference_shares_no_arithmetic_with_the_lifted_filter():
     """The ground reference is an independent check only while it computes
-    its own rule weights, conditioning and Z: ``oracle.py`` names none of
-    the lifted filter's arithmetic, and takes from ``filtering`` only the
-    belief container, the trace bookkeeping and the observation schema."""
+    its own rule weights, conditioning and Z and reads an annotation side
+    its own way: ``oracle.py`` names none of the lifted filter's arithmetic
+    or compiled observation, and takes from ``filtering`` only the belief
+    container, the trace bookkeeping, ``agent_location``, the ``at`` label
+    and the logger."""
     import ast
     from pathlib import Path
 
@@ -262,7 +264,8 @@ def test_the_reference_shares_no_arithmetic_with_the_lifted_filter():
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     lifted_arithmetic = {"predict", "update", "lifted_apply", "_condition_state",
                          "conditioned", "Particle", "JointPrediction",
-                         "LiftedApplyResult"}
+                         "LiftedApplyResult", "ObservationSchema", "_Side",
+                         "_summary", "verdict", "excluded"}
     enclosing = {inner: f.name for f in ast.walk(tree)
                  if isinstance(f, ast.FunctionDef) for inner in ast.walk(f)}
     used = set()
@@ -280,7 +283,6 @@ def test_the_reference_shares_no_arithmetic_with_the_lifted_filter():
                     (a.name, enclosing.get(node)) for a in node.names)
     assert used & lifted_arithmetic == set()
     assert imported_from_filtering == {
-        **dict.fromkeys(["Belief", "FilterResult", "_conditions",
-                         "_ground_consistent", "_run_trace", "agent_location",
-                         "logger"]),
+        **dict.fromkeys(["AT_LABEL", "Belief", "FilterResult", "_run_trace",
+                         "agent_location", "logger"]),
         "filter_trace": "compare"}

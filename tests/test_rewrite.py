@@ -9,7 +9,7 @@ from mhgfilter import (Effect, EffectEdge, EffectError, LiftedMultiHypergraph,
                        Match, MultiHypergraph, Pattern, PatternEdge, PatternVertex,
                        Rule, StructuralError, Vertex, apply, builtin_domain,
                        edge_key, ground_options, lifted_apply, successors)
-from oracles import (fresh_layout, ground_pushforward, lifted_distribution,
+from oracles import (BruteSide, fresh_layout, ground_pushforward, lifted_distribution,
                      lifted_state, tv_distance, unchecked_lifted_apply)
 
 
@@ -530,9 +530,10 @@ def condition_scene(draw):
 
 
 def test_condition_prune_drops_only_dead_successors():
-    """With conditions, ``outputs`` returns, bit for bit, the outputs it
-    returns without them, less some whose every grounding misses a
-    condition.
+    """With a side that excludes by brute force the plan steps whose every
+    grounding misses a condition, ``outputs`` returns, bit for bit, the
+    outputs it returns without one, less some whose every grounding misses
+    a condition.
 
     Each condition sums the orbit of its drawn keys under the vertex
     permutations that keep labels and multiplicities, as the domain's held
@@ -553,7 +554,7 @@ def test_condition_prune_drops_only_dead_successors():
     def check(scene):
         rule, l, conds = scene
         t = lifted_apply(rule, l)
-        full, pruned = t.outputs(), t.outputs(conds)
+        full, pruned = t.outputs(), t.outputs(BruteSide(conds))
         entries = [(s.canonical_form().data, repr(p)) for s, p in full]
         kept = [(s.canonical_form().data, repr(p)) for s, p in pruned]
         assert kept == [e for e in entries if e in kept]
@@ -564,9 +565,10 @@ def test_condition_prune_drops_only_dead_successors():
 
 def test_condition_prune_on_every_kind_of_plan_step():
     """A ``mark`` plan with a grown-group step (pen), a fresh-group step
-    (cup) and a single-empty step (key): for each successor, conditions
-    that only it can meet make ``outputs`` return exactly that
-    successor, with the same bytes and probability as without them."""
+    (cup) and a single-empty step (key): for each successor, a brute-force
+    side of conditions that only it can meet makes ``outputs`` return
+    exactly that successor, with the same bytes and probability as without
+    a side."""
     items, slots = ("pen", "cup", "key"), ("s1", "s2", "s3")
 
     def mark(item, slot):
@@ -603,7 +605,7 @@ def test_condition_prune_on_every_kind_of_plan_step():
     }
     kept = set()
     for item, conds in only.items():
-        pruned = full.outputs(conds)
+        pruned = full.outputs(BruteSide(conds))
         assert len(pruned) == 1
         state, p = pruned[0]
         assert entry(state, p) in entries
@@ -620,11 +622,11 @@ def described(outputs) -> list[tuple]:
 
 
 def test_a_memoised_successor_is_the_state_a_fresh_layout_derives():
-    """On random install scenes, with and without conditions: successors
-    that a rebuilt equal-content state reads from the memo are the states
-    that the cold read and a fresh layout derive, down to class, maps,
-    groups, emptiness, canonical bytes and weights, and each comes with the
-    content memo of the one ``shifted`` derived."""
+    """On random install scenes, with and without a brute-force side of
+    conditions: successors that a rebuilt equal-content state reads from
+    the memo are the states that the cold read and a fresh layout derive,
+    down to class, maps, groups, emptiness, canonical bytes and weights,
+    and each comes with the content memo of the one ``shifted`` derived."""
     hypothesis = pytest.importorskip("hypothesis")
     from hypothesis import strategies as st
     reused = 0
@@ -636,15 +638,15 @@ def test_a_memoised_successor_is_the_state_a_fresh_layout_derives():
     def check(scene, conditioned):
         nonlocal reused
         rule, drawn, conds = scene
-        conds = conds if conditioned else ()
+        side = BruteSide(conds) if conditioned else None
         l = rebuilt(drawn, fresh_layout(drawn))     # drawing read its outputs
-        cold = lifted_apply(rule, l).outputs(conds)
+        cold = lifted_apply(rule, l).outputs(side)
         warm = lifted_apply(rule, rebuilt(l, l.layout))
         fresh = lifted_apply(rule, rebuilt(l, fresh_layout(l)))
-        assert described(warm.outputs(conds)) == described(cold)
-        assert described(warm.outputs(conds)) == described(fresh.outputs(conds))
+        assert described(warm.outputs(side)) == described(cold)
+        assert described(warm.outputs(side)) == described(fresh.outputs(side))
         assert described(warm.outputs()) == described(fresh.outputs())
-        for (a, _), (b, _) in zip(cold, warm.outputs(conds)):
+        for (a, _), (b, _) in zip(cold, warm.outputs(side)):
             if warm.groundings is None:     # attached, not looked up again
                 assert b._memo is a.content_memo()
                 reused += 1

@@ -7,9 +7,11 @@ Usage::
 Runs pytest in this process (on the whole suite by default) with a line
 tracer installed by ``sys.settrace`` and ``threading.settrace``, which
 records the lines run in ``src/mhgfilter/*.py``.  Prints each statement
-that never ran as ``file:line: source``, then a count per file, and exits
-with pytest's exit code.  Docstrings, ``def`` and ``class`` headers,
-imports and ``global``/``nonlocal`` declarations are not counted, and a
+that never ran as ``file:line: source``, then per file the number of
+statements that never ran and the number of statements counted, and
+exits with pytest's exit code.  Docstrings, ``def`` and ``class``
+headers, imports and ``global``/``nonlocal`` declarations are not
+counted, so edits to docstrings or comments move neither number, and a
 statement counts as run when any line it spans ran (a compound statement:
 any line of its header or body).  Code run in a subprocess is not seen.
 Tracing makes the run about three times slower; no coverage package
@@ -82,15 +84,18 @@ def main(argv: list[str]) -> int:
     for path, source in sources.items():
         lines = source.splitlines()
         ran = {line for name, line in hits if name == str(path)}
-        missed = sorted(first for first, last in statements(trees[path])
+        counted = list(statements(trees[path]))
+        missed = sorted(first for first, last in counted
                         if ran.isdisjoint(range(first, last + 1)))
         rel = path.relative_to(ROOT)
         for line in missed:
             print(f"{rel}:{line}: {lines[line - 1].strip()}")
-        per_file[rel] = len(missed)
-    for rel, n in per_file.items():
-        print(f"{n:5d}  {rel}")
-    print(f"{sum(per_file.values()):5d}  total")
+        per_file[rel] = len(missed), len(counted)
+    print("missed  counted  file")
+    for rel, (n, total) in per_file.items():
+        print(f"{n:6d}  {total:7d}  {rel}")
+    print(f"{sum(n for n, _ in per_file.values()):6d}  "
+          f"{sum(t for _, t in per_file.values()):7d}  total")
     return int(code)
 
 
